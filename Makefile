@@ -26,7 +26,8 @@ BENCH_RECORD = 'Calibration|Parallel|Pruning|IngestAppend|AppendWAL|AppendBatchW
 BENCH_GATE = 'Calibration$$|IngestAppendSerial|IngestAppendBatch|ParallelSumDataPointView|ScatterTCPStream|AppendWALGroupCommit'
 
 .PHONY: all build vet fmt-check lint vuln test race bench crash ci \
-	bench-record bench-compare fuzz obs-smoke docs-check
+	bench-record bench-compare fuzz obs-smoke docs-check \
+	benchmark-smoke benchmark
 
 all: build test
 
@@ -62,6 +63,19 @@ race:
 # code are caught without paying for stable measurements.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# The benchmark of record (BENCHMARK.json) is a nested module that
+# `go test ./...` never enters. Its smoke test builds the harness
+# against this tree and runs all five workloads, untraced and traced,
+# at tiny scale, so a change that breaks an exported signature the
+# harness imports — or an answer its oracle checks — fails here rather
+# than when a change is accepted.
+benchmark-smoke:
+	cd benchmark && $(GO) test ./...
+
+# The benchmark of record at full length: every workload, seed 42.
+benchmark:
+	bash benchmark/run.sh --workload all
 
 # Records the benchmark suite as a machine-readable artifact:
 # BENCH_results.json (env + every result) and BENCH_results.md (the
@@ -120,4 +134,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFileStoreRecover$$' -fuzztime $(FUZZTIME) ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePartial$$' -fuzztime $(FUZZTIME) ./internal/query
 
-ci: build lint vuln race bench crash docs-check
+ci: build lint vuln race bench benchmark-smoke crash docs-check

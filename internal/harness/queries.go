@@ -121,8 +121,11 @@ func Fig20(scale Scale) (*Table, error) {
 		return nil, err
 	}
 	queries := map[string]string{
-		"SV":  "SELECT SUM_S(*), COUNT_S(*) FROM Segment",
-		"DPV": "SELECT SUM(Value), COUNT(*) FROM DataPoint",
+		"SV": "SELECT SUM_S(*), COUNT_S(*) FROM Segment",
+		// The keep-everything Value predicate holds the DPV column to the
+		// paper's meaning, an aggregate over reconstructed points; without
+		// a point predicate the engine folds it on models like SV.
+		"DPV": "SELECT SUM(Value), COUNT(*) FROM DataPoint WHERE Value > -1000000000",
 	}
 	baselineThroughput := map[string]float64{}
 	rows := map[int][]string{}

@@ -16,6 +16,11 @@ type QueryMetrics struct {
 	Seconds     *Histogram
 	Stage       map[string]*Histogram // keyed by span name
 	QueueWait   *Histogram            // worker-pool chunk queue wait
+
+	// How aggregates were answered: (segment, series) pairs folded on
+	// the model against points reconstructed.
+	FoldedSeries  *Counter
+	DecodedPoints *Counter
 }
 
 // NewQueryMetrics registers the query metric family.
@@ -40,6 +45,11 @@ func NewQueryMetrics(r *Registry) *QueryMetrics {
 		},
 		QueueWait: r.Histogram("modelardb_query_queue_wait_seconds",
 			"Time a scan chunk waits in the worker-pool queue.", nil),
+
+		FoldedSeries: r.Counter("modelardb_query_folded_series_total",
+			"(segment, series) pairs aggregated on the model without reconstructing a point."),
+		DecodedPoints: r.Counter("modelardb_query_decoded_points_total",
+			"Data points reconstructed from models by queries."),
 	}
 }
 
@@ -73,6 +83,8 @@ func (o *QueryObserver) Observe(t *Trace, err error) {
 		m.Segments.Add(t.Segments())
 		m.Chunks.Add(t.Chunks())
 		m.Rows.Add(t.Rows())
+		m.FoldedSeries.Add(t.FoldedSeries())
+		m.DecodedPoints.Add(t.DecodedPoints())
 	}
 	if o.SlowLog.MaybeLog(t, err) {
 		if m := o.Metrics; m != nil {

@@ -12,7 +12,8 @@ import (
 // slow query is diagnosable from the log alone:
 //
 //	slow query id=7 total=1.2s parse=40µs plan=110µs scan=1.19s
-//	  finalize=9ms segments=52310 chunks=64 rows=12 sql="SELECT ..."
+//	  finalize=9ms segments=52310 chunks=64 rows=12 folded_series=0
+//	  decoded_points=8127400 sql="SELECT ..."
 //
 // (on one line). A threshold of zero or less logs every query — useful
 // for tracing a test run, never the production default.
@@ -63,6 +64,10 @@ func (l *SlowQueryLog) MaybeLog(t *Trace, err error) bool {
 	b.WriteString(strconv.FormatInt(t.Chunks(), 10))
 	b.WriteString(" rows=")
 	b.WriteString(strconv.FormatInt(t.Rows(), 10))
+	b.WriteString(" folded_series=")
+	b.WriteString(strconv.FormatInt(t.FoldedSeries(), 10))
+	b.WriteString(" decoded_points=")
+	b.WriteString(strconv.FormatInt(t.DecodedPoints(), 10))
 	if err != nil {
 		b.WriteString(" err=")
 		b.WriteString(strconv.Quote(err.Error()))

@@ -26,10 +26,11 @@ type SpanRecord struct {
 }
 
 // Trace is one query's execution record: stage spans, work counters
-// (segments scanned, scan chunks, rows returned) and the total
-// duration. The engine attaches a Trace to each execution when an
-// observer is installed; a finished Trace feeds the stage histograms
-// and, past the threshold, the slow-query log.
+// (segments scanned, scan chunks, rows returned, series folded on
+// their model, points reconstructed) and the total duration. The
+// engine attaches a Trace to each execution when an observer is
+// installed; a finished Trace feeds the stage histograms and, past the
+// threshold, the slow-query log.
 //
 // Spans are started and ended by the engine — possibly from different
 // goroutines (a streaming cursor's scan span ends on the producer) —
@@ -45,9 +46,11 @@ type Trace struct {
 	spans []SpanRecord
 	open  atomic.Int32
 
-	segments atomic.Int64
-	chunks   atomic.Int64
-	rows     atomic.Int64
+	segments      atomic.Int64
+	chunks        atomic.Int64
+	rows          atomic.Int64
+	foldedSeries  atomic.Int64
+	decodedPoints atomic.Int64
 }
 
 // NewTrace starts a trace for a query. sql renders the query text
@@ -130,6 +133,24 @@ func (t *Trace) AddRows(n int64) {
 	}
 }
 
+// AddFoldedSeries counts (segment, series) pairs an aggregate answered
+// from the model's range aggregates, reconstructing no point. Safe on
+// a nil trace.
+func (t *Trace) AddFoldedSeries(n int64) {
+	if t != nil {
+		t.foldedSeries.Add(n)
+	}
+}
+
+// AddDecodedPoints counts data points reconstructed from models, by a
+// row scan or by an aggregate a point predicate forced off the fold.
+// Safe on a nil trace.
+func (t *Trace) AddDecodedPoints(n int64) {
+	if t != nil {
+		t.decodedPoints.Add(n)
+	}
+}
+
 // Segments returns the segments-scanned count.
 func (t *Trace) Segments() int64 { return t.segments.Load() }
 
@@ -138,6 +159,12 @@ func (t *Trace) Chunks() int64 { return t.chunks.Load() }
 
 // Rows returns the result-row count.
 func (t *Trace) Rows() int64 { return t.rows.Load() }
+
+// FoldedSeries returns the folded (segment, series) count.
+func (t *Trace) FoldedSeries() int64 { return t.foldedSeries.Load() }
+
+// DecodedPoints returns the reconstructed-point count.
+func (t *Trace) DecodedPoints() int64 { return t.decodedPoints.Load() }
 
 // ID returns the engine-assigned query id.
 func (t *Trace) ID() uint64 { return t.id }

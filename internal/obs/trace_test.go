@@ -74,6 +74,8 @@ func TestNilTraceIsInert(t *testing.T) {
 	tr.AddSegments(1)
 	tr.AddChunks(1)
 	tr.AddRows(1)
+	tr.AddFoldedSeries(1)
+	tr.AddDecodedPoints(1)
 	var o *QueryObserver
 	o.Observe(tr, nil) // nil observer, nil trace: no panic
 }
@@ -94,11 +96,13 @@ func TestSlowQueryLogThresholdBoundary(t *testing.T) {
 	at.SetTotal(100 * time.Millisecond)
 	at.AddSegments(5)
 	at.AddRows(2)
+	at.AddFoldedSeries(7)
+	at.AddDecodedPoints(9)
 	if !l.MaybeLog(at, nil) {
 		t.Error("query at the threshold was not logged")
 	}
 	line := buf.String()
-	for _, want := range []string{"slow query id=2", "total=100ms", "segments=5", "rows=2", `sql="SELECT at"`} {
+	for _, want := range []string{"slow query id=2", "total=100ms", "segments=5", "rows=2", "folded_series=7", "decoded_points=9", `sql="SELECT at"`} {
 		if !strings.Contains(line, want) {
 			t.Errorf("slow-query line %q missing %q", line, want)
 		}
@@ -143,6 +147,8 @@ func TestObserverFeedsMetrics(t *testing.T) {
 	tr.AddSegments(10)
 	tr.AddChunks(2)
 	tr.AddRows(4)
+	tr.AddFoldedSeries(6)
+	tr.AddDecodedPoints(8)
 	sp.End()
 	tr.SetTotal(time.Millisecond)
 	o.Observe(tr, nil)
@@ -153,6 +159,9 @@ func TestObserverFeedsMetrics(t *testing.T) {
 	}
 	if m.Segments.Value() != 10 || m.Chunks.Value() != 2 || m.Rows.Value() != 4 {
 		t.Errorf("segments=%d chunks=%d rows=%d", m.Segments.Value(), m.Chunks.Value(), m.Rows.Value())
+	}
+	if m.FoldedSeries.Value() != 6 || m.DecodedPoints.Value() != 8 {
+		t.Errorf("folded_series=%d decoded_points=%d, want 6/8", m.FoldedSeries.Value(), m.DecodedPoints.Value())
 	}
 	if m.Stage[SpanScan].Count() != 1 {
 		t.Errorf("scan stage observations = %d, want 1", m.Stage[SpanScan].Count())

@@ -31,6 +31,9 @@ type Engine struct {
 	// chunk pins a fixed scan chunk size when positive (tests only);
 	// otherwise the store sizes chunks adaptively by byte budget.
 	chunk int
+	// forcePerPoint makes every DataPoint-view aggregate reconstruct its
+	// points (tests only): the oracle the model fold is checked against.
+	forcePerPoint bool
 	// scanHook, when set, is invoked once per scanned segment with the
 	// query's context (SetScanHook).
 	scanHook func(ctx context.Context) error
@@ -249,7 +252,7 @@ func (e *Engine) runPlan(ctx context.Context, p *plan) (*PartialResult, error) {
 type plan struct {
 	q           *sqlparse.Query
 	push        pushdown
-	residual    sqlparse.Expr
+	where       whereSplit
 	isAggregate bool
 	cubeLevel   sqlparse.TimeLevel
 	groupRefs   []columnRef
@@ -257,6 +260,12 @@ type plan struct {
 	nScalars    int
 	nCubes      int
 	outColumns  []string
+	// perPoint is the fold decision of an aggregate plan, taken once
+	// here so every worker agrees: a DataPoint-view aggregate walks
+	// reconstructed points only when a point conjunct or a TS/Value
+	// group key needs them; otherwise it folds each (segment, series) on
+	// the model like the Segment view.
+	perPoint bool
 	// colTypes is the typed column layout of projected rows, derived
 	// from the select items' resolved references (non-aggregate plans
 	// only; aggregates materialize rows at finalize).
@@ -356,20 +365,11 @@ func (e *Engine) compile(q *sqlparse.Query) (*plan, error) {
 	if len(p.items) == 0 {
 		return nil, fmt.Errorf("query: empty select list")
 	}
-	// Push-down and residual.
-	push, err := e.analyzeWhere(q.Where)
-	if err != nil {
+	var err error
+	if p.push, p.where, err = e.analyzeWhere(q.Where, q.From); err != nil {
 		return nil, err
 	}
-	p.push = push
-	p.residual = q.Where
-	if q.From == sqlparse.TableSegment {
-		residual, err := e.splitSegmentTS(q.Where)
-		if err != nil {
-			return nil, err
-		}
-		p.residual = residual
-	}
+	p.perPoint = q.From == sqlparse.TableDataPoint && (p.where.point != nil || p.pointGroupKey() || e.forcePerPoint)
 	// Output column labels: the bucket column precedes the first cube
 	// aggregate (Fig. 12 keys results by the roll-up bucket).
 	bucketEmitted := false
@@ -438,101 +438,6 @@ func (e *Engine) checkAggregate(item sqlparse.SelectItem, table sqlparse.Table) 
 	return nil
 }
 
-// splitSegmentTS validates TS usage for Segment-view queries: TS
-// predicates must be top-level conjuncts (consumed by the time-range
-// clamp); anywhere else they cannot be evaluated per row.
-func (e *Engine) splitSegmentTS(expr sqlparse.Expr) (sqlparse.Expr, error) {
-	if expr == nil {
-		return nil, nil
-	}
-	conjuncts := collectConjuncts(expr)
-	var rest []sqlparse.Expr
-	for _, c := range conjuncts {
-		isTS, err := e.isTSPredicate(c)
-		if err != nil {
-			return nil, err
-		}
-		if isTS {
-			continue // consumed by the push-down clamp
-		}
-		if e.referencesTS(c) {
-			return nil, fmt.Errorf("query: TS predicates on the Segment view must be simple AND conditions")
-		}
-		rest = append(rest, c)
-	}
-	return joinConjuncts(rest), nil
-}
-
-func collectConjuncts(expr sqlparse.Expr) []sqlparse.Expr {
-	if be, ok := expr.(*sqlparse.BinaryExpr); ok && be.Op == "AND" {
-		return append(collectConjuncts(be.L), collectConjuncts(be.R)...)
-	}
-	return []sqlparse.Expr{expr}
-}
-
-func joinConjuncts(exprs []sqlparse.Expr) sqlparse.Expr {
-	if len(exprs) == 0 {
-		return nil
-	}
-	out := exprs[0]
-	for _, e := range exprs[1:] {
-		out = &sqlparse.BinaryExpr{Op: "AND", L: out, R: e}
-	}
-	return out
-}
-
-// isTSPredicate reports whether the expression is a clampable TS
-// comparison.
-func (e *Engine) isTSPredicate(expr sqlparse.Expr) (bool, error) {
-	switch x := expr.(type) {
-	case *sqlparse.BinaryExpr:
-		ident, ok := x.L.(*sqlparse.Ident)
-		if !ok {
-			return false, nil
-		}
-		ref, err := resolveColumn(e.schema, ident.Name)
-		if err != nil {
-			return false, err
-		}
-		if ref.kind != colTS {
-			return false, nil
-		}
-		switch x.Op {
-		case "=", "<", "<=", ">", ">=":
-			return true, nil
-		}
-		return false, fmt.Errorf("query: operator %s is not supported for TS on the Segment view", x.Op)
-	case *sqlparse.BetweenExpr:
-		ref, err := resolveColumn(e.schema, x.Column)
-		if err != nil {
-			return false, err
-		}
-		return ref.kind == colTS, nil
-	default:
-		return false, nil
-	}
-}
-
-func (e *Engine) referencesTS(expr sqlparse.Expr) bool {
-	switch x := expr.(type) {
-	case *sqlparse.BinaryExpr:
-		if ident, ok := x.L.(*sqlparse.Ident); ok {
-			if ref, err := resolveColumn(e.schema, ident.Name); err == nil && ref.kind == colTS {
-				return true
-			}
-		}
-		return e.referencesTS(x.L) || e.referencesTS(x.R)
-	case *sqlparse.InExpr:
-		ref, err := resolveColumn(e.schema, x.Column)
-		return err == nil && ref.kind == colTS
-	case *sqlparse.BetweenExpr:
-		ref, err := resolveColumn(e.schema, x.Column)
-		return err == nil && ref.kind == colTS
-	default:
-		return false
-	}
-}
-
 // logicalRow is one per-series row of either view during evaluation.
 type logicalRow struct {
 	ts      *core.TimeSeries
@@ -542,8 +447,8 @@ type logicalRow struct {
 	isPoint bool
 }
 
-// value boxes one column of the row for residual predicate evaluation
-// and group materialization; the hot projection and group-key paths
+// valueOf boxes one column of the row for predicate evaluation and
+// group materialization; the hot projection and group-key paths
 // use typed appends instead (plan.appendRow, plan.appendGroupKey).
 func (r *logicalRow) valueOf(ref columnRef) (any, bool) {
 	switch ref.kind {
@@ -644,7 +549,7 @@ func (p *plan) pointGroupKey() bool {
 
 // scanFilter converts a push-down to a store filter.
 func (p *plan) scanFilter() storage.Filter {
-	return storage.Filter{Gids: p.push.gids, From: p.push.trange.from, To: p.push.trange.to}
+	return storage.Filter{Gids: p.push.gids, From: p.push.prune.from, To: p.push.prune.to}
 }
 
 // runAggregate executes an aggregate query (Algorithms 5 and 6),
@@ -656,7 +561,7 @@ func (e *Engine) runAggregate(ctx context.Context, p *plan) (*PartialResult, err
 	}
 	out := &PartialResult{Columns: p.outColumns, IsAggregate: true, Groups: map[string]*GroupState{}}
 	sc := getScratch()
-	defer sc.release()
+	defer sc.release(p.trace)
 	err := e.store.Scan(ctx, p.scanFilter(), func(seg *core.Segment) error {
 		if err := e.hookSegment(ctx, p); err != nil {
 			return err
@@ -677,7 +582,7 @@ func (e *Engine) aggregateSegment(p *plan, seg *core.Segment, groups map[string]
 		return nil
 	}
 	var view models.AggView
-	needView := p.q.From == sqlparse.TableDataPoint || p.needsValues()
+	needView := p.perPoint || p.needsValues()
 	row := logicalRow{seg: seg, isPoint: p.q.From == sqlparse.TableDataPoint}
 	for pos, tid := range active {
 		ts, err := e.meta.Series(tid)
@@ -685,14 +590,12 @@ func (e *Engine) aggregateSegment(p *plan, seg *core.Segment, groups map[string]
 			return err
 		}
 		row.ts = ts
-		if p.q.From == sqlparse.TableSegment {
-			match, err := e.evalResidual(p.residual, &row)
-			if err != nil {
-				return err
-			}
-			if !match {
-				continue
-			}
+		match, err := e.evalPred(p.where.series, &row)
+		if err != nil {
+			return err
+		}
+		if !match {
+			continue
 		}
 		if view == nil && needView {
 			v, err := e.viewFor(sc, seg, len(active))
@@ -701,14 +604,15 @@ func (e *Engine) aggregateSegment(p *plan, seg *core.Segment, groups map[string]
 			}
 			view = v
 		}
-		if p.q.From == sqlparse.TableSegment {
-			if err := e.aggregateSeries(p, seg, view, pos, &row, i0, i1, groups); err != nil {
-				return err
-			}
+		if p.perPoint {
+			sc.decodedPoints += int64(i1 - i0 + 1)
+			err = e.aggregatePoints(p, seg, view, pos, &row, i0, i1, groups)
 		} else {
-			if err := e.aggregatePoints(p, seg, view, pos, &row, i0, i1, groups); err != nil {
-				return err
-			}
+			sc.foldedSeries++
+			err = e.aggregateSeries(p, seg, view, pos, &row, i0, i1, groups)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -744,7 +648,20 @@ func (p *plan) groupFor(groups map[string]*GroupState, key []byte, r *logicalRow
 	return g
 }
 
-// aggregateSeries is the Segment-view fast path: one AddRange per
+// rangeAgg is a series' model-native aggregate over [i0, i1], unscaled.
+// MIN and MAX are rounded through float32 before the division because
+// that is what a reconstructed point is (ValueAt returns float32);
+// rounding is monotone, so the rounded extremum of the model is the
+// extremum of the rounded points, bit for bit. SUM stays the model's
+// float64 closed form.
+func rangeAgg(view models.AggView, pos, i0, i1 int, scale float64) (sum, mn, mx float64) {
+	sum = view.SumRange(pos, i0, i1) / scale
+	mn = float64(float32(view.MinRange(pos, i0, i1))) / scale
+	mx = float64(float32(view.MaxRange(pos, i0, i1))) / scale
+	return sum, mn, mx
+}
+
+// aggregateSeries is the fold both views share: one AddRange per
 // (segment, series) using the model's constant-time aggregates where
 // the model supports them (Algorithm 5's iterate).
 func (e *Engine) aggregateSeries(p *plan, seg *core.Segment, view models.AggView, pos int, row *logicalRow, i0, i1 int, groups map[string]*GroupState) error {
@@ -762,9 +679,7 @@ func (e *Engine) aggregateSeries(p *plan, seg *core.Segment, view models.AggView
 				g.Scalars[pi.scalarIdx].AddRange(count, 0, 0, 0)
 				continue
 			}
-			sum := view.SumRange(pos, i0, i1) / scale
-			mn := view.MinRange(pos, i0, i1) / scale
-			mx := view.MaxRange(pos, i0, i1) / scale
+			sum, mn, mx := rangeAgg(view, pos, i0, i1, scale)
 			g.Scalars[pi.scalarIdx].AddRange(count, sum, mn, mx)
 		case pi.cubeIdx >= 0:
 			// Algorithm 6: walk the segment interval one time-hierarchy
@@ -784,9 +699,7 @@ func (e *Engine) aggregateSeries(p *plan, seg *core.Segment, view models.AggView
 				if pi.sel.Agg == sqlparse.AggCount {
 					g.Cubes[pi.cubeIdx].Add(bucket, n, 0, 0, 0)
 				} else {
-					sum := view.SumRange(pos, idx, last) / scale
-					mn := view.MinRange(pos, idx, last) / scale
-					mx := view.MaxRange(pos, idx, last) / scale
+					sum, mn, mx := rangeAgg(view, pos, idx, last, scale)
 					g.Cubes[pi.cubeIdx].Add(bucket, n, sum, mn, mx)
 				}
 				idx = last + 1
@@ -796,47 +709,32 @@ func (e *Engine) aggregateSeries(p *plan, seg *core.Segment, view models.AggView
 	return nil
 }
 
-// aggregatePoints feeds reconstructed data points into scalar states
-// (Data Point View aggregation: the slow path the paper compares
-// against).
+// aggregatePoints feeds reconstructed data points into scalar states:
+// the path a DataPoint-view aggregate takes only when its plan is
+// perPoint. A group exists only once a point matched, so the lookup
+// stays behind the predicate; a key constant per series is looked up
+// once.
 func (e *Engine) aggregatePoints(p *plan, seg *core.Segment, view models.AggView, pos int, row *logicalRow, i0, i1 int, groups map[string]*GroupState) error {
 	scale := float64(row.ts.Scaling)
-	// With no residual to filter points and a group key that is constant
-	// across the series, the group lookup hoists out of the point loop.
-	// (With a residual the group may only exist if some point matches,
-	// so the lookup stays inside.)
-	if p.residual == nil && !p.pointGroupKey() {
-		key, err := p.appendGroupKey(nil, row)
-		if err != nil {
-			return err
-		}
-		g := p.groupFor(groups, key, row)
-		for i := i0; i <= i1; i++ {
-			v := float64(view.ValueAt(pos, i)) / scale
-			for _, pi := range p.items {
-				if pi.scalarIdx >= 0 {
-					g.Scalars[pi.scalarIdx].AddPoint(v)
-				}
-			}
-		}
-		return nil
-	}
-	var keyBuf []byte
+	keyPerPoint := p.pointGroupKey()
+	var g *GroupState
+	var key []byte
 	for i := i0; i <= i1; i++ {
 		row.pointTS = seg.TimestampAt(i)
 		row.value = float64(view.ValueAt(pos, i)) / scale
-		match, err := e.evalResidual(p.residual, row)
+		match, err := e.evalPred(p.where.point, row)
 		if err != nil {
 			return err
 		}
 		if !match {
 			continue
 		}
-		keyBuf, err = p.appendGroupKey(keyBuf[:0], row)
-		if err != nil {
-			return err
+		if g == nil || keyPerPoint {
+			if key, err = p.appendGroupKey(key[:0], row); err != nil {
+				return err
+			}
+			g = p.groupFor(groups, key, row)
 		}
-		g := p.groupFor(groups, keyBuf, row)
 		for _, pi := range p.items {
 			if pi.scalarIdx >= 0 {
 				g.Scalars[pi.scalarIdx].AddPoint(row.value)
@@ -855,7 +753,7 @@ func (e *Engine) runSelect(ctx context.Context, p *plan) (*PartialResult, error)
 	}
 	out := &PartialResult{Columns: p.outColumns, Batch: getBatch(p.colTypes)}
 	sc := getScratch()
-	defer sc.release()
+	defer sc.release(p.trace)
 	err := e.store.Scan(ctx, p.scanFilter(), func(seg *core.Segment) error {
 		if err := e.hookSegment(ctx, p); err != nil {
 			return err
@@ -870,6 +768,9 @@ func (e *Engine) runSelect(ctx context.Context, p *plan) (*PartialResult, error)
 }
 
 // selectSegment appends one segment's projected rows to the batch.
+// The series conjuncts gate each series once and the exact time range
+// is already [i0, i1], so an emitted point is checked against the
+// point conjuncts only — usually none.
 func (e *Engine) selectSegment(p *plan, seg *core.Segment, b *ColumnBatch, sc *scanScratch) error {
 	members := sc.membersOf(e.meta, seg.Gid)
 	active := activeTids(members, seg.GapTids)
@@ -885,14 +786,14 @@ func (e *Engine) selectSegment(p *plan, seg *core.Segment, b *ColumnBatch, sc *s
 			return err
 		}
 		row.ts = ts
-		if p.q.From == sqlparse.TableSegment {
-			match, err := e.evalResidual(p.residual, &row)
-			if err != nil {
-				return err
-			}
-			if !match {
-				continue
-			}
+		match, err := e.evalPred(p.where.series, &row)
+		if err != nil {
+			return err
+		}
+		if !match {
+			continue
+		}
+		if !row.isPoint {
 			p.appendRow(b, &row)
 			continue
 		}
@@ -904,15 +805,18 @@ func (e *Engine) selectSegment(p *plan, seg *core.Segment, b *ColumnBatch, sc *s
 			view = v
 		}
 		scale := float64(ts.Scaling)
+		sc.decodedPoints += int64(i1 - i0 + 1)
 		for i := i0; i <= i1; i++ {
 			row.pointTS = seg.TimestampAt(i)
 			row.value = float64(view.ValueAt(pos, i)) / scale
-			match, err := e.evalResidual(p.residual, &row)
-			if err != nil {
-				return err
-			}
-			if !match {
-				continue
+			if p.where.point != nil {
+				match, err := e.evalPred(p.where.point, &row)
+				if err != nil {
+					return err
+				}
+				if !match {
+					continue
+				}
 			}
 			p.appendRow(b, &row)
 		}

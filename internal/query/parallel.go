@@ -210,7 +210,7 @@ func (e *Engine) runAggregatePar(ctx context.Context, p *plan, n int) (*PartialR
 	err := e.scanParallel(ctx, p, n, func(segs []*core.Segment) (any, error) {
 		groups := map[string]*GroupState{}
 		sc := getScratch()
-		defer sc.release()
+		defer sc.release(p.trace)
 		for _, seg := range segs {
 			if err := e.hookSegment(ctx, p); err != nil {
 				return nil, err
@@ -258,7 +258,7 @@ func (e *Engine) runSelectPar(ctx context.Context, p *plan, n int) (*PartialResu
 	err := e.scanParallel(ctx, p, n, func(segs []*core.Segment) (any, error) {
 		b := getBatch(p.colTypes)
 		sc := getScratch()
-		defer sc.release()
+		defer sc.release(p.trace)
 		for _, seg := range segs {
 			if err := e.hookSegment(ctx, p); err != nil {
 				b.release()

@@ -162,80 +162,208 @@ func (s gidSet) union(o gidSet) gidSet {
 	return out
 }
 
-// pushdown is what the WHERE clause analysis extracts for the store:
-// the groups to scan (§6.2 query rewriting, Fig. 11) and the time
-// range (§3.3 EndTime push-down).
+// pushdown is what the WHERE clause analysis extracts for the scan:
+// the groups to read (§6.2 query rewriting, Fig. 11), the exact time
+// range every emitted point lies in, and the possibly narrower range
+// the store may prune segments by (§3.3 EndTime push-down).
 type pushdown struct {
+	gids gidSet
+	// trange is the intersection of the top-level TS conjuncts. It is
+	// exact — timestamps are integral milliseconds, so strict bounds
+	// clamp to X∓1 — and clips every segment's [i0, i1].
+	trange timeRange
+	// prune is trange narrowed by conservative hints (StartTime/EndTime
+	// comparisons, the hull of an OR of TS ranges). It only selects
+	// segments; the conjuncts behind the hints are still evaluated.
+	prune timeRange
+}
+
+// whereSplit is the WHERE clause classified once at compile time. The
+// third class, the exact time range, lives in pushdown.trange.
+type whereSplit struct {
+	// series joins the conjuncts that read no TS or Value: they are
+	// constant per (segment, series) row and evaluated once for it.
+	series sqlparse.Expr
+	// point joins the conjuncts only a reconstructed data point can
+	// decide: anything reading Value, TS IN / !=, an OR mixing classes.
+	point sqlparse.Expr
+}
+
+// predClass is the class of one top-level WHERE conjunct.
+type predClass int
+
+const (
+	classSeries predClass = iota
+	classTime
+	classPoint
+)
+
+// analyzeWhere is the one WHERE splitter: every top-level conjunct
+// contributes its push-down and lands in exactly one class. Both views
+// and both executors (aggregate and row scan) consume this split.
+func (e *Engine) analyzeWhere(expr sqlparse.Expr, table sqlparse.Table) (pushdown, whereSplit, error) {
+	push := pushdown{trange: allTime(), prune: allTime()}
+	if expr == nil {
+		return push, whereSplit{}, nil
+	}
+	var series, point []sqlparse.Expr
+	for _, c := range collectConjuncts(expr) {
+		h, err := e.analyzeExpr(c)
+		if err != nil {
+			return pushdown{}, whereSplit{}, err
+		}
+		class, err := e.classify(c, table)
+		if err != nil {
+			return pushdown{}, whereSplit{}, err
+		}
+		push.gids = push.gids.intersect(h.gids)
+		push.prune = push.prune.intersect(h.trange)
+		switch class {
+		case classTime:
+			push.trange = push.trange.intersect(h.trange)
+		case classSeries:
+			series = append(series, c)
+		case classPoint:
+			if table == sqlparse.TableSegment {
+				return pushdown{}, whereSplit{}, fmt.Errorf("query: TS predicates on the Segment view must be simple AND conditions (=, <, <=, >, >=, BETWEEN)")
+			}
+			point = append(point, c)
+		}
+	}
+	return push, whereSplit{series: joinConjuncts(series), point: joinConjuncts(point)}, nil
+}
+
+// classify assigns one top-level conjunct its class and rejects
+// columns the queried view does not have. A conjunct reading neither
+// TS nor Value is classSeries; a lone TS comparison the range
+// expresses exactly is classTime; every other use of TS or Value needs
+// the point.
+func (e *Engine) classify(c sqlparse.Expr, table sqlparse.Table) (predClass, error) {
+	var readsTS, readsValue bool
+	err := e.walkColumns(c, func(ref columnRef) error {
+		if ref.kind == colTS {
+			// Also on the Segment view, which accepts TS as a clamp;
+			// analyzeWhere rejects the uses that are not one.
+			readsTS = true
+			return nil
+		}
+		readsValue = readsValue || ref.kind == colValue
+		return e.checkColumnTable(ref, table)
+	})
+	if err != nil || !(readsTS || readsValue) {
+		return classSeries, err
+	}
+	// A comparison or BETWEEN reads one column, so one that does not
+	// read Value here reads TS.
+	switch x := c.(type) {
+	case *sqlparse.BinaryExpr:
+		_, isIdent := x.L.(*sqlparse.Ident)
+		_, isLit := x.R.(*sqlparse.Literal)
+		if isIdent && isLit && x.Op != "!=" && !readsValue {
+			return classTime, nil
+		}
+	case *sqlparse.BetweenExpr:
+		if !readsValue {
+			return classTime, nil
+		}
+	}
+	return classPoint, nil
+}
+
+// walkColumns resolves every column a predicate reads.
+func (e *Engine) walkColumns(expr sqlparse.Expr, visit func(columnRef) error) error {
+	var name string
+	switch x := expr.(type) {
+	case *sqlparse.BinaryExpr:
+		if err := e.walkColumns(x.L, visit); err != nil {
+			return err
+		}
+		return e.walkColumns(x.R, visit)
+	case *sqlparse.Ident:
+		name = x.Name
+	case *sqlparse.InExpr:
+		name = x.Column
+	case *sqlparse.BetweenExpr:
+		name = x.Column
+	default:
+		return nil
+	}
+	ref, err := resolveColumn(e.schema, name)
+	if err != nil {
+		return err
+	}
+	return visit(ref)
+}
+
+func collectConjuncts(expr sqlparse.Expr) []sqlparse.Expr {
+	if be, ok := expr.(*sqlparse.BinaryExpr); ok && be.Op == "AND" {
+		return append(collectConjuncts(be.L), collectConjuncts(be.R)...)
+	}
+	return []sqlparse.Expr{expr}
+}
+
+func joinConjuncts(exprs []sqlparse.Expr) sqlparse.Expr {
+	if len(exprs) == 0 {
+		return nil
+	}
+	out := exprs[0]
+	for _, e := range exprs[1:] {
+		out = &sqlparse.BinaryExpr{Op: "AND", L: out, R: e}
+	}
+	return out
+}
+
+// hint is the conservative push-down of one (sub)expression: the
+// groups and the time range outside which it cannot hold.
+type hint struct {
 	gids   gidSet
 	trange timeRange
-	// exact reports whether the push-down alone implies the predicate,
-	// so the residual evaluation can be skipped.
-	exact bool
 }
 
-// analyzeWhere rewrites the WHERE clause into a push-down and keeps
-// the full expression for residual evaluation.
-func (e *Engine) analyzeWhere(expr sqlparse.Expr) (pushdown, error) {
-	if expr == nil {
-		return pushdown{gids: nil, trange: allTime(), exact: true}, nil
-	}
-	return e.analyzeExpr(expr)
-}
+func noHint() hint { return hint{trange: allTime()} }
 
-func (e *Engine) analyzeExpr(expr sqlparse.Expr) (pushdown, error) {
+// analyzeExpr extracts the push-down hint of an expression. For a
+// simple TS comparison the range is exact, which is what lets
+// analyzeWhere consume classTime conjuncts.
+func (e *Engine) analyzeExpr(expr sqlparse.Expr) (hint, error) {
 	switch x := expr.(type) {
 	case *sqlparse.BinaryExpr:
 		switch x.Op {
-		case "AND":
+		case "AND", "OR":
 			l, err := e.analyzeExpr(x.L)
 			if err != nil {
-				return pushdown{}, err
+				return hint{}, err
 			}
 			r, err := e.analyzeExpr(x.R)
 			if err != nil {
-				return pushdown{}, err
+				return hint{}, err
 			}
-			return pushdown{
-				gids:   l.gids.intersect(r.gids),
-				trange: l.trange.intersect(r.trange),
-				exact:  l.exact && r.exact,
-			}, nil
-		case "OR":
-			l, err := e.analyzeExpr(x.L)
-			if err != nil {
-				return pushdown{}, err
+			if x.Op == "AND" {
+				return hint{gids: l.gids.intersect(r.gids), trange: l.trange.intersect(r.trange)}, nil
 			}
-			r, err := e.analyzeExpr(x.R)
-			if err != nil {
-				return pushdown{}, err
-			}
-			return pushdown{
-				gids:   l.gids.union(r.gids),
-				trange: l.trange.union(r.trange),
-				exact:  false,
-			}, nil
+			return hint{gids: l.gids.union(r.gids), trange: l.trange.union(r.trange)}, nil
 		default:
 			return e.analyzeComparison(x)
 		}
 	case *sqlparse.InExpr:
 		ref, err := resolveColumn(e.schema, x.Column)
 		if err != nil {
-			return pushdown{}, err
+			return hint{}, err
 		}
 		switch ref.kind {
 		case colTid:
 			tids := make([]core.Tid, 0, len(x.Values))
 			for _, v := range x.Values {
 				if !v.IsNumber {
-					return pushdown{}, fmt.Errorf("query: Tid IN requires numbers")
+					return hint{}, fmt.Errorf("query: Tid IN requires numbers")
 				}
 				tids = append(tids, core.Tid(v.Number))
 			}
 			gids, err := e.meta.GidsForTids(tids)
 			if err != nil {
-				return pushdown{}, err
+				return hint{}, err
 			}
-			return pushdown{gids: gidSet(gids), trange: allTime(), exact: false}, nil
+			return hint{gids: gidSet(gids), trange: allTime()}, nil
 		case colMember:
 			// Dimension-predicate pruning: a member IN list rewrites to
 			// the union of the per-member Gid sets (§6.2 generalized from
@@ -244,69 +372,81 @@ func (e *Engine) analyzeExpr(expr sqlparse.Expr) (pushdown, error) {
 			gids := gidSet{}
 			for _, v := range x.Values {
 				if v.IsNumber {
-					return pushdown{}, fmt.Errorf("query: %s IN requires strings", ref.name)
+					return hint{}, fmt.Errorf("query: %s IN requires strings", ref.name)
 				}
 				gids = gids.union(gidSet(e.meta.GidsForMember(ref.dimension, ref.level, v.Str)))
 			}
-			return pushdown{gids: gids, trange: allTime(), exact: false}, nil
+			return hint{gids: gids, trange: allTime()}, nil
 		default:
-			// IN over times: no push-down, residual handles it.
-			return pushdown{gids: nil, trange: allTime(), exact: false}, nil
+			return noHint(), nil
 		}
 	case *sqlparse.BetweenExpr:
 		ref, err := resolveColumn(e.schema, x.Column)
 		if err != nil {
-			return pushdown{}, err
+			return hint{}, err
+		}
+		if ref.kind != colTS {
+			return noHint(), nil
 		}
 		lo, err := literalTime(x.Lo)
-		if err == nil {
-			if hi, err2 := literalTime(x.Hi); err2 == nil && ref.kind == colTS {
-				return pushdown{gids: nil, trange: timeRange{from: lo, to: hi}, exact: false}, nil
-			}
+		if err != nil {
+			return hint{}, err
 		}
-		return pushdown{gids: nil, trange: allTime(), exact: false}, nil
+		hi, err := literalTime(x.Hi)
+		if err != nil {
+			return hint{}, err
+		}
+		return hint{trange: timeRange{from: lo, to: hi}}, nil
 	default:
-		return pushdown{gids: nil, trange: allTime(), exact: false}, nil
+		return noHint(), nil
 	}
 }
 
-// analyzeComparison extracts push-down from a single comparison.
-func (e *Engine) analyzeComparison(x *sqlparse.BinaryExpr) (pushdown, error) {
+// analyzeComparison extracts the hint of a single comparison.
+func (e *Engine) analyzeComparison(x *sqlparse.BinaryExpr) (hint, error) {
 	ident, ok := x.L.(*sqlparse.Ident)
 	if !ok {
-		return pushdown{gids: nil, trange: allTime(), exact: false}, nil
+		return noHint(), nil
 	}
 	lit, ok := x.R.(*sqlparse.Literal)
 	if !ok {
-		return pushdown{gids: nil, trange: allTime(), exact: false}, nil
+		return noHint(), nil
 	}
 	ref, err := resolveColumn(e.schema, ident.Name)
 	if err != nil {
-		return pushdown{}, err
+		return hint{}, err
 	}
-	none := pushdown{gids: nil, trange: allTime(), exact: false}
 	switch ref.kind {
 	case colTid:
 		if x.Op != "=" || !lit.IsNumber {
-			return none, nil
+			return noHint(), nil
 		}
 		gids, err := e.meta.GidsForTids([]core.Tid{core.Tid(lit.Number)})
 		if err != nil {
-			return pushdown{}, err
+			return hint{}, err
 		}
-		return pushdown{gids: gidSet(gids), trange: allTime(), exact: false}, nil
+		return hint{gids: gidSet(gids), trange: allTime()}, nil
 	case colMember:
 		// §6.2: rewrite dimension members in the WHERE clause to the
 		// Gids of groups containing series with that member.
 		if x.Op != "=" || lit.IsNumber {
-			return none, nil
+			return noHint(), nil
 		}
 		gids := e.meta.GidsForMember(ref.dimension, ref.level, lit.Str)
-		return pushdown{gids: gidSet(gids), trange: allTime(), exact: false}, nil
+		return hint{gids: gidSet(gids), trange: allTime()}, nil
 	case colTS, colStartTime, colEndTime:
 		ts, err := literalTime(*lit)
 		if err != nil {
-			return pushdown{}, err
+			return hint{}, err
+		}
+		// A TS bound is exact: timestamps are integral milliseconds, so a
+		// strict bound is the neighbouring inclusive one. StartTime <= X
+		// and EndTime <= X only imply that the interval starts by X
+		// (StartTime <= EndTime), symmetrically for >=: a hint that
+		// prunes while the series conjunct decides, so strictness is moot.
+		strict := int64(0)
+		if ref.kind == colTS {
+			strict = 1
 		}
 		r := allTime()
 		switch x.Op {
@@ -314,16 +454,18 @@ func (e *Engine) analyzeComparison(x *sqlparse.BinaryExpr) (pushdown, error) {
 			if ref.kind == colTS {
 				r = timeRange{from: ts, to: ts}
 			}
-		case "<", "<=":
-			// StartTime <= X and TS <= X both imply the interval starts
-			// by X; EndTime <= X implies it too (StartTime <= EndTime).
+		case "<":
+			r.to = ts - strict
+		case "<=":
 			r.to = ts
-		case ">", ">=":
+		case ">":
+			r.from = ts + strict
+		case ">=":
 			r.from = ts
 		}
-		return pushdown{gids: nil, trange: r, exact: false}, nil
+		return hint{trange: r}, nil
 	default:
-		return none, nil
+		return noHint(), nil
 	}
 }
 
@@ -355,11 +497,12 @@ func colTypeOf(ref columnRef) ColType {
 	}
 }
 
-// evalResidual evaluates the full WHERE expression against a row.
-// Columns the row cannot provide (e.g. TS on a Segment View row whose
-// range was already clamped) evaluate as satisfied, matching the
-// conservative push-down.
-func (e *Engine) evalResidual(expr sqlparse.Expr, row *logicalRow) (bool, error) {
+// evalPred evaluates one class of the WHERE split against a row: the
+// series conjuncts against a (segment, series) row, the point
+// conjuncts against a reconstructed point. classify has already
+// rejected columns the view lacks, so a column the row cannot provide
+// is a planner bug, reported rather than read as satisfied.
+func (e *Engine) evalPred(expr sqlparse.Expr, row *logicalRow) (bool, error) {
 	if expr == nil {
 		return true, nil
 	}
@@ -367,20 +510,20 @@ func (e *Engine) evalResidual(expr sqlparse.Expr, row *logicalRow) (bool, error)
 	case *sqlparse.BinaryExpr:
 		switch x.Op {
 		case "AND":
-			l, err := e.evalResidual(x.L, row)
+			l, err := e.evalPred(x.L, row)
 			if err != nil || !l {
 				return false, err
 			}
-			return e.evalResidual(x.R, row)
+			return e.evalPred(x.R, row)
 		case "OR":
-			l, err := e.evalResidual(x.L, row)
+			l, err := e.evalPred(x.L, row)
 			if err != nil {
 				return false, err
 			}
 			if l {
 				return true, nil
 			}
-			return e.evalResidual(x.R, row)
+			return e.evalPred(x.R, row)
 		default:
 			return e.evalComparison(x, row)
 		}
@@ -391,7 +534,7 @@ func (e *Engine) evalResidual(expr sqlparse.Expr, row *logicalRow) (bool, error)
 		}
 		v, ok := row.valueOf(ref)
 		if !ok {
-			return true, nil
+			return false, errNoColumn(ref)
 		}
 		for _, lit := range x.Values {
 			match, err := compareValues(v, lit, "=")
@@ -410,7 +553,7 @@ func (e *Engine) evalResidual(expr sqlparse.Expr, row *logicalRow) (bool, error)
 		}
 		v, ok := row.valueOf(ref)
 		if !ok {
-			return true, nil
+			return false, errNoColumn(ref)
 		}
 		ge, err := compareValues(v, x.Lo, ">=")
 		if err != nil || !ge {
@@ -437,9 +580,13 @@ func (e *Engine) evalComparison(x *sqlparse.BinaryExpr, row *logicalRow) (bool, 
 	}
 	v, ok := row.valueOf(ref)
 	if !ok {
-		return true, nil
+		return false, errNoColumn(ref)
 	}
 	return compareValues(v, *lit, x.Op)
+}
+
+func errNoColumn(ref columnRef) error {
+	return fmt.Errorf("query: column %s is not available on this row", ref.name)
 }
 
 // compareValues applies op between a row value and a literal.

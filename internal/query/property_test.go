@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -82,9 +83,11 @@ func randomDB(seed int64) (*Engine, map[core.Tid]map[int64]float64, models.Error
 	return eng, truth, bound, nil
 }
 
-// TestPropertySegmentViewEqualsDataPointView: the two views must agree
-// exactly on every aggregate (both are computed from the same models),
-// the paper's core query-correctness claim.
+// TestPropertySegmentViewEqualsDataPointView: the two views agree bit
+// for bit on every aggregate, because without a point predicate both
+// fold the same models through the same code. That makes this a check
+// of the shared fold's plumbing, not of its arithmetic — the oracle
+// for the arithmetic is TestPropertyFoldEqualsReconstruct.
 func TestPropertySegmentViewEqualsDataPointView(t *testing.T) {
 	f := func(seed int64) bool {
 		eng, _, _, err := randomDB(seed)
@@ -99,27 +102,7 @@ func TestPropertySegmentViewEqualsDataPointView(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(seg.Rows) != len(dp.Rows) {
-			return false
-		}
-		for i := range seg.Rows {
-			for c := 0; c < 5; c++ {
-				a, b := seg.Rows[i][c], dp.Rows[i][c]
-				af, aok := a.(float64)
-				bf, bok := b.(float64)
-				if aok != bok {
-					return false
-				}
-				if aok {
-					if math.Abs(af-bf) > 1e-6*math.Max(1, math.Abs(bf)) {
-						return false
-					}
-				} else if a != b {
-					return false
-				}
-			}
-		}
-		return true
+		return reflect.DeepEqual(seg.Rows, dp.Rows)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

@@ -189,7 +189,7 @@ func (e *Engine) streamRows(ctx, rctx context.Context, p *plan, limit int, r *Ro
 		err = e.scanParallel(rctx, p, n, func(segs []*core.Segment) (any, error) {
 			b := getBatch(p.colTypes)
 			sc := getScratch()
-			defer sc.release()
+			defer sc.release(p.trace)
 			for _, seg := range segs {
 				if err := e.hookSegment(rctx, p); err != nil {
 					b.release()
@@ -206,7 +206,6 @@ func (e *Engine) streamRows(ctx, rctx context.Context, p *plan, limit int, r *Ro
 		})
 	} else {
 		sc := getScratch()
-		defer sc.release()
 		err = e.store.Scan(rctx, p.scanFilter(), func(seg *core.Segment) error {
 			if err := e.hookSegment(rctx, p); err != nil {
 				return err
@@ -218,6 +217,9 @@ func (e *Engine) streamRows(ctx, rctx context.Context, p *plan, limit int, r *Ro
 			}
 			return push(b)
 		})
+		// Not deferred: the tallies must reach the trace before errc
+		// lets Close finish it.
+		sc.release(p.trace)
 	}
 	switch {
 	case errors.Is(err, errRowsLimit):

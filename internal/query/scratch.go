@@ -5,18 +5,24 @@ import (
 
 	"modelardb/internal/core"
 	"modelardb/internal/models"
+	"modelardb/internal/obs"
 )
 
 // scanScratch carries the per-scan decode state that would otherwise
 // be reallocated for every segment: one defensive copy of each group's
 // member list (MetadataCache.TidsOf copies on every call because the
 // cache mutates its slices in place) and one reusable model view per
-// MID (models.ViewReuser). A scratch is owned by a single goroutine
-// for the duration of a scan; the parallel paths take one per chunk
-// so concurrent workers never share.
+// MID (models.ViewReuser). It also tallies how the scan answered —
+// series folded on their model against points reconstructed — in plain
+// integers that reach the query's trace once, at release. A scratch is
+// owned by a single goroutine for the duration of a scan; the parallel
+// paths take one per chunk so concurrent workers never share.
 type scanScratch struct {
 	members map[core.Gid][]core.Tid
 	views   map[models.MID]models.AggView
+
+	foldedSeries  int64
+	decodedPoints int64
 }
 
 var scanScratchPool = sync.Pool{New: func() any {
@@ -37,7 +43,14 @@ func getScratch() *scanScratch {
 	return sc
 }
 
-func (sc *scanScratch) release() { scanScratchPool.Put(sc) }
+// release adds the scratch's tallies to the trace (nil when untraced)
+// and returns it to the pool.
+func (sc *scanScratch) release(tr *obs.Trace) {
+	tr.AddFoldedSeries(sc.foldedSeries)
+	tr.AddDecodedPoints(sc.decodedPoints)
+	sc.foldedSeries, sc.decodedPoints = 0, 0
+	scanScratchPool.Put(sc)
+}
 
 // membersOf returns gid's member Tids, snapshotting from the metadata
 // cache once per scan instead of once per segment. The snapshot is

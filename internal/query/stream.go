@@ -152,7 +152,7 @@ func (e *Engine) runSelectChunks(ctx context.Context, p *plan, maxBytes int, emi
 		err = e.scanParallel(ctx, p, n, func(segs []*core.Segment) (any, error) {
 			b := getBatch(p.colTypes)
 			sc := getScratch()
-			defer sc.release()
+			defer sc.release(p.trace)
 			for _, seg := range segs {
 				if err := e.hookSegment(ctx, p); err != nil {
 					b.release()
@@ -174,7 +174,7 @@ func (e *Engine) runSelectChunks(ctx context.Context, p *plan, maxBytes int, emi
 		scratch := getBatch(p.colTypes)
 		defer scratch.release()
 		sc := getScratch()
-		defer sc.release()
+		defer sc.release(p.trace)
 		err = e.store.Scan(ctx, p.scanFilter(), func(seg *core.Segment) error {
 			if err := e.hookSegment(ctx, p); err != nil {
 				return err

@@ -66,10 +66,22 @@ func benchmarkWorkers(b *testing.B, sql string) {
 	}
 }
 
-// The Data Point View sum decodes and folds every stored value — the
-// heaviest aggregate scan and the headline parallel workload.
+// keepsAllPoints is a Value predicate every EP point passes. A point
+// conjunct takes a DataPoint-view aggregate off the model fold, so
+// the /filtered sub-benchmarks keep measuring what the unfiltered
+// ones measured before aggregates folded on models: every stored
+// value reconstructed, tested and added.
+const keepsAllPoints = "Value > -1000000000"
+
+// Without a Value predicate the Data Point View sum folds each
+// (segment, series) on its model, like the Segment View; /filtered
+// reconstructs every stored value — the heaviest aggregate scan and
+// the headline parallel workload.
 func BenchmarkParallelSumDataPointView(b *testing.B) {
 	benchmarkWorkers(b, "SELECT SUM(Value), COUNT(*) FROM DataPoint")
+	b.Run("filtered", func(b *testing.B) {
+		benchmarkWorkers(b, "SELECT SUM(Value), COUNT(*) FROM DataPoint WHERE "+keepsAllPoints)
+	})
 }
 
 // The Segment View fast path is lighter per segment; it measures the
@@ -88,26 +100,34 @@ func BenchmarkParallelGroupByDimension(b *testing.B) {
 // 5% time window against the full-history scan. The per-group
 // time-range index and EndTime push-down let the store skip segments
 // (and for the file store, never deserialize them) regardless of
-// worker count.
+// worker count. /filtered is the same pair with every point
+// reconstructed.
 func BenchmarkPruningTimeWindow(b *testing.B) {
 	db := openParallelDB(b, 0)
 	defer db.Close()
 	d := parallelDataset()
 	span := int64(2500) * d.SI
-	for _, tc := range []struct {
-		name string
-		sql  string
-	}{
-		{"full-history", "SELECT SUM(Value) FROM DataPoint"},
-		{"window-5pct", fmt.Sprintf("SELECT SUM(Value) FROM DataPoint WHERE TS >= %d", span*95/100)},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(context.Background(), tc.sql); err != nil {
-					b.Fatal(err)
+	window := fmt.Sprintf("TS >= %d", span*95/100)
+	pair := func(b *testing.B, full, windowed string) {
+		for _, tc := range []struct {
+			name string
+			sql  string
+		}{
+			{"full-history", "SELECT SUM(Value) FROM DataPoint" + full},
+			{"window-5pct", "SELECT SUM(Value) FROM DataPoint" + windowed},
+		} {
+			b.Run(tc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := db.Query(context.Background(), tc.sql); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
+	pair(b, "", " WHERE "+window)
+	b.Run("filtered", func(b *testing.B) {
+		pair(b, " WHERE "+keepsAllPoints, " WHERE "+window+" AND "+keepsAllPoints)
+	})
 }
