@@ -21,7 +21,10 @@
 // a baseline recorded on one machine gates runs on another. Benchmarks
 // that are faster than baseline never fail, and a benchmark present in
 // the baseline but missing from the current run fails loudly — a
-// renamed benchmark must not silently weaken the gate.
+// renamed benchmark must not silently weaken the gate. A baseline entry
+// whose ns_per_op is 0 opts its benchmark out of the time gate: it is
+// gated on its allocation and allowlisted metrics alone, for
+// benchmarks kept for a count rather than a speed.
 //
 // B/op and allocs/op are gated with the same threshold but WITHOUT
 // calibration scaling: allocation counts and bytes are properties of
@@ -327,15 +330,17 @@ func compare(args []string) error {
 			failed++
 			continue
 		}
-		ratio := c.NsPerOp / b.NsPerOp / scale
-		delta := (ratio - 1) * 100
-		status := "ok  "
-		if delta > *threshold {
-			status = "FAIL"
-			failed++
+		if b.NsPerOp > 0 {
+			ratio := c.NsPerOp / b.NsPerOp / scale
+			delta := (ratio - 1) * 100
+			status := "ok  "
+			if delta > *threshold {
+				status = "FAIL"
+				failed++
+			}
+			fmt.Printf("%s %-50s base %12.1f  cur %12.1f  normalized %+6.1f%%\n",
+				status, name, b.NsPerOp, c.NsPerOp, delta)
 		}
-		fmt.Printf("%s %-50s base %12.1f  cur %12.1f  normalized %+6.1f%%\n",
-			status, name, b.NsPerOp, c.NsPerOp, delta)
 		// Allocation gates: raw comparison, no machine-speed scaling.
 		for _, m := range []string{"B/op", "allocs/op"} {
 			bv, ok := b.Metrics[m]

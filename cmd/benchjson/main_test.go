@@ -220,3 +220,29 @@ func TestCompareZeroAllocBaseline(t *testing.T) {
 		t.Fatalf("zero-alloc fixpoint must pass: %v", err)
 	}
 }
+
+// TestCompareZeroNsBaselineSkipsTimeGate: a baseline entry recorded
+// with ns_per_op 0 is gated on its metrics only, so a count such as
+// reads/segment can be held without also holding a noisy ns/op.
+func TestCompareZeroNsBaselineSkipsTimeGate(t *testing.T) {
+	dir := t.TempDir()
+	base := writeBenches(t, dir, "base.json", []Benchmark{
+		{Name: "BenchmarkScan", Iterations: 1, NsPerOp: 0,
+			Metrics: map[string]float64{"reads/segment": 0.001}},
+	})
+	slower := writeBenches(t, dir, "slower.json", []Benchmark{
+		{Name: "BenchmarkScan", Iterations: 1, NsPerOp: 9e9,
+			Metrics: map[string]float64{"reads/segment": 0.001}},
+	})
+	args := []string{"-baseline", base, "-gate-metrics", "reads/segment", "-current"}
+	if err := compare(append(args, slower)); err != nil {
+		t.Fatalf("ns/op must not be gated against a zero baseline: %v", err)
+	}
+	moreReads := writeBenches(t, dir, "reads.json", []Benchmark{
+		{Name: "BenchmarkScan", Iterations: 1, NsPerOp: 1,
+			Metrics: map[string]float64{"reads/segment": 1}},
+	})
+	if err := compare(append(args, moreReads)); err == nil {
+		t.Fatal("a read per segment against a baseline of a read per chunk must fail")
+	}
+}

@@ -60,8 +60,7 @@ func TestHandleAppendFlushStats(t *testing.T) {
 	// so every subsystem's instruments appear without per-field wiring.
 	for _, field := range []string{
 		"modelardb_series=1", "modelardb_groups=1", "modelardb_segments=",
-		"modelardb_ingested_points_total=", "modelardb_cache_hits_total=",
-		"modelardb_cache_misses_total=", "modelardb_queries_total=",
+		"modelardb_ingested_points_total=", "modelardb_queries_total=",
 		"modelardb_query_folded_series_total=", "modelardb_query_decoded_points_total=",
 	} {
 		if !strings.Contains(out, " "+field) {

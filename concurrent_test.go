@@ -23,7 +23,6 @@ func TestOnlineAnalytics(t *testing.T) {
 			{SI: 10, Members: map[string][]string{"Location": {"A"}}},
 			{SI: 10, Members: map[string][]string{"Location": {"B"}}},
 		},
-		SegmentCacheSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +83,7 @@ func TestOnlineAnalytics(t *testing.T) {
 // TestConcurrentQueryAppendFlush hammers the parallel query executor
 // (8 scan workers) with simultaneous ingestion, explicit flushes and
 // queries on both views and both store kinds. Its value is under
-// -race: the chunked scan, the worker pool and the view cache must
+// -race: the chunked scan, the worker pool and the scan scratch must
 // stay sound while the store is mutating underneath them.
 func TestConcurrentQueryAppendFlush(t *testing.T) {
 	for _, backend := range []string{"mem", "file"} {
@@ -101,7 +100,6 @@ func TestConcurrentQueryAppendFlush(t *testing.T) {
 					{SI: 10, Members: map[string][]string{"Location": {"B"}}},
 					{SI: 10, Members: map[string][]string{"Location": {"B"}}},
 				},
-				SegmentCacheSize: 32,
 				QueryParallelism: 8,
 				BulkWriteSize:    16, // small, so queries race real flushes
 			}
@@ -179,13 +177,12 @@ func TestConcurrentQueryAppendFlush(t *testing.T) {
 }
 
 // TestParallelQueries runs many simultaneous readers over a static
-// store, exercising the store's and cache's read paths.
+// store, exercising the store's read path.
 func TestParallelQueries(t *testing.T) {
 	db, err := Open(Config{
-		ErrorBound:       RelBound(0),
-		Dimensions:       []Dimension{{Name: "Location", Levels: []string{"Park"}}},
-		Series:           []SeriesConfig{{SI: 10, Members: map[string][]string{"Location": {"A"}}}},
-		SegmentCacheSize: 32,
+		ErrorBound: RelBound(0),
+		Dimensions: []Dimension{{Name: "Location", Levels: []string{"Park"}}},
+		Series:     []SeriesConfig{{SI: 10, Members: map[string][]string{"Location": {"A"}}}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -86,54 +86,6 @@ func TestLoadCSVErrors(t *testing.T) {
 	}
 }
 
-func TestSegmentCacheSpeedsRepeatQueries(t *testing.T) {
-	cfg := csvConfig()
-	cfg.SegmentCacheSize = 128
-	db, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	for tick := 0; tick < 500; tick++ {
-		db.Append(1, int64(tick)*1000, float32(tick%17))
-		db.Append(2, int64(tick)*1000, float32(tick%13))
-	}
-	db.Flush()
-	for i := 0; i < 3; i++ {
-		if _, err := db.Query(context.Background(), "SELECT SUM_S(*) FROM Segment"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hits, misses := db.Engine().CacheStats()
-	if hits == 0 {
-		t.Fatalf("cache hits = %d (misses %d), want reuse across repeated queries", hits, misses)
-	}
-	// Results must be identical with and without the cache.
-	plain, err := Open(csvConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	for tick := 0; tick < 500; tick++ {
-		plain.Append(1, int64(tick)*1000, float32(tick%17))
-		plain.Append(2, int64(tick)*1000, float32(tick%13))
-	}
-	plain.Flush()
-	a, err := db.Query(context.Background(), "SELECT Tid, SUM_S(*) FROM Segment GROUP BY Tid ORDER BY Tid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := plain.Query(context.Background(), "SELECT Tid, SUM_S(*) FROM Segment GROUP BY Tid ORDER BY Tid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Rows {
-		if a.Rows[i][1] != b.Rows[i][1] {
-			t.Fatalf("cached result differs: %v vs %v", a.Rows[i], b.Rows[i])
-		}
-	}
-}
-
 func TestAutoCorrelationClause(t *testing.T) {
 	cfg := Config{
 		ErrorBound: RelBound(0),

@@ -363,9 +363,13 @@ func TestWALAppendAfterCloseAndErrClosed(t *testing.T) {
 	}
 }
 
-func TestStatsCacheCounters(t *testing.T) {
+// TestStoreReadCountersInSnapshot: a file-backed database exports the
+// store's log-read counters through the one registry — so /metrics,
+// STATS and a cluster Snapshot carry them — and a memory-backed one,
+// which has no log, does not export them at all.
+func TestStoreReadCountersInSnapshot(t *testing.T) {
 	cfg := groupsConfig(2)
-	cfg.SegmentCacheSize = 64
+	cfg.Path = t.TempDir()
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -375,18 +379,21 @@ func TestStatsCacheCounters(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// First query misses, second hits the view cache.
-	for i := 0; i < 2; i++ {
-		if _, err := db.Query(context.Background(), "SELECT SUM(Value) FROM DataPoint"); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := db.Query(context.Background(), "SELECT SUM(Value) FROM DataPoint"); err != nil {
+		t.Fatal(err)
 	}
-	st, err := db.Stats()
+	snap := db.Snapshot()
+	if snap[MetricStoreReads] < 1 || snap[MetricStoreReadBytes] < snap[MetricStorageBytes] {
+		t.Fatalf("store counters = %v reads, %v bytes for %v stored bytes; a full scan reads them all",
+			snap[MetricStoreReads], snap[MetricStoreReadBytes], snap[MetricStorageBytes])
+	}
+	mem, err := Open(groupsConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CacheMisses == 0 || st.CacheHits == 0 {
-		t.Fatalf("cache counters = %d hits, %d misses; want both non-zero", st.CacheHits, st.CacheMisses)
+	defer mem.Close()
+	if _, ok := mem.Snapshot()[MetricStoreReads]; ok {
+		t.Fatal("a memory-backed database exports log-read counters")
 	}
 }
 

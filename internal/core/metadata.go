@@ -120,6 +120,20 @@ func (c *MetadataCache) TidsOf(gid Gid) []Tid {
 	return out
 }
 
+// SeriesOf returns the metadata of gid's members, ordered by Tid: what
+// a scan snapshots once per group instead of calling Series once per
+// (segment, series).
+func (c *MetadataCache) SeriesOf(gid Gid) []*TimeSeries {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	members := c.groups[gid]
+	out := make([]*TimeSeries, len(members))
+	for i, tid := range members {
+		out[i] = c.series[tid-1] // SetGroup only admits registered Tids
+	}
+	return out
+}
+
 // Groups returns all Gids in ascending order.
 func (c *MetadataCache) Groups() []Gid {
 	c.mu.RLock()

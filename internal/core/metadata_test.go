@@ -65,6 +65,13 @@ func TestMetadataGroups(t *testing.T) {
 	if len(tids) != 2 || tids[0] != 1 || tids[1] != 2 {
 		t.Fatalf("TidsOf(1) = %v, want [1 2]", tids)
 	}
+	series := c.SeriesOf(1)
+	if len(series) != 2 || series[0].Tid != 1 || series[1].Tid != 2 {
+		t.Fatalf("SeriesOf(1) = %v, want the metadata of Tids 1 and 2", series)
+	}
+	if len(c.SeriesOf(99)) != 0 {
+		t.Fatal("SeriesOf of an unknown group must be empty")
+	}
 	groups := c.Groups()
 	if len(groups) != 2 || groups[0] != 1 || groups[1] != 2 {
 		t.Fatalf("Groups = %v, want [1 2]", groups)

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"modelardb/internal/models"
@@ -83,15 +84,16 @@ func gapMask(gaps []Tid, members []Tid) []byte {
 	return mask
 }
 
-// gapTidsFromMask inverts gapMask.
-func gapTidsFromMask(mask []byte, members []Tid) []Tid {
-	var gaps []Tid
-	for i, t := range members {
-		if i/8 < len(mask) && mask[i/8]&(1<<(i%8)) != 0 {
-			gaps = append(gaps, t)
+// appendGapTids inverts gapMask, appending the gap Tids to dst.
+func appendGapTids(dst []Tid, mask []byte, members []Tid) []Tid {
+	for b, bits := range mask {
+		for i := b * 8; bits != 0 && i < len(members); i, bits = i+1, bits>>1 {
+			if bits&1 != 0 {
+				dst = append(dst, members[i])
+			}
 		}
 	}
-	return gaps
+	return dst
 }
 
 // Encode serializes the segment for the segment store. Following the
@@ -120,10 +122,14 @@ func (s *Segment) Encode(members []Tid) []byte {
 	return buf
 }
 
-// DecodeSegment parses a segment encoded by Encode. members must be
-// the same sorted group member Tids passed to Encode.
-func DecodeSegment(data []byte, members []Tid) (*Segment, error) {
-	s := &Segment{}
+// DecodeInto parses a segment encoded by Encode into s, overwriting
+// every field; it is the only segment decoder. members must be the
+// same sorted group member Tids passed to Encode. Nothing is copied:
+// s.Params aliases data, so data must stay untouched for as long as s
+// is used, and GapTids is rebuilt in s.GapTids' own backing array,
+// which lets a caller that decodes many records into one scratch
+// Segment allocate none. On error s is left partly overwritten.
+func (s *Segment) DecodeInto(data []byte, members []Tid) error {
 	rest := data
 	next := func() (uint64, error) {
 		v, n := binary.Uvarint(rest)
@@ -135,53 +141,71 @@ func DecodeSegment(data []byte, members []Tid) (*Segment, error) {
 	}
 	gid, err := next()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.Gid = Gid(gid)
 	end, n := binary.Varint(rest)
 	if n <= 0 {
-		return nil, fmt.Errorf("core: segment decode: truncated end time")
+		return fmt.Errorf("core: segment decode: truncated end time")
 	}
 	rest = rest[n:]
 	s.EndTime = end
 	si, err := next()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.SI = int64(si)
 	if s.SI <= 0 {
-		return nil, fmt.Errorf("core: segment decode: non-positive SI %d", s.SI)
+		return fmt.Errorf("core: segment decode: non-positive SI %d", s.SI)
 	}
 	length, err := next()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if length == 0 {
-		return nil, fmt.Errorf("core: segment decode: zero length")
+		return fmt.Errorf("core: segment decode: zero length")
+	}
+	// The covered span must fit an int64 below EndTime, or StartTime
+	// would wrap around and Length would disagree with the record.
+	if length-1 > math.MaxInt64/si || s.EndTime < math.MinInt64+int64((length-1)*si) {
+		return fmt.Errorf("core: segment decode: length %d overflows the time axis", length)
 	}
 	s.StartTime = s.EndTime - int64(length-1)*s.SI
 	if len(rest) < 1 {
-		return nil, fmt.Errorf("core: segment decode: missing MID")
+		return fmt.Errorf("core: segment decode: missing MID")
 	}
 	s.MID = models.MID(rest[0])
 	rest = rest[1:]
 	maskLen, err := next()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if uint64(len(rest)) < maskLen {
-		return nil, fmt.Errorf("core: segment decode: truncated gap mask")
+		return fmt.Errorf("core: segment decode: truncated gap mask")
 	}
-	s.GapTids = gapTidsFromMask(rest[:maskLen], members)
+	s.GapTids = appendGapTids(s.GapTids[:0], rest[:maskLen], members)
 	rest = rest[maskLen:]
 	paramLen, err := next()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if uint64(len(rest)) < paramLen {
-		return nil, fmt.Errorf("core: segment decode: truncated parameters")
+		return fmt.Errorf("core: segment decode: truncated parameters")
 	}
-	s.Params = append([]byte(nil), rest[:paramLen]...)
+	// The capacity is clipped so an append to Params can never write
+	// into whatever follows the record in the caller's buffer.
+	s.Params = rest[:paramLen:paramLen]
+	return nil
+}
+
+// DecodeSegment is DecodeInto for callers that keep data for
+// themselves: it allocates the segment and copies the parameters out.
+func DecodeSegment(data []byte, members []Tid) (*Segment, error) {
+	s := &Segment{}
+	if err := s.DecodeInto(data, members); err != nil {
+		return nil, err
+	}
+	s.Params = append([]byte(nil), s.Params...)
 	return s, nil
 }
 

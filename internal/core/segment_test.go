@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"modelardb/internal/models"
@@ -155,4 +156,86 @@ func TestSegmentNegativeTimestamps(t *testing.T) {
 	if got.StartTime != -5000 || got.EndTime != -1000 {
 		t.Fatalf("times = [%d, %d], want [-5000, -1000]", got.StartTime, got.EndTime)
 	}
+}
+
+// TestDecodeIntoAliasesAndReuses pins the two things the in-place
+// decoder promises a caller that decodes many records: Params alias
+// the input instead of copying it, with no spare capacity into the
+// bytes that follow, and a reused Segment keeps no field of the record
+// it held before.
+func TestDecodeIntoAliasesAndReuses(t *testing.T) {
+	members := []Tid{1, 2, 3}
+	first := (&Segment{Gid: 1, StartTime: 0, EndTime: 200, SI: 100, MID: models.MidSwing,
+		Params: []byte{1, 2, 3, 4, 5, 6, 7, 8}, GapTids: []Tid{1, 3}}).Encode(members)
+	second := (&Segment{Gid: 2, StartTime: 300, EndTime: 300, SI: 100, MID: models.MidPMC,
+		Params: []byte{9, 9, 9, 9}}).Encode(members)
+	data := append(append([]byte(nil), first...), second...)
+
+	var s Segment
+	if err := s.DecodeInto(data[:len(first)], members); err != nil {
+		t.Fatal(err)
+	}
+	if &s.Params[0] != &data[len(first)-8] || cap(s.Params) != 8 {
+		t.Fatalf("Params do not alias the record exactly: cap %d", cap(s.Params))
+	}
+	if !tidsEqual(s.GapTids, []Tid{1, 3}) {
+		t.Fatalf("gaps = %v, want [1 3]", s.GapTids)
+	}
+	if err := s.DecodeInto(data[len(first):], members); err != nil {
+		t.Fatal(err)
+	}
+	if s.Gid != 2 || s.StartTime != 300 || s.MID != models.MidPMC || len(s.GapTids) != 0 || string(s.Params) != "\x09\x09\x09\x09" {
+		t.Fatalf("reused segment = %+v", s)
+	}
+}
+
+// FuzzDecodeSegment feeds the one segment decoder hostile bytes: it
+// must never panic; whatever it accepts must survive Encode and a
+// second decode unchanged; and a segment from the copying wrapper must
+// not change when its input is overwritten.
+func FuzzDecodeSegment(f *testing.F) {
+	members := []Tid{1, 2, 3, 5, 8, 13, 21, 34, 55}
+	for _, s := range []*Segment{
+		{Gid: 1, StartTime: 0, EndTime: 4900, SI: 100, MID: models.MidPMC, Params: []byte{0, 0, 40, 66}},
+		{Gid: 7, StartTime: -5000, EndTime: -1000, SI: 1000, MID: models.MidSwing, Params: []byte{1, 2, 3, 4, 5, 6, 7, 8}, GapTids: []Tid{2, 55}},
+		{Gid: 300, StartTime: 1 << 40, EndTime: 1 << 40, SI: 1, MID: models.MidGorilla, Params: make([]byte, 40), GapTids: []Tid{1, 2, 3, 5, 8, 13, 21, 34}},
+	} {
+		f.Add(s.Encode(members))
+	}
+	// Gid 1, EndTime 0, then an SI and a length whose product wraps the
+	// time axis.
+	wraps := binary.AppendUvarint(binary.AppendUvarint([]byte{1, 0}, 1<<40), 1<<40)
+	f.Add(append(wraps, byte(models.MidPMC), 0, 0))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		input := append([]byte(nil), data...)
+		s, err := DecodeSegment(input, members)
+		if err != nil {
+			return
+		}
+		want := *s
+		want.Params = append([]byte(nil), s.Params...)
+		want.GapTids = append([]Tid(nil), s.GapTids...)
+		for i := range input {
+			input[i] = 0xFF
+		}
+		same := func(a, b *Segment) bool {
+			return a.Gid == b.Gid && a.StartTime == b.StartTime && a.EndTime == b.EndTime && a.SI == b.SI &&
+				a.MID == b.MID && string(a.Params) == string(b.Params) && tidsEqual(a.GapTids, b.GapTids)
+		}
+		if !same(s, &want) {
+			t.Fatalf("overwriting the input changed the decoded segment: %+v, was %+v", s, want)
+		}
+		if s.Length() < 1 || s.StartTime > s.EndTime {
+			t.Fatalf("accepted a segment with no extent: %+v", s)
+		}
+		again, err := DecodeSegment(s.Encode(members), members)
+		if err != nil {
+			t.Fatalf("re-decoding an accepted segment: %v", err)
+		}
+		if !same(again, s) {
+			t.Fatalf("Decode(Encode(s)) = %+v, want %+v", again, s)
+		}
+	})
 }

@@ -24,9 +24,8 @@ type Engine struct {
 	meta   *core.MetadataCache
 	reg    *models.Registry
 	schema *dims.Schema
-	cache  *viewCache
 	// par is the scan worker count; 0 selects GOMAXPROCS, 1 runs the
-	// sequential path. Set before serving queries (like the view cache).
+	// sequential path. Set before serving queries.
 	par int
 	// chunk pins a fixed scan chunk size when positive (tests only);
 	// otherwise the store sizes chunks adaptively by byte budget.
@@ -230,10 +229,10 @@ func (e *Engine) queueWaitHistogram() *obs.Histogram {
 	return e.obsv.Metrics.QueueWait
 }
 
-// hookSegment runs per-segment bookkeeping: the trace's segment count
-// and the scan hook, if any.
-func (e *Engine) hookSegment(ctx context.Context, p *plan) error {
-	p.trace.AddSegments(1)
+// hookSegment runs per-segment bookkeeping: the scratch's segment
+// tally and the scan hook, if any.
+func (e *Engine) hookSegment(ctx context.Context, sc *scanScratch) error {
+	sc.segments++
 	if e.scanHook == nil {
 		return nil
 	}
@@ -563,7 +562,7 @@ func (e *Engine) runAggregate(ctx context.Context, p *plan) (*PartialResult, err
 	sc := getScratch()
 	defer sc.release(p.trace)
 	err := e.store.Scan(ctx, p.scanFilter(), func(seg *core.Segment) error {
-		if err := e.hookSegment(ctx, p); err != nil {
+		if err := e.hookSegment(ctx, sc); err != nil {
 			return err
 		}
 		return e.aggregateSegment(p, seg, out.Groups, sc)
@@ -575,20 +574,15 @@ func (e *Engine) runAggregate(ctx context.Context, p *plan) (*PartialResult, err
 }
 
 func (e *Engine) aggregateSegment(p *plan, seg *core.Segment, groups map[string]*GroupState, sc *scanScratch) error {
-	members := sc.membersOf(e.meta, seg.Gid)
-	active := activeTids(members, seg.GapTids)
 	i0, i1, ok := seg.IndexRange(p.push.trange.from, p.push.trange.to)
 	if !ok {
 		return nil
 	}
+	active := sc.seriesOf(e.meta, seg)
 	var view models.AggView
 	needView := p.perPoint || p.needsValues()
 	row := logicalRow{seg: seg, isPoint: p.q.From == sqlparse.TableDataPoint}
-	for pos, tid := range active {
-		ts, err := e.meta.Series(tid)
-		if err != nil {
-			return err
-		}
+	for pos, ts := range active {
 		row.ts = ts
 		match, err := e.evalPred(p.where.series, &row)
 		if err != nil {
@@ -606,10 +600,10 @@ func (e *Engine) aggregateSegment(p *plan, seg *core.Segment, groups map[string]
 		}
 		if p.perPoint {
 			sc.decodedPoints += int64(i1 - i0 + 1)
-			err = e.aggregatePoints(p, seg, view, pos, &row, i0, i1, groups)
+			err = e.aggregatePoints(p, seg, view, pos, &row, i0, i1, groups, sc)
 		} else {
 			sc.foldedSeries++
-			err = e.aggregateSeries(p, seg, view, pos, &row, i0, i1, groups)
+			err = e.aggregateSeries(p, seg, view, pos, &row, i0, i1, groups, sc)
 		}
 		if err != nil {
 			return err
@@ -664,12 +658,12 @@ func rangeAgg(view models.AggView, pos, i0, i1 int, scale float64) (sum, mn, mx 
 // aggregateSeries is the fold both views share: one AddRange per
 // (segment, series) using the model's constant-time aggregates where
 // the model supports them (Algorithm 5's iterate).
-func (e *Engine) aggregateSeries(p *plan, seg *core.Segment, view models.AggView, pos int, row *logicalRow, i0, i1 int, groups map[string]*GroupState) error {
-	key, err := p.appendGroupKey(nil, row)
-	if err != nil {
+func (e *Engine) aggregateSeries(p *plan, seg *core.Segment, view models.AggView, pos int, row *logicalRow, i0, i1 int, groups map[string]*GroupState, sc *scanScratch) error {
+	var err error
+	if sc.key, err = p.appendGroupKey(sc.key[:0], row); err != nil {
 		return err
 	}
-	g := p.groupFor(groups, key, row)
+	g := p.groupFor(groups, sc.key, row)
 	scale := float64(row.ts.Scaling)
 	count := int64(i1 - i0 + 1)
 	for _, pi := range p.items {
@@ -714,11 +708,10 @@ func (e *Engine) aggregateSeries(p *plan, seg *core.Segment, view models.AggView
 // perPoint. A group exists only once a point matched, so the lookup
 // stays behind the predicate; a key constant per series is looked up
 // once.
-func (e *Engine) aggregatePoints(p *plan, seg *core.Segment, view models.AggView, pos int, row *logicalRow, i0, i1 int, groups map[string]*GroupState) error {
+func (e *Engine) aggregatePoints(p *plan, seg *core.Segment, view models.AggView, pos int, row *logicalRow, i0, i1 int, groups map[string]*GroupState, sc *scanScratch) error {
 	scale := float64(row.ts.Scaling)
 	keyPerPoint := p.pointGroupKey()
 	var g *GroupState
-	var key []byte
 	for i := i0; i <= i1; i++ {
 		row.pointTS = seg.TimestampAt(i)
 		row.value = float64(view.ValueAt(pos, i)) / scale
@@ -730,10 +723,10 @@ func (e *Engine) aggregatePoints(p *plan, seg *core.Segment, view models.AggView
 			continue
 		}
 		if g == nil || keyPerPoint {
-			if key, err = p.appendGroupKey(key[:0], row); err != nil {
+			if sc.key, err = p.appendGroupKey(sc.key[:0], row); err != nil {
 				return err
 			}
-			g = p.groupFor(groups, key, row)
+			g = p.groupFor(groups, sc.key, row)
 		}
 		for _, pi := range p.items {
 			if pi.scalarIdx >= 0 {
@@ -755,7 +748,7 @@ func (e *Engine) runSelect(ctx context.Context, p *plan) (*PartialResult, error)
 	sc := getScratch()
 	defer sc.release(p.trace)
 	err := e.store.Scan(ctx, p.scanFilter(), func(seg *core.Segment) error {
-		if err := e.hookSegment(ctx, p); err != nil {
+		if err := e.hookSegment(ctx, sc); err != nil {
 			return err
 		}
 		return e.selectSegment(p, seg, out.Batch, sc)
@@ -772,19 +765,14 @@ func (e *Engine) runSelect(ctx context.Context, p *plan) (*PartialResult, error)
 // is already [i0, i1], so an emitted point is checked against the
 // point conjuncts only — usually none.
 func (e *Engine) selectSegment(p *plan, seg *core.Segment, b *ColumnBatch, sc *scanScratch) error {
-	members := sc.membersOf(e.meta, seg.Gid)
-	active := activeTids(members, seg.GapTids)
 	i0, i1, ok := seg.IndexRange(p.push.trange.from, p.push.trange.to)
 	if !ok {
 		return nil
 	}
+	active := sc.seriesOf(e.meta, seg)
 	var view models.AggView
 	row := logicalRow{seg: seg, isPoint: p.q.From == sqlparse.TableDataPoint}
-	for pos, tid := range active {
-		ts, err := e.meta.Series(tid)
-		if err != nil {
-			return err
-		}
+	for pos, ts := range active {
 		row.ts = ts
 		match, err := e.evalPred(p.where.series, &row)
 		if err != nil {
@@ -1044,23 +1032,4 @@ func compareAny(a, b any) int {
 		}
 	}
 	return 0
-}
-
-// activeTids returns members minus gaps, both sorted.
-func activeTids(members, gaps []core.Tid) []core.Tid {
-	if len(gaps) == 0 {
-		return members
-	}
-	out := make([]core.Tid, 0, len(members)-len(gaps))
-	j := 0
-	for _, t := range members {
-		for j < len(gaps) && gaps[j] < t {
-			j++
-		}
-		if j < len(gaps) && gaps[j] == t {
-			continue
-		}
-		out = append(out, t)
-	}
-	return out
 }

@@ -45,7 +45,7 @@ import (
 // ExecuteQuery and ExecutePartial: n == 1 forces the sequential
 // executor (whose results parallel runs are tested against), n > 1
 // uses that many workers and n <= 0 restores the default, GOMAXPROCS.
-// Configure before serving queries, like EnableViewCache.
+// Configure before serving queries.
 func (e *Engine) SetParallelism(n int) {
 	if n < 0 {
 		n = 0
@@ -212,7 +212,7 @@ func (e *Engine) runAggregatePar(ctx context.Context, p *plan, n int) (*PartialR
 		sc := getScratch()
 		defer sc.release(p.trace)
 		for _, seg := range segs {
-			if err := e.hookSegment(ctx, p); err != nil {
+			if err := e.hookSegment(ctx, sc); err != nil {
 				return nil, err
 			}
 			if err := e.aggregateSegment(p, seg, groups, sc); err != nil {
@@ -260,7 +260,7 @@ func (e *Engine) runSelectPar(ctx context.Context, p *plan, n int) (*PartialResu
 		sc := getScratch()
 		defer sc.release(p.trace)
 		for _, seg := range segs {
-			if err := e.hookSegment(ctx, p); err != nil {
+			if err := e.hookSegment(ctx, sc); err != nil {
 				b.release()
 				return nil, err
 			}

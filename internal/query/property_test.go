@@ -222,87 +222,3 @@ func TestPropertyPointQueriesMatchTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestPropertyCacheTransparent: enabling the segment cache never
-// changes results.
-func TestPropertyCacheTransparent(t *testing.T) {
-	f := func(seed int64) bool {
-		engA, _, _, err := randomDB(seed)
-		if err != nil {
-			return false
-		}
-		engB, _, _, err := randomDB(seed)
-		if err != nil {
-			return false
-		}
-		engB.EnableViewCache(16)
-		for _, sql := range []string{
-			"SELECT Tid, SUM_S(*) FROM Segment GROUP BY Tid ORDER BY Tid",
-			"SELECT Park, CUBE_SUM_MINUTE(*) FROM Segment GROUP BY Park ORDER BY Park",
-		} {
-			a, err := engA.Execute(context.Background(), sql)
-			if err != nil {
-				return false
-			}
-			// Run twice so the second pass hits the cache.
-			if _, err := engB.Execute(context.Background(), sql); err != nil {
-				return false
-			}
-			b, err := engB.Execute(context.Background(), sql)
-			if err != nil {
-				return false
-			}
-			if len(a.Rows) != len(b.Rows) {
-				return false
-			}
-			for i := range a.Rows {
-				for c := range a.Rows[i] {
-					if a.Rows[i][c] != b.Rows[i][c] {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// stubView is a minimal AggView for cache tests.
-type stubView struct{}
-
-func (stubView) Length() int                         { return 1 }
-func (stubView) NumSeries() int                      { return 1 }
-func (stubView) ValueAt(series, i int) float32       { return 0 }
-func (stubView) SumRange(series, i0, i1 int) float64 { return 0 }
-func (stubView) MinRange(series, i0, i1 int) float64 { return 0 }
-func (stubView) MaxRange(series, i0, i1 int) float64 { return 0 }
-
-func TestViewCacheLRUEviction(t *testing.T) {
-	c := newViewCache(2)
-	k1 := viewKey{gid: 1}
-	k2 := viewKey{gid: 2}
-	k3 := viewKey{gid: 3}
-	v := stubView{}
-	c.put(k1, v)
-	c.put(k2, v)
-	if _, ok := c.get(k1); !ok {
-		t.Fatal("k1 must be cached")
-	}
-	c.put(k3, v) // evicts k2 (k1 was just used)
-	if _, ok := c.get(k2); ok {
-		t.Fatal("k2 must have been evicted")
-	}
-	if _, ok := c.get(k1); !ok {
-		t.Fatal("k1 must survive")
-	}
-	if _, ok := c.get(k3); !ok {
-		t.Fatal("k3 must be cached")
-	}
-	hits, misses := c.Stats()
-	if hits != 3 || misses != 1 {
-		t.Fatalf("stats = %d hits, %d misses", hits, misses)
-	}
-}

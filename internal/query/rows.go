@@ -191,7 +191,7 @@ func (e *Engine) streamRows(ctx, rctx context.Context, p *plan, limit int, r *Ro
 			sc := getScratch()
 			defer sc.release(p.trace)
 			for _, seg := range segs {
-				if err := e.hookSegment(rctx, p); err != nil {
+				if err := e.hookSegment(rctx, sc); err != nil {
 					b.release()
 					return nil, err
 				}
@@ -207,7 +207,7 @@ func (e *Engine) streamRows(ctx, rctx context.Context, p *plan, limit int, r *Ro
 	} else {
 		sc := getScratch()
 		err = e.store.Scan(rctx, p.scanFilter(), func(seg *core.Segment) error {
-			if err := e.hookSegment(rctx, p); err != nil {
+			if err := e.hookSegment(rctx, sc); err != nil {
 				return err
 			}
 			b := getBatch(p.colTypes)

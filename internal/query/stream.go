@@ -154,7 +154,7 @@ func (e *Engine) runSelectChunks(ctx context.Context, p *plan, maxBytes int, emi
 			sc := getScratch()
 			defer sc.release(p.trace)
 			for _, seg := range segs {
-				if err := e.hookSegment(ctx, p); err != nil {
+				if err := e.hookSegment(ctx, sc); err != nil {
 					b.release()
 					return nil, err
 				}
@@ -176,7 +176,7 @@ func (e *Engine) runSelectChunks(ctx context.Context, p *plan, maxBytes int, emi
 		sc := getScratch()
 		defer sc.release(p.trace)
 		err = e.store.Scan(ctx, p.scanFilter(), func(seg *core.Segment) error {
-			if err := e.hookSegment(ctx, p); err != nil {
+			if err := e.hookSegment(ctx, sc); err != nil {
 				return err
 			}
 			scratch = getReused(scratch)

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"bufio"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -9,8 +11,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"modelardb/internal/core"
 )
@@ -22,6 +26,8 @@ const DefaultBulkWriteSize = 50000
 // FileStore is a log-structured segment store: segments are appended
 // to a single log file as CRC-framed records and indexed in memory by
 // (Gid, EndTime), mirroring the paper's Cassandra primary key (§3.3).
+// Every bulk write lands sorted by that key, so the records a scan
+// wants are runs of neighbours in the log and one read fetches a run.
 // On open the log is scanned and a corrupt or torn tail is truncated,
 // so a crash between Flushes loses only unflushed segments.
 type FileStore struct {
@@ -45,6 +51,10 @@ type FileStore struct {
 	minStart map[core.Gid]int64
 	count    int64
 	size     int64
+
+	// reads and readBytes count the log reads scans issued and the bytes
+	// they fetched: one add per run of adjacent records, not per segment.
+	reads, readBytes atomic.Int64
 }
 
 // recordRef locates one segment in the log. weight is the segment's
@@ -61,6 +71,8 @@ type recordRef struct {
 const (
 	logName     = "segments.log"
 	frameHeader = 8 // uint32 payload length + uint32 CRC32
+	// maxRunBytes caps one coalesced log read.
+	maxRunBytes = 1 << 20
 )
 
 // OpenFileStore opens (creating if needed) the store in dir. bulkSize
@@ -101,38 +113,46 @@ func (s *FileStore) recover() error {
 	if _, err := s.file.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("storage: seek: %w", err)
 	}
+	info, err := s.file.Stat()
+	if err != nil {
+		return fmt.Errorf("storage: stat: %w", err)
+	}
 	s.index = make(map[core.Gid][]recordRef)
 	s.maxDur = make(map[core.Gid]int64)
 	s.minStart = make(map[core.Gid]int64)
 	s.count, s.size = 0, 0
 	var offset int64
+	r := bufio.NewReaderSize(s.file, 1<<16)
 	header := make([]byte, frameHeader)
 	var payload []byte
+	var seg core.Segment
+	run := memberRun{members: s.members}
 	for {
-		if _, err := io.ReadFull(s.file, header); err != nil {
+		if _, err := io.ReadFull(r, header); err != nil {
 			break // clean EOF or torn header: truncate here
 		}
-		length := binary.LittleEndian.Uint32(header[:4])
+		length := int64(binary.LittleEndian.Uint32(header[:4]))
 		sum := binary.LittleEndian.Uint32(header[4:])
-		if length == 0 || length > 1<<30 {
+		// A frame cannot be longer than what is left of the file, so a
+		// corrupt length is refused before anything is allocated for it.
+		if length == 0 || length > min(1<<30, info.Size()-offset-frameHeader) {
 			break
 		}
-		if cap(payload) < int(length) {
+		if int64(cap(payload)) < length {
 			payload = make([]byte, length)
 		}
 		payload = payload[:length]
-		if _, err := io.ReadFull(s.file, payload); err != nil {
+		if _, err := io.ReadFull(r, payload); err != nil {
 			break // torn payload
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
 			break // corrupt record
 		}
-		seg, err := s.decode(payload)
-		if err != nil {
+		if err := run.decode(&seg, payload); err != nil {
 			break
 		}
-		s.addIndex(seg, offset, int32(frameHeader+len(payload)))
-		offset += int64(frameHeader) + int64(length)
+		s.addIndex(&seg, offset, int32(frameHeader+length))
+		offset += frameHeader + length
 	}
 	if err := s.file.Truncate(offset); err != nil {
 		return fmt.Errorf("storage: truncate: %w", err)
@@ -144,13 +164,25 @@ func (s *FileStore) recover() error {
 	return nil
 }
 
-func (s *FileStore) decode(payload []byte) (*core.Segment, error) {
-	// Peek the Gid varint to resolve the group's members first.
+// memberRun decodes a sequence of record payloads, asking the store
+// for a group's members — which the gap mask is packed over — only
+// when the Gid changes from one record to the next.
+type memberRun struct {
+	members MembersFunc
+	gid     core.Gid
+	tids    []core.Tid
+}
+
+// decode decodes one record payload into seg, whose Params alias it.
+func (m *memberRun) decode(seg *core.Segment, payload []byte) error {
 	gid, n := binary.Uvarint(payload)
 	if n <= 0 {
-		return nil, errors.New("storage: corrupt record header")
+		return errors.New("storage: corrupt record header")
 	}
-	return core.DecodeSegment(payload, s.members(core.Gid(gid)))
+	if m.tids == nil || m.gid != core.Gid(gid) {
+		m.gid, m.tids = core.Gid(gid), m.members(core.Gid(gid))
+	}
+	return seg.DecodeInto(payload, m.tids)
 }
 
 func (s *FileStore) addIndex(seg *core.Segment, offset int64, length int32) {
@@ -200,6 +232,12 @@ func (s *FileStore) flushLocked() error {
 	if len(s.buffer) == 0 {
 		return nil
 	}
+	// Cluster the bulk write by the index key (§3.3). The sort is stable,
+	// so segments with equal keys keep their insertion order and the
+	// scan order is what it would be unsorted.
+	slices.SortStableFunc(s.buffer, func(a, b *core.Segment) int {
+		return cmp.Or(cmp.Compare(a.Gid, b.Gid), cmp.Compare(a.EndTime, b.EndTime))
+	})
 	var out []byte
 	type pending struct {
 		seg    *core.Segment
@@ -275,15 +313,21 @@ func (s *FileStore) Sync() error {
 
 // collectRefs flushes the write buffer, then snapshots the record
 // locations matching the filter in ascending (Gid, EndTime) order.
-// Records are read back and decoded without any lock held.
+// Records are read back and decoded without any lock held. Only a
+// scan that finds buffered segments takes the exclusive lock, so
+// queries over a quiet store enumerate side by side.
 func (s *FileStore) collectRefs(f Filter) ([]recordRef, error) {
-	s.mu.Lock()
-	if err := s.flushLocked(); err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	s.mu.Unlock()
 	s.mu.RLock()
+	if len(s.buffer) > 0 {
+		s.mu.RUnlock()
+		s.mu.Lock()
+		err := s.flushLocked() // re-checks: another scan may have flushed
+		s.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		s.mu.RLock()
+	}
 	defer s.mu.RUnlock()
 	gids := f.Gids
 	if gids == nil {
@@ -322,61 +366,74 @@ func (s *FileStore) collectRefs(f Filter) ([]recordRef, error) {
 	return refs, nil
 }
 
-// readRef reads and decodes one record from the log, growing buf as
-// needed. ReadAt is positional, so concurrent readers never interfere
-// with appends.
-func (s *FileStore) readRef(ref recordRef, buf []byte) (*core.Segment, []byte, error) {
-	if cap(buf) < int(ref.length) {
-		buf = make([]byte, ref.length)
-	}
-	buf = buf[:ref.length]
-	if _, err := s.file.ReadAt(buf, ref.offset); err != nil {
-		return nil, buf, fmt.Errorf("storage: read: %w", err)
-	}
-	seg, err := s.decode(buf[frameHeader:])
-	return seg, buf, err
-}
-
-// readRefs reads and decodes a batch of records from the log.
+// readRefs is the store's one read routine: it reads the records at
+// refs — consecutive in scan order — and decodes them in place. Refs
+// that are neighbours in the log, as a sorted bulk write leaves a
+// group's segments, are fetched by a single ReadAt (positional, so
+// readers never interfere with appends); records that are not are runs
+// of one through the same loop. The bytes land in one buffer, the
+// segments in one arena, and each segment's Params alias the buffer.
+// Both are ordinary garbage-collected allocations that are never
+// reused, so a caller may keep a returned segment for as long as it
+// likes — at the price of keeping its chunk's buffer alive with it.
 func (s *FileStore) readRefs(refs []recordRef) ([]*core.Segment, error) {
-	segs := make([]*core.Segment, 0, len(refs))
-	buf := make([]byte, 0, 4096)
+	total := 0
 	for _, ref := range refs {
-		var seg *core.Segment
-		var err error
-		seg, buf, err = s.readRef(ref, buf)
-		if err != nil {
-			return nil, err
+		total += int(ref.length)
+	}
+	buf := make([]byte, total)
+	arena := make([]core.Segment, len(refs))
+	segs := make([]*core.Segment, len(refs))
+	run := memberRun{members: s.members}
+	for i := 0; i < len(refs); {
+		end, n := i+1, int(refs[i].length)
+		for end < len(refs) && refs[end].offset == refs[end-1].offset+int64(refs[end-1].length) && n+int(refs[end].length) <= maxRunBytes {
+			n += int(refs[end].length)
+			end++
 		}
-		segs = append(segs, seg)
+		if _, err := s.file.ReadAt(buf[:n], refs[i].offset); err != nil {
+			return nil, fmt.Errorf("storage: read: %w", err)
+		}
+		s.reads.Add(1)
+		s.readBytes.Add(int64(n))
+		for ; i < end; i++ {
+			length := int(refs[i].length)
+			if err := run.decode(&arena[i], buf[frameHeader:length:length]); err != nil {
+				return nil, err
+			}
+			segs[i] = &arena[i]
+			buf = buf[length:]
+		}
 	}
 	return segs, nil
 }
 
-// Scan implements SegmentStore with (Gid, EndTime) push-down; matching
-// records are read back from the log. Buffered segments are flushed
-// first so queries during ingestion see all data (online analytics,
-// §3.1).
+// ReadStats reports how many log reads scans have issued and how many
+// bytes they fetched since the store was opened.
+func (s *FileStore) ReadStats() (reads, bytes int64) {
+	return s.reads.Load(), s.readBytes.Load()
+}
+
+// Scan implements SegmentStore with (Gid, EndTime) push-down: it walks
+// the same lazily read chunks ScanChunks hands out, one at a time.
+// Buffered segments are flushed first so queries during ingestion see
+// all data (online analytics, §3.1).
 func (s *FileStore) Scan(ctx context.Context, f Filter, fn func(*core.Segment) error) error {
-	refs, err := s.collectRefs(f)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 4096)
-	for _, ref := range refs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var seg *core.Segment
-		seg, buf, err = s.readRef(ref, buf)
+	return s.ScanChunks(ctx, f, 0, func(c Chunk) error {
+		segs, err := c.Segments()
 		if err != nil {
 			return err
 		}
-		if err := fn(seg); err != nil {
-			return err
+		for _, seg := range segs {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := fn(seg); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // fileChunk defers record reads and decoding to the consumer, so a

@@ -14,7 +14,8 @@ import (
 // decodable prefix no longer than the input, and every surviving
 // record must scan cleanly. The seed corpus mirrors the torn-tail
 // sweep fixtures: a real five-segment log, truncations at varied
-// offsets, and a mid-record bit flip.
+// offsets, a mid-record bit flip, and a tail frame whose header claims
+// a gigabyte the file does not have.
 func FuzzFileStoreRecover(f *testing.F) {
 	seedDir, err := os.MkdirTemp("", "fuzzseed")
 	if err != nil {
@@ -44,6 +45,7 @@ func FuzzFileStoreRecover(f *testing.F) {
 	flipped := append([]byte(nil), full...)
 	flipped[len(flipped)/3] ^= 0xFF
 	f.Add(flipped)
+	f.Add(append(append([]byte(nil), full...), hugeFrame...))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

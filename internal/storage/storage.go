@@ -46,7 +46,9 @@ const (
 type Chunk interface {
 	// Segments decodes and returns the chunk's segments in scan order.
 	// It is safe to call from any goroutine, concurrently with calls on
-	// other chunks of the same scan.
+	// other chunks of the same scan. The segments are the caller's to
+	// keep and are never reused, but they may share one allocation, so
+	// keeping one keeps its whole chunk alive; they are read-only.
 	Segments() ([]*core.Segment, error)
 }
 

