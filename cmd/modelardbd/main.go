@@ -78,7 +78,7 @@ func main() {
 	load := flag.String("load", "", "CSV file (tid,ts,value) to bulk load at startup")
 	listen := flag.String("listen", "127.0.0.1:8989", "listen address")
 	parallelism := flag.Int("parallelism", -1,
-		"query scan workers: 0 = all cores, 1 = sequential, -1 = from config file")
+		"query scan workers: 0 = all cores, 1 = one worker, in the caller's goroutine, -1 = from config file")
 	walDir := flag.String("wal", "",
 		"write-ahead log directory; empty = from config file (acknowledged appends survive a crash)")
 	walFsync := flag.String("wal-fsync", "",

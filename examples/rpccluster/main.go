@@ -3,8 +3,8 @@
 // serves its database over TCP (cluster.Serve) and the master dials
 // them (cluster.Dial), validates queries before any network traffic,
 // scatters them fail-fast and can cancel an in-flight distributed scan
-// — the Cancel frame aborts the worker-side ExecutePartial through its
-// per-call context. For the demo both sides run in one process on
+// — the Cancel frame aborts the worker-side ExecutePartialStream through
+// its per-call context. For the demo both sides run in one process on
 // loopback listeners; in a real deployment each worker is its own
 // process on its own machine.
 package main

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -16,13 +15,6 @@ import (
 	"modelardb/internal/query"
 	"modelardb/internal/sqlparse"
 )
-
-func init() {
-	// Group keys and row cells travel as interface values inside gob.
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-}
 
 // Server exposes one worker's ingestion and query execution over the
 // framed transport (transport.go). The paper's workers are Spark
@@ -43,8 +35,8 @@ type Server struct {
 // serverMethods names every RPC the server dispatches; each gets its
 // own handle-latency histogram.
 var serverMethods = []string{
-	"Append", "IngestState", "Flush", "ExecutePartial",
-	"ExecutePartialStream", "Stats", "Snapshot",
+	"Append", "IngestState", "Flush", "ExecutePartialStream",
+	"Stats", "Snapshot",
 }
 
 // NewServer wraps a database as a transport worker.
@@ -82,18 +74,13 @@ type IngestStateReply struct {
 	Applied map[core.Gid]uint64
 }
 
-// QueryArgs carries the SQL text; every worker parses and compiles it
-// against its replicated metadata, as the paper's master sends
-// rewritten queries to each worker.
-type QueryArgs struct {
-	SQL string
-}
-
-// StreamQueryArgs carries a streaming scatter's SQL plus the master's
-// configured chunk bound: the worker splits its partial result into
-// chunks of roughly ChunkBytes and streams them as chunk frames, so
-// the master's per-worker memory is one chunk instead of the whole
-// reply. ChunkBytes 0 selects the worker's default.
+// StreamQueryArgs carries a scatter's SQL plus the master's configured
+// chunk bound. Every worker parses and compiles the SQL against its
+// replicated metadata, as the paper's master sends rewritten queries
+// to each worker, then splits its partial result into chunks of
+// roughly ChunkBytes and streams them as chunk frames, so the master's
+// per-worker memory is one chunk instead of the whole reply.
+// ChunkBytes 0 selects the worker's default.
 type StreamQueryArgs struct {
 	SQL        string
 	ChunkBytes int64
@@ -136,25 +123,6 @@ func (s *Server) dispatch(ctx context.Context, method string, body []byte) ([]by
 			return nil, err
 		}
 		return nil, s.db.Flush()
-	case "ExecutePartial":
-		args := &QueryArgs{}
-		if err := decodeBody(body, args); err != nil {
-			return nil, err
-		}
-		q, err := sqlparse.Parse(args.SQL)
-		if err != nil {
-			return nil, err
-		}
-		partial, err := s.db.Engine().ExecutePartial(ctx, q)
-		if err != nil {
-			return nil, err
-		}
-		// The gob body delegates to the typed-vector codec
-		// (PartialResult.GobEncode), so the buffered reply shares the
-		// stream chunks' wire format; the batch pools once encoded.
-		body, err := encodeBody(partial)
-		partial.ReleaseBatch()
-		return body, err
 	case "Stats":
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -28,7 +28,7 @@ import (
 //     its own goroutine under a per-call context.Context derived from
 //     the connection's context.
 //   - frameCancel carries only a call ID: the worker cancels that
-//     call's context, aborting an in-flight ExecutePartial scan between
+//     call's context, aborting an in-flight scatter scan between
 //     chunks. The master sends it when the caller's context fires; the
 //     call has already returned ctx.Err() to the caller by then.
 //   - frameResponse carries the call ID, the gob-encoded reply and an

@@ -169,8 +169,10 @@ func TestClientAppendRequeueOnFailure(t *testing.T) {
 // per-call context the scan runs under.
 func TestRPCCancelMidScanOverTCP(t *testing.T) {
 	cfg := fleetConfig()
-	// A sequential worker scan pins the cancellation point: the store
-	// checks the context between segments.
+	// One scan worker, so segments are visited one at a time. The
+	// executor itself checks the context only between chunks, and this
+	// store is a single chunk; the hook pins the cancellation point to a
+	// segment by returning the per-call context's error.
 	cfg.QueryParallelism = 1
 	db, err := modelardb.Open(cfg)
 	if err != nil {
@@ -183,16 +185,17 @@ func TestRPCCancelMidScanOverTCP(t *testing.T) {
 	var progress atomic.Int64
 	// Install the hook before serving so every dispatch goroutine
 	// observes it: each scanned segment counts, then blocks until the
-	// per-call context fires (or a fallback far beyond the deadlines
-	// asserted below).
+	// per-call context fires — aborting the scan with its error — or a
+	// fallback far beyond the deadlines asserted below passes.
 	db.Engine().SetScanHook(func(ctx context.Context) error {
 		progress.Add(1)
 		once.Do(func() { close(entered) })
 		select {
 		case <-ctx.Done():
+			return ctx.Err()
 		case <-time.After(5 * time.Second):
+			return nil
 		}
-		return nil
 	})
 	srv := NewServer(db)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -281,7 +284,7 @@ func TestRPCWorkerDiesMidQuery(t *testing.T) {
 	t.Cleanup(func() { ln.Close() })
 	go srv.Serve(context.Background(), ln)
 
-	// The second worker dies on its first ExecutePartial: it waits
+	// The second worker dies on its first ExecutePartialStream: it waits
 	// until the surviving sibling's scan is demonstrably in flight,
 	// then closes the connection without a response.
 	dying := startFakeWorker(t, func(f *frame) *frame {
@@ -402,8 +405,8 @@ func TestWireConnConcurrentCalls(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 25; j++ {
-				args := &QueryArgs{SQL: string(rune('A'+i)) + "-query"}
-				reply := &QueryArgs{}
+				args := &StreamQueryArgs{SQL: string(rune('A'+i)) + "-query"}
+				reply := &StreamQueryArgs{}
 				if err := wc.Call(context.Background(), "Echo", args, reply); err != nil {
 					t.Errorf("call %d/%d: %v", i, j, err)
 					return

@@ -9,7 +9,7 @@
 //	length_limit 50
 //	split_fraction 10
 //	bulk_write_size 50000
-//	# query scan workers: 0 = all cores, 1 = sequential
+//	# query scan workers: 0 = all cores, 1 = one worker, in the caller's goroutine
 //	query_parallelism 0
 //	# per-call deadline for cluster RPCs (master side); 0 = none
 //	rpc_timeout 5s

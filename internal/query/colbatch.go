@@ -234,21 +234,8 @@ var batchPool = sync.Pool{New: func() any { return &ColumnBatch{} }}
 func getBatch(types []ColType) *ColumnBatch {
 	b := batchPool.Get().(*ColumnBatch)
 	if typesEqual(b.types, types) {
-		// Same layout as the batch's previous life: keep the vectors,
-		// reslice to empty.
-		b.n = 0
-		b.bytes = 0
-		for c, t := range types {
-			switch t {
-			case ColInt64:
-				b.i64[c] = b.i64[c][:0]
-			case ColFloat64:
-				b.f64[c] = b.f64[c][:0]
-			case ColString:
-				b.str[c] = b.str[c][:0]
-			}
-		}
-		return b
+		// Same layout as the batch's previous life: keep the vectors.
+		return getReused(b)
 	}
 	b.retype(types)
 	return b

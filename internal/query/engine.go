@@ -24,8 +24,8 @@ type Engine struct {
 	meta   *core.MetadataCache
 	reg    *models.Registry
 	schema *dims.Schema
-	// par is the scan worker count; 0 selects GOMAXPROCS, 1 runs the
-	// sequential path. Set before serving queries.
+	// par is the scan worker count; 0 selects GOMAXPROCS, 1 runs one
+	// worker in the caller's goroutine. Set before serving queries.
 	par int
 	// chunk pins a fixed scan chunk size when positive (tests only);
 	// otherwise the store sizes chunks adaptively by byte budget.
@@ -65,8 +65,7 @@ type GroupState struct {
 // PartialResult is one node's contribution to a query. Non-aggregate
 // rows travel as a typed columnar batch; aggregates travel as
 // mergeable per-group states. On the wire a PartialResult uses the
-// typed-vector chunk format (wire.go) for both TCP streams and the
-// buffered gob body.
+// typed-vector chunk format (wire.go).
 type PartialResult struct {
 	Columns     []string
 	IsAggregate bool
@@ -93,8 +92,7 @@ func (p *PartialResult) ReleaseBatch() {
 }
 
 // Execute parses, plans, runs and finalizes a query on this node.
-// Cancelling ctx aborts the scan between segments (sequential path) or
-// chunks (parallel path) and returns ctx.Err().
+// Cancelling ctx aborts the scan between chunks and returns ctx.Err().
 func (e *Engine) Execute(ctx context.Context, sql string) (*Result, error) {
 	tr := e.beginTrace(obs.RawSQL(sql))
 	sp := tr.StartSpan(obs.SpanParse)
@@ -221,7 +219,7 @@ func (e *Engine) finishTrace(tr *obs.Trace, err error) {
 }
 
 // queueWaitHistogram resolves the pool queue-wait histogram, nil when
-// unobserved — scanParallel only timestamps jobs when it is set.
+// unobserved — scan's pool only timestamps jobs when it is set.
 func (e *Engine) queueWaitHistogram() *obs.Histogram {
 	if e.obsv == nil || e.obsv.Metrics == nil {
 		return nil
@@ -551,26 +549,43 @@ func (p *plan) scanFilter() storage.Filter {
 	return storage.Filter{Gids: p.push.gids, From: p.push.prune.from, To: p.push.prune.to}
 }
 
-// runAggregate executes an aggregate query (Algorithms 5 and 6),
-// fanning the segment scan out to a worker pool when parallelism
-// allows; one worker falls back to the sequential scan.
+// runAggregate executes an aggregate query (Algorithms 5 and 6): each
+// chunk aggregates into its own GroupState map, and the chunk partials
+// merge in scan order exactly like cluster partials merge in Finalize.
 func (e *Engine) runAggregate(ctx context.Context, p *plan) (*PartialResult, error) {
-	if n := e.workers(); n > 1 {
-		return e.runAggregatePar(ctx, p, n)
-	}
-	out := &PartialResult{Columns: p.outColumns, IsAggregate: true, Groups: map[string]*GroupState{}}
-	sc := getScratch()
-	defer sc.release(p.trace)
-	err := e.store.Scan(ctx, p.scanFilter(), func(seg *core.Segment) error {
-		if err := e.hookSegment(ctx, sc); err != nil {
-			return err
+	out := &PartialResult{Columns: p.outColumns, IsAggregate: true}
+	err := e.scan(ctx, p, (*Engine).aggregateChunk, func(part any) error {
+		if out.Groups == nil {
+			// The first chunk's map becomes the result: merging it into
+			// an empty map would adopt every one of its states anyway.
+			out.Groups = part.(map[string]*GroupState)
+			return nil
 		}
-		return e.aggregateSegment(p, seg, out.Groups, sc)
+		mergeGroups(out.Groups, part.(map[string]*GroupState))
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	if out.Groups == nil {
+		out.Groups = map[string]*GroupState{}
+	}
 	return out, nil
+}
+
+// aggregateChunk is one chunk's iterate step (ExecutePartial's
+// per-segment aggregation): a fresh per-group partial state map.
+func (e *Engine) aggregateChunk(ctx context.Context, p *plan, sc *scanScratch, segs []*core.Segment) (any, error) {
+	groups := map[string]*GroupState{}
+	for _, seg := range segs {
+		if err := e.hookSegment(ctx, sc); err != nil {
+			return nil, err
+		}
+		if err := e.aggregateSegment(p, seg, groups, sc); err != nil {
+			return nil, err
+		}
+	}
+	return groups, nil
 }
 
 func (e *Engine) aggregateSegment(p *plan, seg *core.Segment, groups map[string]*GroupState, sc *scanScratch) error {
@@ -737,27 +752,42 @@ func (e *Engine) aggregatePoints(p *plan, seg *core.Segment, view models.AggView
 	return nil
 }
 
-// runSelect executes a non-aggregate query, returning raw rows. Like
-// runAggregate it shards the scan over the worker pool when the engine
-// has parallelism to spend.
+// runSelect executes a non-aggregate query, returning raw rows: the
+// chunk batches concatenate in scan order, and each goes back to the
+// pool as soon as it is appended, so a steady scan recycles one batch
+// per in-flight chunk.
 func (e *Engine) runSelect(ctx context.Context, p *plan) (*PartialResult, error) {
-	if n := e.workers(); n > 1 {
-		return e.runSelectPar(ctx, p, n)
-	}
 	out := &PartialResult{Columns: p.outColumns, Batch: getBatch(p.colTypes)}
-	sc := getScratch()
-	defer sc.release(p.trace)
-	err := e.store.Scan(ctx, p.scanFilter(), func(seg *core.Segment) error {
-		if err := e.hookSegment(ctx, sc); err != nil {
-			return err
-		}
-		return e.selectSegment(p, seg, out.Batch, sc)
+	err := e.scan(ctx, p, (*Engine).selectChunk, func(part any) error {
+		src := part.(*ColumnBatch)
+		out.Batch.AppendBatch(src)
+		src.release()
+		return nil
 	})
 	if err != nil {
+		// Aborted scans may strand un-consumed chunk batches in the
+		// collector's pending map; those fall to the GC, not the pool.
 		out.ReleaseBatch()
 		return nil, err
 	}
 	return out, nil
+}
+
+// selectChunk projects one chunk's rows into its own pooled batch,
+// which the consumer owns (and releases) once it is returned.
+func (e *Engine) selectChunk(ctx context.Context, p *plan, sc *scanScratch, segs []*core.Segment) (any, error) {
+	b := getBatch(p.colTypes)
+	for _, seg := range segs {
+		if err := e.hookSegment(ctx, sc); err != nil {
+			b.release()
+			return nil, err
+		}
+		if err := e.selectSegment(p, seg, b, sc); err != nil {
+			b.release()
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 // selectSegment appends one segment's projected rows to the batch.

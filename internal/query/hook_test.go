@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -10,9 +11,11 @@ import (
 )
 
 // TestScanHookObservesAndInjects: the scan hook fires once per scanned
-// segment on every executor path (parallel and sequential, aggregate
-// and select) and an error it returns aborts the query — the
-// fault-injection contract the cluster fail-fast tests build on.
+// segment on every executor path (a pool of several workers and a pool
+// of one, aggregate and select) and an error it returns aborts the
+// query — the fault-injection contract the cluster fail-fast tests
+// build on. A pool of one runs in the caller's goroutine: while its
+// hook runs, no goroutine beyond those alive before Execute exists.
 func TestScanHookObservesAndInjects(t *testing.T) {
 	f := newFixture(t)
 	for _, par := range []int{0, 1} {
@@ -22,11 +25,16 @@ func TestScanHookObservesAndInjects(t *testing.T) {
 			"SELECT Tid FROM Segment",
 		} {
 			var segs atomic.Int64
+			var spawned atomic.Bool
+			base := runtime.NumGoroutine()
 			f.eng.SetScanHook(func(ctx context.Context) error {
 				if ctx.Err() != nil {
 					t.Error("hook ran with an already-cancelled context")
 				}
 				segs.Add(1)
+				if runtime.NumGoroutine() > base {
+					spawned.Store(true)
+				}
 				return nil
 			})
 			if _, err := f.eng.Execute(context.Background(), sql); err != nil {
@@ -34,6 +42,9 @@ func TestScanHookObservesAndInjects(t *testing.T) {
 			}
 			if segs.Load() == 0 {
 				t.Fatalf("par=%d %s: hook never ran", par, sql)
+			}
+			if par == 1 && spawned.Load() {
+				t.Fatalf("par=1 %s: the pool of one started goroutines", sql)
 			}
 			sentinel := errors.New("injected scan failure")
 			f.eng.SetScanHook(func(ctx context.Context) error { return sentinel })

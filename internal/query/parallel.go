@@ -11,14 +11,15 @@ import (
 	"modelardb/internal/storage"
 )
 
-// The parallel segment-scan executor: the store shards the filtered
+// The chunked segment-scan executor: the store shards the filtered
 // segment stream into chunks (storage.SegmentStore.ScanChunks), a pool
-// of workers materializes and processes the chunks concurrently, and
-// the per-chunk partial states merge in scan order. Workers reuse
-// ExecutePartial's per-segment aggregation, so the local-parallel and
-// cluster paths share one mergeable partial-aggregation contract
-// (§6.2: iterate on workers, merge and finalize on the master — here
-// the "workers" are goroutines instead of cluster nodes).
+// of workers materializes and processes the chunks, and the per-chunk
+// partial states merge in scan order. Every query shape runs through
+// this one scan — the local pool and the cluster paths share one
+// mergeable partial-aggregation contract (§6.2: iterate on workers,
+// merge and finalize on the master — here the "workers" are goroutines
+// instead of cluster nodes). A pool of one is the degenerate case: its
+// worker is the calling goroutine, so no goroutine or channel exists.
 //
 // Load balancing is work stealing across groups: every worker pulls
 // its next chunk from one shared job queue, so a worker that drew
@@ -31,20 +32,22 @@ import (
 // differ wildly between groups.
 //
 // Determinism: chunks are numbered in scan order and their results are
-// combined in that order, so a parallel run is reproducible regardless
-// of goroutine scheduling, and non-aggregate queries return rows in
-// exactly the sequential scan order. Aggregate results can differ from
-// the sequential path only in floating-point association order.
+// combined in that order. Chunk boundaries do not depend on the worker
+// count, so every worker count — one included — runs the same chunks
+// and merges the same partials in the same order: results are
+// byte-identical across worker counts, floating-point sums included,
+// and non-aggregate queries return rows in scan order.
 //
-// Cancellation: the producer checks the context between chunks (inside
-// ScanChunks) and every worker checks it before materializing a chunk,
-// so a cancelled query stops within one chunk of work per goroutine
-// and the pool drains before scanParallel returns.
+// Cancellation: the context is checked between chunks (inside
+// ScanChunks, and by every pool worker before it materializes a
+// chunk), so a cancelled query, a closed cursor or a satisfied LIMIT
+// stops within one chunk of work per goroutine, and the pool drains
+// before scan returns.
 
 // SetParallelism sets the scan worker count used by Execute,
-// ExecuteQuery and ExecutePartial: n == 1 forces the sequential
-// executor (whose results parallel runs are tested against), n > 1
-// uses that many workers and n <= 0 restores the default, GOMAXPROCS.
+// ExecuteQuery and ExecutePartial: n == 1 runs one worker, in the
+// caller's goroutine, n > 1 uses that many workers and n <= 0 restores
+// the default, GOMAXPROCS. Results are identical for every n.
 // Configure before serving queries.
 func (e *Engine) SetParallelism(n int) {
 	if n < 0 {
@@ -59,17 +62,6 @@ func (e *Engine) workers() int {
 		return e.par
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// scanChunkSize resolves the chunk size: tests pin a small fixed size
-// to force many chunks through the pool; by default the store sizes
-// chunks adaptively toward its byte budget (storage.ChunkByteBudget),
-// so tiny segments coalesce instead of becoming degenerate chunks.
-func (e *Engine) scanChunkSize() int {
-	if e.chunk > 0 {
-		return e.chunk
-	}
-	return 0
 }
 
 // errScanAborted tells ScanChunks to stop early because a worker
@@ -92,14 +84,36 @@ type chunkResult struct {
 	err error
 }
 
-// scanParallel runs fn over every chunk of the plan's filtered segment
-// stream on n workers and feeds the per-chunk results to consume in
-// scan order, merging incrementally so only out-of-order results are
-// retained (bounded by the pool, not the scan). fn runs concurrently
-// from multiple goroutines and must only touch its own chunk's state;
-// consume runs on the calling goroutine, and a non-nil error from it
-// aborts the scan (the pool drains before scanParallel returns).
-func (e *Engine) scanParallel(ctx context.Context, p *plan, n int, fn func([]*core.Segment) (any, error), consume func(any) error) error {
+// scan runs fn over every chunk of the plan's filtered segment stream
+// on the engine's workers and feeds the per-chunk results to consume
+// in scan order, merging incrementally so only out-of-order results
+// are retained (bounded by the pool, not the scan). Each goroutine
+// holds one scanScratch for the whole scan and hands it to fn: with
+// one worker that goroutine is the caller, which walks the chunks
+// itself; with more, fn runs concurrently on pool workers and must
+// only touch its own chunk's state. Callers pass fn as a method
+// expression ((*Engine).selectChunk), which, unlike a method value,
+// costs no allocation per query. consume always runs on the calling
+// goroutine, and a non-nil error from it aborts the scan (the pool
+// drains before scan returns).
+func (e *Engine) scan(ctx context.Context, p *plan, fn func(*Engine, context.Context, *plan, *scanScratch, []*core.Segment) (any, error), consume func(any) error) error {
+	n := e.workers()
+	if n == 1 {
+		sc := getScratch()
+		defer sc.release(p.trace)
+		return e.store.ScanChunks(ctx, p.scanFilter(), e.chunk, func(c storage.Chunk) error {
+			p.trace.AddChunks(1)
+			segs, err := c.Segments()
+			if err != nil {
+				return err
+			}
+			val, err := fn(e, ctx, p, sc, segs)
+			if err != nil {
+				return err
+			}
+			return consume(val)
+		})
+	}
 	jobs := make(chan chunkJob, n)
 	results := make(chan chunkResult, n)
 	done := make(chan struct{})
@@ -111,7 +125,7 @@ func (e *Engine) scanParallel(ctx context.Context, p *plan, n int, fn func([]*co
 	// happens on the workers.
 	go func() {
 		seq := 0
-		err := e.store.ScanChunks(ctx, p.scanFilter(), e.scanChunkSize(), func(c storage.Chunk) error {
+		err := e.store.ScanChunks(ctx, p.scanFilter(), e.chunk, func(c storage.Chunk) error {
 			job := chunkJob{seq: seq, chunk: c}
 			if queueWait != nil {
 				job.enq = time.Now()
@@ -137,6 +151,8 @@ func (e *Engine) scanParallel(ctx context.Context, p *plan, n int, fn func([]*co
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sc := getScratch()
+			defer sc.release(p.trace)
 			for job := range jobs {
 				select {
 				case <-done:
@@ -152,7 +168,7 @@ func (e *Engine) scanParallel(ctx context.Context, p *plan, n int, fn func([]*co
 					var segs []*core.Segment
 					segs, err = job.chunk.Segments()
 					if err == nil {
-						val, err = fn(segs)
+						val, err = fn(e, ctx, p, sc, segs)
 					}
 				}
 				select {
@@ -201,35 +217,6 @@ func (e *Engine) scanParallel(ctx context.Context, p *plan, n int, fn func([]*co
 	return firstErr
 }
 
-// runAggregatePar is the parallel counterpart of runAggregate: each
-// chunk aggregates into its own GroupState map (ExecutePartial's
-// iterate step), and the chunk partials merge in scan order exactly
-// like cluster partials merge in Finalize.
-func (e *Engine) runAggregatePar(ctx context.Context, p *plan, n int) (*PartialResult, error) {
-	out := &PartialResult{Columns: p.outColumns, IsAggregate: true, Groups: map[string]*GroupState{}}
-	err := e.scanParallel(ctx, p, n, func(segs []*core.Segment) (any, error) {
-		groups := map[string]*GroupState{}
-		sc := getScratch()
-		defer sc.release(p.trace)
-		for _, seg := range segs {
-			if err := e.hookSegment(ctx, sc); err != nil {
-				return nil, err
-			}
-			if err := e.aggregateSegment(p, seg, groups, sc); err != nil {
-				return nil, err
-			}
-		}
-		return groups, nil
-	}, func(part any) error {
-		mergeGroups(out.Groups, part.(map[string]*GroupState))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // mergeGroups folds src into dst. The chunk-local states are
 // exclusively owned by this query, so they merge in place.
 func mergeGroups(dst, src map[string]*GroupState) {
@@ -246,41 +233,4 @@ func mergeGroups(dst, src map[string]*GroupState) {
 			m.Cubes[i].Merge(g.Cubes[i])
 		}
 	}
-}
-
-// runSelectPar is the parallel counterpart of runSelect: each chunk
-// projects its rows into its own pooled batch and the batches
-// concatenate in scan order, reproducing the sequential row order.
-// Worker batches go back to the pool as soon as they are merged, so a
-// steady scan recycles one batch per in-flight chunk.
-func (e *Engine) runSelectPar(ctx context.Context, p *plan, n int) (*PartialResult, error) {
-	out := &PartialResult{Columns: p.outColumns, Batch: getBatch(p.colTypes)}
-	err := e.scanParallel(ctx, p, n, func(segs []*core.Segment) (any, error) {
-		b := getBatch(p.colTypes)
-		sc := getScratch()
-		defer sc.release(p.trace)
-		for _, seg := range segs {
-			if err := e.hookSegment(ctx, sc); err != nil {
-				b.release()
-				return nil, err
-			}
-			if err := e.selectSegment(p, seg, b, sc); err != nil {
-				b.release()
-				return nil, err
-			}
-		}
-		return b, nil
-	}, func(part any) error {
-		src := part.(*ColumnBatch)
-		out.Batch.AppendBatch(src)
-		src.release()
-		return nil
-	})
-	if err != nil {
-		// Aborted scans may strand un-consumed chunk batches in the
-		// collector's pending map; those fall to the GC, not the pool.
-		out.ReleaseBatch()
-		return nil, err
-	}
-	return out, nil
 }

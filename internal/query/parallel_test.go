@@ -3,9 +3,9 @@ package query
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -132,12 +132,17 @@ func randomSQL(rng *rand.Rand, nSeries int) string {
 	}
 }
 
-// TestPropertyParallelEqualsSequential is the executor's equivalence
-// property: for randomized databases and randomized queries, N-worker
+// checkParallelEqualsSequential is the executor's equivalence property:
+// for randomized databases built by mk and randomized queries, N-worker
 // execution must return exactly the rows of 1-worker execution.
-func TestPropertyParallelEqualsSequential(t *testing.T) {
+func checkParallelEqualsSequential(t *testing.T, mk func(seed int64) (*Engine, error)) {
+	t.Helper()
 	f := func(seed int64, workers uint8) bool {
-		eng := intDB(t, seed)
+		eng, err := mk(seed)
+		if err != nil {
+			t.Logf("database for seed %d: %v", seed, err)
+			return false
+		}
 		eng.chunk = rng2Chunk(seed) // force multi-chunk scans
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		n := int(workers)%7 + 2 // 2..8 workers
@@ -167,46 +172,22 @@ func TestPropertyParallelEqualsSequential(t *testing.T) {
 	}
 }
 
-// TestPropertyParallelWithinBoundOnNoisyData re-runs the equivalence
-// check on the noisy lossy-compressed generator: counts, minima and
-// maxima stay exact, sums may differ only by float association order.
+// TestPropertyParallelEqualsSequential checks the equivalence property
+// on intDB, whose small integers make every aggregate exact in any
+// summation order.
+func TestPropertyParallelEqualsSequential(t *testing.T) {
+	checkParallelEqualsSequential(t, func(seed int64) (*Engine, error) { return intDB(t, seed), nil })
+}
+
+// TestPropertyParallelWithinBoundOnNoisyData checks the same property
+// on randomDB's noisy lossy data. The bound is zero: SUM and AVG match
+// bit for bit only because every worker count merges the same chunk
+// partials in the same order.
 func TestPropertyParallelWithinBoundOnNoisyData(t *testing.T) {
-	f := func(seed int64) bool {
+	checkParallelEqualsSequential(t, func(seed int64) (*Engine, error) {
 		eng, _, _, err := randomDB(seed)
-		if err != nil {
-			return false
-		}
-		sql := "SELECT Tid, COUNT_S(*), SUM_S(*), MIN_S(*), MAX_S(*) FROM Segment GROUP BY Tid ORDER BY Tid"
-		eng.SetParallelism(1)
-		seq, err := eng.Execute(context.Background(), sql)
-		if err != nil {
-			return false
-		}
-		eng.SetParallelism(4)
-		par, err := eng.Execute(context.Background(), sql)
-		if err != nil {
-			return false
-		}
-		if len(seq.Rows) != len(par.Rows) {
-			return false
-		}
-		for i := range seq.Rows {
-			// Tid, COUNT, MIN and MAX must be identical.
-			for _, c := range []int{0, 1, 3, 4} {
-				if seq.Rows[i][c] != par.Rows[i][c] {
-					return false
-				}
-			}
-			a, b := seq.Rows[i][2].(float64), par.Rows[i][2].(float64)
-			if math.Abs(a-b) > 1e-9*math.Max(1, math.Abs(a)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
+		return eng, err
+	})
 }
 
 // TestParallelDeterministic: chunk results merge in scan order, so two
@@ -259,13 +240,17 @@ func (s *errStore) ScanChunks(ctx context.Context, f storage.Filter, chunkSize i
 }
 
 // TestParallelScanErrorPropagates: a failing chunk aborts the query
-// and surfaces its error without deadlocking the pool.
+// and surfaces its error, both from a pool of one (the caller's own
+// goroutine) and without deadlocking a pool of four.
 func TestParallelScanErrorPropagates(t *testing.T) {
 	eng := intDB(t, 2)
 	eng.store = &errStore{SegmentStore: eng.store, failAfter: 1}
 	eng.chunk = 2 // force several chunks so one past failAfter exists
-	eng.SetParallelism(4)
-	if _, err := eng.Execute(context.Background(), "SELECT SUM_S(*) FROM Segment"); err == nil {
-		t.Fatal("expected synthetic chunk failure to propagate")
+	for _, par := range []int{1, 4} {
+		eng.SetParallelism(par)
+		_, err := eng.Execute(context.Background(), "SELECT SUM_S(*) FROM Segment")
+		if err == nil || !strings.Contains(err.Error(), "synthetic chunk failure") {
+			t.Fatalf("parallelism %d: err = %v, want the synthetic chunk failure", par, err)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"modelardb/internal/core"
 	"modelardb/internal/obs"
 	"modelardb/internal/sqlparse"
 )
@@ -149,12 +148,11 @@ func (e *Engine) queryRowsTraced(ctx context.Context, q *sqlparse.Query, tr *obs
 	return r, nil
 }
 
-// streamRows is the cursor's producer goroutine: it runs the scan
-// (parallel or sequential), hands pooled row batches to the cursor in
-// scan order and reports the terminal error. Batch ownership transfers
-// through the channel — the producer never touches a batch after a
-// successful send. ctx is the caller's context, rctx the cursor-scoped
-// one cancelled by Close.
+// streamRows is the cursor's producer goroutine: it runs the scan,
+// hands pooled row batches to the cursor in scan order and reports the
+// terminal error. Batch ownership transfers through the channel — the
+// producer never touches a batch after a successful send. ctx is the
+// caller's context, rctx the cursor-scoped one cancelled by Close.
 func (e *Engine) streamRows(ctx, rctx context.Context, p *plan, limit int, r *Rows, scanSpan obs.Span) {
 	sent := 0
 	push := func(b *ColumnBatch) error {
@@ -184,43 +182,11 @@ func (e *Engine) streamRows(ctx, rctx context.Context, p *plan, limit int, r *Ro
 		}
 		return nil
 	}
-	var err error
-	if n := e.workers(); n > 1 {
-		err = e.scanParallel(rctx, p, n, func(segs []*core.Segment) (any, error) {
-			b := getBatch(p.colTypes)
-			sc := getScratch()
-			defer sc.release(p.trace)
-			for _, seg := range segs {
-				if err := e.hookSegment(rctx, sc); err != nil {
-					b.release()
-					return nil, err
-				}
-				if err := e.selectSegment(p, seg, b, sc); err != nil {
-					b.release()
-					return nil, err
-				}
-			}
-			return b, nil
-		}, func(part any) error {
-			return push(part.(*ColumnBatch))
-		})
-	} else {
-		sc := getScratch()
-		err = e.store.Scan(rctx, p.scanFilter(), func(seg *core.Segment) error {
-			if err := e.hookSegment(rctx, sc); err != nil {
-				return err
-			}
-			b := getBatch(p.colTypes)
-			if err := e.selectSegment(p, seg, b, sc); err != nil {
-				b.release()
-				return err
-			}
-			return push(b)
-		})
-		// Not deferred: the tallies must reach the trace before errc
-		// lets Close finish it.
-		sc.release(p.trace)
-	}
+	// scan has added every scratch tally to the trace by the time it
+	// returns, before errc lets Close finish the trace.
+	err := e.scan(rctx, p, (*Engine).selectChunk, func(part any) error {
+		return push(part.(*ColumnBatch))
+	})
 	switch {
 	case errors.Is(err, errRowsLimit):
 		// LIMIT satisfied: a clean end of the stream.

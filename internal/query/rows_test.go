@@ -301,29 +301,36 @@ func TestQueryRowsContextCancelMidScan(t *testing.T) {
 	}
 }
 
-// TestQueryRowsSequentialCancel covers the 1-worker streaming path,
-// which scans without the pool and must still honor cancellation.
+// TestQueryRowsSequentialCancel covers the 1-worker streaming path, a
+// pool of one that walks the chunks in the producer goroutine and must
+// still honor cancellation. Small fixed chunks keep the scan from
+// finishing in the one or two adaptive chunks streamDB would fill.
 func TestQueryRowsSequentialCancel(t *testing.T) {
-	eng := streamDB(t, "mem")
-	eng.SetParallelism(1)
-	base := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rows, err := eng.QueryRows(ctx, mustParse(t, "SELECT Tid, TS, Value FROM DataPoint"))
-	if err != nil {
-		t.Fatal(err)
+	for _, kind := range []string{"mem", "file"} {
+		t.Run(kind, func(t *testing.T) {
+			eng := streamDB(t, kind)
+			eng.chunk = 2
+			eng.SetParallelism(1)
+			base := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			rows, err := eng.QueryRows(ctx, mustParse(t, "SELECT Tid, TS, Value FROM DataPoint"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rows.Next() {
+				t.Fatalf("no first row: %v", rows.Err())
+			}
+			cancel()
+			for rows.Next() {
+			}
+			if err := rows.Err(); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Err = %v, want context.Canceled", err)
+			}
+			rows.Close()
+			waitGoroutines(t, base)
+		})
 	}
-	if !rows.Next() {
-		t.Fatalf("no first row: %v", rows.Err())
-	}
-	cancel()
-	for rows.Next() {
-	}
-	if err := rows.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Err = %v, want context.Canceled", err)
-	}
-	rows.Close()
-	waitGoroutines(t, base)
 }
 
 // TestQueryRowsScanTyped: Scan copies into typed destinations and

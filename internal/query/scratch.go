@@ -16,8 +16,8 @@ import (
 // It also tallies what the scan did — segments scanned, series folded
 // on their model, points reconstructed — in plain integers that reach
 // the query's trace once, at release. A scratch is owned by a single
-// goroutine for the duration of a scan; the parallel paths take one
-// per chunk so concurrent workers never share.
+// goroutine for the duration of a scan — the caller for a pool of one,
+// or one pool worker for its whole lifetime — so workers never share.
 type scanScratch struct {
 	groups map[core.Gid][]*core.TimeSeries
 	views  map[models.MID]models.AggView

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 
-	"modelardb/internal/core"
 	"modelardb/internal/obs"
 	"modelardb/internal/sqlparse"
 )
@@ -114,16 +113,16 @@ func emitGroupChunks(p *plan, part *PartialResult, maxBytes int, emit func(*Part
 }
 
 // runSelectChunks streams a non-aggregate query's rows in scan order,
-// flushing a chunk whenever the estimated size reaches maxBytes. The
-// parallel path flushes from scanParallel's in-order consumer; the
-// sequential path flushes between segments — either way rows leave the
-// worker as they are produced, never accumulating past one chunk.
+// flushing a chunk whenever the estimated size reaches maxBytes. It
+// flushes from scan's in-order consumer, so rows leave the worker as
+// they are produced, never accumulating past one chunk.
 func (e *Engine) runSelectChunks(ctx context.Context, p *plan, maxBytes int, emit func(*PartialResult) error) error {
 	// One reused buffer batch backs every emitted chunk: a chunk (and
 	// its Batch) is valid only for the duration of the emit call, and
 	// consumers must copy (MergePartial) or encode (the rpc stream)
 	// before returning. Every in-repo consumer does; the contract is
-	// what lets a whole stream run on two batches (producer + scratch).
+	// what lets a whole stream run on this buffer plus the pooled chunk
+	// batches in flight.
 	buf := getBatch(p.colTypes)
 	defer buf.release()
 	out := &PartialResult{Columns: p.outColumns}
@@ -147,45 +146,12 @@ func (e *Engine) runSelectChunks(ctx context.Context, p *plan, maxBytes int, emi
 		}
 		return nil
 	}
-	var err error
-	if n := e.workers(); n > 1 {
-		err = e.scanParallel(ctx, p, n, func(segs []*core.Segment) (any, error) {
-			b := getBatch(p.colTypes)
-			sc := getScratch()
-			defer sc.release(p.trace)
-			for _, seg := range segs {
-				if err := e.hookSegment(ctx, sc); err != nil {
-					b.release()
-					return nil, err
-				}
-				if err := e.selectSegment(p, seg, b, sc); err != nil {
-					b.release()
-					return nil, err
-				}
-			}
-			return b, nil
-		}, func(part any) error {
-			src := part.(*ColumnBatch)
-			err := add(src)
-			src.release()
-			return err
-		})
-	} else {
-		scratch := getBatch(p.colTypes)
-		defer scratch.release()
-		sc := getScratch()
-		defer sc.release(p.trace)
-		err = e.store.Scan(ctx, p.scanFilter(), func(seg *core.Segment) error {
-			if err := e.hookSegment(ctx, sc); err != nil {
-				return err
-			}
-			scratch = getReused(scratch)
-			if err := e.selectSegment(p, seg, scratch, sc); err != nil {
-				return err
-			}
-			return add(scratch)
-		})
-	}
+	err := e.scan(ctx, p, (*Engine).selectChunk, func(part any) error {
+		src := part.(*ColumnBatch)
+		err := add(src)
+		src.release()
+		return err
+	})
 	if err != nil {
 		return err
 	}

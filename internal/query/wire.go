@@ -18,11 +18,10 @@ import (
 // on decode — DecodePartial must survive truncated or corrupted frames
 // from a hostile or broken peer (FuzzDecodePartial).
 //
-// Both the TCP transport's chunk frames and the legacy gob-encoded
-// ExecutePartial reply (via GobEncode/GobDecode below) use this one
-// format; the in-process LocalCluster passes the same *PartialResult
-// values without any encoding, so every deployment shares one batch
-// representation and one merge contract.
+// The TCP transport's chunk frames use this format; the in-process
+// LocalCluster passes the same *PartialResult values without any
+// encoding, so every deployment shares one batch representation and
+// one merge contract.
 
 // partialWireVersion is bumped on incompatible layout changes; decode
 // rejects unknown versions instead of guessing.
@@ -238,10 +237,6 @@ func (r *wireReader) scalarState() (ScalarState, error) {
 // strings never alias data, so the frame body is free for reuse as
 // soon as DecodePartial returns.
 func DecodePartial(data []byte, part *PartialResult) error {
-	return decodePartial(data, part, true)
-}
-
-func decodePartial(data []byte, part *PartialResult, pooled bool) error {
 	r := &wireReader{data: data}
 	version, err := r.byte()
 	if err != nil {
@@ -267,7 +262,7 @@ func decodePartial(data []byte, part *PartialResult, pooled bool) error {
 	}
 	part.Batch = nil
 	if flags&partialFlagBatch != 0 {
-		if err := r.decodeBatch(part, pooled); err != nil {
+		if err := r.decodeBatch(part); err != nil {
 			return err
 		}
 	}
@@ -363,7 +358,7 @@ func decodePartial(data []byte, part *PartialResult, pooled bool) error {
 }
 
 // decodeBatch parses the batch section into part.Batch.
-func (r *wireReader) decodeBatch(part *PartialResult, pooled bool) error {
+func (r *wireReader) decodeBatch(part *PartialResult) error {
 	ncols, err := r.count(1)
 	if err != nil {
 		return err
@@ -389,14 +384,11 @@ func (r *wireReader) decodeBatch(part *PartialResult, pooled bool) error {
 		return fmt.Errorf("query: partial result frame: %d rows with no columns", nrows)
 	}
 	var b *ColumnBatch
-	switch {
-	case pooled && part.Batch != nil && typesEqual(part.Batch.types, types):
+	if part.Batch != nil && typesEqual(part.Batch.types, types) {
 		// Chunk after chunk of one stream reuses the same batch.
 		b = getReused(part.Batch)
-	case pooled:
+	} else {
 		b = getBatch(types)
-	default:
-		b = NewColumnBatch(types)
 	}
 	part.Batch = b
 	for c, t := range types {
@@ -439,8 +431,8 @@ func (r *wireReader) decodeBatch(part *PartialResult, pooled bool) error {
 	return nil
 }
 
-// getReused reslices an already-owned batch to empty for the next
-// chunk of the same stream.
+// getReused reslices a batch to empty for its next use with the same
+// column layout, keeping its vectors' capacity.
 func getReused(b *ColumnBatch) *ColumnBatch {
 	b.n = 0
 	b.bytes = 0
@@ -473,18 +465,4 @@ func countStrings(types []ColType) int {
 		}
 	}
 	return n
-}
-
-// GobEncode lets the legacy gob paths (the buffered ExecutePartial
-// reply body) carry a PartialResult in the typed-vector wire format:
-// gob sees one opaque byte slice instead of a struct full of boxed
-// interface cells.
-func (p *PartialResult) GobEncode() ([]byte, error) {
-	return EncodePartial(nil, p), nil
-}
-
-// GobDecode is GobEncode's inverse; the decoded batch is heap-owned
-// (never pooled), since gob gives the caller no release point.
-func (p *PartialResult) GobDecode(data []byte) error {
-	return decodePartial(data, p, false)
 }

@@ -125,13 +125,14 @@ type Config struct {
 	// Models registers user-defined model types after the builtins.
 	Models []ModelType
 	// QueryParallelism is the number of segment-scan workers per query:
-	// 0 uses all cores (GOMAXPROCS), 1 forces the sequential executor.
+	// 0 uses all cores (GOMAXPROCS), 1 runs one worker, in the caller's
+	// goroutine. Every worker count returns byte-identical results.
 	QueryParallelism int
 	// RPCTimeout bounds each individual cluster RPC issued by a master
-	// (cluster.Dial) — Append, Flush, ExecutePartial and Stats calls all
-	// fail with context.DeadlineExceeded when a worker does not answer
-	// in time, and the worker-side scan is cancelled. 0 means calls are
-	// bounded only by their caller's context.
+	// (cluster.Dial) — Append, Flush, ExecutePartialStream and Stats
+	// calls all fail with context.DeadlineExceeded when a worker does
+	// not answer in time, and the worker-side scan is cancelled. 0 means
+	// calls are bounded only by their caller's context.
 	RPCTimeout time.Duration
 	// RetryBudget bounds how long a cluster master keeps retrying a
 	// call whose worker connection died, reconnecting with exponential
@@ -289,7 +290,7 @@ var ErrClosed = errors.New("modelardb: database is closed")
 // Open creates or reopens a database.
 func Open(cfg Config) (*DB, error) {
 	if cfg.QueryParallelism < 0 {
-		return nil, fmt.Errorf("modelardb: QueryParallelism %d is negative; use 0 for all cores or 1 for sequential scans", cfg.QueryParallelism)
+		return nil, fmt.Errorf("modelardb: QueryParallelism %d is negative; use 0 for all cores or 1 for one worker, in the caller's goroutine", cfg.QueryParallelism)
 	}
 	if cfg.BulkWriteSize < 0 {
 		return nil, fmt.Errorf("modelardb: BulkWriteSize %d is negative; use 0 for the default (%d) or a positive buffer size", cfg.BulkWriteSize, storage.DefaultBulkWriteSize)

@@ -45,9 +45,10 @@ func openParallelDB(b *testing.B, workers int) *modelardb.DB {
 }
 
 // benchmarkWorkers runs one SQL statement at 1, 2, 4 and 8 workers.
-// The workers=1 sub-benchmark is the sequential executor; speedup at
-// w workers is time(workers=1) / time(workers=w). On a single-core
-// machine (GOMAXPROCS=1) the curve is flat by construction.
+// The workers=1 sub-benchmark is a pool of one, run in the calling
+// goroutine; speedup at w workers is time(workers=1) / time(workers=w).
+// On a single-core machine (GOMAXPROCS=1) the curve is flat by
+// construction.
 func benchmarkWorkers(b *testing.B, sql string) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
