@@ -19,12 +19,13 @@ FUZZTIME ?= 60s
 BENCH_RECORD = 'Calibration|Parallel|Pruning|IngestAppend|AppendWAL|AppendBatchWAL|ScatterTCPStream|SustainedLoad'
 # Hot-path benchmarks guarded by the regression gate (bench-compare):
 # per-point append, batched append, the heavy parallel scan, the
-# streamed TCP scatter, the group-commit append (whose fsyncs/point
-# metric is gated raw at its own wider threshold — coalescing depends
-# on timing), the file-store scan (gated on its reads/segment and
-# allocs/op counts only; its baseline ns/op is 0), plus the
-# calibration workload that normalizes machine speed.
-BENCH_GATE = 'Calibration$$|IngestAppendSerial|IngestAppendBatch|ParallelSumDataPointView|ScatterTCPStream|AppendWALGroupCommit|FileStoreScan'
+# per-series hourly roll-up (gated on allocs/op only; its baseline
+# ns/op is 0), the streamed TCP scatter, the group-commit append (whose
+# fsyncs/point metric is gated raw at its own wider threshold —
+# coalescing depends on timing), the file-store scan (gated on its
+# reads/segment and allocs/op counts only; its baseline ns/op is 0),
+# plus the calibration workload that normalizes machine speed.
+BENCH_GATE = 'Calibration$$|IngestAppendSerial|IngestAppendBatch|ParallelSumDataPointView|ParallelCubeHourByTid|ScatterTCPStream|AppendWALGroupCommit|FileStoreScan'
 
 .PHONY: all build vet fmt-check lint vuln test race bench crash ci \
 	bench-record bench-compare fuzz obs-smoke docs-check \

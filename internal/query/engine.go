@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -60,6 +61,16 @@ type GroupState struct {
 	Key     []any
 	Scalars []ScalarState
 	Cubes   []CubeState
+}
+
+// merge folds o into g.
+func (g *GroupState) merge(o *GroupState) {
+	for i := range o.Scalars {
+		g.Scalars[i].Merge(o.Scalars[i])
+	}
+	for i := range o.Cubes {
+		g.Cubes[i].Merge(o.Cubes[i])
+	}
 }
 
 // PartialResult is one node's contribution to a query. Non-aggregate
@@ -263,6 +274,11 @@ type plan struct {
 	// group key needs them; otherwise it folds each (segment, series) on
 	// the model like the Segment view.
 	perPoint bool
+	// perSeries records that the series conjuncts and the group key read
+	// only columns constant per series (Tid, Gid, SI, members), so the
+	// executor resolves both once per Tid instead of once per (segment,
+	// series) — see keepSeries and groupOf.
+	perSeries bool
 	// colTypes is the typed column layout of projected rows, derived
 	// from the select items' resolved references (non-aggregate plans
 	// only; aggregates materialize rows at finalize).
@@ -294,10 +310,8 @@ func (e *Engine) compile(q *sqlparse.Query) (*plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		if ref.kind == colTS || ref.kind == colValue {
-			if q.From == sqlparse.TableSegment {
-				return nil, fmt.Errorf("query: cannot GROUP BY %s on the Segment view", ref.name)
-			}
+		if err := e.checkColumnTable(ref, q.From); err != nil {
+			return nil, err
 		}
 		p.groupRefs = append(p.groupRefs, ref)
 	}
@@ -367,6 +381,14 @@ func (e *Engine) compile(q *sqlparse.Query) (*plan, error) {
 		return nil, err
 	}
 	p.perPoint = q.From == sqlparse.TableDataPoint && (p.where.point != nil || p.pointGroupKey() || e.forcePerPoint)
+	p.perSeries = true
+	for _, ref := range p.groupRefs {
+		p.perSeries = p.perSeries && ref.kind.perSeries()
+	}
+	_ = e.walkColumns(p.where.series, func(ref columnRef) error { // analyzeWhere resolved every column
+		p.perSeries = p.perSeries && ref.kind.perSeries()
+		return nil
+	})
 	// Output column labels: the bucket column precedes the first cube
 	// aggregate (Fig. 12 keys results by the roll-up bucket).
 	bucketEmitted := false
@@ -486,12 +508,11 @@ func (r *logicalRow) valueOf(ref columnRef) (any, bool) {
 }
 
 // appendGroupKey renders the GROUP BY key of a row into dst and
-// returns the extended slice. The rendering is byte-for-byte the old
-// fmt.Fprintf("%v\x00") form — int64 in base 10, float64 in shortest
-// %g, strings raw, NUL-terminated — so the sorted-key merge order in
-// finalizePlan is unchanged; only the boxing and Builder allocations
-// are gone.
-func (p *plan) appendGroupKey(dst []byte, r *logicalRow) ([]byte, error) {
+// returns the extended slice: int64 in base 10, float64 in shortest
+// %g, strings raw, each NUL-terminated — the %v rendering the sorted
+// group order in finalizePlan has always used. compile rejects a group
+// column the queried view lacks, so every column is on the row.
+func (p *plan) appendGroupKey(dst []byte, r *logicalRow) []byte {
 	for _, ref := range p.groupRefs {
 		switch ref.kind {
 		case colTid:
@@ -502,23 +523,22 @@ func (p *plan) appendGroupKey(dst []byte, r *logicalRow) ([]byte, error) {
 			dst = strconv.AppendInt(dst, r.ts.SI, 10)
 		case colMember:
 			dst = append(dst, r.ts.Member(ref.dimension, ref.level)...)
-		default:
-			v, ok := r.valueOf(ref)
-			if !ok {
-				return dst, fmt.Errorf("query: cannot GROUP BY %s here", ref.name)
-			}
-			switch x := v.(type) {
-			case int64:
-				dst = strconv.AppendInt(dst, x, 10)
-			case float64:
-				dst = strconv.AppendFloat(dst, x, 'g', -1, 64)
-			case string:
-				dst = append(dst, x...)
-			}
+		case colStartTime:
+			dst = strconv.AppendInt(dst, r.seg.StartTime, 10)
+		case colEndTime:
+			dst = strconv.AppendInt(dst, r.seg.EndTime, 10)
+		case colMid:
+			dst = strconv.AppendInt(dst, int64(r.seg.MID), 10)
+		case colGaps:
+			dst = fmt.Append(dst, r.seg.GapTids)
+		case colTS:
+			dst = strconv.AppendInt(dst, r.pointTS, 10)
+		case colValue:
+			dst = strconv.AppendFloat(dst, r.value, 'g', -1, 64)
 		}
 		dst = append(dst, 0)
 	}
-	return dst, nil
+	return dst
 }
 
 // groupVals boxes the GROUP BY column values for a new group's Key.
@@ -577,6 +597,7 @@ func (e *Engine) runAggregate(ctx context.Context, p *plan) (*PartialResult, err
 // per-segment aggregation): a fresh per-group partial state map.
 func (e *Engine) aggregateChunk(ctx context.Context, p *plan, sc *scanScratch, segs []*core.Segment) (any, error) {
 	groups := map[string]*GroupState{}
+	sc.chunk++ // groups cached by groupOf belong to the previous chunk's map
 	for _, seg := range segs {
 		if err := e.hookSegment(ctx, sc); err != nil {
 			return nil, err
@@ -596,14 +617,15 @@ func (e *Engine) aggregateSegment(p *plan, seg *core.Segment, groups map[string]
 	active := sc.seriesOf(e.meta, seg)
 	var view models.AggView
 	needView := p.perPoint || p.needsValues()
+	runs := sc.runs[:0]
 	row := logicalRow{seg: seg, isPoint: p.q.From == sqlparse.TableDataPoint}
 	for pos, ts := range active {
 		row.ts = ts
-		match, err := e.evalPred(p.where.series, &row)
+		keep, err := e.keepSeries(p, sc, &row)
 		if err != nil {
 			return err
 		}
-		if !match {
+		if !keep {
 			continue
 		}
 		if view == nil && needView {
@@ -615,14 +637,17 @@ func (e *Engine) aggregateSegment(p *plan, seg *core.Segment, groups map[string]
 		}
 		if p.perPoint {
 			sc.decodedPoints += int64(i1 - i0 + 1)
-			err = e.aggregatePoints(p, seg, view, pos, &row, i0, i1, groups, sc)
-		} else {
-			sc.foldedSeries++
-			err = e.aggregateSeries(p, seg, view, pos, &row, i0, i1, groups, sc)
+			if err := e.aggregatePoints(p, view, pos, &row, i0, i1, groups, sc); err != nil {
+				return err
+			}
+			continue
 		}
-		if err != nil {
-			return err
+		if p.nCubes > 0 && len(runs) == 0 {
+			runs = appendBucketRuns(runs, p.cubeLevel, seg, i0, i1)
+			sc.runs = runs
 		}
+		sc.foldedSeries++
+		p.aggregateSeries(sc.groupOf(p, groups, &row), view, pos, float64(ts.Scaling), i0, i1, runs)
 	}
 	return nil
 }
@@ -649,9 +674,6 @@ func (p *plan) groupFor(groups map[string]*GroupState, key []byte, r *logicalRow
 		for i := range g.Scalars {
 			g.Scalars[i] = NewScalarState()
 		}
-		for i := range g.Cubes {
-			g.Cubes[i] = CubeState{}
-		}
 		groups[string(key)] = g
 	}
 	return g
@@ -672,16 +694,12 @@ func rangeAgg(view models.AggView, pos, i0, i1 int, scale float64) (sum, mn, mx 
 
 // aggregateSeries is the fold both views share: one AddRange per
 // (segment, series) using the model's constant-time aggregates where
-// the model supports them (Algorithm 5's iterate).
-func (e *Engine) aggregateSeries(p *plan, seg *core.Segment, view models.AggView, pos int, row *logicalRow, i0, i1 int, groups map[string]*GroupState, sc *scanScratch) error {
-	var err error
-	if sc.key, err = p.appendGroupKey(sc.key[:0], row); err != nil {
-		return err
-	}
-	g := p.groupFor(groups, sc.key, row)
-	scale := float64(row.ts.Scaling)
+// the model supports them (Algorithm 5's iterate), and for a roll-up
+// one per bucket of the segment's split runs (Algorithm 6).
+func (p *plan) aggregateSeries(g *GroupState, view models.AggView, pos int, scale float64, i0, i1 int, runs []bucketRun) {
 	count := int64(i1 - i0 + 1)
-	for _, pi := range p.items {
+	for i := range p.items {
+		pi := &p.items[i] // by pointer: a planItem is too large to copy per series
 		switch {
 		case pi.scalarIdx >= 0:
 			if pi.sel.Agg == sqlparse.AggCount {
@@ -691,31 +709,18 @@ func (e *Engine) aggregateSeries(p *plan, seg *core.Segment, view models.AggView
 			sum, mn, mx := rangeAgg(view, pos, i0, i1, scale)
 			g.Scalars[pi.scalarIdx].AddRange(count, sum, mn, mx)
 		case pi.cubeIdx >= 0:
-			// Algorithm 6: walk the segment interval one time-hierarchy
-			// bucket at a time, aggregating each sub-range on the model.
-			idx := i0
-			for idx <= i1 {
-				bucket, boundary := bucketOf(p.cubeLevel, seg.TimestampAt(idx))
-				// Last grid index strictly before the next bucket boundary;
-				// TimestampAt(idx) < boundary guarantees progress.
-				last := i1
-				if boundary <= seg.EndTime {
-					if lastInBucket := int((boundary - 1 - seg.StartTime) / seg.SI); lastInBucket < last {
-						last = lastInBucket
-					}
-				}
-				n := int64(last - idx + 1)
+			cube := &g.Cubes[pi.cubeIdx]
+			for _, r := range runs {
+				n := int64(r.last - r.first + 1)
 				if pi.sel.Agg == sqlparse.AggCount {
-					g.Cubes[pi.cubeIdx].Add(bucket, n, 0, 0, 0)
-				} else {
-					sum, mn, mx := rangeAgg(view, pos, idx, last, scale)
-					g.Cubes[pi.cubeIdx].Add(bucket, n, sum, mn, mx)
+					cube.Add(r.bucket, n, 0, 0, 0)
+					continue
 				}
-				idx = last + 1
+				sum, mn, mx := rangeAgg(view, pos, r.first, r.last, scale)
+				cube.Add(r.bucket, n, sum, mn, mx)
 			}
 		}
 	}
-	return nil
 }
 
 // aggregatePoints feeds reconstructed data points into scalar states:
@@ -723,12 +728,12 @@ func (e *Engine) aggregateSeries(p *plan, seg *core.Segment, view models.AggView
 // perPoint. A group exists only once a point matched, so the lookup
 // stays behind the predicate; a key constant per series is looked up
 // once.
-func (e *Engine) aggregatePoints(p *plan, seg *core.Segment, view models.AggView, pos int, row *logicalRow, i0, i1 int, groups map[string]*GroupState, sc *scanScratch) error {
+func (e *Engine) aggregatePoints(p *plan, view models.AggView, pos int, row *logicalRow, i0, i1 int, groups map[string]*GroupState, sc *scanScratch) error {
 	scale := float64(row.ts.Scaling)
 	keyPerPoint := p.pointGroupKey()
 	var g *GroupState
 	for i := i0; i <= i1; i++ {
-		row.pointTS = seg.TimestampAt(i)
+		row.pointTS = row.seg.TimestampAt(i)
 		row.value = float64(view.ValueAt(pos, i)) / scale
 		match, err := e.evalPred(p.where.point, row)
 		if err != nil {
@@ -738,10 +743,7 @@ func (e *Engine) aggregatePoints(p *plan, seg *core.Segment, view models.AggView
 			continue
 		}
 		if g == nil || keyPerPoint {
-			if sc.key, err = p.appendGroupKey(sc.key[:0], row); err != nil {
-				return err
-			}
-			g = p.groupFor(groups, sc.key, row)
+			g = sc.groupOf(p, groups, row)
 		}
 		for _, pi := range p.items {
 			if pi.scalarIdx >= 0 {
@@ -804,11 +806,11 @@ func (e *Engine) selectSegment(p *plan, seg *core.Segment, b *ColumnBatch, sc *s
 	row := logicalRow{seg: seg, isPoint: p.q.From == sqlparse.TableDataPoint}
 	for pos, ts := range active {
 		row.ts = ts
-		match, err := e.evalPred(p.where.series, &row)
+		keep, err := e.keepSeries(p, sc, &row)
 		if err != nil {
 			return err
 		}
-		if !match {
+		if !keep {
 			continue
 		}
 		if !row.isPoint {
@@ -915,32 +917,14 @@ func (e *Engine) finalizePlan(p *plan, partials []*PartialResult) (*Result, erro
 			}
 		}
 	} else {
-		merged := map[string]*GroupState{}
-		var order []string
-		for _, part := range partials {
-			for key, g := range part.Groups {
-				m, ok := merged[key]
-				if !ok {
-					copied := &GroupState{Key: g.Key, Scalars: append([]ScalarState(nil), g.Scalars...), Cubes: make([]CubeState, len(g.Cubes))}
-					for i, c := range g.Cubes {
-						copied.Cubes[i] = CubeState{}
-						copied.Cubes[i].Merge(c)
-					}
-					merged[key] = copied
-					order = append(order, key)
-					continue
-				}
-				for i := range g.Scalars {
-					m.Scalars[i].Merge(g.Scalars[i])
-				}
-				for i := range g.Cubes {
-					m.Cubes[i].Merge(g.Cubes[i])
-				}
-			}
+		groups := mergePartials(partials)
+		keys := make([]string, 0, len(groups))
+		for key := range groups {
+			keys = append(keys, key)
 		}
-		sort.Strings(order)
-		for _, key := range order {
-			res.Rows = append(res.Rows, p.finalizeGroup(merged[key])...)
+		sort.Strings(keys)
+		for _, key := range keys {
+			res.Rows = p.finalizeGroup(res.Rows, groups[key])
 		}
 	}
 	if err := sortRows(res, q.OrderBy); err != nil {
@@ -952,11 +936,40 @@ func (e *Engine) finalizePlan(p *plan, partials []*PartialResult) (*Result, erro
 	return res, nil
 }
 
-// finalizeGroup renders a group's output rows: one row for scalar
-// aggregates, one row per time bucket for roll-ups.
-func (p *plan) finalizeGroup(g *GroupState) [][]any {
+// mergePartials merges the partials' groups by key (§6.2's master-side
+// merge). A lone partial is returned as is — finalizing only reads it —
+// and otherwise a key's first state is copied before others merge into
+// it, so the callers' partials are never written.
+func mergePartials(partials []*PartialResult) map[string]*GroupState {
+	if len(partials) == 1 {
+		return partials[0].Groups
+	}
+	merged := map[string]*GroupState{}
+	for _, part := range partials {
+		for key, g := range part.Groups {
+			if m, ok := merged[key]; ok {
+				m.merge(g)
+				continue
+			}
+			c := &GroupState{Key: g.Key, Scalars: slices.Clone(g.Scalars), Cubes: make([]CubeState, len(g.Cubes))}
+			for i, cube := range g.Cubes {
+				c.Cubes[i] = slices.Clone(cube)
+			}
+			merged[key] = c
+		}
+	}
+	return merged
+}
+
+// finalizeGroup appends a group's output rows to dst: one row for
+// scalar aggregates, one row per time bucket for roll-ups. Cube states
+// are sorted by bucket, so a roll-up's buckets are the ordered union of
+// its states, walked with one cursor per state, and its rows are cut
+// from one flat cell array.
+func (p *plan) finalizeGroup(dst [][]any, g *GroupState) [][]any {
+	width := len(p.outColumns)
 	if p.nCubes == 0 {
-		row := make([]any, 0, len(p.items))
+		row := make([]any, 0, width)
 		for _, pi := range p.items {
 			switch {
 			case pi.groupIdx >= 0:
@@ -970,45 +983,54 @@ func (p *plan) finalizeGroup(g *GroupState) [][]any {
 				}
 			}
 		}
-		return [][]any{row}
+		return append(dst, row)
 	}
-	// Collect the union of buckets across the group's cube states.
-	bucketSet := map[int64]bool{}
+	// The states of one group hold the same buckets unless a peer sent
+	// otherwise; if the union is longer, append moves on to a new array
+	// and the rows already cut keep the old one.
+	nrows := 0
 	for _, c := range g.Cubes {
-		for b := range c {
-			bucketSet[b] = true
+		nrows = max(nrows, len(c))
+	}
+	cells := make([]any, 0, nrows*width)
+	next := make([]int, len(g.Cubes))
+	for {
+		b, ok := int64(0), false
+		for ci, c := range g.Cubes {
+			if i := next[ci]; i < len(c) && (!ok || c[i].Bucket < b) {
+				b, ok = c[i].Bucket, true
+			}
 		}
-	}
-	buckets := make([]int64, 0, len(bucketSet))
-	for b := range bucketSet {
-		buckets = append(buckets, b)
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i] < buckets[j] })
-	rows := make([][]any, 0, len(buckets))
-	for _, b := range buckets {
-		row := make([]any, 0, len(p.items)+1)
+		if !ok {
+			return dst
+		}
+		start := len(cells)
 		bucketEmitted := false
 		for _, pi := range p.items {
 			if pi.cubeIdx >= 0 && !bucketEmitted {
-				row = append(row, b)
+				cells = append(cells, b)
 				bucketEmitted = true
 			}
 			switch {
 			case pi.groupIdx >= 0:
-				row = append(row, g.Key[pi.groupIdx])
+				cells = append(cells, g.Key[pi.groupIdx])
 			case pi.cubeIdx >= 0:
-				if s, ok := g.Cubes[pi.cubeIdx][b]; ok {
-					if v, ok := s.Finalize(pi.sel.Agg); ok {
-						row = append(row, v)
-						continue
+				var v any
+				if c, i := g.Cubes[pi.cubeIdx], next[pi.cubeIdx]; i < len(c) && c[i].Bucket == b {
+					if f, ok := c[i].Finalize(pi.sel.Agg); ok {
+						v = f
 					}
 				}
-				row = append(row, nil)
+				cells = append(cells, v)
 			}
 		}
-		rows = append(rows, row)
+		for ci, c := range g.Cubes {
+			if i := next[ci]; i < len(c) && c[i].Bucket == b {
+				next[ci]++
+			}
+		}
+		dst = append(dst, cells[start:len(cells):len(cells)])
 	}
-	return rows
 }
 
 // sortRows orders the result by the ORDER BY columns (resolved against

@@ -490,6 +490,28 @@ func TestQueryErrors(t *testing.T) {
 			t.Errorf("Execute(%q) unexpectedly succeeded", sql)
 		}
 	}
+	// Grouping by a column the view lacks is a compile error like
+	// selecting it, so a cluster master's Validate refuses it before
+	// scattering instead of every worker failing it segment by segment.
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM DataPoint GROUP BY StartTime",
+		"SELECT COUNT(*) FROM DataPoint GROUP BY EndTime",
+		"SELECT COUNT(*) FROM DataPoint GROUP BY Gaps",
+		"SELECT COUNT(*) FROM DataPoint GROUP BY Mid",
+		"SELECT COUNT_S(*) FROM Segment GROUP BY TS",
+		"SELECT COUNT_S(*) FROM Segment GROUP BY Value",
+	} {
+		q, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if err := f.eng.Validate(q); err == nil || !strings.Contains(err.Error(), "only available on the") {
+			t.Errorf("Validate(%q) = %v, want a view error", sql, err)
+		}
+		if _, err := f.eng.Execute(context.Background(), sql); err == nil {
+			t.Errorf("Execute(%q) unexpectedly succeeded", sql)
+		}
+	}
 }
 
 func TestEmptyResultAggregates(t *testing.T) {

@@ -26,6 +26,12 @@ import (
 // to reconstruct — the oracle.
 func foldDB(t *testing.T, seed int64) (fold, points *Engine, nSeries, maxTick int) {
 	t.Helper()
+	return foldDBAt(t, seed, 0, 1000)
+}
+
+// foldDBAt is foldDB with every series sampled at start + tick*si.
+func foldDBAt(t *testing.T, seed, start, si int64) (fold, points *Engine, nSeries, maxTick int) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	schema, err := dims.NewSchema(dims.Dimension{Name: "Location", Levels: []string{"Park"}})
 	if err != nil {
@@ -68,7 +74,7 @@ func foldDB(t *testing.T, seed int64) (fold, points *Engine, nSeries, maxTick in
 		var tids []core.Tid
 		for i, n := 0, rng.Intn(3)+1; i < n; i++ {
 			err := meta.Add(&core.TimeSeries{
-				Tid: tid, SI: 1000, Scaling: scalings[rng.Intn(len(scalings))],
+				Tid: tid, SI: si, Scaling: scalings[rng.Intn(len(scalings))],
 				Members: map[string][]string{"Location": {fmt.Sprintf("P%d", g%2)}},
 			})
 			if err != nil {
@@ -88,7 +94,7 @@ func foldDB(t *testing.T, seed int64) (fold, points *Engine, nSeries, maxTick in
 			Registry:  reg,
 			Bound:     models.RelBound(float64(rng.Intn(4))),
 			OnSegment: func(s *core.Segment) error { return store.Insert(s) },
-		}}, core.Gid(g+1), 1000, tids)
+		}}, core.Gid(g+1), si, tids)
 		ticks := rng.Intn(300) + 40
 		if ticks > maxTick {
 			maxTick = ticks
@@ -113,7 +119,7 @@ func foldDB(t *testing.T, seed int64) (fold, points *Engine, nSeries, maxTick in
 					}
 					ts, _ := meta.Series(tt)
 					v := float32(base+float64(i)*0.01) * ts.Scaling
-					if err := gi.Append(tt, int64(tick)*1000, v); err != nil {
+					if err := gi.Append(tt, start+int64(tick)*si, v); err != nil {
 						t.Fatal(err)
 					}
 				}

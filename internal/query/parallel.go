@@ -221,16 +221,10 @@ func (e *Engine) scan(ctx context.Context, p *plan, fn func(*Engine, context.Con
 // exclusively owned by this query, so they merge in place.
 func mergeGroups(dst, src map[string]*GroupState) {
 	for key, g := range src {
-		m, ok := dst[key]
-		if !ok {
+		if m, ok := dst[key]; ok {
+			m.merge(g)
+		} else {
 			dst[key] = g
-			continue
-		}
-		for i := range g.Scalars {
-			m.Scalars[i].Merge(g.Scalars[i])
-		}
-		for i := range g.Cubes {
-			m.Cubes[i].Merge(g.Cubes[i])
 		}
 	}
 }

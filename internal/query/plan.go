@@ -28,6 +28,17 @@ const (
 	colMember // a dimension level column
 )
 
+// perSeries reports whether the column is constant per series, so a
+// predicate or group key reading only such columns has one answer per
+// Tid.
+func (k columnKind) perSeries() bool {
+	switch k {
+	case colTid, colGid, colSI, colMember:
+		return true
+	}
+	return false
+}
+
 // columnRef resolves a referenced column name.
 type columnRef struct {
 	kind      columnKind

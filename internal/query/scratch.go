@@ -12,21 +12,41 @@ import (
 // fetched under the metadata cache's lock, or allocated, for every
 // segment: a snapshot of each group's members and their series
 // metadata, one reusable model view per MID (models.ViewReuser), and
-// the buffers the active-series list and the group key are built in.
-// It also tallies what the scan did — segments scanned, series folded
-// on their model, points reconstructed — in plain integers that reach
-// the query's trace once, at release. A scratch is owned by a single
-// goroutine for the duration of a scan — the caller for a pool of one,
-// or one pool worker for its whole lifetime — so workers never share.
+// the buffers the active-series list, the group key and a segment's
+// bucket split are built in. For a plan whose series conjuncts and
+// group key read only per-series columns (plan.perSeries) it caches,
+// per Tid, the conjuncts' verdict for the scan and the series' group
+// for the chunk. It also tallies what the scan did — segments scanned,
+// series folded on their model, points reconstructed — in plain
+// integers that reach the query's trace once, at release. A scratch is
+// owned by a single goroutine for the duration of a scan — the caller
+// for a pool of one, or one pool worker for its whole lifetime — so
+// workers never share.
 type scanScratch struct {
 	groups map[core.Gid][]*core.TimeSeries
 	views  map[models.MID]models.AggView
 	active []*core.TimeSeries
 	key    []byte
+	runs   []bucketRun
+
+	// tids is indexed by Tid (dense from 1). scan and chunk number the
+	// scratch's scans and aggregate chunks; a slot stamped with an
+	// earlier number is stale, so nothing is ever cleared.
+	tids        []tidSlot
+	scan, chunk uint64
 
 	segments      int64
 	foldedSeries  int64
 	decodedPoints int64
+}
+
+// tidSlot is what a perSeries plan resolved for one series: whether
+// the series conjuncts keep it (valid while scan matches) and its group
+// in the current chunk's map (valid while chunk matches).
+type tidSlot struct {
+	scan, chunk uint64
+	keep        bool
+	group       *GroupState
 }
 
 var scanScratchPool = sync.Pool{New: func() any {
@@ -38,12 +58,14 @@ var scanScratchPool = sync.Pool{New: func() any {
 
 // getScratch returns a pooled scratch. Group snapshots are dropped —
 // the pool is shared by every engine, and membership may have changed
-// since the scratch's last scan — but views and buffers are kept:
-// ViewInto overwrites a view completely before it is read, so stale
-// contents are harmless and their capacity is the point of pooling.
+// since the scratch's last scan — and advancing scan stales every Tid
+// slot, but views and buffers are kept: ViewInto overwrites a view
+// completely before it is read, so stale contents are harmless and
+// their capacity is the point of pooling.
 func getScratch() *scanScratch {
 	sc := scanScratchPool.Get().(*scanScratch)
 	clear(sc.groups)
+	sc.scan++
 	return sc
 }
 
@@ -83,6 +105,50 @@ func (sc *scanScratch) seriesOf(meta *core.MetadataCache, seg *core.Segment) []*
 		}
 	}
 	return sc.active
+}
+
+// slot returns tid's cache slot, growing the table on first sight.
+func (sc *scanScratch) slot(tid core.Tid) *tidSlot {
+	if n := int(tid) + 1; n > len(sc.tids) {
+		sc.tids = append(sc.tids, make([]tidSlot, n-len(sc.tids))...)
+	}
+	return &sc.tids[tid]
+}
+
+// keepSeries reports whether the plan's series conjuncts keep row's
+// (segment, series). A perSeries plan evaluates them once per (scan,
+// Tid); any other plan reads segment columns and evaluates them here
+// for every row.
+func (e *Engine) keepSeries(p *plan, sc *scanScratch, row *logicalRow) (bool, error) {
+	if !p.perSeries {
+		return e.evalPred(p.where.series, row)
+	}
+	s := sc.slot(row.ts.Tid)
+	if s.scan != sc.scan {
+		keep, err := e.evalPred(p.where.series, row)
+		if err != nil {
+			return false, err
+		}
+		s.scan, s.keep = sc.scan, keep
+	}
+	return s.keep, nil
+}
+
+// groupOf returns row's group in the chunk's map, creating it on first
+// sight. A perSeries plan renders and looks up the key once per
+// (chunk, Tid); any other plan's key reads segment or point columns and
+// is rendered here for every call.
+func (sc *scanScratch) groupOf(p *plan, groups map[string]*GroupState, row *logicalRow) *GroupState {
+	if !p.perSeries {
+		sc.key = p.appendGroupKey(sc.key[:0], row)
+		return p.groupFor(groups, sc.key, row)
+	}
+	s := sc.slot(row.ts.Tid)
+	if s.chunk != sc.chunk {
+		sc.key = p.appendGroupKey(sc.key[:0], row)
+		s.chunk, s.group = sc.chunk, p.groupFor(groups, sc.key, row)
+	}
+	return s.group
 }
 
 // viewFor decodes a segment's model view into the scratch's view of

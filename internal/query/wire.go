@@ -1,9 +1,11 @@
 package query
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // The chunk-frame wire codec: a PartialResult encodes as length-
@@ -90,9 +92,9 @@ func EncodePartial(dst []byte, part *PartialResult) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(g.Cubes)))
 		for _, c := range g.Cubes {
 			dst = binary.AppendUvarint(dst, uint64(len(c)))
-			for bucket, s := range c {
-				dst = binary.LittleEndian.AppendUint64(dst, uint64(bucket))
-				dst = appendScalarState(dst, s)
+			for _, cell := range c {
+				dst = binary.LittleEndian.AppendUint64(dst, uint64(cell.Bucket))
+				dst = appendScalarState(dst, cell.ScalarState)
 			}
 		}
 	}
@@ -339,8 +341,8 @@ func DecodePartial(data []byte, part *PartialResult) error {
 			if err != nil {
 				return err
 			}
-			g.Cubes[ci] = make(CubeState, nbuckets)
-			for j := 0; j < nbuckets; j++ {
+			cube := make(CubeState, nbuckets)
+			for j := range cube {
 				bucket, err := r.u64()
 				if err != nil {
 					return err
@@ -349,12 +351,37 @@ func DecodePartial(data []byte, part *PartialResult) error {
 				if err != nil {
 					return err
 				}
-				g.Cubes[ci][int64(bucket)] = s
+				cube[j] = CubeCell{Bucket: int64(bucket), ScalarState: s}
 			}
+			g.Cubes[ci] = ascendingCube(cube)
 		}
 		part.Groups[key] = g
 	}
 	return nil
+}
+
+// ascendingCube returns a decoded cube section as the strictly
+// ascending CubeState every merge and finalize relies on. Encoders
+// write buckets in ascending order, so this is normally one pass; a
+// frame from a broken or hostile peer is sorted (stably, so equal
+// buckets keep frame order) and its duplicate buckets merged.
+func ascendingCube(c CubeState) CubeState {
+	for i := 1; i < len(c); i++ {
+		if c[i-1].Bucket < c[i].Bucket {
+			continue
+		}
+		slices.SortStableFunc(c, func(a, b CubeCell) int { return cmp.Compare(a.Bucket, b.Bucket) })
+		out := c[:1]
+		for _, cell := range c[1:] {
+			if last := &out[len(out)-1]; last.Bucket == cell.Bucket {
+				last.Merge(cell.ScalarState)
+			} else {
+				out = append(out, cell)
+			}
+		}
+		return out
+	}
+	return c
 }
 
 // decodeBatch parses the batch section into part.Batch.

@@ -32,13 +32,32 @@ func fuzzSeedAggregate() *PartialResult {
 			"1\x00": {
 				Key:     []any{int64(1), 2.5, "park-a"},
 				Scalars: []ScalarState{{Count: 3, Sum: 6, Min: 1, Max: 3}},
-				Cubes:   []CubeState{{0: {Count: 1, Sum: 1, Min: 1, Max: 1}, 60000: {Count: 2, Sum: 5, Min: 2, Max: 3}}},
+				Cubes: []CubeState{{
+					{Bucket: 0, ScalarState: ScalarState{Count: 1, Sum: 1, Min: 1, Max: 1}},
+					{Bucket: 60000, ScalarState: ScalarState{Count: 2, Sum: 5, Min: 2, Max: 3}},
+				}},
 			},
 			"2\x00": {
 				Key:     []any{int64(2)},
 				Scalars: []ScalarState{{Count: 1, Sum: math.Inf(1), Min: math.Inf(1), Max: math.Inf(-1)}},
 			},
 		},
+	}
+}
+
+// fuzzSeedHostileCube is an aggregate partial whose cube section no
+// encoder writes: buckets out of order and repeated, the shape a broken
+// or hostile peer can send.
+func fuzzSeedHostileCube() *PartialResult {
+	cell := func(bucket int64, n int64) CubeCell {
+		return CubeCell{Bucket: bucket, ScalarState: ScalarState{Count: n, Sum: float64(n), Min: 1, Max: float64(n)}}
+	}
+	return &PartialResult{
+		Columns:     []string{"HOUR", "CUBE_SUM_HOUR(*)"},
+		IsAggregate: true,
+		Groups: map[string]*GroupState{"": {
+			Cubes: []CubeState{{cell(7200000, 1), cell(0, 2), cell(3600000, 3), cell(0, 4), cell(-3600000, 5)}},
+		}},
 	}
 }
 
@@ -50,9 +69,11 @@ func fuzzSeedAggregate() *PartialResult {
 // yield the same rows, columns and group shapes. The seed corpus is
 // valid encodes of both partial kinds plus truncations at varied
 // offsets and bit flips, the frames a torn TCP stream or broken peer
-// would actually produce.
+// would actually produce. Every decoded cube state must be strictly
+// ascending by bucket — duplicates merged — and survive the round trip
+// cell for cell.
 func FuzzDecodePartial(f *testing.F) {
-	for _, part := range []*PartialResult{fuzzSeedRows(), fuzzSeedAggregate(), {}} {
+	for _, part := range []*PartialResult{fuzzSeedRows(), fuzzSeedAggregate(), fuzzSeedHostileCube(), {}} {
 		valid := EncodePartial(nil, part)
 		f.Add(valid)
 		for cut := 1; cut < len(valid); cut += 3 {
@@ -129,6 +150,31 @@ func FuzzDecodePartial(f *testing.F) {
 			if len(g2.Key) != len(g1.Key) || len(g2.Scalars) != len(g1.Scalars) || len(g2.Cubes) != len(g1.Cubes) {
 				t.Fatalf("round-trip changed group %q shape", key)
 			}
+			for ci, c1 := range g1.Cubes {
+				for j := 1; j < len(c1); j++ {
+					if c1[j-1].Bucket >= c1[j].Bucket {
+						t.Fatalf("group %q cube %d: bucket %d after %d, want strictly ascending", key, ci, c1[j].Bucket, c1[j-1].Bucket)
+					}
+				}
+				c2 := g2.Cubes[ci]
+				if len(c2) != len(c1) {
+					t.Fatalf("group %q cube %d: round-trip changed %d buckets to %d", key, ci, len(c1), len(c2))
+				}
+				for j := range c1 {
+					if !sameCell(c1[j], c2[j]) {
+						t.Fatalf("group %q cube %d: round-trip changed cell %d: %+v -> %+v", key, ci, j, c1[j], c2[j])
+					}
+				}
+			}
 		}
 	})
+}
+
+// sameCell compares two cube cells by bit pattern, so NaNs decoded from
+// corrupted bytes compare equal to themselves.
+func sameCell(a, b CubeCell) bool {
+	return a.Bucket == b.Bucket && a.Count == b.Count &&
+		math.Float64bits(a.Sum) == math.Float64bits(b.Sum) &&
+		math.Float64bits(a.Min) == math.Float64bits(b.Min) &&
+		math.Float64bits(a.Max) == math.Float64bits(b.Max)
 }

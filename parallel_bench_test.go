@@ -96,6 +96,14 @@ func BenchmarkParallelGroupByDimension(b *testing.B) {
 	benchmarkWorkers(b, "SELECT Category, SUM_S(*), AVG_S(*) FROM Segment GROUP BY Category")
 }
 
+// An hourly roll-up per series, the shape of the agg_segment panel's
+// heaviest query: one group per series and ~42 hour buckets each, so it
+// measures the roll-up fold (the segment's bucket split, the cube state
+// adds) and finalize's one row per (series, bucket).
+func BenchmarkParallelCubeHourByTid(b *testing.B) {
+	benchmarkWorkers(b, "SELECT Entity, Tid, CUBE_SUM_HOUR(*) FROM Segment GROUP BY Entity, Tid")
+}
+
 // BenchmarkPruningTimeWindow measures segment pruning: a query over a
 // 5% time window against the full-history scan. The per-group
 // time-range index and EndTime push-down let the store skip segments
