@@ -140,13 +140,16 @@ crash:
 # Fuzz smoke over the untrusted-bytes parsers: the two on-disk record
 # formats (WAL segments and the segment log), seeded from the
 # torn-tail sweep fixtures, the segment record decoder both are built
-# on, plus the typed-column chunk-frame decoder the cluster transport
-# feeds with peer-controlled bytes. `go test -fuzz` accepts one target
-# per package invocation, hence four runs.
+# on, the typed-column chunk-frame decoder the cluster transport
+# feeds with peer-controlled bytes, plus the Gorilla value-stream
+# decoder every stored lossless segment goes through, checked against
+# its reference. `go test -fuzz` accepts one target per package
+# invocation, hence five runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALScanSegment$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzFileStoreRecover$$' -fuzztime $(FUZZTIME) ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePartial$$' -fuzztime $(FUZZTIME) ./internal/query
+	$(GO) test -run '^$$' -fuzz '^FuzzGorillaDecode$$' -fuzztime $(FUZZTIME) ./internal/models
 
 ci: build lint vuln race bench benchmark-smoke crash docs-check

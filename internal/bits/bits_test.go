@@ -67,6 +67,19 @@ func TestReadPastEnd(t *testing.T) {
 	}
 }
 
+func TestShortReadConsumesNothing(t *testing.T) {
+	r := NewReader([]byte{0b10110110, 0xFF, 0x01})
+	if _, err := r.ReadBits(20); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ReadBits(5); err != ErrShortBuffer {
+		t.Fatalf("err = %v, want ErrShortBuffer", err)
+	}
+	if v, err := r.ReadBits(4); err != nil || v != 0b0001 {
+		t.Fatalf("ReadBits(4) after a short read = %04b, %v; want 0001", v, err)
+	}
+}
+
 func TestZeroWidthWrites(t *testing.T) {
 	w := NewWriter(1)
 	w.WriteBits(0xFFFF, 0)

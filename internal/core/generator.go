@@ -54,6 +54,9 @@ type SegmentGenerator struct {
 	cur        models.Model
 	fitted     int // buffer ticks accepted by cur
 	candidates []genCandidate
+	// views holds one verify view per model type, indexed like types,
+	// that each emit decodes into instead of allocating a fresh one.
+	views []models.AggView
 
 	emitted      int
 	sumRatio     float64
@@ -62,7 +65,7 @@ type SegmentGenerator struct {
 }
 
 type genCandidate struct {
-	mt    models.ModelType
+	typ   int // index into types
 	model models.Model
 }
 
@@ -73,6 +76,7 @@ func NewSegmentGenerator(cfg GeneratorConfig, gid Gid, si int64, startTime int64
 	if cfg.LengthLimit <= 0 {
 		cfg.LengthLimit = DefaultLengthLimit
 	}
+	types := cfg.Registry.Types()
 	return &SegmentGenerator{
 		cfg:       cfg,
 		gid:       gid,
@@ -80,7 +84,8 @@ func NewSegmentGenerator(cfg GeneratorConfig, gid Gid, si int64, startTime int64
 		active:    active,
 		gaps:      gaps,
 		startTime: startTime,
-		types:     cfg.Registry.Types(),
+		types:     types,
+		views:     make([]models.AggView, len(types)),
 	}
 }
 
@@ -128,7 +133,7 @@ func (g *SegmentGenerator) fitTail() error {
 		}
 		for g.fitted < len(g.buffer) {
 			if g.cur.Length() >= g.cfg.LengthLimit || !g.cur.Append(g.buffer[g.fitted]) {
-				g.candidates = append(g.candidates, genCandidate{g.types[g.tryIdx], g.cur})
+				g.candidates = append(g.candidates, genCandidate{g.tryIdx, g.cur})
 				g.cur = nil
 				g.tryIdx++
 				break
@@ -146,7 +151,7 @@ func (g *SegmentGenerator) fitTail() error {
 func (g *SegmentGenerator) Flush() error {
 	for len(g.buffer) > 0 {
 		if g.cur != nil {
-			g.candidates = append(g.candidates, genCandidate{g.types[g.tryIdx], g.cur})
+			g.candidates = append(g.candidates, genCandidate{g.tryIdx, g.cur})
 			g.cur = nil
 		}
 		if err := g.emitBest(); err != nil {
@@ -184,14 +189,14 @@ func (g *SegmentGenerator) emitBest() error {
 		// bound, truncating to the longest verified prefix. Models are
 		// black boxes (§3.2), so this also protects the store from
 		// faulty user-defined models.
-		length, params, err = g.verify(c.mt, c.model, length, params)
+		length, params, err = g.verify(c.typ, c.model, length, params)
 		if err != nil || length == 0 {
 			continue
 		}
 		raw := float64(length * len(g.active) * BytesPerDataPoint)
 		ratio := raw / float64(overhead+len(params))
 		if best == nil || ratio > best.ratio {
-			best = &scored{mt: c.mt, length: length, params: params, ratio: ratio}
+			best = &scored{mt: g.types[c.typ], length: length, params: params, ratio: ratio}
 		}
 	}
 	g.candidates = g.candidates[:0]
@@ -220,15 +225,18 @@ func (g *SegmentGenerator) emitBest() error {
 	return nil
 }
 
-// verify checks that the serialized parameters reconstruct every
-// buffered tick within the error bound and shrinks the length to the
-// longest verified prefix, re-serializing as needed.
-func (g *SegmentGenerator) verify(mt models.ModelType, m models.Model, length int, params []byte) (int, []byte, error) {
+// verify checks that the serialized parameters of a model of type
+// types[typ] reconstruct every buffered tick within the error bound and
+// shrinks the length to the longest verified prefix, re-serializing as
+// needed. It decodes into the generator's view for that type.
+func (g *SegmentGenerator) verify(typ int, m models.Model, length int, params []byte) (int, []byte, error) {
+	mid := g.types[typ].MID()
 	for length > 0 {
-		view, err := mt.View(params, len(g.active), length)
+		view, err := g.cfg.Registry.ViewInto(g.views[typ], mid, params, len(g.active), length)
 		if err != nil {
 			return 0, nil, err
 		}
+		g.views[typ] = view
 		ok := length
 		for i := 0; i < length && ok == length; i++ {
 			for s := range g.active {

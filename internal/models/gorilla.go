@@ -1,9 +1,12 @@
 package models
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	mathbits "math/bits"
+	"slices"
 
 	"modelardb/internal/bits"
 )
@@ -80,7 +83,6 @@ func (e *gorillaEncoder) append(v float32) {
 		e.w.WriteBit(false)
 		return
 	}
-	e.w.WriteBit(true)
 	lead := uint8(mathbits.LeadingZeros32(xor))
 	if lead > 31 {
 		lead = 31
@@ -88,70 +90,106 @@ func (e *gorillaEncoder) append(v float32) {
 	trail := uint8(mathbits.TrailingZeros32(xor))
 	mlen := 32 - lead - trail
 	if e.prevMLen != 0 && lead >= e.prevLead && trail >= 32-e.prevLead-e.prevMLen {
-		// The meaningful bits fit in the previous window.
-		e.w.WriteBit(false)
+		// The meaningful bits fit in the previous window: control bits
+		// 10, then the window's bits.
 		prevTrail := 32 - e.prevLead - e.prevMLen
-		e.w.WriteBits(uint64(xor>>prevTrail), uint(e.prevMLen))
+		e.w.WriteBits(uint64(0b10)<<e.prevMLen|uint64(xor>>prevTrail), uint(e.prevMLen)+2)
 		return
 	}
-	e.w.WriteBit(true)
-	e.w.WriteBits(uint64(lead), 5)
-	e.w.WriteBits(uint64(mlen-1), 5)
-	e.w.WriteBits(uint64(xor>>trail), uint(mlen))
+	// Control bits 11, the window's 5-bit lead and mlen-1, then its bits.
+	header := uint64(0b11)<<10 | uint64(lead)<<5 | uint64(mlen-1)
+	e.w.WriteBits(header<<mlen|uint64(xor>>trail), uint(mlen)+12)
 	e.prevLead, e.prevMLen = lead, mlen
 }
+
+var (
+	errGorillaShort      = fmt.Errorf("models: gorilla decode: %w", bits.ErrShortBuffer)
+	errGorillaNoWindow   = errors.New("models: gorilla decode: reused window before any window was set")
+	errGorillaWideWindow = errors.New("models: gorilla decode: window wider than 32 bits")
+)
 
 // gorillaDecodeInto reconstructs count float32 values from a stream
 // produced by gorillaEncoder, appending to dst (pass dst[:0] to reuse
 // its capacity).
+//
+// The first value is the stream's first 4 bytes. The rest is read
+// through a local left-aligned accumulator with no call per field: its
+// top n bits are unread, and the bits below them are either zero or the
+// stream bits that follow, so a refill may OR the same bytes in again.
+// One value takes at most 1 + 1 + 10 + 32 = 44 bits, so a single refill
+// per value suffices: an 8-byte load leaves n >= 56, and at the tail
+// the checks before each field catch a stream that runs out. Shift
+// counts are masked to the width they already fit so the compiler
+// emits plain shifts.
 func gorillaDecodeInto(dst []float32, params []byte, count int) ([]float32, error) {
 	if count == 0 {
 		return dst, nil
 	}
-	r := bits.NewReader(params)
-	out := dst
-	if cap(out) < count {
-		out = make([]float32, 0, count)
+	if len(params) < 4 {
+		return nil, errGorillaShort
 	}
-	first, err := r.ReadBits(32)
-	if err != nil {
-		return nil, fmt.Errorf("models: gorilla decode: %w", err)
-	}
-	prev := uint32(first)
-	out = append(out, math.Float32frombits(prev))
-	var lead, mlen uint8
-	for len(out) < count {
-		ctrl, err := r.ReadBit()
-		if err != nil {
-			return nil, fmt.Errorf("models: gorilla decode: %w", err)
+	prev := binary.BigEndian.Uint32(params)
+	out := append(slices.Grow(dst, count), math.Float32frombits(prev))
+	var (
+		acc   uint64
+		n     uint
+		pos   = 4
+		mlen  uint // meaningful bits of the current window; 0 = none yet
+		trail uint // trailing zeros of the current window
+	)
+	for i := 1; i < count; i++ {
+		if n < 44 {
+			if pos+8 <= len(params) {
+				acc |= binary.BigEndian.Uint64(params[pos:]) >> (n & 63)
+				pos += int(63-n) >> 3
+				n |= 56
+			} else {
+				for n <= 56 && pos < len(params) {
+					acc |= uint64(params[pos]) << ((56 - n) & 63)
+					pos++
+					n += 8
+				}
+			}
 		}
-		if !ctrl {
+		if n < 1 {
+			return nil, errGorillaShort
+		}
+		ctrl := acc >> 63
+		acc <<= 1
+		n--
+		if ctrl == 0 {
 			out = append(out, math.Float32frombits(prev))
 			continue
 		}
-		newWindow, err := r.ReadBit()
-		if err != nil {
-			return nil, fmt.Errorf("models: gorilla decode: %w", err)
+		if n < 1 {
+			return nil, errGorillaShort
 		}
-		if newWindow {
-			l, err := r.ReadBits(5)
-			if err != nil {
-				return nil, fmt.Errorf("models: gorilla decode: %w", err)
+		newWindow := acc >> 63
+		acc <<= 1
+		n--
+		if newWindow != 0 {
+			if n < 10 {
+				return nil, errGorillaShort
 			}
-			ml, err := r.ReadBits(5)
-			if err != nil {
-				return nil, fmt.Errorf("models: gorilla decode: %w", err)
+			lead := uint(acc >> 59)
+			mlen = uint(acc>>54&31) + 1
+			acc <<= 10
+			n -= 10
+			if lead+mlen > 32 {
+				// The encoder never writes one: the trailing-zero count
+				// would be negative.
+				return nil, errGorillaWideWindow
 			}
-			lead, mlen = uint8(l), uint8(ml)+1
+			trail = 32 - lead - mlen
 		} else if mlen == 0 {
-			return nil, fmt.Errorf("models: gorilla decode: reused window before any window was set")
+			return nil, errGorillaNoWindow
 		}
-		m, err := r.ReadBits(uint(mlen))
-		if err != nil {
-			return nil, fmt.Errorf("models: gorilla decode: %w", err)
+		if n < mlen {
+			return nil, errGorillaShort
 		}
-		trail := 32 - lead - mlen
-		prev ^= uint32(m) << trail
+		prev ^= uint32(acc>>((64-mlen)&63)) << (trail & 31)
+		acc <<= mlen & 63
+		n -= mlen
 		out = append(out, math.Float32frombits(prev))
 	}
 	return out, nil

@@ -1,10 +1,13 @@
 package models
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"modelardb/internal/bits"
 )
 
 func TestGorillaRoundTripExact(t *testing.T) {
@@ -166,6 +169,100 @@ func TestGorillaDecodeTruncatedStream(t *testing.T) {
 	if _, err := gorillaDecodeInto(nil, params[:2], 10); err == nil {
 		t.Fatal("decode of truncated stream must fail")
 	}
+}
+
+// TestGorillaDecodeRejectsMalformed covers streams no encoder writes:
+// each must be refused with an error, never decoded to values.
+func TestGorillaDecodeRejectsMalformed(t *testing.T) {
+	one := uint64(math.Float32bits(1))
+	stream := func(fields ...[2]uint64) []byte {
+		w := bits.NewWriter(16)
+		for _, f := range fields {
+			w.WriteBits(f[0], uint(f[1]))
+		}
+		return w.Bytes()
+	}
+	tests := []struct {
+		name   string
+		params []byte
+		count  int
+		short  bool
+	}{
+		{"window wider than 32 bits", wideWindowStream(), 2, false},
+		// 32 + 2 + 6 bits: the 10-bit window header ends with the stream.
+		{"truncated window", stream([2]uint64{one, 32}, [2]uint64{0b11, 2}, [2]uint64{0b000011, 6}), 2, true},
+		{"truncated first value", []byte{0x3f, 0x80, 0}, 1, true},
+		{"reused window before any was set", stream([2]uint64{one, 32}, [2]uint64{0b10, 2}, [2]uint64{0, 6}), 2, false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			got, err := gorillaDecodeInto(nil, tt.params, tt.count)
+			if err == nil {
+				t.Fatalf("decoded %v, want an error", got)
+			}
+			if errors.Is(err, bits.ErrShortBuffer) != tt.short {
+				t.Fatalf("err %v: errors.Is(ErrShortBuffer) = %v, want %v", err, !tt.short, tt.short)
+			}
+		})
+	}
+}
+
+// TestGorillaViewIntoAllocatesNothing pins the scan path's contract:
+// decoding into a view whose grid already has the capacity allocates
+// nothing.
+func TestGorillaViewIntoAllocatesNothing(t *testing.T) {
+	const nseries, length = 4, 100
+	rng := rand.New(rand.NewSource(9))
+	m := GorillaType{}.New(RelBound(0), nseries)
+	for i := 0; i < length; i++ {
+		m.Append([]float32{rng.Float32(), rng.Float32(), rng.Float32(), rng.Float32()})
+	}
+	params, err := m.Bytes(length)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := GorillaType{}.View(params, nseries, length)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if view, err = (GorillaType{}).ViewInto(view, params, nseries, length); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ViewInto allocated %.1f times per decode, want 0", allocs)
+	}
+}
+
+// BenchmarkGorillaDecode decodes a 4-series, 100-interval segment of a
+// random walk into a reused grid, the scan path's shape.
+func BenchmarkGorillaDecode(b *testing.B) {
+	const nseries, length = 4, 100
+	rng := rand.New(rand.NewSource(1))
+	m := GorillaType{}.New(RelBound(0), nseries)
+	vals := make([]float32, nseries)
+	base := float32(100)
+	for i := 0; i < length; i++ {
+		base += float32(rng.NormFloat64())
+		for s := range vals {
+			vals[s] = base + float32(rng.NormFloat64()*0.1)
+		}
+		m.Append(vals)
+	}
+	params, err := m.Bytes(length)
+	if err != nil {
+		b.Fatal(err)
+	}
+	grid := make([]float32, 0, nseries*length)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if grid, err = gorillaDecodeInto(grid[:0], params, nseries*length); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nseries*length), "ns/value")
 }
 
 func TestGorillaRejectsWrongWidth(t *testing.T) {

@@ -1052,18 +1052,16 @@ func sortRows(res *Result, orderBy []sqlparse.OrderItem) error {
 			return fmt.Errorf("query: ORDER BY column %q not in result", o.Column)
 		}
 	}
-	sort.SliceStable(res.Rows, func(a, b int) bool {
+	slices.SortStableFunc(res.Rows, func(a, b []any) int {
 		for i, o := range orderBy {
-			cmp := compareAny(res.Rows[a][idx[i]], res.Rows[b][idx[i]])
-			if cmp == 0 {
-				continue
+			if cmp := compareAny(a[idx[i]], b[idx[i]]); cmp != 0 {
+				if o.Desc {
+					return -cmp
+				}
+				return cmp
 			}
-			if o.Desc {
-				return cmp > 0
-			}
-			return cmp < 0
 		}
-		return false
+		return 0
 	})
 	return nil
 }
