@@ -126,21 +126,3 @@ func (db *DB) WriteCSV(ctx context.Context, w io.Writer, tids ...Tid) (int64, er
 	}
 	return n, bw.Flush()
 }
-
-// LoadCSVContext ingests data points from a CSV stream.
-//
-// Deprecated: LoadCSV is context-first now; LoadCSVContext remains as
-// a thin wrapper for v1 callers and will be removed in a future
-// release.
-func (db *DB) LoadCSVContext(ctx context.Context, r io.Reader) (int64, error) {
-	return db.LoadCSV(ctx, r)
-}
-
-// WriteCSVContext exports reconstructed data points as CSV rows.
-//
-// Deprecated: WriteCSV is context-first now; WriteCSVContext remains
-// as a thin wrapper for v1 callers and will be removed in a future
-// release.
-func (db *DB) WriteCSVContext(ctx context.Context, w io.Writer, tids ...Tid) (int64, error) {
-	return db.WriteCSV(ctx, w, tids...)
-}

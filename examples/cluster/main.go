@@ -68,7 +68,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := c.Flush(); err != nil {
+	if err := c.Flush(ctx); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("ingested %d points in %s\n", points, time.Since(start).Round(time.Millisecond))
@@ -92,7 +92,7 @@ func main() {
 		fmt.Printf("  worker %d: %s\n", i, d.Round(time.Microsecond))
 	}
 
-	stats, err := c.Stats()
+	stats, err := c.Stats(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // RPC cluster: multi-process deployment over the framed transport. The
 // workers of examples/cluster live in one process; here each worker
-// serves its database over TCP (cluster.Serve) and the master dials
+// serves its database over TCP (cluster.Server) and the master dials
 // them (cluster.Dial), validates queries before any network traffic,
 // scatters them fail-fast and can cancel an in-flight distributed scan
 // — the Cancel frame aborts the worker-side ExecutePartialStream through

@@ -99,8 +99,8 @@ func TestLocalClusterMatchesSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	fillCluster(t, c.Append, 8, ticks)
-	if err := c.Flush(); err != nil {
+	fillCluster(t, clientAppend(c), 8, ticks)
+	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -166,11 +166,11 @@ func TestLocalClusterStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	fillCluster(t, c.Append, 8, 100)
-	if err := c.Flush(); err != nil {
+	fillCluster(t, clientAppend(c), 8, 100)
+	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := c.Stats()
+	stats, err := c.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +185,8 @@ func TestQueryWithStatsReportsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	fillCluster(t, c.Append, 8, 50)
-	c.Flush()
+	fillCluster(t, clientAppend(c), 8, 50)
+	c.Flush(context.Background())
 	_, times, err := c.QueryWithStats(context.Background(), "SELECT SUM_S(*) FROM Segment")
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +212,7 @@ func TestRPCClusterEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ln.Close() })
-		go Serve(db, ln)
+		go NewServer(db).Serve(context.Background(), ln)
 		addrs = append(addrs, ln.Addr().String())
 	}
 	client, err := Dial(cfg, addrs)
@@ -220,7 +220,7 @@ func TestRPCClusterEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.BatchSize = 64
+	client.batchSize = 64
 	fillCluster(t, clientAppend(client), 8, ticks)
 	if err := client.Flush(context.Background()); err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ func TestRPCQueryErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	go Serve(db, ln)
+	go NewServer(db).Serve(context.Background(), ln)
 	client, err := Dial(cfg, []string{ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
@@ -273,20 +273,20 @@ func TestLocalClusterFailFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	fillCluster(t, c.Append, 8, 200)
-	if err := c.Flush(); err != nil {
+	fillCluster(t, clientAppend(c), 8, 200)
+	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	sentinel := errors.New("synthetic worker failure")
-	for i, w := range c.workers {
+	for i := range c.workers {
 		if i == 1 {
 			// Worker 1 fails its first segment.
-			w.Engine().SetScanHook(func(ctx context.Context) error { return sentinel })
+			localDB(c, i).Engine().SetScanHook(func(ctx context.Context) error { return sentinel })
 			continue
 		}
 		// The other workers block per segment until cancelled (with a
 		// fallback far beyond the elapsed-time assertion below).
-		w.Engine().SetScanHook(func(ctx context.Context) error {
+		localDB(c, i).Engine().SetScanHook(func(ctx context.Context) error {
 			select {
 			case <-ctx.Done():
 			case <-time.After(5 * time.Second):
@@ -301,6 +301,41 @@ func TestLocalClusterFailFast(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("scatter took %s; the sibling scans were not cancelled", elapsed)
+	}
+}
+
+// TestLocalMasterValidatesBeforeScatter: a master over in-process
+// workers parses and validates a query on its metadata replica, like
+// a master over TCP workers, so an invalid query fails without any
+// worker being asked to run it.
+func TestLocalMasterValidatesBeforeScatter(t *testing.T) {
+	c, err := NewLocal(context.Background(), fleetConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fakes := fakeWorkers(c, nil, nil)
+	for _, sql := range []string{
+		"SELECT FROM",               // parse error
+		"SELECT Nope FROM Segment",  // unknown column
+		"SELECT Value FROM Segment", // DataPoint-view column on Segment
+	} {
+		if _, err := c.Query(context.Background(), sql); err == nil {
+			t.Errorf("Query(%q) must fail", sql)
+		}
+	}
+	for i, f := range fakes {
+		if n := f.scatters.Load(); n != 0 {
+			t.Fatalf("invalid queries reached worker %d %d times", i, n)
+		}
+	}
+	if _, err := c.Query(context.Background(), "SELECT COUNT_S(*) FROM Segment"); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range fakes {
+		if n := f.scatters.Load(); n != 1 {
+			t.Fatalf("a valid query reached worker %d %d times, want 1", i, n)
+		}
 	}
 }
 
@@ -330,7 +365,7 @@ func TestClientReconnectsAfterConnectionLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	go Serve(db, ln)
+	go NewServer(db).Serve(context.Background(), ln)
 	client, err := Dial(cfg, []string{ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
@@ -376,20 +411,18 @@ func TestWorkerRestartWALDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	go Serve(db1, ln)
+	go NewServer(db1).Serve(context.Background(), ln)
 	client, err := Dial(cfg, []string{addr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.BatchSize = 16
+	client.batchSize = 16
 	fillCluster(t, clientAppend(client), 8, ticks)
 	// Drain the client-side buffers so every point is acknowledged by
 	// the worker (and therefore on its WAL); the worker never flushes.
-	client.mu.Lock()
-	client.sealLocked(0)
-	client.mu.Unlock()
-	if err := client.drain(context.Background(), 0); err != nil {
+	// An empty AppendBatch seals every open buffer and sends it.
+	if err := client.AppendBatch(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Crash the worker: listener gone, connection severed, DB abandoned
@@ -408,7 +441,7 @@ func TestWorkerRestartWALDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln2.Close() })
-	go Serve(db2, ln2)
+	go NewServer(db2).Serve(context.Background(), ln2)
 	// Flush reaches the restarted worker via reconnect-and-retry and
 	// persists the replayed points; the query then sees all of them.
 	if err := client.Flush(context.Background()); err != nil {
@@ -441,11 +474,11 @@ func TestNewLocalClearsWALDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	fillCluster(t, c.Append, 8, 20)
-	if err := c.Flush(); err != nil {
+	fillCluster(t, clientAppend(c), 8, 20)
+	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Stats()
+	st, err := c.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

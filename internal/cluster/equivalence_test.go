@@ -4,8 +4,9 @@ package cluster
 // representation must be invisible to every query surface. One data
 // set, queried as plain rows, aggregates, ORDER BY and LIMIT, under
 // sequential and parallel executors, through the materializing Query
-// and the streaming cursor, on a single node, the in-process cluster
-// and the TCP cluster — all must return identical boxed rows.
+// and the streaming cursor, on a single node and on a master over
+// in-process and over TCP workers — all must return identical boxed
+// rows.
 
 import (
 	"context"
@@ -44,30 +45,7 @@ func TestColumnarEquivalenceMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			local, err := NewLocal(context.Background(), cfg, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer local.Close()
-			fillCluster(t, local.Append, nseries, ticks)
-			if err := local.Flush(); err != nil {
-				t.Fatal(err)
-			}
-
-			var addrs []string
-			for i := 0; i < 2; i++ {
-				_, _, addr := startWorker(t, cfg)
-				addrs = append(addrs, addr)
-			}
-			client, err := Dial(cfg, addrs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
-			fillCluster(t, clientAppend(client), nseries, ticks)
-			if err := client.Flush(context.Background()); err != nil {
-				t.Fatal(err)
-			}
+			masters := newMasters(t, cfg, ticks)
 
 			for _, sql := range queries {
 				want, err := single.Query(context.Background(), sql)
@@ -92,19 +70,14 @@ func TestColumnarEquivalenceMatrix(t *testing.T) {
 					t.Fatalf("%q: cursor rows %v != materialized rows %v", sql, cur, want.Rows)
 				}
 
-				fromLocal, err := local.Query(context.Background(), sql)
-				if err != nil {
-					t.Fatalf("%q local: %v", sql, err)
-				}
-				if !reflect.DeepEqual(fromLocal.Rows, want.Rows) {
-					t.Fatalf("%q: local cluster rows %v != single node rows %v", sql, fromLocal.Rows, want.Rows)
-				}
-				fromTCP, err := client.Query(context.Background(), sql)
-				if err != nil {
-					t.Fatalf("%q tcp: %v", sql, err)
-				}
-				if !reflect.DeepEqual(fromTCP.Rows, want.Rows) {
-					t.Fatalf("%q: tcp cluster rows %v != single node rows %v", sql, fromTCP.Rows, want.Rows)
+				for i, kind := range masterKinds {
+					got, err := masters[i].Query(context.Background(), sql)
+					if err != nil {
+						t.Fatalf("%q %s: %v", sql, kind, err)
+					}
+					if !reflect.DeepEqual(got.Rows, want.Rows) {
+						t.Fatalf("%q: %s cluster rows %v != single node rows %v", sql, kind, got.Rows, want.Rows)
+					}
 				}
 			}
 

@@ -3,14 +3,17 @@ package cluster
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"modelardb"
+	"modelardb/internal/query"
 )
 
 // faultProxy is a frame-aware TCP proxy between a master and one
@@ -199,7 +202,7 @@ func TestExactlyOnceIngestionFaultInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	workerAddr := ln.Addr().String()
-	go Serve(db1, ln)
+	go NewServer(db1).Serve(context.Background(), ln)
 	proxy := newFaultProxy(t, workerAddr)
 	// Every 5th Append loses its response after the worker applied it;
 	// every 7th never reaches the worker at all.
@@ -213,7 +216,7 @@ func TestExactlyOnceIngestionFaultInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.BatchSize = 16
+	client.batchSize = 16
 
 	// First half of the stream, with both fault kinds firing.
 	half := ticks / 2
@@ -242,7 +245,7 @@ func TestExactlyOnceIngestionFaultInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln2.Close() })
-	go Serve(db2, ln2)
+	go NewServer(db2).Serve(context.Background(), ln2)
 
 	// Second half of the stream rides the reconnect retry loop.
 	for tick := half; tick < ticks; tick++ {
@@ -305,14 +308,14 @@ func TestMasterRestartSeedsSequences(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	go Serve(db, ln)
+	go NewServer(db).Serve(context.Background(), ln)
 
 	// First master ingests the first half and goes away without Flush.
 	m1, err := Dial(cfg, []string{ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1.BatchSize = 8
+	m1.batchSize = 8
 	fillCluster(t, clientAppend(m1), 8, ticks/2)
 	if err := m1.Flush(context.Background()); err != nil {
 		t.Fatal(err)
@@ -326,7 +329,7 @@ func TestMasterRestartSeedsSequences(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	m2.BatchSize = 8
+	m2.batchSize = 8
 	for tick := ticks / 2; tick < ticks; tick++ {
 		for tid := 1; tid <= 8; tid++ {
 			v := float32(tid*100 + tick%7)
@@ -347,52 +350,125 @@ func TestMasterRestartSeedsSequences(t *testing.T) {
 	}
 }
 
-// TestLocalClusterAppendBatchRetryIdempotent: a LocalCluster batch
-// that fails on one worker keeps its sequences; retrying the call
-// applies only what was not applied before.
+// fakeWorker wraps a real worker for tests: it counts the scatters it
+// is asked to run and fails chosen appends either before the wrapped
+// worker applies the batch (a clean loss — the retry must deliver it)
+// or after (the ambiguous failure — applied, yet reported failed, so
+// the retry must be deduplicated or the points double-ingest).
+type fakeWorker struct {
+	worker
+	failBefore, failAfter func(n int) bool // n is the 1-based apply count
+	applies               atomic.Int64
+	scatters              atomic.Int64
+}
+
+var errInjected = errors.New("injected append failure")
+
+func (f *fakeWorker) apply(ctx context.Context, args *AppendArgs) error {
+	n := int(f.applies.Add(1))
+	if f.failBefore != nil && f.failBefore(n) {
+		return errInjected
+	}
+	err := f.worker.apply(ctx, args)
+	if err == nil && f.failAfter != nil && f.failAfter(n) {
+		return errInjected
+	}
+	return err
+}
+
+func (f *fakeWorker) partials(ctx context.Context, args *StreamQueryArgs, emit func(*query.PartialResult) error) error {
+	f.scatters.Add(1)
+	return f.worker.partials(ctx, args, emit)
+}
+
+// fakeWorkers replaces every worker of c with a fakeWorker around it.
+func fakeWorkers(c *Client, failBefore, failAfter func(n int) bool) []*fakeWorker {
+	fakes := make([]*fakeWorker, len(c.workers))
+	for i, w := range c.workers {
+		fakes[i] = &fakeWorker{worker: w, failBefore: failBefore, failAfter: failAfter}
+		c.workers[i] = fakes[i]
+	}
+	return fakes
+}
+
+// TestLocalClusterAppendBatchRetryIdempotent is the exactly-once
+// property on a master over in-process workers: with every third
+// append failing before the worker applies it, or after (ambiguous),
+// and the caller retrying Flush until it succeeds, the query results
+// equal a no-fault single-node run — no duplicated and no lost points.
 func TestLocalClusterAppendBatchRetryIdempotent(t *testing.T) {
-	c, err := NewLocal(t.Context(), fleetConfig(), 2)
+	const ticks = 120
+	ref, err := modelardb.Open(fleetConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	batch := make([]modelardb.DataPoint, 0, 8)
-	for tid := 1; tid <= 8; tid++ {
-		batch = append(batch, modelardb.DataPoint{Tid: modelardb.Tid(tid), TS: 0, Value: float32(tid)})
-	}
-	if err := c.AppendBatch(t.Context(), batch); err != nil {
+	defer ref.Close()
+	fillCluster(t, ref.Append, 8, ticks)
+	if err := ref.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a caller retrying after an ambiguous failure by
-	// re-queueing the same sealed batches and draining again.
-	c.seq.mu.Lock()
-	for w := range c.workers {
-		var pts []modelardb.DataPoint
-		for _, p := range batch {
-			if ww, _ := c.WorkerOf(p.Tid); ww == w {
-				pts = append(pts, p)
+	want := queryTidSums(t, ref)
+	everyThird := func(n int) bool { return n%3 == 1 }
+	for _, tc := range []struct {
+		name          string
+		before, after func(n int) bool
+	}{
+		{"before", everyThird, nil},
+		{"after", nil, everyThird},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewLocal(t.Context(), fleetConfig(), 2)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// Re-seal with the *previous* sequences, as a retried in-flight
-		// batch would carry.
-		seqs := make(map[modelardb.Gid]uint64)
-		for _, p := range pts {
-			gid, _ := c.workers[0].GroupOf(p.Tid)
-			seqs[gid] = c.seq.nextSeq[gid]
-		}
-		if len(pts) > 0 {
-			c.seq.queues[w] = append(c.seq.queues[w], &AppendArgs{Points: pts, Seqs: seqs})
-		}
-	}
-	c.seq.mu.Unlock()
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DataPoints != 8 {
-		t.Fatalf("points after duplicate delivery = %d, want 8 (dedup failed)", st.DataPoints)
+			defer c.Close()
+			fakeWorkers(c, tc.before, tc.after)
+			failed := 0
+			// A failed send stays queued with its sequences; the next
+			// AppendBatch retries it before its own batch.
+			batch := make([]modelardb.DataPoint, 0, 64)
+			for tick := 0; tick < ticks; tick++ {
+				for tid := 1; tid <= 8; tid++ {
+					batch = append(batch, modelardb.DataPoint{Tid: modelardb.Tid(tid), TS: int64(tick) * 1000, Value: float32(tid*100 + tick%7)})
+				}
+				if len(batch) == cap(batch) || tick == ticks-1 {
+					if err := c.AppendBatch(t.Context(), batch); errors.Is(err, errInjected) {
+						failed++
+					} else if err != nil {
+						t.Fatal(err)
+					}
+					batch = batch[:0]
+				}
+			}
+			for attempt := 0; ; attempt++ {
+				err := c.Flush(t.Context())
+				if err == nil {
+					break
+				}
+				if !errors.Is(err, errInjected) || attempt == 10 {
+					t.Fatal(err)
+				}
+				failed++
+			}
+			if failed == 0 {
+				t.Fatal("no append failed; the fault never fired")
+			}
+			got := queryTidSums(t, c)
+			if len(got) != len(want) {
+				t.Fatalf("got %d tids, want %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i][1] != want[i][1] || math.Abs(got[i][0]-want[i][0]) > 1e-6*math.Max(1, math.Abs(want[i][0])) {
+					t.Fatalf("tid %d: (sum, count) = %v, want %v (duplicated or lost points)", i+1, got[i], want[i])
+				}
+			}
+			st, err := c.Stats(t.Context())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.DataPoints != 8*ticks {
+				t.Fatalf("workers ingested %d points, want %d", st.DataPoints, 8*ticks)
+			}
+		})
 	}
 }

@@ -1,0 +1,506 @@
+// Package cluster implements the master/worker architecture of §3.1:
+// the master partitions time series into groups, assigns every group
+// to the worker with the most available capacity (preventing data
+// skew), routes ingestion to the owning worker, and executes queries
+// by scattering the rewritten query to the workers and merging their
+// mergeable aggregate states (Algorithm 5: iterate on workers, merge
+// and finalize on the master). Because a group's series are always
+// co-located, queries never shuffle data between workers — the
+// property behind the paper's linear scale-out (Fig. 20).
+//
+// There is one master, Client, over two kinds of worker: NewLocal runs
+// the workers in this process (tests, examples and the scale-out
+// simulation), and Dial connects to workers that a Server exposes over
+// a context-aware framed transport — see docs/wire-protocol.md for the
+// frame and chunk-codec specification. Routing, the exactly-once
+// sequencer, the fail-fast scatter, the merge and the finalize are the
+// same code for both.
+package cluster
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"runtime"
+	"sort"
+	"sync"
+	"time"
+
+	"modelardb"
+	"modelardb/internal/core"
+	"modelardb/internal/obs"
+	"modelardb/internal/query"
+	"modelardb/internal/sqlparse"
+)
+
+// Client is the cluster master: it owns the metadata (via a local,
+// storage-less DB open of the workers' config), validates queries
+// before any worker runs, routes ingestion by group and scatters
+// queries fail-fast — the first worker error cancels the remaining
+// workers' in-flight scans.
+//
+// Ingestion through the client is exactly-once: every sealed batch
+// carries a per-group monotonic sequence assigned exactly once, the
+// worker deduplicates re-deliveries by sequence, and the counters are
+// seeded from the workers' applied tables when the client is built —
+// so neither the re-queue path, nor a reconnect retry, nor a master
+// restart can duplicate an acknowledged point.
+type Client struct {
+	meta    *modelardb.DB
+	workers []worker
+	assign  map[modelardb.Gid]int
+	// base bounds the client's lifetime: every call context is combined
+	// with it, so cancelling it aborts all in-flight calls at once.
+	base context.Context
+	// chunkBytes bounds one streamed partial-result chunk
+	// (Config.StreamChunkBytes); 0 selects the workers' default.
+	chunkBytes int64
+
+	// seq assigns batch sequences and queues sealed batches; open (and
+	// the aligned openGids) buffer points until batchSize seals them.
+	// mu guards the buffers and orders the seals of one worker.
+	mu       sync.Mutex
+	seq      *sequencer
+	open     [][]core.DataPoint
+	openGids [][]modelardb.Gid
+	// batchSize is the number of points buffered per worker before a
+	// batch is sealed and sent (akin to the paper's micro-batches).
+	batchSize int
+}
+
+// NewLocal creates a master over n in-process workers from one
+// database config. Every worker opens the same configuration (the
+// partitioning is deterministic), so they share Tids, Gids and
+// dimension metadata like the paper's metadata cache replicated to
+// every node.
+//
+// ctx bounds the cluster's lifetime, as DialContext's does.
+//
+// Each worker runs the same parallel segment-scan executor as a
+// single-node database; since scatter queries execute on all workers
+// simultaneously, an unset QueryParallelism is divided across the
+// in-process workers so the cluster as a whole uses the machine's
+// cores without oversubscribing them.
+func NewLocal(ctx context.Context, cfg modelardb.Config, n int) (*Client, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("cluster: need at least one worker")
+	}
+	if cfg.Path != "" {
+		return nil, fmt.Errorf("cluster: local cluster workers are memory-backed")
+	}
+	// Like Path, a WAL directory cannot be shared: n workers journaling
+	// into the same shard files would corrupt each other's records.
+	cfg.WALDir = ""
+	if cfg.QueryParallelism == 0 {
+		cfg.QueryParallelism = max(1, runtime.GOMAXPROCS(0)/n)
+	}
+	c, err := newClient(ctx, cfg, n)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		db, err := modelardb.Open(cfg)
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		c.workers = append(c.workers, &localWorker{db: db})
+	}
+	return c.seed()
+}
+
+// Dial connects a master to workers served at addrs. cfg must be the
+// configuration the workers were opened with.
+func Dial(cfg modelardb.Config, addrs []string) (*Client, error) {
+	return DialContext(context.Background(), cfg, addrs)
+}
+
+// DialContext is Dial with a context that bounds both the dialing and
+// the client's lifetime: cancelling it aborts every in-flight call.
+func DialContext(ctx context.Context, cfg modelardb.Config, addrs []string) (*Client, error) {
+	if len(addrs) == 0 {
+		return nil, fmt.Errorf("cluster: no workers")
+	}
+	c, err := newClient(ctx, cfg, len(addrs))
+	if err != nil {
+		return nil, err
+	}
+	met := obs.NewRPCClientMetrics(c.meta.Metrics(), serverMethods)
+	var d net.Dialer
+	for _, addr := range addrs {
+		conn, err := d.DialContext(c.base, "tcp", addr)
+		if err != nil {
+			c.Close()
+			return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
+		}
+		c.workers = append(c.workers, &remoteWorker{
+			addr:        addr,
+			met:         met,
+			callTimeout: cfg.RPCTimeout,
+			retryBudget: cfg.RetryBudget,
+			conn:        newWireConn(conn),
+		})
+	}
+	return c.seed()
+}
+
+// newClient opens the master's metadata replica and its routing and
+// sequencing state for n workers; the caller adds the workers and
+// seeds. The replica is metadata-only: no store, and no WAL — a Path
+// or WALDir in the shared worker config must not be opened (or
+// journaled into) by the master.
+func newClient(ctx context.Context, cfg modelardb.Config, n int) (*Client, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	cfg.Path, cfg.WALDir = "", ""
+	meta, err := modelardb.Open(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Client{
+		meta:       meta,
+		assign:     AssignGroups(meta, n),
+		base:       ctx,
+		chunkBytes: cfg.StreamChunkBytes,
+		seq:        newSequencer(n),
+		open:       make([][]core.DataPoint, n),
+		openGids:   make([][]modelardb.Gid, n),
+		batchSize:  1024,
+	}, nil
+}
+
+// seed floors the sequence counters at each worker's applied table: a
+// master that restarts (or a standby taking over) must assign
+// sequences above everything already ingested, or the workers would
+// drop its fresh batches as duplicates. On failure the client is
+// closed.
+func (c *Client) seed() (*Client, error) {
+	for _, w := range c.workers {
+		applied, err := w.applied(c.base)
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		c.seq.seed(applied)
+	}
+	return c, nil
+}
+
+// AssignGroups assigns every group of the master's metadata to one of
+// n workers, always picking the least-loaded worker measured in
+// assigned series (§3.1: "each group is assigned to the worker with
+// the most available resources", preventing data skew).
+func AssignGroups(master *modelardb.DB, n int) map[modelardb.Gid]int {
+	gids := master.Groups()
+	// Largest groups first so the greedy assignment balances well.
+	sort.Slice(gids, func(i, j int) bool {
+		gi, gj := len(master.GroupMembers(gids[i])), len(master.GroupMembers(gids[j]))
+		if gi != gj {
+			return gi > gj
+		}
+		return gids[i] < gids[j]
+	})
+	assign := make(map[modelardb.Gid]int, len(gids))
+	load := make([]int, n)
+	for _, gid := range gids {
+		best := 0
+		for w := 1; w < n; w++ {
+			if load[w] < load[best] {
+				best = w
+			}
+		}
+		assign[gid] = best
+		load[best] += len(master.GroupMembers(gid))
+	}
+	return assign
+}
+
+// NumWorkers returns the cluster size.
+func (c *Client) NumWorkers() int { return len(c.workers) }
+
+// WorkerOf returns the worker index owning a series' group.
+func (c *Client) WorkerOf(tid modelardb.Tid) (int, error) {
+	gid, err := c.meta.GroupOf(tid)
+	if err != nil {
+		return 0, err
+	}
+	return c.assign[gid], nil
+}
+
+// Append buffers a data point and sends a batch when full. A failed
+// send never loses accepted points: the sealed batch stays at the head
+// of the worker's queue and is retried — with its original sequence
+// numbers, so the worker deduplicates any replay — by the next Append,
+// AppendBatch or Flush.
+func (c *Client) Append(ctx context.Context, tid modelardb.Tid, ts int64, value float32) error {
+	gid, err := c.meta.GroupOf(tid)
+	if err != nil {
+		return err
+	}
+	w := c.assign[gid]
+	c.mu.Lock()
+	c.open[w] = append(c.open[w], core.DataPoint{Tid: tid, TS: ts, Value: value})
+	c.openGids[w] = append(c.openGids[w], gid)
+	if len(c.open[w]) < c.batchSize {
+		c.mu.Unlock()
+		return nil
+	}
+	c.sealLocked(w)
+	c.mu.Unlock()
+	return c.drain(ctx, w)
+}
+
+// AppendBatch routes a batch of data points to their owning workers,
+// seals every worker's buffer — the points buffered by Append first,
+// so each group's points keep their arrival order — and sends the
+// sealed batches. A point with an unknown Tid rejects the whole batch
+// before anything is buffered. A failed send stays queued with its
+// sequences like Append's, so the caller's retry cannot double-ingest.
+func (c *Client) AppendBatch(ctx context.Context, points []modelardb.DataPoint) error {
+	gids := make([]modelardb.Gid, len(points))
+	for i, p := range points {
+		gid, err := c.meta.GroupOf(p.Tid)
+		if err != nil {
+			return err
+		}
+		gids[i] = gid
+	}
+	c.mu.Lock()
+	for i, p := range points {
+		w := c.assign[gids[i]]
+		c.open[w] = append(c.open[w], p)
+		c.openGids[w] = append(c.openGids[w], gids[i])
+	}
+	for w := range c.open {
+		c.sealLocked(w)
+	}
+	c.mu.Unlock()
+	var firstErr error
+	for w := range c.workers {
+		// Keep draining the remaining workers after a failure so one
+		// failing worker does not strand the others' batches.
+		if err := c.drain(ctx, w); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// sealLocked hands worker w's open buffer to the sequencer, which
+// stamps every group in it with a sequence exactly once — a batch
+// that later fails is retried with those same sequences, never fresh
+// ones. The caller holds c.mu, which orders seals of one worker. New
+// points arriving after the seal go into the next batch — they are
+// never merged into a sealed one.
+func (c *Client) sealLocked(w int) {
+	c.seq.seal(w, c.open[w], c.openGids[w])
+	c.open[w] = nil
+	c.openGids[w] = nil
+}
+
+// drain sends worker w's queued batches in sequence order; a failed
+// batch stays at the queue head for the next call to retry.
+func (c *Client) drain(ctx context.Context, w int) error {
+	ctx, cancel := mergeContexts(ctx, c.base)
+	defer cancel()
+	return c.seq.drain(ctx, w, c.workers[w].apply)
+}
+
+// Flush seals the open buffers, drains every worker's batch queue
+// and, if every send succeeded, flushes every worker. Failed batches
+// stay queued with their sequences, so a transient worker failure
+// loses nothing and the eventual retry cannot double-ingest.
+func (c *Client) Flush(ctx context.Context) error {
+	if err := c.AppendBatch(ctx, nil); err != nil {
+		return err
+	}
+	ctx, cancel := mergeContexts(ctx, c.base)
+	defer cancel()
+	for _, w := range c.workers {
+		if err := w.flush(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Query scatters the query to all workers and merges their partial
+// results on the master; see QueryWithStats.
+func (c *Client) Query(ctx context.Context, sql string) (*modelardb.Result, error) {
+	res, _, err := c.QueryWithStats(ctx, sql)
+	return res, err
+}
+
+// QueryWithStats parses and validates the query on the master — a
+// parse or semantic error reaches no worker — then scatters it to all
+// workers in parallel and merges their partial results chunk by chunk
+// as they arrive: the master never buffers a worker's whole reply, so
+// its peak memory per worker is one chunk plus the merged accumulator.
+// It also reports each worker's execution time, which the scale-out
+// experiment (Fig. 20) uses: with shuffle-free placement the cluster's
+// latency is the slowest worker's latency.
+//
+// The scatter is fail-fast: the first worker error cancels the scatter
+// context, aborting the sibling workers' in-flight scans. The returned
+// error is deterministic — the lowest-indexed real error, never the
+// fail-fast abort's own context.Canceled (unless the caller itself
+// cancelled). Cancelling ctx (or the client's base context) aborts
+// every worker's scan.
+func (c *Client) QueryWithStats(ctx context.Context, sql string) (*modelardb.Result, []time.Duration, error) {
+	q, err := sqlparse.Parse(sql)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The master's metadata replica compiles the same plan the workers
+	// would, so every per-worker compile error is caught here once
+	// instead of N times after a full scatter.
+	if err := c.meta.Engine().Validate(q); err != nil {
+		return nil, nil, err
+	}
+	ctx, cancel := mergeContexts(ctx, c.base)
+	defer cancel()
+	// One accumulator per worker, finalized in worker order: folding a
+	// worker's chunks in arrival order rebuilds exactly the partial a
+	// single reply would have carried (chunks are scan-ordered row
+	// batches or group-disjoint states — see query.MergePartial), so
+	// streaming changes memory behavior, never results.
+	args := &StreamQueryArgs{SQL: sql, ChunkBytes: c.chunkBytes}
+	accs := make([]*query.PartialResult, len(c.workers))
+	times := make([]time.Duration, len(c.workers))
+	errs := make([]error, len(c.workers))
+	var wg sync.WaitGroup
+	for i, w := range c.workers {
+		wg.Add(1)
+		go func(i int, w worker) {
+			defer wg.Done()
+			start := time.Now()
+			acc := &query.PartialResult{}
+			errs[i] = w.partials(ctx, args, func(part *query.PartialResult) error {
+				query.MergePartial(acc, part)
+				return nil
+			})
+			times[i] = time.Since(start)
+			if errs[i] != nil {
+				cancel() // fail fast: abort the sibling workers' scans
+			} else {
+				accs[i] = acc
+			}
+		}(i, w)
+	}
+	wg.Wait()
+	if err := firstError(errs); err != nil {
+		return nil, nil, err
+	}
+	res, err := c.meta.Engine().Finalize(q, accs)
+	for _, acc := range accs {
+		acc.ReleaseBatch()
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, times, nil
+}
+
+// Stats aggregates every worker's statistics as a typed view over the
+// merged cluster snapshot (Snapshot); the error result reports a
+// failed worker fetch.
+func (c *Client) Stats(ctx context.Context) (modelardb.Stats, error) {
+	snap, err := c.Snapshot(ctx)
+	if err != nil {
+		return modelardb.Stats{}, err
+	}
+	return modelardb.StatsFromSnapshot(snap), nil
+}
+
+// Snapshot fetches every worker's metrics-registry snapshot and folds
+// them into one cluster-wide snapshot: values sum key-wise, the
+// replicated catalog gauges are de-duplicated, and the master's own
+// send-queue depth rides along as MetricQueuedBatches — so a metric a
+// worker adds appears in cluster statistics without per-field wiring.
+func (c *Client) Snapshot(ctx context.Context) (map[string]float64, error) {
+	ctx, cancel := mergeContexts(ctx, c.base)
+	defer cancel()
+	snaps := make([]map[string]float64, 0, len(c.workers))
+	for _, w := range c.workers {
+		snap, err := w.snapshot(ctx)
+		if err != nil {
+			return nil, err
+		}
+		snaps = append(snaps, snap)
+	}
+	total := mergeWorkerSnapshots(snaps)
+	total[modelardb.MetricQueuedBatches] = float64(c.seq.queued())
+	return total, nil
+}
+
+// Metrics exposes the master's own registry: the metadata replica's
+// instruments and, over TCP workers, per-method RPC latency, retries
+// and reconnects.
+func (c *Client) Metrics() *obs.Registry { return c.meta.Metrics() }
+
+// Close closes every worker and the master's metadata DB.
+func (c *Client) Close() error {
+	var first error
+	for _, w := range c.workers {
+		if err := w.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	if err := c.meta.Close(); err != nil && first == nil {
+		first = err
+	}
+	return first
+}
+
+// mergeWorkerSnapshots folds per-worker registry snapshots into one
+// cluster-wide snapshot. Values sum key-wise except the catalog
+// gauges: every worker replicates the full metadata, so series and
+// group counts come from the first worker instead of being multiplied
+// by the cluster size.
+func mergeWorkerSnapshots(snaps []map[string]float64) map[string]float64 {
+	total := map[string]float64{}
+	for _, s := range snaps {
+		obs.MergeSnapshots(total, s)
+	}
+	if len(snaps) > 0 {
+		total[modelardb.MetricSeries] = snaps[0][modelardb.MetricSeries]
+		total[modelardb.MetricGroups] = snaps[0][modelardb.MetricGroups]
+	}
+	return total
+}
+
+// mergeContexts derives a context that is cancelled when either parent
+// is, so a call obeys both the caller's context and the client's
+// lifetime context. The returned cancel must be called to release the
+// linkage.
+func mergeContexts(a, b context.Context) (context.Context, context.CancelFunc) {
+	if a == nil {
+		a = context.Background()
+	}
+	if b == nil || b == context.Background() || a == b {
+		return context.WithCancel(a)
+	}
+	ctx, cancel := context.WithCancel(a)
+	stop := context.AfterFunc(b, cancel)
+	return ctx, func() { stop(); cancel() }
+}
+
+// firstError picks the scatter's deterministic error: the lowest-
+// indexed worker error that is not the fail-fast abort's own
+// cancellation, falling back to the lowest-indexed error (all workers
+// report context.Canceled when the caller itself cancelled).
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil && !errors.Is(err, context.Canceled) {
+			return err
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}

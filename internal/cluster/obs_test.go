@@ -26,7 +26,7 @@ func TestClusterSnapshotAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.BatchSize = 64
+	client.batchSize = 64
 	fillCluster(t, clientAppend(client), 8, ticks)
 	if err := client.Flush(context.Background()); err != nil {
 		t.Fatal(err)
@@ -80,19 +80,22 @@ func TestClusterSnapshotAggregation(t *testing.T) {
 	}
 }
 
-// TestLocalClusterSnapshot: the in-process cluster follows the same
-// aggregation contract as the transport client.
+// TestLocalClusterSnapshot: a master over in-process workers follows
+// the same aggregation contract as one over TCP workers.
 func TestLocalClusterSnapshot(t *testing.T) {
 	c, err := NewLocal(context.Background(), fleetConfig(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	fillCluster(t, c.Append, 8, 50)
-	if err := c.Flush(); err != nil {
+	fillCluster(t, clientAppend(c), 8, 50)
+	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	snap := c.Snapshot()
+	snap, err := c.Snapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := snap[modelardb.MetricSeries]; got != 8 {
 		t.Fatalf("merged series = %g, want 8", got)
 	}

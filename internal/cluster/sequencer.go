@@ -9,10 +9,9 @@ import (
 )
 
 // sequencer is the master-side half of the exactly-once ingestion
-// contract, shared by the transport Client and LocalCluster: it
-// assigns each group's monotonic batch sequence exactly once at seal
-// time, keeps per-worker FIFO queues of sealed batches, and drains
-// them in order through a deployment-specific send function. A batch
+// contract: it assigns each group's monotonic batch sequence exactly
+// once at seal time, keeps per-worker FIFO queues of sealed batches,
+// and drains them in order through the worker's apply. A batch
 // whose send fails stays at the head of its queue with its original
 // sequences, so the eventual retry replays exactly the bytes the
 // worker's dedup table can recognize.
@@ -74,19 +73,18 @@ func (s *sequencer) seal(w int, points []core.DataPoint, gids []modelardb.Gid) {
 	s.queues[w] = append(s.queues[w], &AppendArgs{Points: points, Seqs: seqs})
 }
 
-// depths snapshots each worker's send-queue depth — the number of
-// sealed, unacknowledged batches waiting for that worker. It is the
-// master-side write-backpressure signal surfaced through Stats: depth
-// growing under load means a worker accepts batches slower than the
-// master seals them.
-func (s *sequencer) depths() []int {
+// queued counts the sealed, unacknowledged batches waiting for any
+// worker. It is the master-side write-backpressure signal surfaced
+// through Stats: a count growing under load means the workers accept
+// batches slower than the master seals them.
+func (s *sequencer) queued() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]int, len(s.queues))
-	for w, q := range s.queues {
-		out[w] = len(q)
+	n := 0
+	for _, q := range s.queues {
+		n += len(q)
 	}
-	return out
+	return n
 }
 
 // drain sends worker w's queued batches in order through send. On

@@ -84,8 +84,9 @@ func TestStreamingScatterChunked(t *testing.T) {
 	}
 }
 
-// TestStreamingEquivalenceAcrossDeployments: the TCP scatter, the
-// in-process cluster and a single node must return byte-identical rows
+// TestStreamingEquivalenceAcrossDeployments: a master over TCP
+// workers, one over in-process workers and a single node must return
+// byte-identical rows
 // for the same data, with the chunk bound forced low enough that every
 // scatter streams many chunks per worker. The workload's values are
 // small integers, so even the aggregates are exact in float64 and the
@@ -105,30 +106,7 @@ func TestStreamingEquivalenceAcrossDeployments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	local, err := NewLocal(context.Background(), cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer local.Close()
-	fillCluster(t, local.Append, 8, ticks)
-	if err := local.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		_, _, addr := startWorker(t, cfg)
-		addrs = append(addrs, addr)
-	}
-	client, err := Dial(cfg, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	fillCluster(t, clientAppend(client), 8, ticks)
-	if err := client.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	masters := newMasters(t, cfg, ticks)
 
 	for _, sql := range []string{
 		"SELECT Tid, TS, Value FROM DataPoint ORDER BY Tid, TS",
@@ -140,19 +118,14 @@ func TestStreamingEquivalenceAcrossDeployments(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q single: %v", sql, err)
 		}
-		fromLocal, err := local.Query(context.Background(), sql)
-		if err != nil {
-			t.Fatalf("%q local: %v", sql, err)
-		}
-		if !reflect.DeepEqual(fromLocal.Rows, want.Rows) {
-			t.Fatalf("%q: local cluster rows %v != single node rows %v", sql, fromLocal.Rows, want.Rows)
-		}
-		fromTCP, err := client.Query(context.Background(), sql)
-		if err != nil {
-			t.Fatalf("%q tcp: %v", sql, err)
-		}
-		if !reflect.DeepEqual(fromTCP.Rows, want.Rows) {
-			t.Fatalf("%q: tcp cluster rows %v != single node rows %v", sql, fromTCP.Rows, want.Rows)
+		for i, kind := range masterKinds {
+			got, err := masters[i].Query(context.Background(), sql)
+			if err != nil {
+				t.Fatalf("%q %s: %v", sql, kind, err)
+			}
+			if !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("%q: %s cluster rows %v != single node rows %v", sql, kind, got.Rows, want.Rows)
+			}
 		}
 	}
 }

@@ -16,35 +16,13 @@ import (
 	"time"
 )
 
-// The cluster's wire protocol: a small context-aware framed transport
-// replacing net/rpc, whose calls carry no caller context (a worker kept
-// scanning after the master gave up). Every message is one frame —
-// a 4-byte big-endian length prefix followed by a gob-encoded frame
-// value — so both sides can interleave traffic for many concurrent
-// calls on one TCP connection:
-//
-//   - frameRequest carries a per-connection call ID, a method name and
-//     the gob-encoded arguments. The worker dispatches each request on
-//     its own goroutine under a per-call context.Context derived from
-//     the connection's context.
-//   - frameCancel carries only a call ID: the worker cancels that
-//     call's context, aborting an in-flight scatter scan between
-//     chunks. The master sends it when the caller's context fires; the
-//     call has already returned ctx.Err() to the caller by then.
-//   - frameResponse carries the call ID, the gob-encoded reply and an
-//     error string (empty on success). Responses arrive in completion
-//     order, not request order; the client matches them by ID.
-//   - frameChunk carries one piece of a streaming response: the call
-//     ID, a sequence number, and a gob-encoded partial body. A
-//     streaming call is zero or more chunks followed by a terminal
-//     frameResponse (Final set, Err carrying any failure); the master
-//     consumes each chunk as it arrives, so its peak memory is one
-//     chunk, not the whole reply. Chunks for different calls interleave
-//     freely; chunks within one call are ordered by the connection.
-//
-// A dropped connection is equivalent to cancelling every in-flight
-// call on it: the worker's read loop cancels the connection context on
-// EOF, so a master that dies mid-query takes its scans down with it.
+// The cluster's wire protocol, specified in docs/wire-protocol.md: a
+// context-aware framed transport. Every message is one frame — a
+// 4-byte big-endian length prefix and a gob-encoded frame value — so
+// many concurrent calls interleave on one TCP connection: requests,
+// responses matched by call ID, Cancel frames that abort a worker-side
+// call, and the ordered chunk frames of a streamed reply. A dropped
+// connection cancels every call in flight on it.
 
 type frameKind uint8
 
@@ -326,16 +304,15 @@ func (c *wireConn) fail(err error) {
 	}
 }
 
-// Call issues one request and waits for its response or ctx. On
-// cancellation it returns ctx.Err() immediately and sends a
-// best-effort Cancel frame so the worker aborts the call server-side.
-func (c *wireConn) Call(ctx context.Context, method string, args, reply any) error {
+// start registers a call — and its stream, when st is non-nil — and
+// writes its request frame.
+func (c *wireConn) start(ctx context.Context, method string, args any, st *streamState) (uint64, chan callDone, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return 0, nil, err
 	}
 	body, err := encodeBody(args)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
 	id := c.nextID.Add(1)
 	ch := make(chan callDone, 1)
@@ -343,21 +320,44 @@ func (c *wireConn) Call(ctx context.Context, method string, args, reply any) err
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return err
+		return 0, nil, err
 	}
 	c.pending[id] = ch
+	if st != nil {
+		c.streams[id] = st
+	}
 	c.mu.Unlock()
 	if err := c.write(ctx, &frame{Kind: frameRequest, ID: id, Method: method, Body: body}); err != nil {
 		c.forget(id)
-		return fmt.Errorf("cluster: send %s: %w", method, err)
+		return 0, nil, fmt.Errorf("cluster: send %s: %w", method, err)
+	}
+	return id, ch, nil
+}
+
+// result is a finished call's outcome: the connection's error, the
+// worker's own, or nil.
+func (d callDone) result(method string) error {
+	if d.err != nil {
+		return d.err
+	}
+	if d.f.Err != "" {
+		return &WorkerError{Method: method, Msg: d.f.Err}
+	}
+	return nil
+}
+
+// Call issues one request and waits for its response or ctx. On
+// cancellation it returns ctx.Err() immediately and sends a
+// best-effort Cancel frame so the worker aborts the call server-side.
+func (c *wireConn) Call(ctx context.Context, method string, args, reply any) error {
+	id, ch, err := c.start(ctx, method, args, nil)
+	if err != nil {
+		return err
 	}
 	select {
 	case d := <-ch:
-		if d.err != nil {
-			return d.err
-		}
-		if d.f.Err != "" {
-			return &WorkerError{Method: method, Msg: d.f.Err}
+		if err := d.result(method); err != nil {
+			return err
 		}
 		return decodeBody(d.f.Body, reply)
 	case <-ctx.Done():
@@ -379,30 +379,12 @@ func (c *wireConn) Call(ctx context.Context, method string, args, reply any) err
 // cancelled ctx returns ctx.Err() immediately and cancels server-side
 // best effort.
 func (c *wireConn) CallStream(ctx context.Context, method string, args any, onChunk func(body []byte) error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	body, err := encodeBody(args)
+	st := &streamState{chunks: make(chan *frame, streamChunkBuffer), quit: make(chan struct{})}
+	id, ch, err := c.start(ctx, method, args, st)
 	if err != nil {
 		return err
 	}
-	id := c.nextID.Add(1)
-	ch := make(chan callDone, 1)
-	st := &streamState{chunks: make(chan *frame, streamChunkBuffer), quit: make(chan struct{})}
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return err
-	}
-	c.pending[id] = ch
-	c.streams[id] = st
-	c.mu.Unlock()
-	defer c.forgetStream(id, st)
-	if err := c.write(ctx, &frame{Kind: frameRequest, ID: id, Method: method, Body: body}); err != nil {
-		c.forget(id)
-		return fmt.Errorf("cluster: send %s: %w", method, err)
-	}
+	defer c.forget(id)
 	var nextSeq uint64
 	consume := func(f *frame) error {
 		if f.Seq != nextSeq {
@@ -417,7 +399,6 @@ func (c *wireConn) CallStream(ctx context.Context, method string, args any, onCh
 		select {
 		case f := <-st.chunks:
 			if err := consume(f); err != nil {
-				c.forget(id)
 				go c.sendCancel(id)
 				return err
 			}
@@ -437,28 +418,12 @@ func (c *wireConn) CallStream(ctx context.Context, method string, args any, onCh
 				}
 				break
 			}
-			if d.err != nil {
-				return d.err
-			}
-			if d.f.Err != "" {
-				return &WorkerError{Method: method, Msg: d.f.Err}
-			}
-			return nil
+			return d.result(method)
 		case <-ctx.Done():
-			c.forget(id)
 			go c.sendCancel(id)
 			return ctx.Err()
 		}
 	}
-}
-
-// forgetStream unregisters a stream and releases a read loop blocked
-// on its chunk queue.
-func (c *wireConn) forgetStream(id uint64, st *streamState) {
-	c.mu.Lock()
-	delete(c.streams, id)
-	c.mu.Unlock()
-	close(st.quit)
 }
 
 // cancelWriteTimeout bounds the best-effort Cancel frame write; a
@@ -473,11 +438,17 @@ func (c *wireConn) sendCancel(id uint64) {
 	_ = c.write(ctx, &frame{Kind: frameCancel, ID: id})
 }
 
-// forget drops a pending call that no longer has a waiter.
+// forget drops a call that no longer has a waiter and releases a read
+// loop blocked on its stream's chunk queue.
 func (c *wireConn) forget(id uint64) {
 	c.mu.Lock()
+	st := c.streams[id]
 	delete(c.pending, id)
+	delete(c.streams, id)
 	c.mu.Unlock()
+	if st != nil {
+		close(st.quit)
+	}
 }
 
 // Close tears the connection down; pending calls fail via the reader.

@@ -87,6 +87,49 @@ func startWorker(t *testing.T, cfg modelardb.Config) (*modelardb.DB, *Server, st
 	return db, srv, ln.Addr().String()
 }
 
+// masterKinds names the two worker kinds a master runs over, in the
+// order newMasters returns them.
+var masterKinds = []string{"local", "tcp"}
+
+// newMasters builds one master over cfg per worker kind — "local" runs
+// three in-process workers (NewLocal), "tcp" dials two workers served
+// over loopback (Dial) — and fills and flushes each with fillCluster's
+// workload of 8 series × ticks. The masters close when the test ends.
+func newMasters(t *testing.T, cfg modelardb.Config, ticks int) []*Client {
+	t.Helper()
+	var masters []*Client
+	for _, kind := range masterKinds {
+		var c *Client
+		var err error
+		if kind == "local" {
+			c, err = NewLocal(context.Background(), cfg, 3)
+		} else {
+			var addrs []string
+			for i := 0; i < 2; i++ {
+				_, _, addr := startWorker(t, cfg)
+				addrs = append(addrs, addr)
+			}
+			c, err = Dial(cfg, addrs)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		fillCluster(t, clientAppend(c), 8, ticks)
+		if err := c.Flush(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		masters = append(masters, c)
+	}
+	return masters
+}
+
+// conn returns remote worker w's current connection.
+func (c *Client) conn(w int) *wireConn { return c.workers[w].(*remoteWorker).current() }
+
+// localDB returns local worker w's database.
+func localDB(c *Client, w int) *modelardb.DB { return c.workers[w].(*localWorker).db }
+
 // waitDrained polls until the server has no in-flight calls, proving a
 // cancelled scan's goroutine actually finished rather than leaking.
 func waitDrained(t *testing.T, srv *Server) {
@@ -138,7 +181,7 @@ func TestClientAppendRequeueOnFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.BatchSize = 4
+	client.batchSize = 4
 	var want []core.DataPoint
 	var appendErr error
 	for i := 0; i < 4; i++ {
@@ -227,7 +270,7 @@ func TestRPCCancelMidScanOverTCP(t *testing.T) {
 	defer qcancel()
 	qerr := make(chan error, 1)
 	go func() {
-		_, err := client.QueryContext(qctx, "SELECT SUM_S(*) FROM Segment")
+		_, err := client.Query(qctx, "SELECT SUM_S(*) FROM Segment")
 		qerr <- err
 	}()
 	select {
@@ -239,7 +282,7 @@ func TestRPCCancelMidScanOverTCP(t *testing.T) {
 	select {
 	case err := <-qerr:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("QueryContext = %v, want context.Canceled", err)
+			t.Fatalf("Query = %v, want context.Canceled", err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("cancelled query did not return on the master")

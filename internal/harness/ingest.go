@@ -67,7 +67,8 @@ func Fig13(scale Scale) (*Table, error) {
 		if online {
 			scenario = "O-6"
 		}
-		c, err := cluster.NewLocal(context.Background(), mdbConfig(d, modelardb.RelBound(5), epClauses()), 6)
+		ctx := context.Background()
+		c, err := cluster.NewLocal(ctx, mdbConfig(d, modelardb.RelBound(5), epClauses()), 6)
 		if err != nil {
 			return nil, err
 		}
@@ -80,16 +81,16 @@ func Fig13(scale Scale) (*Table, error) {
 				// Online analytics: aggregate a random-ish series during
 				// ingestion, as the paper's O scenario does.
 				tid := core.Tid(points/queryEvery%int64(len(d.Series))) + 1
-				if _, err := c.Query(context.Background(), fmt.Sprintf("SELECT SUM_S(*) FROM Segment WHERE Tid = %d", tid)); err != nil {
+				if _, err := c.Query(ctx, fmt.Sprintf("SELECT SUM_S(*) FROM Segment WHERE Tid = %d", tid)); err != nil {
 					return err
 				}
 			}
-			return c.Append(p.Tid, p.TS, p.Value)
+			return c.Append(ctx, p.Tid, p.TS, p.Value)
 		})
 		if err != nil {
 			return nil, err
 		}
-		if err := c.Flush(); err != nil {
+		if err := c.Flush(ctx); err != nil {
 			return nil, err
 		}
 		dur := time.Since(start)

@@ -20,10 +20,10 @@ import (
 // on decode — DecodePartial must survive truncated or corrupted frames
 // from a hostile or broken peer (FuzzDecodePartial).
 //
-// The TCP transport's chunk frames use this format; the in-process
-// LocalCluster passes the same *PartialResult values without any
-// encoding, so every deployment shares one batch representation and
-// one merge contract.
+// The TCP transport's chunk frames use this format; a cluster's
+// in-process workers hand the master the same *PartialResult values
+// without any encoding, so both worker kinds share one batch
+// representation and one merge contract.
 
 // partialWireVersion is bumped on incompatible layout changes; decode
 // rejects unknown versions instead of guessing.

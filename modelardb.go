@@ -129,7 +129,7 @@ type Config struct {
 	// goroutine. Every worker count returns byte-identical results.
 	QueryParallelism int
 	// RPCTimeout bounds each individual cluster RPC issued by a master
-	// (cluster.Dial) — Append, Flush, ExecutePartialStream and Stats
+	// (cluster.Dial) — Append, Flush, ExecutePartialStream and Snapshot
 	// calls all fail with context.DeadlineExceeded when a worker does
 	// not answer in time, and the worker-side scan is cancelled. 0 means
 	// calls are bounded only by their caller's context.
@@ -886,14 +886,6 @@ func (db *DB) checkpointShards() error {
 // deadline is needed.
 func (db *DB) Query(ctx context.Context, sql string) (*Result, error) {
 	return db.engine.Execute(ctx, sql)
-}
-
-// QueryContext parses and executes a SQL query.
-//
-// Deprecated: Query is context-first now; QueryContext remains as a
-// thin wrapper for v1 callers and will be removed in a future release.
-func (db *DB) QueryContext(ctx context.Context, sql string) (*Result, error) {
-	return db.Query(ctx, sql)
 }
 
 // QueryRows executes a SQL query and returns a streaming cursor
