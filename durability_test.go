@@ -363,37 +363,31 @@ func TestWALAppendAfterCloseAndErrClosed(t *testing.T) {
 	}
 }
 
-// TestStoreReadCountersInSnapshot: a file-backed database exports the
-// store's log-read counters through the one registry — so /metrics,
-// STATS and a cluster Snapshot carry them — and a memory-backed one,
-// which has no log, does not export them at all.
+// TestStoreReadCountersInSnapshot: a database exports the store's
+// log-read counters through the one registry — so /metrics, STATS and
+// a cluster Snapshot carry them — whether its log is on disk or in
+// memory.
 func TestStoreReadCountersInSnapshot(t *testing.T) {
-	cfg := groupsConfig(2)
-	cfg.Path = t.TempDir()
-	db, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	ingestWorkload(t, db, 2, 100)
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Query(context.Background(), "SELECT SUM(Value) FROM DataPoint"); err != nil {
-		t.Fatal(err)
-	}
-	snap := db.Snapshot()
-	if snap[MetricStoreReads] < 1 || snap[MetricStoreReadBytes] < snap[MetricStorageBytes] {
-		t.Fatalf("store counters = %v reads, %v bytes for %v stored bytes; a full scan reads them all",
-			snap[MetricStoreReads], snap[MetricStoreReadBytes], snap[MetricStorageBytes])
-	}
-	mem, err := Open(groupsConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
-	if _, ok := mem.Snapshot()[MetricStoreReads]; ok {
-		t.Fatal("a memory-backed database exports log-read counters")
+	for _, path := range []string{t.TempDir(), ""} {
+		cfg := groupsConfig(2)
+		cfg.Path = path
+		db, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		ingestWorkload(t, db, 2, 100)
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Query(context.Background(), "SELECT SUM(Value) FROM DataPoint"); err != nil {
+			t.Fatal(err)
+		}
+		snap := db.Snapshot()
+		if snap[MetricStoreReads] < 1 || snap[MetricStoreReadBytes] < snap[MetricStorageBytes] {
+			t.Fatalf("path %q: store counters = %v reads, %v bytes for %v stored bytes; a full scan reads them all",
+				path, snap[MetricStoreReads], snap[MetricStoreReadBytes], snap[MetricStorageBytes])
+		}
 	}
 }
 

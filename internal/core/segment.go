@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"modelardb/internal/models"
@@ -102,24 +103,23 @@ func appendGapTids(dst []Tid, mask []byte, members []Tid) []Tid {
 // EndTime - (Size-1)*SI. members must be the sorted Tids of the
 // segment's group, used to pack the gap bitmask.
 func (s *Segment) Encode(members []Tid) []byte {
+	return s.AppendEncode(nil, members)
+}
+
+// AppendEncode appends the segment's Encode bytes to dst, so a bulk
+// write encodes its records into one buffer.
+func (s *Segment) AppendEncode(dst []byte, members []Tid) []byte {
 	mask := gapMask(s.GapTids, members)
-	buf := make([]byte, 0, 32+len(mask)+len(s.Params))
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf = append(buf, tmp[:n]...)
-	}
-	put(uint64(s.Gid))
-	n := binary.PutVarint(tmp[:], s.EndTime)
-	buf = append(buf, tmp[:n]...)
-	put(uint64(s.SI))
-	put(uint64(s.Length()))
-	buf = append(buf, byte(s.MID))
-	put(uint64(len(mask)))
-	buf = append(buf, mask...)
-	put(uint64(len(s.Params)))
-	buf = append(buf, s.Params...)
-	return buf
+	dst = slices.Grow(dst, 32+len(mask)+len(s.Params))
+	dst = binary.AppendUvarint(dst, uint64(s.Gid))
+	dst = binary.AppendVarint(dst, s.EndTime)
+	dst = binary.AppendUvarint(dst, uint64(s.SI))
+	dst = binary.AppendUvarint(dst, uint64(s.Length()))
+	dst = append(dst, byte(s.MID))
+	dst = binary.AppendUvarint(dst, uint64(len(mask)))
+	dst = append(dst, mask...)
+	dst = binary.AppendUvarint(dst, uint64(len(s.Params)))
+	return append(dst, s.Params...)
 }
 
 // DecodeInto parses a segment encoded by Encode into s, overwriting

@@ -11,16 +11,41 @@ import (
 	"modelardb/internal/bits"
 )
 
+// refBitReader reads the bits layout one bit at a time: the first bit
+// is the most significant bit of the first byte. A read that asks for
+// more bits than remain returns bits.ErrShortBuffer.
+type refBitReader struct {
+	buf []byte
+	pos int // bits consumed
+}
+
+func (r *refBitReader) ReadBits(n uint) (uint64, error) {
+	if r.pos+int(n) > len(r.buf)*8 {
+		return 0, bits.ErrShortBuffer
+	}
+	var v uint64
+	for ; n > 0; n-- {
+		v = v<<1 | uint64(r.buf[r.pos/8]>>(7-r.pos%8)&1)
+		r.pos++
+	}
+	return v, nil
+}
+
+func (r *refBitReader) ReadBit() (bool, error) {
+	v, err := r.ReadBits(1)
+	return v == 1, err
+}
+
 // refGorillaDecode is the field-at-a-time decoder the word-at-a-time
-// gorillaDecodeInto replaced, reading through bits.Reader (itself
-// checked against a byte-at-a-time reference). It is the oracle for
-// values and for which malformed streams are refused; its only change
-// from the original is the window check, which the original lacked.
+// gorillaDecodeInto replaced, reading through a bit-at-a-time reader.
+// It is the oracle for values and for which malformed streams are
+// refused; its only change from the original is the window check,
+// which the original lacked.
 func refGorillaDecode(params []byte, count int) ([]float32, error) {
 	if count == 0 {
 		return nil, nil
 	}
-	r := bits.NewReader(params)
+	r := &refBitReader{buf: params}
 	out := make([]float32, 0, count)
 	first, err := r.ReadBits(32)
 	if err != nil {

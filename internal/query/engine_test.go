@@ -20,7 +20,7 @@ import (
 type fixture struct {
 	eng    *Engine
 	meta   *core.MetadataCache
-	store  *storage.MemStore
+	store  *storage.FileStore
 	schema *dims.Schema
 }
 

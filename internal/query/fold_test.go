@@ -20,8 +20,8 @@ import (
 // foldDB builds a randomized database shaped to reach every model the
 // fold runs on: stretches of constant values (PMC), ramps (Swing) and
 // noise (Gorilla), one group fitted by per-series sub-models (Multi),
-// gap stretches, scaling constants other than 1, and the memory store
-// for even seeds, the file store for odd ones. It returns two engines
+// gap stretches, scaling constants other than 1, and the store's log in
+// memory for even seeds, in a file for odd ones. It returns two engines
 // over the one store: fold takes the plan's decision, points is forced
 // to reconstruct — the oracle.
 func foldDB(t *testing.T, seed int64) (fold, points *Engine, nSeries, maxTick int) {

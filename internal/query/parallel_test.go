@@ -18,8 +18,8 @@ import (
 // intDB builds a lossless database whose values are small integers, so
 // every aggregate is exact in float64 regardless of summation order
 // and parallel results must equal sequential results byte for byte.
-// Both store kinds are exercised: even seeds use the memory store, odd
-// seeds the file store.
+// Both logs are exercised: even seeds keep the store's log in memory,
+// odd seeds in a file.
 func intDB(t *testing.T, seed int64) *Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

@@ -188,8 +188,8 @@ func randomCursorSQL(rng *rand.Rand, nSeries int) string {
 
 // TestPropertyQueryRowsEqualsQuery: the streaming cursor must return
 // exactly the rows (order included) of the materializing Query path,
-// for randomized queries, worker counts, chunk sizes and both store
-// kinds (even seeds = memory store, odd seeds = file store).
+// for randomized queries, worker counts, chunk sizes and both logs
+// (even seeds = in memory, odd seeds = in a file).
 func TestPropertyQueryRowsEqualsQuery(t *testing.T) {
 	f := func(seed int64, workers uint8) bool {
 		eng := intDB(t, seed)

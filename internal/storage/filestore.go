@@ -24,26 +24,31 @@ import (
 const DefaultBulkWriteSize = 50000
 
 // FileStore is a log-structured segment store: segments are appended
-// to a single log file as CRC-framed records and indexed in memory by
+// to a single log as CRC-framed records and indexed in memory by
 // (Gid, EndTime), mirroring the paper's Cassandra primary key (§3.3).
 // Every bulk write lands sorted by that key, so the records a scan
 // wants are runs of neighbours in the log and one read fetches a run.
 // On open the log is scanned and a corrupt or torn tail is truncated,
-// so a crash between Flushes loses only unflushed segments.
+// so a crash between Flushes loses only unflushed segments. The log is
+// a file or, without a directory, a byte slice; everything above it is
+// the same.
 type FileStore struct {
 	mu      sync.RWMutex
-	dir     string
-	file    *os.File
+	file    logFile
 	offset  int64
 	members MembersFunc
+	// err is the first failed fsync. The log's durable state is unknown
+	// after one, so every later Insert, Flush and Sync returns it.
+	err error
 
 	bulkSize int
 	buffer   []*core.Segment
 
 	// index maps each group to its record locations ordered by EndTime.
 	index map[core.Gid][]recordRef
-	// maxDur tracks each group's longest segment duration for scan
-	// termination, as in MemStore.
+	// maxDur tracks each group's longest segment duration, bounding how
+	// far past a filter's To a scan must look (a segment ending later
+	// than To+maxDur cannot start at or before To).
 	maxDur map[core.Gid]int64
 	// minStart is the per-group time-range index: together with the last
 	// record's endTime it bounds the group's coverage so scans skip
@@ -56,6 +61,55 @@ type FileStore struct {
 	// they fetched: one add per run of adjacent records, not per segment.
 	reads, readBytes atomic.Int64
 }
+
+// logFile is what the store needs of its log: positional reads and
+// writes, so scans read without the store lock while a flush appends,
+// plus truncation and durability. *os.File satisfies it, and so does
+// memLog.
+type logFile interface {
+	io.ReaderAt
+	io.WriterAt
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
+
+// memLog is a log held in memory: nothing survives the process, so
+// Sync has nothing to do.
+type memLog struct {
+	mu   sync.RWMutex
+	data []byte
+}
+
+func (m *memLog) ReadAt(p []byte, off int64) (int, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	n := copy(p, m.data[min(off, int64(len(m.data))):])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// WriteAt overwrites from off and extends the log past its end; the
+// store never writes beyond the end.
+func (m *memLog) WriteAt(p []byte, off int64) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := copy(m.data[off:], p)
+	m.data = append(m.data, p[n:]...)
+	return len(p), nil
+}
+
+func (m *memLog) Truncate(size int64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.data = m.data[:min(size, int64(len(m.data)))]
+	return nil
+}
+
+func (m *memLog) Sync() error  { return nil }
+func (m *memLog) Close() error { return nil }
 
 // recordRef locates one segment in the log. weight is the segment's
 // decode-cost chunk weight (segmentWeight), computed once at index time
@@ -75,54 +129,63 @@ const (
 	maxRunBytes = 1 << 20
 )
 
-// OpenFileStore opens (creating if needed) the store in dir. bulkSize
-// <= 0 selects DefaultBulkWriteSize.
+// OpenFileStore opens (creating if needed) the store in dir; an empty
+// dir keeps the log in memory. bulkSize <= 0 selects
+// DefaultBulkWriteSize.
 func OpenFileStore(dir string, members MembersFunc, bulkSize int) (*FileStore, error) {
-	if bulkSize <= 0 {
-		bulkSize = DefaultBulkWriteSize
+	if dir == "" {
+		return openLog(&memLog{}, 0, members, bulkSize)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	path := filepath.Join(dir, logName)
-	file, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	file, err := os.OpenFile(filepath.Join(dir, logName), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	s := &FileStore{
-		dir:      dir,
-		file:     file,
-		members:  members,
-		bulkSize: bulkSize,
-		index:    make(map[core.Gid][]recordRef),
-		maxDur:   make(map[core.Gid]int64),
-		minStart: make(map[core.Gid]int64),
+	info, err := file.Stat()
+	if err != nil {
+		file.Close()
+		return nil, fmt.Errorf("storage: stat: %w", err)
 	}
-	if err := s.recover(); err != nil {
+	s, err := openLog(file, info.Size(), members, bulkSize)
+	if err != nil {
 		file.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
-// recover scans the log from the start, rebuilding the index and
-// truncating any corrupt tail left by a crash. The caller must hold
-// the write lock (or own the store exclusively, as Open does) and the
-// write buffer must be empty.
-func (s *FileStore) recover() error {
-	if _, err := s.file.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("storage: seek: %w", err)
+// NewMemStore returns an empty store whose log is held in memory, with
+// the default bulk write size.
+func NewMemStore(members MembersFunc) *FileStore {
+	s, _ := OpenFileStore("", members, 0) // an empty memory log cannot fail to open
+	return s
+}
+
+// openLog recovers the store from the size bytes of file.
+func openLog(file logFile, size int64, members MembersFunc, bulkSize int) (*FileStore, error) {
+	if bulkSize <= 0 {
+		bulkSize = DefaultBulkWriteSize
 	}
-	info, err := s.file.Stat()
-	if err != nil {
-		return fmt.Errorf("storage: stat: %w", err)
+	s := &FileStore{file: file, members: members, bulkSize: bulkSize}
+	if err := s.recover(size); err != nil {
+		return nil, err
 	}
+	return s, nil
+}
+
+// recover scans the first size bytes of the log, rebuilding the index
+// and truncating any corrupt tail left by a crash. The caller must hold
+// the write lock (or own the store exclusively, as openLog does) and
+// the write buffer must be empty.
+func (s *FileStore) recover(size int64) error {
 	s.index = make(map[core.Gid][]recordRef)
 	s.maxDur = make(map[core.Gid]int64)
 	s.minStart = make(map[core.Gid]int64)
 	s.count, s.size = 0, 0
 	var offset int64
-	r := bufio.NewReaderSize(s.file, 1<<16)
+	r := bufio.NewReaderSize(io.NewSectionReader(s.file, 0, size), 1<<16)
 	header := make([]byte, frameHeader)
 	var payload []byte
 	var seg core.Segment
@@ -133,9 +196,9 @@ func (s *FileStore) recover() error {
 		}
 		length := int64(binary.LittleEndian.Uint32(header[:4]))
 		sum := binary.LittleEndian.Uint32(header[4:])
-		// A frame cannot be longer than what is left of the file, so a
+		// A frame cannot be longer than what is left of the log, so a
 		// corrupt length is refused before anything is allocated for it.
-		if length == 0 || length > min(1<<30, info.Size()-offset-frameHeader) {
+		if length == 0 || length > min(1<<30, size-offset-frameHeader) {
 			break
 		}
 		if int64(cap(payload)) < length {
@@ -156,9 +219,6 @@ func (s *FileStore) recover() error {
 	}
 	if err := s.file.Truncate(offset); err != nil {
 		return fmt.Errorf("storage: truncate: %w", err)
-	}
-	if _, err := s.file.Seek(offset, io.SeekStart); err != nil {
-		return fmt.Errorf("storage: seek: %w", err)
 	}
 	s.offset = offset
 	return nil
@@ -214,6 +274,9 @@ func (s *FileStore) addIndex(seg *core.Segment, offset int64, length int32) {
 func (s *FileStore) Insert(seg *core.Segment) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.err != nil {
+		return s.err
+	}
 	s.buffer = append(s.buffer, seg)
 	if len(s.buffer) >= s.bulkSize {
 		return s.flushLocked()
@@ -228,7 +291,13 @@ func (s *FileStore) Flush() error {
 	return s.flushLocked()
 }
 
+// flushLocked writes the buffer at the log's end. The write is
+// positional, so a retry after a failed or short write overwrites
+// whatever part of it reached the log.
 func (s *FileStore) flushLocked() error {
+	if s.err != nil {
+		return s.err
+	}
 	if len(s.buffer) == 0 {
 		return nil
 	}
@@ -238,31 +307,28 @@ func (s *FileStore) flushLocked() error {
 	slices.SortStableFunc(s.buffer, func(a, b *core.Segment) int {
 		return cmp.Or(cmp.Compare(a.Gid, b.Gid), cmp.Compare(a.EndTime, b.EndTime))
 	})
-	var out []byte
-	type pending struct {
-		seg    *core.Segment
-		offset int64
-		length int32
-	}
-	pend := make([]pending, 0, len(s.buffer))
-	offset := s.offset
+	size := 0 // AppendEncode's size hints: one allocation, not a growth series
 	for _, seg := range s.buffer {
-		payload := seg.Encode(s.members(seg.Gid))
-		var header [frameHeader]byte
-		binary.LittleEndian.PutUint32(header[:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(header[4:], crc32.ChecksumIEEE(payload))
-		out = append(out, header[:]...)
-		out = append(out, payload...)
-		pend = append(pend, pending{seg, offset, int32(frameHeader + len(payload))})
-		offset += int64(frameHeader + len(payload))
+		size += frameHeader + 32 + len(seg.Params)
 	}
-	if _, err := s.file.Write(out); err != nil {
+	out := make([]byte, 0, size)
+	for _, seg := range s.buffer {
+		frame := len(out)
+		out = seg.AppendEncode(append(out, make([]byte, frameHeader)...), s.members(seg.Gid))
+		payload := out[frame+frameHeader:]
+		binary.LittleEndian.PutUint32(out[frame:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(out[frame+4:], crc32.ChecksumIEEE(payload))
+	}
+	if _, err := s.file.WriteAt(out, s.offset); err != nil {
 		return fmt.Errorf("storage: write: %w", err)
 	}
-	s.offset = offset
-	for _, p := range pend {
-		s.addIndex(p.seg, p.offset, p.length)
+	for _, seg := range s.buffer {
+		length := frameHeader + int32(binary.LittleEndian.Uint32(out))
+		s.addIndex(seg, s.offset, length)
+		s.offset += int64(length)
+		out = out[length:]
 	}
+	clear(s.buffer) // the log has the segments now; do not pin them
 	s.buffer = s.buffer[:0]
 	return nil
 }
@@ -298,17 +364,22 @@ func (s *FileStore) TruncateLog(offset int64) error {
 	if err := s.file.Truncate(offset); err != nil {
 		return fmt.Errorf("storage: truncate: %w", err)
 	}
-	return s.recover()
+	return s.recover(offset)
 }
 
-// Sync flushes buffered segments and fsyncs the log.
+// Sync flushes buffered segments and fsyncs the log. A failed fsync
+// poisons the store: see FileStore.err.
 func (s *FileStore) Sync() error {
-	if err := s.Flush(); err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.file.Sync()
+	if err := s.flushLocked(); err != nil {
+		return err
+	}
+	if err := s.file.Sync(); err != nil {
+		s.err = fmt.Errorf("storage: sync: %w", err)
+		return s.err
+	}
+	return nil
 }
 
 // collectRefs flushes the write buffer, then snapshots the record
@@ -337,7 +408,8 @@ func (s *FileStore) collectRefs(f Filter) ([]recordRef, error) {
 		}
 		sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
 	}
-	var refs []recordRef
+	var spans [][]recordRef
+	total := 0
 	for _, gid := range gids {
 		rs := s.index[gid]
 		// Per-group time-range index: skip groups whose whole coverage
@@ -345,22 +417,23 @@ func (s *FileStore) collectRefs(f Filter) ([]recordRef, error) {
 		if len(rs) == 0 || s.minStart[gid] > f.To || rs[len(rs)-1].endTime < f.From {
 			continue
 		}
-		stop := int64(0)
-		overflowed := false
-		if f.To > maxTime-s.maxDur[gid] {
-			overflowed = true
-		} else {
-			stop = f.To + s.maxDur[gid]
-		}
+		// Push-down: skip records with endTime < From, stop once endTime
+		// is so late the segment cannot reach back to To.
 		i := sort.Search(len(rs), func(i int) bool { return rs[i].endTime >= f.From })
-		for ; i < len(rs); i++ {
-			if !overflowed && rs[i].endTime > stop {
-				break
+		j := len(rs)
+		if f.To <= maxTime-s.maxDur[gid] {
+			stop := f.To + s.maxDur[gid]
+			j = max(i, sort.Search(len(rs), func(i int) bool { return rs[i].endTime > stop }))
+		}
+		spans = append(spans, rs[i:j])
+		total += j - i
+	}
+	refs := make([]recordRef, 0, total)
+	for _, rs := range spans {
+		for _, ref := range rs {
+			if ref.startTime <= f.To {
+				refs = append(refs, ref)
 			}
-			if rs[i].startTime > f.To {
-				continue
-			}
-			refs = append(refs, rs[i])
 		}
 	}
 	return refs, nil
@@ -490,9 +563,9 @@ func (s *FileStore) SizeBytes() (int64, error) {
 
 // Close implements SegmentStore.
 func (s *FileStore) Close() error {
-	if err := s.Sync(); err != nil {
-		s.file.Close()
-		return err
+	err := s.Sync()
+	if cerr := s.file.Close(); err == nil {
+		err = cerr
 	}
-	return s.file.Close()
+	return err
 }

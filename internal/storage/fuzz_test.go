@@ -1,28 +1,23 @@
 package storage
 
 import (
+	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"modelardb/internal/core"
 )
 
 // FuzzFileStoreRecover drives the segment log's open-time recovery
-// with arbitrary log bytes: opening must not panic, must truncate to a
-// decodable prefix no longer than the input, and every surviving
-// record must scan cleanly. The seed corpus mirrors the torn-tail
-// sweep fixtures: a real five-segment log, truncations at varied
-// offsets, a mid-record bit flip, and a tail frame whose header claims
-// a gigabyte the file does not have.
+// with arbitrary log bytes, held in memory: opening must not panic,
+// must truncate to a decodable prefix of the input, and every
+// surviving record must scan cleanly. The seed corpus mirrors the
+// torn-tail sweep fixtures: a real five-segment log, truncations at
+// varied offsets, a mid-record bit flip, and a tail frame whose header
+// claims a gigabyte the log does not have.
 func FuzzFileStoreRecover(f *testing.F) {
-	seedDir, err := os.MkdirTemp("", "fuzzseed")
-	if err != nil {
-		f.Fatal(err)
-	}
-	defer os.RemoveAll(seedDir)
-	s, err := OpenFileStore(seedDir, testMembers, 1)
+	seed := &memLog{}
+	s, err := openLog(seed, 0, testMembers, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -34,10 +29,7 @@ func FuzzFileStoreRecover(f *testing.F) {
 	if err := s.Close(); err != nil {
 		f.Fatal(err)
 	}
-	full, err := os.ReadFile(filepath.Join(seedDir, logName))
-	if err != nil {
-		f.Fatal(err)
-	}
+	full := seed.data
 	f.Add(full)
 	for cut := 1; cut < len(full); cut += len(full)/16 + 1 {
 		f.Add(append([]byte(nil), full[:cut]...))
@@ -49,22 +41,15 @@ func FuzzFileStoreRecover(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		st, err := OpenFileStore(dir, testMembers, 1)
+		log := &memLog{data: bytes.Clone(data)}
+		st, err := openLog(log, int64(len(data)), testMembers, 1)
 		if err != nil {
 			// recover only errors on I/O, never on corrupt records.
-			t.Fatalf("OpenFileStore on fuzz log: %v", err)
+			t.Fatalf("opening the fuzz log: %v", err)
 		}
 		defer st.Close()
-		info, err := os.Stat(filepath.Join(dir, logName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Size() > int64(len(data)) {
-			t.Fatalf("recovery grew the log: %d > %d", info.Size(), len(data))
+		if !bytes.HasPrefix(data, log.data) {
+			t.Fatalf("recovery left %d bytes that are not a prefix of the %d-byte input", len(log.data), len(data))
 		}
 		// Every record recovery kept must decode and scan cleanly.
 		var scanned int64

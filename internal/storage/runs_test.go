@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -70,26 +71,50 @@ func keysOf(segs []*core.Segment) []string {
 	return keys
 }
 
-// TestPropertyFileStoreEqualsMemStore drives a FileStore and a
-// MemStore through the same random interleaving of inserts, flushes,
-// filtered scans, chunked scans, log truncations and reopens, at bulk
-// sizes from 1 to 64 so that log runs of every length — one included —
-// occur, and requires every scan to return the same segments in the
-// same (Gid, EndTime) order, field for field.
+// model is the oracle every scan is held to: the inserted segments,
+// stable-sorted by (Gid, EndTime), of the filter's groups (in
+// ascending order) whose interval overlaps the filter's.
+func model(inserted []*core.Segment, f Filter) []*core.Segment {
+	segs := slices.Clone(inserted)
+	slices.SortStableFunc(segs, func(a, b *core.Segment) int {
+		return cmp.Or(cmp.Compare(a.Gid, b.Gid), cmp.Compare(a.EndTime, b.EndTime))
+	})
+	return slices.DeleteFunc(segs, func(s *core.Segment) bool {
+		return (f.Gids != nil && !slices.Contains(f.Gids, s.Gid)) || !s.Covers(f.From, f.To)
+	})
+}
+
+// TestPropertyFileStoreEqualsMemStore drives the store over a file and
+// over a memory log through the same random interleaving of inserts,
+// flushes, filtered scans, chunked scans, log truncations and reopens,
+// at bulk sizes from 1 to 64 so that log runs of every length — one
+// included — occur, and requires every scan of either to return the
+// model's segments in the model's (Gid, EndTime) order, field for
+// field.
 func TestPropertyFileStoreEqualsMemStore(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			dir := t.TempDir()
-			open := func() *FileStore {
-				fs, err := OpenFileStore(dir, runMembers, rng.Intn(64)+1)
+			dir, mlog := t.TempDir(), &memLog{}
+			var stores [2]*FileStore
+			open := func() {
+				bulk := rng.Intn(64) + 1
+				file, err := OpenFileStore(dir, runMembers, bulk)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return fs
+				mem, err := openLog(mlog, int64(len(mlog.data)), runMembers, bulk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stores = [2]*FileStore{file, mem}
 			}
-			file, mem := open(), NewMemStore(runMembers)
-			defer func() { file.Close() }()
+			open()
+			defer func() {
+				for _, s := range stores {
+					s.Close()
+				}
+			}()
 			// inserted is every live segment in insertion order; a mark is
 			// a log offset a Flush returned at and how many of them the log
 			// held then.
@@ -100,40 +125,46 @@ func TestPropertyFileStoreEqualsMemStore(t *testing.T) {
 			var inserted []*core.Segment
 			marks := []mark{{}}
 			flush := func() {
-				if err := file.Flush(); err != nil {
-					t.Fatal(err)
+				for _, s := range stores {
+					if err := s.Flush(); err != nil {
+						t.Fatal(err)
+					}
 				}
-				marks = append(marks, mark{file.LogOffset(), len(inserted)})
+				if a, b := stores[0].LogOffset(), stores[1].LogOffset(); a != b {
+					t.Fatalf("log offsets differ: file %d, memory %d", a, b)
+				}
+				marks = append(marks, mark{stores[0].LogOffset(), len(inserted)})
 			}
 			for step := 0; step < 400; step++ {
 				switch op := rng.Intn(20); {
 				case op < 12:
 					seg := randomSegment(rng, len(inserted)+step<<16)
 					inserted = append(inserted, seg)
-					if err := file.Insert(seg); err != nil {
-						t.Fatal(err)
+					for _, s := range stores {
+						if err := s.Insert(seg); err != nil {
+							t.Fatal(err)
+						}
 					}
-					mem.Insert(seg)
 				case op < 14:
 					flush()
 				case op < 15:
 					flush()
-					if err := file.Close(); err != nil {
-						t.Fatal(err)
+					for _, s := range stores {
+						if err := s.Close(); err != nil {
+							t.Fatal(err)
+						}
 					}
-					file = open()
+					open()
 				case op < 16:
 					flush() // TruncateLog refuses a non-empty buffer
 					m := marks[rng.Intn(len(marks))]
-					if err := file.TruncateLog(m.offset); err != nil {
-						t.Fatal(err)
+					for _, s := range stores {
+						if err := s.TruncateLog(m.offset); err != nil {
+							t.Fatal(err)
+						}
 					}
 					inserted = inserted[:m.n]
 					marks = slices.DeleteFunc(marks, func(o mark) bool { return o.offset > m.offset })
-					mem = NewMemStore(runMembers)
-					for _, seg := range inserted {
-						mem.Insert(seg)
-					}
 				default:
 					f := AllTime()
 					if rng.Intn(2) == 0 {
@@ -147,24 +178,31 @@ func TestPropertyFileStoreEqualsMemStore(t *testing.T) {
 							}
 						}
 					}
-					want := keysOf(scanAll(t, mem, f))
-					var got []string
+					want := keysOf(model(inserted, f))
+					chunk := 0 // a plain Scan
 					if rng.Intn(2) == 0 {
-						got = keysOf(scanAll(t, file, f))
-					} else {
-						got = keysOf(chunkAll(t, file, f, rng.Intn(8)+1))
+						chunk = rng.Intn(8) + 1
 					}
-					if !slices.Equal(got, want) {
-						t.Fatalf("step %d filter %+v:\n file %v\n  mem %v", step, f, got, want)
+					for i, s := range stores {
+						var got []string
+						if chunk > 0 {
+							got = keysOf(chunkAll(t, s, f, chunk))
+						} else {
+							got = keysOf(scanAll(t, s, f))
+						}
+						if !slices.Equal(got, want) {
+							t.Fatalf("step %d store %d filter %+v:\n   got %v\n model %v", step, i, f, got, want)
+						}
 					}
 				}
 			}
-			n, _ := file.Count()
-			if n != int64(len(inserted)) {
-				t.Fatalf("Count = %d, want %d", n, len(inserted))
-			}
-			if got, want := keysOf(scanAll(t, file, AllTime())), keysOf(scanAll(t, mem, AllTime())); !slices.Equal(got, want) {
-				t.Fatalf("final scan differs:\n file %v\n  mem %v", got, want)
+			for i, s := range stores {
+				if n, _ := s.Count(); n != int64(len(inserted)) {
+					t.Fatalf("store %d: Count = %d, want %d", i, n, len(inserted))
+				}
+				if got, want := keysOf(scanAll(t, s, AllTime())), keysOf(model(inserted, AllTime())); !slices.Equal(got, want) {
+					t.Fatalf("store %d: final scan differs:\n   got %v\n model %v", i, got, want)
+				}
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -33,24 +34,25 @@ func makeSegment(gid core.Gid, start, end int64) *core.Segment {
 	}
 }
 
-// storeFactory builds both store kinds for shared test coverage.
+// storeFactory builds the store over one kind of log for shared test
+// coverage.
 type storeFactory struct {
 	name string
 	make func(t *testing.T) SegmentStore
 }
 
+// factories opens the store over a log in memory and over a file.
 func factories() []storeFactory {
+	open := func(t *testing.T, dir string) SegmentStore {
+		s, err := OpenFileStore(dir, testMembers, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
 	return []storeFactory{
-		{"mem", func(t *testing.T) SegmentStore {
-			return NewMemStore(testMembers)
-		}},
-		{"file", func(t *testing.T) SegmentStore {
-			s, err := OpenFileStore(t.TempDir(), testMembers, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}},
+		{"mem", func(t *testing.T) SegmentStore { return open(t, "") }},
+		{"file", func(t *testing.T) SegmentStore { return open(t, t.TempDir()) }},
 	}
 }
 
@@ -343,51 +345,32 @@ func TestStoreSizeBytes(t *testing.T) {
 	}
 }
 
-// TestStoreQuickEquivalence: the file store and memory store agree on
-// every filtered scan for random workloads.
+// TestStoreQuickEquivalence: on both logs, every filtered scan of a
+// random workload returns what the brute-force model does.
 func TestStoreQuickEquivalence(t *testing.T) {
-	dir := t.TempDir()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		mem := NewMemStore(testMembers)
-		sub := filepath.Join(dir, fmt.Sprintf("s%d", rng.Int63()))
-		file, err := OpenFileStore(sub, testMembers, rng.Intn(5)+1)
-		if err != nil {
-			return false
-		}
-		defer file.Close()
-		n := rng.Intn(50) + 1
-		for i := 0; i < n; i++ {
-			gid := core.Gid(rng.Intn(2) + 1)
-			start := int64(rng.Intn(100)) * 1000
-			seg := makeSegment(gid, start, start+900)
-			mem.Insert(seg)
-			file.Insert(seg)
-		}
-		from := int64(rng.Intn(100)) * 500
-		to := from + int64(rng.Intn(100))*1000
-		gid := core.Gid(rng.Intn(2) + 1)
-		collect := func(s SegmentStore) []string {
-			var keys []string
-			s.Scan(context.Background(), TimeRange(from, to, gid), func(seg *core.Segment) error {
-				keys = append(keys, fmt.Sprintf("%d/%d/%d", seg.Gid, seg.StartTime, seg.EndTime))
-				return nil
-			})
-			return keys
-		}
-		a, b := collect(mem), collect(file)
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
+	for _, fac := range factories() {
+		t.Run(fac.name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				s := fac.make(t)
+				defer s.Close()
+				var inserted []*core.Segment
+				for i := rng.Intn(50) + 1; i > 0; i-- {
+					start := int64(rng.Intn(100)) * 1000
+					seg := makeSegment(core.Gid(rng.Intn(2)+1), start, start+900)
+					inserted = append(inserted, seg)
+					if err := s.Insert(seg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				from := int64(rng.Intn(100)) * 500
+				filter := TimeRange(from, from+int64(rng.Intn(100))*1000, core.Gid(rng.Intn(2)+1))
+				return slices.Equal(keysOf(scanAll(t, s, filter)), keysOf(model(inserted, filter)))
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
+			if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

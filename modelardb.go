@@ -6,9 +6,10 @@
 // The system ingests groups of correlated time series with
 // user-defined dimensions, compresses each group with an extensible
 // set of models (PMC-Mean, Swing, Gorilla) within a user-defined error
-// bound (possibly zero), stores the resulting segments in memory or in
-// a log-structured file store, and answers SQL aggregate queries
-// directly on the models through a Segment View and a Data Point View.
+// bound (possibly zero), stores the resulting segments in one
+// log-structured store, on disk or in memory, and answers SQL
+// aggregate queries directly on the models through a Segment View and
+// a Data Point View.
 //
 // A minimal session:
 //
@@ -100,8 +101,8 @@ type SeriesConfig struct {
 
 // Config configures a database.
 type Config struct {
-	// Path is the directory of the file-backed store; empty selects the
-	// in-memory store.
+	// Path is the directory of the segment log; empty keeps the log in
+	// memory, where nothing survives Close.
 	Path string
 	// ErrorBound is the user-defined error bound (Table 1 evaluates 0,
 	// 1, 5 and 10 percent). The zero value is lossless.
@@ -113,7 +114,8 @@ type Config struct {
 	SplitFraction float64
 	// DisableSplitting turns off dynamic group splitting (§4.2).
 	DisableSplitting bool
-	// BulkWriteSize is the file store's write buffer (default 50000).
+	// BulkWriteSize is the segment store's write buffer (default 50000).
+	// Queries flush it, so they always see every emitted segment.
 	BulkWriteSize int
 	// Dimensions is the dimension schema shared by all series.
 	Dimensions []Dimension
@@ -147,10 +149,10 @@ type Config struct {
 	// before it reaches the in-memory model buffers, and Open replays
 	// the un-checkpointed tail after a crash, so an acknowledged append
 	// survives the loss of every buffered segment. Empty disables the
-	// WAL, which is the pre-WAL behavior exactly. With a file-backed
-	// store (Path set) Flush checkpoints and truncates the WAL; with
-	// the in-memory store the WAL is a full journal that rebuilds the
-	// whole database on Open.
+	// WAL, which is the pre-WAL behavior exactly. With the log on disk
+	// (Path set) Flush checkpoints and truncates the WAL; with the log
+	// in memory the WAL is a full journal that rebuilds the whole
+	// database on Open.
 	WALDir string
 	// WALFsync selects the WAL durability policy: "always" (fsync per
 	// append), "interval" (background fsync, the default — a crash
@@ -227,7 +229,7 @@ type DB struct {
 	schema *dims.Schema
 	meta   *core.MetadataCache
 	reg    *models.Registry
-	store  storage.SegmentStore
+	store  *storage.FileStore
 	engine *query.Engine
 	// series indexes the immutable per-series metadata by Tid-1 for the
 	// per-point ingestion fast path.
@@ -353,19 +355,15 @@ func Open(cfg Config) (*DB, error) {
 		}
 	}
 	members := func(gid Gid) []Tid { return db.meta.TidsOf(gid) }
-	if cfg.Path == "" {
-		db.store = storage.NewMemStore(members)
-	} else {
-		fs, err := storage.OpenFileStore(cfg.Path, members, cfg.BulkWriteSize)
-		if err != nil {
+	store, err := storage.OpenFileStore(cfg.Path, members, cfg.BulkWriteSize)
+	if err != nil {
+		return nil, err
+	}
+	db.store = store
+	if cfg.Path != "" && persisted == nil {
+		if err := db.saveMeta(); err != nil {
+			store.Close()
 			return nil, err
-		}
-		db.store = fs
-		if persisted == nil {
-			if err := db.saveMeta(); err != nil {
-				fs.Close()
-				return nil, err
-			}
 		}
 	}
 	db.engine = query.NewEngine(db.store, db.meta, db.reg, db.schema)
@@ -396,7 +394,7 @@ func Open(cfg Config) (*DB, error) {
 }
 
 // registerStateMetrics exposes state the database already tracks —
-// catalog sizes, store volume, the file store's log reads — as
+// catalog sizes, store volume, the segment log's reads — as
 // function metrics read at collection time, so they are never
 // double-counted against their authoritative sources.
 func (db *DB) registerStateMetrics() {
@@ -419,16 +417,14 @@ func (db *DB) registerStateMetrics() {
 		}
 		return float64(n)
 	})
-	if fs, ok := db.store.(*storage.FileStore); ok {
-		r.CounterFunc(MetricStoreReads, "Log reads issued by scans of the file store; one read fetches a run of adjacent records.", func() float64 {
-			reads, _ := fs.ReadStats()
-			return float64(reads)
-		})
-		r.CounterFunc(MetricStoreReadBytes, "Bytes fetched by those log reads.", func() float64 {
-			_, bytes := fs.ReadStats()
-			return float64(bytes)
-		})
-	}
+	r.CounterFunc(MetricStoreReads, "Log reads issued by scans of the segment store; one read fetches a run of adjacent records.", func() float64 {
+		reads, _ := db.store.ReadStats()
+		return float64(reads)
+	})
+	r.CounterFunc(MetricStoreReadBytes, "Bytes fetched by those log reads.", func() float64 {
+		_, bytes := db.store.ReadStats()
+		return float64(bytes)
+	})
 }
 
 // openWAL opens the write-ahead log, reconciles the segment store with
@@ -446,13 +442,13 @@ func (db *DB) openWAL() error {
 	if err != nil {
 		return fmt.Errorf("modelardb: %w", err)
 	}
-	if fs, ok := db.store.(*storage.FileStore); ok {
+	if db.cfg.Path != "" {
 		if w.HasCheckpoint() {
 			// Segments flushed after the last checkpoint hold points the
 			// WAL tail still carries; drop them so replay cannot
 			// double-ingest. (A clean Close checkpoints at the log's end,
 			// making this a no-op.)
-			if err := fs.TruncateLog(w.StoreOffset()); err != nil {
+			if err := db.store.TruncateLog(w.StoreOffset()); err != nil {
 				w.Close()
 				return err
 			}
@@ -461,11 +457,11 @@ func (db *DB) openWAL() error {
 			// the store's current durable end, so the invariant "records
 			// below the checkpoint offset carry only checkpointed points"
 			// holds from the first record on.
-			if err := fs.Sync(); err != nil {
+			if err := db.store.Sync(); err != nil {
 				w.Close()
 				return err
 			}
-			if err := w.Checkpoint(nil, fs.LogOffset()); err != nil {
+			if err := w.Checkpoint(nil, db.store.LogOffset()); err != nil {
 				w.Close()
 				return err
 			}
@@ -865,19 +861,16 @@ func (db *DB) checkpointShards() error {
 			seqs[gid] = seq
 		}
 	}
-	if err := db.store.Flush(); err != nil {
+	if err := db.store.Sync(); err != nil {
 		return err
 	}
-	if fs, ok := db.store.(*storage.FileStore); ok {
-		if err := fs.Sync(); err != nil {
-			return err
-		}
-		return db.wal.Checkpoint(seqs, fs.LogOffset())
+	if db.cfg.Path == "" {
+		// Memory-backed store: the WAL is the only durable copy, so it is
+		// never checkpoint-truncated; sync it instead, making Flush a
+		// durability point under every fsync policy.
+		return db.wal.Sync()
 	}
-	// Memory-backed store: the WAL is the only durable copy, so it is
-	// never checkpoint-truncated; sync it instead, making Flush a
-	// durability point under every fsync policy.
-	return db.wal.Sync()
+	return db.wal.Checkpoint(seqs, db.store.LogOffset())
 }
 
 // Query parses and executes a SQL query (§6.1). Cancelling ctx aborts
