@@ -14,9 +14,9 @@ FUZZTIME ?= 60s
 # Benchmarks captured by the recorded artifact (bench-record): the
 # parallel-executor speedup table, pruning, the sharded-ingestion
 # suite, the WAL fsync-policy costs (including group commit, matched
-# by the AppendWAL pattern), the two-worker TCP scatter stream, the
-# sustained-load scenario and the calibration workload.
-BENCH_RECORD = 'Calibration|Parallel|Pruning|IngestAppend|AppendWAL|AppendBatchWAL|ScatterTCPStream|SustainedLoad'
+# by the AppendWAL pattern), the two-worker TCP scatter stream and the
+# calibration workload.
+BENCH_RECORD = 'Calibration|Parallel|Pruning|IngestAppend|AppendWAL|AppendBatchWAL|ScatterTCPStream'
 # Hot-path benchmarks guarded by the regression gate (bench-compare):
 # per-point append, batched append, the heavy parallel scan, the
 # per-series hourly roll-up (gated on allocs/op only; its baseline
@@ -80,7 +80,7 @@ benchmark:
 	bash benchmark/run.sh --workload all
 
 # The protocol a performance claim is judged by, as one command: PAIRS
-# alternating runs of WORKLOAD on PARENT (a git revision, checked out
+# alternating runs of WORKLOAD on PARENT (a git revision, exported
 # under .bench_build/) and on this tree, then the --compare verdict.
 WORKLOAD ?= all
 PAIRS ?= 10

@@ -37,8 +37,8 @@
 //
 // Custom metrics reported via b.ReportMetric (anything that is not
 // ns/op, B/op or allocs/op — e.g. fsyncs/point from the WAL
-// group-commit benchmark or q-p99-ms from the sustained-load
-// scenario) are printed side by side when both records carry them.
+// group-commit benchmark or reads/segment from the file-store scan)
+// are printed side by side when both records carry them.
 // By default they are informational, but metrics named in the
 // -gate-metrics allowlist (default "fsyncs/point") are gated like
 // allocations: compared raw — they are workload properties, not

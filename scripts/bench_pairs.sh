@@ -6,11 +6,11 @@
 # to one file per side, and at the end the --compare verdict (medians,
 # quartiles, pairs won) of the change against the parent.
 #
-# The parent is checked out as a detached git worktree under
-# .bench_build/ — a real work tree, so its binary is stamped with the
-# parent's commit, not this tree's — and removed again on exit. Each
-# side builds and runs inside its own checkout, exactly as the
-# acceptance driver does. Run via `make bench-pairs`.
+# The parent's committed files are exported with `git archive` into
+# .bench_build/ and removed again on exit. The copy is plain files, not
+# a checkout, so its binary carries no stamp of the parent commit. Each
+# side builds and runs inside its own directory. Run via
+# `make bench-pairs`.
 set -euo pipefail
 
 usage="usage: bench_pairs.sh <workload|all> <pairs> <parent-rev> [seed]"
@@ -25,10 +25,12 @@ sha="$(git rev-parse --verify "$parent^{commit}")"
 tree="$root/.bench_build/parent-${sha:0:12}"
 out="$root/.bench_build/pairs-$workload-seed$seed-$(date +%Y%m%dT%H%M%S)"
 mkdir -p "$out"
-git worktree add --detach "$tree" "$sha" >&2
-trap 'git worktree remove --force "$tree"' EXIT
+rm -rf "$tree"
+mkdir -p "$tree"
+trap 'rm -rf "$tree"' EXIT
+git archive "$sha" | tar -x -C "$tree"
 
-# run <side> <checkout>: one run, its report appended to <side>.jsonl,
+# run <side> <dir>: one run, its report appended to <side>.jsonl,
 # its end-to-end lines echoed with the side in front.
 run() {
 	(cd "$2" && bash benchmark/run.sh --workload "$workload" --seed "$seed" --out "$out/$1.jsonl") |
