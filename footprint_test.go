@@ -9,7 +9,8 @@
 //
 // and commit the diff: it is the claim of any change that moves a
 // stored byte. The paper's properties are asserted apart from the
-// record, so -update cannot bless a change that breaks one.
+// record, by the TestFig* and TestSec52 tests over the same cells, so
+// -update cannot bless a change that breaks one.
 package modelardb
 
 import (
@@ -357,11 +358,30 @@ func diffFootprint(want, got []footprintRow) []string {
 	return lines
 }
 
-func TestFootprintMatrix(t *testing.T) {
-	rows, err := footprintRows()
-	if err != nil {
-		t.Fatal(err)
+// footprintOnce holds the rows, computed once for TestFootprintMatrix
+// and the property tests, which all read the same cells.
+var footprintOnce struct {
+	sync.Once
+	rows []footprintRow
+	err  error
+}
+
+// footprintCells returns the record's rows in order and by name.
+func footprintCells(t *testing.T) ([]footprintRow, map[string]footprintRow) {
+	t.Helper()
+	footprintOnce.Do(func() { footprintOnce.rows, footprintOnce.err = footprintRows() })
+	if footprintOnce.err != nil {
+		t.Fatal(footprintOnce.err)
 	}
+	by := make(map[string]footprintRow, len(footprintOnce.rows))
+	for _, r := range footprintOnce.rows {
+		by[r.Name] = r
+	}
+	return footprintOnce.rows, by
+}
+
+func TestFootprintMatrix(t *testing.T) {
+	rows, _ := footprintCells(t)
 	if *updateFootprint {
 		out, err := json.MarshalIndent(footprintRecord{Setup: footprintSetup, Rows: rows}, "", "  ")
 		if err != nil {
@@ -370,25 +390,69 @@ func TestFootprintMatrix(t *testing.T) {
 		if err := os.WriteFile(footprintPath, append(out, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	} else {
-		data, err := os.ReadFile(footprintPath)
-		if err != nil {
-			t.Fatalf("%v (run with -update to create it)", err)
-		}
-		var rec footprintRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			t.Fatalf("%s: %v", footprintPath, err)
-		}
-		if diff := diffFootprint(rec.Rows, rows); len(diff) > 0 {
-			t.Errorf("the store's footprint moved; if that is the change's claim, rerun with -update and commit %s:\n  %s",
-				footprintPath, strings.Join(diff, "\n  "))
+		return
+	}
+	data, err := os.ReadFile(footprintPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	var rec footprintRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatalf("%s: %v", footprintPath, err)
+	}
+	if diff := diffFootprint(rec.Rows, rows); len(diff) > 0 {
+		t.Errorf("the store's footprint moved; if that is the change's claim, rerun with -update and commit %s:\n  %s",
+			footprintPath, strings.Join(diff, "\n  "))
+	}
+}
+
+// The paper's properties follow, asserted apart from the record.
+
+// assertSmaller fails t unless cell a holds fewer bytes than cell b.
+func assertSmaller(t *testing.T, by map[string]footprintRow, what, a, b string) {
+	t.Helper()
+	if by[a].Bytes >= by[b].Bytes {
+		t.Errorf("%s: %s (%d B) is not smaller than %s (%d B)", what, a, by[a].Bytes, b, by[b].Bytes)
+	}
+}
+
+// assertBoundShrinks fails t if the data set's bytes grow with the
+// error bound, grouped or single.
+func assertBoundShrinks(t *testing.T, by map[string]footprintRow, set string) {
+	t.Helper()
+	for _, kind := range []string{"grouped", "single"} {
+		for i := 1; i < len(footprintBounds); i++ {
+			lo, hi := cellName(set, footprintBounds[i-1], kind), cellName(set, footprintBounds[i], kind)
+			if by[hi].Bytes > by[lo].Bytes {
+				t.Errorf("bytes grow with the bound: %s %d B > %s %d B", hi, by[hi].Bytes, lo, by[lo].Bytes)
+			}
 		}
 	}
+}
 
-	// The paper's properties, asserted apart from the record.
-	by := map[string]footprintRow{}
+// TestFig14Shape: on EP, a larger bound never costs bytes, and grouping
+// correlated series beats compressing each alone at every bound.
+func TestFig14Shape(t *testing.T) {
+	_, by := footprintCells(t)
+	assertBoundShrinks(t, by, "EP")
+	for _, bound := range footprintBounds {
+		assertSmaller(t, by, "Fig. 14", cellName("EP", bound, "grouped"), cellName("EP", bound, "single"))
+	}
+}
+
+// TestFig15CrossoverShape: on EH, a larger bound never costs bytes, and
+// grouping pays once the bound is large enough (10 %).
+func TestFig15CrossoverShape(t *testing.T) {
+	_, by := footprintCells(t)
+	assertBoundShrinks(t, by, "EH")
+	assertSmaller(t, by, "Fig. 15", cellName("EH", 10, "grouped"), cellName("EH", 10, "single"))
+}
+
+// TestFig16ModelsSumTo100: every stored segment is counted under exactly
+// one model, in every cell.
+func TestFig16ModelsSumTo100(t *testing.T) {
+	rows, _ := footprintCells(t)
 	for _, r := range rows {
-		by[r.Name] = r
 		var sum int64
 		for _, n := range r.Models {
 			sum += n
@@ -397,28 +461,22 @@ func TestFootprintMatrix(t *testing.T) {
 			t.Errorf("%s: per-model segments sum to %d, want %d", r.Name, sum, r.Segments)
 		}
 	}
-	smaller := func(what, a, b string) {
-		if by[a].Bytes >= by[b].Bytes {
-			t.Errorf("%s: %s (%d B) is not smaller than %s (%d B)", what, a, by[a].Bytes, b, by[b].Bytes)
-		}
-	}
+}
+
+// TestFig18LowestDistanceSmallest: only the lowest distance pays off; a
+// larger one groups series that do not correlate.
+func TestFig18LowestDistanceSmallest(t *testing.T) {
+	_, by := footprintCells(t)
 	for _, set := range []string{"EP", "EH"} {
-		for _, kind := range []string{"grouped", "single"} {
-			for i := 1; i < len(footprintBounds); i++ {
-				lo, hi := cellName(set, footprintBounds[i-1], kind), cellName(set, footprintBounds[i], kind)
-				if by[hi].Bytes > by[lo].Bytes {
-					t.Errorf("bytes grow with the bound: %s %d B > %s %d B", hi, by[hi].Bytes, lo, by[lo].Bytes)
-				}
-			}
-		}
-		// Fig. 18: only the lowest distance pays off; a larger one groups
-		// series that do not correlate.
-		smaller("Fig. 18", cellName(set, 10, "grouped"), cellName(set, 10, "distance 0.5"))
+		assertSmaller(t, by, "Fig. 18", cellName(set, 10, "grouped"), cellName(set, 10, "distance 0.5"))
 	}
-	for _, bound := range footprintBounds {
-		smaller("§5.2/Fig. 14", cellName("EP", bound, "grouped"), cellName("EP", bound, "single"))
-	}
-	smaller("Fig. 15", cellName("EH", 10, "grouped"), cellName("EH", 10, "single"))
-	smaller("§5.2 vs §5.1", "ablation 5.2 single model per group", "ablation 5.1 one model per series")
-	smaller("§4.2", "ablation 4.2 splitting on", "ablation 4.2 splitting off")
+}
+
+// TestSec52ShowsReduction: one model for a whole group stores less than
+// one model per series (§5.2 vs §5.1), and splitting a group whose
+// series decorrelate stores less than keeping it whole (§4.2).
+func TestSec52ShowsReduction(t *testing.T) {
+	_, by := footprintCells(t)
+	assertSmaller(t, by, "§5.2 vs §5.1", "ablation 5.2 single model per group", "ablation 5.1 one model per series")
+	assertSmaller(t, by, "§4.2", "ablation 4.2 splitting on", "ablation 4.2 splitting off")
 }
