@@ -142,14 +142,16 @@ crash:
 # torn-tail sweep fixtures, the segment record decoder both are built
 # on, the typed-column chunk-frame decoder the cluster transport
 # feeds with peer-controlled bytes, plus the Gorilla value-stream
-# decoder every stored lossless segment goes through, checked against
-# its reference. `go test -fuzz` accepts one target per package
-# invocation, hence five runs.
+# decoder every stored Gorilla segment goes through, checked against
+# its reference, and the Gorilla quantizer, whose every decoded value
+# must be the appended one or within the bound of it. `go test -fuzz`
+# accepts one target per package invocation, hence six runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALScanSegment$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzFileStoreRecover$$' -fuzztime $(FUZZTIME) ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePartial$$' -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzGorillaDecode$$' -fuzztime $(FUZZTIME) ./internal/models
+	$(GO) test -run '^$$' -fuzz '^FuzzGorillaBound$$' -fuzztime $(FUZZTIME) ./internal/models
 
 ci: build lint vuln race bench benchmark-smoke crash docs-check

@@ -354,3 +354,48 @@ func TestGeneratorCompressionImprovesWithBound(t *testing.T) {
 		t.Fatalf("sizes must shrink with the bound: %v", sizes)
 	}
 }
+
+// TestVerifyKeepsGorillaWhole: at a non-zero bound Gorilla quantizes
+// every value within the bound before it encodes it, so verify never
+// shortens a Gorilla candidate. With Gorilla the only model type every
+// segment but the last one Flush emits spans the whole length limit,
+// over noise, sign flips, denormals and special values alike.
+func TestVerifyKeepsGorillaWhole(t *testing.T) {
+	reg := models.NewRegistry()
+	if err := reg.Register(models.GorillaType{}); err != nil {
+		t.Fatal(err)
+	}
+	specials := []float32{float32(math.NaN()), float32(math.Inf(-1)), math.Float32frombits(3), float32(math.Copysign(0, -1)), math.MaxFloat32}
+	for _, bound := range []models.ErrorBound{models.RelBound(1), models.RelBound(5), models.RelBound(10), models.AbsBound(0.5)} {
+		t.Run(bound.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(41))
+			var segs []*Segment
+			cfg := collectConfig(bound, &segs)
+			cfg.Registry = reg
+			g := NewSegmentGenerator(cfg, 1, 100, 0, []Tid{1, 2, 3}, nil)
+			const ticks = 1000
+			v := 100.0
+			for i := 0; i < ticks; i++ {
+				v += rng.NormFloat64()
+				tick := []float32{float32(v), float32(-v + rng.NormFloat64()), float32(v * rng.NormFloat64())}
+				if rng.Intn(20) == 0 {
+					tick[rng.Intn(3)] = specials[rng.Intn(len(specials))]
+				}
+				if err := g.AppendTick(tick); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := g.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if len(segs) != ticks/DefaultLengthLimit {
+				t.Fatalf("%d segments, want %d", len(segs), ticks/DefaultLengthLimit)
+			}
+			for i, seg := range segs {
+				if seg.Length() != DefaultLengthLimit {
+					t.Fatalf("segment %d spans %d intervals, want the limit %d: verify shortened it", i, seg.Length(), DefaultLengthLimit)
+				}
+			}
+		})
+	}
+}

@@ -9,10 +9,11 @@ import (
 
 // TestIngestSpecialFloatValues: NaN and infinities cannot satisfy any
 // interval-based error bound (NaN compares unequal to everything), so
-// the pipeline must route them into the lossless Gorilla fallback and
-// reproduce them bit-exactly rather than failing ingestion. The paper
-// assumes clean sensor data, but a store must not corrupt or reject
-// what it is given.
+// the pipeline must route them into the Gorilla fallback, which stores
+// them bit-exactly at every bound (it is lossless only at bound 0 for
+// finite values), rather than failing ingestion. The paper assumes
+// clean sensor data, but a store must not corrupt or reject what it is
+// given.
 func TestIngestSpecialFloatValues(t *testing.T) {
 	specials := []float32{
 		float32(math.NaN()),
@@ -64,7 +65,7 @@ func TestIngestSpecialFloatValues(t *testing.T) {
 
 // TestIngestMixedSpecialAndNormal interleaves NaN bursts with normal
 // data: the normal stretches should still compress with bound-based
-// models while the special values survive losslessly.
+// models while the special values survive bit-exactly.
 func TestIngestMixedSpecialAndNormal(t *testing.T) {
 	var segs []*Segment
 	g := NewSegmentGenerator(collectConfig(models.RelBound(5), &segs), 1, 100, 0, []Tid{1}, nil)

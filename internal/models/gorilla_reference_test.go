@@ -181,6 +181,23 @@ func FuzzGorillaDecode(f *testing.F) {
 		f.Add(stream, uint16(n+1))
 		f.Add(stream[:len(stream)/2], uint16(n))
 	}
+	// Runs of zero control bits: one of 64 and more, runs that cross a
+	// refill of the accumulator, and runs into the stream's zero
+	// padding, which decodes as repeats until the bytes run out.
+	for _, runs := range [][]int{{199}, {63, 64, 65}, {40, 30, 50, 100}, {1, 2, 3, 5, 8, 13, 21, 34, 55, 89}} {
+		values := []float32{100}
+		for k, run := range runs {
+			for j := 0; j < run; j++ {
+				values = append(values, values[len(values)-1])
+			}
+			values = append(values, float32(101+k))
+		}
+		stream := gorillaStream(values)
+		f.Add(stream, uint16(len(values)))
+		f.Add(stream, uint16(len(values)+7))
+		f.Add(stream, uint16(len(values)+8*len(stream)))
+		f.Add(stream[:len(stream)-1], uint16(len(values)))
+	}
 	f.Add(wideWindowStream(), uint16(2))
 	f.Add([]byte{}, uint16(1))
 	f.Fuzz(func(t *testing.T, params []byte, count uint16) {

@@ -2,6 +2,7 @@ package models
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -209,7 +210,7 @@ func TestGorillaDecodeRejectsMalformed(t *testing.T) {
 
 // TestGorillaViewIntoAllocatesNothing pins the scan path's contract:
 // decoding into a view whose grid already has the capacity allocates
-// nothing.
+// nothing, and neither does folding a range once its slots exist.
 func TestGorillaViewIntoAllocatesNothing(t *testing.T) {
 	const nseries, length = 4, 100
 	rng := rand.New(rand.NewSource(9))
@@ -225,13 +226,20 @@ func TestGorillaViewIntoAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	view.SumRange(0, 0, length-1) // allocate the fold slots
+	var sink float64
 	allocs := testing.AllocsPerRun(100, func() {
 		if view, err = (GorillaType{}).ViewInto(view, params, nseries, length); err != nil {
 			t.Fatal(err)
 		}
+		for s := 0; s < nseries; s++ {
+			for _, r := range [][2]int{{0, length - 1}, {10, 20}, {3, 3}} {
+				sink += view.SumRange(s, r[0], r[1]) + view.MinRange(s, r[0], r[1]) + view.MaxRange(s, r[0], r[1])
+			}
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("ViewInto allocated %.1f times per decode, want 0", allocs)
+		t.Fatalf("ViewInto and range folds allocated %.1f times per decode, want 0 (sink %g)", allocs, sink)
 	}
 }
 
@@ -321,18 +329,68 @@ func TestGorillaQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// BenchmarkGorillaAppend appends 4-series ticks of noise around 100,
+// lossless and at a 1 % bound, where every value is quantized first.
 func BenchmarkGorillaAppend(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	vals := make([]float32, 4)
-	m := GorillaType{}.New(RelBound(0), 4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for s := range vals {
-			vals[s] = float32(100 + rng.NormFloat64())
-		}
-		m.Append(vals)
-		if m.Length() >= 1<<16 {
-			m = GorillaType{}.New(RelBound(0), 4)
-		}
+	for _, bound := range []ErrorBound{RelBound(0), RelBound(1)} {
+		b.Run("bound="+bound.String(), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			vals := make([]float32, 4)
+			m := GorillaType{}.New(bound, 4)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for s := range vals {
+					vals[s] = float32(100 + rng.NormFloat64())
+				}
+				m.Append(vals)
+				if m.Length() >= 1<<16 {
+					m = GorillaType{}.New(bound, 4)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGorillaViewFold decodes a segment of a quantized random walk
+// into a reused view and folds SUM, MIN and MAX of every series over
+// the whole segment, the scalar aggregate's shape on the scan path.
+func BenchmarkGorillaViewFold(b *testing.B) {
+	for _, nseries := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("series=%d", nseries), func(b *testing.B) {
+			const length = 49
+			rng := rand.New(rand.NewSource(1))
+			m := GorillaType{}.New(RelBound(1), nseries)
+			vals := make([]float32, nseries)
+			base := 100.0
+			for i := 0; i < length; i++ {
+				base += rng.NormFloat64()
+				for s := range vals {
+					vals[s] = float32(base + rng.NormFloat64()*0.1)
+				}
+				m.Append(vals)
+			}
+			params, err := m.Bytes(length)
+			if err != nil {
+				b.Fatal(err)
+			}
+			view, err := GorillaType{}.View(params, nseries, length)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sink float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if view, err = (GorillaType{}).ViewInto(view, params, nseries, length); err != nil {
+					b.Fatal(err)
+				}
+				for s := 0; s < nseries; s++ {
+					sink += view.SumRange(s, 0, length-1) + view.MinRange(s, 0, length-1) + view.MaxRange(s, 0, length-1)
+				}
+			}
+			if math.IsNaN(sink) {
+				b.Fatal("NaN sink")
+			}
+		})
 	}
 }

@@ -1,7 +1,9 @@
 // Package models implements the model types used by Multi-Model Group
 // Compression (MMGC): the constant PMC-Mean model, the linear Swing model
-// and the lossless Gorilla model, each extended to represent a group of
+// and the Gorilla XOR model, each extended to represent a group of
 // correlated time series with a single stream of parameters (paper §5.2).
+// Gorilla is the fallback that never rejects a value: lossless at bound
+// 0, and at a non-zero bound storing values quantized within it.
 //
 // A model is fitted to the values of all series in a group, one sampling
 // interval at a time, and is valid only while every value can be
@@ -24,7 +26,7 @@ type MID uint8
 const (
 	MidPMC     MID = 1 // constant model (PMC-Mean)
 	MidSwing   MID = 2 // linear model (Swing)
-	MidGorilla MID = 3 // lossless XOR-compressed values (Gorilla)
+	MidGorilla MID = 3 // XOR-compressed values, lossless only at bound 0 (Gorilla)
 
 	// MidMultiBase is the first MID used for the "multiple models per
 	// segment" wrappers of §5.1, kept for the ablation experiments.
@@ -61,11 +63,16 @@ func (b ErrorBound) IsLossless() bool { return b.Value == 0 }
 // Interval returns the inclusive interval of approximations permitted
 // for the real value v.
 func (b ErrorBound) Interval(v float64) (lo, hi float64) {
-	d := b.Value
-	if b.Relative {
-		d = math.Abs(v) * b.Value / 100
-	}
+	d := b.slack(v)
 	return v - d, v + d
+}
+
+// slack is how far from the real value v an approximation may lie.
+func (b ErrorBound) slack(v float64) float64 {
+	if b.Relative {
+		return math.Abs(v) * b.Value / 100
+	}
+	return b.Value
 }
 
 // Within reports whether approx is a permitted approximation of real.
@@ -141,17 +148,16 @@ var ErrUnknownModel = errors.New("models: unknown model type")
 // Model table of the storage schema: the set of models available to
 // one database instance.
 type Registry struct {
-	byMID  map[MID]ModelType
+	// byMID is indexed by MID, nil where none is registered: the scan
+	// looks a type up per segment, and an index is cheaper than a hash.
+	byMID  [256]ModelType
 	byName map[string]ModelType
 	order  []MID
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		byMID:  make(map[MID]ModelType),
-		byName: make(map[string]ModelType),
-	}
+	return &Registry{byName: make(map[string]ModelType)}
 }
 
 // NewBuiltinRegistry returns a registry with the three models shipped
@@ -176,7 +182,7 @@ func (r *Registry) Register(mt ModelType) error {
 	if mt.MID() == 0 {
 		return errors.New("models: MID 0 is reserved")
 	}
-	if _, dup := r.byMID[mt.MID()]; dup {
+	if r.byMID[mt.MID()] != nil {
 		return fmt.Errorf("models: MID %d already registered", mt.MID())
 	}
 	if _, dup := r.byName[mt.Name()]; dup {
@@ -190,8 +196,8 @@ func (r *Registry) Register(mt ModelType) error {
 
 // Get returns the model type registered for mid.
 func (r *Registry) Get(mid MID) (ModelType, bool) {
-	mt, ok := r.byMID[mid]
-	return mt, ok
+	mt := r.byMID[mid]
+	return mt, mt != nil
 }
 
 // ByName returns the model type registered under name.
@@ -211,8 +217,8 @@ func (r *Registry) Types() []ModelType {
 
 // View decodes params with the model type registered for mid.
 func (r *Registry) View(mid MID, params []byte, nseries, length int) (AggView, error) {
-	mt, ok := r.byMID[mid]
-	if !ok {
+	mt := r.byMID[mid]
+	if mt == nil {
 		return nil, fmt.Errorf("%w: MID %d", ErrUnknownModel, mid)
 	}
 	return mt.View(params, nseries, length)
@@ -231,8 +237,8 @@ type ViewReuser interface {
 // model type supports it and prev came from the same type. Pass the
 // returned view back as prev for the next segment of the same MID.
 func (r *Registry) ViewInto(prev AggView, mid MID, params []byte, nseries, length int) (AggView, error) {
-	mt, ok := r.byMID[mid]
-	if !ok {
+	mt := r.byMID[mid]
+	if mt == nil {
 		return nil, fmt.Errorf("%w: MID %d", ErrUnknownModel, mid)
 	}
 	if vr, ok := mt.(ViewReuser); ok && prev != nil {

@@ -695,9 +695,13 @@ func rangeAgg(view models.AggView, pos, i0, i1 int, scale float64) (sum, mn, mx 
 // aggregateSeries is the fold both views share: one AddRange per
 // (segment, series) using the model's constant-time aggregates where
 // the model supports them (Algorithm 5's iterate), and for a roll-up
-// one per bucket of the segment's split runs (Algorithm 6).
+// one per bucket of the segment's split runs (Algorithm 6). The scalar
+// items share one rangeAgg: SUM, MIN and MAX of one series over one
+// range are the same three numbers whichever item asks.
 func (p *plan) aggregateSeries(g *GroupState, view models.AggView, pos int, scale float64, i0, i1 int, runs []bucketRun) {
 	count := int64(i1 - i0 + 1)
+	var sum, mn, mx float64
+	folded := false
 	for i := range p.items {
 		pi := &p.items[i] // by pointer: a planItem is too large to copy per series
 		switch {
@@ -706,7 +710,10 @@ func (p *plan) aggregateSeries(g *GroupState, view models.AggView, pos int, scal
 				g.Scalars[pi.scalarIdx].AddRange(count, 0, 0, 0)
 				continue
 			}
-			sum, mn, mx := rangeAgg(view, pos, i0, i1, scale)
+			if !folded {
+				sum, mn, mx = rangeAgg(view, pos, i0, i1, scale)
+				folded = true
+			}
 			g.Scalars[pi.scalarIdx].AddRange(count, sum, mn, mx)
 		case pi.cubeIdx >= 0:
 			cube := &g.Cubes[pi.cubeIdx]

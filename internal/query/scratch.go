@@ -24,7 +24,7 @@ import (
 // workers never share.
 type scanScratch struct {
 	groups map[core.Gid][]*core.TimeSeries
-	views  map[models.MID]models.AggView
+	views  [256]models.AggView // by MID
 	active []*core.TimeSeries
 	key    []byte
 	runs   []bucketRun
@@ -52,7 +52,6 @@ type tidSlot struct {
 var scanScratchPool = sync.Pool{New: func() any {
 	return &scanScratch{
 		groups: map[core.Gid][]*core.TimeSeries{},
-		views:  map[models.MID]models.AggView{},
 	}
 }}
 
