@@ -137,17 +137,21 @@ docs-check:
 crash:
 	$(GO) test -race -run 'WAL|Crash|Recover|Torn|Reopen' -count=$(CRASH_COUNT) -timeout $(CRASH_TIMEOUT) ./...
 
-# Fuzz smoke over the untrusted-bytes parsers: the two on-disk record
-# formats (WAL segments and the segment log), seeded from the
-# torn-tail sweep fixtures, the segment record decoder both are built
-# on, the typed-column chunk-frame decoder the cluster transport
-# feeds with peer-controlled bytes, plus the Gorilla value-stream
-# decoder every stored Gorilla segment goes through, checked against
-# its reference, and the Gorilla quantizer, whose every decoded value
-# must be the appended one or within the bound of it. `go test -fuzz`
-# accepts one target per package invocation, hence six runs.
+# Fuzz smoke over the untrusted-bytes parsers: the two framed logs
+# (WAL segments and the segment log), both read back through the one
+# frame scan of internal/durable and seeded from the torn-tail sweep
+# fixtures; the WAL's two small files, the checkpoint (one frame) and
+# walmeta, which Open parses before any segment; the segment record
+# decoder the store is built on; the typed-column chunk-frame decoder
+# the cluster transport feeds with peer-controlled bytes; the Gorilla
+# value-stream decoder every stored Gorilla segment goes through,
+# checked against its reference; and the Gorilla quantizer, whose
+# every decoded value must be the appended one or within the bound of
+# it. `go test -fuzz` accepts one target per package invocation, hence
+# seven runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALScanSegment$$' -fuzztime $(FUZZTIME) ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzWALCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzFileStoreRecover$$' -fuzztime $(FUZZTIME) ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePartial$$' -fuzztime $(FUZZTIME) ./internal/query

@@ -251,76 +251,220 @@ func TestWALTornTailSweep(t *testing.T) {
 
 // TestWALCrashEqualsNoCrashProperty is the randomized form: random
 // batches, random flushes, a crash at a random point — replay must
-// reproduce the never-crashed database on both stores.
+// reproduce the never-crashed database on both stores. Three kinds of
+// crash run on each store:
+//   - a process crash (the database is abandoned over real directories);
+//   - an OS crash (over faultFS, which then keeps only what was synced:
+//     file bytes up to their last fsync, directory entries up to their
+//     directory's last fsync); under "always" every acknowledged point
+//     must still be there;
+//   - one injected fault and then an OS crash: the Nth write fails or is
+//     cut short, or the Nth fsync fails. The failing call returns the
+//     fault, every later call either succeeds or returns it too (the
+//     sticky error), and after the crash every acknowledged point is
+//     there once, beside nothing but points of the calls that failed.
 func TestWALCrashEqualsNoCrashProperty(t *testing.T) {
 	const nseries = 6
 	for _, store := range []string{"mem", "file"} {
-		for seed := int64(1); seed <= 4; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", store, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				dataDir := ""
-				if store == "file" {
-					dataDir = t.TempDir()
+		for _, crash := range []string{"", "oscrash/", "fault/"} {
+			// faultFS runs in memory, so its inputs are cheap to multiply.
+			seeds := int64(4)
+			if crash != "" {
+				seeds = 12
+			}
+			for seed := int64(1); seed <= seeds; seed++ {
+				t.Run(fmt.Sprintf("%s/%sseed%d", store, crash, seed), func(t *testing.T) {
+					crashProperty(t, nseries, store, crash, seed)
+				})
+			}
+		}
+	}
+}
+
+func crashProperty(t *testing.T, nseries int, store, crash string, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	var fsys *faultFS
+	dataDir, walDir := "", t.TempDir()
+	if crash != "" {
+		fsys, walDir = newFaultFS(), "wal"
+	}
+	if store == "file" {
+		dataDir = "data"
+		if fsys == nil {
+			dataDir = t.TempDir()
+		}
+	}
+	cfg := walConfig(nseries, dataDir, walDir, "always")
+	// Small knobs so the crash lands between models, mid-model
+	// and mid-bulk-buffer across seeds.
+	cfg.LengthLimit = 10
+	cfg.BulkWriteSize = 16
+	// acked holds every point a call acknowledged, maybe the points of
+	// the calls that failed.
+	var acked, maybe []DataPoint
+	check := func(err error) bool {
+		if err != nil && (crash != "fault/" || !errors.Is(err, errInjected)) {
+			t.Fatal(err)
+		}
+		return err == nil
+	}
+	open := func(fsys *faultFS) *DB {
+		if fsys == nil {
+			db, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db
+		}
+		for {
+			// An open the fault failed is retried: it fires only once.
+			if db, err := openFS(cfg, fsys); check(err) {
+				return db
+			}
+		}
+	}
+	crashed := open(fsys)
+	control, err := Open(groupsConfig(nseries))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer control.Close()
+	if crash == "fault/" {
+		n := 1 + rng.Intn(600)
+		switch rng.Intn(3) {
+		case 0:
+			fsys.fail(n, 0, 0)
+		case 1:
+			fsys.fail(n, 1+rng.Intn(40), 0)
+		default:
+			fsys.fail(0, 0, n)
+		}
+	}
+	apply := func(db *DB, batch []DataPoint, useBatch bool) int {
+		if useBatch {
+			if !check(db.AppendBatch(context.Background(), batch)) {
+				return 0
+			}
+			return len(batch)
+		}
+		for i, p := range batch {
+			if !check(db.Append(p.Tid, p.TS, p.Value)) {
+				return i
+			}
+		}
+		return len(batch)
+	}
+	tick := 0
+	steps := 30 + rng.Intn(40)
+	for step := 0; step < steps; step++ {
+		var batch []DataPoint
+		for n := 1 + rng.Intn(8); n > 0; n-- {
+			for tid := 1; tid <= nseries; tid++ {
+				if rng.Intn(10) > 0 { // occasional per-series gap
+					batch = append(batch, DataPoint{
+						Tid: Tid(tid), TS: int64(tick) * 100,
+						Value: float32(rng.Intn(50)) + float32(tid),
+					})
 				}
-				cfg := walConfig(nseries, dataDir, t.TempDir(), "always")
-				// Small knobs so the crash lands between models, mid-model
-				// and mid-bulk-buffer across seeds.
-				cfg.LengthLimit = 10
-				cfg.BulkWriteSize = 16
-				crashed, err := Open(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				control, err := Open(groupsConfig(nseries))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer control.Close()
-				apply := func(db *DB, batch []DataPoint, useBatch bool) {
-					if useBatch {
-						if err := db.AppendBatch(context.Background(), batch); err != nil {
-							t.Fatal(err)
-						}
-						return
-					}
-					for _, p := range batch {
-						if err := db.Append(p.Tid, p.TS, p.Value); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				tick := 0
-				steps := 30 + rng.Intn(40)
-				for step := 0; step < steps; step++ {
-					var batch []DataPoint
-					for n := 1 + rng.Intn(8); n > 0; n-- {
-						for tid := 1; tid <= nseries; tid++ {
-							if rng.Intn(10) > 0 { // occasional per-series gap
-								batch = append(batch, DataPoint{
-									Tid: Tid(tid), TS: int64(tick) * 100,
-									Value: float32(rng.Intn(50)) + float32(tid),
-								})
-							}
-						}
-						tick++
-					}
-					useBatch := rng.Intn(2) == 0
-					apply(crashed, batch, useBatch)
-					apply(control, batch, useBatch)
-					if rng.Intn(7) == 0 {
-						if err := crashed.Flush(); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				// Crash (abandon) and reopen.
-				reopened, err := Open(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer reopened.Close()
-				assertSameResults(t, reopened, control)
-			})
+			}
+			tick++
+		}
+		useBatch := rng.Intn(2) == 0
+		n := apply(crashed, batch, useBatch)
+		acked, maybe = append(acked, batch[:n]...), append(maybe, batch[n:]...)
+		apply(control, batch[:n], useBatch)
+		if rng.Intn(7) == 0 {
+			check(crashed.Flush())
+		}
+		if fsys != nil && rng.Intn(15) == 0 {
+			// A clean restart: its directory fsyncs make the checkpoint
+			// durable, so a later crash can bring back this one instead
+			// of a newer one whose rename was not made durable.
+			check(crashed.Close())
+			crashed = open(fsys)
+		}
+	}
+	// Crash (abandon) and reopen.
+	if fsys != nil {
+		fsys = fsys.crash()
+	}
+	reopened := open(fsys)
+	defer reopened.Close()
+	if len(maybe) == 0 {
+		assertSameResults(t, reopened, control)
+		return
+	}
+	assertAckedPoints(t, reopened, acked, maybe)
+}
+
+// assertAckedPoints checks the points db holds against those a failing
+// schedule acknowledged: each acknowledged point is there exactly once
+// with its value, and any other point is one of maybe's.
+func assertAckedPoints(t *testing.T, db *DB, acked, maybe []DataPoint) {
+	t.Helper()
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query(context.Background(), "SELECT Tid, TS, Value FROM DataPoint ORDER BY Tid, TS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, r := range res.Rows {
+		key := fmt.Sprint(r[0], "@", r[1])
+		if _, dup := got[key]; dup {
+			t.Fatalf("point %s recovered twice", key)
+		}
+		got[key] = fmt.Sprint(r[2])
+	}
+	for _, p := range acked {
+		key := fmt.Sprint(p.Tid, "@", p.TS)
+		if v, ok := got[key]; !ok || v != fmt.Sprint(p.Value) {
+			t.Fatalf("acknowledged point %s = %v lost or changed (recovered %q, present %v)", key, p.Value, v, ok)
+		}
+		delete(got, key)
+	}
+	for _, p := range maybe {
+		delete(got, fmt.Sprint(p.Tid, "@", p.TS))
+	}
+	if len(got) > 0 {
+		t.Fatalf("%d recovered points were never appended: %v", len(got), got)
+	}
+}
+
+// TestWALReopenAfterCrashInOpen fails the first Open of a database at
+// each of its writes and fsyncs in turn and then crashes the OS. The
+// next Open over what survived must succeed and take writes: walmeta,
+// the WAL checkpoint and timeseries.meta each survive whole or not at
+// all, and no file the crash dropped is needed.
+func TestWALReopenAfterCrashInOpen(t *testing.T) {
+	cfg := walConfig(2, "data", "wal", "always")
+	for _, kind := range []string{"write", "sync"} {
+		for n := 1; ; n++ {
+			fsys := newFaultFS()
+			if kind == "write" {
+				fsys.fail(n, 0, 0)
+			} else {
+				fsys.fail(0, 0, n)
+			}
+			db, err := openFS(cfg, fsys)
+			if err != nil && !errors.Is(err, errInjected) {
+				t.Fatalf("%s %d: %v", kind, n, err)
+			}
+			reopened, rerr := openFS(cfg, fsys.crash())
+			if rerr != nil {
+				t.Fatalf("reopen after failing %s %d of the first Open: %v", kind, n, rerr)
+			}
+			if err := reopened.Append(1, 0, 1); err != nil {
+				t.Fatalf("%s %d: append after reopen: %v", kind, n, err)
+			}
+			if err := reopened.Close(); err != nil {
+				t.Fatalf("%s %d: %v", kind, n, err)
+			}
+			if err == nil {
+				db.Close()
+				break // n is past the first Open's last call
+			}
 		}
 	}
 }

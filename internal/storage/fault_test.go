@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"modelardb/internal/core"
+	"modelardb/internal/durable"
 )
 
 var errInjected = errors.New("injected fault")
@@ -55,7 +56,7 @@ func reopen(t *testing.T, log *faultLog) *FileStore {
 // torn bytes: every segment is then scanned exactly once, and so it is
 // after reopening over the same bytes.
 func TestFileStoreWriteFaultRetries(t *testing.T) {
-	for _, keep := range []int{0, frameHeader / 2, frameHeader + 3, 40} {
+	for _, keep := range []int{0, durable.FrameHeader / 2, durable.FrameHeader + 3, 40} {
 		t.Run(fmt.Sprint("keep=", keep), func(t *testing.T) {
 			log := &faultLog{failWrite: 2, keep: keep}
 			s, err := openLog(log, 0, testMembers, 3)

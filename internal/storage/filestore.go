@@ -1,13 +1,11 @@
 package storage
 
 import (
-	"bufio"
 	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -17,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"modelardb/internal/core"
+	"modelardb/internal/durable"
 )
 
 // DefaultBulkWriteSize matches Table 1's "Bulk Write Size 50,000":
@@ -24,17 +23,17 @@ import (
 const DefaultBulkWriteSize = 50000
 
 // FileStore is a log-structured segment store: segments are appended
-// to a single log as CRC-framed records and indexed in memory by
-// (Gid, EndTime), mirroring the paper's Cassandra primary key (§3.3).
-// Every bulk write lands sorted by that key, so the records a scan
-// wants are runs of neighbours in the log and one read fetches a run.
-// On open the log is scanned and a corrupt or torn tail is truncated,
-// so a crash between Flushes loses only unflushed segments. The log is
-// a file or, without a directory, a byte slice; everything above it is
-// the same.
+// to a single log as frames of package durable and indexed in memory
+// by (Gid, EndTime), mirroring the paper's Cassandra primary key
+// (§3.3). Every bulk write lands sorted by that key, so the records a
+// scan wants are runs of neighbours in the log and one read fetches a
+// run. On open the log is scanned and a corrupt or torn tail is
+// truncated, so a crash between Flushes loses only unflushed segments.
+// The log is a file or, without a directory, a byte slice; everything
+// above it is the same.
 type FileStore struct {
 	mu      sync.RWMutex
-	file    logFile
+	file    durable.File
 	offset  int64
 	members MembersFunc
 	// err is the first failed fsync. The log's durable state is unknown
@@ -60,18 +59,6 @@ type FileStore struct {
 	// reads and readBytes count the log reads scans issued and the bytes
 	// they fetched: one add per run of adjacent records, not per segment.
 	reads, readBytes atomic.Int64
-}
-
-// logFile is what the store needs of its log: positional reads and
-// writes, so scans read without the store lock while a flush appends,
-// plus truncation and durability. *os.File satisfies it, and so does
-// memLog.
-type logFile interface {
-	io.ReaderAt
-	io.WriterAt
-	Truncate(size int64) error
-	Sync() error
-	Close() error
 }
 
 // memLog is a log held in memory: nothing survives the process, so
@@ -123,8 +110,7 @@ type recordRef struct {
 }
 
 const (
-	logName     = "segments.log"
-	frameHeader = 8 // uint32 payload length + uint32 CRC32
+	logName = "segments.log"
 	// maxRunBytes caps one coalesced log read.
 	maxRunBytes = 1 << 20
 )
@@ -133,22 +119,27 @@ const (
 // dir keeps the log in memory. bulkSize <= 0 selects
 // DefaultBulkWriteSize.
 func OpenFileStore(dir string, members MembersFunc, bulkSize int) (*FileStore, error) {
+	return OpenFS(durable.OS{}, dir, members, bulkSize)
+}
+
+// OpenFS is OpenFileStore over the file system fsys. An empty dir
+// keeps the log in memory whatever fsys is.
+func OpenFS(fsys durable.FS, dir string, members MembersFunc, bulkSize int) (*FileStore, error) {
 	if dir == "" {
 		return openLog(&memLog{}, 0, members, bulkSize)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := durable.MkdirAll(fsys, dir); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	file, err := os.OpenFile(filepath.Join(dir, logName), os.O_RDWR|os.O_CREATE, 0o644)
+	path := filepath.Join(dir, logName)
+	file, size, err := fsys.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		file, err = durable.Create(fsys, path)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	info, err := file.Stat()
-	if err != nil {
-		file.Close()
-		return nil, fmt.Errorf("storage: stat: %w", err)
-	}
-	s, err := openLog(file, info.Size(), members, bulkSize)
+	s, err := openLog(file, size, members, bulkSize)
 	if err != nil {
 		file.Close()
 		return nil, err
@@ -164,7 +155,7 @@ func NewMemStore(members MembersFunc) *FileStore {
 }
 
 // openLog recovers the store from the size bytes of file.
-func openLog(file logFile, size int64, members MembersFunc, bulkSize int) (*FileStore, error) {
+func openLog(file durable.File, size int64, members MembersFunc, bulkSize int) (*FileStore, error) {
 	if bulkSize <= 0 {
 		bulkSize = DefaultBulkWriteSize
 	}
@@ -183,44 +174,24 @@ func (s *FileStore) recover(size int64) error {
 	s.index = make(map[core.Gid][]recordRef)
 	s.maxDur = make(map[core.Gid]int64)
 	s.minStart = make(map[core.Gid]int64)
-	s.count, s.size = 0, 0
-	var offset int64
-	r := bufio.NewReaderSize(io.NewSectionReader(s.file, 0, size), 1<<16)
-	header := make([]byte, frameHeader)
-	var payload []byte
+	s.count, s.size, s.offset = 0, 0, 0
 	var seg core.Segment
 	run := memberRun{members: s.members}
-	for {
-		if _, err := io.ReadFull(r, header); err != nil {
-			break // clean EOF or torn header: truncate here
-		}
-		length := int64(binary.LittleEndian.Uint32(header[:4]))
-		sum := binary.LittleEndian.Uint32(header[4:])
-		// A frame cannot be longer than what is left of the log, so a
-		// corrupt length is refused before anything is allocated for it.
-		if length == 0 || length > min(1<<30, size-offset-frameHeader) {
-			break
-		}
-		if int64(cap(payload)) < length {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			break // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			break // corrupt record
-		}
+	_, err := durable.Scan(s.file, size, func(payload []byte) error {
 		if err := run.decode(&seg, payload); err != nil {
-			break
+			return err
 		}
-		s.addIndex(&seg, offset, int32(frameHeader+length))
-		offset += frameHeader + length
+		length := int32(durable.FrameHeader + len(payload))
+		s.addIndex(&seg, s.offset, length)
+		s.offset += int64(length)
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("storage: recover: %w", err)
 	}
-	if err := s.file.Truncate(offset); err != nil {
+	if err := s.file.Truncate(s.offset); err != nil {
 		return fmt.Errorf("storage: truncate: %w", err)
 	}
-	s.offset = offset
 	return nil
 }
 
@@ -251,7 +222,7 @@ func (s *FileStore) addIndex(seg *core.Segment, offset int64, length int32) {
 		endTime:   seg.EndTime,
 		startTime: seg.StartTime,
 		offset:    offset,
-		weight:    segmentWeight(int64(length-frameHeader), seg),
+		weight:    segmentWeight(int64(length-durable.FrameHeader), seg),
 		length:    length,
 	}
 	i := sort.Search(len(refs), func(i int) bool { return refs[i].endTime > seg.EndTime })
@@ -266,7 +237,7 @@ func (s *FileStore) addIndex(seg *core.Segment, offset int64, length int32) {
 		s.minStart[seg.Gid] = seg.StartTime
 	}
 	s.count++
-	s.size += int64(length - frameHeader)
+	s.size += int64(length - durable.FrameHeader)
 }
 
 // Insert implements SegmentStore: the segment is buffered and the
@@ -309,21 +280,19 @@ func (s *FileStore) flushLocked() error {
 	})
 	size := 0 // AppendEncode's size hints: one allocation, not a growth series
 	for _, seg := range s.buffer {
-		size += frameHeader + 32 + len(seg.Params)
+		size += durable.FrameHeader + 32 + len(seg.Params)
 	}
 	out := make([]byte, 0, size)
+	var payload []byte
 	for _, seg := range s.buffer {
-		frame := len(out)
-		out = seg.AppendEncode(append(out, make([]byte, frameHeader)...), s.members(seg.Gid))
-		payload := out[frame+frameHeader:]
-		binary.LittleEndian.PutUint32(out[frame:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(out[frame+4:], crc32.ChecksumIEEE(payload))
+		payload = seg.AppendEncode(payload[:0], s.members(seg.Gid))
+		out = durable.AppendFrame(out, payload)
 	}
 	if _, err := s.file.WriteAt(out, s.offset); err != nil {
 		return fmt.Errorf("storage: write: %w", err)
 	}
 	for _, seg := range s.buffer {
-		length := frameHeader + int32(binary.LittleEndian.Uint32(out))
+		length := durable.FrameHeader + int32(binary.LittleEndian.Uint32(out))
 		s.addIndex(seg, s.offset, length)
 		s.offset += int64(length)
 		out = out[length:]
@@ -360,9 +329,6 @@ func (s *FileStore) TruncateLog(offset int64) error {
 	}
 	if len(s.buffer) > 0 {
 		return errors.New("storage: TruncateLog with buffered segments")
-	}
-	if err := s.file.Truncate(offset); err != nil {
-		return fmt.Errorf("storage: truncate: %w", err)
 	}
 	return s.recover(offset)
 }
@@ -471,7 +437,7 @@ func (s *FileStore) readRefs(refs []recordRef) ([]*core.Segment, error) {
 		s.readBytes.Add(int64(n))
 		for ; i < end; i++ {
 			length := int(refs[i].length)
-			if err := run.decode(&arena[i], buf[frameHeader:length:length]); err != nil {
+			if err := run.decode(&arena[i], buf[durable.FrameHeader:length:length]); err != nil {
 				return nil, err
 			}
 			segs[i] = &arena[i]

@@ -1,13 +1,16 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"modelardb/internal/core"
 	"modelardb/internal/dims"
+	"modelardb/internal/durable"
 )
 
 // MetaFile is the persisted image of the Time Series table and the
@@ -33,42 +36,30 @@ type SeriesMeta struct {
 
 const metaName = "timeseries.meta"
 
-// SaveMeta writes the metadata file atomically (write + rename).
-func SaveMeta(dir string, meta *MetaFile) error {
-	tmp := filepath.Join(dir, metaName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	if err := gob.NewEncoder(f).Encode(meta); err != nil {
-		f.Close()
-		os.Remove(tmp)
+// SaveMeta durably replaces the metadata file in dir on fsys.
+func SaveMeta(fsys durable.FS, dir string, meta *MetaFile) error {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(meta); err != nil {
 		return fmt.Errorf("storage: encode meta: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: sync meta: %w", err)
+	if err := durable.Replace(fsys, filepath.Join(dir, metaName), buf.Bytes()); err != nil {
+		return fmt.Errorf("storage: save meta: %w", err)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: close meta: %w", err)
-	}
-	return os.Rename(tmp, filepath.Join(dir, metaName))
+	return nil
 }
 
-// LoadMeta reads the metadata file; ok is false when none exists.
-func LoadMeta(dir string) (meta *MetaFile, ok bool, err error) {
-	f, err := os.Open(filepath.Join(dir, metaName))
-	if os.IsNotExist(err) {
+// LoadMeta reads the metadata file in dir on fsys; ok is false when
+// none exists.
+func LoadMeta(fsys durable.FS, dir string) (meta *MetaFile, ok bool, err error) {
+	data, err := durable.ReadFile(fsys, filepath.Join(dir, metaName))
+	if errors.Is(err, os.ErrNotExist) {
 		return nil, false, nil
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("storage: %w", err)
 	}
-	defer f.Close()
 	meta = &MetaFile{}
-	if err := gob.NewDecoder(f).Decode(meta); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(meta); err != nil {
 		return nil, false, fmt.Errorf("storage: decode meta: %w", err)
 	}
 	return meta, true, nil

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"modelardb/internal/core"
+	"modelardb/internal/durable"
 	"modelardb/internal/models"
 )
 
@@ -316,8 +317,8 @@ func TestFileStoreReadsPerScan(t *testing.T) {
 			if segments != n {
 				t.Fatalf("scanned %d segments, want %d", segments, n)
 			}
-			if size, _ := fs.SizeBytes(); fetched != size+int64(n)*frameHeader {
-				t.Fatalf("read %d bytes, the log holds %d", fetched, size+int64(n)*frameHeader)
+			if size, _ := fs.SizeBytes(); fetched != size+int64(n)*durable.FrameHeader {
+				t.Fatalf("read %d bytes, the log holds %d", fetched, size+int64(n)*durable.FrameHeader)
 			}
 			limit := int64(segments)
 			if tc.bulk == n {

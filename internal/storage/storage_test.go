@@ -12,6 +12,7 @@ import (
 
 	"modelardb/internal/core"
 	"modelardb/internal/dims"
+	"modelardb/internal/durable"
 	"modelardb/internal/models"
 )
 
@@ -267,7 +268,7 @@ func TestFileStoreCorruptMiddleRecordTruncates(t *testing.T) {
 	path := filepath.Join(dir, logName)
 	full, _ := os.ReadFile(path)
 	// Flip a bit in the third record's payload.
-	full[2*(len(full)/5)+frameHeader+1] ^= 0xFF
+	full[2*(len(full)/5)+durable.FrameHeader+1] ^= 0xFF
 	os.WriteFile(path, full, 0o644)
 	s2, err := OpenFileStore(dir, testMembers, 1)
 	if err != nil {
@@ -384,10 +385,10 @@ func TestMetaSaveLoad(t *testing.T) {
 		},
 		Correlations: []string{"Location 1"},
 	}
-	if err := SaveMeta(dir, meta); err != nil {
+	if err := SaveMeta(durable.OS{}, dir, meta); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := LoadMeta(dir)
+	got, ok, err := LoadMeta(durable.OS{}, dir)
 	if err != nil || !ok {
 		t.Fatalf("LoadMeta: %v, ok=%v", err, ok)
 	}
@@ -400,7 +401,7 @@ func TestMetaSaveLoad(t *testing.T) {
 }
 
 func TestLoadMetaMissing(t *testing.T) {
-	_, ok, err := LoadMeta(t.TempDir())
+	_, ok, err := LoadMeta(durable.OS{}, t.TempDir())
 	if err != nil || ok {
 		t.Fatalf("LoadMeta on empty dir = ok=%v err=%v, want absent", ok, err)
 	}

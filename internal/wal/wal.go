@@ -7,16 +7,17 @@
 // replays the logged tail through the normal ingestion path and the
 // storage engine loses at most the last unsynced interval.
 //
-// Layout: records are CRC-framed point batches (gid, a per-group
-// monotonic sequence number, the master-assigned batch sequence — 0
-// for unsequenced local appends — and the points) appended to
-// per-shard segment files that rotate at SegmentBytes. A checkpoint —
-// written after the segment store has synced — records the per-group
-// high-water sequence, the per-group high-water applied master
-// sequence, plus the store's log offset, and deletes WAL segments
-// wholly below it. On open, torn or corrupt tails are truncated
-// exactly like the segment store's own log recovery; the same single
-// CRC scan captures the un-checkpointed tail in memory, so Replay
+// Layout: records are point batches (gid, a per-group monotonic
+// sequence number, the master-assigned batch sequence — 0 for
+// unsequenced local appends — and the points), each in one frame of
+// package durable, appended to per-shard segment files that rotate at
+// SegmentBytes. A checkpoint — written after the segment store has
+// synced, and replaced durably before anything is deleted — records
+// the per-group high-water sequence, the per-group high-water applied
+// master sequence, plus the store's log offset, and deletes WAL
+// segments wholly below it. On open, torn or corrupt tails are
+// truncated by the scan the segment store's log recovery uses; that
+// single scan captures the un-checkpointed tail in memory, so Replay
 // streams it back to the caller in per-group sequence order without
 // re-reading the segment files.
 //
@@ -30,10 +31,12 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -45,6 +48,7 @@ import (
 	"time"
 
 	"modelardb/internal/core"
+	"modelardb/internal/durable"
 	"modelardb/internal/obs"
 )
 
@@ -87,25 +91,23 @@ const (
 	// Gid, so writers of different shards never serialize on the log.
 	DefaultShards = 8
 
-	frameHeader    = 8 // uint32 payload length + uint32 CRC32
-	maxRecordSize  = 1 << 30
 	checkpointName = "checkpoint"
 	metaName       = "walmeta"
 	segmentSuffix  = ".wal"
 
-	// Record format versions, pinned per directory in walmeta like the
-	// shard count — formats cannot mix inside one log. recV1 is the
-	// original (gid, seq, count, points); recV2 adds the applied
-	// master-sequence field behind seq. A legacy v1 directory keeps
-	// writing v1 records — its data and torn-tail recovery work
-	// unchanged, its dedup marks persist only through checkpoints — so
-	// upgrading never mis-decodes (and never truncates) an existing log.
-	recV1 = 1
-	recV2 = 2
+	// recordVersion is the record format walmeta pins for a directory:
+	// (gid, seq, applied master sequence, count, points).
+	recordVersion = 2
 )
 
 // ErrClosed is returned by operations on a closed WAL.
 var ErrClosed = errors.New("wal: closed")
+
+// ErrLegacyFormat is returned by Open for a directory whose walmeta
+// holds only a shard count: it was written by a build that logged v1
+// records, which carry no applied master sequence, and this build does
+// not read them. Open touches nothing in such a directory.
+var ErrLegacyFormat = errors.New("wal: v1 WAL directory (walmeta without a record version) is not supported")
 
 // Options configures Open.
 type Options struct {
@@ -134,15 +136,14 @@ type Options struct {
 // truncation: a file whose per-group max sequences are all at or below
 // the checkpoint holds only applied-and-stored data and is deleted.
 type segmentInfo struct {
-	path   string
 	index  uint64
+	size   int64
 	maxSeq map[core.Gid]uint64
 }
 
-// tailRecord is one un-checkpointed record captured during openShard's
-// single CRC scan. Replay consumes these instead of re-reading and
-// re-checksumming every segment file a second time, so a large log (a
-// memory-store full journal in particular) pays its startup I/O once.
+// tailRecord is one un-checkpointed record the open scan captured for
+// Replay, so a large log (a memory-store full journal in particular)
+// pays its startup I/O once.
 type tailRecord struct {
 	gid core.Gid
 	seq uint64
@@ -155,8 +156,9 @@ type tailRecord struct {
 type shard struct {
 	mu   sync.Mutex
 	cond *sync.Cond // group-commit wakeups (synced advanced, leader done)
+	fsys durable.FS
 	dir  string
-	file *os.File
+	file durable.File
 	buf  []byte // pending writes not yet handed to the OS
 	size int64  // current segment size including buffered bytes
 
@@ -180,9 +182,6 @@ type shard struct {
 	curMax map[core.Gid]uint64
 	sealed []*segmentInfo
 
-	// ver is the directory's pinned record format version.
-	ver int
-
 	// seqs holds the last assigned sequence per group of this shard,
 	// floored by the checkpoint so truncated groups keep counting up.
 	seqs map[core.Gid]uint64
@@ -190,13 +189,7 @@ type shard struct {
 	// per group of this shard — the dedup table's durable source.
 	applied map[core.Gid]uint64
 
-	// tail holds the records above the checkpoint captured by the open
-	// scan; valid until the first Append or Replay invalidates it.
-	tail   []tailRecord
-	tailOK bool
-
-	dirty bool  // unsynced bytes exist (interval policy)
-	err   error // sticky I/O error; appends fail once set
+	err error // sticky I/O error; appends fail once set
 
 	scratch []byte
 }
@@ -204,7 +197,7 @@ type shard struct {
 // WAL is a group-sharded point-level write-ahead log.
 type WAL struct {
 	opts   Options
-	ver    int // record format version (recV1 for legacy dirs)
+	fsys   durable.FS
 	shards []*shard
 
 	ckptMu      sync.Mutex
@@ -216,18 +209,25 @@ type WAL struct {
 	// appended counts record bytes appended since the last checkpoint —
 	// the write-side backpressure signal surfaced through Stats.
 	appended atomic.Int64
+	// tail holds the records above the checkpoint the open scan
+	// captured, in shard order, until Replay hands them out. replayed is
+	// set by the first Replay or Append; Replay runs only before either.
+	tail     []tailRecord
+	replayed atomic.Bool
 
 	stop     chan struct{}
 	syncDone chan struct{}
-	closed   bool
-	closeMu  sync.Mutex
+	closed   atomic.Bool
 }
 
 // Open opens (creating if needed) the WAL in opts.Dir, truncating any
 // torn or corrupt tail left by a crash. It does not replay: call
 // Replay before the first Append to stream the un-checkpointed tail
 // back through the ingestion path.
-func Open(opts Options) (*WAL, error) {
+func Open(opts Options) (*WAL, error) { return OpenFS(durable.OS{}, opts) }
+
+// OpenFS is Open over the file system fsys.
+func OpenFS(fsys durable.FS, opts Options) (*WAL, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("wal: Options.Dir is required")
 	}
@@ -245,16 +245,15 @@ func Open(opts Options) (*WAL, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = DefaultShards
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+	if err := durable.MkdirAll(fsys, opts.Dir); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	ver, err := loadOrPersistMeta(&opts)
-	if err != nil {
+	if err := loadOrPersistMeta(fsys, &opts); err != nil {
 		return nil, err
 	}
 	w := &WAL{
 		opts:        opts,
-		ver:         ver,
+		fsys:        fsys,
 		ckptSeqs:    map[core.Gid]uint64{},
 		ckptApplied: map[core.Gid]uint64{},
 		stop:        make(chan struct{}),
@@ -264,7 +263,7 @@ func Open(opts Options) (*WAL, error) {
 		return nil, err
 	}
 	for i := 0; i < opts.Shards; i++ {
-		s, err := openShard(filepath.Join(opts.Dir, fmt.Sprintf("shard-%03d", i)), ver, w.ckptSeqs)
+		s, err := openShard(fsys, filepath.Join(opts.Dir, fmt.Sprintf("shard-%03d", i)), w.ckptSeqs, &w.tail)
 		if err != nil {
 			w.closeShards()
 			return nil, err
@@ -291,36 +290,36 @@ func Open(opts Options) (*WAL, error) {
 
 // loadOrPersistMeta pins the shard count and record format version
 // across opens: the Gid-to-shard-file mapping and the byte layout of
-// existing records must not change while old segments exist. A v1
-// walmeta holds only the shard count ("8"); v2 prefixes the version
-// ("2 8"). New directories are always created at the current version.
-func loadOrPersistMeta(opts *Options) (int, error) {
+// existing records must not change while old segments exist. walmeta
+// holds the version and the shard count ("2 8").
+func loadOrPersistMeta(fsys durable.FS, opts *Options) error {
 	path := filepath.Join(opts.Dir, metaName)
-	if data, err := os.ReadFile(path); err == nil {
-		fields := strings.Fields(strings.TrimSpace(string(data)))
-		ver := recV1
-		if len(fields) == 2 {
-			if fields[0] != strconv.Itoa(recV2) {
-				return 0, fmt.Errorf("wal: unsupported %s version %q", metaName, fields[0])
-			}
-			ver = recV2
-			fields = fields[1:]
-		}
-		if len(fields) != 1 {
-			return 0, fmt.Errorf("wal: corrupt %s: %q", metaName, data)
-		}
-		n, perr := strconv.Atoi(fields[0])
-		if perr != nil || n < 1 {
-			return 0, fmt.Errorf("wal: corrupt %s: %q", metaName, data)
-		}
-		opts.Shards = n
-		return ver, nil
+	data, err := durable.ReadFile(fsys, path)
+	if err == nil {
+		opts.Shards, err = parseMeta(data)
+		return err
 	}
-	meta := fmt.Sprintf("%d %d", recV2, opts.Shards)
-	if err := os.WriteFile(path, []byte(meta), 0o644); err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
+	if errors.Is(err, os.ErrNotExist) {
+		err = durable.Replace(fsys, path, []byte(fmt.Sprintf("%d %d", recordVersion, opts.Shards)))
 	}
-	return recV2, nil
+	if err != nil {
+		return fmt.Errorf("wal: %s: %w", metaName, err)
+	}
+	return nil
+}
+
+// parseMeta returns the shard count walmeta pins.
+func parseMeta(data []byte) (int, error) {
+	fields := strings.Fields(string(data))
+	if len(fields) == 1 {
+		return 0, ErrLegacyFormat
+	}
+	if len(fields) == 2 && fields[0] == strconv.Itoa(recordVersion) {
+		if n, err := strconv.Atoi(fields[1]); err == nil && n >= 1 {
+			return n, nil
+		}
+	}
+	return 0, fmt.Errorf("wal: unsupported or corrupt %s: %q", metaName, data)
 }
 
 func (w *WAL) shardOf(gid core.Gid) *shard {
@@ -330,31 +329,35 @@ func (w *WAL) shardOf(gid core.Gid) *shard {
 // openShard scans a shard directory, truncating the first corrupt
 // record and everything after it (torn tails from a crash), rebuilds
 // the per-segment summaries, sequence counters and the applied table,
-// and opens the last segment for appending. The same single CRC scan
-// captures every record above the checkpoint for Replay, so opening
-// never reads a segment file twice.
-func openShard(dir string, ver int, ckpt map[core.Gid]uint64) (*shard, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// and opens the last segment for appending. The same single scan
+// appends every record above the checkpoint to tail for Replay, so
+// opening never reads a segment file twice.
+func openShard(fsys durable.FS, dir string, ckpt map[core.Gid]uint64, tail *[]tailRecord) (*shard, error) {
+	if err := durable.MkdirAll(fsys, dir); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	s := &shard{
+		fsys:    fsys,
 		dir:     dir,
-		ver:     ver,
 		seqs:    map[core.Gid]uint64{},
 		curMax:  map[core.Gid]uint64{},
 		applied: map[core.Gid]uint64{},
-		tailOK:  true,
 	}
 	s.cond = sync.NewCond(&s.mu)
-	files, err := listSegments(dir)
+	files, err := s.listSegments()
 	if err != nil {
 		return nil, err
 	}
-	for i, f := range files {
-		maxSeq := map[core.Gid]uint64{}
-		valid, err := scanSegment(f.path, ver, func(gid core.Gid, seq, ext uint64, pts []core.DataPoint) error {
-			if seq > maxSeq[gid] {
-				maxSeq[gid] = seq
+	for i := 0; i < len(files); i++ {
+		f := files[i]
+		file, size, err := fsys.Open(s.segmentPath(f.index))
+		if err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
+		}
+		f.maxSeq = map[core.Gid]uint64{}
+		f.size, err = scanRecords(file, size, func(gid core.Gid, seq, ext uint64, pts []core.DataPoint) {
+			if seq > f.maxSeq[gid] {
+				f.maxSeq[gid] = seq
 			}
 			if seq > s.seqs[gid] {
 				s.seqs[gid] = seq
@@ -363,32 +366,28 @@ func openShard(dir string, ver int, ckpt map[core.Gid]uint64) (*shard, error) {
 				s.applied[gid] = ext
 			}
 			if seq > ckpt[gid] {
-				s.tail = append(s.tail, tailRecord{gid: gid, seq: seq, ext: ext, pts: pts})
+				*tail = append(*tail, tailRecord{gid: gid, seq: seq, ext: ext, pts: pts})
 			}
-			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
-		f.maxSeq = maxSeq
-		info, err := os.Stat(f.path)
-		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		if valid < info.Size() {
+		if err == nil && f.size < size {
 			// Torn or corrupt tail: truncate here and drop any later
 			// segments — like the store's log recovery, the intact
 			// prefix is the recovered state.
-			if err := os.Truncate(f.path, valid); err != nil {
-				return nil, fmt.Errorf("wal: truncate: %w", err)
-			}
+			err = file.Truncate(f.size)
 			for _, g := range files[i+1:] {
-				if err := os.Remove(g.path); err != nil {
-					return nil, fmt.Errorf("wal: %w", err)
+				if err == nil {
+					err = fsys.Remove(s.segmentPath(g.index))
 				}
 			}
 			files = files[:i+1]
+		}
+		if err == nil && i == len(files)-1 {
+			s.file = file
 			break
+		}
+		file.Close()
+		if err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
 		}
 	}
 	if len(files) == 0 {
@@ -396,26 +395,18 @@ func openShard(dir string, ver int, ckpt map[core.Gid]uint64) (*shard, error) {
 	}
 	last := files[len(files)-1]
 	s.sealed = files[:len(files)-1]
-	s.index = last.index
-	s.curMax = last.maxSeq
-	file, err := os.OpenFile(last.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	size, err := file.Seek(0, 2)
-	if err != nil {
-		file.Close()
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	s.file = file
-	s.size = size
+	s.index, s.size, s.curMax = last.index, last.size, last.maxSeq
 	return s, nil
+}
+
+// segmentPath names segment file number index.
+func (s *shard) segmentPath(index uint64) string {
+	return filepath.Join(s.dir, fmt.Sprintf("%016d%s", index, segmentSuffix))
 }
 
 // openSegment creates and switches to segment file number index.
 func (s *shard) openSegment(index uint64) error {
-	path := filepath.Join(s.dir, fmt.Sprintf("%016d%s", index, segmentSuffix))
-	file, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	file, err := durable.Create(s.fsys, s.segmentPath(index))
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -427,131 +418,86 @@ func (s *shard) openSegment(index uint64) error {
 }
 
 // listSegments returns the shard's segment files in index order.
-func listSegments(dir string) ([]*segmentInfo, error) {
-	entries, err := os.ReadDir(dir)
+func (s *shard) listSegments() ([]*segmentInfo, error) {
+	names, err := s.fsys.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	var files []*segmentInfo
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, segmentSuffix) {
-			continue
-		}
+	for _, name := range names {
 		idx, err := strconv.ParseUint(strings.TrimSuffix(name, segmentSuffix), 10, 64)
-		if err != nil {
+		if !strings.HasSuffix(name, segmentSuffix) || err != nil {
 			continue
 		}
-		files = append(files, &segmentInfo{path: filepath.Join(dir, name), index: idx})
+		files = append(files, &segmentInfo{index: idx})
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].index < files[j].index })
 	return files, nil
 }
 
-// scanSegment parses one segment file, calling fn per valid record,
-// and returns the byte offset of the valid prefix — the first torn or
-// corrupt frame ends the scan, exactly like the store's log recovery.
-func scanSegment(path string, ver int, fn func(gid core.Gid, seq, ext uint64, pts []core.DataPoint) error) (int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
-	}
-	off := 0
-	for off+frameHeader <= len(data) {
-		length := int(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if length == 0 || length > maxRecordSize || off+frameHeader+length > len(data) {
-			break
+// scanRecords scans the records in the first size bytes of a segment,
+// calling fn for each, and returns the length of the valid prefix: a
+// record that does not decode ends it like a torn frame.
+func scanRecords(r io.ReaderAt, size int64, fn func(gid core.Gid, seq, ext uint64, pts []core.DataPoint)) (int64, error) {
+	return durable.Scan(r, size, func(payload []byte) error {
+		gid, seq, ext, pts, err := decodeRecord(payload)
+		if err == nil {
+			fn(gid, seq, ext, pts)
 		}
-		payload := data[off+frameHeader : off+frameHeader+length]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
-		gid, seq, ext, pts, err := decodeRecord(ver, payload)
-		if err != nil {
-			break
-		}
-		if fn != nil {
-			if err := fn(gid, seq, ext, pts); err != nil {
-				return int64(off), err
-			}
-		}
-		off += frameHeader + length
-	}
-	return int64(off), nil
+		return err
+	})
 }
 
-// appendRecord frames one record (gid, seq, ext, points) into buf in
-// the directory's record format; v1 has no ext field.
-func appendRecord(buf []byte, ver int, gid core.Gid, seq, ext uint64, pts []core.DataPoint) []byte {
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
+// encodeRecord appends one record's payload (gid, seq, ext, points) to
+// buf.
+func encodeRecord(buf []byte, gid core.Gid, seq, ext uint64, pts []core.DataPoint) []byte {
 	buf = binary.AppendUvarint(buf, uint64(gid))
 	buf = binary.AppendUvarint(buf, seq)
-	if ver >= recV2 {
-		buf = binary.AppendUvarint(buf, ext)
-	}
+	buf = binary.AppendUvarint(buf, ext)
 	buf = binary.AppendUvarint(buf, uint64(len(pts)))
 	for _, p := range pts {
 		buf = binary.AppendUvarint(buf, uint64(p.Tid))
 		buf = binary.AppendVarint(buf, p.TS)
 		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(p.Value))
 	}
-	payload := buf[start+frameHeader:]
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
 	return buf
 }
 
-// decodeRecord parses one framed payload in the given record format.
-// ext is the master-assigned batch sequence the record applied; 0
-// marks an unsequenced append (and every v1 record, which has no ext
-// field).
-func decodeRecord(ver int, payload []byte) (core.Gid, uint64, uint64, []core.DataPoint, error) {
-	gid, n := binary.Uvarint(payload)
-	if n <= 0 || gid == 0 || gid > math.MaxInt32 {
-		return 0, 0, 0, nil, errors.New("wal: corrupt record gid")
-	}
-	payload = payload[n:]
-	seq, n := binary.Uvarint(payload)
-	if n <= 0 || seq == 0 {
-		return 0, 0, 0, nil, errors.New("wal: corrupt record seq")
-	}
-	payload = payload[n:]
-	var ext uint64
-	if ver >= recV2 {
-		ext, n = binary.Uvarint(payload)
+// errCorruptRecord refuses a record payload that encodeRecord did not
+// write; the scan then ends the segment's valid prefix there.
+var errCorruptRecord = errors.New("wal: corrupt record")
+
+// decodeRecord parses one record payload. ext is the master-assigned
+// batch sequence the record applied; 0 marks an unsequenced append.
+func decodeRecord(payload []byte) (core.Gid, uint64, uint64, []core.DataPoint, error) {
+	var head [4]uint64 // gid, seq, ext, point count
+	for i := range head {
+		v, n := binary.Uvarint(payload)
 		if n <= 0 {
-			return 0, 0, 0, nil, errors.New("wal: corrupt record ext seq")
+			return 0, 0, 0, nil, errCorruptRecord
 		}
-		payload = payload[n:]
+		head[i], payload = v, payload[n:]
 	}
-	count, n := binary.Uvarint(payload)
-	if n <= 0 || count > uint64(len(payload)) {
-		return 0, 0, 0, nil, errors.New("wal: corrupt record count")
+	gid, seq, ext, count := head[0], head[1], head[2], head[3]
+	if gid == 0 || gid > math.MaxInt32 || seq == 0 || count > uint64(len(payload)) {
+		return 0, 0, 0, nil, errCorruptRecord
 	}
-	payload = payload[n:]
 	pts := make([]core.DataPoint, 0, count)
 	for i := uint64(0); i < count; i++ {
 		tid, n := binary.Uvarint(payload)
 		if n <= 0 || tid == 0 || tid > math.MaxInt32 {
-			return 0, 0, 0, nil, errors.New("wal: corrupt point tid")
+			return 0, 0, 0, nil, errCorruptRecord
 		}
-		payload = payload[n:]
-		ts, n := binary.Varint(payload)
-		if n <= 0 {
-			return 0, 0, 0, nil, errors.New("wal: corrupt point timestamp")
+		ts, m := binary.Varint(payload[n:])
+		if m <= 0 || len(payload) < n+m+4 {
+			return 0, 0, 0, nil, errCorruptRecord
 		}
-		payload = payload[n:]
-		if len(payload) < 4 {
-			return 0, 0, 0, nil, errors.New("wal: corrupt point value")
-		}
-		v := math.Float32frombits(binary.LittleEndian.Uint32(payload))
-		payload = payload[4:]
+		v := math.Float32frombits(binary.LittleEndian.Uint32(payload[n+m:]))
+		payload = payload[n+m+4:]
 		pts = append(pts, core.DataPoint{Tid: core.Tid(tid), TS: ts, Value: v})
 	}
 	if len(payload) != 0 {
-		return 0, 0, 0, nil, errors.New("wal: trailing bytes in record")
+		return 0, 0, 0, nil, errCorruptRecord
 	}
 	return core.Gid(gid), seq, ext, pts, nil
 }
@@ -586,21 +532,22 @@ func (w *WAL) append(gid core.Gid, ext uint64, pts []core.DataPoint) (uint64, er
 	if s.err != nil {
 		return 0, s.err
 	}
-	// New records are not part of the captured open-scan tail; from here
-	// on Replay (a test-only pattern at this point) re-scans the files.
-	s.tail, s.tailOK = nil, false
+	if !w.replayed.Load() {
+		w.replayed.Store(true)
+	}
 	seq := s.seqs[gid] + 1
-	s.scratch = appendRecord(s.scratch[:0], s.ver, gid, seq, ext, pts)
-	if s.size > 0 && s.size+int64(len(s.scratch)) > w.opts.SegmentBytes {
+	s.scratch = encodeRecord(s.scratch[:0], gid, seq, ext, pts)
+	n := int64(durable.FrameHeader + len(s.scratch))
+	if s.size > 0 && s.size+n > w.opts.SegmentBytes {
 		if err := s.rotate(); err != nil {
 			s.err = err
 			return 0, err
 		}
 	}
-	s.buf = append(s.buf, s.scratch...)
-	s.size += int64(len(s.scratch))
-	s.logicalEnd += int64(len(s.scratch))
-	w.appended.Add(int64(len(s.scratch)))
+	s.buf = durable.AppendFrame(s.buf, s.scratch)
+	s.size += n
+	s.logicalEnd += n
+	w.appended.Add(n)
 	s.seqs[gid] = seq
 	if ext > s.applied[gid] {
 		s.applied[gid] = ext
@@ -616,7 +563,6 @@ func (w *WAL) append(gid core.Gid, ext uint64, pts []core.DataPoint) (uint64, er
 			return 0, err
 		}
 	} else {
-		s.dirty = true
 		// Bound the in-memory buffer: hand large runs to the OS even
 		// under interval/never policies.
 		if len(s.buf) >= 1<<16 {
@@ -629,12 +575,13 @@ func (w *WAL) append(gid core.Gid, ext uint64, pts []core.DataPoint) (uint64, er
 	return seq, nil
 }
 
-// flushBuf hands buffered bytes to the OS without fsyncing.
+// flushBuf hands buffered bytes to the OS without fsyncing; they end
+// the segment.
 func (s *shard) flushBuf() error {
 	if len(s.buf) == 0 {
 		return nil
 	}
-	if _, err := s.file.Write(s.buf); err != nil {
+	if _, err := s.file.WriteAt(s.buf, s.size-int64(len(s.buf))); err != nil {
 		return fmt.Errorf("wal: write: %w", err)
 	}
 	s.buf = s.buf[:0]
@@ -649,19 +596,22 @@ func (s *shard) flushAndSync() error {
 	if err := s.flushBuf(); err != nil {
 		return err
 	}
-	flushed := s.logicalEnd
 	t0 := time.Now()
-	if err := s.file.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
-	}
+	return s.fsynced(s.logicalEnd, t0, s.file.Sync())
+}
+
+// fsynced books an fsync that started at t0, returned err and, if it
+// succeeded, made the shard durable through logical offset flushed.
+// The caller holds s.mu.
+func (s *shard) fsynced(flushed int64, t0 time.Time, err error) error {
 	s.fsyncs++
 	if s.met != nil {
 		s.met.FsyncSeconds.ObserveSince(t0)
 	}
-	if flushed > s.synced {
-		s.synced = flushed
+	if err != nil {
+		return fmt.Errorf("wal: fsync: %w", err)
 	}
-	s.dirty = false
+	s.synced = max(s.synced, flushed)
 	return nil
 }
 
@@ -706,27 +656,18 @@ func (s *shard) commitTo(target int64) error {
 			s.cond.Broadcast()
 			return err
 		}
-		flushed := s.logicalEnd
-		file := s.file
+		flushed, file := s.logicalEnd, s.file
 		s.syncing = true
 		s.mu.Unlock()
 		t0 := time.Now()
 		err := file.Sync()
 		s.mu.Lock()
 		s.syncing = false
-		s.fsyncs++
-		if s.met != nil {
-			s.met.FsyncSeconds.ObserveSince(t0)
-		}
-		if err != nil {
-			s.err = fmt.Errorf("wal: fsync: %w", err)
+		if err := s.fsynced(flushed, t0, err); err != nil {
+			s.err = err
 			s.cond.Broadcast()
-			return s.err
+			return err
 		}
-		if flushed > s.synced {
-			s.synced = flushed
-		}
-		s.dirty = s.synced < s.logicalEnd
 		s.cond.Broadcast()
 	}
 }
@@ -741,20 +682,8 @@ func (s *shard) rotate() error {
 	if err := s.file.Close(); err != nil {
 		return fmt.Errorf("wal: close segment: %w", err)
 	}
-	s.sealed = append(s.sealed, &segmentInfo{
-		path:   filepath.Join(s.dir, fmt.Sprintf("%016d%s", s.index, segmentSuffix)),
-		index:  s.index,
-		maxSeq: s.curMax,
-	})
+	s.sealed = append(s.sealed, &segmentInfo{index: s.index, size: s.size, maxSeq: s.curMax})
 	return s.openSegment(s.index + 1)
-}
-
-// Seq returns the last sequence number assigned to gid (0 if none).
-func (w *WAL) Seq(gid core.Gid) uint64 {
-	s := w.shardOf(gid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seqs[gid]
 }
 
 // AppliedSeqs snapshots the highest master-assigned batch sequence
@@ -763,10 +692,7 @@ func (w *WAL) Seq(gid core.Gid) uint64 {
 // table from on open.
 func (w *WAL) AppliedSeqs() map[core.Gid]uint64 {
 	w.ckptMu.Lock()
-	out := make(map[core.Gid]uint64, len(w.ckptApplied))
-	for gid, a := range w.ckptApplied {
-		out[gid] = a
-	}
+	out := maps.Clone(w.ckptApplied)
 	w.ckptMu.Unlock()
 	for _, s := range w.shards {
 		s.mu.Lock()
@@ -781,9 +707,10 @@ func (w *WAL) AppliedSeqs() map[core.Gid]uint64 {
 }
 
 // Seqs snapshots the last assigned sequence of every group the WAL
-// has seen — including groups the current configuration no longer
-// knows. Checkpointing uses it so records of orphaned groups (which
-// replay necessarily skips) do not pin their segments forever.
+// has seen, floored by the checkpoint — including groups the current
+// configuration no longer knows, so a checkpoint at these marks does
+// not let records of orphaned groups (which replay necessarily skips)
+// pin their segments forever.
 func (w *WAL) Seqs() map[core.Gid]uint64 {
 	out := map[core.Gid]uint64{}
 	for _, s := range w.shards {
@@ -796,71 +723,41 @@ func (w *WAL) Seqs() map[core.Gid]uint64 {
 	return out
 }
 
-// HasCheckpoint reports whether a checkpoint has ever been recorded.
-func (w *WAL) HasCheckpoint() bool {
+// Checkpointed reports whether a checkpoint has ever been recorded
+// and the segment-store log offset the last one recorded: every store
+// record below it holds only points whose sequence the checkpoint
+// covers, so recovery truncates the store there and replays the WAL
+// tail without duplicating data.
+func (w *WAL) Checkpointed() (storeOffset int64, ok bool) {
 	w.ckptMu.Lock()
 	defer w.ckptMu.Unlock()
-	return w.hasCkpt
-}
-
-// StoreOffset returns the segment-store log offset recorded by the
-// last checkpoint: every store record below it holds only points whose
-// sequence the checkpoint covers, so recovery truncates the store
-// there and replays the WAL tail without duplicating data.
-func (w *WAL) StoreOffset() int64 {
-	w.ckptMu.Lock()
-	defer w.ckptMu.Unlock()
-	return w.storeOff
+	return w.storeOff, w.hasCkpt
 }
 
 // Replay streams every record above the last checkpoint to fn, in
 // per-group sequence order (records of one group live in one shard and
-// are scanned in write order). Call it once, after Open and before the
-// first Append: that first call consumes the tail the open scan
-// already captured, paying no additional I/O, and frees it afterwards.
-// Later calls — or a Replay after an Append — fall back to re-scanning
-// the segment files.
+// are scanned in write order). It consumes the tail the open scan
+// captured, paying no additional I/O, and frees it, so it runs once,
+// after Open and before the first Append; any other call returns an
+// error.
 func (w *WAL) Replay(fn func(gid core.Gid, seq, ext uint64, pts []core.DataPoint) error) error {
+	if w.replayed.Swap(true) {
+		return errors.New("wal: Replay runs once, after Open and before any Append")
+	}
 	w.ckptMu.Lock()
 	ckpt := w.ckptSeqs
 	w.ckptMu.Unlock()
-	for _, s := range w.shards {
-		s.mu.Lock()
-		tail, ok := s.tail, s.tailOK
-		s.tail, s.tailOK = nil, false
-		s.mu.Unlock()
-		if ok {
-			for _, r := range tail {
-				// Re-filter against the current checkpoint: an anchor
-				// checkpoint written between Open and Replay may have
-				// truncated captured records away.
-				if r.seq <= ckpt[r.gid] {
-					continue
-				}
-				if err := fn(r.gid, r.seq, r.ext, r.pts); err != nil {
-					return err
-				}
-			}
+	tail := w.tail
+	w.tail = nil
+	for _, r := range tail {
+		// Re-filter against the current checkpoint: an anchor checkpoint
+		// written between Open and Replay may have truncated captured
+		// records away.
+		if r.seq <= ckpt[r.gid] {
 			continue
 		}
-		files := make([]*segmentInfo, 0, len(s.sealed)+1)
-		files = append(files, s.sealed...)
-		files = append(files, &segmentInfo{
-			path: filepath.Join(s.dir, fmt.Sprintf("%016d%s", s.index, segmentSuffix)),
-		})
-		for _, f := range files {
-			if _, err := os.Stat(f.path); err != nil {
-				continue // empty shard: current segment never created
-			}
-			_, err := scanSegment(f.path, s.ver, func(gid core.Gid, seq, ext uint64, pts []core.DataPoint) error {
-				if seq <= ckpt[gid] {
-					return nil
-				}
-				return fn(gid, seq, ext, pts)
-			})
-			if err != nil {
-				return err
-			}
+		if err := fn(r.gid, r.seq, r.ext, r.pts); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -868,30 +765,19 @@ func (w *WAL) Replay(fn func(gid core.Gid, seq, ext uint64, pts []core.DataPoint
 
 // Checkpoint durably records that every point with sequence at or
 // below seqs[gid] has been applied and synced by the segment store
-// (whose log now ends at storeOffset), then deletes or truncates WAL
+// (whose log now ends at storeOffset), then — only once the new
+// checkpoint's directory entry is durable — deletes or truncates WAL
 // segments wholly below the mark. Sequences only ratchet upward;
 // groups absent from seqs keep their previous mark. The applied
 // master-sequence table rides in the same checkpoint, so dedup marks
 // of truncated records survive the truncation.
 func (w *WAL) Checkpoint(seqs map[core.Gid]uint64, storeOffset int64) error {
-	// Snapshot the shards' applied tables before taking ckptMu (lock
-	// order: shard locks never nest inside ckptMu elsewhere either).
-	applied := map[core.Gid]uint64{}
-	for _, s := range w.shards {
-		s.mu.Lock()
-		for gid, a := range s.applied {
-			if a > applied[gid] {
-				applied[gid] = a
-			}
-		}
-		s.mu.Unlock()
-	}
+	// Snapshot the applied table before taking ckptMu (lock order:
+	// shard locks never nest inside ckptMu elsewhere either).
+	applied := w.AppliedSeqs()
 	w.ckptMu.Lock()
 	defer w.ckptMu.Unlock()
-	merged := make(map[core.Gid]uint64, len(w.ckptSeqs)+len(seqs))
-	for gid, seq := range w.ckptSeqs {
-		merged[gid] = seq
-	}
+	merged := maps.Clone(w.ckptSeqs)
 	for gid, seq := range seqs {
 		if seq > merged[gid] {
 			merged[gid] = seq
@@ -902,8 +788,8 @@ func (w *WAL) Checkpoint(seqs map[core.Gid]uint64, storeOffset int64) error {
 			applied[gid] = a
 		}
 	}
-	if err := w.writeCheckpoint(merged, applied, storeOffset); err != nil {
-		return err
+	if err := durable.Replace(w.fsys, filepath.Join(w.opts.Dir, checkpointName), encodeCheckpoint(storeOffset, merged, applied)); err != nil {
+		return fmt.Errorf("wal: checkpoint: %w", err)
 	}
 	w.appended.Store(0)
 	w.ckptSeqs = merged
@@ -931,7 +817,7 @@ func (s *shard) truncateBelow(ckpt map[core.Gid]uint64) error {
 	keep := make([]*segmentInfo, 0, len(s.sealed))
 	for i, seg := range s.sealed {
 		if covered(seg.maxSeq, ckpt) {
-			if err := os.Remove(seg.path); err != nil {
+			if err := s.fsys.Remove(s.segmentPath(seg.index)); err != nil {
 				s.sealed = append(keep, s.sealed[i:]...)
 				return fmt.Errorf("wal: %w", err)
 			}
@@ -945,16 +831,12 @@ func (s *shard) truncateBelow(ckpt map[core.Gid]uint64) error {
 		if err := s.file.Truncate(0); err != nil {
 			return fmt.Errorf("wal: truncate: %w", err)
 		}
-		if _, err := s.file.Seek(0, 0); err != nil {
-			return fmt.Errorf("wal: seek: %w", err)
-		}
 		s.size = 0
 		// The dropped buffer's bytes are settled by the checkpoint, not
 		// by a write; advance the durability mark so no group-commit
 		// waiter spins on bytes that will never be written.
 		s.synced = s.logicalEnd
 		s.curMax = map[core.Gid]uint64{}
-		s.dirty = false
 	}
 	return nil
 }
@@ -970,40 +852,13 @@ func covered(maxSeq, ckpt map[core.Gid]uint64) bool {
 	return true
 }
 
-// writeCheckpoint persists the checkpoint atomically: framed payload
-// into a temp file, fsync, rename over the previous checkpoint. The
-// payload carries the store offset, the per-group WAL sequence marks
-// and the per-group applied master-sequence table.
-func (w *WAL) writeCheckpoint(seqs, applied map[core.Gid]uint64, storeOffset int64) error {
-	var payload []byte
-	payload = binary.AppendVarint(payload, storeOffset)
+// encodeCheckpoint returns a checkpoint file: one frame carrying the
+// store offset, the per-group WAL sequence marks and the per-group
+// applied master-sequence table.
+func encodeCheckpoint(storeOff int64, seqs, applied map[core.Gid]uint64) []byte {
+	payload := binary.AppendVarint(nil, storeOff)
 	payload = appendSeqMap(payload, seqs)
-	payload = appendSeqMap(payload, applied)
-	var framed []byte
-	framed = append(framed, 0, 0, 0, 0, 0, 0, 0, 0)
-	framed = append(framed, payload...)
-	binary.LittleEndian.PutUint32(framed[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(framed[4:8], crc32.ChecksumIEEE(payload))
-	tmp := filepath.Join(w.opts.Dir, checkpointName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if _, err := f.Write(framed); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(w.opts.Dir, checkpointName)); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return nil
+	return durable.AppendFrame(nil, appendSeqMap(payload, applied))
 }
 
 // appendSeqMap encodes one per-group sequence map in ascending Gid
@@ -1022,74 +877,65 @@ func appendSeqMap(payload []byte, seqs map[core.Gid]uint64) []byte {
 	return payload
 }
 
+// errCorruptCheckpoint refuses a checkpoint encodeCheckpoint did not
+// write.
+var errCorruptCheckpoint = errors.New("wal: corrupt checkpoint")
+
 // readSeqMap decodes one per-group sequence map, returning the rest of
 // the payload.
 func readSeqMap(payload []byte) (map[core.Gid]uint64, []byte, error) {
 	count, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return nil, nil, errors.New("wal: corrupt checkpoint: group count")
+	if n <= 0 || count > uint64(len(payload)) { // each entry takes 2 bytes or more
+		return nil, nil, errCorruptCheckpoint
 	}
 	payload = payload[n:]
 	seqs := make(map[core.Gid]uint64, count)
 	for i := uint64(0); i < count; i++ {
 		gid, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return nil, nil, errors.New("wal: corrupt checkpoint: gid")
+		seq, m := binary.Uvarint(payload[max(n, 0):])
+		if n <= 0 || m <= 0 {
+			return nil, nil, errCorruptCheckpoint
 		}
-		payload = payload[n:]
-		seq, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return nil, nil, errors.New("wal: corrupt checkpoint: seq")
-		}
-		payload = payload[n:]
+		payload = payload[n+m:]
 		seqs[core.Gid(gid)] = seq
 	}
 	return seqs, payload, nil
 }
 
-// loadCheckpoint reads the last durable checkpoint, if any. A
-// checkpoint written before the applied table existed simply yields an
-// empty table.
+// loadCheckpoint reads the last durable checkpoint, if any.
 func (w *WAL) loadCheckpoint() error {
-	data, err := os.ReadFile(filepath.Join(w.opts.Dir, checkpointName))
+	data, err := durable.ReadFile(w.fsys, filepath.Join(w.opts.Dir, checkpointName))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if len(data) < frameHeader {
-		return errors.New("wal: corrupt checkpoint: short header")
-	}
-	length := int(binary.LittleEndian.Uint32(data[:4]))
-	sum := binary.LittleEndian.Uint32(data[4:8])
-	if length != len(data)-frameHeader {
-		return errors.New("wal: corrupt checkpoint: length mismatch")
-	}
-	payload := data[frameHeader:]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return errors.New("wal: corrupt checkpoint: bad checksum")
-	}
-	storeOff, n := binary.Varint(payload)
-	if n <= 0 {
-		return errors.New("wal: corrupt checkpoint: store offset")
-	}
-	payload = payload[n:]
-	seqs, payload, err := readSeqMap(payload)
-	if err != nil {
-		return err
-	}
-	applied := map[core.Gid]uint64{}
-	if len(payload) > 0 {
-		if applied, _, err = readSeqMap(payload); err != nil {
+	w.storeOff, w.ckptSeqs, w.ckptApplied, err = decodeCheckpoint(data)
+	w.hasCkpt = err == nil
+	return err
+}
+
+// decodeCheckpoint parses a checkpoint file: exactly one frame.
+func decodeCheckpoint(data []byte) (storeOff int64, seqs, applied map[core.Gid]uint64, err error) {
+	frames := 0
+	// A bytes.Reader cannot fail, so Scan cannot either.
+	valid, _ := durable.Scan(bytes.NewReader(data), int64(len(data)), func(payload []byte) error {
+		frames++
+		var n int
+		if storeOff, n = binary.Varint(payload); n <= 0 {
+			err = errCorruptCheckpoint
 			return err
 		}
+		if seqs, payload, err = readSeqMap(payload[n:]); err == nil {
+			applied, _, err = readSeqMap(payload)
+		}
+		return err
+	})
+	if err == nil && (frames != 1 || valid != int64(len(data))) {
+		err = errCorruptCheckpoint
 	}
-	w.ckptSeqs = seqs
-	w.ckptApplied = applied
-	w.storeOff = storeOff
-	w.hasCkpt = true
-	return nil
+	return storeOff, seqs, applied, err
 }
 
 // Sync drains every shard's buffer and fsyncs its current segment,
@@ -1123,7 +969,7 @@ func (w *WAL) syncLoop() {
 		case <-ticker.C:
 			for _, s := range w.shards {
 				s.mu.Lock()
-				if s.file != nil && s.dirty && s.err == nil {
+				if s.file != nil && s.synced < s.logicalEnd && s.err == nil {
 					if err := s.flushAndSync(); err != nil {
 						s.err = err
 					}
@@ -1136,14 +982,10 @@ func (w *WAL) syncLoop() {
 
 // Close syncs and releases the WAL; further appends return ErrClosed.
 func (w *WAL) Close() error {
-	w.closeMu.Lock()
-	if w.closed {
-		w.closeMu.Unlock()
+	if w.closed.Swap(true) {
 		return ErrClosed
 	}
-	w.closed = true
 	close(w.stop)
-	w.closeMu.Unlock()
 	<-w.syncDone
 	err := w.Sync()
 	w.closeShards()
@@ -1192,9 +1034,7 @@ func (w *WAL) SizeBytes() int64 {
 		s.mu.Lock()
 		total += s.size
 		for _, seg := range s.sealed {
-			if info, err := os.Stat(seg.path); err == nil {
-				total += info.Size()
-			}
+			total += seg.size
 		}
 		s.mu.Unlock()
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"modelardb/internal/core"
+	"modelardb/internal/durable"
 )
 
 func pts(tid core.Tid, base int64, n int) []core.DataPoint {
@@ -98,8 +99,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			t.Fatalf("replay group %d = %+v, want %+v", gid, perGroup(got, gid), perGroup(want, gid))
 		}
 	}
-	if w2.Seq(1) != 2 || w2.Seq(2) != 2 {
-		t.Fatalf("Seq after reopen = %d, %d, want 2, 2", w2.Seq(1), w2.Seq(2))
+	if w2.Seqs()[1] != 2 || w2.Seqs()[2] != 2 {
+		t.Fatalf("Seq after reopen = %d, %d, want 2, 2", w2.Seqs()[1], w2.Seqs()[2])
 	}
 }
 
@@ -115,7 +116,7 @@ func TestRotationAndCheckpointTruncation(t *testing.T) {
 		}
 	}
 	segs := func() int {
-		files, err := listSegments(w.shardOf(1).dir)
+		files, err := w.shardOf(1).listSegments()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +126,7 @@ func TestRotationAndCheckpointTruncation(t *testing.T) {
 		t.Fatalf("got %d segments, want rotation to produce several", n)
 	}
 	// Checkpoint half way: segments wholly below seq 10 disappear,
-	// records above survive and replay.
+	// records above survive and replay after a reopen.
 	if err := w.Checkpoint(map[core.Gid]uint64{1: 10}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,13 @@ func TestRotationAndCheckpointTruncation(t *testing.T) {
 	if after >= 20 {
 		t.Fatalf("checkpoint did not truncate: %d segments", after)
 	}
-	got := collectReplay(t, w) // replay-after-checkpoint only for the test
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w, err = Open(Options{Dir: dir, Sync: SyncAlways, SegmentBytes: 64}); err != nil {
+		t.Fatal(err)
+	}
+	got := collectReplay(t, w)
 	if len(got) != 10 {
 		t.Fatalf("replay after checkpoint = %d records, want 10", len(got))
 	}
@@ -144,8 +151,8 @@ func TestRotationAndCheckpointTruncation(t *testing.T) {
 	if err := w.Checkpoint(map[core.Gid]uint64{1: 20}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := collectReplay(t, w); len(got) != 0 {
-		t.Fatalf("replay after full checkpoint = %d records, want 0", len(got))
+	if n := segs(); n != 1 || w.SizeBytes() != 0 {
+		t.Fatalf("after a full checkpoint: %d segments, %d bytes; want one empty segment", n, w.SizeBytes())
 	}
 	// New appends continue above the checkpoint, never reusing seqs.
 	seq, err := w.Append(1, 0, pts(1, 99000, 1))
@@ -238,7 +245,7 @@ func TestCorruptMiddleRecordDropsTail(t *testing.T) {
 	}
 	w.Close()
 	full, _ := os.ReadFile(seg)
-	full[sizes[1]+frameHeader+1] ^= 0xFF // flip a bit in record 3's payload
+	full[sizes[1]+durable.FrameHeader+1] ^= 0xFF // flip a bit in record 3's payload
 	os.WriteFile(seg, full, 0o644)
 	w2, err := Open(Options{Dir: dir})
 	if err != nil {
@@ -256,7 +263,7 @@ func TestCheckpointStoreOffsetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.HasCheckpoint() {
+	if _, ok := w.Checkpointed(); ok {
 		t.Fatal("fresh WAL must have no checkpoint")
 	}
 	if err := w.Checkpoint(map[core.Gid]uint64{7: 3}, 12345); err != nil {
@@ -270,11 +277,11 @@ func TestCheckpointStoreOffsetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if !w2.HasCheckpoint() || w2.StoreOffset() != 12345 {
-		t.Fatalf("checkpoint = %v offset %d, want true 12345", w2.HasCheckpoint(), w2.StoreOffset())
+	if off, ok := w2.Checkpointed(); !ok || off != 12345 {
+		t.Fatalf("checkpoint = %v offset %d, want true 12345", ok, off)
 	}
-	if w2.Seq(7) != 3 {
-		t.Fatalf("Seq(7) = %d, want checkpoint floor 3", w2.Seq(7))
+	if w2.Seqs()[7] != 3 {
+		t.Fatalf("Seq(7) = %d, want checkpoint floor 3", w2.Seqs()[7])
 	}
 }
 
@@ -408,9 +415,9 @@ func TestReplayExtSeqRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplayTwiceMatches: the first Replay consumes the tail captured
-// by the single-pass open; a second Replay falls back to scanning the
-// segment files and must see the same records.
+// TestReplayTwiceMatches: Replay hands out the tail the open scan
+// captured exactly once. A second Replay, or one after an Append, is an
+// error; reopening replays the same records again.
 func TestReplayTwiceMatches(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(Options{Dir: dir, Sync: SyncAlways, Shards: 2})
@@ -422,27 +429,32 @@ func TestReplayTwiceMatches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w.Close()
-	w2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
+	if err := w.Replay(func(core.Gid, uint64, uint64, []core.DataPoint) error { return nil }); err == nil {
+		t.Fatal("Replay after Append succeeded, want an error")
 	}
-	defer w2.Close()
-	first := collectReplay(t, w2)
-	second := collectReplay(t, w2)
-	if len(first) != 10 || !reflect.DeepEqual(first, second) {
-		t.Fatalf("replay mismatch: first %d records, second %d", len(first), len(second))
+	w.Close()
+	var replays [2][]replayed
+	for i := range replays {
+		w, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		replays[i] = collectReplay(t, w)
+		if err := w.Replay(func(core.Gid, uint64, uint64, []core.DataPoint) error { return nil }); err == nil {
+			t.Fatal("second Replay succeeded, want an error")
+		}
+		w.Close()
+	}
+	if len(replays[0]) != 10 || !reflect.DeepEqual(replays[0], replays[1]) {
+		t.Fatalf("replay mismatch: first %d records, second %d", len(replays[0]), len(replays[1]))
 	}
 }
 
-// TestOpenLegacyV1WAL: a directory written by the pre-applied-field
-// WAL (v1 records: gid, seq, count, points; walmeta holds only the
-// shard count) must open without truncating anything, replay every
-// record with ext 0, and stay appendable — upgrading never destroys
-// an acknowledged durable log.
-func TestOpenLegacyV1WAL(t *testing.T) {
+// TestOpenRefusesV1WAL: a directory written by the pre-applied-field
+// WAL (walmeta holds only the shard count) is refused with
+// ErrLegacyFormat, and nothing in it is touched.
+func TestOpenRefusesV1WAL(t *testing.T) {
 	dir := t.TempDir()
-	// Hand-build the legacy layout.
 	if err := os.WriteFile(filepath.Join(dir, metaName), []byte("1"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -450,52 +462,17 @@ func TestOpenLegacyV1WAL(t *testing.T) {
 	if err := os.MkdirAll(shardDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	var log []byte
-	log = appendRecord(log, recV1, 1, 1, 0, pts(1, 0, 3))
-	log = appendRecord(log, recV1, 2, 1, 0, pts(3, 0, 2))
-	log = appendRecord(log, recV1, 1, 2, 0, pts(2, 1000, 1))
+	// A v1 record: gid 1, seq 1, one point, no applied field.
 	seg := filepath.Join(shardDir, fmt.Sprintf("%016d%s", 1, segmentSuffix))
+	log := durable.AppendFrame(nil, []byte{1, 1, 1, 1, 0, 0, 0, 128, 63})
 	if err := os.WriteFile(seg, log, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Open(Options{Dir: dir}); !errors.Is(err, ErrLegacyFormat) {
+		t.Fatalf("Open of a v1 directory = %v, want ErrLegacyFormat", err)
 	}
-	if w.ver != recV1 {
-		t.Fatalf("ver = %d, want pinned legacy v1", w.ver)
-	}
-	got := collectReplay(t, w)
-	if len(got) != 3 {
-		t.Fatalf("replayed %d legacy records, want 3", len(got))
-	}
-	// Nothing was truncated as corrupt.
-	info, err := os.Stat(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Size() != int64(len(log)) {
-		t.Fatalf("legacy segment truncated: %d bytes of %d", info.Size(), len(log))
-	}
-	// The log stays appendable in its own format across reopens.
-	if seq, err := w.Append(1, 9, pts(1, 99000, 1)); err != nil || seq != 3 {
-		t.Fatalf("append to legacy WAL = seq %d, %v", seq, err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	if got := collectReplay(t, w2); len(got) != 4 {
-		t.Fatalf("replay after reopen = %d records, want 4", len(got))
-	}
-	// v1 records cannot carry the applied mark; it must read back 0
-	// rather than garbage.
-	if a := w2.AppliedSeqs(); len(a) != 0 {
-		t.Fatalf("applied seqs from v1 records = %v, want empty", a)
+	if got, err := os.ReadFile(seg); err != nil || !reflect.DeepEqual(got, log) {
+		t.Fatalf("v1 segment changed by the refused Open: %v", err)
 	}
 }
 

@@ -42,6 +42,7 @@ import (
 
 	"modelardb/internal/core"
 	"modelardb/internal/dims"
+	"modelardb/internal/durable"
 	"modelardb/internal/models"
 	"modelardb/internal/obs"
 	"modelardb/internal/partition"
@@ -225,7 +226,10 @@ func DefaultConfig() Config {
 // DB is a ModelarDB instance: ingestion, storage and query processing
 // for one set of dimensional time series.
 type DB struct {
-	cfg    Config
+	cfg Config
+	// fsys holds the store, its metadata and the WAL: the operating
+	// system's, or a fault-injecting one in tests.
+	fsys   durable.FS
 	schema *dims.Schema
 	meta   *core.MetadataCache
 	reg    *models.Registry
@@ -290,7 +294,10 @@ type groupShard struct {
 var ErrClosed = errors.New("modelardb: database is closed")
 
 // Open creates or reopens a database.
-func Open(cfg Config) (*DB, error) {
+func Open(cfg Config) (*DB, error) { return openFS(cfg, durable.OS{}) }
+
+// openFS is Open over the file system fsys.
+func openFS(cfg Config, fsys durable.FS) (*DB, error) {
 	if cfg.QueryParallelism < 0 {
 		return nil, fmt.Errorf("modelardb: QueryParallelism %d is negative; use 0 for all cores or 1 for one worker, in the caller's goroutine", cfg.QueryParallelism)
 	}
@@ -325,6 +332,7 @@ func Open(cfg Config) (*DB, error) {
 	}
 	db := &DB{
 		cfg:     cfg,
+		fsys:    fsys,
 		meta:    core.NewMetadataCache(),
 		reg:     models.NewBuiltinRegistry(),
 		metrics: obs.NewRegistry(),
@@ -337,7 +345,7 @@ func Open(cfg Config) (*DB, error) {
 	}
 	var persisted *storage.MetaFile
 	if cfg.Path != "" {
-		m, ok, err := storage.LoadMeta(cfg.Path)
+		m, ok, err := storage.LoadMeta(fsys, cfg.Path)
 		if err != nil {
 			return nil, err
 		}
@@ -355,7 +363,7 @@ func Open(cfg Config) (*DB, error) {
 		}
 	}
 	members := func(gid Gid) []Tid { return db.meta.TidsOf(gid) }
-	store, err := storage.OpenFileStore(cfg.Path, members, cfg.BulkWriteSize)
+	store, err := storage.OpenFS(fsys, cfg.Path, members, cfg.BulkWriteSize)
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +440,7 @@ func (db *DB) registerStateMetrics() {
 // ingestion path, restoring the in-memory buffers a crash lost.
 func (db *DB) openWAL() error {
 	policy, _ := wal.ParsePolicy(db.cfg.WALFsync) // validated in Open
-	w, err := wal.Open(wal.Options{
+	w, err := wal.OpenFS(db.fsys, wal.Options{
 		Dir:          db.cfg.WALDir,
 		Sync:         policy,
 		SegmentBytes: db.cfg.WALSegmentBytes,
@@ -443,12 +451,12 @@ func (db *DB) openWAL() error {
 		return fmt.Errorf("modelardb: %w", err)
 	}
 	if db.cfg.Path != "" {
-		if w.HasCheckpoint() {
+		if off, ok := w.Checkpointed(); ok {
 			// Segments flushed after the last checkpoint hold points the
 			// WAL tail still carries; drop them so replay cannot
 			// double-ingest. (A clean Close checkpoints at the log's end,
 			// making this a no-op.)
-			if err := db.store.TruncateLog(w.StoreOffset()); err != nil {
+			if err := db.store.TruncateLog(off); err != nil {
 				w.Close()
 				return err
 			}
@@ -624,7 +632,7 @@ func (db *DB) saveMeta() error {
 			Source: ts.Source, Members: ts.Members,
 		})
 	}
-	return storage.SaveMeta(db.cfg.Path, m)
+	return storage.SaveMeta(db.fsys, db.cfg.Path, m)
 }
 
 func (db *DB) siOf(gid Gid) int64 {
@@ -846,21 +854,15 @@ func (db *DB) checkpointShards() error {
 			db.shards[gids[i]].mu.Unlock()
 		}
 	}()
-	seqs := make(map[Gid]uint64, len(gids))
 	for _, gid := range gids {
 		if err := db.shards[gid].gi.Flush(); err != nil {
 			return err
 		}
-		seqs[gid] = db.wal.Seq(gid)
 	}
-	// Groups the WAL has seen but the configuration no longer knows can
-	// never replay; checkpoint them at their high-water mark so their
-	// dead records do not pin WAL segments forever.
-	for gid, seq := range db.wal.Seqs() {
-		if _, ok := db.shards[gid]; !ok {
-			seqs[gid] = seq
-		}
-	}
+	// Every group lock is held, so these marks cover exactly what the
+	// store has now; groups the configuration no longer knows, which
+	// can never replay, are checkpointed at theirs too.
+	seqs := db.wal.Seqs()
 	if err := db.store.Sync(); err != nil {
 		return err
 	}
