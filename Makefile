@@ -145,16 +145,19 @@ crash:
 # decoder the store is built on; the typed-column chunk-frame decoder
 # the cluster transport feeds with peer-controlled bytes; the Gorilla
 # value-stream decoder every stored Gorilla segment goes through,
-# checked against its reference; and the Gorilla quantizer, whose
-# every decoded value must be the appended one or within the bound of
-# it. `go test -fuzz` accepts one target per package invocation, hence
-# seven runs.
+# checked against its reference; the Gorilla quantizer, whose every
+# decoded value must be the appended one or within the bound of it;
+# and the WHERE compiler, fed SQL text as HTTP and line-protocol
+# clients send it, where a clause that compiles must run without error
+# and answer the same at every worker count. `go test -fuzz` accepts
+# one target per package invocation, hence eight runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALScanSegment$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzWALCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzFileStoreRecover$$' -fuzztime $(FUZZTIME) ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePartial$$' -fuzztime $(FUZZTIME) ./internal/query
+	$(GO) test -run '^$$' -fuzz '^FuzzCompileWhere$$' -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzGorillaDecode$$' -fuzztime $(FUZZTIME) ./internal/models
 	$(GO) test -run '^$$' -fuzz '^FuzzGorillaBound$$' -fuzztime $(FUZZTIME) ./internal/models
 

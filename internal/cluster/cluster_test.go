@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"modelardb"
+	"modelardb/internal/sqlparse"
 )
 
 // fleetConfig builds a config with 8 series in 4 groups of 2.
@@ -335,6 +336,84 @@ func TestLocalMasterValidatesBeforeScatter(t *testing.T) {
 	for i, f := range fakes {
 		if n := f.scatters.Load(); n != 1 {
 			t.Fatalf("a valid query reached worker %d %d times, want 1", i, n)
+		}
+	}
+}
+
+// TestWhereErrorsDoNotDependOnData: a WHERE literal its column cannot
+// compare with is a compile error, so the query fails with the same
+// error on an empty and on a loaded database, through Query and
+// QueryRows, and on a master over in-process workers, whose Validate
+// rejects it before any worker is asked.
+func TestWhereErrorsDoNotDependOnData(t *testing.T) {
+	ctx := context.Background()
+	empty, err := modelardb.Open(fleetConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer empty.Close()
+	loaded, err := modelardb.Open(fleetConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	fillCluster(t, loaded.Append, 8, 60)
+	if err := loaded.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewLocal(ctx, fleetConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fakes := fakeWorkers(c, nil, nil)
+	query := func(db *modelardb.DB, sql string) error {
+		_, err := db.Query(ctx, sql)
+		return err
+	}
+	queryRows := func(db *modelardb.DB, sql string) error {
+		rows, err := db.QueryRows(ctx, sql)
+		if err != nil {
+			return err
+		}
+		defer rows.Close()
+		for rows.Next() {
+		}
+		return rows.Err()
+	}
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM DataPoint WHERE Park > 5",
+		"SELECT COUNT(*) FROM DataPoint WHERE Value = 'x'",
+		"SELECT Tid, Value FROM DataPoint WHERE Value BETWEEN 'a' AND 'b'",
+		"SELECT COUNT(*) FROM DataPoint WHERE Tid = 'abc'",
+		"SELECT COUNT_S(*) FROM Segment WHERE Gaps = 3",
+		"SELECT Tid, EndTime FROM Segment WHERE EndTime > 'noon'",
+	} {
+		q, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := c.meta.Engine().Validate(q)
+		if want == nil {
+			t.Errorf("Validate(%q) passed", sql)
+			continue
+		}
+		_, master := c.Query(ctx, sql)
+		for cell, got := range map[string]error{
+			"empty Query":      query(empty, sql),
+			"empty QueryRows":  queryRows(empty, sql),
+			"loaded Query":     query(loaded, sql),
+			"loaded QueryRows": queryRows(loaded, sql),
+			"master Query":     master,
+		} {
+			if got == nil || got.Error() != want.Error() {
+				t.Errorf("%s: %s: err = %v, want %v", cell, sql, got, want)
+			}
+		}
+	}
+	for i, f := range fakes {
+		if n := f.scatters.Load(); n != 0 {
+			t.Fatalf("invalid queries reached worker %d %d times", i, n)
 		}
 	}
 }

@@ -201,12 +201,12 @@ func TestFinalizeCubeUnion(t *testing.T) {
 	}
 }
 
-// cubePoint is one row of the unfiltered row scan with the StartTime of
-// the segment that holds it.
+// cubePoint is one row of the unfiltered row scan with the StartTime,
+// EndTime and Mid of the segment that holds it.
 type cubePoint struct {
-	tid, ts, segStart int64
-	park              string
-	v                 float64
+	tid, ts, segStart, segEnd, mid int64
+	park                           string
+	v                              float64
 }
 
 // cubePoints joins SELECT Tid, Park, TS, Value FROM DataPoint with the
@@ -214,14 +214,14 @@ type cubePoint struct {
 func cubePoints(t *testing.T, eng *Engine) []cubePoint {
 	t.Helper()
 	ctx := context.Background()
-	segs, err := eng.Execute(ctx, "SELECT Tid, StartTime, EndTime FROM Segment ORDER BY StartTime")
+	segs, err := eng.Execute(ctx, "SELECT Tid, StartTime, EndTime, Mid FROM Segment ORDER BY StartTime")
 	if err != nil {
 		t.Fatal(err)
 	}
-	intervals := map[int64][][2]int64{} // per Tid, ascending
+	intervals := map[int64][][3]int64{} // per Tid, ascending
 	for _, row := range segs.Rows {
 		tid := row[0].(int64)
-		intervals[tid] = append(intervals[tid], [2]int64{row[1].(int64), row[2].(int64)})
+		intervals[tid] = append(intervals[tid], [3]int64{row[1].(int64), row[2].(int64), row[3].(int64)})
 	}
 	rows, err := eng.Execute(ctx, "SELECT Tid, Park, TS, Value FROM DataPoint")
 	if err != nil {
@@ -235,7 +235,7 @@ func cubePoints(t *testing.T, eng *Engine) []cubePoint {
 		if j == len(iv) || iv[j][0] > p.ts {
 			t.Fatalf("point (%d, %d) lies in none of its series' segments", p.tid, p.ts)
 		}
-		p.segStart = iv[j][0]
+		p.segStart, p.segEnd, p.mid = iv[j][0], iv[j][1], iv[j][2]
 		points[i] = p
 	}
 	return points
@@ -354,7 +354,8 @@ func reversedCopy(t *testing.T, eng *Engine) *Engine {
 // it buckets each point with the time package — the five aggregates in
 // one query; grouped by nothing, Tid, Park or (the key that changes per
 // segment) StartTime; with no series conjunct, a Tid IN list (resolved
-// once per series) or a StartTime bound (evaluated per segment); at
+// once per series) or conjuncts on StartTime, EndTime or Mid, alone or
+// OR-ed with a Tid (evaluated per segment); at
 // parallelism 1 and 4 on the memory and file stores (even and odd
 // seeds) and on a memory store fed out of time order. The sampling
 // grids cross the epoch, a leap day and a year end. Roll-ups exist only
@@ -384,6 +385,8 @@ func TestPropertyCubeEqualsBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		k := int64(rng.Intn(nSeries) + 1)
 		x := grid.start + int64(rng.Intn(maxTick))*grid.si
+		y := x + int64(rng.Intn(maxTick))*grid.si
+		m := points[rng.Intn(len(points))].mid
 		wheres := []struct {
 			sql  string
 			keep func(cubePoint) bool
@@ -391,6 +394,11 @@ func TestPropertyCubeEqualsBruteForce(t *testing.T) {
 			{"", func(cubePoint) bool { return true }},
 			{fmt.Sprintf(" WHERE Tid IN (%d, 1)", k), func(p cubePoint) bool { return p.tid == k || p.tid == 1 }},
 			{fmt.Sprintf(" WHERE StartTime >= %d", x), func(p cubePoint) bool { return p.segStart >= x }},
+			{fmt.Sprintf(" WHERE EndTime < %d", x), func(p cubePoint) bool { return p.segEnd < x }},
+			{fmt.Sprintf(" WHERE StartTime BETWEEN %d AND %d", x, y), func(p cubePoint) bool { return p.segStart >= x && p.segStart <= y }},
+			{fmt.Sprintf(" WHERE Mid = %d", m), func(p cubePoint) bool { return p.mid == m }},
+			{fmt.Sprintf(" WHERE Mid != %d", m), func(p cubePoint) bool { return p.mid != m }},
+			{fmt.Sprintf(" WHERE EndTime > %d OR Tid = %d", x, k), func(p cubePoint) bool { return p.segEnd > x || p.tid == k }},
 		}
 		for _, level := range grid.levels {
 			for _, w := range wheres {

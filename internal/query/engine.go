@@ -1,6 +1,7 @@
 package query
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -154,32 +155,11 @@ func (e *Engine) executeTraced(ctx context.Context, q *sqlparse.Query, tr *obs.T
 	return res, err
 }
 
-// ExecutePartial runs the worker-side part of a query: scan, iterate
-// and per-group partial aggregation (Algorithm 5 lines 9-13).
-func (e *Engine) ExecutePartial(ctx context.Context, q *sqlparse.Query) (*PartialResult, error) {
-	tr := e.beginTrace(q)
-	sp := tr.StartSpan(obs.SpanPlan)
-	p, err := e.compile(q)
-	sp.End()
-	if err != nil {
-		e.finishTrace(tr, err)
-		return nil, err
-	}
-	p.trace = tr
-	sp = tr.StartSpan(obs.SpanScan)
-	partial, err := e.runPlan(ctx, p)
-	sp.End()
-	if partial != nil {
-		tr.AddRows(int64(partial.NumRows()))
-	}
-	e.finishTrace(tr, err)
-	return partial, err
-}
-
 // Validate compiles a parsed query without executing it, reporting the
-// same errors ExecutePartial would. A cluster master validates once
-// before scattering, so a bad query costs no network traffic and no
-// per-worker scans.
+// same errors execution would: compiling types every WHERE literal by
+// its column, so no error waits for a row to reach it. A cluster
+// master validates once before scattering, so a bad query costs no
+// network traffic and no per-worker scans.
 func (e *Engine) Validate(q *sqlparse.Query) error {
 	_, err := e.compile(q)
 	return err
@@ -380,15 +360,11 @@ func (e *Engine) compile(q *sqlparse.Query) (*plan, error) {
 	if p.push, p.where, err = e.analyzeWhere(q.Where, q.From); err != nil {
 		return nil, err
 	}
-	p.perPoint = q.From == sqlparse.TableDataPoint && (p.where.point != nil || p.pointGroupKey() || e.forcePerPoint)
-	p.perSeries = true
+	p.perPoint = q.From == sqlparse.TableDataPoint && (len(p.where.point.kids) > 0 || p.pointGroupKey() || e.forcePerPoint)
+	p.perSeries = p.where.series.every(columnKind.perSeries)
 	for _, ref := range p.groupRefs {
 		p.perSeries = p.perSeries && ref.kind.perSeries()
 	}
-	_ = e.walkColumns(p.where.series, func(ref columnRef) error { // analyzeWhere resolved every column
-		p.perSeries = p.perSeries && ref.kind.perSeries()
-		return nil
-	})
 	// Output column labels: the bucket column precedes the first cube
 	// aggregate (Fig. 12 keys results by the roll-up bucket).
 	bucketEmitted := false
@@ -466,75 +442,58 @@ type logicalRow struct {
 	isPoint bool
 }
 
-// valueOf boxes one column of the row for predicate evaluation and
-// group materialization; the hot projection and group-key paths
-// use typed appends instead (plan.appendRow, plan.appendGroupKey).
-func (r *logicalRow) valueOf(ref columnRef) (any, bool) {
+// int64Of reads an int64 column of the row, stringOf a string one;
+// compile's checkColumnTable guarantees the column is on the row.
+func (r *logicalRow) int64Of(ref columnRef) int64 {
 	switch ref.kind {
 	case colTid:
-		return int64(r.ts.Tid), true
+		return int64(r.ts.Tid)
 	case colGid:
-		return int64(r.ts.Gid), true
+		return int64(r.ts.Gid)
 	case colSI:
-		return r.ts.SI, true
-	case colMember:
-		return r.ts.Member(ref.dimension, ref.level), true
+		return r.ts.SI
 	case colStartTime:
-		if r.seg != nil && !r.isPoint {
-			return r.seg.StartTime, true
-		}
+		return r.seg.StartTime
 	case colEndTime:
-		if r.seg != nil && !r.isPoint {
-			return r.seg.EndTime, true
-		}
+		return r.seg.EndTime
 	case colMid:
-		if r.seg != nil {
-			return int64(r.seg.MID), true
-		}
-	case colGaps:
-		if r.seg != nil && !r.isPoint {
-			return fmt.Sprint(r.seg.GapTids), true
-		}
-	case colTS:
-		if r.isPoint {
-			return r.pointTS, true
-		}
-	case colValue:
-		if r.isPoint {
-			return r.value, true
-		}
+		return int64(r.seg.MID)
+	default:
+		return r.pointTS
 	}
-	return nil, false
+}
+
+func (r *logicalRow) stringOf(ref columnRef) string {
+	if ref.kind == colGaps {
+		return fmt.Sprint(r.seg.GapTids)
+	}
+	return r.ts.Member(ref.dimension, ref.level)
+}
+
+// valueOf boxes one column of the row for a new group's Key.
+func (r *logicalRow) valueOf(ref columnRef) any {
+	switch colTypeOf(ref) {
+	case ColFloat64:
+		return r.value
+	case ColString:
+		return r.stringOf(ref)
+	}
+	return r.int64Of(ref)
 }
 
 // appendGroupKey renders the GROUP BY key of a row into dst and
 // returns the extended slice: int64 in base 10, float64 in shortest
 // %g, strings raw, each NUL-terminated — the %v rendering the sorted
-// group order in finalizePlan has always used. compile rejects a group
-// column the queried view lacks, so every column is on the row.
+// group order in finalizePlan has always used.
 func (p *plan) appendGroupKey(dst []byte, r *logicalRow) []byte {
 	for _, ref := range p.groupRefs {
-		switch ref.kind {
-		case colTid:
-			dst = strconv.AppendInt(dst, int64(r.ts.Tid), 10)
-		case colGid:
-			dst = strconv.AppendInt(dst, int64(r.ts.Gid), 10)
-		case colSI:
-			dst = strconv.AppendInt(dst, r.ts.SI, 10)
-		case colMember:
-			dst = append(dst, r.ts.Member(ref.dimension, ref.level)...)
-		case colStartTime:
-			dst = strconv.AppendInt(dst, r.seg.StartTime, 10)
-		case colEndTime:
-			dst = strconv.AppendInt(dst, r.seg.EndTime, 10)
-		case colMid:
-			dst = strconv.AppendInt(dst, int64(r.seg.MID), 10)
-		case colGaps:
-			dst = fmt.Append(dst, r.seg.GapTids)
-		case colTS:
-			dst = strconv.AppendInt(dst, r.pointTS, 10)
-		case colValue:
+		switch colTypeOf(ref) {
+		case ColFloat64:
 			dst = strconv.AppendFloat(dst, r.value, 'g', -1, 64)
+		case ColString:
+			dst = append(dst, r.stringOf(ref)...)
+		default:
+			dst = strconv.AppendInt(dst, r.int64Of(ref), 10)
 		}
 		dst = append(dst, 0)
 	}
@@ -548,7 +507,7 @@ func (p *plan) groupVals(r *logicalRow) []any {
 	}
 	vals := make([]any, len(p.groupRefs))
 	for i, ref := range p.groupRefs {
-		vals[i], _ = r.valueOf(ref)
+		vals[i] = r.valueOf(ref)
 	}
 	return vals
 }
@@ -593,7 +552,7 @@ func (e *Engine) runAggregate(ctx context.Context, p *plan) (*PartialResult, err
 	return out, nil
 }
 
-// aggregateChunk is one chunk's iterate step (ExecutePartial's
+// aggregateChunk is one chunk's iterate step (the worker side's
 // per-segment aggregation): a fresh per-group partial state map.
 func (e *Engine) aggregateChunk(ctx context.Context, p *plan, sc *scanScratch, segs []*core.Segment) (any, error) {
 	groups := map[string]*GroupState{}
@@ -621,11 +580,7 @@ func (e *Engine) aggregateSegment(p *plan, seg *core.Segment, groups map[string]
 	row := logicalRow{seg: seg, isPoint: p.q.From == sqlparse.TableDataPoint}
 	for pos, ts := range active {
 		row.ts = ts
-		keep, err := e.keepSeries(p, sc, &row)
-		if err != nil {
-			return err
-		}
-		if !keep {
+		if !sc.keepSeries(p, &row) {
 			continue
 		}
 		if view == nil && needView {
@@ -637,9 +592,7 @@ func (e *Engine) aggregateSegment(p *plan, seg *core.Segment, groups map[string]
 		}
 		if p.perPoint {
 			sc.decodedPoints += int64(i1 - i0 + 1)
-			if err := e.aggregatePoints(p, view, pos, &row, i0, i1, groups, sc); err != nil {
-				return err
-			}
+			p.aggregatePoints(view, pos, &row, i0, i1, groups, sc)
 			continue
 		}
 		if p.nCubes > 0 && len(runs) == 0 {
@@ -735,18 +688,14 @@ func (p *plan) aggregateSeries(g *GroupState, view models.AggView, pos int, scal
 // perPoint. A group exists only once a point matched, so the lookup
 // stays behind the predicate; a key constant per series is looked up
 // once.
-func (e *Engine) aggregatePoints(p *plan, view models.AggView, pos int, row *logicalRow, i0, i1 int, groups map[string]*GroupState, sc *scanScratch) error {
+func (p *plan) aggregatePoints(view models.AggView, pos int, row *logicalRow, i0, i1 int, groups map[string]*GroupState, sc *scanScratch) {
 	scale := float64(row.ts.Scaling)
 	keyPerPoint := p.pointGroupKey()
 	var g *GroupState
 	for i := i0; i <= i1; i++ {
 		row.pointTS = row.seg.TimestampAt(i)
 		row.value = float64(view.ValueAt(pos, i)) / scale
-		match, err := e.evalPred(p.where.point, row)
-		if err != nil {
-			return err
-		}
-		if !match {
+		if !p.where.point.eval(row) {
 			continue
 		}
 		if g == nil || keyPerPoint {
@@ -758,7 +707,6 @@ func (e *Engine) aggregatePoints(p *plan, view models.AggView, pos int, row *log
 			}
 		}
 	}
-	return nil
 }
 
 // runSelect executes a non-aggregate query, returning raw rows: the
@@ -813,11 +761,7 @@ func (e *Engine) selectSegment(p *plan, seg *core.Segment, b *ColumnBatch, sc *s
 	row := logicalRow{seg: seg, isPoint: p.q.From == sqlparse.TableDataPoint}
 	for pos, ts := range active {
 		row.ts = ts
-		keep, err := e.keepSeries(p, sc, &row)
-		if err != nil {
-			return err
-		}
-		if !keep {
+		if !sc.keepSeries(p, &row) {
 			continue
 		}
 		if !row.isPoint {
@@ -836,16 +780,9 @@ func (e *Engine) selectSegment(p *plan, seg *core.Segment, b *ColumnBatch, sc *s
 		for i := i0; i <= i1; i++ {
 			row.pointTS = seg.TimestampAt(i)
 			row.value = float64(view.ValueAt(pos, i)) / scale
-			if p.where.point != nil {
-				match, err := e.evalPred(p.where.point, &row)
-				if err != nil {
-					return err
-				}
-				if !match {
-					continue
-				}
+			if p.where.point.eval(&row) {
+				p.appendRow(b, &row)
 			}
-			p.appendRow(b, &row)
 		}
 	}
 	return nil
@@ -1077,7 +1014,7 @@ func compareAny(a, b any) int {
 	switch av := a.(type) {
 	case int64:
 		if bv, ok := b.(int64); ok {
-			return cmpInt64(av, bv)
+			return cmp.Compare(av, bv)
 		}
 	case float64:
 		if bv, ok := b.(float64); ok {

@@ -42,7 +42,7 @@ func fixValue(tid core.Tid, tick int) float64 {
 	}
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	schema, err := dims.NewSchema(
 		dims.Dimension{Name: "Location", Levels: []string{"Park", "Entity"}},
@@ -417,6 +417,17 @@ func TestGapsExcludedFromAggregates(t *testing.T) {
 	}
 }
 
+// partialOf runs q's worker-side part the way a cluster worker does:
+// the streamed chunks folded into one partial by MergePartial.
+func partialOf(e *Engine, q *sqlparse.Query) (*PartialResult, error) {
+	acc := &PartialResult{}
+	err := e.ExecutePartialChunks(context.Background(), q, 0, func(part *PartialResult) error {
+		MergePartial(acc, part)
+		return nil
+	})
+	return acc, err
+}
+
 func TestDistributedMergeMatchesSingleNode(t *testing.T) {
 	f := newFixture(t)
 	// Split the fixture's segments across two stores by group to
@@ -438,11 +449,11 @@ func TestDistributedMergeMatchesSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := e1.ExecutePartial(context.Background(), q)
+	p1, err := partialOf(e1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := e2.ExecutePartial(context.Background(), q)
+	p2, err := partialOf(e2, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,44 +137,65 @@ func foldDBAt(t *testing.T, seed, start, si int64) (fold, points *Engine, nSerie
 
 // foldWhere is one WHERE clause with the predicate it means, written
 // out in Go so a brute-force filter over an unfiltered row scan checks
-// the WHERE split (and the strict-TS clamp) independently of it.
+// the WHERE split, the strict-TS clamp and the compiled evaluator
+// independently of them.
 type foldWhere struct {
 	sql  string
-	keep func(tid int64, park string, ts int64) bool
+	keep func(tid int64, park string, ts int64, v float64) bool
 }
 
-func foldWheres(rng *rand.Rand, nSeries, maxTick int) []foldWhere {
+// The Value literals are values of scan's points, so equality and IN
+// have points to match.
+func foldWheres(rng *rand.Rand, nSeries, maxTick int, scan *Result) []foldWhere {
 	lo := int64(rng.Intn(maxTick)) * 1000
 	hi := lo + int64(rng.Intn(maxTick))*1000
 	one := int64(rng.Intn(maxTick)) * 1000
 	k := int64(rng.Intn(nSeries) + 1)
 	end := int64(maxTick) * 1000
+	value := func() float64 { return scan.Rows[rng.Intn(len(scan.Rows))][3].(float64) }
+	x, a, b := value(), value(), value()
 	return []foldWhere{
-		{"", func(int64, string, int64) bool { return true }},
+		{"", func(int64, string, int64, float64) bool { return true }},
 		{fmt.Sprintf(" WHERE TS BETWEEN 0 AND %d", end), // the full range
-			func(_ int64, _ string, ts int64) bool { return ts <= end }},
+			func(_ int64, _ string, ts int64, _ float64) bool { return ts <= end }},
 		{fmt.Sprintf(" WHERE TS BETWEEN %d AND %d", lo, hi), // clipped
-			func(_ int64, _ string, ts int64) bool { return ts >= lo && ts <= hi }},
+			func(_ int64, _ string, ts int64, _ float64) bool { return ts >= lo && ts <= hi }},
 		{fmt.Sprintf(" WHERE TS > %d AND TS < %d", lo+300, hi+300), // clipped, off the grid
-			func(_ int64, _ string, ts int64) bool { return ts > lo+300 && ts < hi+300 }},
+			func(_ int64, _ string, ts int64, _ float64) bool { return ts > lo+300 && ts < hi+300 }},
 		{fmt.Sprintf(" WHERE TS >= %d AND TS <= %d AND Tid > 1", lo, hi),
-			func(tid int64, _ string, ts int64) bool { return ts >= lo && ts <= hi && tid > 1 }},
+			func(tid int64, _ string, ts int64, _ float64) bool { return ts >= lo && ts <= hi && tid > 1 }},
 		{fmt.Sprintf(" WHERE TS = %d", one), // a single tick
-			func(_ int64, _ string, ts int64) bool { return ts == one }},
+			func(_ int64, _ string, ts int64, _ float64) bool { return ts == one }},
 		{fmt.Sprintf(" WHERE TS > %d AND TS < %d", one, one+1000), // empty: between two ticks
-			func(int64, string, int64) bool { return false }},
+			func(int64, string, int64, float64) bool { return false }},
 		{fmt.Sprintf(" WHERE TS > %d", end), // empty: past the data
-			func(int64, string, int64) bool { return false }},
+			func(int64, string, int64, float64) bool { return false }},
 		{fmt.Sprintf(" WHERE Tid = %d", k),
-			func(tid int64, _ string, _ int64) bool { return tid == k }},
+			func(tid int64, _ string, _ int64, _ float64) bool { return tid == k }},
 		{fmt.Sprintf(" WHERE Tid IN (%d, 1) AND TS < %d", k, hi),
-			func(tid int64, _ string, ts int64) bool { return (tid == k || tid == 1) && ts < hi }},
+			func(tid int64, _ string, ts int64, _ float64) bool { return (tid == k || tid == 1) && ts < hi }},
 		{" WHERE Park = 'P0'",
-			func(_ int64, park string, _ int64) bool { return park == "P0" }},
+			func(_ int64, park string, _ int64, _ float64) bool { return park == "P0" }},
 		{fmt.Sprintf(" WHERE Park = 'P1' AND TS >= %d", lo),
-			func(_ int64, park string, ts int64) bool { return park == "P1" && ts >= lo }},
+			func(_ int64, park string, ts int64, _ float64) bool { return park == "P1" && ts >= lo }},
 		{fmt.Sprintf(" WHERE (Park = 'P1' OR Tid = %d) AND TS <= %d", k, hi),
-			func(tid int64, park string, ts int64) bool { return (park == "P1" || tid == k) && ts <= hi }},
+			func(tid int64, park string, ts int64, _ float64) bool { return (park == "P1" || tid == k) && ts <= hi }},
+		{fmt.Sprintf(" WHERE Value < %v", x),
+			func(_ int64, _ string, _ int64, v float64) bool { return v < x }},
+		{fmt.Sprintf(" WHERE Value >= %v AND Tid != %d", x, k),
+			func(tid int64, _ string, _ int64, v float64) bool { return v >= x && tid != k }},
+		{fmt.Sprintf(" WHERE Value IN (%v, %v)", a, b),
+			func(_ int64, _ string, _ int64, v float64) bool { return v == a || v == b }},
+		{fmt.Sprintf(" WHERE TS != %d", one),
+			func(_ int64, _ string, ts int64, _ float64) bool { return ts != one }},
+		{fmt.Sprintf(" WHERE TS IN (%d, %d, %d)", one, lo, end+1000),
+			func(_ int64, _ string, ts int64, _ float64) bool { return ts == one || ts == lo }},
+		{" WHERE Park IN ('P0', 'P2')",
+			func(_ int64, park string, _ int64, _ float64) bool { return park == "P0" }},
+		{fmt.Sprintf(" WHERE Tid BETWEEN 2 AND %d", k),
+			func(tid int64, _ string, _ int64, _ float64) bool { return tid >= 2 && tid <= k }},
+		{fmt.Sprintf(" WHERE (Value > %v OR Tid = %d) AND TS >= %d", x, k, lo),
+			func(tid int64, _ string, ts int64, v float64) bool { return (v > x || tid == k) && ts >= lo }},
 	}
 }
 
@@ -202,7 +223,7 @@ func TestPropertyFoldEqualsReconstruct(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(seed))
-		for _, w := range foldWheres(rng, nSeries, maxTick) {
+		for _, w := range foldWheres(rng, nSeries, maxTick, scan) {
 			for _, group := range []string{"", "Tid", "Park"} {
 				sql := "SELECT " + aggs + " FROM DataPoint" + w.sql
 				if group != "" {
@@ -242,12 +263,12 @@ func TestPropertyFoldEqualsReconstruct(t *testing.T) {
 // bruteForce aggregates the rows of SELECT Tid, Park, TS, Value that
 // keep accepts, grouped by nothing, Tid or Park, into the shape of the
 // aggregate queries above (key first when grouped, sorted by key).
-func bruteForce(scan *Result, group string, keep func(tid int64, park string, ts int64) bool) *Result {
+func bruteForce(scan *Result, group string, keep func(tid int64, park string, ts int64, v float64) bool) *Result {
 	states := map[any]*ScalarState{}
 	var keys []any
 	for _, row := range scan.Rows {
 		tid, park, ts, v := row[0].(int64), row[1].(string), row[2].(int64), row[3].(float64)
-		if !keep(tid, park, ts) {
+		if !keep(tid, park, ts, v) {
 			continue
 		}
 		var key any
@@ -307,8 +328,73 @@ func sameAggregates(got, want *Result, keyed bool) error {
 	return nil
 }
 
-// TestClassifyWhere is the table of the WHERE splitter: which class a
-// conjunct lands in on each view, and what a whole clause splits into.
+// classifyConjuncts is the table of the WHERE compiler's classes: which
+// class a conjunct lands in on each view, or the error compiling it
+// reports.
+var classifyConjuncts = []struct {
+	view, where string
+	want        predClass
+	wantErr     string
+}{
+	{"DataPoint", "Tid = 1", classSeries, ""},
+	{"DataPoint", "Tid > 1", classSeries, ""},
+	{"DataPoint", "Tid IN (1, 2)", classSeries, ""},
+	{"DataPoint", "Park = 'Aalborg'", classSeries, ""},
+	{"DataPoint", "Category IN ('Production')", classSeries, ""},
+	{"DataPoint", "Tid = 1 OR Park = 'Farsø'", classSeries, ""},
+	{"DataPoint", "TS = 5000", classTime, ""},
+	{"DataPoint", "TS < 5000", classTime, ""},
+	{"DataPoint", "TS <= 5000", classTime, ""},
+	{"DataPoint", "TS > 5000", classTime, ""},
+	{"DataPoint", "TS >= '1970-01-01 00:00:05'", classTime, ""},
+	{"DataPoint", "TS BETWEEN 1000 AND 2000", classTime, ""},
+	{"DataPoint", "TS != 5000", classPoint, ""},
+	{"DataPoint", "TS IN (1000, 2000)", classPoint, ""},
+	{"DataPoint", "TS < 1000 OR TS > 9000", classPoint, ""},
+	{"DataPoint", "TS < 1000 OR Tid = 1", classPoint, ""},
+	{"DataPoint", "Value > 0", classPoint, ""},
+	{"DataPoint", "Value BETWEEN 0 AND 1", classPoint, ""},
+	{"DataPoint", "Value > 0 OR Tid = 1", classPoint, ""},
+	{"DataPoint", "EndTime < 5000", 0, "only available on the Segment view"},
+	{"DataPoint", "Nope = 1", 0, "unknown column"},
+	{"Segment", "Tid = 1", classSeries, ""},
+	{"Segment", "EndTime < 5000", classSeries, ""},
+	{"Segment", "Mid = 2 OR StartTime >= 1000", classSeries, ""},
+	{"Segment", "TS <= 5000", classTime, ""},
+	{"Segment", "TS BETWEEN 1000 AND 2000", classTime, ""},
+	{"Segment", "Value > 0", 0, "only available on the DataPoint view"},
+	{"DataPoint", "Park > 5", 0, "compares with strings"},
+	{"DataPoint", "Value IN (1, 'x')", 0, "compares with numbers"},
+	{"DataPoint", "Tid = 'abc'", 0, "cannot parse"},
+	{"Segment", "Gaps = 3", 0, "compares with strings"},
+	{"Segment", "Gaps != '[2]' OR Mid IN (1, '1970-01-01')", classSeries, ""},
+}
+
+// classifyClauses is the table of the WHERE splitter: what a whole
+// clause splits into, or the error compiling it reports.
+var classifyClauses = []struct {
+	view, where   string
+	series, point int // conjuncts in each part
+	trange        timeRange
+	wantErr       string
+}{
+	{"DataPoint", "Value > 0 AND Tid = 1", 1, 1, allTime(), ""},
+	{"DataPoint", "Tid = 1 AND TS > 1000 AND TS < 5000 AND Park = 'Aalborg'", 2, 0, timeRange{1001, 4999}, ""},
+	{"DataPoint", "TS >= 1000 AND TS <= 5000 AND TS BETWEEN 2000 AND 9000", 0, 0, timeRange{2000, 5000}, ""},
+	{"DataPoint", "TS = 3000 AND TS != 4000", 0, 1, timeRange{3000, 3000}, ""},
+	{"DataPoint", "(TS < 1000 OR TS > 9000) AND Value < 5 AND Tid IN (1, 2)", 1, 2, allTime(), ""},
+	{"DataPoint", "TS > 5000 AND TS < 2000", 0, 0, timeRange{5001, 1999}, ""},
+	{"Segment", "Tid = 1 AND TS < 5000 AND EndTime > 100", 2, 0, timeRange{allTime().from, 4999}, ""},
+	{"Segment", "TS != 5000", 0, 0, allTime(), "simple AND conditions"},
+	{"Segment", "TS IN (1000)", 0, 0, allTime(), "simple AND conditions"},
+	{"Segment", "TS < 1000 OR TS > 9000", 0, 0, allTime(), "simple AND conditions"},
+	{"Segment", "Tid = 1 OR TS > 9000", 0, 0, allTime(), "simple AND conditions"},
+	{"DataPoint", "TS < 'yesterday'", 0, 0, allTime(), "cannot parse"},
+	{"DataPoint", "TS BETWEEN 'a' AND 5", 0, 0, allTime(), "cannot parse"},
+}
+
+// TestClassifyWhere checks both tables: which class a conjunct lands in
+// on each view, and what a whole clause splits into.
 func TestClassifyWhere(t *testing.T) {
 	f := newFixture(t)
 	parse := func(view, where string) *sqlparse.Query {
@@ -319,42 +405,10 @@ func TestClassifyWhere(t *testing.T) {
 		}
 		return q
 	}
-	conjuncts := []struct {
-		view, where string
-		want        predClass
-		wantErr     string
-	}{
-		{"DataPoint", "Tid = 1", classSeries, ""},
-		{"DataPoint", "Tid > 1", classSeries, ""},
-		{"DataPoint", "Tid IN (1, 2)", classSeries, ""},
-		{"DataPoint", "Park = 'Aalborg'", classSeries, ""},
-		{"DataPoint", "Category IN ('Production')", classSeries, ""},
-		{"DataPoint", "Tid = 1 OR Park = 'Farsø'", classSeries, ""},
-		{"DataPoint", "TS = 5000", classTime, ""},
-		{"DataPoint", "TS < 5000", classTime, ""},
-		{"DataPoint", "TS <= 5000", classTime, ""},
-		{"DataPoint", "TS > 5000", classTime, ""},
-		{"DataPoint", "TS >= '1970-01-01 00:00:05'", classTime, ""},
-		{"DataPoint", "TS BETWEEN 1000 AND 2000", classTime, ""},
-		{"DataPoint", "TS != 5000", classPoint, ""},
-		{"DataPoint", "TS IN (1000, 2000)", classPoint, ""},
-		{"DataPoint", "TS < 1000 OR TS > 9000", classPoint, ""},
-		{"DataPoint", "TS < 1000 OR Tid = 1", classPoint, ""},
-		{"DataPoint", "Value > 0", classPoint, ""},
-		{"DataPoint", "Value BETWEEN 0 AND 1", classPoint, ""},
-		{"DataPoint", "Value > 0 OR Tid = 1", classPoint, ""},
-		{"DataPoint", "EndTime < 5000", 0, "only available on the Segment view"},
-		{"DataPoint", "Nope = 1", 0, "unknown column"},
-		{"Segment", "Tid = 1", classSeries, ""},
-		{"Segment", "EndTime < 5000", classSeries, ""},
-		{"Segment", "Mid = 2 OR StartTime >= 1000", classSeries, ""},
-		{"Segment", "TS <= 5000", classTime, ""},
-		{"Segment", "TS BETWEEN 1000 AND 2000", classTime, ""},
-		{"Segment", "Value > 0", 0, "only available on the DataPoint view"},
-	}
-	for _, tc := range conjuncts {
+	for _, tc := range classifyConjuncts {
 		q := parse(tc.view, tc.where)
-		got, err := f.eng.classify(q.Where, q.From)
+		c, err := f.eng.compilePred(q.Where, q.From)
+		got := c.class()
 		switch {
 		case tc.wantErr != "":
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -367,34 +421,7 @@ func TestClassifyWhere(t *testing.T) {
 		}
 	}
 
-	all := allTime()
-	clauses := []struct {
-		view, where   string
-		series, point int // conjuncts in each part
-		trange        timeRange
-		wantErr       string
-	}{
-		{"DataPoint", "Value > 0 AND Tid = 1", 1, 1, all, ""},
-		{"DataPoint", "Tid = 1 AND TS > 1000 AND TS < 5000 AND Park = 'Aalborg'", 2, 0, timeRange{1001, 4999}, ""},
-		{"DataPoint", "TS >= 1000 AND TS <= 5000 AND TS BETWEEN 2000 AND 9000", 0, 0, timeRange{2000, 5000}, ""},
-		{"DataPoint", "TS = 3000 AND TS != 4000", 0, 1, timeRange{3000, 3000}, ""},
-		{"DataPoint", "(TS < 1000 OR TS > 9000) AND Value < 5 AND Tid IN (1, 2)", 1, 2, all, ""},
-		{"DataPoint", "TS > 5000 AND TS < 2000", 0, 0, timeRange{5001, 1999}, ""},
-		{"Segment", "Tid = 1 AND TS < 5000 AND EndTime > 100", 2, 0, timeRange{all.from, 4999}, ""},
-		{"Segment", "TS != 5000", 0, 0, all, "simple AND conditions"},
-		{"Segment", "TS IN (1000)", 0, 0, all, "simple AND conditions"},
-		{"Segment", "TS < 1000 OR TS > 9000", 0, 0, all, "simple AND conditions"},
-		{"Segment", "Tid = 1 OR TS > 9000", 0, 0, all, "simple AND conditions"},
-		{"DataPoint", "TS < 'yesterday'", 0, 0, all, "cannot parse"},
-		{"DataPoint", "TS BETWEEN 'a' AND 5", 0, 0, all, "cannot parse"},
-	}
-	count := func(e sqlparse.Expr) int {
-		if e == nil {
-			return 0
-		}
-		return len(collectConjuncts(e))
-	}
-	for _, tc := range clauses {
+	for _, tc := range classifyClauses {
 		q := parse(tc.view, tc.where)
 		push, split, err := f.eng.analyzeWhere(q.Where, q.From)
 		if tc.wantErr != "" {
@@ -407,7 +434,7 @@ func TestClassifyWhere(t *testing.T) {
 			t.Errorf("%s: %s: %v", tc.view, tc.where, err)
 			continue
 		}
-		if s, p := count(split.series), count(split.point); s != tc.series || p != tc.point || push.trange != tc.trange {
+		if s, p := len(split.series.kids), len(split.point.kids); s != tc.series || p != tc.point || push.trange != tc.trange {
 			t.Errorf("%s: %s: %d series, %d point, range %v; want %d, %d, %v",
 				tc.view, tc.where, s, p, push.trange, tc.series, tc.point, tc.trange)
 		}

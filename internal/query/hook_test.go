@@ -60,7 +60,7 @@ func TestScanHookObservesAndInjects(t *testing.T) {
 }
 
 // TestValidateMatchesExecution: Validate reports exactly the compile
-// errors ExecutePartial would, and passes what execution passes — the
+// errors worker-side execution would, and passes what execution passes — the
 // contract the cluster master relies on to reject bad queries before
 // scattering them.
 func TestValidateMatchesExecution(t *testing.T) {
@@ -84,9 +84,9 @@ func TestValidateMatchesExecution(t *testing.T) {
 		if (verr == nil) != c.ok {
 			t.Errorf("Validate(%s) = %v, want ok=%v", c.sql, verr, c.ok)
 		}
-		_, xerr := f.eng.ExecutePartial(context.Background(), q)
+		_, xerr := partialOf(f.eng, q)
 		if (verr == nil) != (xerr == nil) {
-			t.Errorf("%s: Validate = %v but ExecutePartial = %v", c.sql, verr, xerr)
+			t.Errorf("%s: Validate = %v but ExecutePartialChunks = %v", c.sql, verr, xerr)
 		}
 	}
 }

@@ -194,9 +194,9 @@ func TestObserverEarlyClose(t *testing.T) {
 	}
 }
 
-// TestObserverPartialPaths: the worker-side partial paths (buffered
-// and chunked) trace like local executions, with rows counted from
-// the partial they produce.
+// TestObserverPartialPaths: the worker-side partial path, merged into
+// one partial or streamed in small chunks, traces like local
+// executions, with rows counted from the partial it produces.
 func TestObserverPartialPaths(t *testing.T) {
 	eng := streamDB(t, "mem")
 	eng.SetParallelism(2)
@@ -206,7 +206,7 @@ func TestObserverPartialPaths(t *testing.T) {
 	col.install(eng, reg)
 
 	q := mustParse(t, "SELECT Tid, TS, Value FROM DataPoint WHERE Tid = 2")
-	part, err := eng.ExecutePartial(context.Background(), q)
+	part, err := partialOf(eng, q)
 	if err != nil {
 		t.Fatal(err)
 	}

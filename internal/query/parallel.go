@@ -45,9 +45,9 @@ import (
 // before scan returns.
 
 // SetParallelism sets the scan worker count used by Execute,
-// ExecuteQuery and ExecutePartial: n == 1 runs one worker, in the
-// caller's goroutine, n > 1 uses that many workers and n <= 0 restores
-// the default, GOMAXPROCS. Results are identical for every n.
+// ExecuteQuery, QueryRows and ExecutePartialChunks: n == 1 runs one
+// worker, in the caller's goroutine, n > 1 uses that many workers and
+// n <= 0 restores the default, GOMAXPROCS. Results are identical for every n.
 // Configure before serving queries.
 func (e *Engine) SetParallelism(n int) {
 	if n < 0 {

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strings"
@@ -189,15 +190,17 @@ type pushdown struct {
 	prune timeRange
 }
 
-// whereSplit is the WHERE clause classified once at compile time. The
-// third class, the exact time range, lives in pushdown.trange.
+// whereSplit is the WHERE clause compiled and classified once, at
+// compile time. Each part is an AND of top-level conjuncts (empty when
+// none, which holds); the third class, the exact time range, lives in
+// pushdown.trange.
 type whereSplit struct {
-	// series joins the conjuncts that read no TS or Value: they are
+	// series holds the conjuncts that read no TS or Value: they are
 	// constant per (segment, series) row and evaluated once for it.
-	series sqlparse.Expr
-	// point joins the conjuncts only a reconstructed data point can
+	series pred
+	// point holds the conjuncts only a reconstructed data point can
 	// decide: anything reading Value, TS IN / !=, an OR mixing classes.
-	point sqlparse.Expr
+	point pred
 }
 
 // predClass is the class of one top-level WHERE conjunct.
@@ -209,101 +212,74 @@ const (
 	classPoint
 )
 
-// analyzeWhere is the one WHERE splitter: every top-level conjunct
-// contributes its push-down and lands in exactly one class. Both views
-// and both executors (aggregate and row scan) consume this split.
+// predOp is a compiled predicate's operator.
+type predOp uint8
+
+const (
+	opAnd predOp = iota // the zero pred is an AND of nothing: true
+	opOr
+	opIn
+	opBetween
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+)
+
+var cmpOps = map[string]predOp{"=": opEq, "!=": opNe, "<": opLt, "<=": opLe, ">": opGt, ">=": opGe}
+
+// pred is a compiled WHERE (sub)expression: an AND or OR of kids, or a
+// comparison, IN or BETWEEN of one resolved column against literals
+// typed by that column's ColType — in the one slice of ints, floats
+// and strs that type selects (IN's list, BETWEEN's lo and hi, or a
+// comparison's one literal). Compiling rejects every predicate a row
+// could not answer, so evaluation needs no name lookup, no boxing and
+// no error path.
+type pred struct {
+	op     predOp
+	kids   []pred
+	ref    columnRef
+	ints   []int64
+	floats []float64
+	strs   []string
+}
+
+// analyzeWhere is the one WHERE compiler: every top-level conjunct is
+// compiled for the queried view, contributes its push-down and lands in
+// exactly one class. Both views and both executors (aggregate and row
+// scan) consume this split.
 func (e *Engine) analyzeWhere(expr sqlparse.Expr, table sqlparse.Table) (pushdown, whereSplit, error) {
 	push := pushdown{trange: allTime(), prune: allTime()}
+	var split whereSplit
 	if expr == nil {
-		return push, whereSplit{}, nil
+		return push, split, nil
 	}
-	var series, point []sqlparse.Expr
-	for _, c := range collectConjuncts(expr) {
-		h, err := e.analyzeExpr(c)
+	for _, x := range collectConjuncts(expr) {
+		c, err := e.compilePred(x, table)
 		if err != nil {
 			return pushdown{}, whereSplit{}, err
 		}
-		class, err := e.classify(c, table)
+		h, err := e.hintOf(&c)
 		if err != nil {
 			return pushdown{}, whereSplit{}, err
 		}
 		push.gids = push.gids.intersect(h.gids)
 		push.prune = push.prune.intersect(h.trange)
-		switch class {
+		switch c.class() {
 		case classTime:
 			push.trange = push.trange.intersect(h.trange)
 		case classSeries:
-			series = append(series, c)
+			split.series.kids = append(split.series.kids, c)
 		case classPoint:
 			if table == sqlparse.TableSegment {
 				return pushdown{}, whereSplit{}, fmt.Errorf("query: TS predicates on the Segment view must be simple AND conditions (=, <, <=, >, >=, BETWEEN)")
 			}
-			point = append(point, c)
+			split.point.kids = append(split.point.kids, c)
 		}
 	}
-	return push, whereSplit{series: joinConjuncts(series), point: joinConjuncts(point)}, nil
-}
-
-// classify assigns one top-level conjunct its class and rejects
-// columns the queried view does not have. A conjunct reading neither
-// TS nor Value is classSeries; a lone TS comparison the range
-// expresses exactly is classTime; every other use of TS or Value needs
-// the point.
-func (e *Engine) classify(c sqlparse.Expr, table sqlparse.Table) (predClass, error) {
-	var readsTS, readsValue bool
-	err := e.walkColumns(c, func(ref columnRef) error {
-		if ref.kind == colTS {
-			// Also on the Segment view, which accepts TS as a clamp;
-			// analyzeWhere rejects the uses that are not one.
-			readsTS = true
-			return nil
-		}
-		readsValue = readsValue || ref.kind == colValue
-		return e.checkColumnTable(ref, table)
-	})
-	if err != nil || !(readsTS || readsValue) {
-		return classSeries, err
-	}
-	// A comparison or BETWEEN reads one column, so one that does not
-	// read Value here reads TS.
-	switch x := c.(type) {
-	case *sqlparse.BinaryExpr:
-		_, isIdent := x.L.(*sqlparse.Ident)
-		_, isLit := x.R.(*sqlparse.Literal)
-		if isIdent && isLit && x.Op != "!=" && !readsValue {
-			return classTime, nil
-		}
-	case *sqlparse.BetweenExpr:
-		if !readsValue {
-			return classTime, nil
-		}
-	}
-	return classPoint, nil
-}
-
-// walkColumns resolves every column a predicate reads.
-func (e *Engine) walkColumns(expr sqlparse.Expr, visit func(columnRef) error) error {
-	var name string
-	switch x := expr.(type) {
-	case *sqlparse.BinaryExpr:
-		if err := e.walkColumns(x.L, visit); err != nil {
-			return err
-		}
-		return e.walkColumns(x.R, visit)
-	case *sqlparse.Ident:
-		name = x.Name
-	case *sqlparse.InExpr:
-		name = x.Column
-	case *sqlparse.BetweenExpr:
-		name = x.Column
-	default:
-		return nil
-	}
-	ref, err := resolveColumn(e.schema, name)
-	if err != nil {
-		return err
-	}
-	return visit(ref)
+	return push, split, nil
 }
 
 func collectConjuncts(expr sqlparse.Expr) []sqlparse.Expr {
@@ -313,171 +289,187 @@ func collectConjuncts(expr sqlparse.Expr) []sqlparse.Expr {
 	return []sqlparse.Expr{expr}
 }
 
-func joinConjuncts(exprs []sqlparse.Expr) sqlparse.Expr {
-	if len(exprs) == 0 {
-		return nil
+// compilePred compiles a WHERE (sub)expression for the queried view:
+// every column is resolved and checked against the view (TS also on
+// the Segment view, which accepts it as a clamp; analyzeWhere rejects
+// the uses that are not one), and every literal is typed by its
+// column: an int64 column takes a number or a timestamp string, Value
+// a number, a member or Gaps a string.
+func (e *Engine) compilePred(expr sqlparse.Expr, table sqlparse.Table) (pred, error) {
+	var c pred
+	var name string
+	var lits []sqlparse.Literal
+	switch x := expr.(type) {
+	case *sqlparse.BinaryExpr:
+		if x.Op == "AND" || x.Op == "OR" {
+			if x.Op == "OR" {
+				c.op = opOr
+			}
+			for _, sub := range []sqlparse.Expr{x.L, x.R} {
+				k, err := e.compilePred(sub, table)
+				if err != nil {
+					return pred{}, err
+				}
+				c.kids = append(c.kids, k)
+			}
+			return c, nil
+		}
+		ident, isIdent := x.L.(*sqlparse.Ident)
+		lit, isLit := x.R.(*sqlparse.Literal)
+		op, isCmp := cmpOps[x.Op]
+		if !isIdent || !isLit || !isCmp {
+			return pred{}, fmt.Errorf("query: unsupported comparison %s", x.Op)
+		}
+		c.op, name, lits = op, ident.Name, []sqlparse.Literal{*lit}
+	case *sqlparse.InExpr:
+		c.op, name, lits = opIn, x.Column, x.Values
+	case *sqlparse.BetweenExpr:
+		c.op, name, lits = opBetween, x.Column, []sqlparse.Literal{x.Lo, x.Hi}
+	default:
+		return pred{}, fmt.Errorf("query: unsupported predicate %T", expr)
 	}
-	out := exprs[0]
-	for _, e := range exprs[1:] {
-		out = &sqlparse.BinaryExpr{Op: "AND", L: out, R: e}
+	ref, err := resolveColumn(e.schema, name)
+	if err != nil {
+		return pred{}, err
 	}
-	return out
+	if ref.kind != colTS {
+		if err := e.checkColumnTable(ref, table); err != nil {
+			return pred{}, err
+		}
+	}
+	if len(lits) == 0 {
+		return pred{}, fmt.Errorf("query: %s IN needs at least one value", ref.name)
+	}
+	c.ref = ref
+	for _, lit := range lits {
+		switch colTypeOf(ref) {
+		case ColInt64:
+			v, err := literalTime(lit)
+			if err != nil {
+				return pred{}, err
+			}
+			c.ints = append(c.ints, v)
+		case ColFloat64:
+			if !lit.IsNumber {
+				return pred{}, fmt.Errorf("query: column %s compares with numbers, not %q", ref.name, lit.Str)
+			}
+			c.floats = append(c.floats, lit.Number)
+		default:
+			if lit.IsNumber {
+				return pred{}, fmt.Errorf("query: column %s compares with strings, not %g", ref.name, lit.Number)
+			}
+			c.strs = append(c.strs, lit.Str)
+		}
+	}
+	return c, nil
 }
 
-// hint is the conservative push-down of one (sub)expression: the
-// groups and the time range outside which it cannot hold.
+// every reports whether f holds for every column c reads (the ops
+// after opOr are the leaves).
+func (c *pred) every(f func(columnKind) bool) bool {
+	if c.op > opOr {
+		return f(c.ref.kind)
+	}
+	for i := range c.kids {
+		if !c.kids[i].every(f) {
+			return false
+		}
+	}
+	return true
+}
+
+// class assigns a top-level conjunct its class. A conjunct reading
+// neither TS nor Value is classSeries; a lone TS comparison or BETWEEN
+// the range expresses exactly is classTime; every other use of TS or
+// Value needs the point.
+func (c *pred) class() predClass {
+	if c.every(func(k columnKind) bool { return k != colTS && k != colValue }) {
+		return classSeries
+	}
+	if c.ref.kind == colTS && c.op != opIn && c.op != opNe {
+		return classTime
+	}
+	return classPoint
+}
+
+// hint is the conservative push-down of a predicate: the groups and
+// the time range outside which it cannot hold.
 type hint struct {
 	gids   gidSet
 	trange timeRange
 }
 
-func noHint() hint { return hint{trange: allTime()} }
-
-// analyzeExpr extracts the push-down hint of an expression. For a
-// simple TS comparison the range is exact, which is what lets
-// analyzeWhere consume classTime conjuncts.
-func (e *Engine) analyzeExpr(expr sqlparse.Expr) (hint, error) {
-	switch x := expr.(type) {
-	case *sqlparse.BinaryExpr:
-		switch x.Op {
-		case "AND", "OR":
-			l, err := e.analyzeExpr(x.L)
-			if err != nil {
+// hintOf extracts the push-down of a compiled predicate. For a TS
+// comparison the range is exact, which is what lets analyzeWhere
+// consume classTime conjuncts.
+func (e *Engine) hintOf(c *pred) (hint, error) {
+	h := hint{trange: allTime()}
+	if c.op <= opOr {
+		for i := range c.kids {
+			k, err := e.hintOf(&c.kids[i])
+			switch {
+			case err != nil:
 				return hint{}, err
+			case i == 0:
+				h = k
+			case c.op == opAnd:
+				h = hint{gids: h.gids.intersect(k.gids), trange: h.trange.intersect(k.trange)}
+			default:
+				h = hint{gids: h.gids.union(k.gids), trange: h.trange.union(k.trange)}
 			}
-			r, err := e.analyzeExpr(x.R)
-			if err != nil {
-				return hint{}, err
-			}
-			if x.Op == "AND" {
-				return hint{gids: l.gids.intersect(r.gids), trange: l.trange.intersect(r.trange)}, nil
-			}
-			return hint{gids: l.gids.union(r.gids), trange: l.trange.union(r.trange)}, nil
-		default:
-			return e.analyzeComparison(x)
 		}
-	case *sqlparse.InExpr:
-		ref, err := resolveColumn(e.schema, x.Column)
-		if err != nil {
-			return hint{}, err
-		}
-		switch ref.kind {
-		case colTid:
-			tids := make([]core.Tid, 0, len(x.Values))
-			for _, v := range x.Values {
-				if !v.IsNumber {
-					return hint{}, fmt.Errorf("query: Tid IN requires numbers")
-				}
-				tids = append(tids, core.Tid(v.Number))
-			}
-			gids, err := e.meta.GidsForTids(tids)
-			if err != nil {
-				return hint{}, err
-			}
-			return hint{gids: gidSet(gids), trange: allTime()}, nil
-		case colMember:
-			// Dimension-predicate pruning: a member IN list rewrites to
-			// the union of the per-member Gid sets (§6.2 generalized from
-			// equality), so the scan skips groups without any listed
-			// member instead of filtering them row by row.
-			gids := gidSet{}
-			for _, v := range x.Values {
-				if v.IsNumber {
-					return hint{}, fmt.Errorf("query: %s IN requires strings", ref.name)
-				}
-				gids = gids.union(gidSet(e.meta.GidsForMember(ref.dimension, ref.level, v.Str)))
-			}
-			return hint{gids: gids, trange: allTime()}, nil
-		default:
-			return noHint(), nil
-		}
-	case *sqlparse.BetweenExpr:
-		ref, err := resolveColumn(e.schema, x.Column)
-		if err != nil {
-			return hint{}, err
-		}
-		if ref.kind != colTS {
-			return noHint(), nil
-		}
-		lo, err := literalTime(x.Lo)
-		if err != nil {
-			return hint{}, err
-		}
-		hi, err := literalTime(x.Hi)
-		if err != nil {
-			return hint{}, err
-		}
-		return hint{trange: timeRange{from: lo, to: hi}}, nil
-	default:
-		return noHint(), nil
+		return h, nil
 	}
-}
-
-// analyzeComparison extracts the hint of a single comparison.
-func (e *Engine) analyzeComparison(x *sqlparse.BinaryExpr) (hint, error) {
-	ident, ok := x.L.(*sqlparse.Ident)
-	if !ok {
-		return noHint(), nil
-	}
-	lit, ok := x.R.(*sqlparse.Literal)
-	if !ok {
-		return noHint(), nil
-	}
-	ref, err := resolveColumn(e.schema, ident.Name)
-	if err != nil {
-		return hint{}, err
-	}
-	switch ref.kind {
+	switch c.ref.kind {
 	case colTid:
-		if x.Op != "=" || !lit.IsNumber {
-			return noHint(), nil
+		if c.op != opEq && c.op != opIn {
+			return h, nil
 		}
-		gids, err := e.meta.GidsForTids([]core.Tid{core.Tid(lit.Number)})
-		if err != nil {
-			return hint{}, err
+		tids := make([]core.Tid, len(c.ints))
+		for i, v := range c.ints {
+			tids[i] = core.Tid(v)
 		}
-		return hint{gids: gidSet(gids), trange: allTime()}, nil
+		gids, err := e.meta.GidsForTids(tids)
+		h.gids = gids
+		return h, err
 	case colMember:
-		// §6.2: rewrite dimension members in the WHERE clause to the
-		// Gids of groups containing series with that member.
-		if x.Op != "=" || lit.IsNumber {
-			return noHint(), nil
+		// §6.2: rewrite dimension members in the WHERE clause to the Gids
+		// of groups containing series with that member; an IN list
+		// rewrites to the union of the per-member Gid sets, so the scan
+		// skips groups without any listed member.
+		if c.op != opEq && c.op != opIn {
+			return h, nil
 		}
-		gids := e.meta.GidsForMember(ref.dimension, ref.level, lit.Str)
-		return hint{gids: gidSet(gids), trange: allTime()}, nil
+		h.gids = gidSet{}
+		for _, s := range c.strs {
+			h.gids = h.gids.union(e.meta.GidsForMember(c.ref.dimension, c.ref.level, s))
+		}
 	case colTS, colStartTime, colEndTime:
-		ts, err := literalTime(*lit)
-		if err != nil {
-			return hint{}, err
-		}
 		// A TS bound is exact: timestamps are integral milliseconds, so a
-		// strict bound is the neighbouring inclusive one. StartTime <= X
-		// and EndTime <= X only imply that the interval starts by X
-		// (StartTime <= EndTime), symmetrically for >=: a hint that
+		// strict bound is the neighbouring inclusive one. A StartTime or
+		// EndTime bound only implies that the segment's [StartTime,
+		// EndTime] meets the range (StartTime <= EndTime): a hint that
 		// prunes while the series conjunct decides, so strictness is moot.
 		strict := int64(0)
-		if ref.kind == colTS {
+		if c.ref.kind == colTS {
 			strict = 1
 		}
-		r := allTime()
-		switch x.Op {
-		case "=":
-			if ref.kind == colTS {
-				r = timeRange{from: ts, to: ts}
-			}
-		case "<":
-			r.to = ts - strict
-		case "<=":
-			r.to = ts
-		case ">":
-			r.from = ts + strict
-		case ">=":
-			r.from = ts
+		switch v := c.ints[0]; c.op {
+		case opEq:
+			h.trange = timeRange{from: v, to: v}
+		case opBetween:
+			h.trange = timeRange{from: v, to: c.ints[1]}
+		case opLt:
+			h.trange.to = v - strict
+		case opLe:
+			h.trange.to = v
+		case opGt:
+			h.trange.from = v + strict
+		case opGe:
+			h.trange.from = v
 		}
-		return hint{trange: r}, nil
-	default:
-		return noHint(), nil
 	}
+	return h, nil
 }
 
 // literalTime converts a literal to Unix milliseconds; strings are
@@ -508,141 +500,66 @@ func colTypeOf(ref columnRef) ColType {
 	}
 }
 
-// evalPred evaluates one class of the WHERE split against a row: the
-// series conjuncts against a (segment, series) row, the point
-// conjuncts against a reconstructed point. classify has already
-// rejected columns the view lacks, so a column the row cannot provide
-// is a planner bug, reported rather than read as satisfied.
-func (e *Engine) evalPred(expr sqlparse.Expr, row *logicalRow) (bool, error) {
-	if expr == nil {
-		return true, nil
+// eval decides the predicate on a row: the series conjuncts on a
+// (segment, series) row, the point conjuncts on a reconstructed point.
+func (c *pred) eval(r *logicalRow) bool {
+	switch c.op {
+	case opAnd:
+		for i := range c.kids {
+			if !c.kids[i].eval(r) {
+				return false
+			}
+		}
+		return true
+	case opOr:
+		for i := range c.kids {
+			if c.kids[i].eval(r) {
+				return true
+			}
+		}
+		return false
 	}
-	switch x := expr.(type) {
-	case *sqlparse.BinaryExpr:
-		switch x.Op {
-		case "AND":
-			l, err := e.evalPred(x.L, row)
-			if err != nil || !l {
-				return false, err
-			}
-			return e.evalPred(x.R, row)
-		case "OR":
-			l, err := e.evalPred(x.L, row)
-			if err != nil {
-				return false, err
-			}
-			if l {
-				return true, nil
-			}
-			return e.evalPred(x.R, row)
-		default:
-			return e.evalComparison(x, row)
-		}
-	case *sqlparse.InExpr:
-		ref, err := resolveColumn(e.schema, x.Column)
-		if err != nil {
-			return false, err
-		}
-		v, ok := row.valueOf(ref)
-		if !ok {
-			return false, errNoColumn(ref)
-		}
-		for _, lit := range x.Values {
-			match, err := compareValues(v, lit, "=")
-			if err != nil {
-				return false, err
-			}
-			if match {
-				return true, nil
+	switch colTypeOf(c.ref) {
+	case ColFloat64:
+		return matches(c.op, r.value, c.floats, cmpFloat)
+	case ColString:
+		return matches(c.op, r.stringOf(c.ref), c.strs, strings.Compare)
+	}
+	return matches(c.op, r.int64Of(c.ref), c.ints, cmp.Compare[int64])
+}
+
+// matches applies a comparison, IN or BETWEEN op to a row value and
+// the predicate's literals of the same type.
+func matches[T any](op predOp, v T, lits []T, compare func(a, b T) int) bool {
+	switch op {
+	case opIn:
+		for _, l := range lits {
+			if compare(v, l) == 0 {
+				return true
 			}
 		}
-		return false, nil
-	case *sqlparse.BetweenExpr:
-		ref, err := resolveColumn(e.schema, x.Column)
-		if err != nil {
-			return false, err
-		}
-		v, ok := row.valueOf(ref)
-		if !ok {
-			return false, errNoColumn(ref)
-		}
-		ge, err := compareValues(v, x.Lo, ">=")
-		if err != nil || !ge {
-			return false, err
-		}
-		return compareValues(v, x.Hi, "<=")
+		return false
+	case opBetween:
+		return compare(v, lits[0]) >= 0 && compare(v, lits[1]) <= 0
+	}
+	d := compare(v, lits[0])
+	switch op {
+	case opEq:
+		return d == 0
+	case opNe:
+		return d != 0
+	case opLt:
+		return d < 0
+	case opLe:
+		return d <= 0
+	case opGt:
+		return d > 0
 	default:
-		return false, fmt.Errorf("query: unsupported predicate %T", expr)
+		return d >= 0
 	}
 }
 
-func (e *Engine) evalComparison(x *sqlparse.BinaryExpr, row *logicalRow) (bool, error) {
-	ident, ok := x.L.(*sqlparse.Ident)
-	if !ok {
-		return false, fmt.Errorf("query: comparison must have a column on the left")
-	}
-	lit, ok := x.R.(*sqlparse.Literal)
-	if !ok {
-		return false, fmt.Errorf("query: comparison must have a literal on the right")
-	}
-	ref, err := resolveColumn(e.schema, ident.Name)
-	if err != nil {
-		return false, err
-	}
-	v, ok := row.valueOf(ref)
-	if !ok {
-		return false, errNoColumn(ref)
-	}
-	return compareValues(v, *lit, x.Op)
-}
-
-func errNoColumn(ref columnRef) error {
-	return fmt.Errorf("query: column %s is not available on this row", ref.name)
-}
-
-// compareValues applies op between a row value and a literal.
-// Timestamp columns surface as int64 and compare against both numeric
-// and string literals.
-func compareValues(v any, lit sqlparse.Literal, op string) (bool, error) {
-	switch val := v.(type) {
-	case string:
-		if lit.IsNumber {
-			return false, fmt.Errorf("query: cannot compare member %q with a number", val)
-		}
-		return applyOrd(strings.Compare(val, lit.Str), op), nil
-	case int64:
-		var want int64
-		if lit.IsNumber {
-			want = int64(lit.Number)
-		} else {
-			ts, err := literalTime(lit)
-			if err != nil {
-				return false, err
-			}
-			want = ts
-		}
-		return applyOrd(cmpInt64(val, want), op), nil
-	case float64:
-		if !lit.IsNumber {
-			return false, fmt.Errorf("query: cannot compare value with string %q", lit.Str)
-		}
-		return applyOrd(cmpFloat(val, lit.Number), op), nil
-	default:
-		return false, fmt.Errorf("query: unsupported comparison value %T", v)
-	}
-}
-
-func cmpInt64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
+// cmpFloat orders two values; NaN compares equal to everything.
 func cmpFloat(a, b float64) int {
 	switch {
 	case a < b:
@@ -651,24 +568,5 @@ func cmpFloat(a, b float64) int {
 		return 1
 	default:
 		return 0
-	}
-}
-
-func applyOrd(cmp int, op string) bool {
-	switch op {
-	case "=":
-		return cmp == 0
-	case "!=":
-		return cmp != 0
-	case "<":
-		return cmp < 0
-	case "<=":
-		return cmp <= 0
-	case ">":
-		return cmp > 0
-	case ">=":
-		return cmp >= 0
-	default:
-		return false
 	}
 }

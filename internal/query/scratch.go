@@ -118,19 +118,15 @@ func (sc *scanScratch) slot(tid core.Tid) *tidSlot {
 // (segment, series). A perSeries plan evaluates them once per (scan,
 // Tid); any other plan reads segment columns and evaluates them here
 // for every row.
-func (e *Engine) keepSeries(p *plan, sc *scanScratch, row *logicalRow) (bool, error) {
+func (sc *scanScratch) keepSeries(p *plan, row *logicalRow) bool {
 	if !p.perSeries {
-		return e.evalPred(p.where.series, row)
+		return p.where.series.eval(row)
 	}
 	s := sc.slot(row.ts.Tid)
 	if s.scan != sc.scan {
-		keep, err := e.evalPred(p.where.series, row)
-		if err != nil {
-			return false, err
-		}
-		s.scan, s.keep = sc.scan, keep
+		s.scan, s.keep = sc.scan, p.where.series.eval(row)
 	}
-	return s.keep, nil
+	return s.keep
 }
 
 // groupOf returns row's group in the chunk's map, creating it on first

@@ -9,10 +9,9 @@ import (
 )
 
 // Streaming partial execution: the worker-side counterpart of the
-// chunked response frames in the cluster transport. ExecutePartial
-// materializes one monolithic PartialResult — fine locally, but over
-// the wire it means the master buffers a whole worker's result before
-// merging. ExecutePartialChunks instead emits the same result as a
+// chunked response frames in the cluster transport. Rather than one
+// monolithic PartialResult, which the master would buffer whole before
+// merging, ExecutePartialChunks emits the worker's result as a
 // sequence of size-bounded PartialResult chunks, each independently
 // mergeable through MergePartial, so a consumer's peak memory is one
 // chunk (plus whatever it accumulates) instead of the full reply.
@@ -32,14 +31,15 @@ import (
 // monolithic reply's footprint.
 const DefaultStreamChunkBytes = 1 << 20
 
-// ExecutePartialChunks runs the worker-side part of a query like
-// ExecutePartial, but emits the result incrementally as size-bounded
-// chunks. emit runs on the calling goroutine, in order; a non-nil
-// error from it aborts the scan and is returned. Every query emits at
-// least one chunk (a result can be empty, its Columns are not), and a
-// chunk may exceed maxBytes by at most one row or group — the bound is
-// an estimate, not a promise. maxBytes <= 0 selects
-// DefaultStreamChunkBytes.
+// ExecutePartialChunks runs the worker-side part of a query — scan,
+// iterate and per-group partial aggregation (Algorithm 5 lines 9-13) —
+// and emits the result incrementally as size-bounded chunks. emit runs
+// on the calling goroutine, in order; a non-nil error from it aborts
+// the scan and is returned. Every query emits at least one chunk (a
+// result can be empty, its Columns are not), and a chunk may exceed
+// maxBytes by at most one row or group — the bound is an estimate, not
+// a promise. maxBytes <= 0 selects DefaultStreamChunkBytes. The trace
+// counts the rows of every emitted chunk.
 func (e *Engine) ExecutePartialChunks(ctx context.Context, q *sqlparse.Query, maxBytes int, emit func(*PartialResult) error) error {
 	tr := e.beginTrace(q)
 	sp := tr.StartSpan(obs.SpanPlan)
@@ -53,7 +53,10 @@ func (e *Engine) ExecutePartialChunks(ctx context.Context, q *sqlparse.Query, ma
 	if maxBytes <= 0 {
 		maxBytes = DefaultStreamChunkBytes
 	}
-	err = e.runChunksTraced(ctx, p, maxBytes, emit, tr)
+	err = e.runChunksTraced(ctx, p, maxBytes, func(part *PartialResult) error {
+		tr.AddRows(int64(part.NumRows()))
+		return emit(part)
+	}, tr)
 	e.finishTrace(tr, err)
 	return err
 }
