@@ -24,8 +24,12 @@ BENCH_RECORD = 'Calibration|Parallel|Pruning|IngestAppend|AppendWAL|AppendBatchW
 # fsyncs/point metric is gated raw at its own wider threshold —
 # coalescing depends on timing), the file-store scan (gated on its
 # reads/segment and allocs/op counts only; its baseline ns/op is 0),
-# plus the calibration workload that normalizes machine speed.
-BENCH_GATE = 'Calibration$$|IngestAppendSerial|IngestAppendBatch|ParallelSumDataPointView|ParallelCubeHourByTid|ScatterTCPStream|AppendWALGroupCommit|FileStoreScan'
+# the master-side ORDER BY finalize of internal/query (gated on its
+# allocation counts only; its baseline ns/op is 0), plus the
+# calibration workload that normalizes machine speed.
+BENCH_GATE = 'Calibration$$|IngestAppendSerial|IngestAppendBatch|ParallelSumDataPointView|ParallelCubeHourByTid|ScatterTCPStream|AppendWALGroupCommit|FileStoreScan|FinalizeOrderBy'
+# Packages holding the gated benchmarks.
+BENCH_GATE_PKGS = . ./internal/query
 
 .PHONY: all build vet fmt-check lint vuln test race bench crash ci \
 	bench-record bench-compare fuzz obs-smoke docs-check \
@@ -107,7 +111,7 @@ bench-record:
 # properties, not machine speeds, but coalescing depends on timing and
 # needs more headroom than ns/op.
 bench-compare:
-	$(GO) test -run '^$$' -bench $(BENCH_GATE) -benchtime 1s -count 1 . > BENCH_gate.txt
+	$(GO) test -run '^$$' -bench $(BENCH_GATE) -benchtime 1s -count 1 $(BENCH_GATE_PKGS) > BENCH_gate.txt
 	$(GO) run ./cmd/benchjson record -o BENCH_gate.json BENCH_gate.txt
 	$(GO) run ./cmd/benchjson compare -baseline bench/baseline.json -current BENCH_gate.json \
 		-threshold 15 -gate-metrics fsyncs/point,reads/segment -metric-threshold 30

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -337,6 +339,55 @@ func TestLocalMasterValidatesBeforeScatter(t *testing.T) {
 		if n := f.scatters.Load(); n != 1 {
 			t.Fatalf("a valid query reached worker %d %d times, want 1", i, n)
 		}
+	}
+}
+
+// TestOrderByResolvedBeforeScan: an ORDER BY column that is not in the
+// result is a compile error, so a master over in-process workers
+// rejects it in Validate and no worker scans a segment for it — as a
+// row query and as an aggregate. The same queries with a real column
+// do scan, which shows the hook counts.
+func TestOrderByResolvedBeforeScan(t *testing.T) {
+	ctx := context.Background()
+	c, err := NewLocal(ctx, fleetConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fillCluster(t, clientAppend(c), 8, 60)
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var scanned atomic.Int64
+	for i := range c.workers {
+		localDB(c, i).Engine().SetScanHook(func(context.Context) error {
+			scanned.Add(1)
+			return nil
+		})
+	}
+	for _, sql := range []string{
+		"SELECT Tid, TS, Value FROM DataPoint ORDER BY Tid, Nope",
+		"SELECT Tid, COUNT(*) FROM DataPoint GROUP BY Tid ORDER BY Nope DESC",
+		"SELECT Tid, TS FROM DataPoint ORDER BY Value", // not selected
+	} {
+		_, err := c.Query(ctx, sql)
+		if err == nil || !strings.Contains(err.Error(), "ORDER BY") {
+			t.Errorf("Query(%q) err = %v, want an ORDER BY error", sql, err)
+		}
+	}
+	if n := scanned.Load(); n != 0 {
+		t.Fatalf("invalid ORDER BY queries scanned %d segments", n)
+	}
+	for _, sql := range []string{
+		"SELECT Tid, TS, Value FROM DataPoint ORDER BY tid, TS",
+		"SELECT Tid, COUNT(*) FROM DataPoint GROUP BY Tid ORDER BY Tid DESC",
+	} {
+		if _, err := c.Query(ctx, sql); err != nil {
+			t.Fatalf("Query(%q): %v", sql, err)
+		}
+	}
+	if scanned.Load() == 0 {
+		t.Fatal("valid queries scanned nothing: the hook is not counting")
 	}
 }
 

@@ -18,18 +18,30 @@ import (
 )
 
 // TestColumnarEquivalenceMatrix compares every deployment and executor
-// configuration against the single-node materializing answer.
+// configuration against the single-node materializing answer, and the
+// answers at every parallelism against those at parallelism 1. The
+// 12 800-point data set is large enough that a row query's finalize
+// splits its sort and boxing over spans (minSpanRows), two at
+// parallelism 2 and three at 4 and 8, on the single node and on the
+// masters alike.
 func TestColumnarEquivalenceMatrix(t *testing.T) {
-	const nseries, ticks = 8, 200
+	const nseries, ticks = 8, 1600
 	queries := []string{
 		"SELECT Tid, TS, Value FROM DataPoint ORDER BY Tid, TS",
 		"SELECT Tid, TS, Value FROM DataPoint ORDER BY Tid, TS LIMIT 57",
+		// Ties on (Park, TS) between a park's two series keep scan
+		// order, which the split sort must not change.
+		"SELECT Park, TS, Tid, Value FROM DataPoint ORDER BY Park DESC, TS",
+		"SELECT Tid, TS, Value FROM DataPoint ORDER BY TS DESC, Value LIMIT 5000",
 		"SELECT Tid, COUNT(*), SUM(Value) FROM DataPoint GROUP BY Tid ORDER BY Tid",
 		"SELECT COUNT(*), SUM(Value) FROM DataPoint",
 		"SELECT Tid, COUNT_S(*), SUM_S(*), MIN_S(*), MAX_S(*) FROM Segment GROUP BY Tid ORDER BY Tid",
 		"SELECT Park, AVG_S(*) FROM Segment GROUP BY Park ORDER BY Park",
 	}
-	for _, par := range []int{1, 4} {
+	// answers holds parallelism 1's answers, which every other
+	// parallelism must reproduce exactly.
+	answers := map[string][][]any{}
+	for _, par := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
 			cfg := fleetConfig()
 			cfg.QueryParallelism = par
@@ -51,6 +63,11 @@ func TestColumnarEquivalenceMatrix(t *testing.T) {
 				want, err := single.Query(context.Background(), sql)
 				if err != nil {
 					t.Fatalf("%q single: %v", sql, err)
+				}
+				if first, ok := answers[sql]; !ok {
+					answers[sql] = want.Rows
+				} else if !reflect.DeepEqual(want.Rows, first) {
+					t.Fatalf("%q: rows at parallelism %d differ from parallelism 1", sql, par)
 				}
 				// The streaming cursor on the same node must yield the
 				// materialized rows in the materialized order.

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -263,6 +262,8 @@ type plan struct {
 	// from the select items' resolved references (non-aggregate plans
 	// only; aggregates materialize rows at finalize).
 	colTypes []ColType
+	// orderBy is the compiled ORDER BY, resolved against outColumns.
+	orderBy []sortKey
 	// trace is this execution's observability record (nil untraced). It
 	// rides the plan rather than the context so the per-segment hot
 	// path pays a field load, not a ctx.Value walk.
@@ -384,6 +385,17 @@ func (e *Engine) compile(q *sqlparse.Query) (*plan, error) {
 		for i, pi := range p.items {
 			p.colTypes[i] = colTypeOf(pi.ref)
 		}
+	}
+	for _, o := range q.OrderBy {
+		col := slices.IndexFunc(p.outColumns, func(name string) bool { return strings.EqualFold(name, o.Column) })
+		if col < 0 {
+			return nil, fmt.Errorf("query: ORDER BY column %q not in result", o.Column)
+		}
+		k := sortKey{col: col, desc: o.Desc}
+		if !p.isAggregate {
+			k.typ = p.colTypes[col]
+		}
+		p.orderBy = append(p.orderBy, k)
 	}
 	return p, nil
 }
@@ -836,44 +848,32 @@ func (e *Engine) finalizePlan(p *plan, partials []*PartialResult) (*Result, erro
 	q := p.q
 	res := &Result{Columns: p.outColumns}
 	if !p.isAggregate {
-		// Box the typed batches into the public [][]any result once, at
-		// the very end: one flat cell array backs every row, so the only
-		// per-cell cost is the interface boxing the public API demands.
-		total := 0
+		// The typed batches are sorted and boxed into the public
+		// [][]any result at the very end, on every core; see order.go.
+		var bs []*ColumnBatch
+		n := 0
 		for _, part := range partials {
-			total += part.NumRows()
-		}
-		ncols := len(p.outColumns)
-		res.Rows = make([][]any, 0, total)
-		cells := make([]any, total*ncols)
-		for _, part := range partials {
-			b := part.Batch
-			if b == nil {
-				continue
-			}
-			for i := 0; i < b.Len(); i++ {
-				row := cells[:ncols:ncols]
-				cells = cells[ncols:]
-				for c := range row {
-					row[c] = b.ValueAt(i, c)
+			if b := part.Batch; b != nil {
+				if !typesEqual(b.Types(), p.colTypes) {
+					return nil, fmt.Errorf("query: partial rows do not match the result's column types")
 				}
-				res.Rows = append(res.Rows, row)
+				bs = append(bs, b)
+				n += b.Len()
 			}
 		}
-	} else {
-		groups := mergePartials(partials)
-		keys := make([]string, 0, len(groups))
-		for key := range groups {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			res.Rows = p.finalizeGroup(res.Rows, groups[key])
-		}
+		res.Rows = orderedRows(bs, p.orderBy, q.Limit, spanCount(e.workers(), n))
+		return res, nil
 	}
-	if err := sortRows(res, q.OrderBy); err != nil {
-		return nil, err
+	groups := mergePartials(partials)
+	keys := make([]string, 0, len(groups))
+	for key := range groups {
+		keys = append(keys, key)
 	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		res.Rows = p.finalizeGroup(res.Rows, groups[key])
+	}
+	sortRows(res.Rows, p.orderBy)
 	if q.Limit >= 0 && len(res.Rows) > q.Limit {
 		res.Rows = res.Rows[:q.Limit]
 	}
@@ -975,55 +975,4 @@ func (p *plan) finalizeGroup(dst [][]any, g *GroupState) [][]any {
 		}
 		dst = append(dst, cells[start:len(cells):len(cells)])
 	}
-}
-
-// sortRows orders the result by the ORDER BY columns (resolved against
-// the output column labels).
-func sortRows(res *Result, orderBy []sqlparse.OrderItem) error {
-	if len(orderBy) == 0 {
-		return nil
-	}
-	idx := make([]int, len(orderBy))
-	for i, o := range orderBy {
-		idx[i] = -1
-		for c, name := range res.Columns {
-			if strings.EqualFold(name, o.Column) {
-				idx[i] = c
-				break
-			}
-		}
-		if idx[i] < 0 {
-			return fmt.Errorf("query: ORDER BY column %q not in result", o.Column)
-		}
-	}
-	slices.SortStableFunc(res.Rows, func(a, b []any) int {
-		for i, o := range orderBy {
-			if cmp := compareAny(a[idx[i]], b[idx[i]]); cmp != 0 {
-				if o.Desc {
-					return -cmp
-				}
-				return cmp
-			}
-		}
-		return 0
-	})
-	return nil
-}
-
-func compareAny(a, b any) int {
-	switch av := a.(type) {
-	case int64:
-		if bv, ok := b.(int64); ok {
-			return cmp.Compare(av, bv)
-		}
-	case float64:
-		if bv, ok := b.(float64); ok {
-			return cmpFloat(av, bv)
-		}
-	case string:
-		if bv, ok := b.(string); ok {
-			return strings.Compare(av, bv)
-		}
-	}
-	return 0
 }

@@ -521,7 +521,7 @@ func (c *pred) eval(r *logicalRow) bool {
 	}
 	switch colTypeOf(c.ref) {
 	case ColFloat64:
-		return matches(c.op, r.value, c.floats, cmpFloat)
+		return matches(c.op, r.value, c.floats, cmp.Compare[float64])
 	case ColString:
 		return matches(c.op, r.stringOf(c.ref), c.strs, strings.Compare)
 	}
@@ -556,17 +556,5 @@ func matches[T any](op predOp, v T, lits []T, compare func(a, b T) int) bool {
 		return d > 0
 	default:
 		return d >= 0
-	}
-}
-
-// cmpFloat orders two values; NaN compares equal to everything.
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
 	}
 }

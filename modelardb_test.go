@@ -385,3 +385,51 @@ func TestErrorBoundReducesStorage(t *testing.T) {
 		t.Fatalf("10%% bound (%d B) must use less storage than lossless (%d B)", sizes[10], sizes[0])
 	}
 }
+
+// TestOrderByNaNValues: a lossless bound stores NaN exactly (Gorilla's
+// verify is bit-identical), so NaN reaches query results. ORDER BY
+// sorts it below every number, at every parallelism, and WHERE Value
+// comparisons use the same order: NaN is less than every literal and
+// equal to none.
+func TestOrderByNaNValues(t *testing.T) {
+	nan := float32(math.NaN())
+	values := []float32{3, nan, 1, -2, nan, 0}
+	for _, par := range []int{1, 4} {
+		cfg := windConfig()
+		cfg.QueryParallelism = par
+		db, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range values {
+			if err := db.Append(1, int64(i)*1000, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		res, err := db.Query(context.Background(), "SELECT TS, Value FROM DataPoint WHERE Tid = 1 ORDER BY Value, TS")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range res.Rows {
+			got = append(got, fmt.Sprint(row...))
+		}
+		want := "[1000 NaN 4000 NaN 3000 -2 5000 0 2000 1 0 3]"
+		if fmt.Sprint(got) != want {
+			t.Errorf("parallelism %d: ORDER BY Value = %v, want %s", par, got, want)
+		}
+		for where, count := range map[string]string{"Value < 0.5": "4", "Value = 1": "1", "Value != 1": "5", "Value > -5": "4"} {
+			res, err := db.Query(context.Background(), "SELECT COUNT(*) FROM DataPoint WHERE Tid = 1 AND "+where)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := fmt.Sprint(res.Rows[0][0]); n != count {
+				t.Errorf("parallelism %d: WHERE %s counts %s, want %s", par, where, n, count)
+			}
+		}
+		db.Close()
+	}
+}
