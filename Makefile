@@ -147,14 +147,17 @@ crash:
 # fixtures; the WAL's two small files, the checkpoint (one frame) and
 # walmeta, which Open parses before any segment; the segment record
 # decoder the store is built on; the typed-column chunk-frame decoder
-# the cluster transport feeds with peer-controlled bytes; the Gorilla
-# value-stream decoder every stored Gorilla segment goes through,
-# checked against its reference; the Gorilla quantizer, whose every
-# decoded value must be the appended one or within the bound of it;
-# and the WHERE compiler, fed SQL text as HTTP and line-protocol
-# clients send it, where a clause that compiles must run without error
-# and answer the same at every worker count. `go test -fuzz` accepts
-# one target per package invocation, hence eight runs.
+# the cluster transport feeds with peer-controlled bytes, where every
+# partial it accepts is then checked, merged and finalized for a set of
+# queries as a cluster master would, answering or failing but never
+# panicking; the Gorilla value-stream decoder every stored Gorilla
+# segment goes through, checked against its reference; the Gorilla
+# quantizer, whose every decoded value must be the appended one or
+# within the bound of it; and the WHERE compiler, fed SQL text as HTTP
+# and line-protocol clients send it, where a clause that compiles must
+# run without error and answer the same at every worker count.
+# `go test -fuzz` accepts one target per package invocation, hence
+# eight runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALScanSegment$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzWALCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/wal

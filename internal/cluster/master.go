@@ -355,8 +355,10 @@ func (c *Client) QueryWithStats(ctx context.Context, sql string) (*modelardb.Res
 	}
 	// The master's metadata replica compiles the same plan the workers
 	// would, so every per-worker compile error is caught here once
-	// instead of N times after a full scatter.
-	if err := c.meta.Engine().Validate(q); err != nil {
+	// instead of N times after a full scatter; the plan then checks
+	// every chunk a worker sends before it is merged.
+	check, err := c.meta.Engine().PartialChecker(q)
+	if err != nil {
 		return nil, nil, err
 	}
 	ctx, cancel := mergeContexts(ctx, c.base)
@@ -378,6 +380,9 @@ func (c *Client) QueryWithStats(ctx context.Context, sql string) (*modelardb.Res
 			start := time.Now()
 			acc := &query.PartialResult{}
 			errs[i] = w.partials(ctx, args, func(part *query.PartialResult) error {
+				if err := check(part); err != nil {
+					return &WorkerError{Method: "ExecutePartialStream", Msg: err.Error()}
+				}
 				query.MergePartial(acc, part)
 				return nil
 			})

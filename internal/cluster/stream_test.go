@@ -6,6 +6,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"net"
 	"reflect"
 	"sync"
@@ -241,5 +242,80 @@ func TestStreamBackpressureStats(t *testing.T) {
 	}
 	if st.InFlightStreams != 0 {
 		t.Fatalf("Stats.InFlightStreams = %d after the scatter, want 0", st.InFlightStreams)
+	}
+}
+
+// chunkWorker answers every query with fixed chunks, the way a broken
+// or hostile peer can: DecodePartial accepts any well-formed frame,
+// whatever shape it spells.
+type chunkWorker struct {
+	worker
+	chunks []*query.PartialResult
+}
+
+func (w *chunkWorker) partials(ctx context.Context, args *StreamQueryArgs, emit func(*query.PartialResult) error) error {
+	for _, part := range w.chunks {
+		if err := emit(part); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestMalformedPartialIsWorkerError: a chunk that does not fit the
+// query's compiled plan is a WorkerError on the master, and an error
+// from Finalize, never a panic in the merge or the finalize and never
+// a result with a mixed-kind column.
+func TestMalformedPartialIsWorkerError(t *testing.T) {
+	scalar := func(n int) []query.ScalarState {
+		s := make([]query.ScalarState, n)
+		for i := range s {
+			s[i] = query.ScalarState{Count: 1, Sum: 1, Min: 1, Max: 1}
+		}
+		return s
+	}
+	groups := func(key []any, nscalars int) *query.PartialResult {
+		return &query.PartialResult{IsAggregate: true, Groups: map[string]*query.GroupState{
+			"1\x00": {Key: key, Scalars: scalar(nscalars)},
+		}}
+	}
+	rows := func(types ...query.ColType) *query.PartialResult {
+		return &query.PartialResult{Batch: query.NewColumnBatch(types)}
+	}
+	const byTid = "SELECT Tid, SUM_S(*) FROM Segment GROUP BY Tid"
+	for _, tc := range []struct {
+		name, sql string
+		chunks    []*query.PartialResult
+	}{
+		{"key shorter than GROUP BY", byTid, []*query.PartialResult{groups(nil, 1)}},
+		{"fewer scalars than the plan", "SELECT SUM_S(*), COUNT_S(*) FROM Segment", []*query.PartialResult{{
+			IsAggregate: true, Groups: map[string]*query.GroupState{"": {Scalars: scalar(1)}},
+		}}},
+		{"states of one key differ in length", byTid, []*query.PartialResult{groups([]any{int64(1)}, 1), groups([]any{int64(1)}, 2)}},
+		{"rows chunk narrower than the one before", "SELECT Tid, TS, Value FROM DataPoint", []*query.PartialResult{
+			rows(query.ColInt64, query.ColInt64, query.ColFloat64), rows(query.ColInt64, query.ColInt64),
+		}},
+		{"string key for Tid", byTid, []*query.PartialResult{groups([]any{"1"}, 1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewLocal(t.Context(), fleetConfig(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.workers[1] = &chunkWorker{worker: c.workers[1], chunks: tc.chunks}
+			_, err = c.Query(t.Context(), tc.sql)
+			var werr *WorkerError
+			if !errors.As(err, &werr) {
+				t.Fatalf("Query = %v, want a WorkerError", err)
+			}
+			q, err := sqlparse.Parse(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err := c.meta.Engine().Finalize(q, tc.chunks); err == nil {
+				t.Fatalf("Finalize = %v, want an error", res.Rows)
+			}
+		})
 	}
 }

@@ -452,7 +452,7 @@ func appendJSONStrings(dst []byte, ss []string) []byte {
 
 // appendJSONValue renders one result cell. Query cells are int64,
 // float64 or string (the three column types); NaN and infinities have
-// no JSON spelling and render as null.
+// no JSON spelling and render as null, as a NULL cell does.
 func appendJSONValue(dst []byte, v any) []byte {
 	switch x := v.(type) {
 	case int64:
@@ -464,14 +464,8 @@ func appendJSONValue(dst []byte, v any) []byte {
 		return strconv.AppendFloat(dst, x, 'g', -1, 64)
 	case string:
 		return appendJSONString(dst, x)
-	case nil:
-		return append(dst, "null"...)
 	default:
-		b, err := json.Marshal(x)
-		if err != nil {
-			return append(dst, "null"...)
-		}
-		return append(dst, b...)
+		return append(dst, "null"...)
 	}
 }
 

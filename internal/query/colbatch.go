@@ -23,6 +23,10 @@ type ColumnBatch struct {
 	i64 [][]int64
 	f64 [][]float64
 	str [][]string
+	// null marks NULL cells per column, up to the last NULL of the
+	// column; nil when the batch has none. Only a finalized aggregate
+	// batch has any (appendNull), and it never reaches the wire.
+	null [][]bool
 	// bytes tracks the estimated in-memory footprint of the appended
 	// cells, steering stream-chunk flushes (ByteSize).
 	bytes int
@@ -54,6 +58,19 @@ func (t ColType) goName() string {
 	}
 }
 
+// cellType is the column type of a boxed cell, 0 for any other value.
+func cellType(v any) ColType {
+	switch v.(type) {
+	case int64:
+		return ColInt64
+	case float64:
+		return ColFloat64
+	case string:
+		return ColString
+	}
+	return 0
+}
+
 // NewColumnBatch returns an empty batch with the given column types.
 // The types slice is retained; callers must not mutate it.
 func NewColumnBatch(types []ColType) *ColumnBatch {
@@ -62,12 +79,14 @@ func NewColumnBatch(types []ColType) *ColumnBatch {
 	return b
 }
 
-// retype rebuilds the batch for a new column layout, dropping any
-// vectors whose type no longer matches.
+// retype empties the batch for a column layout, keeping the vectors
+// of the columns whose type it keeps, so a batch reused for the same
+// layout allocates nothing.
 func (b *ColumnBatch) retype(types []ColType) {
 	b.types = types
 	b.n = 0
 	b.bytes = 0
+	b.null = nil
 	n := len(types)
 	b.i64 = resliceVecs(b.i64, n)
 	b.f64 = resliceVecs(b.f64, n)
@@ -96,19 +115,6 @@ func resliceVecs[T any](vecs [][]T, n int) [][]T {
 		return next
 	}
 	return vecs[:n]
-}
-
-// typesEqual reports whether two column layouts match.
-func typesEqual(a, b []ColType) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Types returns the batch's column types; callers must not mutate it.
@@ -144,7 +150,26 @@ func (b *ColumnBatch) appendString(c int, v string) {
 	b.bytes += 16 + len(v)
 }
 
+// appendNull fills float64 column c of the next row with NULL: a zero
+// in the vector and a mark ValueAt and the sort read. Only an
+// aggregate cell is ever NULL, and aggregates are float64.
+func (b *ColumnBatch) appendNull(c int) {
+	if b.null == nil {
+		b.null = make([][]bool, len(b.types))
+	}
+	for len(b.null[c]) < b.n {
+		b.null[c] = append(b.null[c], false)
+	}
+	b.null[c] = append(b.null[c], true)
+	b.appendFloat64(c, 0)
+}
+
 func (b *ColumnBatch) finishRow() { b.n++ }
+
+// isNull reports whether the cell at (row, col) is NULL.
+func (b *ColumnBatch) isNull(row, col int) bool {
+	return col < len(b.null) && row < len(b.null[col]) && b.null[col][row]
+}
 
 // Int64At returns the int64 cell at (row, col); the column must be
 // ColInt64.
@@ -158,10 +183,13 @@ func (b *ColumnBatch) Float64At(row, col int) float64 { return b.f64[col][row] }
 // ColString.
 func (b *ColumnBatch) StringAt(row, col int) string { return b.str[col][row] }
 
-// ValueAt boxes the cell at (row, col). The compatibility surfaces
-// (Result.Rows, Rows.Row, *any Scan destinations) pay this boxing;
-// the typed paths never call it.
+// ValueAt boxes the cell at (row, col), nil for NULL. The
+// compatibility surfaces (Result.Rows, Rows.Row, *any Scan
+// destinations) pay this boxing; the typed paths never call it.
 func (b *ColumnBatch) ValueAt(row, col int) any {
+	if b.isNull(row, col) {
+		return nil
+	}
 	switch b.types[col] {
 	case ColInt64:
 		return b.i64[col][row]
@@ -233,10 +261,6 @@ var batchPool = sync.Pool{New: func() any { return &ColumnBatch{} }}
 // getBatch returns an empty pooled batch with the given column types.
 func getBatch(types []ColType) *ColumnBatch {
 	b := batchPool.Get().(*ColumnBatch)
-	if typesEqual(b.types, types) {
-		// Same layout as the batch's previous life: keep the vectors.
-		return getReused(b)
-	}
 	b.retype(types)
 	return b
 }

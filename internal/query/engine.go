@@ -3,8 +3,8 @@ package query
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -136,32 +136,55 @@ func (e *Engine) executeTraced(ctx context.Context, q *sqlparse.Query, tr *obs.T
 		return nil, err
 	}
 	p.trace = tr
-	sp = tr.StartSpan(obs.SpanScan)
-	partial, err := e.runPlan(ctx, p)
+	var res *Result
+	err = e.run(ctx, p, func(f *finalized) { res = e.box(p, f) })
+	return res, err
+}
+
+// run executes a compiled plan on this node and finalizes its result:
+// the scan under the trace's scan span, then finalize and use, which
+// takes the finalized result, under its finalize span.
+func (e *Engine) run(ctx context.Context, p *plan, use func(*finalized)) error {
+	sp := p.trace.StartSpan(obs.SpanScan)
+	part, err := e.runPlan(ctx, p)
 	sp.End()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sp = tr.StartSpan(obs.SpanFinalize)
-	res, err := e.finalizePlan(p, []*PartialResult{partial})
-	sp.End()
-	// The boxed result copies numeric cells and shares immutable string
-	// backings, so the batch can go back to the pool immediately.
-	partial.ReleaseBatch()
-	if res != nil {
-		tr.AddRows(int64(len(res.Rows)))
+	sp = p.trace.StartSpan(obs.SpanFinalize)
+	defer sp.End()
+	f, err := e.finalize(p, []*PartialResult{part})
+	if err != nil {
+		part.ReleaseBatch()
+		return err
 	}
-	return res, err
+	f.part = part
+	p.trace.AddRows(int64(len(f.order)))
+	use(f)
+	return nil
 }
 
 // Validate compiles a parsed query without executing it, reporting the
 // same errors execution would: compiling types every WHERE literal by
-// its column, so no error waits for a row to reach it. A cluster
-// master validates once before scattering, so a bad query costs no
-// network traffic and no per-worker scans.
+// its column, so no error waits for a row to reach it.
 func (e *Engine) Validate(q *sqlparse.Query) error {
 	_, err := e.compile(q)
 	return err
+}
+
+// PartialChecker compiles q, reporting the errors Validate would, and
+// returns a check that a partial result fits q's result: group keys of
+// the GROUP BY's length and column types, as many aggregate states as
+// q has, and row batches of q's column types. A peer's chunk decodes
+// to whatever shape its bytes spell, so a cluster master compiles once,
+// before it scatters, and checks every chunk before MergePartial folds
+// it.
+func (e *Engine) PartialChecker(q *sqlparse.Query) (func(*PartialResult) error, error) {
+	p, err := e.compile(q)
+	if err != nil {
+		return nil, err
+	}
+	return p.checkPartial, nil
 }
 
 // SetScanHook installs h, invoked once per segment the executor
@@ -258,9 +281,8 @@ type plan struct {
 	// executor resolves both once per Tid instead of once per (segment,
 	// series) — see keepSeries and groupOf.
 	perSeries bool
-	// colTypes is the typed column layout of projected rows, derived
-	// from the select items' resolved references (non-aggregate plans
-	// only; aggregates materialize rows at finalize).
+	// colTypes is the typed column layout of the result: of projected
+	// rows, and of the batch an aggregate's groups finalize into.
 	colTypes []ColType
 	// orderBy is the compiled ORDER BY, resolved against outColumns.
 	orderBy []sortKey
@@ -366,24 +388,20 @@ func (e *Engine) compile(q *sqlparse.Query) (*plan, error) {
 	for _, ref := range p.groupRefs {
 		p.perSeries = p.perSeries && ref.kind.perSeries()
 	}
-	// Output column labels: the bucket column precedes the first cube
-	// aggregate (Fig. 12 keys results by the roll-up bucket).
-	bucketEmitted := false
+	// The output columns: labels and types. The bucket column precedes
+	// the first cube aggregate (Fig. 12 keys results by the roll-up
+	// bucket), and every aggregate is a float64.
 	for _, pi := range p.items {
-		if pi.cubeIdx >= 0 && !bucketEmitted {
+		if pi.cubeIdx == 0 {
 			p.outColumns = append(p.outColumns, p.cubeLevel.String())
-			bucketEmitted = true
+			p.colTypes = append(p.colTypes, ColInt64)
 		}
 		if pi.sel.Agg == sqlparse.AggNone {
 			p.outColumns = append(p.outColumns, pi.ref.name)
+			p.colTypes = append(p.colTypes, colTypeOf(pi.ref))
 		} else {
 			p.outColumns = append(p.outColumns, pi.sel.Label())
-		}
-	}
-	if !p.isAggregate {
-		p.colTypes = make([]ColType, len(p.items))
-		for i, pi := range p.items {
-			p.colTypes[i] = colTypeOf(pi.ref)
+			p.colTypes = append(p.colTypes, ColFloat64)
 		}
 	}
 	for _, o := range q.OrderBy {
@@ -391,11 +409,7 @@ func (e *Engine) compile(q *sqlparse.Query) (*plan, error) {
 		if col < 0 {
 			return nil, fmt.Errorf("query: ORDER BY column %q not in result", o.Column)
 		}
-		k := sortKey{col: col, desc: o.Desc}
-		if !p.isAggregate {
-			k.typ = p.colTypes[col]
-		}
-		p.orderBy = append(p.orderBy, k)
+		p.orderBy = append(p.orderBy, sortKey{col: col, typ: p.colTypes[col], desc: o.Desc})
 	}
 	return p, nil
 }
@@ -842,42 +856,69 @@ func (e *Engine) Finalize(q *sqlparse.Query, partials []*PartialResult) (*Result
 	return e.finalizePlan(p, partials)
 }
 
-// finalizePlan is Finalize over an already-compiled plan, so callers
-// that hold one (ExecuteQuery, QueryRows) compile only once.
+// finalizePlan is Finalize over an already-compiled plan.
 func (e *Engine) finalizePlan(p *plan, partials []*PartialResult) (*Result, error) {
-	q := p.q
-	res := &Result{Columns: p.outColumns}
-	if !p.isAggregate {
-		// The typed batches are sorted and boxed into the public
-		// [][]any result at the very end, on every core; see order.go.
-		var bs []*ColumnBatch
-		n := 0
+	f, err := e.finalize(p, partials)
+	if err != nil {
+		return nil, err
+	}
+	return e.box(p, f), nil
+}
+
+// finalize checks the partials against the plan, merges them into
+// typed batches — a row result's are the partials' own, an aggregate's
+// merged groups finalize into one — and orders the rows the result
+// keeps (see order.go).
+func (e *Engine) finalize(p *plan, partials []*PartialResult) (*finalized, error) {
+	for _, part := range partials {
+		if err := p.checkPartial(part); err != nil {
+			return nil, err
+		}
+	}
+	var bs []*ColumnBatch
+	if p.isAggregate {
+		bs = append(bs, p.groupBatch(mergePartials(partials)))
+	} else {
 		for _, part := range partials {
-			if b := part.Batch; b != nil {
-				if !typesEqual(b.Types(), p.colTypes) {
-					return nil, fmt.Errorf("query: partial rows do not match the result's column types")
-				}
-				bs = append(bs, b)
-				n += b.Len()
+			if part.Batch != nil {
+				bs = append(bs, part.Batch)
 			}
 		}
-		res.Rows = orderedRows(bs, p.orderBy, q.Limit, spanCount(e.workers(), n))
-		return res, nil
 	}
-	groups := mergePartials(partials)
-	keys := make([]string, 0, len(groups))
-	for key := range groups {
-		keys = append(keys, key)
+	n := 0
+	for _, b := range bs {
+		n += b.Len()
 	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		res.Rows = p.finalizeGroup(res.Rows, groups[key])
+	return orderRows(bs, p.orderBy, p.q.Limit, spanCount(e.workers(), n)), nil
+}
+
+// box boxes a finalized result into the public [][]any rows, on every
+// core, and releases it: the boxed cells copy numerics and share
+// immutable string backings, so nothing of f is needed afterwards.
+func (e *Engine) box(p *plan, f *finalized) *Result {
+	defer f.release()
+	return &Result{Columns: p.outColumns, Rows: boxRefs(f.bs, f.order, spanCount(e.workers(), len(f.order)))}
+}
+
+// checkPartial reports whether a partial fits the plan's result. A
+// peer's chunk decodes to whatever shape its bytes spell, and merging
+// or finalizing one of another shape would read past its states or
+// misread its columns.
+func (p *plan) checkPartial(part *PartialResult) error {
+	if b := part.Batch; b != nil && (p.isAggregate || !slices.Equal(b.Types(), p.colTypes)) {
+		return fmt.Errorf("query: partial rows do not match the result's column types")
 	}
-	sortRows(res.Rows, p.orderBy)
-	if q.Limit >= 0 && len(res.Rows) > q.Limit {
-		res.Rows = res.Rows[:q.Limit]
+	for _, g := range part.Groups {
+		if len(g.Key) != len(p.groupRefs) || len(g.Scalars) != p.nScalars || len(g.Cubes) != p.nCubes {
+			return fmt.Errorf("query: partial group state does not match the query's GROUP BY and aggregates")
+		}
+		for i, v := range g.Key {
+			if t := colTypeOf(p.groupRefs[i]); cellType(v) != t {
+				return fmt.Errorf("query: partial group key %v for %s column %s", v, t.goName(), p.groupRefs[i].name)
+			}
+		}
 	}
-	return res, nil
+	return nil
 }
 
 // mergePartials merges the partials' groups by key (§6.2's master-side
@@ -905,74 +946,82 @@ func mergePartials(partials []*PartialResult) map[string]*GroupState {
 	return merged
 }
 
-// finalizeGroup appends a group's output rows to dst: one row for
-// scalar aggregates, one row per time bucket for roll-ups. Cube states
-// are sorted by bucket, so a roll-up's buckets are the ordered union of
-// its states, walked with one cursor per state, and its rows are cut
-// from one flat cell array.
-func (p *plan) finalizeGroup(dst [][]any, g *GroupState) [][]any {
-	width := len(p.outColumns)
-	if p.nCubes == 0 {
-		row := make([]any, 0, width)
-		for _, pi := range p.items {
-			switch {
-			case pi.groupIdx >= 0:
-				row = append(row, g.Key[pi.groupIdx])
-			case pi.scalarIdx >= 0:
-				v, ok := g.Scalars[pi.scalarIdx].Finalize(pi.sel.Agg)
-				if !ok {
-					row = append(row, nil)
-				} else {
-					row = append(row, v)
+// groupBatch finalizes merged groups into one batch, in key order: one
+// row per group for scalar aggregates, one row per time bucket for
+// roll-ups. Cube states are sorted by bucket, so a roll-up's buckets
+// are the ordered union of its states, walked with one cursor per
+// state.
+func (p *plan) groupBatch(groups map[string]*GroupState) *ColumnBatch {
+	// Not a pooled batch: the pool's batches keep the vectors of a row
+	// layout for the next scan, and an aggregate's layout would drop
+	// them.
+	b := NewColumnBatch(p.colTypes)
+	next := make([]int, p.nCubes)
+	keys := slices.AppendSeq(make([]string, 0, len(groups)), maps.Keys(groups))
+	slices.Sort(keys)
+	for _, key := range keys {
+		g := groups[key]
+		if p.nCubes == 0 {
+			p.appendGroupRow(b, g, 0, nil)
+			continue
+		}
+		clear(next)
+		for {
+			bucket, ok := int64(0), false
+			for ci, c := range g.Cubes {
+				if i := next[ci]; i < len(c) && (!ok || c[i].Bucket < bucket) {
+					bucket, ok = c[i].Bucket, true
+				}
+			}
+			if !ok {
+				break
+			}
+			p.appendGroupRow(b, g, bucket, next)
+			for ci, c := range g.Cubes {
+				if i := next[ci]; i < len(c) && c[i].Bucket == bucket {
+					next[ci]++
 				}
 			}
 		}
-		return append(dst, row)
 	}
-	// The states of one group hold the same buckets unless a peer sent
-	// otherwise; if the union is longer, append moves on to a new array
-	// and the rows already cut keep the old one.
-	nrows := 0
-	for _, c := range g.Cubes {
-		nrows = max(nrows, len(c))
+	return b
+}
+
+// appendGroupRow appends one output row of group g; a roll-up's row is
+// that of bucket, whose cells sit at next in the cube states. An empty
+// state finalizes to NULL, and so does a bucket that one of the states
+// lacks, which only a peer's frame can send.
+func (p *plan) appendGroupRow(b *ColumnBatch, g *GroupState, bucket int64, next []int) {
+	c := 0
+	for _, pi := range p.items {
+		if pi.cubeIdx == 0 {
+			b.appendInt64(c, bucket)
+			c++
+		}
+		if pi.groupIdx >= 0 {
+			// checkPartial has matched the key's cells to the column types.
+			switch v := g.Key[pi.groupIdx].(type) {
+			case int64:
+				b.appendInt64(c, v)
+			case float64:
+				b.appendFloat64(c, v)
+			case string:
+				b.appendString(c, v)
+			}
+		} else {
+			var s ScalarState
+			if pi.scalarIdx >= 0 {
+				s = g.Scalars[pi.scalarIdx]
+			} else if cube, i := g.Cubes[pi.cubeIdx], next[pi.cubeIdx]; i < len(cube) && cube[i].Bucket == bucket {
+				s = cube[i].ScalarState
+			}
+			if v, ok := s.Finalize(pi.sel.Agg); ok {
+				b.appendFloat64(c, v)
+			} else {
+				b.appendNull(c)
+			}
+		}
+		c++
 	}
-	cells := make([]any, 0, nrows*width)
-	next := make([]int, len(g.Cubes))
-	for {
-		b, ok := int64(0), false
-		for ci, c := range g.Cubes {
-			if i := next[ci]; i < len(c) && (!ok || c[i].Bucket < b) {
-				b, ok = c[i].Bucket, true
-			}
-		}
-		if !ok {
-			return dst
-		}
-		start := len(cells)
-		bucketEmitted := false
-		for _, pi := range p.items {
-			if pi.cubeIdx >= 0 && !bucketEmitted {
-				cells = append(cells, b)
-				bucketEmitted = true
-			}
-			switch {
-			case pi.groupIdx >= 0:
-				cells = append(cells, g.Key[pi.groupIdx])
-			case pi.cubeIdx >= 0:
-				var v any
-				if c, i := g.Cubes[pi.cubeIdx], next[pi.cubeIdx]; i < len(c) && c[i].Bucket == b {
-					if f, ok := c[i].Finalize(pi.sel.Agg); ok {
-						v = f
-					}
-				}
-				cells = append(cells, v)
-			}
-		}
-		for ci, c := range g.Cubes {
-			if i := next[ci]; i < len(c) && c[i].Bucket == b {
-				next[ci]++
-			}
-		}
-		dst = append(dst, cells[start:len(cells):len(cells)])
-	}
+	b.finishRow()
 }

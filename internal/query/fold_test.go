@@ -296,7 +296,7 @@ func bruteForce(scan *Result, group string, keep func(tid int64, park string, ts
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	sort.Slice(res.Rows, func(i, j int) bool { return compareAny(res.Rows[i][0], res.Rows[j][0]) < 0 })
+	sort.Slice(res.Rows, func(i, j int) bool { return refCompare(res.Rows[i][0], res.Rows[j][0]) < 0 })
 	return res
 }
 

@@ -9,22 +9,21 @@ import (
 
 // ORDER BY. compile resolves each ORDER BY item against the output
 // columns into a sortKey, so an unknown column is a compile error and
-// finalize does no name lookup. Aggregate results are small and boxed
-// as they are finalized; sortRows orders them with compareAny. A row
-// result stays typed until its last step: orderedRows sorts references
-// into the column batches with a typed comparator, on every core, and
-// boxes only the rows LIMIT keeps.
+// finalize does no name lookup. Every result reaches its last step as
+// typed column batches — a row result as the partials' batches, an
+// aggregate result as the one batch its groups finalize into — and
+// takes one path: orderRows sorts references into the batches with a
+// typed comparator, on every core, and keeps the first LIMIT of them;
+// then boxRefs boxes only those rows, or the cursor walks them.
 //
-// Both comparators are one total order: NULL first, then NaN, then
+// The comparator is one total order: NULL first, then NaN, then
 // numbers ascending (-0 equals +0), and strings by byte order; DESC
-// mirrors the whole order, and cells of different kinds in one boxed
-// column order by kind (NULL, int64, float64, string). A total order is
-// what makes a stable sort's output a function of its input alone,
-// and so what lets orderedRows split the sort without changing it.
+// mirrors the whole order. A total order is what makes a stable sort's
+// output a function of its input alone, and so what lets orderRows
+// split the sort without changing it.
 
 // sortKey is one compiled ORDER BY item: the output column it reads,
-// that column's type (row results only; aggregate rows are boxed) and
-// its direction.
+// that column's type and its direction.
 type sortKey struct {
 	col  int
 	typ  ColType
@@ -46,70 +45,35 @@ func spanCount(workers, n int) int {
 	return max(1, min(workers, n/minSpanRows))
 }
 
-// kindRank orders the kinds of boxed cells for compareAny.
-func kindRank(v any) int {
-	switch v.(type) {
-	case nil:
-		return 0
-	case int64:
-		return 1
-	case float64:
-		return 2
-	case string:
-		return 3
-	default:
-		return 4
-	}
-}
-
-// compareAny is the total order on boxed cells (see above); cmp.Compare
-// already puts NaN below every number and -0 level with +0.
-func compareAny(a, b any) int {
-	switch av := a.(type) {
-	case int64:
-		if bv, ok := b.(int64); ok {
-			return cmp.Compare(av, bv)
-		}
-	case float64:
-		if bv, ok := b.(float64); ok {
-			return cmp.Compare(av, bv)
-		}
-	case string:
-		if bv, ok := b.(string); ok {
-			return strings.Compare(av, bv)
-		}
-	}
-	return cmp.Compare(kindRank(a), kindRank(b))
-}
-
-// sortRows stably orders boxed aggregate rows by the compiled keys.
-func sortRows(rows [][]any, keys []sortKey) {
-	if len(keys) == 0 {
-		return
-	}
-	slices.SortStableFunc(rows, func(a, b []any) int {
-		for _, k := range keys {
-			if c := compareAny(a[k.col], b[k.col]); c != 0 {
-				if k.desc {
-					return -c
-				}
-				return c
-			}
-		}
-		return 0
-	})
-}
-
 // rowRef addresses one row of a finalize input: row row of batch part.
 // Sorting 8-byte references moves neither cells nor row headers.
 type rowRef struct{ part, row int32 }
 
-// orderedRows boxes the batches' rows into the public result: in
-// concatenation order (batch 0's rows, then batch 1's, …) without keys,
-// else stably sorted by them; keeping the first limit rows (all when
-// limit < 0). The sort and the boxing each run on at most spans
-// goroutines, and the rows do not depend on spans.
-func orderedRows(bs []*ColumnBatch, keys []sortKey, limit, spans int) [][]any {
+// finalized is a finished result: the rows of bs it keeps, in result
+// order. order lies in one of two reference arrays from refPool, and
+// part is the scan's own partial when the engine ran one; release hands
+// them back once the rows are boxed or walked.
+type finalized struct {
+	bs     []*ColumnBatch
+	order  []rowRef
+	pooled [2][]rowRef
+	part   *PartialResult
+}
+
+// release returns f's reference arrays and scanned batch to their
+// pools; f must not be used afterwards.
+func (f *finalized) release() {
+	putRefs(f.pooled[0])
+	putRefs(f.pooled[1])
+	f.part.ReleaseBatch()
+}
+
+// orderRows orders the batches' rows: in concatenation order (batch
+// 0's rows, then batch 1's, …) without keys, else stably sorted by
+// them; keeping the first limit rows (all when limit < 0). The sort
+// runs on at most spans goroutines, and the order does not depend on
+// spans.
+func orderRows(bs []*ColumnBatch, keys []sortKey, limit, spans int) *finalized {
 	n := 0
 	for _, b := range bs {
 		n += b.Len()
@@ -123,7 +87,8 @@ func orderedRows(bs []*ColumnBatch, keys []sortKey, limit, spans int) [][]any {
 		want = limit
 	}
 	refs := getRefs(want)
-	defer putRefs(refs)
+	f := &finalized{bs: bs}
+	f.pooled[0] = refs
 fill:
 	for i, b := range bs {
 		for r := range b.Len() {
@@ -133,26 +98,35 @@ fill:
 			refs = append(refs, rowRef{int32(i), int32(r)})
 		}
 	}
-	out := refs[:limit]
+	f.order = refs[:limit]
 	if len(keys) > 0 {
-		spare := getRefs(n)[:n]
-		defer putRefs(spare)
-		out = sortRefs(refs, spare, spans, limit, refOrder(bs, keys))
+		f.pooled[1] = getRefs(n)[:n]
+		f.order = sortRefs(refs, f.pooled[1], spans, limit, refOrder(bs, keys))
 	}
-	return boxRefs(bs, out, spanCount(spans, len(out)))
+	return f
 }
 
 // refOrder is the typed comparator of rows addressed by references:
-// each key reads its column's vector directly, with no boxing.
+// each key reads its column's vector directly, with no boxing. Only an
+// aggregate's batch holds NULL cells, so a row result's compare skips
+// looking for them.
 func refOrder(bs []*ColumnBatch, keys []sortKey) func(a, b rowRef) int {
+	nulls := slices.ContainsFunc(bs, func(b *ColumnBatch) bool { return b.null != nil })
 	return func(a, b rowRef) int {
 		ba, bb := bs[a.part], bs[b.part]
 		for _, k := range keys {
 			var c int
-			switch k.typ {
-			case ColInt64:
+			switch na, nb := nulls && ba.isNull(int(a.row), k.col), nulls && bb.isNull(int(b.row), k.col); {
+			case na || nb:
+				if na != nb {
+					c = 1
+					if na {
+						c = -1
+					}
+				}
+			case k.typ == ColInt64:
 				c = cmp.Compare(ba.i64[k.col][a.row], bb.i64[k.col][b.row])
-			case ColFloat64:
+			case k.typ == ColFloat64:
 				c = cmp.Compare(ba.f64[k.col][a.row], bb.f64[k.col][b.row])
 			default:
 				c = strings.Compare(ba.str[k.col][a.row], bb.str[k.col][b.row])
@@ -302,7 +276,10 @@ func gallop(run []rowRef, x rowRef, ties bool, compare func(a, b rowRef) int) in
 // boxRefs boxes the referenced rows, in order, filling spans contiguous
 // ranges concurrently; each range cuts its rows from one flat cell
 // array of its own, so the arrays are cleared in parallel too. The
-// per-cell cost is the interface boxing the public API demands.
+// per-cell cost is the interface boxing the public API demands, and
+// boxing a string allocates, so a string equal to the one above it
+// shares that cell's box: a group key, or a series' member, repeats
+// down its column.
 func boxRefs(bs []*ColumnBatch, refs []rowRef, spans int) [][]any {
 	rows := make([][]any, len(refs))
 	if len(refs) == 0 {
@@ -311,14 +288,19 @@ func boxRefs(bs []*ColumnBatch, refs []rowRef, spans int) [][]any {
 	ncols := bs[0].NumCols()
 	forSpans(len(refs), spans, func(lo, hi int) {
 		cells := make([]any, (hi-lo)*ncols)
+		prev := cells[:ncols] // the first row, whose cells are still nil
 		for i := lo; i < hi; i++ {
 			row := cells[:ncols:ncols]
 			cells = cells[ncols:]
 			b, r := bs[refs[i].part], int(refs[i].row)
 			for c := range row {
-				row[c] = b.ValueAt(r, c)
+				if b.types[c] == ColString && prev[c] == b.str[c][r] {
+					row[c] = prev[c]
+				} else {
+					row[c] = b.ValueAt(r, c)
+				}
 			}
-			rows[i] = row
+			rows[i], prev = row, row
 		}
 	})
 	return rows
@@ -338,14 +320,24 @@ func getRefs(n int) []rowRef {
 	return make([]rowRef, 0, n)
 }
 
-// putRefs returns an array to refPool; the caller must not use it
-// afterwards.
-func putRefs(refs []rowRef) { refPool.Put(&refs) }
+// putRefs returns an array to refPool, if there is one; the caller
+// must not use it afterwards. The pointer the pool holds is taken
+// inside the branch, so a nil array allocates nothing.
+func putRefs(refs []rowRef) {
+	if refs != nil {
+		p := refs
+		refPool.Put(&p)
+	}
+}
 
 // forSpans calls fn on spans contiguous ranges of [0, n) concurrently
 // and returns when every call has. The first range runs on the calling
-// goroutine, so one span starts no goroutine.
+// goroutine, so one span starts no goroutine and allocates nothing.
 func forSpans(n, spans int, fn func(lo, hi int)) {
+	if spans == 1 {
+		fn(0, n)
+		return
+	}
 	var wg sync.WaitGroup
 	for s := 1; s < spans; s++ {
 		wg.Add(1)

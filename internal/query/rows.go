@@ -17,10 +17,11 @@ import (
 // completes and an early Close (or a cancelled context) stops the scan
 // and drains the worker pool within one chunk of work per goroutine.
 // Aggregate and ORDER BY queries cannot produce a row before the whole
-// scan finishes; for those the cursor materializes the result first
-// and then iterates it, so the API is uniform across query shapes.
+// scan finishes; for those the cursor finalizes the result first, as
+// Execute does, and then walks its rows in result order, so the API is
+// uniform across query shapes.
 //
-// Streamed rows live in typed columnar batches: Scan into typed
+// Either way the rows live in typed columnar batches: Scan into typed
 // destinations copies straight out of the column vectors without
 // boxing a single cell, and a consumed batch goes back to the package
 // pool. Values a caller has Scanned stay valid after the batch is
@@ -40,23 +41,23 @@ import (
 //	if err := rows.Err(); err != nil ...
 type Rows struct {
 	cols  []string
-	types []ColType // streaming mode only
+	types []ColType
 
-	// Materialized mode (aggregate / ORDER BY): the finished rows.
-	mat          [][]any
-	materialized bool
-
-	// Streaming state; batches is nil once the producer has finished.
-	// Batches arriving on the channel are owned by the cursor and
-	// released to the pool as iteration moves past them.
+	// The current row is row row of cur. A streaming cursor receives
+	// its batches from the producer; batches is nil once the producer
+	// has finished, and the cursor releases each batch to the pool as
+	// iteration moves past it. A finalized cursor walks done's rows,
+	// next being the index of the next one in done.order.
 	batches chan *ColumnBatch
 	errc    chan error
 	cancel  context.CancelFunc
+	done    *finalized
+	next    int
 	cur     *ColumnBatch
+	row     int
 
-	idx     int // rows consumed from cur (or mat); current row is idx-1
 	onRow   bool
-	scratch []any // reused boxed row backing Row() in streaming mode
+	scratch []any // reused boxed row backing Row()
 	err     error
 	closed  bool
 
@@ -103,38 +104,22 @@ func (e *Engine) queryRowsTraced(ctx context.Context, q *sqlparse.Query, tr *obs
 		return nil, err
 	}
 	p.trace = tr
+	r := &Rows{cols: p.outColumns, types: p.colTypes}
 	if p.isAggregate || len(q.OrderBy) > 0 {
-		// No row can be emitted before the scan completes; run the query
-		// to completion (on the plan already compiled above) and iterate
-		// the finished result. The query work ends here, so the trace
-		// does too — the cursor just walks materialized rows.
-		sp = tr.StartSpan(obs.SpanScan)
-		partial, err := e.runPlan(ctx, p)
-		sp.End()
+		// No row can be emitted before the scan completes: run the query
+		// to completion and walk the finalized rows. The query's work
+		// ends here, so its trace does too.
+		err := e.run(ctx, p, func(f *finalized) { r.done = f })
+		e.finishTrace(tr, err)
 		if err != nil {
-			e.finishTrace(tr, err)
 			return nil, err
 		}
-		sp = tr.StartSpan(obs.SpanFinalize)
-		res, err := e.finalizePlan(p, []*PartialResult{partial})
-		sp.End()
-		partial.ReleaseBatch()
-		if err != nil {
-			e.finishTrace(tr, err)
-			return nil, err
-		}
-		tr.AddRows(int64(len(res.Rows)))
-		e.finishTrace(tr, nil)
-		return &Rows{cols: res.Columns, mat: res.Rows, materialized: true}, nil
+		return r, nil
 	}
 	rctx, cancel := context.WithCancel(ctx)
-	r := &Rows{
-		cols:    p.outColumns,
-		types:   p.colTypes,
-		batches: make(chan *ColumnBatch, 1),
-		errc:    make(chan error, 1),
-		cancel:  cancel,
-	}
+	r.batches = make(chan *ColumnBatch, 1)
+	r.errc = make(chan error, 1)
+	r.cancel = cancel
 	if tr != nil {
 		r.finish = func(rows int64, err error) {
 			tr.AddRows(rows)
@@ -213,127 +198,82 @@ func (r *Rows) Next() bool {
 	if r.closed || r.err != nil {
 		return false
 	}
-	if r.materialized {
-		if r.idx >= len(r.mat) {
+	if r.done != nil {
+		if r.next == len(r.done.order) {
 			return false
 		}
-		r.idx++
-		r.onRow = true
-		return true
-	}
-	for r.cur == nil || r.idx >= r.cur.Len() {
-		if r.cur != nil {
+		ref := r.done.order[r.next]
+		r.next++
+		r.cur, r.row = r.done.bs[ref.part], int(ref.row)
+	} else {
+		r.row++
+		for r.cur == nil || r.row >= r.cur.Len() {
 			r.cur.release()
 			r.cur = nil
+			if r.batches == nil {
+				return false
+			}
+			batch, ok := <-r.batches
+			if !ok {
+				r.err = <-r.errc
+				r.batches = nil
+				return false
+			}
+			r.cur, r.row = batch, 0
 		}
-		if r.batches == nil {
-			return false
-		}
-		batch, ok := <-r.batches
-		if !ok {
-			r.err = <-r.errc
-			r.batches = nil
-			r.idx = 0
-			return false
-		}
-		r.cur, r.idx = batch, 0
 	}
-	r.idx++
 	r.nrows++
 	r.onRow = true
 	return true
 }
 
-// Row returns the current row's values. The slice (and, for streamed
-// rows, its contents) is only valid until the next call to Next or
-// Row; callers that retain rows must copy. Scan into typed
-// destinations avoids the boxing entirely.
+// Row returns the current row's values. The slice and its contents
+// are only valid until the next call to Next or Row; callers that
+// retain rows must copy. Scan into typed destinations avoids the
+// boxing entirely.
 func (r *Rows) Row() []any {
 	if !r.onRow {
 		return nil
-	}
-	if r.materialized {
-		return r.mat[r.idx-1]
 	}
 	if len(r.scratch) != len(r.types) {
 		r.scratch = make([]any, len(r.types))
 	}
 	for c := range r.scratch {
-		r.scratch[c] = r.cur.ValueAt(r.idx-1, c)
+		r.scratch[c] = r.cur.ValueAt(r.row, c)
 	}
 	return r.scratch
 }
 
 // Scan copies the current row into dest, which must hold one pointer
 // per column: *any accepts every value, and *int64, *float64, *string
-// must match the column's dynamic type. For streamed rows a typed
-// destination copies straight from the column vector — no allocation
-// per row.
+// must match the column's type. A typed destination copies straight
+// from the column vector — no allocation per row.
 func (r *Rows) Scan(dest ...any) error {
 	if !r.onRow {
 		return errors.New("query: Scan called without a successful Next")
 	}
-	if r.materialized {
-		return scanBoxed(r.cols, r.mat[r.idx-1], dest)
-	}
 	if len(dest) != len(r.types) {
 		return fmt.Errorf("query: Scan got %d destinations for %d columns", len(dest), len(r.types))
 	}
-	i := r.idx - 1
 	for c, d := range dest {
 		switch p := d.(type) {
 		case *any:
-			*p = r.cur.ValueAt(i, c)
+			*p = r.cur.ValueAt(r.row, c)
 		case *int64:
 			if r.types[c] != ColInt64 {
 				return fmt.Errorf("query: column %s is %s, not int64", r.cols[c], r.types[c].goName())
 			}
-			*p = r.cur.Int64At(i, c)
+			*p = r.cur.Int64At(r.row, c)
 		case *float64:
 			if r.types[c] != ColFloat64 {
 				return fmt.Errorf("query: column %s is %s, not float64", r.cols[c], r.types[c].goName())
 			}
-			*p = r.cur.Float64At(i, c)
+			*p = r.cur.Float64At(r.row, c)
 		case *string:
 			if r.types[c] != ColString {
 				return fmt.Errorf("query: column %s is %s, not string", r.cols[c], r.types[c].goName())
 			}
-			*p = r.cur.StringAt(i, c)
-		default:
-			return fmt.Errorf("query: unsupported Scan destination %T", d)
-		}
-	}
-	return nil
-}
-
-// scanBoxed is Scan over a materialized boxed row.
-func scanBoxed(cols []string, row []any, dest []any) error {
-	if len(dest) != len(row) {
-		return fmt.Errorf("query: Scan got %d destinations for %d columns", len(dest), len(row))
-	}
-	for i, d := range dest {
-		v := row[i]
-		switch p := d.(type) {
-		case *any:
-			*p = v
-		case *int64:
-			x, ok := v.(int64)
-			if !ok {
-				return fmt.Errorf("query: column %s is %T, not int64", cols[i], v)
-			}
-			*p = x
-		case *float64:
-			x, ok := v.(float64)
-			if !ok {
-				return fmt.Errorf("query: column %s is %T, not float64", cols[i], v)
-			}
-			*p = x
-		case *string:
-			x, ok := v.(string)
-			if !ok {
-				return fmt.Errorf("query: column %s is %T, not string", cols[i], v)
-			}
-			*p = x
+			*p = r.cur.StringAt(r.row, c)
 		default:
 			return fmt.Errorf("query: unsupported Scan destination %T", d)
 		}
@@ -349,17 +289,13 @@ func (r *Rows) AppendColumnText(dst []byte, c int) []byte {
 	if !r.onRow {
 		return dst
 	}
-	if r.materialized {
-		return fmt.Append(dst, r.mat[r.idx-1][c])
-	}
-	i := r.idx - 1
 	switch r.types[c] {
 	case ColInt64:
-		return strconv.AppendInt(dst, r.cur.Int64At(i, c), 10)
+		return strconv.AppendInt(dst, r.cur.Int64At(r.row, c), 10)
 	case ColFloat64:
-		return strconv.AppendFloat(dst, r.cur.Float64At(i, c), 'g', -1, 64)
+		return strconv.AppendFloat(dst, r.cur.Float64At(r.row, c), 'g', -1, 64)
 	default:
-		return append(dst, r.cur.StringAt(i, c)...)
+		return append(dst, r.cur.StringAt(r.row, c)...)
 	}
 }
 
@@ -382,19 +318,21 @@ func (r *Rows) Close() error {
 	if r.cancel != nil {
 		r.cancel()
 	}
-	if r.cur != nil {
-		r.cur.release()
-		r.cur = nil
-	}
 	if r.batches != nil {
 		// Unblock and wait out the producer so no goroutine outlives the
 		// cursor; its terminal error is irrelevant after an early close.
+		r.cur.release()
 		for b := range r.batches {
 			b.release()
 		}
 		<-r.errc
 		r.batches = nil
 	}
+	if r.done != nil {
+		r.done.release()
+		r.done = nil
+	}
+	r.cur, r.scratch = nil, nil
 	if r.finish != nil {
 		// The producer has drained (above), so the scan span is ended and
 		// the trace can complete with the rows actually delivered.
@@ -402,6 +340,5 @@ func (r *Rows) Close() error {
 		r.finish = nil
 		f(r.nrows, r.err)
 	}
-	r.mat, r.scratch = nil, nil
 	return nil
 }

@@ -128,7 +128,7 @@ func streamDB(t *testing.T, kind string) *Engine {
 	return NewEngine(store, meta, models.NewBuiltinRegistry(), schema)
 }
 
-func mustParse(t *testing.T, sql string) *sqlparse.Query {
+func mustParse(t testing.TB, sql string) *sqlparse.Query {
 	t.Helper()
 	q, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -153,9 +153,9 @@ func collectRows(t *testing.T, rows *Rows) [][]any {
 }
 
 // randomCursorSQL mixes queries that stream (no aggregate, no ORDER
-// BY, with and without LIMIT) with queries that take the materializing
-// fallback (aggregates, ORDER BY), so both cursor paths are compared
-// against Execute.
+// BY, with and without LIMIT) with queries the cursor finalizes before
+// it walks them (aggregates, ORDER BY), so both cursor paths are
+// compared against Execute.
 func randomCursorSQL(rng *rand.Rand, nSeries int) string {
 	where := ""
 	switch rng.Intn(5) {
@@ -369,8 +369,8 @@ func TestQueryRowsScanTyped(t *testing.T) {
 	}
 }
 
-// TestQueryRowsAggregateFallback: aggregate and ORDER BY queries run
-// through the materializing fallback but keep identical cursor
+// TestQueryRowsAggregateFallback: aggregate and ORDER BY queries are
+// finalized before the cursor walks them but keep identical cursor
 // semantics, including Close-before-exhaustion.
 func TestQueryRowsAggregateFallback(t *testing.T) {
 	eng := intDB(t, 4)

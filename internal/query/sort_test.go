@@ -12,9 +12,10 @@ import (
 	"modelardb/internal/sqlparse"
 )
 
-// refCompare is the ORDER BY order written out independently of
-// compareAny, as the oracle for both sorts: NULL, then int64, then
-// float64 with NaN before every number, then strings by byte order.
+// refCompare is the ORDER BY order on boxed cells, written out
+// independently of refOrder as the oracle for it: NULL, then int64,
+// then float64 with NaN before every number, then strings by byte
+// order.
 func refCompare(a, b any) int {
 	rank := func(v any) int {
 		switch x := v.(type) {
@@ -59,7 +60,7 @@ func refCompare(a, b any) int {
 }
 
 // refSortRows is a reflection-based stable sort, the oracle for
-// sortRows and orderedRows: ORDER BY keys compared left to right by
+// orderRows: ORDER BY keys compared left to right by
 // refCompare, DESC negating it, ties keeping their input order.
 func refSortRows(rows [][]any, keys []sortKey) {
 	sort.SliceStable(rows, func(a, b int) bool {
@@ -77,59 +78,63 @@ func refSortRows(rows [][]any, keys []sortKey) {
 	})
 }
 
-// TestSortRowsMatchesStableReference sorts random results with many
-// duplicate keys, mixed ASC/DESC keys and int64, float64 (NaN and ±0
-// included), string and nil cells, and requires the reference's order
-// row for row. The last column numbers the input rows, so a tie broken
-// differently shows.
+// orderedRows orders the batches' rows as finalize does and boxes the
+// rows it keeps.
+func orderedRows(bs []*ColumnBatch, keys []sortKey, limit, spans int) [][]any {
+	f := orderRows(bs, keys, limit, spans)
+	defer f.release()
+	return boxRefs(bs, f.order, spanCount(spans, len(f.order)))
+}
+
+// TestSortRowsMatchesStableReference sorts random results shaped like
+// an aggregate's — one batch, as groupBatch builds, of int64 group
+// columns and float64 aggregate columns (NaN, ±0 and NULL included) —
+// with many duplicate keys and mixed ASC/DESC keys, and requires the
+// reference's order row for row at one to four spans. The last column
+// numbers the input rows, so a tie broken differently shows.
 func TestSortRowsMatchesStableReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	cell := func(kind int) any {
-		switch kind {
-		case 0:
-			return int64(rng.Intn(5))
-		case 1:
-			return []float64{math.NaN(), math.Copysign(0, -1), 0, 0.5, 1.5}[rng.Intn(5)]
-		case 2:
-			return []string{"", "a", "b", "ab"}[rng.Intn(4)]
-		default:
-			return nil
-		}
-	}
+	floats := []float64{math.NaN(), math.Copysign(0, -1), 0, 0.5, 1.5}
 	for trial := 0; trial < 300; trial++ {
 		ncols := 1 + rng.Intn(4)
-		kinds := make([]int, ncols)
-		for c := range kinds {
-			kinds[c] = rng.Intn(4)
+		types := make([]ColType, ncols+1)
+		for c := range ncols {
+			types[c] = []ColType{ColInt64, ColFloat64}[rng.Intn(2)]
 		}
+		types[ncols] = ColInt64
+		b := NewColumnBatch(types)
 		rows := make([][]any, rng.Intn(300))
 		for r := range rows {
-			row := make([]any, ncols+1)
-			for c, kind := range kinds {
-				// Mostly the column's kind, sometimes a stray nil or a
-				// cell of another kind.
-				switch rng.Intn(10) {
-				case 0:
-					row[c] = nil
-				case 1:
-					row[c] = cell(rng.Intn(4))
+			for c, typ := range types[:ncols] {
+				switch {
+				case typ == ColInt64:
+					b.appendInt64(c, int64(rng.Intn(5)))
+				case rng.Intn(4) == 0:
+					b.appendNull(c)
 				default:
-					row[c] = cell(kind)
+					b.appendFloat64(c, floats[rng.Intn(len(floats))])
 				}
 			}
-			row[ncols] = int64(r)
+			b.appendInt64(ncols, int64(r))
+			b.finishRow()
+			row := make([]any, len(types))
+			for c := range row {
+				row[c] = b.ValueAt(r, c)
+			}
 			rows[r] = row
 		}
 		keys := make([]sortKey, 1+rng.Intn(ncols))
 		for i := range keys {
-			keys[i] = sortKey{col: rng.Intn(ncols), desc: rng.Intn(2) == 0}
+			col := rng.Intn(ncols)
+			keys[i] = sortKey{col: col, typ: types[col], desc: rng.Intn(2) == 0}
 		}
-		want := make([][]any, len(rows))
-		copy(want, rows)
+		want := append([][]any(nil), rows...)
 		refSortRows(want, keys)
-		sortRows(rows, keys)
-		if !sameRows(rows, want) {
-			t.Fatalf("trial %d: ORDER BY %+v:\n got %v\nwant %v", trial, keys, rows, want)
+		for spans := 1; spans <= 4; spans++ {
+			got := orderedRows([]*ColumnBatch{b}, keys, -1, spans)
+			if !sameRows(got, want) {
+				t.Fatalf("trial %d: ORDER BY %+v, spans %d:\n got %v\nwant %v", trial, keys, spans, got, want)
+			}
 		}
 	}
 }
@@ -164,27 +169,43 @@ func sameRows(got, want [][]any) bool {
 // NULL first, then NaN, then numbers, and DESC the exact mirror.
 func TestOrderByNaNAndNullFirst(t *testing.T) {
 	nan := math.NaN()
-	asc := []sortKey{{col: 0}}
-	desc := []sortKey{{col: 0, desc: true}}
+	asc := []sortKey{{col: 0, typ: ColFloat64}}
+	desc := []sortKey{{col: 0, typ: ColFloat64, desc: true}}
+	// A float64 column whose nil cells are NULL, as an aggregate's are.
+	batch := func(cells []any) *ColumnBatch {
+		b := NewColumnBatch([]ColType{ColFloat64})
+		for _, v := range cells {
+			if v == nil {
+				b.appendNull(0)
+			} else {
+				b.appendFloat64(0, v.(float64))
+			}
+			b.finishRow()
+		}
+		return b
+	}
 	for _, tc := range []struct {
-		in, asc, desc [][]any
+		in, asc, desc []any
 	}{
-		{[][]any{{3.0}, {nan}, {1.0}}, [][]any{{nan}, {1.0}, {3.0}}, [][]any{{3.0}, {1.0}, {nan}}},
-		{[][]any{{int64(3)}, {nil}, {int64(1)}}, [][]any{{nil}, {int64(1)}, {int64(3)}}, [][]any{{int64(3)}, {int64(1)}, {nil}}},
-		{[][]any{{2.0}, {nil}, {nan}, {-1.0}, {nil}}, [][]any{{nil}, {nil}, {nan}, {-1.0}, {2.0}}, [][]any{{2.0}, {-1.0}, {nan}, {nil}, {nil}}},
+		{[]any{3.0, nan, 1.0}, []any{nan, 1.0, 3.0}, []any{3.0, 1.0, nan}},
+		{[]any{3.0, nil, 1.0}, []any{nil, 1.0, 3.0}, []any{3.0, 1.0, nil}},
+		{[]any{2.0, nil, nan, -1.0, nil}, []any{nil, nil, nan, -1.0, 2.0}, []any{2.0, -1.0, nan, nil, nil}},
 	} {
 		for _, c := range []struct {
 			keys []sortKey
-			want [][]any
+			want []any
 		}{{asc, tc.asc}, {desc, tc.desc}} {
-			got := append([][]any(nil), tc.in...)
-			sortRows(got, c.keys)
-			if !sameRows(got, c.want) {
-				t.Errorf("sortRows(%v, desc=%v) = %v, want %v", tc.in, c.keys[0].desc, got, c.want)
+			got := orderedRows([]*ColumnBatch{batch(tc.in)}, c.keys, -1, 1)
+			want := make([][]any, len(c.want))
+			for i, v := range c.want {
+				want[i] = []any{v}
+			}
+			if !sameRows(got, want) {
+				t.Errorf("ORDER BY (desc=%v) of %v = %v, want %v", c.keys[0].desc, tc.in, got, want)
 			}
 		}
 	}
-	// The typed path: a float64 column with NaN and ±0, in two batches.
+	// Two batches: NaN and ±0 across them.
 	b0, b1 := NewColumnBatch([]ColType{ColFloat64}), NewColumnBatch([]ColType{ColFloat64})
 	for _, v := range []float64{2, nan, 0} {
 		b0.appendFloat64(0, v)
@@ -196,7 +217,7 @@ func TestOrderByNaNAndNullFirst(t *testing.T) {
 	}
 	negZero := math.Copysign(0, -1)
 	for spans := 1; spans <= 3; spans++ {
-		got := orderedRows([]*ColumnBatch{b0, b1}, []sortKey{{col: 0, typ: ColFloat64}}, -1, spans)
+		got := orderedRows([]*ColumnBatch{b0, b1}, asc, -1, spans)
 		want := [][]any{{nan}, {nan}, {-3.0}, {0.0}, {negZero}, {2.0}}
 		if !sameRows(got, want) {
 			t.Errorf("spans %d: orderedRows = %v, want %v", spans, got, want)

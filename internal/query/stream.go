@@ -135,7 +135,7 @@ func (e *Engine) runSelectChunks(ctx context.Context, p *plan, maxBytes int, emi
 		emitted = true
 		err := emit(out)
 		out.Batch = nil
-		buf = getReused(buf)
+		buf.retype(buf.types)
 		return err
 	}
 	add := func(src *ColumnBatch) error {

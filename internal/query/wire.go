@@ -410,12 +410,12 @@ func (r *wireReader) decodeBatch(part *PartialResult) error {
 	if ncols == 0 && nrows > 0 {
 		return fmt.Errorf("query: partial result frame: %d rows with no columns", nrows)
 	}
-	var b *ColumnBatch
-	if part.Batch != nil && typesEqual(part.Batch.types, types) {
-		// Chunk after chunk of one stream reuses the same batch.
-		b = getReused(part.Batch)
-	} else {
+	// Chunk after chunk of one stream reuses the same batch.
+	b := part.Batch
+	if b == nil {
 		b = getBatch(types)
+	} else {
+		b.retype(types)
 	}
 	part.Batch = b
 	for c, t := range types {
@@ -456,24 +456,6 @@ func (r *wireReader) decodeBatch(part *PartialResult) error {
 	b.n = nrows
 	b.bytes += 8 * nrows * (ncols - countStrings(types))
 	return nil
-}
-
-// getReused reslices a batch to empty for its next use with the same
-// column layout, keeping its vectors' capacity.
-func getReused(b *ColumnBatch) *ColumnBatch {
-	b.n = 0
-	b.bytes = 0
-	for c, t := range b.types {
-		switch t {
-		case ColInt64:
-			b.i64[c] = b.i64[c][:0]
-		case ColFloat64:
-			b.f64[c] = b.f64[c][:0]
-		case ColString:
-			b.str[c] = b.str[c][:0]
-		}
-	}
-	return b
 }
 
 // growVec returns a zero-offset vector of length n, reusing capacity.

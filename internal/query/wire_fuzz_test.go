@@ -2,7 +2,10 @@ package query
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"modelardb/internal/sqlparse"
 )
 
 // fuzzSeedRows builds a valid non-aggregate partial with all three
@@ -71,8 +74,23 @@ func fuzzSeedHostileCube() *PartialResult {
 // offsets and bit flips, the frames a torn TCP stream or broken peer
 // would actually produce. Every decoded cube state must be strictly
 // ascending by bucket — duplicates merged — and survive the round trip
-// cell for cell.
+// cell for cell. Every decoded partial then takes the master's path for
+// each of a set of queries: PartialChecker, MergePartial of the chunks
+// it admits, and Finalize, which checks the partials itself; each must
+// answer with a result or an error, never a panic.
 func FuzzDecodePartial(f *testing.F) {
+	eng := newFixture(f).eng
+	var queries []*sqlparse.Query
+	for _, sql := range []string{
+		"SELECT Tid, SUM(Value) FROM DataPoint GROUP BY Tid",
+		"SELECT Tid, Value, Park, COUNT(*) FROM DataPoint GROUP BY Tid, Value, Park ORDER BY Value DESC LIMIT 3",
+		"SELECT SUM_S(*), MIN_S(*) FROM Segment",
+		"SELECT CUBE_SUM_HOUR(*) FROM Segment",
+		"SELECT Tid, CUBE_AVG_HOUR(*), CUBE_MAX_HOUR(*) FROM Segment GROUP BY Tid ORDER BY Tid DESC",
+		"SELECT TS, Value, Park FROM DataPoint ORDER BY Park DESC, Value LIMIT 4",
+	} {
+		queries = append(queries, mustParse(f, sql))
+	}
 	for _, part := range []*PartialResult{fuzzSeedRows(), fuzzSeedAggregate(), fuzzSeedHostileCube(), {}} {
 		valid := EncodePartial(nil, part)
 		f.Add(valid)
@@ -118,7 +136,7 @@ func FuzzDecodePartial(f *testing.F) {
 			}
 		}
 		if d1.Batch != nil {
-			if d2.Batch == nil || !typesEqual(d1.Batch.Types(), d2.Batch.Types()) {
+			if d2.Batch == nil || !slices.Equal(d1.Batch.Types(), d2.Batch.Types()) {
 				t.Fatal("round-trip changed batch column types")
 			}
 			// Compare cells by bit pattern so NaNs produced by corrupted
@@ -166,6 +184,21 @@ func FuzzDecodePartial(f *testing.F) {
 					}
 				}
 			}
+		}
+		for _, q := range queries {
+			check, err := eng.PartialChecker(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc := &PartialResult{}
+			for _, part := range []*PartialResult{d1, d2} {
+				if check(part) == nil {
+					MergePartial(acc, part)
+				}
+			}
+			// Only an error may stop them; a panic fails the fuzz.
+			eng.Finalize(q, []*PartialResult{acc})
+			eng.Finalize(q, []*PartialResult{d1, d2})
 		}
 	})
 }

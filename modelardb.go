@@ -888,8 +888,9 @@ func (db *DB) Query(ctx context.Context, sql string) (*Result, error) {
 // parallel executor in deterministic scan order, Close stops the scan
 // early and drains the worker pool, and cancelling ctx aborts it. Use
 // it for large point-data exports where materializing every row first
-// would thrash memory; aggregate and ORDER BY queries transparently
-// fall back to materialize-then-iterate.
+// would thrash memory. Aggregate and ORDER BY queries cannot yield a
+// row before the scan ends: the cursor finalizes them first and then
+// walks the result's typed rows, unboxed.
 func (db *DB) QueryRows(ctx context.Context, sql string) (*Rows, error) {
 	return db.engine.QueryRowsSQL(ctx, sql)
 }
