@@ -326,6 +326,10 @@ func (w *WAL) shardOf(gid core.Gid) *shard {
 	return w.shards[int(gid)%len(w.shards)]
 }
 
+// Shards returns the shard count: group gid's records go to shard
+// gid mod Shards, one file sequence written in append order.
+func (w *WAL) Shards() int { return len(w.shards) }
+
 // openShard scans a shard directory, truncating the first corrupt
 // record and everything after it (torn tails from a crash), rebuilds
 // the per-segment summaries, sequence counters and the applied table,

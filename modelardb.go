@@ -31,11 +31,13 @@
 package modelardb
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"log"
-	"sort"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +49,6 @@ import (
 	"modelardb/internal/obs"
 	"modelardb/internal/partition"
 	"modelardb/internal/query"
-	"modelardb/internal/sqlparse"
 	"modelardb/internal/storage"
 	"modelardb/internal/wal"
 )
@@ -244,11 +245,21 @@ type DB struct {
 	// __name__ label — resolve through it.
 	sources map[string]Tid
 
-	// shards holds one ingestion shard per group. The map is built in
-	// Open and immutable afterwards, so the ingestion hot path reads it
-	// without any lock; writers only take their own group's shard lock
-	// and therefore never serialize across groups.
-	shards map[Gid]*groupShard
+	// shards holds one ingestion shard per group, indexed by Gid (nil
+	// where no group has the index), so its length is one above the
+	// largest Gid. It is built in Open and immutable afterwards, so the
+	// ingestion hot path reads it without any lock; writers only take
+	// their own group's shard lock and therefore never serialize across
+	// groups. gids lists the groups in ascending order.
+	shards []*groupShard
+	gids   []Gid
+	// lanes is the number of distinct lane keys AppendBatchSeq spreads
+	// a batch's groups over: the WAL's shard count, so that one WAL file
+	// is only ever written by one goroutine of a batch, or len(shards)
+	// without a WAL.
+	lanes int
+	// batches recycles AppendBatchSeq's partition buffers.
+	batches sync.Pool
 	// wal, when non-nil, logs every point batch before it reaches a
 	// GroupIngestor; WAL writes happen under the group's shard lock so
 	// per-group log order equals ingestion order and replay reproduces
@@ -288,6 +299,28 @@ type groupShard struct {
 	// write, reused under the shard lock to keep the hot path
 	// allocation-free.
 	walPoint [1]DataPoint
+	// emitted holds the segments the group's models emitted since the
+	// last drain, in emission order; drain hands them to the store. Only
+	// the holder of mu touches it, so AppendBatchSeq can fit groups in
+	// parallel and still insert their segments in group order.
+	emitted []*core.Segment
+}
+
+// drain inserts the segments the group emitted since the last drain
+// into the store, in emission order, and returns the first insert
+// error. The caller holds sh.mu. A failed insert does not stop the
+// rest: the store keeps what it buffered and writes it on a later
+// flush.
+func (db *DB) drain(sh *groupShard) error {
+	var first error
+	for _, s := range sh.emitted {
+		if err := db.store.Insert(s); err != nil && first == nil {
+			first = err
+		}
+	}
+	clear(sh.emitted)
+	sh.emitted = sh.emitted[:0]
+	return first
 }
 
 // ErrClosed is returned by operations on a closed database.
@@ -483,11 +516,12 @@ func (db *DB) openWAL() error {
 	// (checkpoint plus logged records), so a batch the pre-crash process
 	// already ingested is still recognized as a duplicate after restart.
 	for gid, applied := range w.AppliedSeqs() {
-		if sh := db.shards[gid]; sh != nil {
+		if sh := db.shard(gid); sh != nil {
 			sh.applied = applied
 		}
 	}
 	db.wal = w
+	db.lanes = w.Shards()
 	// Monotonic totals the WAL already maintains are exposed as function
 	// metrics; the histograms passed through Options above cover the
 	// latency side.
@@ -508,45 +542,70 @@ func (db *DB) openWAL() error {
 // record, matching the original append's early return.
 func (db *DB) replayWAL(w *wal.WAL) error {
 	return w.Replay(func(gid core.Gid, seq, _ uint64, pts []core.DataPoint) error {
-		sh := db.shards[gid]
+		sh := db.shard(gid)
 		if sh == nil {
 			return nil // group no longer exists; nothing to restore
 		}
+		n := 0
+		var err error
 		for _, p := range pts {
 			if p.Tid < 1 || int(p.Tid) > len(db.series) {
 				break
 			}
 			series := db.series[p.Tid-1]
-			if err := sh.gi.Append(p.Tid, p.TS, p.Value*series.Scaling); err != nil {
+			if err = sh.gi.Append(p.Tid, p.TS, p.Value*series.Scaling); err != nil {
 				if errors.Is(err, core.ErrOutOfOrder) || errors.Is(err, core.ErrMisaligned) || errors.Is(err, core.ErrUnknownTid) {
-					break
+					err = nil
 				}
-				return err
+				break
 			}
-			db.ingest.Points.Inc()
+			n++
 		}
-		return nil
+		db.ingest.Points.Add(int64(n))
+		return cmp.Or(err, db.drain(sh))
 	})
 }
 
-// initShards builds the immutable per-group shard map: every group is
-// known after partitioning, so ingestion never mutates the map and
-// reads it lock-free.
+// initShards builds the immutable per-group shard slice: every group
+// is known after partitioning, so ingestion never mutates the slice
+// and reads it lock-free. A group's models emit into its shard's
+// emitted list; drain moves them to the store.
 func (db *DB) initShards() {
-	db.shards = make(map[Gid]*groupShard, len(db.meta.Groups()))
-	for _, gid := range db.meta.Groups() {
+	db.gids = db.meta.Groups() // ascending
+	var top Gid
+	if len(db.gids) > 0 {
+		top = db.gids[len(db.gids)-1]
+	}
+	db.shards = make([]*groupShard, top+1)
+	db.lanes = len(db.shards)
+	for _, gid := range db.gids {
+		sh := &groupShard{}
 		cfg := core.IngestorConfig{
 			Generator: core.GeneratorConfig{
 				Registry:    db.reg,
 				Bound:       db.cfg.ErrorBound,
 				LengthLimit: db.cfg.LengthLimit,
-				OnSegment:   func(s *core.Segment) error { return db.store.Insert(s) },
+				OnSegment: func(s *core.Segment) error {
+					sh.emitted = append(sh.emitted, s)
+					return nil
+				},
 			},
 			SplitFraction:    db.cfg.SplitFraction,
 			DisableSplitting: db.cfg.DisableSplitting,
 		}
-		db.shards[gid] = &groupShard{gi: core.NewGroupIngestor(cfg, gid, db.siOf(gid), db.meta.TidsOf(gid))}
+		sh.gi = core.NewGroupIngestor(cfg, gid, db.siOf(gid), db.meta.TidsOf(gid))
+		db.shards[gid] = sh
 	}
+	db.batches.New = func() any { return &batchSplit{count: make([]int, len(db.shards))} }
+}
+
+// shard returns group gid's shard, or nil for a Gid no group has; the
+// WAL can name such groups after the configuration changed.
+func (db *DB) shard(gid Gid) *groupShard {
+	if int(gid) >= len(db.shards) {
+		return nil
+	}
+	return db.shards[gid]
 }
 
 // initMeta validates the schema, registers the series, runs the
@@ -670,12 +729,12 @@ func (db *DB) Append(tid Tid, ts int64, value float32) error {
 		}
 	}
 	if err := sh.gi.Append(tid, ts, value*series.Scaling); err != nil {
-		return err
+		return cmp.Or(err, db.drain(sh))
 	}
 	// One atomic add: the single-point hot path carries no clock reads —
 	// latency histograms observe at batch and WAL granularity instead.
 	db.ingest.Points.Inc()
-	return nil
+	return db.drain(sh)
 }
 
 // AppendPoint ingests one DataPoint.
@@ -686,13 +745,20 @@ func (db *DB) AppendPoint(p DataPoint) error {
 // AppendBatch ingests a batch of data points, taking each group's
 // shard lock once per batch instead of once per point. Points are
 // partitioned by group with their relative order preserved, so the
-// per-group tick-order contract of Append carries over unchanged.
-// Concurrent AppendBatch calls touching disjoint groups do not
-// serialize at all — this is the high-throughput ingestion path for
-// multi-writer workloads.
+// per-group tick-order contract of Append carries over unchanged. The
+// batch's groups are fitted in parallel, one goroutine per core, and
+// concurrent AppendBatch calls touching disjoint groups do not
+// serialize at all; the segment log and the WAL are nevertheless
+// byte-identical to a one-group-at-a-time ingest.
 //
-// Cancelling ctx stops between groups and returns ctx.Err(); like a
-// failed Append, points of groups already processed remain ingested.
+// A batch holding an unknown Tid is rejected before any point is
+// ingested. Otherwise every group is attempted: a group that fails
+// (an out-of-order point, say) keeps the points before the failing
+// one, the other groups ingest theirs, and the first error in group
+// order (the order of the groups' first points in the batch) is
+// returned. Cancelling ctx stops each goroutine between groups and
+// returns ctx.Err(); like a failed Append, the points of groups
+// already processed remain ingested.
 func (db *DB) AppendBatch(ctx context.Context, points []DataPoint) error {
 	return db.AppendBatchSeq(ctx, points, nil)
 }
@@ -704,42 +770,147 @@ func (db *DB) AppendBatch(ctx context.Context, points []DataPoint) error {
 // has been ingested before (a retry, a re-queue replay, a duplicated
 // frame) and is silently skipped; a higher sequence advances the mark.
 // Groups absent from seqs (or mapped to 0) bypass deduplication — that
-// is the plain AppendBatch behavior.
+// is the plain AppendBatch behavior. Errors and cancellation follow
+// AppendBatch: every group is attempted and the first error in group
+// order is returned.
 //
 // The mark advances even when a point of the slice is rejected
 // (out-of-order, misaligned): rejection is deterministic, so
 // re-applying the slice would reject the same point again and
 // duplicate the points before it.
+//
+// The groups are spread over at most GOMAXPROCS lanes, one goroutine
+// each, the caller's running the first. A group's lane is keyed by its
+// WAL shard, so each WAL file is written by one goroutine, in group
+// order. Fitted segments are held in their shard and drained into the
+// store in group order once every lane is done.
 func (db *DB) AppendBatchSeq(ctx context.Context, points []DataPoint, seqs map[Gid]uint64) error {
 	if len(points) == 0 {
 		return nil
 	}
-	// Partition by group, preserving arrival order within each group.
-	byGid := make(map[Gid][]DataPoint)
-	var order []Gid
+	b := db.batches.Get().(*batchSplit)
+	defer db.batches.Put(b)
+	if err := db.partition(b, points); err != nil {
+		return err
+	}
+	var wg sync.WaitGroup
+	for lane := 1; lane < b.nlanes; lane++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			db.appendLane(ctx, b, lane, seqs)
+		}()
+	}
+	db.appendLane(ctx, b, 0, seqs)
+	wg.Wait()
+	var first error
+	for i, gid := range b.order {
+		sh := db.shards[gid]
+		sh.mu.Lock()
+		err := db.drain(sh)
+		sh.mu.Unlock()
+		first = cmp.Or(first, b.errs[i], err)
+	}
+	clear(b.errs)
+	return first
+}
+
+// batchSplit is AppendBatchSeq's partition of one batch, recycled
+// through DB.batches.
+type batchSplit struct {
+	// count is indexed by Gid: a group's point count, then its scatter
+	// cursor. It is all zeros between batches.
+	count []int
+	// order lists the batch's groups by their first point; group
+	// order[i] has the points buf[start[i]:start[i+1]], runs in lane
+	// lane[i] of nlanes and fails with errs[i].
+	order  []Gid
+	start  []int
+	lane   []int
+	nlanes int
+	errs   []error
+	buf    []DataPoint
+	// laneOf maps a lane key to its lane, or -1 before a group uses it.
+	laneOf []int
+}
+
+// partition splits points by group with a counting sort. The first
+// pass validates every Tid and counts each group's points, noting the
+// groups in first-arrival order; the second copies the points into
+// b.buf, each group's contiguous and in arrival order. It then assigns
+// the groups to lanes.
+func (db *DB) partition(b *batchSplit, points []DataPoint) error {
+	b.order = b.order[:0]
 	for _, p := range points {
 		if p.Tid < 1 || int(p.Tid) > len(db.series) {
+			for _, gid := range b.order {
+				b.count[gid] = 0
+			}
 			return fmt.Errorf("%w: %d", core.ErrUnknownTid, p.Tid)
 		}
 		gid := db.series[p.Tid-1].Gid
-		if _, ok := byGid[gid]; !ok {
-			order = append(order, gid)
+		if b.count[gid] == 0 {
+			b.order = append(b.order, gid)
 		}
-		byGid[gid] = append(byGid[gid], p)
+		b.count[gid]++
 	}
-	for _, gid := range order {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := db.appendGroup(gid, byGid[gid], seqs[gid]); err != nil {
-			return err
-		}
+	b.start = b.start[:0]
+	off := 0
+	for _, gid := range b.order {
+		b.start = append(b.start, off)
+		off, b.count[gid] = off+b.count[gid], off
 	}
+	b.start = append(b.start, off)
+	b.buf = slices.Grow(b.buf[:0], len(points))[:len(points)]
+	for _, p := range points {
+		gid := db.series[p.Tid-1].Gid
+		b.buf[b.count[gid]] = p
+		b.count[gid]++
+	}
+	for _, gid := range b.order {
+		b.count[gid] = 0
+	}
+	// Lane keys are WAL shards (or Gids): two groups whose records share
+	// a WAL file always share a lane. Lanes are numbered in group order,
+	// so lane 0 holds the first group.
+	width := min(runtime.GOMAXPROCS(0), len(b.order), db.lanes)
+	b.laneOf = slices.Grow(b.laneOf[:0], width)[:width]
+	for k := range b.laneOf {
+		b.laneOf[k] = -1
+	}
+	b.lane, b.nlanes = b.lane[:0], 0
+	for _, gid := range b.order {
+		k := int(gid) % db.lanes % width
+		if b.laneOf[k] < 0 {
+			b.laneOf[k] = b.nlanes
+			b.nlanes++
+		}
+		b.lane = append(b.lane, b.laneOf[k])
+	}
+	b.errs = slices.Grow(b.errs[:0], len(b.order))[:len(b.order)]
 	return nil
+}
+
+// appendLane ingests the batch's groups of one lane, in group order,
+// recording each group's error in b.errs; a failed group does not stop
+// the lane, a cancelled ctx does.
+func (db *DB) appendLane(ctx context.Context, b *batchSplit, lane int, seqs map[Gid]uint64) {
+	for i, gid := range b.order {
+		if b.lane[i] != lane {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			b.errs[i] = err
+			return
+		}
+		b.errs[i] = db.appendGroup(gid, b.buf[b.start[i]:b.start[i+1]], seqs[gid])
+	}
 }
 
 // appendGroup ingests one group's slice of a batch under its shard
 // lock. seq is the master-assigned batch sequence (0 = unsequenced).
+// The segments it fits stay in the shard's emitted list for the
+// caller to drain.
 func (db *DB) appendGroup(gid Gid, points []DataPoint, seq uint64) error {
 	sh := db.shards[gid]
 	sh.mu.Lock()
@@ -763,15 +934,16 @@ func (db *DB) appendGroup(gid Gid, points []DataPoint, seq uint64) error {
 	if seq != 0 {
 		sh.applied = seq
 	}
-	for _, p := range points {
+	for i, p := range points {
 		series := db.series[p.Tid-1]
 		if err := sh.gi.Append(p.Tid, p.TS, p.Value*series.Scaling); err != nil {
+			db.ingest.Points.Add(int64(i))
 			return err
 		}
-		db.ingest.Points.Inc()
 	}
-	// Batch-granularity observation: two clock reads amortized over the
-	// whole group slice, so per-point cost stays one atomic add.
+	// Batch-granularity observation: one atomic add and two clock reads
+	// amortized over the whole group slice.
+	db.ingest.Points.Add(int64(len(points)))
 	db.ingest.Batches.Inc()
 	db.ingest.BatchSeconds.ObserveSince(t0)
 	db.ingest.BatchPoints.Observe(float64(len(points)))
@@ -784,7 +956,8 @@ func (db *DB) appendGroup(gid Gid, points []DataPoint, seq uint64) error {
 // continue above everything the worker has already ingested.
 func (db *DB) AppliedSeqs() map[Gid]uint64 {
 	out := make(map[Gid]uint64)
-	for gid, sh := range db.shards {
+	for _, gid := range db.gids {
+		sh := db.shards[gid]
 		sh.mu.Lock()
 		if sh.applied != 0 {
 			out[gid] = sh.applied
@@ -816,11 +989,10 @@ func (db *DB) flushShards() error {
 	if db.wal != nil {
 		return db.checkpointShards()
 	}
-	gids := db.sortedGids()
-	for _, gid := range gids {
+	for _, gid := range db.gids {
 		sh := db.shards[gid]
 		sh.mu.Lock()
-		err := sh.gi.Flush()
+		err := cmp.Or(sh.gi.Flush(), db.drain(sh))
 		sh.mu.Unlock()
 		if err != nil {
 			return err
@@ -829,33 +1001,27 @@ func (db *DB) flushShards() error {
 	return db.store.Flush()
 }
 
-func (db *DB) sortedGids() []Gid {
-	gids := make([]Gid, 0, len(db.shards))
-	for gid := range db.shards {
-		gids = append(gids, gid)
-	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-	return gids
-}
-
 // checkpointShards is the WAL-enabled flush: it holds every shard lock
 // across the store sync so no append can slip points into the synced
 // log after its group's high-water sequence was captured — the
 // invariant that lets recovery truncate the store at the checkpoint
 // offset and replay the WAL tail without duplicating or losing points.
+// It drains every shard's held segments under those locks too: a
+// batch still fitting other groups holds the segments of the groups it
+// finished, whose WAL records the checkpoint is about to cover.
 // Flush is the rare heavyweight operation; appends wait it out.
 func (db *DB) checkpointShards() error {
-	gids := db.sortedGids()
-	for _, gid := range gids {
+	for _, gid := range db.gids {
 		db.shards[gid].mu.Lock()
 	}
 	defer func() {
-		for i := len(gids) - 1; i >= 0; i-- {
-			db.shards[gids[i]].mu.Unlock()
+		for i := len(db.gids) - 1; i >= 0; i-- {
+			db.shards[db.gids[i]].mu.Unlock()
 		}
 	}()
-	for _, gid := range gids {
-		if err := db.shards[gid].gi.Flush(); err != nil {
+	for _, gid := range db.gids {
+		sh := db.shards[gid]
+		if err := cmp.Or(sh.gi.Flush(), db.drain(sh)); err != nil {
 			return err
 		}
 	}
@@ -893,11 +1059,6 @@ func (db *DB) Query(ctx context.Context, sql string) (*Result, error) {
 // walks the result's typed rows, unboxed.
 func (db *DB) QueryRows(ctx context.Context, sql string) (*Rows, error) {
 	return db.engine.QueryRowsSQL(ctx, sql)
-}
-
-// QueryParsed executes an already-parsed query.
-func (db *DB) QueryParsed(ctx context.Context, q *sqlparse.Query) (*Result, error) {
-	return db.engine.ExecuteQuery(ctx, q)
 }
 
 // Engine exposes the query engine for distributed execution (partial
@@ -1073,6 +1234,3 @@ func (db *DB) TidOfSource(source string) (Tid, bool) {
 
 // Metadata exposes the metadata cache for cluster components.
 func (db *DB) Metadata() *core.MetadataCache { return db.meta }
-
-// Schema returns the validated dimension schema.
-func (db *DB) Schema() *Schema { return db.schema }

@@ -17,10 +17,8 @@ import (
 // onDiskSchedule is a deterministic, single-goroutine workload over a
 // file store and a WAL small enough to rotate: sequenced and
 // unsequenced batches, bulk writes, a checkpointing Flush, and a tail
-// left in the WAL. It returns the SHA-256 of every file the two
-// directories hold after the tail and again after Close, keyed by
-// "stage/relative path". timeseries.meta is gob over maps, whose bytes
-// are not stable, and is left out.
+// left in the WAL. It returns hashDirs of the two directories after
+// the tail and again after Close.
 func onDiskSchedule(t *testing.T) map[string]string {
 	t.Helper()
 	dataDir, walDir := t.TempDir(), t.TempDir()
@@ -68,32 +66,38 @@ func onDiskSchedule(t *testing.T) map[string]string {
 		}
 	}
 	sums := map[string]string{}
-	hashDirs := func(stage string) {
-		for name, dir := range map[string]string{"data": dataDir, "wal": walDir} {
-			err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-				if err != nil || d.IsDir() || d.Name() == "timeseries.meta" {
-					return err
-				}
-				data, err := os.ReadFile(path)
-				if err != nil {
-					return err
-				}
-				rel, _ := filepath.Rel(dir, path)
-				sum := sha256.Sum256(data)
-				sums[stage+"/"+name+"/"+filepath.ToSlash(rel)] = hex.EncodeToString(sum[:])
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	hashDirs("tail")
+	hashDirs(t, sums, "tail", dataDir, walDir)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	hashDirs("closed")
+	hashDirs(t, sums, "closed", dataDir, walDir)
 	return sums
+}
+
+// hashDirs adds the SHA-256 of every file under dataDir and walDir to
+// sums, keyed by "stage/data/relative path" and "stage/wal/…".
+// timeseries.meta is gob over maps, whose bytes are not stable, and is
+// left out.
+func hashDirs(t *testing.T, sums map[string]string, stage, dataDir, walDir string) {
+	t.Helper()
+	for name, dir := range map[string]string{"data": dataDir, "wal": walDir} {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || d.Name() == "timeseries.meta" {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			rel, _ := filepath.Rel(dir, path)
+			sum := sha256.Sum256(data)
+			sums[stage+"/"+name+"/"+filepath.ToSlash(rel)] = hex.EncodeToString(sum[:])
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestOnDiskBytesGolden pins the bytes of every WAL segment, the WAL
