@@ -168,4 +168,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzGorillaDecode$$' -fuzztime $(FUZZTIME) ./internal/models
 	$(GO) test -run '^$$' -fuzz '^FuzzGorillaBound$$' -fuzztime $(FUZZTIME) ./internal/models
 
-ci: build lint vuln race bench benchmark-smoke crash docs-check
+ci: build lint vuln race bench benchmark-smoke crash obs-smoke docs-check

@@ -15,8 +15,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // walConfig is groupsConfig with the WAL enabled.
@@ -505,6 +507,49 @@ func TestWALAppendAfterCloseAndErrClosed(t *testing.T) {
 	if err := db.Append(1, 100, 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after Close = %v, want ErrClosed", err)
 	}
+}
+
+// TestWALCloseAfterFlushFaultReopens: a Close whose final flush fails
+// still closes the store and the WAL, stopping the WAL's sync
+// goroutine, and reports the flush's error; the acknowledged points
+// the WAL holds survive an OS crash after it.
+func TestWALCloseAfterFlushFaultReopens(t *testing.T) {
+	const nseries, ticks = 3, 120
+	cfg := walConfig(nseries, "data", "wal", "interval")
+	before := runtime.NumGoroutine()
+	fsys := newFaultFS()
+	db, err := openFS(cfg, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acked []DataPoint
+	for tick := 0; tick < ticks; tick++ {
+		for tid := 1; tid <= nseries; tid++ {
+			p := DataPoint{Tid: Tid(tid), TS: int64(tick) * 100, Value: float32(tick%37) + float32(tid)}
+			if err := db.Append(p.Tid, p.TS, p.Value); err != nil {
+				t.Fatal(err)
+			}
+			acked = append(acked, p)
+		}
+	}
+	fsys.fail(1, 0, 0) // the first write of Close's flush
+	if err := db.Close(); !errors.Is(err, errInjected) {
+		t.Fatalf("Close = %v, want the injected fault", err)
+	}
+	// Close waits for the WAL's goroutine to be told to stop; give it
+	// the moment it needs to return.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after Close, %d before Open", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	reopened, err := openFS(cfg, fsys.crash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	assertAckedPoints(t, reopened, acked, nil)
 }
 
 // TestStoreReadCountersInSnapshot: a database exports the store's

@@ -82,7 +82,7 @@ func main() {
 		addrs = append(addrs, ln.Addr().String())
 	}
 
-	// The master owns the replicated metadata and routes by group.
+	// The master holds the catalog and routes by group.
 	c, err := cluster.DialContext(ctx, cfg, addrs)
 	if err != nil {
 		log.Fatal(err)

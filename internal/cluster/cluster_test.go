@@ -67,18 +67,17 @@ func expectedSum(tid, ticks int) float64 {
 }
 
 func TestAssignGroupsBalanced(t *testing.T) {
-	db, err := modelardb.Open(fleetConfig())
+	cat, err := modelardb.NewCatalog(fleetConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	assign := AssignGroups(db, 2)
+	assign := AssignGroups(cat, 2)
 	if len(assign) != 4 {
 		t.Fatalf("assign = %v, want 4 groups", assign)
 	}
 	load := map[int]int{}
 	for gid, w := range assign {
-		load[w] += len(db.GroupMembers(gid))
+		load[w] += len(cat.GroupMembers(gid))
 	}
 	if load[0] != 4 || load[1] != 4 {
 		t.Fatalf("load = %v, want 4 series per worker", load)
@@ -308,9 +307,9 @@ func TestLocalClusterFailFast(t *testing.T) {
 }
 
 // TestLocalMasterValidatesBeforeScatter: a master over in-process
-// workers parses and validates a query on its metadata replica, like
-// a master over TCP workers, so an invalid query fails without any
-// worker being asked to run it.
+// workers parses and validates a query on its planner, like a master
+// over TCP workers, so an invalid query fails without any worker being
+// asked to run it.
 func TestLocalMasterValidatesBeforeScatter(t *testing.T) {
 	c, err := NewLocal(context.Background(), fleetConfig(), 2)
 	if err != nil {
@@ -444,7 +443,7 @@ func TestWhereErrorsDoNotDependOnData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := c.meta.Engine().Validate(q)
+		want := c.planner.Validate(q)
 		if want == nil {
 			t.Errorf("Validate(%q) passed", sql)
 			continue

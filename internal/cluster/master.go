@@ -1,12 +1,13 @@
 // Package cluster implements the master/worker architecture of §3.1:
-// the master partitions time series into groups, assigns every group
-// to the worker with the most available capacity (preventing data
-// skew), routes ingestion to the owning worker, and executes queries
-// by scattering the rewritten query to the workers and merging their
-// mergeable aggregate states (Algorithm 5: iterate on workers, merge
-// and finalize on the master). Because a group's series are always
-// co-located, queries never shuffle data between workers — the
-// property behind the paper's linear scale-out (Fig. 20).
+// the master holds the catalog (the series partitioned into groups),
+// assigns every group to the worker with the most available capacity
+// (preventing data skew), routes ingestion to the owning worker, and
+// executes queries by scattering the rewritten query to the workers
+// and merging their mergeable aggregate states (Algorithm 5: iterate
+// on workers, merge and finalize on the master). Only the workers
+// ingest and store. Because a group's series are always co-located,
+// queries never shuffle data between workers — the property behind
+// the paper's linear scale-out (Fig. 20).
 //
 // There is one master, Client, over two kinds of worker: NewLocal runs
 // the workers in this process (tests, examples and the scale-out
@@ -34,11 +35,12 @@ import (
 	"modelardb/internal/sqlparse"
 )
 
-// Client is the cluster master: it owns the metadata (via a local,
-// storage-less DB open of the workers' config), validates queries
-// before any worker runs, routes ingestion by group and scatters
-// queries fail-fast — the first worker error cancels the remaining
-// workers' in-flight scans.
+// Client is the cluster master. It holds the workers' catalog, built
+// from their config, and a planner over it with no store: it routes
+// ingestion by group, validates queries before any worker runs,
+// scatters them fail-fast — the first worker error cancels the
+// remaining workers' in-flight scans — and merges and finalizes the
+// workers' partials. It ingests and stores nothing itself.
 //
 // Ingestion through the client is exactly-once: every sealed batch
 // carries a per-group monotonic sequence assigned exactly once, the
@@ -47,7 +49,12 @@ import (
 // so neither the re-queue path, nor a reconnect retry, nor a master
 // restart can duplicate an acknowledged point.
 type Client struct {
-	meta    *modelardb.DB
+	cat *modelardb.Catalog
+	// planner compiles, checks and finalizes queries; it cannot scan.
+	planner *query.Engine
+	// metrics holds the master's own instruments: the RPC client
+	// latency, retries and reconnects of TCP workers.
+	metrics *obs.Registry
 	workers []worker
 	assign  map[modelardb.Gid]int
 	// base bounds the client's lifetime: every call context is combined
@@ -70,10 +77,10 @@ type Client struct {
 }
 
 // NewLocal creates a master over n in-process workers from one
-// database config. Every worker opens the same configuration (the
-// partitioning is deterministic), so they share Tids, Gids and
-// dimension metadata like the paper's metadata cache replicated to
-// every node.
+// database config. Every worker opens the configuration the master
+// builds its catalog from (the partitioning is deterministic), so they
+// share Tids, Gids and dimension metadata like the paper's metadata
+// cache replicated to every node.
 //
 // ctx bounds the cluster's lifetime, as DialContext's does.
 //
@@ -126,7 +133,7 @@ func DialContext(ctx context.Context, cfg modelardb.Config, addrs []string) (*Cl
 	if err != nil {
 		return nil, err
 	}
-	met := obs.NewRPCClientMetrics(c.meta.Metrics(), serverMethods)
+	met := obs.NewRPCClientMetrics(c.metrics, serverMethods)
 	var d net.Dialer
 	for _, addr := range addrs {
 		conn, err := d.DialContext(c.base, "tcp", addr)
@@ -145,23 +152,24 @@ func DialContext(ctx context.Context, cfg modelardb.Config, addrs []string) (*Cl
 	return c.seed()
 }
 
-// newClient opens the master's metadata replica and its routing and
-// sequencing state for n workers; the caller adds the workers and
-// seeds. The replica is metadata-only: no store, and no WAL — a Path
-// or WALDir in the shared worker config must not be opened (or
-// journaled into) by the master.
+// newClient builds the master's catalog from the workers' config, its
+// planner, and its routing and sequencing state for n workers; the
+// caller adds the workers and seeds. The catalog partitions cfg.Series
+// as every worker that has no persisted metadata does, and the master
+// opens no file: a Path or WALDir in the config is the workers'.
 func newClient(ctx context.Context, cfg modelardb.Config, n int) (*Client, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg.Path, cfg.WALDir = "", ""
-	meta, err := modelardb.Open(cfg)
+	cat, err := modelardb.NewCatalog(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Client{
-		meta:       meta,
-		assign:     AssignGroups(meta, n),
+		cat:        cat,
+		planner:    cat.Planner(),
+		metrics:    obs.NewRegistry(),
+		assign:     AssignGroups(cat, n),
 		base:       ctx,
 		chunkBytes: cfg.StreamChunkBytes,
 		seq:        newSequencer(n),
@@ -188,15 +196,15 @@ func (c *Client) seed() (*Client, error) {
 	return c, nil
 }
 
-// AssignGroups assigns every group of the master's metadata to one of
-// n workers, always picking the least-loaded worker measured in
-// assigned series (§3.1: "each group is assigned to the worker with
-// the most available resources", preventing data skew).
-func AssignGroups(master *modelardb.DB, n int) map[modelardb.Gid]int {
-	gids := master.Groups()
+// AssignGroups assigns every group of the catalog to one of n
+// workers, always picking the least-loaded worker measured in assigned
+// series (§3.1: "each group is assigned to the worker with the most
+// available resources", preventing data skew).
+func AssignGroups(cat *modelardb.Catalog, n int) map[modelardb.Gid]int {
+	gids := cat.Groups()
 	// Largest groups first so the greedy assignment balances well.
 	sort.Slice(gids, func(i, j int) bool {
-		gi, gj := len(master.GroupMembers(gids[i])), len(master.GroupMembers(gids[j]))
+		gi, gj := len(cat.GroupMembers(gids[i])), len(cat.GroupMembers(gids[j]))
 		if gi != gj {
 			return gi > gj
 		}
@@ -212,7 +220,7 @@ func AssignGroups(master *modelardb.DB, n int) map[modelardb.Gid]int {
 			}
 		}
 		assign[gid] = best
-		load[best] += len(master.GroupMembers(gid))
+		load[best] += len(cat.GroupMembers(gid))
 	}
 	return assign
 }
@@ -222,7 +230,7 @@ func (c *Client) NumWorkers() int { return len(c.workers) }
 
 // WorkerOf returns the worker index owning a series' group.
 func (c *Client) WorkerOf(tid modelardb.Tid) (int, error) {
-	gid, err := c.meta.GroupOf(tid)
+	gid, err := c.cat.GroupOf(tid)
 	if err != nil {
 		return 0, err
 	}
@@ -235,7 +243,7 @@ func (c *Client) WorkerOf(tid modelardb.Tid) (int, error) {
 // numbers, so the worker deduplicates any replay — by the next Append,
 // AppendBatch or Flush.
 func (c *Client) Append(ctx context.Context, tid modelardb.Tid, ts int64, value float32) error {
-	gid, err := c.meta.GroupOf(tid)
+	gid, err := c.cat.GroupOf(tid)
 	if err != nil {
 		return err
 	}
@@ -261,7 +269,7 @@ func (c *Client) Append(ctx context.Context, tid modelardb.Tid, ts int64, value 
 func (c *Client) AppendBatch(ctx context.Context, points []modelardb.DataPoint) error {
 	gids := make([]modelardb.Gid, len(points))
 	for i, p := range points {
-		gid, err := c.meta.GroupOf(p.Tid)
+		gid, err := c.cat.GroupOf(p.Tid)
 		if err != nil {
 			return err
 		}
@@ -353,11 +361,11 @@ func (c *Client) QueryWithStats(ctx context.Context, sql string) (*modelardb.Res
 	if err != nil {
 		return nil, nil, err
 	}
-	// The master's metadata replica compiles the same plan the workers
-	// would, so every per-worker compile error is caught here once
-	// instead of N times after a full scatter; the plan then checks
-	// every chunk a worker sends before it is merged.
-	check, err := c.meta.Engine().PartialChecker(q)
+	// The master's planner compiles the same plan the workers would, so
+	// every per-worker compile error is caught here once instead of N
+	// times after a full scatter; the plan then checks every chunk a
+	// worker sends before it is merged.
+	check, err := c.planner.PartialChecker(q)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -398,7 +406,7 @@ func (c *Client) QueryWithStats(ctx context.Context, sql string) (*modelardb.Res
 	if err := firstError(errs); err != nil {
 		return nil, nil, err
 	}
-	res, err := c.meta.Engine().Finalize(q, accs)
+	res, err := c.planner.Finalize(q, accs)
 	for _, acc := range accs {
 		acc.ReleaseBatch()
 	}
@@ -440,21 +448,18 @@ func (c *Client) Snapshot(ctx context.Context) (map[string]float64, error) {
 	return total, nil
 }
 
-// Metrics exposes the master's own registry: the metadata replica's
-// instruments and, over TCP workers, per-method RPC latency, retries
-// and reconnects.
-func (c *Client) Metrics() *obs.Registry { return c.meta.Metrics() }
+// Metrics exposes the master's own registry: over TCP workers,
+// per-method RPC latency, retries and reconnects. The workers' metrics
+// are read through Snapshot.
+func (c *Client) Metrics() *obs.Registry { return c.metrics }
 
-// Close closes every worker and the master's metadata DB.
+// Close closes every worker.
 func (c *Client) Close() error {
 	var first error
 	for _, w := range c.workers {
 		if err := w.Close(); err != nil && first == nil {
 			first = err
 		}
-	}
-	if err := c.meta.Close(); err != nil && first == nil {
-		first = err
 	}
 	return first
 }

@@ -313,7 +313,7 @@ func TestMalformedPartialIsWorkerError(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res, err := c.meta.Engine().Finalize(q, tc.chunks); err == nil {
+			if res, err := c.planner.Finalize(q, tc.chunks); err == nil {
 				t.Fatalf("Finalize = %v, want an error", res.Rows)
 			}
 		})

@@ -372,7 +372,7 @@ func TestRPCWorkerDiesMidQuery(t *testing.T) {
 }
 
 // TestClientQueryValidatesOnMaster: parse and semantic errors are
-// caught by the master's metadata replica before any RPC is issued —
+// caught by the master's planner before any RPC is issued —
 // a bad query no longer costs a full scatter.
 func TestClientQueryValidatesOnMaster(t *testing.T) {
 	var scatters atomic.Int64

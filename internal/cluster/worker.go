@@ -88,7 +88,7 @@ type remoteWorker struct {
 	addr string
 	// met holds the master-side RPC instruments (per-method latency,
 	// retries, reconnects), shared by all of a master's remote workers
-	// and registered into its metadata DB's registry.
+	// and registered into its own registry.
 	met *obs.RPCClientMetrics
 	// callTimeout bounds each call and each redial (Config.RPCTimeout);
 	// 0 means calls are bounded only by their context.

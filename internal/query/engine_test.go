@@ -2,7 +2,9 @@ package query
 
 import (
 	"context"
+	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -426,6 +428,53 @@ func partialOf(e *Engine, q *sqlparse.Query) (*PartialResult, error) {
 		return nil
 	})
 	return acc, err
+}
+
+// TestStorelessEngineRefusesScan: an engine without a store, as a
+// cluster master's planner is built, fails every scan with ErrNoStore
+// at every worker count, and still finalizes a worker's partial into
+// the worker's own answer.
+func TestStorelessEngineRefusesScan(t *testing.T) {
+	f := newFixture(t)
+	planner := NewEngine(nil, f.meta, models.NewBuiltinRegistry(), f.schema)
+	ctx := context.Background()
+	for _, sql := range []string{
+		"SELECT Tid, SUM_S(*) FROM Segment GROUP BY Tid ORDER BY Tid",
+		"SELECT Tid, TS, Value FROM DataPoint WHERE Tid = 4",
+	} {
+		q := mustParse(t, sql)
+		for _, par := range []int{1, 4} {
+			planner.SetParallelism(par)
+			if _, err := planner.Execute(ctx, sql); !errors.Is(err, ErrNoStore) {
+				t.Errorf("%q at %d: Execute = %v, want ErrNoStore", sql, par, err)
+			}
+			rows, err := planner.QueryRowsSQL(ctx, sql)
+			if err == nil {
+				for rows.Next() {
+				}
+				rows.Close()
+				err = rows.Err()
+			}
+			if !errors.Is(err, ErrNoStore) {
+				t.Errorf("%q at %d: QueryRowsSQL = %v, want ErrNoStore", sql, par, err)
+			}
+			err = planner.ExecutePartialChunks(ctx, q, 0, func(*PartialResult) error { return nil })
+			if !errors.Is(err, ErrNoStore) {
+				t.Errorf("%q at %d: ExecutePartialChunks = %v, want ErrNoStore", sql, par, err)
+			}
+		}
+		part, err := partialOf(f.eng, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := planner.Finalize(q, []*PartialResult{part})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := mustQuery(t, f, sql); !reflect.DeepEqual(got, want) {
+			t.Errorf("%q: planner Finalize = %v, want %v", sql, got.Rows, want.Rows)
+		}
+	}
 }
 
 func TestDistributedMergeMatchesSingleNode(t *testing.T) {

@@ -64,6 +64,11 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// ErrNoStore is returned by every scan of an engine built without a
+// segment store, such as a cluster master's planner, which compiles,
+// checks and finalizes queries but holds no data.
+var ErrNoStore = errors.New("query: engine has no segment store to scan")
+
 // errScanAborted tells ScanChunks to stop early because a worker
 // already failed; it never escapes to callers.
 var errScanAborted = errors.New("query: parallel scan aborted")
@@ -97,6 +102,9 @@ type chunkResult struct {
 // goroutine, and a non-nil error from it aborts the scan (the pool
 // drains before scan returns).
 func (e *Engine) scan(ctx context.Context, p *plan, fn func(*Engine, context.Context, *plan, *scanScratch, []*core.Segment) (any, error), consume func(any) error) error {
+	if e.store == nil {
+		return ErrNoStore
+	}
 	n := e.workers()
 	if n == 1 {
 		sc := getScratch()

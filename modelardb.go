@@ -224,26 +224,38 @@ func DefaultConfig() Config {
 	}
 }
 
-// DB is a ModelarDB instance: ingestion, storage and query processing
-// for one set of dimensional time series.
-type DB struct {
-	cfg Config
-	// fsys holds the store, its metadata and the WAL: the operating
-	// system's, or a fault-injecting one in tests.
-	fsys   durable.FS
+// Catalog is the metadata of one set of dimensional time series: the
+// dimension schema, the model registry and the series partitioned into
+// groups (§3.1's metadata cache). It holds no data. A DB embeds one; a
+// cluster master holds only a Catalog, from which it routes by group
+// and plans and finalizes queries. A Catalog is immutable once built.
+type Catalog struct {
+	// cfg is the config the catalog was built from; a DB embedding the
+	// catalog reads its node settings from it too.
+	cfg    Config
 	schema *dims.Schema
 	meta   *core.MetadataCache
 	reg    *models.Registry
-	store  *storage.FileStore
-	engine *query.Engine
 	// series indexes the immutable per-series metadata by Tid-1 for the
 	// per-point ingestion fast path.
 	series []*core.TimeSeries
 	// sources maps a series' Source name to its Tid (first declaration
-	// wins on duplicates); built in Open, immutable afterwards. External
-	// protocols that address series by name — Prometheus remote write's
-	// __name__ label — resolve through it.
+	// wins on duplicates). External protocols that address series by
+	// name — Prometheus remote write's __name__ label — resolve through
+	// it.
 	sources map[string]Tid
+}
+
+// DB is a ModelarDB instance: ingestion, storage and query processing
+// for one set of dimensional time series. It is a node over its
+// Catalog, whose accessors it carries.
+type DB struct {
+	*Catalog
+	// fsys holds the store, its metadata and the WAL: the operating
+	// system's, or a fault-injecting one in tests.
+	fsys   durable.FS
+	store  *storage.FileStore
+	engine *query.Engine
 
 	// shards holds one ingestion shard per group, indexed by Gid (nil
 	// where no group has the index), so its length is one above the
@@ -326,11 +338,68 @@ func (db *DB) drain(sh *groupShard) error {
 // ErrClosed is returned by operations on a closed database.
 var ErrClosed = errors.New("modelardb: database is closed")
 
-// Open creates or reopens a database.
+// Open creates or reopens a database. An on-disk database that
+// already has its metadata (timeseries.meta) builds its Catalog from
+// that image; otherwise it partitions cfg.Series, as NewCatalog does.
 func Open(cfg Config) (*DB, error) { return openFS(cfg, durable.OS{}) }
 
 // openFS is Open over the file system fsys.
 func openFS(cfg Config, fsys durable.FS) (*DB, error) {
+	var persisted *storage.MetaFile
+	if cfg.Path != "" {
+		m, ok, err := storage.LoadMeta(fsys, cfg.Path)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			persisted = m
+		}
+	}
+	cat, err := newCatalog(cfg, persisted)
+	if err != nil {
+		return nil, err
+	}
+	db := &DB{Catalog: cat, fsys: fsys, metrics: obs.NewRegistry()}
+	db.ingest = obs.NewIngestMetrics(db.metrics)
+	members := func(gid Gid) []Tid { return db.meta.TidsOf(gid) }
+	store, err := storage.OpenFS(fsys, cfg.Path, members, cfg.BulkWriteSize)
+	if err != nil {
+		return nil, err
+	}
+	db.store = store
+	if cfg.Path != "" && persisted == nil {
+		if err := db.saveMeta(); err != nil {
+			store.Close()
+			return nil, err
+		}
+	}
+	db.engine = query.NewEngine(db.store, db.meta, db.reg, db.schema)
+	db.engine.SetParallelism(cfg.QueryParallelism)
+	qo := &obs.QueryObserver{Metrics: obs.NewQueryMetrics(db.metrics)}
+	if cfg.SlowQueryThreshold > 0 {
+		qo.SlowLog = obs.NewSlowQueryLog(cfg.SlowQueryThreshold, cfg.SlowQueryLogger)
+	}
+	db.engine.SetObserver(qo)
+	db.registerStateMetrics()
+	db.initShards()
+	if cfg.WALDir != "" {
+		if err := db.openWAL(); err != nil {
+			db.store.Close()
+			return nil, err
+		}
+	}
+	return db, nil
+}
+
+// NewCatalog validates cfg and partitions cfg.Series into groups
+// (Algorithm 1), exactly as Open does for a database without persisted
+// metadata, so every node and master built from one config agrees on
+// every Tid and Gid.
+func NewCatalog(cfg Config) (*Catalog, error) { return newCatalog(cfg, nil) }
+
+// newCatalog validates cfg and builds its catalog: from the persisted
+// image m, or, when m is nil, by partitioning cfg.Series.
+func newCatalog(cfg Config, m *storage.MetaFile) (*Catalog, error) {
 	if cfg.QueryParallelism < 0 {
 		return nil, fmt.Errorf("modelardb: QueryParallelism %d is negative; use 0 for all cores or 1 for one worker, in the caller's goroutine", cfg.QueryParallelism)
 	}
@@ -363,75 +432,41 @@ func openFS(cfg Config, fsys durable.FS) (*DB, error) {
 	if _, err := wal.ParsePolicy(cfg.WALFsync); err != nil {
 		return nil, fmt.Errorf("modelardb: %w", err)
 	}
-	db := &DB{
-		cfg:     cfg,
-		fsys:    fsys,
-		meta:    core.NewMetadataCache(),
-		reg:     models.NewBuiltinRegistry(),
-		metrics: obs.NewRegistry(),
-	}
-	db.ingest = obs.NewIngestMetrics(db.metrics)
+	c := &Catalog{cfg: cfg, meta: core.NewMetadataCache(), reg: models.NewBuiltinRegistry()}
 	for _, mt := range cfg.Models {
-		if err := db.reg.Register(mt); err != nil {
+		if err := c.reg.Register(mt); err != nil {
 			return nil, fmt.Errorf("modelardb: %w", err)
 		}
 	}
-	var persisted *storage.MetaFile
-	if cfg.Path != "" {
-		m, ok, err := storage.LoadMeta(fsys, cfg.Path)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			persisted = m
-		}
-	}
-	if persisted != nil {
-		if err := db.restoreMeta(persisted); err != nil {
-			return nil, err
-		}
+	var err error
+	if m != nil {
+		err = c.restoreMeta(m)
 	} else {
-		if err := db.initMeta(); err != nil {
-			return nil, err
-		}
+		err = c.initMeta()
 	}
-	members := func(gid Gid) []Tid { return db.meta.TidsOf(gid) }
-	store, err := storage.OpenFS(fsys, cfg.Path, members, cfg.BulkWriteSize)
 	if err != nil {
 		return nil, err
 	}
-	db.store = store
-	if cfg.Path != "" && persisted == nil {
-		if err := db.saveMeta(); err != nil {
-			store.Close()
-			return nil, err
-		}
-	}
-	db.engine = query.NewEngine(db.store, db.meta, db.reg, db.schema)
-	db.engine.SetParallelism(cfg.QueryParallelism)
-	qo := &obs.QueryObserver{Metrics: obs.NewQueryMetrics(db.metrics)}
-	if cfg.SlowQueryThreshold > 0 {
-		qo.SlowLog = obs.NewSlowQueryLog(cfg.SlowQueryThreshold, cfg.SlowQueryLogger)
-	}
-	db.engine.SetObserver(qo)
-	db.registerStateMetrics()
-	db.series = db.meta.AllSeries()
-	db.sources = make(map[string]Tid, len(db.series))
-	for _, ts := range db.series {
+	c.series = c.meta.AllSeries()
+	c.sources = make(map[string]Tid, len(c.series))
+	for _, ts := range c.series {
 		if ts.Source != "" {
-			if _, dup := db.sources[ts.Source]; !dup {
-				db.sources[ts.Source] = ts.Tid
+			if _, dup := c.sources[ts.Source]; !dup {
+				c.sources[ts.Source] = ts.Tid
 			}
 		}
 	}
-	db.initShards()
-	if cfg.WALDir != "" {
-		if err := db.openWAL(); err != nil {
-			db.store.Close()
-			return nil, err
-		}
-	}
-	return db, nil
+	return c, nil
+}
+
+// Planner returns a query engine over the catalog with no store: it
+// compiles and validates queries, checks partial results against them
+// and finalizes merged partials, as a cluster master does, and every
+// scan it is asked for fails with query.ErrNoStore.
+func (c *Catalog) Planner() *query.Engine {
+	e := query.NewEngine(nil, c.meta, c.reg, c.schema)
+	e.SetParallelism(c.cfg.QueryParallelism)
+	return e
 }
 
 // registerStateMetrics exposes state the database already tracks —
@@ -610,26 +645,26 @@ func (db *DB) shard(gid Gid) *groupShard {
 
 // initMeta validates the schema, registers the series, runs the
 // Partitioner (Algorithm 1) and assigns groups.
-func (db *DB) initMeta() error {
-	schema, err := dims.NewSchema(db.cfg.Dimensions...)
+func (c *Catalog) initMeta() error {
+	schema, err := dims.NewSchema(c.cfg.Dimensions...)
 	if err != nil {
 		return err
 	}
-	db.schema = schema
+	c.schema = schema
 	var series []*core.TimeSeries
-	for i, sc := range db.cfg.Series {
+	for i, sc := range c.cfg.Series {
 		ts := &core.TimeSeries{
 			Tid:     Tid(i + 1),
 			SI:      sc.SI,
 			Source:  sc.Source,
 			Members: sc.Members,
 		}
-		if err := db.meta.Add(ts); err != nil {
+		if err := c.meta.Add(ts); err != nil {
 			return err
 		}
 		series = append(series, ts)
 	}
-	clauses, err := partition.ParseAll(schema, db.cfg.Correlations...)
+	clauses, err := partition.ParseAll(schema, c.cfg.Correlations...)
 	if err != nil {
 		return err
 	}
@@ -648,7 +683,7 @@ func (db *DB) initMeta() error {
 	}
 	for gi, tids := range groups {
 		for _, tid := range tids {
-			if err := db.meta.SetGroup(tid, Gid(gi+1)); err != nil {
+			if err := c.meta.SetGroup(tid, Gid(gi+1)); err != nil {
 				return err
 			}
 		}
@@ -657,23 +692,23 @@ func (db *DB) initMeta() error {
 }
 
 // restoreMeta rebuilds schema and metadata from a persisted image.
-func (db *DB) restoreMeta(m *storage.MetaFile) error {
+func (c *Catalog) restoreMeta(m *storage.MetaFile) error {
 	schema, err := dims.NewSchema(m.Dimensions...)
 	if err != nil {
 		return err
 	}
-	db.schema = schema
+	c.schema = schema
 	for _, sm := range m.Series {
 		ts := &core.TimeSeries{
 			Tid: sm.Tid, SI: sm.SI, Scaling: sm.Scaling,
 			Source: sm.Source, Members: sm.Members,
 		}
-		if err := db.meta.Add(ts); err != nil {
+		if err := c.meta.Add(ts); err != nil {
 			return err
 		}
 	}
 	for _, sm := range m.Series {
-		if err := db.meta.SetGroup(sm.Tid, sm.Gid); err != nil {
+		if err := c.meta.SetGroup(sm.Tid, sm.Gid); err != nil {
 			return err
 		}
 	}
@@ -1067,22 +1102,20 @@ func (db *DB) Engine() *query.Engine { return db.engine }
 
 // Close flushes and releases the database. Appends and Flushes racing
 // with Close either complete (and are persisted) or return ErrClosed.
+// The store and the WAL are closed even when the final flush fails, and
+// the first error is returned: Close is never retried, since a second
+// call returns ErrClosed.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return ErrClosed
 	}
 	db.flushMu.Lock()
 	defer db.flushMu.Unlock()
-	if err := db.flushShards(); err != nil {
-		return err
-	}
-	if err := db.store.Close(); err != nil {
-		return err
-	}
+	err := cmp.Or(db.flushShards(), db.store.Close())
 	if db.wal != nil {
-		return db.wal.Close()
+		err = cmp.Or(err, db.wal.Close())
 	}
-	return nil
+	return err
 }
 
 // Canonical registry names of the metrics Stats summarizes. Cluster
@@ -1212,25 +1245,25 @@ func (db *DB) ModelUsage() (map[string]float64, error) {
 }
 
 // GroupOf returns the group a series belongs to.
-func (db *DB) GroupOf(tid Tid) (Gid, error) { return db.meta.GidOf(tid) }
+func (c *Catalog) GroupOf(tid Tid) (Gid, error) { return c.meta.GidOf(tid) }
 
 // Groups returns all group ids.
-func (db *DB) Groups() []Gid { return db.meta.Groups() }
+func (c *Catalog) Groups() []Gid { return c.meta.Groups() }
 
 // GroupMembers returns the sorted member Tids of a group.
-func (db *DB) GroupMembers(gid Gid) []Tid { return db.meta.TidsOf(gid) }
+func (c *Catalog) GroupMembers(gid Gid) []Tid { return c.meta.TidsOf(gid) }
 
 // NumSeries returns the number of registered series.
-func (db *DB) NumSeries() int { return db.meta.NumSeries() }
+func (c *Catalog) NumSeries() int { return c.meta.NumSeries() }
 
 // TidOfSource resolves a series by its configured Source name (the
 // first declaration wins when sources collide). Wire protocols that
 // name series instead of numbering them — Prometheus remote write's
 // __name__ label, for one — use it to map names onto Tids.
-func (db *DB) TidOfSource(source string) (Tid, bool) {
-	tid, ok := db.sources[source]
+func (c *Catalog) TidOfSource(source string) (Tid, bool) {
+	tid, ok := c.sources[source]
 	return tid, ok
 }
 
 // Metadata exposes the metadata cache for cluster components.
-func (db *DB) Metadata() *core.MetadataCache { return db.meta }
+func (c *Catalog) Metadata() *core.MetadataCache { return c.meta }

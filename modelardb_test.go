@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"modelardb/internal/models"
@@ -68,6 +69,87 @@ func TestOpenPartitionsSeries(t *testing.T) {
 	}
 	if got := db.GroupMembers(g1); len(got) != 2 {
 		t.Fatalf("group members = %v", got)
+	}
+}
+
+// TestNewCatalogMatchesOpen: the catalog NewCatalog builds from a
+// config, as a cluster master does, is the one Open builds, and the
+// one a reopen restores from the persisted metadata: the same groups,
+// members, source names and scaling constants.
+func TestNewCatalogMatchesOpen(t *testing.T) {
+	sourced := windConfig()
+	for i, src := range []string{"t1", "t2", "t9"} {
+		sourced.Series[i].Source = src
+	}
+	// A second "t1": the first declaration keeps the name, and a source
+	// clause groups this series with t9.
+	sourced.Series = append(sourced.Series, SeriesConfig{SI: 1000, Source: "t1", Members: map[string][]string{
+		"Location": {"Farsø", "T10"}, "Measure": {"Production", "MWh"}}})
+	sourced.Correlations = append(sourced.Correlations, "t9 t1", "Measure 1 Production 2.0", "t9 4.75")
+	for name, cfg := range map[string]Config{"groups": groupsConfig(5), "sourced": sourced} {
+		cat, err := NewCatalog(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Path = t.TempDir()
+		db, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameCatalog(t, name+"/open", db.Catalog, cat)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Series = nil // ignored on reopen
+		db, err = Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameCatalog(t, name+"/reopen", db.Catalog, cat)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat, err := NewCatalog(sourced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tid, _ := cat.TidOfSource("t1"); tid != 1 || cat.series[2].Scaling != 4.75 || cat.series[3].Scaling != 2 || len(cat.Groups()) != 2 {
+		t.Fatalf("sourced catalog: t1 = Tid %d, scalings %g and %g, groups %v; want Tid 1, 4.75 and 2, two groups",
+			tid, cat.series[2].Scaling, cat.series[3].Scaling, cat.Groups())
+	}
+}
+
+func assertSameCatalog(t *testing.T, name string, got, want *Catalog) {
+	t.Helper()
+	if !slices.Equal(got.Groups(), want.Groups()) {
+		t.Fatalf("%s: groups %v, want %v", name, got.Groups(), want.Groups())
+	}
+	for _, gid := range want.Groups() {
+		if g, w := got.GroupMembers(gid), want.GroupMembers(gid); !slices.Equal(g, w) {
+			t.Fatalf("%s: group %d members %v, want %v", name, gid, g, w)
+		}
+	}
+	if got.NumSeries() != want.NumSeries() {
+		t.Fatalf("%s: %d series, want %d", name, got.NumSeries(), want.NumSeries())
+	}
+	for i, ts := range want.series {
+		tid := Tid(i + 1)
+		g, gerr := got.GroupOf(tid)
+		w, werr := want.GroupOf(tid)
+		if g != w || gerr != nil || werr != nil {
+			t.Fatalf("%s: GroupOf(%d) = %d, %v; want %d, %v", name, tid, g, gerr, w, werr)
+		}
+		if got.series[i].Scaling != ts.Scaling {
+			t.Fatalf("%s: Tid %d scaling %g, want %g", name, tid, got.series[i].Scaling, ts.Scaling)
+		}
+		if ts.Source != "" {
+			g, gok := got.TidOfSource(ts.Source)
+			w, wok := want.TidOfSource(ts.Source)
+			if g != w || gok != wok {
+				t.Fatalf("%s: TidOfSource(%q) = %d, %v; want %d, %v", name, ts.Source, g, gok, w, wok)
+			}
+		}
 	}
 }
 
