@@ -14,20 +14,21 @@ FUZZTIME ?= 60s
 # Benchmarks captured by the recorded artifact (bench-record): the
 # parallel-executor speedup table, pruning, the sharded-ingestion
 # suite, the WAL fsync-policy costs (including group commit, matched
-# by the AppendWAL pattern), the two-worker TCP scatter stream and the
-# calibration workload.
-BENCH_RECORD = 'Calibration|Parallel|Pruning|IngestAppend|AppendWAL|AppendBatchWAL|ScatterTCPStream'
+# by the AppendWAL pattern), the two-worker TCP scatter stream, the
+# two-worker TCP append and the calibration workload.
+BENCH_RECORD = 'Calibration|Parallel|Pruning|IngestAppend|AppendWAL|AppendBatchWAL|ScatterTCPStream|ClusterAppendTCP'
 # Hot-path benchmarks guarded by the regression gate (bench-compare):
 # per-point append, batched append, the heavy parallel scan, the
 # per-series hourly roll-up (gated on allocs/op only; its baseline
-# ns/op is 0), the streamed TCP scatter, the group-commit append (whose
+# ns/op is 0), the streamed TCP scatter, the master's append to two TCP
+# workers (wire codec and worker ingestion), the group-commit append (whose
 # fsyncs/point metric is gated raw at its own wider threshold —
 # coalescing depends on timing), the file-store scan (gated on its
 # reads/segment and allocs/op counts only; its baseline ns/op is 0),
 # the master-side ORDER BY finalize of internal/query (gated on its
 # allocation counts only; its baseline ns/op is 0), plus the
 # calibration workload that normalizes machine speed.
-BENCH_GATE = 'Calibration$$|IngestAppendSerial|IngestAppendBatch|ParallelSumDataPointView|ParallelCubeHourByTid|ScatterTCPStream|AppendWALGroupCommit|FileStoreScan|FinalizeOrderBy'
+BENCH_GATE = 'Calibration$$|IngestAppendSerial|IngestAppendBatch|ParallelSumDataPointView|ParallelCubeHourByTid|ScatterTCPStream|ClusterAppendTCP|AppendWALGroupCommit|FileStoreScan|FinalizeOrderBy'
 # Packages holding the gated benchmarks.
 BENCH_GATE_PKGS = . ./internal/query
 
@@ -150,14 +151,16 @@ crash:
 # the cluster transport feeds with peer-controlled bytes, where every
 # partial it accepts is then checked, merged and finalized for a set of
 # queries as a cluster master would, answering or failing but never
-# panicking; the Gorilla value-stream decoder every stored Gorilla
+# panicking; the cluster transport's frame and call-body decoders, fed
+# the same peer-controlled bytes, which must neither panic nor allocate
+# more than a small multiple of their input; the Gorilla value-stream decoder every stored Gorilla
 # segment goes through, checked against its reference; the Gorilla
 # quantizer, whose every decoded value must be the appended one or
 # within the bound of it; and the WHERE compiler, fed SQL text as HTTP
 # and line-protocol clients send it, where a clause that compiles must
 # run without error and answer the same at every worker count.
 # `go test -fuzz` accepts one target per package invocation, hence
-# eight runs.
+# nine runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALScanSegment$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzWALCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/wal
@@ -165,6 +168,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePartial$$' -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileWhere$$' -fuzztime $(FUZZTIME) ./internal/query
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzGorillaDecode$$' -fuzztime $(FUZZTIME) ./internal/models
 	$(GO) test -run '^$$' -fuzz '^FuzzGorillaBound$$' -fuzztime $(FUZZTIME) ./internal/models
 

@@ -3,8 +3,12 @@ package cluster
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"maps"
+	"math"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -91,9 +95,122 @@ type SnapshotReply struct {
 	Snap map[string]float64
 }
 
-// dispatch runs one call under its per-call context and returns the
-// gob-encoded reply.
-func (s *Server) dispatch(ctx context.Context, method string, body []byte) ([]byte, error) {
+// wireBody is a call's arguments or reply in the transport's binary
+// codec (docs/wire-protocol.md). appendWire encodes it onto buf;
+// decodeWire parses exactly one encoding and refuses anything else —
+// short or trailing bytes, a count the bytes cannot hold, keys out of
+// order.
+type wireBody interface {
+	appendWire(buf []byte) []byte
+	decodeWire(b []byte) error
+}
+
+// appendWire encodes the points as one core.AppendPoints run (the WAL
+// record's layout), then Seqs in ascending Gid order, so one batch
+// always encodes to the same bytes. A nil and an empty Seqs encode
+// alike; the worker reads both the same way.
+func (a *AppendArgs) appendWire(buf []byte) []byte {
+	return appendSeqs(core.AppendPoints(buf, a.Points), a.Seqs)
+}
+
+func (a *AppendArgs) decodeWire(b []byte) error {
+	pts, rest, err := core.DecodePoints(b)
+	if err != nil {
+		return err
+	}
+	r := wireReader{b: rest}
+	a.Points, a.Seqs = pts, r.seqs()
+	return r.end()
+}
+
+func (rep *IngestStateReply) appendWire(buf []byte) []byte { return appendSeqs(buf, rep.Applied) }
+
+func (rep *IngestStateReply) decodeWire(b []byte) error {
+	r := wireReader{b: b}
+	rep.Applied = r.seqs()
+	return r.end()
+}
+
+func (a *StreamQueryArgs) appendWire(buf []byte) []byte {
+	return binary.AppendVarint(appendString(buf, a.SQL), a.ChunkBytes)
+}
+
+func (a *StreamQueryArgs) decodeWire(b []byte) error {
+	r := wireReader{b: b}
+	a.SQL = string(r.bytes())
+	a.ChunkBytes = r.varint()
+	return r.end()
+}
+
+// appendWire encodes the snapshot as a count and (name, float64 bits)
+// pairs in ascending name order.
+func (rep *SnapshotReply) appendWire(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(rep.Snap)))
+	for _, name := range slices.Sorted(maps.Keys(rep.Snap)) {
+		buf = appendString(buf, name)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rep.Snap[name]))
+	}
+	return buf
+}
+
+func (rep *SnapshotReply) decodeWire(b []byte) error {
+	r := wireReader{b: b}
+	rep.Snap = nil
+	n := r.count(1 + 8)
+	prev := ""
+	for i := 0; i < n; i++ {
+		name, v := string(r.bytes()), math.Float64frombits(r.u64())
+		if r.err != nil || (i > 0 && name <= prev) {
+			r.fail()
+			break
+		}
+		if rep.Snap == nil {
+			rep.Snap = make(map[string]float64, n)
+		}
+		rep.Snap[name], prev = v, name
+	}
+	return r.end()
+}
+
+// appendSeqs encodes a per-group sequence table as a count and
+// (gid, seq) uvarint pairs in ascending Gid order.
+func appendSeqs(buf []byte, seqs map[core.Gid]uint64) []byte {
+	gids := make([]core.Gid, 0, len(seqs))
+	for gid := range seqs {
+		gids = append(gids, gid)
+	}
+	slices.Sort(gids)
+	buf = binary.AppendUvarint(buf, uint64(len(seqs)))
+	for _, gid := range gids {
+		buf = binary.AppendUvarint(buf, uint64(gid))
+		buf = binary.AppendUvarint(buf, seqs[gid])
+	}
+	return buf
+}
+
+// seqs decodes an appendSeqs table; an empty one decodes as nil. Gids
+// must be valid and strictly ascending.
+func (r *wireReader) seqs() map[core.Gid]uint64 {
+	n := r.count(2)
+	var seqs map[core.Gid]uint64
+	var prev uint64
+	for i := 0; i < n; i++ {
+		gid, seq := r.uvarint(), r.uvarint()
+		if r.err != nil || gid <= prev || gid > math.MaxInt32 {
+			r.fail()
+			break
+		}
+		if seqs == nil {
+			seqs = make(map[core.Gid]uint64, n)
+		}
+		seqs[core.Gid(gid)], prev = seq, gid
+	}
+	return seqs
+}
+
+// dispatch runs one call under its per-call context and returns its
+// reply, nil for a call with an empty reply.
+func (s *Server) dispatch(ctx context.Context, method string, body []byte) (wireBody, error) {
 	switch method {
 	case "Append":
 		args := &AppendArgs{}
@@ -106,7 +223,7 @@ func (s *Server) dispatch(ctx context.Context, method string, body []byte) ([]by
 		if err != nil {
 			return nil, err
 		}
-		return encodeBody(&IngestStateReply{Applied: applied})
+		return &IngestStateReply{Applied: applied}, nil
 	case "Flush":
 		return nil, s.w.flush(ctx)
 	case "Snapshot":
@@ -114,7 +231,7 @@ func (s *Server) dispatch(ctx context.Context, method string, body []byte) ([]by
 		if err != nil {
 			return nil, err
 		}
-		return encodeBody(&SnapshotReply{Snap: snap})
+		return &SnapshotReply{Snap: snap}, nil
 	default:
 		return nil, fmt.Errorf("cluster: unknown method %q", method)
 	}
@@ -135,8 +252,8 @@ func (s *Server) dispatchStream(ctx, connCtx context.Context, f *frame, conn net
 	s.met.Streams.Add(1)
 	defer s.met.Streams.Add(-1)
 	var seq uint64
-	// Chunk frames carry the typed-vector wire format directly — no gob
-	// interface cells — and one encode buffer serves the whole stream.
+	// Chunk bodies are the typed-vector format of query.EncodePartial,
+	// and one encode buffer serves the whole stream.
 	// The chunk (and its pooled batch) is only valid during this emit
 	// call, so it is encoded before returning; writeFrame below copies
 	// the body into its own pooled frame buffer.
@@ -166,8 +283,12 @@ func (s *Server) dispatchStream(ctx, connCtx context.Context, f *frame, conn net
 
 // ServeConn serves one master connection until it closes. Requests
 // dispatch concurrently, each under a context cancelled by a Cancel
-// frame for its call ID, by the connection going away, or by ctx.
-func (s *Server) ServeConn(ctx context.Context, conn net.Conn) {
+// frame for its call ID, by the connection going away, or by ctx. It
+// returns the read error that ended the connection: io.EOF when the
+// master hung up, an error wrapping ErrWireVersion when the peer
+// speaks another frame format. Any frame that does not decode drops
+// the connection before anything of it is dispatched.
+func (s *Server) ServeConn(ctx context.Context, conn net.Conn) error {
 	defer conn.Close()
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -178,9 +299,10 @@ func (s *Server) ServeConn(ctx context.Context, conn net.Conn) {
 		wg    sync.WaitGroup
 	)
 	br := bufio.NewReader(conn)
+	var err error
 	for {
-		f, err := readFrame(br)
-		if err != nil {
+		var f *frame
+		if f, err = readFrame(br); err != nil {
 			break
 		}
 		switch f.Kind {
@@ -194,14 +316,14 @@ func (s *Server) ServeConn(ctx context.Context, conn net.Conn) {
 			go func(f *frame) {
 				defer wg.Done()
 				t0 := time.Now()
-				var body []byte
+				var reply wireBody
 				var err error
 				if f.Method == "ExecutePartialStream" {
 					// Streaming calls write their own chunk frames; only the
 					// terminal response goes through the shared path below.
 					err = s.dispatchStream(callCtx, cctx, f, conn, &wmu)
 				} else {
-					body, err = s.dispatch(callCtx, f.Method, f.Body)
+					reply, err = s.dispatch(callCtx, f.Method, f.Body)
 				}
 				if h := s.met.Calls[f.Method]; h != nil {
 					h.ObserveSince(t0)
@@ -210,7 +332,7 @@ func (s *Server) ServeConn(ctx context.Context, conn net.Conn) {
 				delete(calls, f.ID)
 				mu.Unlock()
 				callCancel()
-				resp := &frame{Kind: frameResponse, ID: f.ID, Final: true, Body: body}
+				resp := &frame{Kind: frameResponse, ID: f.ID, Final: true, enc: reply}
 				if err != nil {
 					resp.Err = err.Error()
 				}
@@ -233,6 +355,7 @@ func (s *Server) ServeConn(ctx context.Context, conn net.Conn) {
 	// it had in flight. Wait the dispatches out so the scans drain.
 	cancel()
 	wg.Wait()
+	return err
 }
 
 // Serve accepts and serves connections until the listener closes;

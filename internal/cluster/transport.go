@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -18,11 +16,12 @@ import (
 
 // The cluster's wire protocol, specified in docs/wire-protocol.md: a
 // context-aware framed transport. Every message is one frame — a
-// 4-byte big-endian length prefix and a gob-encoded frame value — so
-// many concurrent calls interleave on one TCP connection: requests,
-// responses matched by call ID, Cancel frames that abort a worker-side
-// call, and the ordered chunk frames of a streamed reply. A dropped
-// connection cancels every call in flight on it.
+// 4-byte big-endian length prefix and a binary frame header followed
+// by the body — so many concurrent calls interleave on one TCP
+// connection: requests, responses matched by call ID, Cancel frames
+// that abort a worker-side call, and the ordered chunk frames of a
+// streamed reply. A dropped connection cancels every call in flight on
+// it.
 
 type frameKind uint8
 
@@ -41,39 +40,82 @@ type frame struct {
 	Final  bool   // response frames: set on a streaming call's terminal frame
 	Method string // requests only
 	Err    string // responses only; empty on success
-	Body   []byte // gob-encoded arguments, reply, or stream chunk
+	// Body is the encoded arguments, reply or stream chunk. A read
+	// frame's Body aliases the buffer the frame was read into.
+	Body []byte
+	// enc, when set on a frame to be written, is encoded straight into
+	// the frame buffer in place of Body.
+	enc wireBody
 }
+
+// wireVersion is the frame format's version byte. It is 0x81, not 1: a
+// gob stream opens with a message length, whose first byte is below
+// 0x80 or at least 0xF8, so a peer still speaking the old gob framing
+// fails the version check at its first frame instead of being
+// misparsed.
+const wireVersion = 0x81
+
+// flagFinal is the frame flags bit that carries frame.Final; every
+// other bit must be zero.
+const flagFinal = 1
+
+// ErrWireVersion refuses a frame whose version byte is not
+// wireVersion: the peer speaks another frame format, so a cluster must
+// run one version of the transport on every node.
+var ErrWireVersion = errors.New("cluster: unsupported wire version")
 
 // maxFrameSize guards the length prefix against corrupt or hostile
 // peers; a partial result for a huge scatter stays far below it.
 const maxFrameSize = 1 << 30
 
+// frameReadStep is the most a frame read allocates ahead of the bytes
+// it has received: a larger frame's buffer grows only as its bytes
+// arrive, so a length prefix alone cannot make a node allocate up to
+// maxFrameSize.
+const frameReadStep = 64 << 10
+
 // frameBufPool recycles the per-frame encode buffers: a streamed
 // scatter writes thousands of chunk frames, and re-growing a fresh
-// bytes.Buffer to chunk size for each was a large share of the
-// transport's allocations.
-var frameBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// buffer to chunk size for each was a large share of the transport's
+// allocations.
+var frameBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // frameBufMax bounds pooled buffer retention so one giant frame does
 // not pin its memory for the life of the process.
 const frameBufMax = 4 << 20
 
+// appendFrame appends f without its length prefix: version, kind, ID
+// and Seq as uvarints, the flags byte, Method and Err as
+// length-prefixed strings, then the body.
+func appendFrame(buf []byte, f *frame) []byte {
+	var flags byte
+	if f.Final {
+		flags |= flagFinal
+	}
+	buf = append(buf, wireVersion, byte(f.Kind))
+	buf = binary.AppendUvarint(buf, f.ID)
+	buf = binary.AppendUvarint(buf, f.Seq)
+	buf = append(buf, flags)
+	buf = appendString(buf, f.Method)
+	buf = appendString(buf, f.Err)
+	if f.enc != nil {
+		return f.enc.appendWire(buf)
+	}
+	return append(buf, f.Body...)
+}
+
 // writeFrame encodes f with its length prefix into w. Callers
 // serialize writes per connection; the encode buffer is pooled and w
 // owns a full copy of the bytes once Write returns.
 func writeFrame(w io.Writer, f *frame) error {
-	buf := frameBufPool.Get().(*bytes.Buffer)
+	bp := frameBufPool.Get().(*[]byte)
+	b := appendFrame(append((*bp)[:0], 0, 0, 0, 0), f)
 	defer func() {
-		if buf.Cap() <= frameBufMax {
-			frameBufPool.Put(buf)
+		if cap(b) <= frameBufMax {
+			*bp = b
+			frameBufPool.Put(bp)
 		}
 	}()
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 0})
-	if err := gob.NewEncoder(buf).Encode(f); err != nil {
-		return err
-	}
-	b := buf.Bytes()
 	if len(b)-4 > maxFrameSize {
 		return fmt.Errorf("cluster: frame of %d bytes exceeds limit", len(b)-4)
 	}
@@ -92,36 +134,159 @@ func readFrame(r io.Reader) (*frame, error) {
 	if n == 0 || n > maxFrameSize {
 		return nil, fmt.Errorf("cluster: invalid frame length %d", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	b, err := readBody(r, int(n))
+	if err != nil {
 		return nil, err
 	}
-	f := &frame{}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(f); err != nil {
-		return nil, err
+	return decodeFrame(b)
+}
+
+// readBody reads the n bytes of a frame, allocating at most
+// frameReadStep ahead of the bytes received: the buffer doubles only
+// once the bytes read so far fill it.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	b := make([]byte, min(n, frameReadStep))
+	for off := 0; ; {
+		m, err := io.ReadFull(r, b[off:])
+		off += m
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if off == n {
+			return b, nil
+		}
+		b = append(b, make([]byte, min(n-off, off))...)
+	}
+}
+
+// decodeFrame parses one frame without its length prefix. The frame's
+// Body aliases b.
+func decodeFrame(b []byte) (*frame, error) {
+	r := wireReader{b: b}
+	if v := r.byte(); r.err == nil && v != wireVersion {
+		return nil, fmt.Errorf("%w %#x", ErrWireVersion, v)
+	}
+	f := &frame{Kind: frameKind(r.byte()), ID: r.uvarint(), Seq: r.uvarint()}
+	flags := r.byte()
+	f.Final = flags&flagFinal != 0
+	f.Method = string(r.bytes())
+	f.Err = string(r.bytes())
+	f.Body = r.b
+	if r.err == nil && (f.Kind < frameRequest || f.Kind > frameChunk || flags&^flagFinal != 0) {
+		r.fail()
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return f, nil
 }
 
-// encodeBody gob-encodes call arguments or a reply.
-func encodeBody(v any) ([]byte, error) {
-	if v == nil {
-		return nil, nil
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+// errMalformed refuses a frame or call body the codec did not write.
+var errMalformed = errors.New("cluster: malformed wire message")
+
+// wireReader is a bounds-checked cursor over a frame or call body. Its
+// error is sticky: after the first failure every read returns a zero
+// value, so a decoder checks r.err once, at its end.
+type wireReader struct {
+	b   []byte
+	err error
 }
 
-// decodeBody gob-decodes a frame body into v; a nil v skips decoding
+func (r *wireReader) fail() {
+	if r.err == nil {
+		r.err = errMalformed
+	}
+	r.b = nil
+}
+
+func (r *wireReader) byte() byte {
+	if len(r.b) < 1 {
+		r.fail()
+		return 0
+	}
+	v := r.b[0]
+	r.b = r.b[1:]
+	return v
+}
+
+func (r *wireReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *wireReader) varint() int64 {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *wireReader) u64() uint64 {
+	if len(r.b) < 8 {
+		r.fail()
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v
+}
+
+// count reads an element count and refuses one the remaining bytes
+// cannot hold at minSize bytes per element, so a corrupt count cannot
+// drive an allocation.
+func (r *wireReader) count(minSize int) int {
+	v := r.uvarint()
+	if v > uint64(len(r.b)/minSize) {
+		r.fail()
+		return 0
+	}
+	return int(v)
+}
+
+// bytes reads a uvarint length and that many bytes, aliasing the input.
+func (r *wireReader) bytes() []byte {
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.fail()
+		return nil
+	}
+	v := r.b[:n]
+	r.b = r.b[n:]
+	return v
+}
+
+// end refuses trailing bytes and returns the reader's error.
+func (r *wireReader) end() error {
+	if len(r.b) != 0 {
+		r.fail()
+	}
+	return r.err
+}
+
+// appendString appends s as a uvarint length and its bytes.
+func appendString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
+}
+
+// decodeBody decodes a frame body into v; a nil v skips decoding
 // (calls with an empty reply).
-func decodeBody(body []byte, v any) error {
+func decodeBody(body []byte, v wireBody) error {
 	if v == nil {
 		return nil
 	}
-	return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
+	return v.decodeWire(body)
 }
 
 // ErrConnectionLost marks transport-level connection failures (reset,
@@ -306,12 +471,8 @@ func (c *wireConn) fail(err error) {
 
 // start registers a call — and its stream, when st is non-nil — and
 // writes its request frame.
-func (c *wireConn) start(ctx context.Context, method string, args any, st *streamState) (uint64, chan callDone, error) {
+func (c *wireConn) start(ctx context.Context, method string, args wireBody, st *streamState) (uint64, chan callDone, error) {
 	if err := ctx.Err(); err != nil {
-		return 0, nil, err
-	}
-	body, err := encodeBody(args)
-	if err != nil {
 		return 0, nil, err
 	}
 	id := c.nextID.Add(1)
@@ -327,7 +488,7 @@ func (c *wireConn) start(ctx context.Context, method string, args any, st *strea
 		c.streams[id] = st
 	}
 	c.mu.Unlock()
-	if err := c.write(ctx, &frame{Kind: frameRequest, ID: id, Method: method, Body: body}); err != nil {
+	if err := c.write(ctx, &frame{Kind: frameRequest, ID: id, Method: method, enc: args}); err != nil {
 		c.forget(id)
 		return 0, nil, fmt.Errorf("cluster: send %s: %w", method, err)
 	}
@@ -349,7 +510,7 @@ func (d callDone) result(method string) error {
 // Call issues one request and waits for its response or ctx. On
 // cancellation it returns ctx.Err() immediately and sends a
 // best-effort Cancel frame so the worker aborts the call server-side.
-func (c *wireConn) Call(ctx context.Context, method string, args, reply any) error {
+func (c *wireConn) Call(ctx context.Context, method string, args, reply wireBody) error {
 	id, ch, err := c.start(ctx, method, args, nil)
 	if err != nil {
 		return err
@@ -378,7 +539,7 @@ func (c *wireConn) Call(ctx context.Context, method string, args, reply any) err
 // (cancelling the call worker-side) and is returned. Like Call, a
 // cancelled ctx returns ctx.Err() immediately and cancels server-side
 // best effort.
-func (c *wireConn) CallStream(ctx context.Context, method string, args any, onChunk func(body []byte) error) error {
+func (c *wireConn) CallStream(ctx context.Context, method string, args wireBody, onChunk func(body []byte) error) error {
 	st := &streamState{chunks: make(chan *frame, streamChunkBuffer), quit: make(chan struct{})}
 	id, ch, err := c.start(ctx, method, args, st)
 	if err != nil {

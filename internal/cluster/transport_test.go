@@ -47,8 +47,7 @@ func startFakeWorker(t *testing.T, handle func(f *frame) *frame) string {
 					if f.Method == "IngestState" {
 						// Answer the dial-time seeding handshake like a fresh
 						// worker; tests drive the methods they care about.
-						body, _ := encodeBody(&IngestStateReply{})
-						if err := writeFrame(conn, &frame{Kind: frameResponse, ID: f.ID, Body: body}); err != nil {
+						if err := writeFrame(conn, &frame{Kind: frameResponse, ID: f.ID, enc: &IngestStateReply{}}); err != nil {
 							return
 						}
 						continue

@@ -150,7 +150,7 @@ func (w *remoteWorker) partials(ctx context.Context, args *StreamQueryArgs, emit
 }
 
 // call issues one unary call, retried on connection loss.
-func (w *remoteWorker) call(ctx context.Context, method string, args, reply any) error {
+func (w *remoteWorker) call(ctx context.Context, method string, args, reply wireBody) error {
 	return w.retrying(ctx, method, nil, func(ctx context.Context, conn *wireConn) error {
 		return conn.Call(ctx, method, args, reply)
 	})

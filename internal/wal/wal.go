@@ -452,19 +452,13 @@ func scanRecords(r io.ReaderAt, size int64, fn func(gid core.Gid, seq, ext uint6
 	})
 }
 
-// encodeRecord appends one record's payload (gid, seq, ext, points) to
-// buf.
+// encodeRecord appends one record's payload (gid, seq, ext, then the
+// points as one core.AppendPoints run) to buf.
 func encodeRecord(buf []byte, gid core.Gid, seq, ext uint64, pts []core.DataPoint) []byte {
 	buf = binary.AppendUvarint(buf, uint64(gid))
 	buf = binary.AppendUvarint(buf, seq)
 	buf = binary.AppendUvarint(buf, ext)
-	buf = binary.AppendUvarint(buf, uint64(len(pts)))
-	for _, p := range pts {
-		buf = binary.AppendUvarint(buf, uint64(p.Tid))
-		buf = binary.AppendVarint(buf, p.TS)
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(p.Value))
-	}
-	return buf
+	return core.AppendPoints(buf, pts)
 }
 
 // errCorruptRecord refuses a record payload that encodeRecord did not
@@ -474,7 +468,7 @@ var errCorruptRecord = errors.New("wal: corrupt record")
 // decodeRecord parses one record payload. ext is the master-assigned
 // batch sequence the record applied; 0 marks an unsequenced append.
 func decodeRecord(payload []byte) (core.Gid, uint64, uint64, []core.DataPoint, error) {
-	var head [4]uint64 // gid, seq, ext, point count
+	var head [3]uint64 // gid, seq, ext
 	for i := range head {
 		v, n := binary.Uvarint(payload)
 		if n <= 0 {
@@ -482,25 +476,12 @@ func decodeRecord(payload []byte) (core.Gid, uint64, uint64, []core.DataPoint, e
 		}
 		head[i], payload = v, payload[n:]
 	}
-	gid, seq, ext, count := head[0], head[1], head[2], head[3]
-	if gid == 0 || gid > math.MaxInt32 || seq == 0 || count > uint64(len(payload)) {
+	gid, seq, ext := head[0], head[1], head[2]
+	if gid == 0 || gid > math.MaxInt32 || seq == 0 {
 		return 0, 0, 0, nil, errCorruptRecord
 	}
-	pts := make([]core.DataPoint, 0, count)
-	for i := uint64(0); i < count; i++ {
-		tid, n := binary.Uvarint(payload)
-		if n <= 0 || tid == 0 || tid > math.MaxInt32 {
-			return 0, 0, 0, nil, errCorruptRecord
-		}
-		ts, m := binary.Varint(payload[n:])
-		if m <= 0 || len(payload) < n+m+4 {
-			return 0, 0, 0, nil, errCorruptRecord
-		}
-		v := math.Float32frombits(binary.LittleEndian.Uint32(payload[n+m:]))
-		payload = payload[n+m+4:]
-		pts = append(pts, core.DataPoint{Tid: core.Tid(tid), TS: ts, Value: v})
-	}
-	if len(payload) != 0 {
+	pts, rest, err := core.DecodePoints(payload)
+	if err != nil || len(rest) != 0 {
 		return 0, 0, 0, nil, errCorruptRecord
 	}
 	return core.Gid(gid), seq, ext, pts, nil

@@ -95,3 +95,27 @@ func BenchmarkScatterTCPStream(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkClusterAppendTCP measures ingestion through the master to
+// two TCP workers: one op is 4096 Client.Append calls, sealed into
+// 1024-point batches as they fill, plus the AppendBatch(nil) that
+// drains the rest, so its B/op and allocs/op are what the master, the
+// wire and both workers spend on 4096 points.
+func BenchmarkClusterAppendTCP(b *testing.B) {
+	const points = 4096
+	client := scatterBenchCluster(b, 2, 0)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < points; j++ {
+			k := i*points + j
+			if err := client.Append(ctx, modelardb.Tid(k%benchGroups+1), int64(k/benchGroups)*100, float32(k%50)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := client.AppendBatch(ctx, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
