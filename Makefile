@@ -153,14 +153,17 @@ crash:
 # queries as a cluster master would, answering or failing but never
 # panicking; the cluster transport's frame and call-body decoders, fed
 # the same peer-controlled bytes, which must neither panic nor allocate
-# more than a small multiple of their input; the Gorilla value-stream decoder every stored Gorilla
-# segment goes through, checked against its reference; the Gorilla
+# more than a small multiple of their input; the remote-write body,
+# snappy-decoded and then parsed as protobuf as the HTTP endpoint does,
+# under the same kind of allocation bound; the Gorilla value-stream
+# decoder every stored Gorilla segment goes through, checked against
+# its reference; the Gorilla
 # quantizer, whose every decoded value must be the appended one or
 # within the bound of it; and the WHERE compiler, fed SQL text as HTTP
 # and line-protocol clients send it, where a clause that compiles must
 # run without error and answer the same at every worker count.
 # `go test -fuzz` accepts one target per package invocation, hence
-# nine runs.
+# ten runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALScanSegment$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzWALCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/wal
@@ -169,6 +172,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePartial$$' -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileWhere$$' -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzRemoteWriteBody$$' -fuzztime $(FUZZTIME) ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzGorillaDecode$$' -fuzztime $(FUZZTIME) ./internal/models
 	$(GO) test -run '^$$' -fuzz '^FuzzGorillaBound$$' -fuzztime $(FUZZTIME) ./internal/models
 

@@ -16,6 +16,7 @@ import (
 	"modelardb/internal/core"
 	"modelardb/internal/obs"
 	"modelardb/internal/query"
+	"modelardb/internal/wire"
 )
 
 // Server exposes one worker over the framed transport (transport.go):
@@ -106,40 +107,37 @@ type wireBody interface {
 }
 
 // appendWire encodes the points as one core.AppendPoints run (the WAL
-// record's layout), then Seqs in ascending Gid order, so one batch
-// always encodes to the same bytes. A nil and an empty Seqs encode
-// alike; the worker reads both the same way.
+// record's layout), then Seqs as one core.AppendSeqs table, so one
+// batch always encodes to the same bytes. A nil and an empty Seqs
+// encode alike; the worker reads both the same way.
 func (a *AppendArgs) appendWire(buf []byte) []byte {
-	return appendSeqs(core.AppendPoints(buf, a.Points), a.Seqs)
+	return core.AppendSeqs(core.AppendPoints(buf, a.Points), a.Seqs)
 }
 
 func (a *AppendArgs) decodeWire(b []byte) error {
-	pts, rest, err := core.DecodePoints(b)
-	if err != nil {
-		return err
-	}
-	r := wireReader{b: rest}
-	a.Points, a.Seqs = pts, r.seqs()
-	return r.end()
+	r := wire.NewReader(b)
+	a.Points = core.DecodePoints(r)
+	a.Seqs = core.DecodeSeqs(r)
+	return r.End()
 }
 
-func (rep *IngestStateReply) appendWire(buf []byte) []byte { return appendSeqs(buf, rep.Applied) }
+func (rep *IngestStateReply) appendWire(buf []byte) []byte { return core.AppendSeqs(buf, rep.Applied) }
 
 func (rep *IngestStateReply) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	rep.Applied = r.seqs()
-	return r.end()
+	r := wire.NewReader(b)
+	rep.Applied = core.DecodeSeqs(r)
+	return r.End()
 }
 
 func (a *StreamQueryArgs) appendWire(buf []byte) []byte {
-	return binary.AppendVarint(appendString(buf, a.SQL), a.ChunkBytes)
+	return binary.AppendVarint(wire.AppendString(buf, a.SQL), a.ChunkBytes)
 }
 
 func (a *StreamQueryArgs) decodeWire(b []byte) error {
-	r := wireReader{b: b}
-	a.SQL = string(r.bytes())
-	a.ChunkBytes = r.varint()
-	return r.end()
+	r := wire.NewReader(b)
+	a.SQL = r.String()
+	a.ChunkBytes = r.Varint()
+	return r.End()
 }
 
 // appendWire encodes the snapshot as a count and (name, float64 bits)
@@ -147,21 +145,21 @@ func (a *StreamQueryArgs) decodeWire(b []byte) error {
 func (rep *SnapshotReply) appendWire(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(rep.Snap)))
 	for _, name := range slices.Sorted(maps.Keys(rep.Snap)) {
-		buf = appendString(buf, name)
+		buf = wire.AppendString(buf, name)
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rep.Snap[name]))
 	}
 	return buf
 }
 
 func (rep *SnapshotReply) decodeWire(b []byte) error {
-	r := wireReader{b: b}
+	r := wire.NewReader(b)
 	rep.Snap = nil
-	n := r.count(1 + 8)
+	n := r.Count(1 + 8)
 	prev := ""
 	for i := 0; i < n; i++ {
-		name, v := string(r.bytes()), math.Float64frombits(r.u64())
-		if r.err != nil || (i > 0 && name <= prev) {
-			r.fail()
+		name, v := r.String(), r.F64()
+		if r.Err() != nil || (i > 0 && name <= prev) {
+			r.Fail()
 			break
 		}
 		if rep.Snap == nil {
@@ -169,43 +167,7 @@ func (rep *SnapshotReply) decodeWire(b []byte) error {
 		}
 		rep.Snap[name], prev = v, name
 	}
-	return r.end()
-}
-
-// appendSeqs encodes a per-group sequence table as a count and
-// (gid, seq) uvarint pairs in ascending Gid order.
-func appendSeqs(buf []byte, seqs map[core.Gid]uint64) []byte {
-	gids := make([]core.Gid, 0, len(seqs))
-	for gid := range seqs {
-		gids = append(gids, gid)
-	}
-	slices.Sort(gids)
-	buf = binary.AppendUvarint(buf, uint64(len(seqs)))
-	for _, gid := range gids {
-		buf = binary.AppendUvarint(buf, uint64(gid))
-		buf = binary.AppendUvarint(buf, seqs[gid])
-	}
-	return buf
-}
-
-// seqs decodes an appendSeqs table; an empty one decodes as nil. Gids
-// must be valid and strictly ascending.
-func (r *wireReader) seqs() map[core.Gid]uint64 {
-	n := r.count(2)
-	var seqs map[core.Gid]uint64
-	var prev uint64
-	for i := 0; i < n; i++ {
-		gid, seq := r.uvarint(), r.uvarint()
-		if r.err != nil || gid <= prev || gid > math.MaxInt32 {
-			r.fail()
-			break
-		}
-		if seqs == nil {
-			seqs = make(map[core.Gid]uint64, n)
-		}
-		seqs[core.Gid(gid)], prev = seq, gid
-	}
-	return seqs
+	return r.End()
 }
 
 // dispatch runs one call under its per-call context and returns its

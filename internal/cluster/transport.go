@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"modelardb/internal/wire"
 )
 
 // The cluster's wire protocol, specified in docs/wire-protocol.md: a
@@ -96,8 +98,8 @@ func appendFrame(buf []byte, f *frame) []byte {
 	buf = binary.AppendUvarint(buf, f.ID)
 	buf = binary.AppendUvarint(buf, f.Seq)
 	buf = append(buf, flags)
-	buf = appendString(buf, f.Method)
-	buf = appendString(buf, f.Err)
+	buf = wire.AppendString(buf, f.Method)
+	buf = wire.AppendString(buf, f.Err)
 	if f.enc != nil {
 		return f.enc.appendWire(buf)
 	}
@@ -165,119 +167,23 @@ func readBody(r io.Reader, n int) ([]byte, error) {
 // decodeFrame parses one frame without its length prefix. The frame's
 // Body aliases b.
 func decodeFrame(b []byte) (*frame, error) {
-	r := wireReader{b: b}
-	if v := r.byte(); r.err == nil && v != wireVersion {
+	r := wire.NewReader(b)
+	if v := r.Byte(); r.Err() == nil && v != wireVersion {
 		return nil, fmt.Errorf("%w %#x", ErrWireVersion, v)
 	}
-	f := &frame{Kind: frameKind(r.byte()), ID: r.uvarint(), Seq: r.uvarint()}
-	flags := r.byte()
+	f := &frame{Kind: frameKind(r.Byte()), ID: r.Uvarint(), Seq: r.Uvarint()}
+	flags := r.Byte()
 	f.Final = flags&flagFinal != 0
-	f.Method = string(r.bytes())
-	f.Err = string(r.bytes())
-	f.Body = r.b
-	if r.err == nil && (f.Kind < frameRequest || f.Kind > frameChunk || flags&^flagFinal != 0) {
-		r.fail()
+	f.Method = r.String()
+	f.Err = r.String()
+	f.Body = r.Rest()
+	if f.Kind < frameRequest || f.Kind > frameChunk || flags&^flagFinal != 0 {
+		r.Fail()
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return f, nil
-}
-
-// errMalformed refuses a frame or call body the codec did not write.
-var errMalformed = errors.New("cluster: malformed wire message")
-
-// wireReader is a bounds-checked cursor over a frame or call body. Its
-// error is sticky: after the first failure every read returns a zero
-// value, so a decoder checks r.err once, at its end.
-type wireReader struct {
-	b   []byte
-	err error
-}
-
-func (r *wireReader) fail() {
-	if r.err == nil {
-		r.err = errMalformed
-	}
-	r.b = nil
-}
-
-func (r *wireReader) byte() byte {
-	if len(r.b) < 1 {
-		r.fail()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *wireReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *wireReader) varint() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *wireReader) u64() uint64 {
-	if len(r.b) < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-// count reads an element count and refuses one the remaining bytes
-// cannot hold at minSize bytes per element, so a corrupt count cannot
-// drive an allocation.
-func (r *wireReader) count(minSize int) int {
-	v := r.uvarint()
-	if v > uint64(len(r.b)/minSize) {
-		r.fail()
-		return 0
-	}
-	return int(v)
-}
-
-// bytes reads a uvarint length and that many bytes, aliasing the input.
-func (r *wireReader) bytes() []byte {
-	n := r.uvarint()
-	if n > uint64(len(r.b)) {
-		r.fail()
-		return nil
-	}
-	v := r.b[:n]
-	r.b = r.b[n:]
-	return v
-}
-
-// end refuses trailing bytes and returns the reader's error.
-func (r *wireReader) end() error {
-	if len(r.b) != 0 {
-		r.fail()
-	}
-	return r.err
-}
-
-// appendString appends s as a uvarint length and its bytes.
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
 }
 
 // decodeBody decodes a frame body into v; a nil v skips decoding

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"modelardb/internal/wire"
 )
 
 // A minimal protobuf codec for the Prometheus remote-write payload —
@@ -41,8 +43,8 @@ var errProtoCorrupt = errors.New("httpapi: corrupt protobuf payload")
 // decodeWriteRequest parses an (already snappy-decoded) WriteRequest.
 func decodeWriteRequest(b []byte) ([]promSeries, error) {
 	var out []promSeries
-	err := protoFields(b, func(field int, wire int, data []byte, varint uint64) error {
-		if field != 1 || wire != 2 {
+	err := protoFields(b, func(field, wireType int, data []byte, _ uint64) error {
+		if field != 1 || wireType != 2 {
 			return nil
 		}
 		ts, err := decodeTimeSeries(data)
@@ -57,9 +59,9 @@ func decodeWriteRequest(b []byte) ([]promSeries, error) {
 
 func decodeTimeSeries(b []byte) (promSeries, error) {
 	var ts promSeries
-	err := protoFields(b, func(field int, wire int, data []byte, varint uint64) error {
+	err := protoFields(b, func(field, wireType int, data []byte, _ uint64) error {
 		switch {
-		case field == 1 && wire == 2:
+		case field == 1 && wireType == 2:
 			var l promLabel
 			if err := protoFields(data, func(f int, w int, d []byte, v uint64) error {
 				switch {
@@ -73,7 +75,7 @@ func decodeTimeSeries(b []byte) (promSeries, error) {
 				return err
 			}
 			ts.Labels = append(ts.Labels, l)
-		case field == 2 && wire == 2:
+		case field == 2 && wireType == 2:
 			var s promSample
 			if err := protoFields(data, func(f int, w int, d []byte, v uint64) error {
 				switch {
@@ -97,45 +99,31 @@ func decodeTimeSeries(b []byte) (promSeries, error) {
 // wire type, the payload bytes (length-delimited fields) and the
 // scalar value (varint and fixed fields). Unknown fields parse and
 // pass through; fn ignores what it does not handle.
-func protoFields(b []byte, fn func(field, wire int, data []byte, scalar uint64) error) error {
-	for len(b) > 0 {
-		key, n := binary.Uvarint(b)
-		if n <= 0 {
-			return errProtoCorrupt
-		}
-		b = b[n:]
-		field, wire := int(key>>3), int(key&0x7)
+func protoFields(b []byte, fn func(field, wireType int, data []byte, scalar uint64) error) error {
+	r := wire.NewReader(b)
+	for r.Len() > 0 {
+		key := r.Uvarint()
+		field, wireType := int(key>>3), int(key&0x7)
 		var (
 			data   []byte
 			scalar uint64
 		)
-		switch wire {
+		switch wireType {
 		case 0: // varint
-			v, n := binary.Uvarint(b)
-			if n <= 0 {
-				return errProtoCorrupt
-			}
-			scalar, b = v, b[n:]
+			scalar = r.Uvarint()
 		case 1: // fixed64
-			if len(b) < 8 {
-				return errProtoCorrupt
-			}
-			scalar, b = binary.LittleEndian.Uint64(b), b[8:]
+			scalar = r.U64()
 		case 2: // length-delimited
-			length, n := binary.Uvarint(b)
-			if n <= 0 || uint64(len(b)-n) < length {
-				return errProtoCorrupt
-			}
-			data, b = b[n:n+int(length)], b[n+int(length):]
+			data = r.Bytes()
 		case 5: // fixed32
-			if len(b) < 4 {
-				return errProtoCorrupt
-			}
-			scalar, b = uint64(binary.LittleEndian.Uint32(b)), b[4:]
+			scalar = uint64(r.U32())
 		default:
-			return fmt.Errorf("httpapi: unsupported protobuf wire type %d", wire)
+			return fmt.Errorf("httpapi: unsupported protobuf wire type %d", wireType)
 		}
-		if err := fn(field, wire, data, scalar); err != nil {
+		if r.Err() != nil {
+			return errProtoCorrupt
+		}
+		if err := fn(field, wireType, data, scalar); err != nil {
 			return err
 		}
 	}

@@ -5,8 +5,10 @@ import (
 	"testing"
 )
 
-func TestWriteRequestRoundTrip(t *testing.T) {
-	in := []promSeries{
+// sampleSeries is a small WriteRequest: two series, several labels
+// and samples, negative and fractional values.
+func sampleSeries() []promSeries {
+	return []promSeries{
 		{
 			Labels: []promLabel{
 				{Name: "__name__", Value: "s1"},
@@ -22,6 +24,10 @@ func TestWriteRequestRoundTrip(t *testing.T) {
 			Samples: []promSample{{Value: 7, Timestamp: 2000}},
 		},
 	}
+}
+
+func TestWriteRequestRoundTrip(t *testing.T) {
+	in := sampleSeries()
 	out, err := decodeWriteRequest(encodeWriteRequest(in))
 	if err != nil {
 		t.Fatal(err)

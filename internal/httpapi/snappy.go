@@ -22,7 +22,10 @@ var errSnappyCorrupt = errors.New("httpapi: corrupt snappy data")
 // a hostile 5-byte body cannot demand a multi-gigabyte allocation.
 const maxSnappyDecodedLen = 64 << 20
 
-// snappyDecode decompresses a snappy block-format payload.
+// snappyDecode decompresses a snappy block-format payload. The
+// declared length is only a claim: the output buffer starts no larger
+// than the input and grows as elements produce bytes, so a short body
+// that declares megabytes cannot make the decoder allocate them.
 func snappyDecode(src []byte) ([]byte, error) {
 	declared, n := binary.Uvarint(src)
 	if n <= 0 {
@@ -32,7 +35,7 @@ func snappyDecode(src []byte) ([]byte, error) {
 		return nil, fmt.Errorf("httpapi: snappy payload declares %d decoded bytes (limit %d)", declared, maxSnappyDecodedLen)
 	}
 	src = src[n:]
-	dst := make([]byte, 0, declared)
+	dst := make([]byte, 0, min(declared, uint64(len(src))))
 	for len(src) > 0 {
 		tag := src[0]
 		src = src[1:]

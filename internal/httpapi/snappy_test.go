@@ -2,6 +2,8 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -25,43 +27,22 @@ func TestSnappyRoundTrip(t *testing.T) {
 	}
 }
 
+// snappyCopyBlocks each decode to "abcdabcdabcd": a 4-byte literal
+// followed by an overlapping 8-byte copy at offset 4, spelled with the
+// 1-, 2- and 4-byte-offset copy tags in turn.
+var snappyCopyBlocks = [][]byte{
+	{12, (4-1)<<2 | 0x00, 'a', 'b', 'c', 'd', (8-4)<<2 | 0x01, 4},
+	{12, (4-1)<<2 | 0x00, 'a', 'b', 'c', 'd', (8-1)<<2 | 0x02, 4, 0},
+	{12, (4-1)<<2 | 0x00, 'a', 'b', 'c', 'd', (8-1)<<2 | 0x03, 4, 0, 0, 0},
+}
+
 // TestSnappyCopies decodes a hand-built block using each copy tag form,
 // since our literal-only encoder never emits them.
 func TestSnappyCopies(t *testing.T) {
-	// Decoded target: "abcdabcdabcd" (12 bytes): a 4-byte literal
-	// followed by an overlapping 8-byte copy at offset 4.
-	block := []byte{
-		12,              // decoded length
-		(4-1)<<2 | 0x00, // literal, length 4
-		'a', 'b', 'c', 'd',
-		(8-4)<<2 | 0x01, 4, // copy1: length 8, offset 4 (overlapping)
-	}
-	got, err := snappyDecode(block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "abcdabcdabcd" {
-		t.Fatalf("copy1 decode = %q", got)
-	}
-
-	// Same result via a copy2 (2-byte little-endian offset).
-	block = []byte{
-		12,
-		(4-1)<<2 | 0x00, 'a', 'b', 'c', 'd',
-		(8-1)<<2 | 0x02, 4, 0,
-	}
-	if got, err = snappyDecode(block); err != nil || string(got) != "abcdabcdabcd" {
-		t.Fatalf("copy2 decode = %q, %v", got, err)
-	}
-
-	// And via a copy4 (4-byte little-endian offset).
-	block = []byte{
-		12,
-		(4-1)<<2 | 0x00, 'a', 'b', 'c', 'd',
-		(8-1)<<2 | 0x03, 4, 0, 0, 0,
-	}
-	if got, err = snappyDecode(block); err != nil || string(got) != "abcdabcdabcd" {
-		t.Fatalf("copy4 decode = %q, %v", got, err)
+	for _, block := range snappyCopyBlocks {
+		if got, err := snappyDecode(block); err != nil || string(got) != "abcdabcdabcd" {
+			t.Fatalf("copy tag %d: decode = %q, %v", block[6]&0x03, got, err)
+		}
 	}
 }
 
@@ -82,6 +63,35 @@ func TestSnappyCorrupt(t *testing.T) {
 		if _, err := snappyDecode(c.block); err == nil {
 			t.Errorf("%s: decode succeeded, want error", c.name)
 		}
+	}
+}
+
+// totalAlloc returns the bytes the process has allocated so far.
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// hostileSnappyBody declares the largest decoded length the decoder
+// accepts and then carries a single one-byte literal.
+func hostileSnappyBody() []byte {
+	return append(binary.AppendUvarint(nil, maxSnappyDecodedLen), 0<<2, 'x')
+}
+
+// TestSnappyHostileLength: the declared length is only a claim. A
+// 6-byte body declaring 64 MiB is refused as corrupt without
+// allocating anywhere near the claim.
+func TestSnappyHostileLength(t *testing.T) {
+	body := hostileSnappyBody()
+	before := totalAlloc()
+	_, err := snappyDecode(body)
+	alloc := totalAlloc() - before
+	if err == nil {
+		t.Fatalf("%d-byte body declaring %d bytes decoded", len(body), maxSnappyDecodedLen)
+	}
+	if alloc >= 1<<20 {
+		t.Fatalf("%d-byte body allocated %d bytes", len(body), alloc)
 	}
 }
 

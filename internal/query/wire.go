@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"modelardb/internal/wire"
 )
 
 // The chunk-frame wire codec: a PartialResult encodes as length-
@@ -57,14 +59,14 @@ func EncodePartial(dst []byte, part *PartialResult) []byte {
 	dst = append(dst, flags)
 	dst = binary.AppendUvarint(dst, uint64(len(part.Columns)))
 	for _, col := range part.Columns {
-		dst = appendWireString(dst, col)
+		dst = wire.AppendString(dst, col)
 	}
 	if part.Batch != nil {
 		dst = encodeBatch(dst, part.Batch)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(part.Groups)))
 	for key, g := range part.Groups {
-		dst = appendWireString(dst, key)
+		dst = wire.AppendString(dst, key)
 		dst = binary.AppendUvarint(dst, uint64(len(g.Key)))
 		for _, v := range g.Key {
 			switch x := v.(type) {
@@ -76,13 +78,13 @@ func EncodePartial(dst []byte, part *PartialResult) []byte {
 				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 			case string:
 				dst = append(dst, keyTagString)
-				dst = appendWireString(dst, x)
+				dst = wire.AppendString(dst, x)
 			default:
 				// Group keys only ever hold the three cell types; encode
 				// anything else as an empty string so the frame stays
 				// parseable.
 				dst = append(dst, keyTagString)
-				dst = appendWireString(dst, "")
+				dst = wire.AppendString(dst, "")
 			}
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(g.Scalars)))
@@ -109,11 +111,6 @@ func appendScalarState(dst []byte, s ScalarState) []byte {
 	return dst
 }
 
-func appendWireString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
 // encodeBatch appends the batch section: column types, row count, then
 // each column as one contiguous vector.
 func encodeBatch(dst []byte, b *ColumnBatch) []byte {
@@ -134,102 +131,11 @@ func encodeBatch(dst []byte, b *ColumnBatch) []byte {
 			}
 		case ColString:
 			for _, v := range b.str[c] {
-				dst = appendWireString(dst, v)
+				dst = wire.AppendString(dst, v)
 			}
 		}
 	}
 	return dst
-}
-
-// wireReader is a bounds-checked cursor over an encoded frame body.
-type wireReader struct {
-	data []byte
-	off  int
-}
-
-var errWireTruncated = fmt.Errorf("query: partial result frame truncated")
-
-func (r *wireReader) remaining() int { return len(r.data) - r.off }
-
-func (r *wireReader) byte() (byte, error) {
-	if r.remaining() < 1 {
-		return 0, errWireTruncated
-	}
-	b := r.data[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *wireReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		return 0, errWireTruncated
-	}
-	r.off += n
-	return v, nil
-}
-
-// count reads a uvarint element count and rejects values that cannot
-// fit in the remaining bytes at minSize bytes per element, so a
-// corrupted count cannot drive a huge allocation.
-func (r *wireReader) count(minSize int) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if minSize < 1 {
-		minSize = 1
-	}
-	if v > uint64(r.remaining()/minSize) {
-		return 0, fmt.Errorf("query: partial result frame: count %d exceeds remaining %d bytes", v, r.remaining())
-	}
-	return int(v), nil
-}
-
-func (r *wireReader) u64() (uint64, error) {
-	if r.remaining() < 8 {
-		return 0, errWireTruncated
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *wireReader) f64() (float64, error) {
-	v, err := r.u64()
-	return math.Float64frombits(v), err
-}
-
-// str reads a length-prefixed string. The returned string is a copy,
-// never an alias of the frame body.
-func (r *wireReader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(r.remaining()) {
-		return "", errWireTruncated
-	}
-	s := string(r.data[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
-
-func (r *wireReader) scalarState() (ScalarState, error) {
-	var s ScalarState
-	c, err := r.u64()
-	if err != nil {
-		return s, err
-	}
-	s.Count = int64(c)
-	if s.Sum, err = r.f64(); err != nil {
-		return s, err
-	}
-	if s.Min, err = r.f64(); err != nil {
-		return s, err
-	}
-	s.Max, err = r.f64()
-	return s, err
 }
 
 // DecodePartial parses one encoded chunk into part, overwriting its
@@ -237,127 +143,73 @@ func (r *wireReader) scalarState() (ScalarState, error) {
 // existing batch is reused when the column layout matches); callers
 // that are done merging should hand it back with ReleaseBatch. Decoded
 // strings never alias data, so the frame body is free for reuse as
-// soon as DecodePartial returns.
+// soon as DecodePartial returns. Anything EncodePartial would not have
+// written — trailing bytes included — is refused with
+// wire.ErrMalformed.
 func DecodePartial(data []byte, part *PartialResult) error {
-	r := &wireReader{data: data}
-	version, err := r.byte()
-	if err != nil {
-		return err
+	r := wire.NewReader(data)
+	if v := r.Byte(); r.Err() == nil && v != partialWireVersion {
+		return fmt.Errorf("query: partial result frame version %d, want %d", v, partialWireVersion)
 	}
-	if version != partialWireVersion {
-		return fmt.Errorf("query: partial result frame version %d, want %d", version, partialWireVersion)
-	}
-	flags, err := r.byte()
-	if err != nil {
-		return err
-	}
+	flags := r.Byte()
 	part.IsAggregate = flags&partialFlagAggregate != 0
-	ncols, err := r.count(1)
-	if err != nil {
-		return err
-	}
-	part.Columns = make([]string, ncols)
+	part.Columns = make([]string, r.Count(1))
 	for i := range part.Columns {
-		if part.Columns[i], err = r.str(); err != nil {
-			return err
-		}
+		part.Columns[i] = r.String()
 	}
 	part.Batch = nil
 	if flags&partialFlagBatch != 0 {
-		if err := r.decodeBatch(part); err != nil {
-			return err
-		}
+		decodeBatch(r, part)
 	}
-	ngroups, err := r.count(1)
-	if err != nil {
-		return err
-	}
+	ngroups := r.Count(1)
 	part.Groups = nil
 	if part.IsAggregate || ngroups > 0 {
 		part.Groups = make(map[string]*GroupState, ngroups)
 	}
-	for i := 0; i < ngroups; i++ {
-		key, err := r.str()
-		if err != nil {
-			return err
-		}
+	for range ngroups {
+		key := r.String()
 		g := &GroupState{}
-		nkey, err := r.count(1)
-		if err != nil {
-			return err
-		}
-		if nkey > 0 {
-			g.Key = make([]any, nkey)
+		if n := r.Count(1); n > 0 {
+			g.Key = make([]any, n)
 		}
 		for k := range g.Key {
-			tag, err := r.byte()
-			if err != nil {
-				return err
-			}
-			switch tag {
+			switch r.Byte() {
 			case keyTagInt64:
-				v, err := r.u64()
-				if err != nil {
-					return err
-				}
-				g.Key[k] = int64(v)
+				g.Key[k] = int64(r.U64())
 			case keyTagFloat64:
-				v, err := r.f64()
-				if err != nil {
-					return err
-				}
-				g.Key[k] = v
+				g.Key[k] = r.F64()
 			case keyTagString:
-				v, err := r.str()
-				if err != nil {
-					return err
-				}
-				g.Key[k] = v
+				g.Key[k] = r.String()
 			default:
-				return fmt.Errorf("query: partial result frame: unknown key tag %d", tag)
+				r.Fail()
 			}
 		}
-		nscalars, err := r.count(32)
-		if err != nil {
-			return err
-		}
-		if nscalars > 0 {
-			g.Scalars = make([]ScalarState, nscalars)
+		if n := r.Count(32); n > 0 {
+			g.Scalars = make([]ScalarState, n)
 		}
 		for s := range g.Scalars {
-			if g.Scalars[s], err = r.scalarState(); err != nil {
-				return err
-			}
+			g.Scalars[s] = decodeScalarState(r)
 		}
-		ncubes, err := r.count(1)
-		if err != nil {
-			return err
-		}
-		if ncubes > 0 {
-			g.Cubes = make([]CubeState, ncubes)
+		if n := r.Count(1); n > 0 {
+			g.Cubes = make([]CubeState, n)
 		}
 		for ci := range g.Cubes {
-			nbuckets, err := r.count(40)
-			if err != nil {
-				return err
-			}
-			cube := make(CubeState, nbuckets)
+			cube := make(CubeState, r.Count(40))
 			for j := range cube {
-				bucket, err := r.u64()
-				if err != nil {
-					return err
-				}
-				s, err := r.scalarState()
-				if err != nil {
-					return err
-				}
-				cube[j] = CubeCell{Bucket: int64(bucket), ScalarState: s}
+				cube[j] = CubeCell{Bucket: int64(r.U64()), ScalarState: decodeScalarState(r)}
 			}
 			g.Cubes[ci] = ascendingCube(cube)
 		}
+		if r.Err() != nil {
+			break
+		}
 		part.Groups[key] = g
 	}
-	return nil
+	return r.End()
+}
+
+func decodeScalarState(r *wire.Reader) ScalarState {
+	return ScalarState{Count: int64(r.U64()), Sum: r.F64(), Min: r.F64(), Max: r.F64()}
 }
 
 // ascendingCube returns a decoded cube section as the strictly
@@ -384,31 +236,22 @@ func ascendingCube(c CubeState) CubeState {
 	return c
 }
 
-// decodeBatch parses the batch section into part.Batch.
-func (r *wireReader) decodeBatch(part *PartialResult) error {
-	ncols, err := r.count(1)
-	if err != nil {
-		return err
-	}
+// decodeBatch reads the batch section into part.Batch.
+func decodeBatch(r *wire.Reader, part *PartialResult) {
+	ncols := r.Count(1)
 	types := make([]ColType, ncols)
 	for c := range types {
-		t, err := r.byte()
-		if err != nil {
-			return err
-		}
-		switch ColType(t) {
+		switch t := ColType(r.Byte()); t {
 		case ColInt64, ColFloat64, ColString:
-			types[c] = ColType(t)
+			types[c] = t
 		default:
-			return fmt.Errorf("query: partial result frame: unknown column type %d", t)
+			r.Fail()
 		}
 	}
-	nrows, err := r.count(ncols) // every row costs >= 1 byte per column
-	if err != nil {
-		return err
-	}
-	if ncols == 0 && nrows > 0 {
-		return fmt.Errorf("query: partial result frame: %d rows with no columns", nrows)
+	nrows := r.Count(ncols) // every row costs >= 1 byte per column
+	if r.Err() != nil || (ncols == 0 && nrows > 0) {
+		r.Fail()
+		return
 	}
 	// Chunk after chunk of one stream reuses the same batch.
 	b := part.Batch
@@ -421,41 +264,34 @@ func (r *wireReader) decodeBatch(part *PartialResult) error {
 	for c, t := range types {
 		switch t {
 		case ColInt64:
-			if r.remaining() < 8*nrows {
-				return errWireTruncated
+			src := r.Next(8 * nrows)
+			vec := growVec(b.i64[c], len(src)/8)
+			for i := range vec {
+				vec[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
 			}
-			vec := growVec(b.i64[c], nrows)
-			for i := 0; i < nrows; i++ {
-				vec[i] = int64(binary.LittleEndian.Uint64(r.data[r.off+8*i:]))
-			}
-			r.off += 8 * nrows
 			b.i64[c] = vec
 		case ColFloat64:
-			if r.remaining() < 8*nrows {
-				return errWireTruncated
+			src := r.Next(8 * nrows)
+			vec := growVec(b.f64[c], len(src)/8)
+			for i := range vec {
+				vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 			}
-			vec := growVec(b.f64[c], nrows)
-			for i := 0; i < nrows; i++ {
-				vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.off+8*i:]))
-			}
-			r.off += 8 * nrows
 			b.f64[c] = vec
 		case ColString:
 			vec := b.str[c]
-			for i := 0; i < nrows; i++ {
-				s, err := r.str()
-				if err != nil {
-					return err
-				}
+			for range nrows {
+				s := r.String()
 				vec = append(vec, s)
 				b.bytes += 16 + len(s)
 			}
 			b.str[c] = vec
 		}
 	}
+	if r.Err() != nil {
+		return
+	}
 	b.n = nrows
 	b.bytes += 8 * nrows * (ncols - countStrings(types))
-	return nil
 }
 
 // growVec returns a zero-offset vector of length n, reusing capacity.

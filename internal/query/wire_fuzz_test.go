@@ -1,11 +1,13 @@
 package query
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"testing"
 
 	"modelardb/internal/sqlparse"
+	"modelardb/internal/wire"
 )
 
 // fuzzSeedRows builds a valid non-aggregate partial with all three
@@ -61,6 +63,29 @@ func fuzzSeedHostileCube() *PartialResult {
 		Groups: map[string]*GroupState{"": {
 			Cubes: []CubeState{{cell(7200000, 1), cell(0, 2), cell(3600000, 3), cell(0, 4), cell(-3600000, 5)}},
 		}},
+	}
+}
+
+// TestDecodePartialTrailingBytes: a valid chunk followed by bytes no
+// encoder writes is refused, like a cluster call body with trailing
+// bytes.
+func TestDecodePartialTrailingBytes(t *testing.T) {
+	for name, part := range map[string]*PartialResult{
+		"rows":      fuzzSeedRows(),
+		"aggregate": fuzzSeedAggregate(),
+		"empty":     {},
+	} {
+		valid := EncodePartial(nil, part)
+		if err := DecodePartial(valid, &PartialResult{}); err != nil {
+			t.Fatalf("%s: valid chunk refused: %v", name, err)
+		}
+		for _, tail := range [][]byte{{0}, {0xAB, 0xCD}} {
+			got := &PartialResult{}
+			if err := DecodePartial(append(slices.Clip(valid), tail...), got); !errors.Is(err, wire.ErrMalformed) {
+				t.Errorf("%s with trailing %x: err = %v, want wire.ErrMalformed", name, tail, err)
+			}
+			got.ReleaseBatch()
+		}
 	}
 }
 

@@ -50,6 +50,7 @@ import (
 	"modelardb/internal/core"
 	"modelardb/internal/durable"
 	"modelardb/internal/obs"
+	"modelardb/internal/wire"
 )
 
 // SyncPolicy selects when WAL writes are flushed and fsynced.
@@ -468,20 +469,13 @@ var errCorruptRecord = errors.New("wal: corrupt record")
 // decodeRecord parses one record payload. ext is the master-assigned
 // batch sequence the record applied; 0 marks an unsequenced append.
 func decodeRecord(payload []byte) (core.Gid, uint64, uint64, []core.DataPoint, error) {
-	var head [3]uint64 // gid, seq, ext
-	for i := range head {
-		v, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return 0, 0, 0, nil, errCorruptRecord
-		}
-		head[i], payload = v, payload[n:]
-	}
-	gid, seq, ext := head[0], head[1], head[2]
+	r := wire.NewReader(payload)
+	gid, seq, ext := r.Uvarint(), r.Uvarint(), r.Uvarint()
 	if gid == 0 || gid > math.MaxInt32 || seq == 0 {
-		return 0, 0, 0, nil, errCorruptRecord
+		r.Fail()
 	}
-	pts, rest, err := core.DecodePoints(payload)
-	if err != nil || len(rest) != 0 {
+	pts := core.DecodePoints(r)
+	if r.End() != nil {
 		return 0, 0, 0, nil, errCorruptRecord
 	}
 	return core.Gid(gid), seq, ext, pts, nil
@@ -839,55 +833,19 @@ func covered(maxSeq, ckpt map[core.Gid]uint64) bool {
 
 // encodeCheckpoint returns a checkpoint file: one frame carrying the
 // store offset, the per-group WAL sequence marks and the per-group
-// applied master-sequence table.
+// applied master-sequence table, each table one core.AppendSeqs.
 func encodeCheckpoint(storeOff int64, seqs, applied map[core.Gid]uint64) []byte {
-	payload := binary.AppendVarint(nil, storeOff)
-	payload = appendSeqMap(payload, seqs)
-	return durable.AppendFrame(nil, appendSeqMap(payload, applied))
-}
-
-// appendSeqMap encodes one per-group sequence map in ascending Gid
-// order (deterministic bytes for identical state).
-func appendSeqMap(payload []byte, seqs map[core.Gid]uint64) []byte {
-	payload = binary.AppendUvarint(payload, uint64(len(seqs)))
-	gids := make([]core.Gid, 0, len(seqs))
-	for gid := range seqs {
-		gids = append(gids, gid)
-	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-	for _, gid := range gids {
-		payload = binary.AppendUvarint(payload, uint64(gid))
-		payload = binary.AppendUvarint(payload, seqs[gid])
-	}
-	return payload
+	payload := core.AppendSeqs(binary.AppendVarint(nil, storeOff), seqs)
+	return durable.AppendFrame(nil, core.AppendSeqs(payload, applied))
 }
 
 // errCorruptCheckpoint refuses a checkpoint encodeCheckpoint did not
 // write.
 var errCorruptCheckpoint = errors.New("wal: corrupt checkpoint")
 
-// readSeqMap decodes one per-group sequence map, returning the rest of
-// the payload.
-func readSeqMap(payload []byte) (map[core.Gid]uint64, []byte, error) {
-	count, n := binary.Uvarint(payload)
-	if n <= 0 || count > uint64(len(payload)) { // each entry takes 2 bytes or more
-		return nil, nil, errCorruptCheckpoint
-	}
-	payload = payload[n:]
-	seqs := make(map[core.Gid]uint64, count)
-	for i := uint64(0); i < count; i++ {
-		gid, n := binary.Uvarint(payload)
-		seq, m := binary.Uvarint(payload[max(n, 0):])
-		if n <= 0 || m <= 0 {
-			return nil, nil, errCorruptCheckpoint
-		}
-		payload = payload[n+m:]
-		seqs[core.Gid(gid)] = seq
-	}
-	return seqs, payload, nil
-}
-
-// loadCheckpoint reads the last durable checkpoint, if any.
+// loadCheckpoint reads the last durable checkpoint, if any. Its tables
+// are copied into the WAL's own, which stay non-nil even when a table
+// decodes empty (as nil).
 func (w *WAL) loadCheckpoint() error {
 	data, err := durable.ReadFile(w.fsys, filepath.Join(w.opts.Dir, checkpointName))
 	if errors.Is(err, os.ErrNotExist) {
@@ -896,9 +854,14 @@ func (w *WAL) loadCheckpoint() error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	w.storeOff, w.ckptSeqs, w.ckptApplied, err = decodeCheckpoint(data)
-	w.hasCkpt = err == nil
-	return err
+	storeOff, seqs, applied, err := decodeCheckpoint(data)
+	if err != nil {
+		return err
+	}
+	w.storeOff, w.hasCkpt = storeOff, true
+	maps.Copy(w.ckptSeqs, seqs)
+	maps.Copy(w.ckptApplied, applied)
+	return nil
 }
 
 // decodeCheckpoint parses a checkpoint file: exactly one frame.
@@ -907,13 +870,12 @@ func decodeCheckpoint(data []byte) (storeOff int64, seqs, applied map[core.Gid]u
 	// A bytes.Reader cannot fail, so Scan cannot either.
 	valid, _ := durable.Scan(bytes.NewReader(data), int64(len(data)), func(payload []byte) error {
 		frames++
-		var n int
-		if storeOff, n = binary.Varint(payload); n <= 0 {
+		r := wire.NewReader(payload)
+		storeOff = r.Varint()
+		seqs = core.DecodeSeqs(r)
+		applied = core.DecodeSeqs(r)
+		if r.End() != nil {
 			err = errCorruptCheckpoint
-			return err
-		}
-		if seqs, payload, err = readSeqMap(payload[n:]); err == nil {
-			applied, _, err = readSeqMap(payload)
 		}
 		return err
 	})

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -282,6 +283,72 @@ func TestCheckpointStoreOffsetRoundTrip(t *testing.T) {
 	}
 	if w2.Seqs()[7] != 3 {
 		t.Fatalf("Seq(7) = %d, want checkpoint floor 3", w2.Seqs()[7])
+	}
+}
+
+// TestCheckpointEmptyTablesReopen: a checkpoint whose tables are empty
+// reopens to a WAL that appends and checkpoints again; the empty
+// tables decode as nil, and the WAL's own must not.
+func TestCheckpointEmptyTablesReopen(t *testing.T) {
+	dir := t.TempDir()
+	for i := range 3 {
+		w, err := Open(Options{Dir: dir, Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 {
+			if _, err := w.Append(1, 5, []core.DataPoint{{Tid: 1, TS: 0, Value: 1}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Checkpoint(nil, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if off, ok := w.Checkpointed(); !ok || off != 2 || w.AppliedSeqs()[1] != 5 {
+		t.Fatalf("checkpoint offset %d (%v), applied %v; want 2 and group 1 at 5", off, ok, w.AppliedSeqs())
+	}
+}
+
+// TestDecodeCheckpointStrict: a checkpoint frame whose CRC holds but
+// whose bytes encodeCheckpoint would not have written is refused —
+// sequence tables with Gids out of order, repeated or 0, and trailing
+// bytes.
+func TestDecodeCheckpointStrict(t *testing.T) {
+	table := func(pairs ...uint64) []byte {
+		b := binary.AppendUvarint(nil, uint64(len(pairs)/2))
+		for _, v := range pairs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	payload := func(seqs, applied []byte, tail ...byte) []byte {
+		return append(append(append(binary.AppendVarint(nil, 99), seqs...), applied...), tail...)
+	}
+	if _, seqs, applied, err := decodeCheckpoint(durable.AppendFrame(nil, payload(table(1, 7, 7, 1), table()))); err != nil ||
+		!reflect.DeepEqual(seqs, map[core.Gid]uint64{1: 7, 7: 1}) || applied != nil {
+		t.Fatalf("valid checkpoint: %v %v %v", seqs, applied, err)
+	}
+	for name, p := range map[string][]byte{
+		"seq gids out of order":     payload(table(7, 1, 1, 1), table()),
+		"seq gid repeated":          payload(table(3, 1, 3, 2), table()),
+		"seq gid 0":                 payload(table(0, 1), table()),
+		"applied gids out of order": payload(table(), table(7, 1, 1, 1)),
+		"applied gid repeated":      payload(table(), table(3, 1, 3, 2)),
+		"applied gid 0":             payload(table(), table(0, 1)),
+		"trailing bytes":            payload(table(1, 1), table(1, 1), 0),
+	} {
+		if _, seqs, applied, err := decodeCheckpoint(durable.AppendFrame(nil, p)); err == nil {
+			t.Errorf("%s: %x decoded as %v %v", name, p, seqs, applied)
+		}
 	}
 }
 
