@@ -18,7 +18,9 @@ FUZZTIME ?= 60s
 # two-worker TCP append and the calibration workload.
 BENCH_RECORD = 'Calibration|Parallel|Pruning|IngestAppend|AppendWAL|AppendBatchWAL|ScatterTCPStream|ClusterAppendTCP'
 # Hot-path benchmarks guarded by the regression gate (bench-compare):
-# per-point append, batched append, the heavy parallel scan, the
+# per-point append, batched append (both at zero allocations per
+# point), a whole grouped EP load (gated on allocs/op only; its
+# baseline ns/op is 0), the heavy parallel scan, the
 # per-series hourly roll-up (gated on allocs/op only; its baseline
 # ns/op is 0), the streamed TCP scatter, the master's append to two TCP
 # workers (wire codec and worker ingestion), the group-commit append (whose
@@ -28,7 +30,7 @@ BENCH_RECORD = 'Calibration|Parallel|Pruning|IngestAppend|AppendWAL|AppendBatchW
 # the master-side ORDER BY finalize of internal/query (gated on its
 # allocation counts only; its baseline ns/op is 0), plus the
 # calibration workload that normalizes machine speed.
-BENCH_GATE = 'Calibration$$|IngestAppendSerial|IngestAppendBatch|ParallelSumDataPointView|ParallelCubeHourByTid|ScatterTCPStream|ClusterAppendTCP|AppendWALGroupCommit|FileStoreScan|FinalizeOrderBy'
+BENCH_GATE = 'Calibration$$|IngestAppendSerial|IngestAppendBatch|IngestGroupedEP|ParallelSumDataPointView|ParallelCubeHourByTid|ScatterTCPStream|ClusterAppendTCP|AppendWALGroupCommit|FileStoreScan|FinalizeOrderBy'
 # Packages holding the gated benchmarks.
 BENCH_GATE_PKGS = . ./internal/query
 

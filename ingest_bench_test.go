@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"modelardb"
+	"modelardb/internal/tsgen"
 )
 
 const benchGroups = 8
@@ -150,5 +151,47 @@ func BenchmarkIngestAppendSharded(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkIngestGroupedEP is one whole in-memory load of a small EP
+// data set at 1 %, grouped by the EP correlation clauses: Open, the
+// points in 4 096-point AppendBatch calls, Flush. The groups are
+// correlated, so segments span many ticks and most of the work is
+// model fitting. The gate reads its allocs/op: a load costs its
+// segments and the database's fixed setup, and a per-tick allocation
+// in the segment generator would add one per group and tick.
+func BenchmarkIngestGroupedEP(b *testing.B) {
+	d := tsgen.EP(tsgen.EPConfig{Entities: 4, Ticks: 2000, Seed: 42, GapRate: 0.0005})
+	cfg := modelardb.DefaultConfig()
+	cfg.ErrorBound = modelardb.RelBound(1)
+	cfg.Dimensions = d.Dimensions
+	cfg.Correlations = []string{"Production 0, Measure 1 Production", "Production 0, Measure 1 Temperature"}
+	for _, s := range d.Series {
+		cfg.Series = append(cfg.Series, modelardb.SeriesConfig{SI: s.SI, Source: s.Source, Members: s.Members})
+	}
+	points := make([]modelardb.DataPoint, 0, d.TotalPoints())
+	d.Points(func(p modelardb.DataPoint) error {
+		points = append(points, p)
+		return nil
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db, err := modelardb.Open(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for batch := points; len(batch) > 0; {
+			n := min(len(batch), 4096)
+			if err := db.AppendBatch(context.Background(), batch[:n]); err != nil {
+				b.Fatal(err)
+			}
+			batch = batch[n:]
+		}
+		if err := db.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		db.Close()
 	}
 }

@@ -126,8 +126,9 @@ func (w *remoteWorker) snapshot(ctx context.Context) (map[string]float64, error)
 }
 
 // partials streams the query's chunks from the worker, decoding each
-// into one reused target: DecodePartial keeps its pooled batch across
-// the stream's chunks, so decoding N chunks costs one batch, not N.
+// into one reused target. Each chunk's batch comes from the query
+// package's pool; DecodePartial drops the previous one, and the
+// deferred ReleaseBatch returns only the last to the pool.
 //
 // A connection loss is only retried while no chunk has been consumed
 // yet. Once emit ran, the caller's accumulator holds part of the old

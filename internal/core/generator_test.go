@@ -355,6 +355,41 @@ func TestGeneratorCompressionImprovesWithBound(t *testing.T) {
 	}
 }
 
+// TestFlushFitsUntriedTypes: PMC accepts a NaN tick, because its
+// corridor and mean turn NaN and no comparison with NaN fails, so at a
+// flush the open PMC can cover ticks its parameters do not reconstruct.
+// Flush must then fit the model types it has not tried yet, as an emit
+// after every type would, instead of failing with ErrNoFittingModel.
+func TestFlushFitsUntriedTypes(t *testing.T) {
+	for _, bound := range []models.ErrorBound{models.RelBound(0), models.RelBound(5), models.AbsBound(1)} {
+		t.Run(bound.String(), func(t *testing.T) {
+			var segs []*Segment
+			g := NewSegmentGenerator(collectConfig(bound, &segs), 1, 100, 0, []Tid{1}, nil)
+			values := []float32{1, float32(math.NaN()), 1}
+			for _, v := range values {
+				if err := g.AppendTick([]float32{v}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := g.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			i := 0
+			for _, seg := range segs {
+				for _, got := range segmentValues(t, seg, []Tid{1})[1] {
+					if want := values[i]; math.Float32bits(got) != math.Float32bits(want) && !bound.Within(float64(got), float64(want)) {
+						t.Fatalf("value %d = %g, want %g within %s", i, got, want, bound)
+					}
+					i++
+				}
+			}
+			if i != len(values) {
+				t.Fatalf("segments cover %d ticks, want %d", i, len(values))
+			}
+		})
+	}
+}
+
 // TestVerifyKeepsGorillaWhole: at a non-zero bound Gorilla quantizes
 // every value within the bound before it encodes it, so verify never
 // shortens a Gorilla candidate. With Gorilla the only model type every

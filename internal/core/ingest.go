@@ -249,7 +249,7 @@ func (g *GroupIngestor) checkSplits() error {
 		if len(active) < 2 {
 			continue
 		}
-		clusters := splitClusters(p.gen.BufferRows(), len(active), g.cfg.Generator.Bound)
+		clusters := splitClusters(p.gen.Buffer(), len(active), g.cfg.Generator.Bound)
 		gapMembers := tidsDiff(p.members, active)
 		if len(clusters) < 2 && len(gapMembers) == 0 {
 			continue
@@ -269,7 +269,7 @@ func (g *GroupIngestor) checkSplits() error {
 // are grouped together with no generator (§4.2).
 func (g *GroupIngestor) buildSplitParts(p *part, clusters [][]int, gapMembers []Tid) ([]*part, error) {
 	active := p.gen.Active()
-	rows := p.gen.BufferRows()
+	buf, width := p.gen.Buffer(), len(active)
 	start := p.gen.BufferStartTime()
 	var out []*part
 	for _, cluster := range clusters {
@@ -286,9 +286,9 @@ func (g *GroupIngestor) buildSplitParts(p *part, clusters [][]int, gapMembers []
 		gaps := tidsDiff(g.members, members)
 		np.gen = NewSegmentGenerator(g.cfg.Generator, g.gid, g.si, start, members, gaps)
 		row := make([]float32, len(cluster))
-		for _, r := range rows {
+		for r := 0; r < len(buf); r += width {
 			for i, pos := range cluster {
-				row[i] = r[pos]
+				row[i] = buf[r+pos]
 			}
 			if err := np.gen.AppendTick(row); err != nil {
 				return nil, err
@@ -316,14 +316,14 @@ func (g *GroupIngestor) checkJoins() error {
 		if !p.isSplit || p.gen == nil || p.segmentsSinceMark < p.joinEvery {
 			continue
 		}
-		dpr1 := column(p.gen.BufferRows(), 0)
+		dpr1 := column(p.gen.Buffer(), len(p.gen.Active()), 0)
 		merged := false
 		for j := 0; j < len(g.parts) && !merged; j++ {
 			q := g.parts[j]
 			if q == p || q.gen == nil {
 				continue
 			}
-			dpr2 := column(q.gen.BufferRows(), 0)
+			dpr2 := column(q.gen.Buffer(), len(q.gen.Active()), 0)
 			if !reverseCompatible(dpr1, dpr2, g.cfg.Generator.Bound) {
 				continue
 			}

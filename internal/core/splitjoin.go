@@ -16,23 +16,23 @@ func compatible(v1, v2 float32, bound models.ErrorBound) bool {
 // splitClusters is Algorithm 3's partitioning step: it groups the
 // active series positions of a generator's buffer so every position in
 // a cluster is pairwise compatible with the cluster's seed over all
-// buffered ticks. rows is indexed [tick][position].
-func splitClusters(rows [][]float32, nActive int, bound models.ErrorBound) [][]int {
-	assigned := make([]bool, nActive)
+// buffered ticks. buf holds the ticks row after row, width values each.
+func splitClusters(buf []float32, width int, bound models.ErrorBound) [][]int {
+	assigned := make([]bool, width)
 	var clusters [][]int
-	for seed := 0; seed < nActive; seed++ {
+	for seed := 0; seed < width; seed++ {
 		if assigned[seed] {
 			continue
 		}
 		cluster := []int{seed}
 		assigned[seed] = true
-		for p := seed + 1; p < nActive; p++ {
+		for p := seed + 1; p < width; p++ {
 			if assigned[p] {
 				continue
 			}
 			ok := true
-			for _, row := range rows {
-				if !compatible(row[seed], row[p], bound) {
+			for row := 0; row < len(buf); row += width {
+				if !compatible(buf[row+seed], buf[row+p], bound) {
 					ok = false
 					break
 				}
@@ -68,11 +68,12 @@ func reverseCompatible(a, b []float32, bound models.ErrorBound) bool {
 	return true
 }
 
-// column extracts one position's buffered values from generator rows.
-func column(rows [][]float32, pos int) []float32 {
-	out := make([]float32, len(rows))
-	for i, row := range rows {
-		out[i] = row[pos]
+// column extracts one position's buffered values from a generator's
+// buffer of rows width values wide.
+func column(buf []float32, width, pos int) []float32 {
+	out := make([]float32, len(buf)/width)
+	for i := range out {
+		out[i] = buf[i*width+pos]
 	}
 	return out
 }

@@ -92,13 +92,25 @@ func (b ErrorBound) String() string {
 // series group during ingestion. Implementations must be deterministic:
 // the parameters returned by Bytes must reconstruct, via the matching
 // ModelType.View, every appended value within the error bound.
+//
+// The segment generator scores every finished model on its fitted
+// length and verifies only the best one, the leader. This picks what
+// verifying every model would pick as long as a prefix never scores
+// better than the whole: the compression ratio of Bytes(n), for
+// n < Length(), must not exceed that of Bytes(Length()). Models with
+// fixed-size parameters, such as PMC and Swing, keep this contract, and
+// so does a model whose parameters always verify whole, such as
+// Gorilla. A model that breaks it can change which segment is emitted,
+// but every emitted segment is still verified.
 type Model interface {
 	// Append tries to extend the model with the group's values for the
 	// next sampling interval, ordered by series position. It returns
 	// false when the model cannot represent the new values within the
 	// error bound; after that the caller must not call Append again and
 	// may only use Length and Bytes (the ingestion pipeline finalizes a
-	// model on its first rejection, §3.2 step iii).
+	// model on its first rejection, §3.2 step iii). values is only valid
+	// during the call: the generator reuses its buffer, so a model must
+	// copy what it keeps.
 	Append(values []float32) bool
 
 	// Length returns the number of sampling intervals represented.

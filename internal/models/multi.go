@@ -64,16 +64,16 @@ func (t MultiType) View(params []byte, nseries, length int) (AggView, error) {
 type multiModel struct {
 	subs   []Model
 	length int
+	one    [1]float32 // scratch for a sub-model's one-value tick
 }
 
 func (m *multiModel) Append(values []float32) bool {
 	if len(values) != len(m.subs) {
 		return false
 	}
-	one := make([]float32, 1)
 	for i, sub := range m.subs {
-		one[0] = values[i]
-		if !sub.Append(one) {
+		m.one[0] = values[i]
+		if !sub.Append(m.one[:]) {
 			// Sub-models that already accepted this interval now have a
 			// longer length; Bytes(length) serializes the common prefix,
 			// discarding the leftover parameters (§5.1).

@@ -113,3 +113,21 @@ func TestMultiWrongWidth(t *testing.T) {
 		t.Fatal("wrong width must be rejected")
 	}
 }
+
+// TestMultiAppendAllocatesNothing: Append hands each sub-model its
+// series' value through the model's own one-value scratch, so fitting
+// a tick costs no allocation.
+func TestMultiAppendAllocatesNothing(t *testing.T) {
+	for _, inner := range []ModelType{PMCType{}, SwingType{}} {
+		m := NewMulti(inner, MidMultiBase).New(AbsBound(1), 3)
+		tick := []float32{10, 20, 30}
+		allocs := testing.AllocsPerRun(100, func() {
+			if !m.Append(tick) {
+				t.Fatalf("Multi%s rejected a constant tick", inner.Name())
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("Multi%s Append: %v allocs per tick, want 0", inner.Name(), allocs)
+		}
+	}
+}

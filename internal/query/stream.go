@@ -182,7 +182,7 @@ func MergePartial(dst, src *PartialResult) {
 	if src.Batch != nil {
 		if dst.Batch == nil {
 			// The accumulator copies, never aliases: chunk batches are
-			// only valid during emit (or until the decoder reuses them).
+			// only valid during emit.
 			dst.Batch = NewColumnBatch(src.Batch.Types())
 		}
 		dst.Batch.AppendBatch(src.Batch)

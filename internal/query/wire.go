@@ -139,11 +139,11 @@ func encodeBatch(dst []byte, b *ColumnBatch) []byte {
 }
 
 // DecodePartial parses one encoded chunk into part, overwriting its
-// fields. The row batch is acquired from the package pool (or part's
-// existing batch is reused when the column layout matches); callers
-// that are done merging should hand it back with ReleaseBatch. Decoded
-// strings never alias data, so the frame body is free for reuse as
-// soon as DecodePartial returns. Anything EncodePartial would not have
+// fields. The row batch is acquired from the package pool, and part's
+// previous batch is dropped, not reused; callers that are done merging
+// should hand the batch back with ReleaseBatch. Decoded strings never
+// alias data, so the frame body is free for reuse as soon as
+// DecodePartial returns. Anything EncodePartial would not have
 // written — trailing bytes included — is refused with
 // wire.ErrMalformed.
 func DecodePartial(data []byte, part *PartialResult) error {
@@ -253,13 +253,7 @@ func decodeBatch(r *wire.Reader, part *PartialResult) {
 		r.Fail()
 		return
 	}
-	// Chunk after chunk of one stream reuses the same batch.
-	b := part.Batch
-	if b == nil {
-		b = getBatch(types)
-	} else {
-		b.retype(types)
-	}
+	b := getBatch(types)
 	part.Batch = b
 	for c, t := range types {
 		switch t {
