@@ -170,13 +170,16 @@ func (rep *SnapshotReply) decodeWire(b []byte) error {
 	return r.End()
 }
 
-// dispatch runs one call under its per-call context and returns its
-// reply, nil for a call with an empty reply.
-func (s *Server) dispatch(ctx context.Context, method string, body []byte) (wireBody, error) {
-	switch method {
+// dispatch runs the call that request f opens under its per-call
+// context and returns its reply, nil for a call with an empty reply.
+// ExecutePartialStream also writes its partial result as the call's
+// chunk frames, through the connection's write, while the scan is
+// still running.
+func (s *Server) dispatch(ctx context.Context, f *frame, write func(*frame) error) (wireBody, error) {
+	switch f.Method {
 	case "Append":
 		args := &AppendArgs{}
-		if err := decodeBody(body, args); err != nil {
+		if err := decodeBody(f.Body, args); err != nil {
 			return nil, err
 		}
 		return nil, s.w.apply(ctx, args)
@@ -188,6 +191,31 @@ func (s *Server) dispatch(ctx context.Context, method string, body []byte) (wire
 		return &IngestStateReply{Applied: applied}, nil
 	case "Flush":
 		return nil, s.w.flush(ctx)
+	case "ExecutePartialStream":
+		args := &StreamQueryArgs{}
+		if err := decodeBody(f.Body, args); err != nil {
+			return nil, err
+		}
+		s.met.Streams.Add(1)
+		defer s.met.Streams.Add(-1)
+		// Chunk bodies are the typed-vector format of
+		// query.EncodePartial. One chunk frame, its body buffer included,
+		// serves the whole call: a chunk (and its pooled batch) is only
+		// valid during its emit call, so it is encoded and written before
+		// that returns, and writeFrame copies the body into its own
+		// pooled frame buffer.
+		cf := &frame{Kind: frameChunk, ID: f.ID}
+		return nil, s.w.partials(ctx, args, func(part *query.PartialResult) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			cf.Body = query.EncodePartial(cf.Body[:0], part)
+			s.met.StreamChunks.Inc()
+			s.met.StreamBytes.Add(int64(len(cf.Body)))
+			err := write(cf)
+			cf.Seq++
+			return err
+		})
 	case "Snapshot":
 		snap, err := s.w.snapshot(ctx)
 		if err != nil {
@@ -195,71 +223,34 @@ func (s *Server) dispatch(ctx context.Context, method string, body []byte) (wire
 		}
 		return &SnapshotReply{Snap: snap}, nil
 	default:
-		return nil, fmt.Errorf("cluster: unknown method %q", method)
+		return nil, fmt.Errorf("cluster: unknown method %q", f.Method)
 	}
-}
-
-// dispatchStream runs the streaming scatter method: the partial result
-// leaves the worker as chunk frames while the scan is still running,
-// interleaved with other calls' responses under wmu. connCtx is the
-// connection's context — a chunk write blocked on a dead master is
-// poisoned with a write deadline when it fires, so the serve loop's
-// drain cannot deadlock behind a full send buffer. The caller writes
-// the terminal response frame (carrying any error returned here).
-func (s *Server) dispatchStream(ctx, connCtx context.Context, f *frame, conn net.Conn, wmu *sync.Mutex) error {
-	args := &StreamQueryArgs{}
-	if err := decodeBody(f.Body, args); err != nil {
-		return err
-	}
-	s.met.Streams.Add(1)
-	defer s.met.Streams.Add(-1)
-	var seq uint64
-	// Chunk bodies are the typed-vector format of query.EncodePartial,
-	// and one encode buffer serves the whole stream.
-	// The chunk (and its pooled batch) is only valid during this emit
-	// call, so it is encoded before returning; writeFrame below copies
-	// the body into its own pooled frame buffer.
-	var encBuf []byte
-	return s.w.partials(ctx, args, func(part *query.PartialResult) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		encBuf = query.EncodePartial(encBuf[:0], part)
-		s.met.StreamChunks.Inc()
-		s.met.StreamBytes.Add(int64(len(encBuf)))
-		cf := &frame{Kind: frameChunk, ID: f.ID, Seq: seq, Body: encBuf}
-		seq++
-		stop := context.AfterFunc(connCtx, func() { conn.SetWriteDeadline(time.Now()) })
-		wmu.Lock()
-		err := writeFrame(conn, cf)
-		wmu.Unlock()
-		if !stop() {
-			conn.SetWriteDeadline(time.Time{})
-			if err == nil {
-				err = connCtx.Err()
-			}
-		}
-		return err
-	})
 }
 
 // ServeConn serves one master connection until it closes. Requests
 // dispatch concurrently, each under a context cancelled by a Cancel
-// frame for its call ID, by the connection going away, or by ctx. It
-// returns the read error that ended the connection: io.EOF when the
-// master hung up, an error wrapping ErrWireVersion when the peer
-// speaks another frame format. Any frame that does not decode drops
-// the connection before anything of it is dispatched.
+// frame for its call ID, by the connection going away, or by ctx; each
+// call's chunks and then its response leave through one serialized
+// write, interleaved with other calls' frames. It returns the read
+// error that ended the connection: io.EOF when the master hung up, an
+// error wrapping ErrWireVersion when the peer speaks another frame
+// format. Any frame that does not decode drops the connection before
+// anything of it is dispatched.
 func (s *Server) ServeConn(ctx context.Context, conn net.Conn) error {
 	defer conn.Close()
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		wmu   sync.Mutex // serializes response writes
+		wmu   sync.Mutex // serializes frame writes
 		mu    sync.Mutex // guards calls
 		calls = map[uint64]context.CancelFunc{}
 		wg    sync.WaitGroup
 	)
+	write := func(f *frame) error {
+		wmu.Lock()
+		defer wmu.Unlock()
+		return writeFrame(conn, f)
+	}
 	br := bufio.NewReader(conn)
 	var err error
 	for {
@@ -278,15 +269,7 @@ func (s *Server) ServeConn(ctx context.Context, conn net.Conn) error {
 			go func(f *frame) {
 				defer wg.Done()
 				t0 := time.Now()
-				var reply wireBody
-				var err error
-				if f.Method == "ExecutePartialStream" {
-					// Streaming calls write their own chunk frames; only the
-					// terminal response goes through the shared path below.
-					err = s.dispatchStream(callCtx, cctx, f, conn, &wmu)
-				} else {
-					reply, err = s.dispatch(callCtx, f.Method, f.Body)
-				}
+				reply, err := s.dispatch(callCtx, f, write)
 				if h := s.met.Calls[f.Method]; h != nil {
 					h.ObserveSince(t0)
 				}
@@ -294,15 +277,13 @@ func (s *Server) ServeConn(ctx context.Context, conn net.Conn) error {
 				delete(calls, f.ID)
 				mu.Unlock()
 				callCancel()
-				resp := &frame{Kind: frameResponse, ID: f.ID, Final: true, enc: reply}
+				resp := &frame{Kind: frameResponse, ID: f.ID, enc: reply}
 				if err != nil {
 					resp.Err = err.Error()
 				}
-				wmu.Lock()
 				// A write failure means the connection died; the read loop
 				// notices and cancels the remaining calls.
-				_ = writeFrame(conn, resp)
-				wmu.Unlock()
+				_ = write(resp)
 				s.met.InFlight.Add(-1)
 			}(f)
 		case frameCancel:
@@ -313,8 +294,12 @@ func (s *Server) ServeConn(ctx context.Context, conn net.Conn) error {
 			mu.Unlock()
 		}
 	}
-	// Connection gone: a vanished master is a cancellation of every call
-	// it had in flight. Wait the dispatches out so the scans drain.
+	// Connection gone: a past write deadline fails every write blocked
+	// on it and every write still to come, so no call can hang on a
+	// master that is not there to read; and a vanished master is a
+	// cancellation of every call it had in flight. Wait the dispatches
+	// out so the scans drain.
+	conn.SetWriteDeadline(time.Now())
 	cancel()
 	wg.Wait()
 	return err

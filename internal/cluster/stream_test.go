@@ -49,8 +49,8 @@ func TestStreamingScatterChunked(t *testing.T) {
 	acc := &query.PartialResult{}
 	chunks := 0
 	maxChunkRows := 0
-	err = wc.CallStream(context.Background(), "ExecutePartialStream",
-		&StreamQueryArgs{SQL: sql, ChunkBytes: 2048}, func(body []byte) error {
+	err = wc.Call(context.Background(), "ExecutePartialStream",
+		&StreamQueryArgs{SQL: sql, ChunkBytes: 2048}, nil, func(body []byte) error {
 			chunks++
 			part := &query.PartialResult{}
 			if err := query.DecodePartial(body, part); err != nil {

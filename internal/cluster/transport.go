@@ -20,10 +20,10 @@ import (
 // context-aware framed transport. Every message is one frame — a
 // 4-byte big-endian length prefix and a binary frame header followed
 // by the body — so many concurrent calls interleave on one TCP
-// connection: requests, responses matched by call ID, Cancel frames
-// that abort a worker-side call, and the ordered chunk frames of a
-// streamed reply. A dropped connection cancels every call in flight on
-// it.
+// connection. Every call has one shape: a request, zero or more
+// ordered chunk frames, then one response whose body is the reply, all
+// matched by call ID; a Cancel frame aborts the call worker-side. A
+// dropped connection cancels every call in flight on it.
 
 type frameKind uint8
 
@@ -38,11 +38,10 @@ const (
 type frame struct {
 	Kind   frameKind
 	ID     uint64
-	Seq    uint64 // chunk frames: 0-based position within the stream
-	Final  bool   // response frames: set on a streaming call's terminal frame
+	Seq    uint64 // chunk frames: 0-based position within the call
 	Method string // requests only
 	Err    string // responses only; empty on success
-	// Body is the encoded arguments, reply or stream chunk. A read
+	// Body is the encoded arguments, reply or chunk. A read
 	// frame's Body aliases the buffer the frame was read into.
 	Body []byte
 	// enc, when set on a frame to be written, is encoded straight into
@@ -57,8 +56,8 @@ type frame struct {
 // misparsed.
 const wireVersion = 0x81
 
-// flagFinal is the frame flags bit that carries frame.Final; every
-// other bit must be zero.
+// flagFinal is the frame flags bit set on exactly the response
+// frames, the final frame of every call; every other bit must be zero.
 const flagFinal = 1
 
 // ErrWireVersion refuses a frame whose version byte is not
@@ -90,20 +89,24 @@ const frameBufMax = 4 << 20
 // and Seq as uvarints, the flags byte, Method and Err as
 // length-prefixed strings, then the body.
 func appendFrame(buf []byte, f *frame) []byte {
-	var flags byte
-	if f.Final {
-		flags |= flagFinal
-	}
 	buf = append(buf, wireVersion, byte(f.Kind))
 	buf = binary.AppendUvarint(buf, f.ID)
 	buf = binary.AppendUvarint(buf, f.Seq)
-	buf = append(buf, flags)
+	buf = append(buf, f.flags())
 	buf = wire.AppendString(buf, f.Method)
 	buf = wire.AppendString(buf, f.Err)
 	if f.enc != nil {
 		return f.enc.appendWire(buf)
 	}
 	return append(buf, f.Body...)
+}
+
+// flags returns the frame's flags byte, derived from its kind.
+func (f *frame) flags() byte {
+	if f.Kind == frameResponse {
+		return flagFinal
+	}
+	return 0
 }
 
 // writeFrame encodes f with its length prefix into w. Callers
@@ -173,11 +176,10 @@ func decodeFrame(b []byte) (*frame, error) {
 	}
 	f := &frame{Kind: frameKind(r.Byte()), ID: r.Uvarint(), Seq: r.Uvarint()}
 	flags := r.Byte()
-	f.Final = flags&flagFinal != 0
 	f.Method = r.String()
 	f.Err = r.String()
 	f.Body = r.Rest()
-	if f.Kind < frameRequest || f.Kind > frameChunk || flags&^flagFinal != 0 {
+	if f.Kind < frameRequest || f.Kind > frameChunk || flags != f.flags() {
 		r.Fail()
 	}
 	if err := r.Err(); err != nil {
@@ -243,8 +245,27 @@ type callDone struct {
 	err error
 }
 
+// call is the master's side of one call in flight. done receives its
+// response or the connection's error. chunks and quit exist only for a
+// call that takes chunks: chunks is deliberately small, so a consumer
+// slower than the wire makes the read loop block on it, which stops
+// frame reads, fills the TCP window and ultimately blocks the worker's
+// chunk writes — backpressure end to end instead of unbounded
+// buffering on the master; quit releases a read loop blocked on chunks
+// once the caller is gone.
+type call struct {
+	done   chan callDone
+	chunks chan *frame
+	quit   chan struct{}
+}
+
+// chunkQueue is the per-call chunk queue depth: enough to keep decode
+// and receive overlapped, small enough that master memory per call
+// stays O(a few chunks).
+const chunkQueue = 4
+
 // wireConn is the master's side of one worker connection: it issues
-// concurrent calls, matches responses by ID on a single reader
+// concurrent calls, matches their frames by ID on a single reader
 // goroutine, and turns a caller's cancelled context into a Cancel
 // frame so the worker aborts the call instead of running it out.
 type wireConn struct {
@@ -255,36 +276,14 @@ type wireConn struct {
 
 	nextID atomic.Uint64
 
-	mu      sync.Mutex
-	pending map[uint64]chan callDone
-	streams map[uint64]*streamState
-	err     error // terminal connection error; nil while healthy
+	mu    sync.Mutex
+	calls map[uint64]call
+	err   error // terminal connection error; nil while healthy
 }
-
-// streamState is the receiving side of one streaming call. chunks is
-// deliberately small: a consumer slower than the wire makes the read
-// loop block on it, which stops frame reads, fills the TCP window and
-// ultimately blocks the worker's chunk writes — backpressure end to
-// end instead of unbounded buffering on the master. quit lets an
-// abandoned stream (caller gone) release a blocked read loop.
-type streamState struct {
-	chunks chan *frame
-	quit   chan struct{}
-}
-
-// streamChunkBuffer is the per-stream chunk queue depth: enough to
-// keep decode and receive overlapped, small enough that master memory
-// per stream stays O(a few chunks).
-const streamChunkBuffer = 4
 
 // newWireConn wraps an established connection and starts its reader.
 func newWireConn(conn net.Conn) *wireConn {
-	c := &wireConn{
-		conn:    conn,
-		bw:      bufio.NewWriter(conn),
-		pending: map[uint64]chan callDone{},
-		streams: map[uint64]*streamState{},
-	}
+	c := &wireConn{conn: conn, bw: bufio.NewWriter(conn), calls: map[uint64]call{}}
 	go c.readLoop()
 	return c
 }
@@ -325,80 +324,65 @@ func (c *wireConn) write(ctx context.Context, f *frame) error {
 	return err
 }
 
-// readLoop delivers responses to their waiting calls until the
-// connection fails, then fails every pending call with the same error.
+// readLoop delivers every frame to its call until the connection
+// fails, then fails every call in flight with the same error.
 func (c *wireConn) readLoop() {
 	br := bufio.NewReader(c.conn)
 	for {
 		f, err := readFrame(br)
+		if err == nil {
+			err = c.deliver(f)
+		}
 		if err != nil {
 			c.fail(err)
 			return
 		}
-		switch f.Kind {
-		case frameChunk:
-			c.mu.Lock()
-			st := c.streams[f.ID]
-			c.mu.Unlock()
-			if st == nil {
-				continue // stream abandoned; drop late chunks
-			}
-			// Delivered outside mu: a full chunk queue blocks here (and
-			// thereby the whole read loop — that is the backpressure)
-			// without holding the connection lock.
-			select {
-			case st.chunks <- f:
-			case <-st.quit:
-			}
-		case frameResponse:
-			c.mu.Lock()
-			ch := c.pending[f.ID]
-			delete(c.pending, f.ID)
-			c.mu.Unlock()
-			if ch != nil {
-				ch <- callDone{f: f}
-			}
-		}
 	}
 }
 
-// fail marks the connection dead and wakes every pending call.
+// deliver hands one chunk or response frame to its call; a response
+// settles the call. Frames of a call that is gone are dropped. A chunk
+// for a live call that takes none is a protocol violation that fails
+// the connection (Call checks the order of the chunks it takes).
+func (c *wireConn) deliver(f *frame) error {
+	if f.Kind != frameChunk && f.Kind != frameResponse {
+		return nil
+	}
+	c.mu.Lock()
+	cl, ok := c.calls[f.ID]
+	if ok && f.Kind == frameResponse {
+		delete(c.calls, f.ID)
+	}
+	c.mu.Unlock()
+	switch {
+	case !ok:
+	case f.Kind == frameResponse:
+		cl.done <- callDone{f: f}
+	case cl.chunks == nil:
+		return fmt.Errorf("chunk for call %d, which takes none", f.ID)
+	default:
+		// Delivered outside mu: a full chunk queue blocks here (and
+		// thereby the whole read loop — that is the backpressure)
+		// without holding the connection lock.
+		select {
+		case cl.chunks <- f:
+		case <-cl.quit:
+		}
+	}
+	return nil
+}
+
+// fail marks the connection dead and wakes every call in flight.
 func (c *wireConn) fail(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err == nil {
 		c.err = fmt.Errorf("%w: %v", ErrConnectionLost, err)
 	}
-	for id, ch := range c.pending {
-		delete(c.pending, id)
-		ch <- callDone{err: c.err}
+	for id, cl := range c.calls {
+		delete(c.calls, id)
+		cl.done <- callDone{err: c.err}
 	}
-}
-
-// start registers a call — and its stream, when st is non-nil — and
-// writes its request frame.
-func (c *wireConn) start(ctx context.Context, method string, args wireBody, st *streamState) (uint64, chan callDone, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, nil, err
-	}
-	id := c.nextID.Add(1)
-	ch := make(chan callDone, 1)
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return 0, nil, err
-	}
-	c.pending[id] = ch
-	if st != nil {
-		c.streams[id] = st
-	}
-	c.mu.Unlock()
-	if err := c.write(ctx, &frame{Kind: frameRequest, ID: id, Method: method, enc: args}); err != nil {
-		c.forget(id)
-		return 0, nil, fmt.Errorf("cluster: send %s: %w", method, err)
-	}
-	return id, ch, nil
 }
 
 // result is a finished call's outcome: the connection's error, the
@@ -413,80 +397,67 @@ func (d callDone) result(method string) error {
 	return nil
 }
 
-// Call issues one request and waits for its response or ctx. On
-// cancellation it returns ctx.Err() immediately and sends a
-// best-effort Cancel frame so the worker aborts the call server-side.
-func (c *wireConn) Call(ctx context.Context, method string, args, reply wireBody) error {
-	id, ch, err := c.start(ctx, method, args, nil)
-	if err != nil {
+// Call issues one call and waits for its response or ctx, then decodes
+// the response's body into reply (nil: an empty reply). A non-nil
+// onChunk makes the call take chunks: every chunk body is passed to it
+// in wire order on the caller's goroutine, all of them before the
+// response settles the call, and an error from onChunk abandons the
+// call and is returned. On cancellation Call returns ctx.Err() at once.
+// An abandoned call sends a best-effort Cancel frame so the worker
+// aborts it server-side; its late frames are dropped by the reader.
+func (c *wireConn) Call(ctx context.Context, method string, args, reply wireBody, onChunk func(body []byte) error) error {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	select {
-	case d := <-ch:
-		if err := d.result(method); err != nil {
-			return err
-		}
-		return decodeBody(d.f.Body, reply)
-	case <-ctx.Done():
-		c.forget(id)
-		// Best effort, asynchronously: tell the worker to abort the
-		// in-flight call. Its late response (if any) is dropped by the
-		// reader as unknown, and a wedged connection cannot delay this
-		// return — the cancel write bounds itself.
-		go c.sendCancel(id)
-		return ctx.Err()
+	id := c.nextID.Add(1)
+	cl := call{done: make(chan callDone, 1)}
+	if onChunk != nil {
+		cl.chunks, cl.quit = make(chan *frame, chunkQueue), make(chan struct{})
 	}
-}
-
-// CallStream issues one streaming request: the worker answers with
-// zero or more chunk frames followed by a terminal response frame.
-// onChunk is invoked for every chunk body, in wire order, on the
-// caller's goroutine; an error from onChunk abandons the stream
-// (cancelling the call worker-side) and is returned. Like Call, a
-// cancelled ctx returns ctx.Err() immediately and cancels server-side
-// best effort.
-func (c *wireConn) CallStream(ctx context.Context, method string, args wireBody, onChunk func(body []byte) error) error {
-	st := &streamState{chunks: make(chan *frame, streamChunkBuffer), quit: make(chan struct{})}
-	id, ch, err := c.start(ctx, method, args, st)
-	if err != nil {
+	c.mu.Lock()
+	if err := c.err; err != nil {
+		c.mu.Unlock()
 		return err
 	}
-	defer c.forget(id)
-	var nextSeq uint64
-	consume := func(f *frame) error {
-		if f.Seq != nextSeq {
-			err := fmt.Errorf("%w: stream %s chunk %d arrived at position %d", ErrConnectionLost, method, f.Seq, nextSeq)
+	c.calls[id] = cl
+	c.mu.Unlock()
+	defer c.forget(id, cl)
+	if err := c.write(ctx, &frame{Kind: frameRequest, ID: id, Method: method, enc: args}); err != nil {
+		return fmt.Errorf("cluster: send %s: %w", method, err)
+	}
+	var next uint64 // the Seq the next chunk must carry
+	take := func(f *frame) error {
+		if f.Seq != next {
+			err := fmt.Errorf("%w: %s chunk %d arrived at position %d", ErrConnectionLost, method, f.Seq, next)
 			c.fail(err)
 			return err
 		}
-		nextSeq++
+		next++
 		return onChunk(f.Body)
 	}
 	for {
 		select {
-		case f := <-st.chunks:
-			if err := consume(f); err != nil {
+		case f := <-cl.chunks:
+			if err := take(f); err != nil {
 				go c.sendCancel(id)
 				return err
 			}
-		case d := <-ch:
-			// The read loop is sequential, so by the time the terminal
-			// response was delivered every preceding chunk already sits in
-			// st.chunks: drain them before settling the call.
-			for {
-				select {
-				case f := <-st.chunks:
-					if err := consume(f); err != nil {
-						go c.sendCancel(id)
-						return err
-					}
-					continue
-				default:
+		case d := <-cl.done:
+			// The read loop is sequential, so by the time the response
+			// was delivered every chunk before it already sits in
+			// cl.chunks: drain them before settling the call.
+			for len(cl.chunks) > 0 {
+				if err := take(<-cl.chunks); err != nil {
+					return err
 				}
-				break
 			}
-			return d.result(method)
+			if err := d.result(method); err != nil {
+				return err
+			}
+			return decodeBody(d.f.Body, reply)
 		case <-ctx.Done():
+			// Best effort, asynchronously: a wedged connection cannot
+			// delay this return — the cancel write bounds itself.
 			go c.sendCancel(id)
 			return ctx.Err()
 		}
@@ -506,19 +477,17 @@ func (c *wireConn) sendCancel(id uint64) {
 }
 
 // forget drops a call that no longer has a waiter and releases a read
-// loop blocked on its stream's chunk queue.
-func (c *wireConn) forget(id uint64) {
+// loop blocked on its chunk queue.
+func (c *wireConn) forget(id uint64, cl call) {
 	c.mu.Lock()
-	st := c.streams[id]
-	delete(c.pending, id)
-	delete(c.streams, id)
+	delete(c.calls, id)
 	c.mu.Unlock()
-	if st != nil {
-		close(st.quit)
+	if cl.quit != nil {
+		close(cl.quit)
 	}
 }
 
-// Close tears the connection down; pending calls fail via the reader.
+// Close tears the connection down; calls in flight fail via the reader.
 func (c *wireConn) Close() error {
 	return c.conn.Close()
 }

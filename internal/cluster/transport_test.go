@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"os"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -13,14 +14,17 @@ import (
 
 	"modelardb"
 	"modelardb/internal/core"
+	"modelardb/internal/query"
+	"modelardb/internal/sqlparse"
 )
 
 // startFakeWorker listens on loopback and serves each connection with
-// handle, which receives every request frame and returns the response
-// to send — or nil to close the connection instead, simulating a
-// worker dying mid-call. Cancel frames are ignored, like a worker too
-// busy to notice them.
-func startFakeWorker(t *testing.T, handle func(f *frame) *frame) string {
+// handle, which receives every request frame and returns the frames to
+// send. A reply that ends in a response keeps the connection; any
+// other — nil included — is sent and then the connection is closed,
+// simulating a worker dying mid-call. Cancel frames are ignored, like
+// a worker too busy to notice them.
+func startFakeWorker(t *testing.T, handle func(f *frame) []*frame) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -52,11 +56,13 @@ func startFakeWorker(t *testing.T, handle func(f *frame) *frame) string {
 						}
 						continue
 					}
-					resp := handle(f)
-					if resp == nil {
-						return
+					reply := handle(f)
+					for _, rf := range reply {
+						if err := writeFrame(conn, rf); err != nil {
+							return
+						}
 					}
-					if err := writeFrame(conn, resp); err != nil {
+					if len(reply) == 0 || reply[len(reply)-1].Kind != frameResponse {
 						return
 					}
 				}
@@ -152,7 +158,7 @@ func TestClientAppendRequeueOnFailure(t *testing.T) {
 		calls int
 		got   []core.DataPoint
 	)
-	addr := startFakeWorker(t, func(f *frame) *frame {
+	addr := startFakeWorker(t, func(f *frame) []*frame {
 		resp := &frame{Kind: frameResponse, ID: f.ID}
 		switch f.Method {
 		case "Append":
@@ -173,7 +179,7 @@ func TestClientAppendRequeueOnFailure(t *testing.T) {
 		default:
 			resp.Err = "unexpected method " + f.Method
 		}
-		return resp
+		return []*frame{resp}
 	})
 	client, err := Dial(fleetConfig(), []string{addr})
 	if err != nil {
@@ -329,12 +335,12 @@ func TestRPCWorkerDiesMidQuery(t *testing.T) {
 	// The second worker dies on its first ExecutePartialStream: it waits
 	// until the surviving sibling's scan is demonstrably in flight,
 	// then closes the connection without a response.
-	dying := startFakeWorker(t, func(f *frame) *frame {
+	dying := startFakeWorker(t, func(f *frame) []*frame {
 		if f.Method == "ExecutePartialStream" {
 			<-scanning
 			return nil
 		}
-		return &frame{Kind: frameResponse, ID: f.ID}
+		return []*frame{{Kind: frameResponse, ID: f.ID}}
 	})
 
 	client, err := Dial(cfg, []string{ln.Addr().String(), dying})
@@ -375,11 +381,11 @@ func TestRPCWorkerDiesMidQuery(t *testing.T) {
 // a bad query no longer costs a full scatter.
 func TestClientQueryValidatesOnMaster(t *testing.T) {
 	var scatters atomic.Int64
-	addr := startFakeWorker(t, func(f *frame) *frame {
+	addr := startFakeWorker(t, func(f *frame) []*frame {
 		if f.Method == "ExecutePartialStream" {
 			scatters.Add(1)
 		}
-		return &frame{Kind: frameResponse, ID: f.ID, Err: "must not be reached"}
+		return []*frame{{Kind: frameResponse, ID: f.ID, Err: "must not be reached"}}
 	})
 	client, err := Dial(fleetConfig(), []string{addr})
 	if err != nil {
@@ -406,7 +412,7 @@ func TestClientQueryValidatesOnMaster(t *testing.T) {
 func TestClientCallTimeout(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	addr := startFakeWorker(t, func(f *frame) *frame {
+	addr := startFakeWorker(t, func(f *frame) []*frame {
 		<-block // never answers in time
 		return nil
 	})
@@ -430,10 +436,10 @@ func TestClientCallTimeout(t *testing.T) {
 // TestWireConnConcurrentCalls: many interleaved calls share one
 // connection; responses match their callers by ID.
 func TestWireConnConcurrentCalls(t *testing.T) {
-	addr := startFakeWorker(t, func(f *frame) *frame {
+	addr := startFakeWorker(t, func(f *frame) []*frame {
 		// Echo the request body back so a mismatched response would be
 		// caught by the caller's reply check.
-		return &frame{Kind: frameResponse, ID: f.ID, Body: f.Body}
+		return []*frame{{Kind: frameResponse, ID: f.ID, Body: f.Body}}
 	})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -449,7 +455,7 @@ func TestWireConnConcurrentCalls(t *testing.T) {
 			for j := 0; j < 25; j++ {
 				args := &StreamQueryArgs{SQL: string(rune('A'+i)) + "-query"}
 				reply := &StreamQueryArgs{}
-				if err := wc.Call(context.Background(), "Echo", args, reply); err != nil {
+				if err := wc.Call(context.Background(), "Echo", args, reply, nil); err != nil {
 					t.Errorf("call %d/%d: %v", i, j, err)
 					return
 				}
@@ -461,4 +467,187 @@ func TestWireConnConcurrentCalls(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestRetryOnlyBeforeFirstChunk pins the one retry rule: a call that
+// loses its connection is retried until its first chunk has reached
+// the caller, and never after it.
+func TestRetryOnlyBeforeFirstChunk(t *testing.T) {
+	const sql = "SELECT Tid, COUNT_S(*), SUM_S(*) FROM Segment GROUP BY Tid ORDER BY Tid"
+	ctx := context.Background()
+	db, err := modelardb.Open(fleetConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	fillCluster(t, db.Append, 8, 200)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.Query(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fakes answer with the chunks a real worker over this data
+	// sends, encoded as a Server encodes them.
+	q, err := sqlparse.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chunks [][]byte
+	if err := db.Engine().ExecutePartialChunks(ctx, q, 0, func(part *query.PartialResult) error {
+		chunks = append(chunks, query.EncodePartial(nil, part))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(chunks) == 0 {
+		t.Fatal("the query produced no chunk")
+	}
+	// run runs sql on a master over one fake worker that answers the
+	// n-th ExecutePartialStream request f with stream(n, f), and reports
+	// the number of those requests and the outcome.
+	run := func(stream func(n int64, f *frame) []*frame) (int64, *modelardb.Result, error) {
+		var streams atomic.Int64
+		addr := startFakeWorker(t, func(f *frame) []*frame {
+			if f.Method != "ExecutePartialStream" {
+				return []*frame{{Kind: frameResponse, ID: f.ID}}
+			}
+			return stream(streams.Add(1), f)
+		})
+		client, err := Dial(fleetConfig(), []string{addr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		res, err := client.Query(ctx, sql)
+		return streams.Load(), res, err
+	}
+
+	// (a) The first connection drops before any chunk: the master
+	// redials and the retry returns the single-node answer.
+	n, res, err := run(func(n int64, f *frame) []*frame {
+		if n == 1 {
+			return nil
+		}
+		var reply []*frame
+		for i, body := range chunks {
+			reply = append(reply, &frame{Kind: frameChunk, ID: f.ID, Seq: uint64(i), Body: body})
+		}
+		return append(reply, &frame{Kind: frameResponse, ID: f.ID})
+	})
+	if err != nil {
+		t.Fatalf("a loss before the first chunk: Query = %v, want the retry's answer", err)
+	}
+	if !reflect.DeepEqual(res.Rows, want.Rows) {
+		t.Fatalf("after the retry: rows %v, single node %v", res.Rows, want.Rows)
+	}
+	if n != 2 {
+		t.Fatalf("a loss before the first chunk: %d ExecutePartialStream requests, want 2", n)
+	}
+
+	// (b) One valid chunk reaches the master, then the connection
+	// drops: a replay would merge that chunk twice, so the query fails.
+	n, _, err = run(func(n int64, f *frame) []*frame {
+		return []*frame{{Kind: frameChunk, ID: f.ID, Body: chunks[0]}}
+	})
+	if !errors.Is(err, ErrConnectionLost) {
+		t.Fatalf("a loss after the first chunk: Query = %v, want ErrConnectionLost", err)
+	}
+	if n != 1 {
+		t.Fatalf("a loss after the first chunk: %d ExecutePartialStream requests, want 1", n)
+	}
+}
+
+// TestServerFrameSequence: a real Server answers a call without chunks
+// with exactly one response and no chunk, and ExecutePartialStream
+// with chunks numbered 0..n-1 and then one response.
+func TestServerFrameSequence(t *testing.T) {
+	db, err := modelardb.Open(fleetConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	fillCluster(t, db.Append, 8, 400)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(db)
+	master, worker := net.Pipe()
+	defer master.Close()
+	served := make(chan error, 1)
+	go func() { served <- srv.ServeConn(context.Background(), worker) }()
+	requests := []*frame{
+		{Kind: frameRequest, ID: 1, Method: "Flush"},
+		{Kind: frameRequest, ID: 2, Method: "ExecutePartialStream", enc: &StreamQueryArgs{SQL: "SELECT Tid, TS, Value FROM DataPoint", ChunkBytes: 2048}},
+		{Kind: frameRequest, ID: 3, Method: "IngestState"},
+	}
+	go func() {
+		for _, f := range requests {
+			if err := writeFrame(master, f); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	chunks := map[uint64]uint64{}
+	answered := map[uint64]bool{}
+	for len(answered) < len(requests) {
+		f, err := readFrame(master)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if answered[f.ID] {
+			t.Fatalf("%+v after call %d's response", f, f.ID)
+		}
+		switch f.Kind {
+		case frameChunk:
+			if f.Seq != chunks[f.ID] {
+				t.Fatalf("call %d: chunk %d arrived at position %d", f.ID, f.Seq, chunks[f.ID])
+			}
+			chunks[f.ID]++
+		case frameResponse:
+			if f.Err != "" {
+				t.Fatalf("call %d: %s", f.ID, f.Err)
+			}
+			answered[f.ID] = true
+		default:
+			t.Fatalf("the server sent %+v", f)
+		}
+	}
+	if chunks[1] != 0 || chunks[3] != 0 || chunks[2] < 2 {
+		t.Fatalf("chunks per call %v, want none for calls 1 and 3 and several for call 2", chunks)
+	}
+	// Every call has ended, so nothing more may arrive.
+	waitDrained(t, srv)
+	master.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if f, err := readFrame(master); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("after the last response: %+v, %v", f, err)
+	}
+	master.Close()
+	if err := <-served; err == nil {
+		t.Fatal("ServeConn returned nil for a closed connection")
+	}
+}
+
+// TestChunkForCallWithoutChunks: a chunk frame for a live call that
+// takes no chunks is a protocol violation that fails the connection
+// with ErrConnectionLost.
+func TestChunkForCallWithoutChunks(t *testing.T) {
+	addr := startFakeWorker(t, func(f *frame) []*frame {
+		return []*frame{{Kind: frameChunk, ID: f.ID, Body: []byte{1}}, {Kind: frameResponse, ID: f.ID}}
+	})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc := newWireConn(conn)
+	defer wc.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for range 2 { // the second call finds the connection failed
+		if err := wc.Call(ctx, "Flush", nil, nil, nil); !errors.Is(err, ErrConnectionLost) {
+			t.Fatalf("Call = %v, want ErrConnectionLost", err)
+		}
+	}
 }

@@ -5,14 +5,17 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"io"
 	"maps"
 	"math"
 	"math/rand/v2"
 	"net"
+	"os"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,7 +43,7 @@ func encodeFrame(t testing.TB, f *frame) []byte {
 // sameFrame reports whether two frames carry the same fields; a nil
 // and an empty Body are the same.
 func sameFrame(a, b *frame) bool {
-	return a.Kind == b.Kind && a.ID == b.ID && a.Seq == b.Seq && a.Final == b.Final &&
+	return a.Kind == b.Kind && a.ID == b.ID && a.Seq == b.Seq &&
 		a.Method == b.Method && a.Err == b.Err && bytes.Equal(a.Body, b.Body)
 }
 
@@ -62,15 +65,36 @@ func wireSeedFrames() []*frame {
 		}},
 		{Kind: frameRequest, ID: 2, Method: "Append", enc: &AppendArgs{Points: []core.DataPoint{{Tid: 4, TS: 5, Value: 0}}}},
 		{Kind: frameRequest, ID: 3, Method: "IngestState"},
-		{Kind: frameResponse, ID: 3, Final: true, enc: &IngestStateReply{Applied: map[core.Gid]uint64{1: 4, 9: 2}}},
+		{Kind: frameResponse, ID: 3, enc: &IngestStateReply{Applied: map[core.Gid]uint64{1: 4, 9: 2}}},
 		{Kind: frameRequest, ID: 4, Method: "Flush"},
-		{Kind: frameResponse, ID: 4, Final: true, Err: "cluster: worker failed"},
+		{Kind: frameResponse, ID: 4, Err: "cluster: worker failed"},
 		{Kind: frameRequest, ID: 5, Method: "Snapshot"},
-		{Kind: frameResponse, ID: 5, Final: true, enc: &SnapshotReply{Snap: map[string]float64{"a_total": 3, "b_seconds": 0.25}}},
+		{Kind: frameResponse, ID: 5, enc: &SnapshotReply{Snap: map[string]float64{"a_total": 3, "b_seconds": 0.25}}},
 		{Kind: frameRequest, ID: 6, Method: "ExecutePartialStream", enc: &StreamQueryArgs{SQL: "SELECT SUM_S(*) FROM Segment", ChunkBytes: 2048}},
 		{Kind: frameChunk, ID: 6, Seq: 0, Body: []byte{1, 0, 1, 3, 'S', 'U', 'M'}},
-		{Kind: frameResponse, ID: 6, Final: true},
+		{Kind: frameResponse, ID: 6},
 		{Kind: frameCancel, ID: 6},
+	}
+}
+
+// TestWireSeedFramesGolden: every seed frame encodes to the bytes in
+// testdata/wire_seed_frames.hex — one frame a line in wireSeedFrames
+// order, hex, length prefix included — so a change to the transport
+// that moves a byte a master or worker writes fails here.
+func TestWireSeedFramesGolden(t *testing.T) {
+	b, err := os.ReadFile("testdata/wire_seed_frames.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(string(b))
+	frames := wireSeedFrames()
+	if len(want) != len(frames) {
+		t.Fatalf("golden holds %d frames, wireSeedFrames %d", len(want), len(frames))
+	}
+	for i, f := range frames {
+		if got := hex.EncodeToString(encodeFrame(t, f)); got != want[i] {
+			t.Errorf("frame %d (%+v) encodes as\n%s\nwant\n%s", i, f, got, want[i])
+		}
 	}
 }
 
@@ -97,7 +121,7 @@ func TestWireRoundTrip(t *testing.T) {
 	frames := []*frame{
 		{Kind: frameCancel},
 		{Kind: frameRequest, ID: math.MaxUint64, Seq: math.MaxUint64, Method: "Append", Body: []byte{}},
-		{Kind: frameResponse, ID: 7, Final: true, Err: "worker failed"},
+		{Kind: frameResponse, ID: 7, Err: "worker failed"},
 		{Kind: frameChunk, ID: 1, Seq: 2, Body: randBytes(frameReadStep * 3)},
 	}
 	for i := 0; i < 200; i++ {
@@ -105,7 +129,6 @@ func TestWireRoundTrip(t *testing.T) {
 			Kind:   frameKind(1 + rng.IntN(4)),
 			ID:     randU64(),
 			Seq:    randU64(),
-			Final:  rng.IntN(2) == 0,
 			Method: string(randBytes(20)),
 			Err:    string(randBytes(40)),
 			Body:   randBytes(300),
@@ -215,13 +238,17 @@ func TestWireRoundTrip(t *testing.T) {
 // write instead of guessing.
 func TestWireStrictDecode(t *testing.T) {
 	frameBytes := func(f *frame) []byte { return encodeFrame(t, f)[4:] }
-	good := frameBytes(&frame{Kind: frameResponse, ID: 1, Final: true})
+	good := frameBytes(&frame{Kind: frameResponse, ID: 1})
 	for name, b := range map[string][]byte{
 		"empty":         {},
 		"version":       append([]byte{1}, good[1:]...),
 		"kind 0":        append([]byte{wireVersion, 0}, good[2:]...),
 		"kind 5":        append([]byte{wireVersion, 5}, good[2:]...),
-		"flags":         append(append([]byte{}, good[:4]...), append([]byte{0x02}, good[5:]...)...),
+		"flags":         append(append([]byte{}, good[:4]...), append([]byte{0x03}, good[5:]...)...),
+		"final unset":   append(append([]byte{}, good[:4]...), append([]byte{0}, good[5:]...)...),
+		"final request": append([]byte{wireVersion, byte(frameRequest)}, good[2:]...),
+		"final cancel":  append([]byte{wireVersion, byte(frameCancel)}, good[2:]...),
+		"final chunk":   append([]byte{wireVersion, byte(frameChunk)}, good[2:]...),
 		"truncated":     good[:len(good)-1],
 		"method length": append(append([]byte{}, good[:5]...), 9, 'A'),
 	} {

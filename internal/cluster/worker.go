@@ -104,24 +104,24 @@ type remoteWorker struct {
 }
 
 func (w *remoteWorker) apply(ctx context.Context, args *AppendArgs) error {
-	return w.call(ctx, "Append", args, nil)
+	return w.call(ctx, "Append", args, nil, nil)
 }
 
 func (w *remoteWorker) applied(ctx context.Context) (map[core.Gid]uint64, error) {
 	var reply IngestStateReply
-	if err := w.call(ctx, "IngestState", nil, &reply); err != nil {
+	if err := w.call(ctx, "IngestState", nil, &reply, nil); err != nil {
 		return nil, fmt.Errorf("cluster: ingest state %s: %w", w.addr, err)
 	}
 	return reply.Applied, nil
 }
 
 func (w *remoteWorker) flush(ctx context.Context) error {
-	return w.call(ctx, "Flush", nil, nil)
+	return w.call(ctx, "Flush", nil, nil, nil)
 }
 
 func (w *remoteWorker) snapshot(ctx context.Context) (map[string]float64, error) {
 	var reply SnapshotReply
-	err := w.call(ctx, "Snapshot", nil, &reply)
+	err := w.call(ctx, "Snapshot", nil, &reply, nil)
 	return reply.Snap, err
 }
 
@@ -129,49 +129,38 @@ func (w *remoteWorker) snapshot(ctx context.Context) (map[string]float64, error)
 // into one reused target. Each chunk's batch comes from the query
 // package's pool; DecodePartial drops the previous one, and the
 // deferred ReleaseBatch returns only the last to the pool.
-//
-// A connection loss is only retried while no chunk has been consumed
-// yet. Once emit ran, the caller's accumulator holds part of the old
-// attempt's stream, and replaying from scratch would double-merge it —
-// so a mid-stream loss fails the query as a whole (queries are
-// read-only; re-running one is always safe for the caller).
 func (w *remoteWorker) partials(ctx context.Context, args *StreamQueryArgs, emit func(*query.PartialResult) error) error {
 	part := &query.PartialResult{}
 	defer part.ReleaseBatch()
-	consumed := false
-	return w.retrying(ctx, "ExecutePartialStream", func() bool { return !consumed }, func(ctx context.Context, conn *wireConn) error {
-		return conn.CallStream(ctx, "ExecutePartialStream", args, func(body []byte) error {
-			consumed = true
-			if err := query.DecodePartial(body, part); err != nil {
-				return err
-			}
-			return emit(part)
-		})
+	return w.call(ctx, "ExecutePartialStream", args, nil, func(body []byte) error {
+		if err := query.DecodePartial(body, part); err != nil {
+			return err
+		}
+		return emit(part)
 	})
 }
 
-// call issues one unary call, retried on connection loss.
-func (w *remoteWorker) call(ctx context.Context, method string, args, reply wireBody) error {
-	return w.retrying(ctx, method, nil, func(ctx context.Context, conn *wireConn) error {
-		return conn.Call(ctx, method, args, reply)
-	})
-}
-
-// retrying runs one call through do on the worker's connection and
+// call issues one call on the worker's connection (wireConn.Call) and
 // records it — retries included — against the master's instruments.
-// A call failing with ErrConnectionLost — the connection died before
-// or during it — is retried on a freshly dialed connection while
-// canRetry (nil: always) allows it: once immediately when retryBudget
-// is zero, otherwise in a loop with exponential backoff and jitter
-// (retryBackoff) until the budget is spent, so a worker outage shorter
-// than the budget is survived without the caller ever seeing an error.
+//
+// A call that loses its connection (ErrConnectionLost) is retried on a
+// freshly dialed connection until its first chunk has reached the
+// caller: once immediately when retryBudget is zero, otherwise in a
+// loop with exponential backoff and jitter (retryBackoff) until the
+// budget is spent, so a worker outage shorter than the budget is
+// survived without the caller ever seeing an error. For a call without
+// chunks that is every time. Once a chunk has reached onChunk, the
+// caller holds part of the old attempt's reply, and replaying it from
+// scratch would deliver that part twice — so a loss after it fails the
+// call as a whole (a query is read-only; re-running one is always safe
+// for the caller).
 //
 // The retries cannot duplicate data: a connection that died after
 // delivering an Append may have executed it, but the batch's sequence
 // numbers make the worker skip the replay (AppendArgs.Seqs). Worker
 // application errors and context cancellations are returned as-is,
 // never retried.
-func (w *remoteWorker) retrying(ctx context.Context, method string, canRetry func() bool, do func(context.Context, *wireConn) error) (err error) {
+func (w *remoteWorker) call(ctx context.Context, method string, args, reply wireBody, onChunk func(body []byte) error) (err error) {
 	t0 := time.Now()
 	defer func() {
 		if h := w.met.Calls[method]; h != nil {
@@ -181,13 +170,20 @@ func (w *remoteWorker) retrying(ctx context.Context, method string, canRetry fun
 			w.met.Errors.Inc()
 		}
 	}()
+	chunked := false // a chunk has reached onChunk
+	if next := onChunk; next != nil {
+		onChunk = func(body []byte) error {
+			chunked = true
+			return next(body)
+		}
+	}
 	retry := func() bool {
-		return errors.Is(err, ErrConnectionLost) && ctx.Err() == nil && (canRetry == nil || canRetry())
+		return errors.Is(err, ErrConnectionLost) && ctx.Err() == nil && !chunked
 	}
 	send := func(conn *wireConn) error {
 		ctx, cancel := w.bounded(ctx)
 		defer cancel()
-		return do(ctx, conn)
+		return conn.Call(ctx, method, args, reply, onChunk)
 	}
 	conn := w.current()
 	if err = send(conn); !retry() {

@@ -13,14 +13,15 @@ type IngestorConfig struct {
 	SplitFraction float64
 	// DisableSplitting turns the dynamic splitting of §4.2 off.
 	DisableSplitting bool
-	// JoinAfterSegments is the number of segments a split group must
-	// emit before its first join attempt; it doubles after every failed
-	// attempt (§4.2).
-	JoinAfterSegments int
 }
 
 // DefaultSplitFraction matches Table 1's "Dynamic Split Fraction 10".
 const DefaultSplitFraction = 10
+
+// joinAfterSegments is the number of segments a split group must emit
+// before its first join attempt; it doubles after every failed attempt
+// (§4.2).
+const joinAfterSegments = 1
 
 // GroupIngestor ingests the data points of one time series group: it
 // assembles points into sampling-interval ticks, tracks gaps by
@@ -66,9 +67,6 @@ func NewGroupIngestor(cfg IngestorConfig, gid Gid, si int64, members []Tid) *Gro
 	if cfg.SplitFraction <= 0 {
 		cfg.SplitFraction = DefaultSplitFraction
 	}
-	if cfg.JoinAfterSegments <= 0 {
-		cfg.JoinAfterSegments = 1
-	}
 	ms := make([]Tid, len(members))
 	copy(ms, members)
 	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
@@ -84,15 +82,12 @@ func NewGroupIngestor(cfg IngestorConfig, gid Gid, si int64, members []Tid) *Gro
 	for i, tid := range ms {
 		g.pos[tid] = i
 	}
-	g.parts = []*part{{members: ms, joinEvery: cfg.JoinAfterSegments}}
+	g.parts = []*part{{members: ms, joinEvery: joinAfterSegments}}
 	return g
 }
 
 // Gid returns the ingestor's group id.
 func (g *GroupIngestor) Gid() Gid { return g.gid }
-
-// Members returns the sorted member Tids.
-func (g *GroupIngestor) Members() []Tid { return g.members }
 
 // NumParts returns the current number of dynamically split sub-groups.
 func (g *GroupIngestor) NumParts() int { return len(g.parts) }
@@ -281,7 +276,7 @@ func (g *GroupIngestor) buildSplitParts(p *part, clusters [][]int, gapMembers []
 		np := &part{
 			members:   members,
 			isSplit:   true,
-			joinEvery: g.cfg.JoinAfterSegments,
+			joinEvery: joinAfterSegments,
 		}
 		gaps := tidsDiff(g.members, members)
 		np.gen = NewSegmentGenerator(g.cfg.Generator, g.gid, g.si, start, members, gaps)
@@ -298,7 +293,7 @@ func (g *GroupIngestor) buildSplitParts(p *part, clusters [][]int, gapMembers []
 		out = append(out, np)
 	}
 	if len(gapMembers) > 0 {
-		out = append(out, &part{members: gapMembers, isSplit: true, joinEvery: g.cfg.JoinAfterSegments})
+		out = append(out, &part{members: gapMembers, isSplit: true, joinEvery: joinAfterSegments})
 	}
 	return out, nil
 }
@@ -337,7 +332,7 @@ func (g *GroupIngestor) checkJoins() error {
 			np := &part{
 				members:   members,
 				isSplit:   !tidsEqual(members, g.members),
-				joinEvery: g.cfg.JoinAfterSegments,
+				joinEvery: joinAfterSegments,
 			}
 			// Remove both old parts, insert the merged one.
 			keep := g.parts[:0]

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -65,7 +67,7 @@ func (c *MetadataCache) SetGroup(tid Tid, gid Gid) error {
 	for dim, path := range ts.Members {
 		for level, member := range path {
 			key := memberKey(dim, level+1, member)
-			c.memberGids[key] = insertSortedGid(c.memberGids[key], gid)
+			c.memberGids[key] = insertSorted(c.memberGids[key], gid)
 		}
 	}
 	return nil
@@ -157,7 +159,7 @@ func (c *MetadataCache) GidsForTids(tids []Tid) ([]Gid, error) {
 		if err != nil {
 			return nil, err
 		}
-		gids = insertSortedGid(gids, ts.Gid)
+		gids = insertSorted(gids, ts.Gid)
 	}
 	return gids, nil
 }
@@ -191,24 +193,12 @@ func memberKey(dimension string, level int, member string) string {
 	return fmt.Sprintf("%s\x00%d\x00%s", dimension, level, member)
 }
 
-func insertSorted(s []Tid, v Tid) []Tid {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
+// insertSorted inserts v into the ascending slice s unless s holds it
+// already.
+func insertSorted[T cmp.Ordered](s []T, v T) []T {
+	i, found := slices.BinarySearch(s, v)
+	if found {
 		return s
 	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertSortedGid(s []Gid, v Gid) []Gid {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
-		return s
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
+	return slices.Insert(s, i, v)
 }

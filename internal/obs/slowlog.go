@@ -32,9 +32,6 @@ func NewSlowQueryLog(threshold time.Duration, logger *log.Logger) *SlowQueryLog 
 	return &SlowQueryLog{threshold: threshold, logger: logger}
 }
 
-// Threshold returns the configured threshold.
-func (l *SlowQueryLog) Threshold() time.Duration { return l.threshold }
-
 // Logged returns how many queries have been logged.
 func (l *SlowQueryLog) Logged() int64 { return l.logged.Value() }
 

@@ -209,9 +209,6 @@ func (e *Engine) SetObserver(o *obs.QueryObserver) {
 	e.obsv = o
 }
 
-// Observer returns the installed query observer, if any.
-func (e *Engine) Observer() *obs.QueryObserver { return e.obsv }
-
 // beginTrace starts a trace for one execution when an observer is
 // installed; without one it returns nil and the whole trace surface
 // collapses to nil-checks.
