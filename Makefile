@@ -141,10 +141,11 @@ docs-check:
 # exactly-once dedup across restarts) and the cluster transport's fault
 # tests (exactly-once redelivery, reconnect, a worker dying mid-query,
 # cancel mid-scan, re-queue on failure, the retry-before-first-chunk
-# rule) run CRASH_COUNT times under the race detector, so flaky
+# rule, and the pipelined append's bound, error, close and ordering
+# tests) run CRASH_COUNT times under the race detector, so flaky
 # recovery ordering fails CI instead of shipping.
 crash:
-	$(GO) test -race -run 'WAL|Crash|Recover|Torn|Reopen|ExactlyOnce|Reconnect|WorkerDies|CancelMid|Requeue|RetryOnly' -count=$(CRASH_COUNT) -timeout $(CRASH_TIMEOUT) ./...
+	$(GO) test -race -run 'WAL|Crash|Recover|Torn|Reopen|ExactlyOnce|Reconnect|WorkerDies|CancelMid|Requeue|RetryOnly|Pipeline' -count=$(CRASH_COUNT) -timeout $(CRASH_TIMEOUT) ./...
 
 # Fuzz smoke over the untrusted-bytes parsers: the two framed logs
 # (WAL segments and the segment log), both read back through the one

@@ -56,17 +56,25 @@ type Client struct {
 	// latency, retries and reconnects of TCP workers.
 	metrics *obs.Registry
 	workers []worker
-	assign  map[modelardb.Gid]int
+	// routes holds each series' group and the group's worker, indexed
+	// by Tid-1. It is built once with the client and only read after, so
+	// routing a point takes no lock.
+	routes []route
 	// base bounds the client's lifetime: every call context is combined
 	// with it, so cancelling it aborts all in-flight calls at once.
-	base context.Context
+	// Close cancels it.
+	base   context.Context
+	cancel context.CancelFunc
+	// senders counts the running per-worker senders (send).
+	senders sync.WaitGroup
 	// chunkBytes bounds one streamed partial-result chunk
 	// (Config.StreamChunkBytes); 0 selects the workers' default.
 	chunkBytes int64
 
-	// seq assigns batch sequences and queues sealed batches; open (and
-	// the aligned openGids) buffer points until batchSize seals them.
-	// mu guards the buffers and orders the seals of one worker.
+	// seq assigns batch sequences and queues sealed batches for the
+	// senders; open (and the aligned openGids) buffer points until
+	// batchSize seals them. mu guards the buffers and orders the seals of
+	// one worker.
 	mu       sync.Mutex
 	seq      *sequencer
 	open     [][]core.DataPoint
@@ -74,6 +82,13 @@ type Client struct {
 	// batchSize is the number of points buffered per worker before a
 	// batch is sealed and sent (akin to the paper's micro-batches).
 	batchSize int
+}
+
+// route is where one series' points go: its group, and the worker
+// that owns the group.
+type route struct {
+	gid modelardb.Gid
+	w   int
 }
 
 // NewLocal creates a master over n in-process workers from one
@@ -165,12 +180,23 @@ func newClient(ctx context.Context, cfg modelardb.Config, n int) (*Client, error
 	if err != nil {
 		return nil, err
 	}
+	assign := AssignGroups(cat, n)
+	routes := make([]route, cat.NumSeries())
+	for i := range routes {
+		gid, err := cat.GroupOf(modelardb.Tid(i + 1))
+		if err != nil {
+			return nil, err
+		}
+		routes[i] = route{gid: gid, w: assign[gid]}
+	}
+	base, cancel := context.WithCancel(ctx)
 	return &Client{
 		cat:        cat,
 		planner:    cat.Planner(),
 		metrics:    obs.NewRegistry(),
-		assign:     AssignGroups(cat, n),
-		base:       ctx,
+		routes:     routes,
+		base:       base,
+		cancel:     cancel,
 		chunkBytes: cfg.StreamChunkBytes,
 		seq:        newSequencer(n),
 		open:       make([][]core.DataPoint, n),
@@ -182,8 +208,8 @@ func newClient(ctx context.Context, cfg modelardb.Config, n int) (*Client, error
 // seed floors the sequence counters at each worker's applied table: a
 // master that restarts (or a standby taking over) must assign
 // sequences above everything already ingested, or the workers would
-// drop its fresh batches as duplicates. On failure the client is
-// closed.
+// drop its fresh batches as duplicates. It then starts one sender per
+// worker. On failure the client is closed.
 func (c *Client) seed() (*Client, error) {
 	for _, w := range c.workers {
 		applied, err := w.applied(c.base)
@@ -193,7 +219,34 @@ func (c *Client) seed() (*Client, error) {
 		}
 		c.seq.seed(applied)
 	}
+	for w := range c.workers {
+		c.senders.Add(1)
+		go c.send(w)
+	}
 	return c, nil
+}
+
+// send is worker w's sender, the only caller of its apply. It sends
+// the worker's sealed batches in sequence order, one call at a time:
+// a Server runs every request on its own goroutine, so two appends in
+// flight to one worker could be applied out of order, and the worker's
+// dedup high-water mark would then drop live points. The sends run
+// under the client's base context, each bounded by Config.RPCTimeout.
+// After a failed send the sender idles until the next seal retries it;
+// it returns when the client closes.
+func (c *Client) send(w int) {
+	defer c.senders.Done()
+	wake := c.seq.lanes[w].wake
+	for {
+		select {
+		case <-wake:
+		case <-c.base.Done():
+			return
+		}
+		for args := c.seq.head(w); args != nil; args = c.seq.head(w) {
+			c.seq.ack(w, c.workers[w].apply(c.base, args))
+		}
+	}
 }
 
 // AssignGroups assigns every group of the catalog to one of n
@@ -230,66 +283,78 @@ func (c *Client) NumWorkers() int { return len(c.workers) }
 
 // WorkerOf returns the worker index owning a series' group.
 func (c *Client) WorkerOf(tid modelardb.Tid) (int, error) {
-	gid, err := c.cat.GroupOf(tid)
-	if err != nil {
-		return 0, err
-	}
-	return c.assign[gid], nil
+	r, err := c.route(tid)
+	return r.w, err
 }
 
-// Append buffers a data point and sends a batch when full. A failed
-// send never loses accepted points: the sealed batch stays at the head
-// of the worker's queue and is retried — with its original sequence
-// numbers, so the worker deduplicates any replay — by the next Append,
-// AppendBatch or Flush.
+// route returns tid's route, or the catalog's unknown-Tid error.
+func (c *Client) route(tid modelardb.Tid) (route, error) {
+	if tid < 1 || int(tid) > len(c.routes) {
+		return route{}, fmt.Errorf("%w: %d", core.ErrUnknownTid, tid)
+	}
+	return c.routes[tid-1], nil
+}
+
+// Append buffers a data point and seals the worker's batch when it is
+// full. It does not wait for the worker: the worker's sender delivers
+// the sealed batch while the caller fills the next one. Only when the
+// worker has more than maxUnacked (4) sealed, unacknowledged batches
+// does the sealing Append wait for an acknowledgement, honouring ctx;
+// a cancelled wait leaves the batch queued, to be sent like any other.
+//
+// A failed send never loses accepted points: the sealed batch stays at
+// the head of the worker's queue and is retried — with its original
+// sequence numbers, so the worker deduplicates any replay — by the
+// next Append that seals for that worker, or the next AppendBatch or
+// Flush, which returns the retry's error.
 func (c *Client) Append(ctx context.Context, tid modelardb.Tid, ts int64, value float32) error {
-	gid, err := c.cat.GroupOf(tid)
+	r, err := c.route(tid)
 	if err != nil {
 		return err
 	}
-	w := c.assign[gid]
 	c.mu.Lock()
-	c.open[w] = append(c.open[w], core.DataPoint{Tid: tid, TS: ts, Value: value})
-	c.openGids[w] = append(c.openGids[w], gid)
-	if len(c.open[w]) < c.batchSize {
+	c.open[r.w] = append(c.open[r.w], core.DataPoint{Tid: tid, TS: ts, Value: value})
+	c.openGids[r.w] = append(c.openGids[r.w], r.gid)
+	if len(c.open[r.w]) < c.batchSize {
 		c.mu.Unlock()
 		return nil
 	}
-	c.sealLocked(w)
+	n, retried := c.sealLocked(r.w)
 	c.mu.Unlock()
-	return c.drain(ctx, w)
+	return c.await(ctx, r.w, max(n-min(n, maxUnacked), retried))
 }
 
 // AppendBatch routes a batch of data points to their owning workers,
 // seals every worker's buffer — the points buffered by Append first,
-// so each group's points keep their arrival order — and sends the
-// sealed batches. A point with an unknown Tid rejects the whole batch
-// before anything is buffered. A failed send stays queued with its
-// sequences like Append's, so the caller's retry cannot double-ingest.
+// so each group's points keep their arrival order — and waits until
+// every batch sealed so far is acknowledged. It is a barrier, like
+// Flush. A point with an unknown Tid rejects the whole batch before
+// anything is buffered. A failed send stays queued with its sequences
+// like Append's, so the caller's retry cannot double-ingest; the
+// other workers' batches are still awaited, and the first error in
+// worker order is returned.
 func (c *Client) AppendBatch(ctx context.Context, points []modelardb.DataPoint) error {
-	gids := make([]modelardb.Gid, len(points))
-	for i, p := range points {
-		gid, err := c.cat.GroupOf(p.Tid)
-		if err != nil {
+	for _, p := range points {
+		if _, err := c.route(p.Tid); err != nil {
 			return err
 		}
-		gids[i] = gid
 	}
+	last := make([]uint64, len(c.open))
 	c.mu.Lock()
-	for i, p := range points {
-		w := c.assign[gids[i]]
-		c.open[w] = append(c.open[w], p)
-		c.openGids[w] = append(c.openGids[w], gids[i])
+	for _, p := range points {
+		r := c.routes[p.Tid-1]
+		c.open[r.w] = append(c.open[r.w], p)
+		c.openGids[r.w] = append(c.openGids[r.w], r.gid)
 	}
 	for w := range c.open {
-		c.sealLocked(w)
+		// The last batch is behind any retried one: waiting on it covers
+		// both.
+		last[w], _ = c.sealLocked(w)
 	}
 	c.mu.Unlock()
 	var firstErr error
-	for w := range c.workers {
-		// Keep draining the remaining workers after a failure so one
-		// failing worker does not strand the others' batches.
-		if err := c.drain(ctx, w); err != nil && firstErr == nil {
+	for w, n := range last {
+		if err := c.await(ctx, w, n); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -299,27 +364,40 @@ func (c *Client) AppendBatch(ctx context.Context, points []modelardb.DataPoint) 
 // sealLocked hands worker w's open buffer to the sequencer, which
 // stamps every group in it with a sequence exactly once — a batch
 // that later fails is retried with those same sequences, never fresh
-// ones. The caller holds c.mu, which orders seals of one worker. New
-// points arriving after the seal go into the next batch — they are
-// never merged into a sealed one.
-func (c *Client) sealLocked(w int) {
-	c.seq.seal(w, c.open[w], c.openGids[w])
-	c.open[w] = nil
-	c.openGids[w] = nil
+// ones — and returns sequencer.seal's batch numbers. The caller holds
+// c.mu, which orders seals of one worker. The sealed slices belong to
+// the queue until the worker acknowledges them, so the next batch gets
+// fresh buffers: new points are never merged into a sealed batch.
+func (c *Client) sealLocked(w int) (n, retried uint64) {
+	n, retried = c.seq.seal(w, c.open[w], c.openGids[w])
+	if len(c.open[w]) > 0 {
+		c.open[w] = make([]core.DataPoint, 0, c.batchSize)
+		c.openGids[w] = make([]modelardb.Gid, 0, c.batchSize)
+	}
+	return n, retried
 }
 
-// drain sends worker w's queued batches in sequence order; a failed
-// batch stays at the queue head for the next call to retry.
-func (c *Client) drain(ctx context.Context, w int) error {
-	ctx, cancel := mergeContexts(ctx, c.base)
-	defer cancel()
-	return c.seq.drain(ctx, w, c.workers[w].apply)
+// await waits until worker w has acknowledged its batch n (0: none).
+// It returns the first send error it sees, or ctx's error, or the
+// client's once it is closed: a closed client has no senders left.
+func (c *Client) await(ctx context.Context, w int, n uint64) error {
+	if err := c.base.Err(); err != nil {
+		return err
+	}
+	if n == 0 {
+		return nil
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return c.seq.wait(ctx, c.base, w, n)
 }
 
-// Flush seals the open buffers, drains every worker's batch queue
-// and, if every send succeeded, flushes every worker. Failed batches
-// stay queued with their sequences, so a transient worker failure
-// loses nothing and the eventual retry cannot double-ingest.
+// Flush seals the open buffers, waits until every worker has
+// acknowledged every batch sealed before it and, if every send
+// succeeded, flushes every worker. Failed batches stay queued with
+// their sequences, so a transient worker failure loses nothing and the
+// eventual retry cannot double-ingest.
 func (c *Client) Flush(ctx context.Context) error {
 	if err := c.AppendBatch(ctx, nil); err != nil {
 		return err
@@ -453,8 +531,13 @@ func (c *Client) Snapshot(ctx context.Context) (map[string]float64, error) {
 // are read through Snapshot.
 func (c *Client) Metrics() *obs.Registry { return c.metrics }
 
-// Close closes every worker.
+// Close stops the senders, aborting their in-flight sends, and closes
+// every worker. Batches not yet acknowledged are dropped with the
+// client; a new client's seeding resumes above what the workers
+// applied.
 func (c *Client) Close() error {
+	c.cancel()
+	c.senders.Wait()
 	var first error
 	for _, w := range c.workers {
 		if err := w.Close(); err != nil && first == nil {

@@ -149,22 +149,23 @@ func waitDrained(t *testing.T, srv *Server) {
 }
 
 // TestClientAppendRequeueOnFailure: a failed Worker.Append used to
-// drop the already-dequeued batch on the floor. Now the batch is
-// re-queued in order and the next Flush replays it, so a transient
-// worker failure loses no accepted point.
+// drop the already-dequeued batch on the floor. Now the batch stays
+// queued in order and the next Flush replays it, so a transient worker
+// failure loses no accepted point. The sealing Append does not wait
+// for its batch, so it returns nil; the failure shows in the master's
+// RPC error counter.
 func TestClientAppendRequeueOnFailure(t *testing.T) {
 	var (
-		mu    sync.Mutex
-		calls int
-		got   []core.DataPoint
+		mu      sync.Mutex
+		failing = true
+		got     []core.DataPoint
 	)
 	addr := startFakeWorker(t, func(f *frame) []*frame {
 		resp := &frame{Kind: frameResponse, ID: f.ID}
 		switch f.Method {
 		case "Append":
 			mu.Lock()
-			calls++
-			if calls == 1 {
+			if failing {
 				resp.Err = "synthetic worker failure"
 			} else {
 				args := &AppendArgs{}
@@ -188,18 +189,23 @@ func TestClientAppendRequeueOnFailure(t *testing.T) {
 	defer client.Close()
 	client.batchSize = 4
 	var want []core.DataPoint
-	var appendErr error
 	for i := 0; i < 4; i++ {
 		p := core.DataPoint{Tid: modelardb.Tid(i + 1), TS: int64(i) * 1000, Value: float32(i)}
 		want = append(want, p)
-		appendErr = client.Append(context.Background(), p.Tid, p.TS, p.Value)
+		// The fourth Append fills and seals the batch, and returns
+		// before the worker answers.
+		if err := client.Append(context.Background(), p.Tid, p.TS, p.Value); err != nil {
+			t.Fatalf("Append %d = %v, want nil", i+1, err)
+		}
 	}
-	// The fourth Append filled the batch and sent it; the send failed.
-	var werr *WorkerError
-	if !errors.As(appendErr, &werr) {
-		t.Fatalf("batch send error = %v, want a WorkerError", appendErr)
-	}
-	// No accepted point was lost: the batch was re-queued and Flush
+	// The send fails behind the caller's back; wait until the sender has
+	// recorded it, then let the worker recover, so that Flush is the
+	// retry.
+	waitSendFailed(t, client, 0)
+	mu.Lock()
+	failing = false
+	mu.Unlock()
+	// No accepted point was lost: the batch stayed queued and Flush
 	// replays it in its original order.
 	if err := client.Flush(context.Background()); err != nil {
 		t.Fatal(err)
@@ -208,6 +214,9 @@ func TestClientAppendRequeueOnFailure(t *testing.T) {
 	defer mu.Unlock()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("worker received %v after retry, want %v", got, want)
+	}
+	if n := client.Metrics().Snapshot()["modelardb_rpc_client_errors_total"]; n != 1 {
+		t.Fatalf("modelardb_rpc_client_errors_total = %v, want 1", n)
 	}
 }
 

@@ -19,6 +19,10 @@ type MetadataCache struct {
 	// array-based hash-join of §6.1.
 	series []*TimeSeries
 	groups map[Gid][]Tid
+	// groupSeries holds each group's member metadata aligned with
+	// groups, so SeriesOf hands out one shared slice instead of a copy
+	// per scan.
+	groupSeries map[Gid][]*TimeSeries
 	// memberGids maps dimension\x00level\x00member to the sorted Gids of
 	// groups containing a series with that member.
 	memberGids map[string][]Gid
@@ -27,8 +31,9 @@ type MetadataCache struct {
 // NewMetadataCache returns an empty cache.
 func NewMetadataCache() *MetadataCache {
 	return &MetadataCache{
-		groups:     make(map[Gid][]Tid),
-		memberGids: make(map[string][]Gid),
+		groups:      make(map[Gid][]Tid),
+		groupSeries: make(map[Gid][]*TimeSeries),
+		memberGids:  make(map[string][]Gid),
 	}
 }
 
@@ -63,7 +68,10 @@ func (c *MetadataCache) SetGroup(tid Tid, gid Gid) error {
 		return fmt.Errorf("core: series %d already in group %d", tid, ts.Gid)
 	}
 	ts.Gid = gid
-	c.groups[gid] = insertSorted(c.groups[gid], tid)
+	members := c.groups[gid]
+	i, _ := slices.BinarySearch(members, tid) // tid is new: it had no group
+	c.groups[gid] = slices.Insert(members, i, tid)
+	c.groupSeries[gid] = slices.Insert(c.groupSeries[gid], i, ts)
 	for dim, path := range ts.Members {
 		for level, member := range path {
 			key := memberKey(dim, level+1, member)
@@ -124,16 +132,13 @@ func (c *MetadataCache) TidsOf(gid Gid) []Tid {
 
 // SeriesOf returns the metadata of gid's members, ordered by Tid: what
 // a scan snapshots once per group instead of calling Series once per
-// (segment, series).
+// (segment, series). The slice is the cache's own and is read-only; it
+// is clipped, so appending to it copies. Groups are only set while the
+// catalog is built, before any scan.
 func (c *MetadataCache) SeriesOf(gid Gid) []*TimeSeries {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	members := c.groups[gid]
-	out := make([]*TimeSeries, len(members))
-	for i, tid := range members {
-		out[i] = c.series[tid-1] // SetGroup only admits registered Tids
-	}
-	return out
+	return slices.Clip(c.groupSeries[gid])
 }
 
 // Groups returns all Gids in ascending order.

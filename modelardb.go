@@ -136,7 +136,8 @@ type Config struct {
 	// (cluster.Dial) — Append, Flush, ExecutePartialStream and Snapshot
 	// calls all fail with context.DeadlineExceeded when a worker does
 	// not answer in time, and the worker-side scan is cancelled. 0 means
-	// calls are bounded only by their caller's context.
+	// calls are bounded only by their caller's context (for Append, which
+	// a master sends in the background, the master's own).
 	RPCTimeout time.Duration
 	// RetryBudget bounds how long a cluster master keeps retrying a
 	// call whose worker connection died, reconnecting with exponential
@@ -1176,10 +1177,11 @@ type Stats struct {
 	// the master, so this bounds scatter memory alongside
 	// StreamChunkBytes.
 	InFlightStreams int64
-	// QueuedBatches is the number of sealed ingestion batches waiting
-	// in the master's per-worker send queues (cluster Stats only). A
-	// growing queue is the read-side of write backpressure: a worker is
-	// accepting batches slower than the master seals them.
+	// QueuedBatches is the number of sealed ingestion batches in the
+	// master's per-worker send queues that no worker has acknowledged
+	// yet, in-flight ones included (cluster Stats only). A growing queue
+	// is the read-side of write backpressure: a worker is accepting
+	// batches slower than the master seals them.
 	QueuedBatches int64
 }
 
