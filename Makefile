@@ -28,11 +28,13 @@ BENCH_RECORD = 'Calibration|Parallel|Pruning|IngestAppend|AppendWAL|AppendBatchW
 # coalescing depends on timing), the file-store scan (gated on its
 # reads/segment and allocs/op counts only; its baseline ns/op is 0),
 # the master-side ORDER BY finalize of internal/query (gated on its
-# allocation counts only; its baseline ns/op is 0), plus the
-# calibration workload that normalizes machine speed.
-BENCH_GATE = 'Calibration$$|IngestAppendSerial|IngestAppendBatch|IngestGroupedEP|ParallelSumDataPointView|ParallelCubeHourByTid|ScatterTCPStream|ClusterAppendTCP|AppendWALGroupCommit|FileStoreScan|FinalizeOrderBy'
+# allocation counts only; its baseline ns/op is 0), the HTTP API's CSV
+# render of a 24 000-row DataPoint range (gated on allocs/op only; its
+# baseline ns/op is 0), plus the calibration workload that normalizes
+# machine speed.
+BENCH_GATE = 'Calibration$$|IngestAppendSerial|IngestAppendBatch|IngestGroupedEP|ParallelSumDataPointView|ParallelCubeHourByTid|ScatterTCPStream|ClusterAppendTCP|AppendWALGroupCommit|FileStoreScan|FinalizeOrderBy|QueryCSV'
 # Packages holding the gated benchmarks.
-BENCH_GATE_PKGS = . ./internal/query
+BENCH_GATE_PKGS = . ./internal/query ./internal/httpapi
 
 .PHONY: all build vet fmt-check lint vuln test race bench crash ci \
 	bench-record bench-compare fuzz obs-smoke docs-check \
@@ -160,7 +162,10 @@ crash:
 # the same peer-controlled bytes, which must neither panic nor allocate
 # more than a small multiple of their input; the remote-write body,
 # snappy-decoded and then parsed as protobuf as the HTTP endpoint does,
-# under the same kind of allocation bound; the Gorilla value-stream
+# under the same kind of allocation bound; the JSON append body, posted
+# to the handler on a fresh database, which must answer 200 or 400
+# with a point count equal to the points the database gained; the
+# Gorilla value-stream
 # decoder every stored Gorilla segment goes through, checked against
 # its reference; the Gorilla
 # quantizer, whose every decoded value must be the appended one or
@@ -168,7 +173,7 @@ crash:
 # and line-protocol clients send it, where a clause that compiles must
 # run without error and answer the same at every worker count.
 # `go test -fuzz` accepts one target per package invocation, hence
-# ten runs.
+# eleven runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALScanSegment$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzWALCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/wal
@@ -178,6 +183,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileWhere$$' -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzRemoteWriteBody$$' -fuzztime $(FUZZTIME) ./internal/httpapi
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendBody$$' -fuzztime $(FUZZTIME) ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzGorillaDecode$$' -fuzztime $(FUZZTIME) ./internal/models
 	$(GO) test -run '^$$' -fuzz '^FuzzGorillaBound$$' -fuzztime $(FUZZTIME) ./internal/models
 

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -25,17 +29,29 @@ func apiServer(t *testing.T, db *modelardb.DB, opts httpapi.Options) *httptest.S
 }
 
 // TestQueryEquivalence runs the same SQL over the line protocol, the
-// HTTP JSON API and the in-process cursor and requires identical rows
-// from all three: the server surfaces are views over one engine, not
-// separate query paths.
+// HTTP JSON and CSV API, DB.WriteCSV and the in-process cursor and
+// requires identical rows from all of them: the server surfaces are
+// views over one engine and one row renderer, not separate query
+// paths. The park members need CSV quoting (a comma and quotes, a
+// leading space), and the CSV bodies are pinned byte for byte.
 func TestQueryEquivalence(t *testing.T) {
-	db := testDB(t)
+	db, err := modelardb.Open(modelardb.Config{
+		ErrorBound: modelardb.RelBound(0),
+		Dimensions: []modelardb.Dimension{{Name: "Location", Levels: []string{"Park"}}},
+		Series: []modelardb.SeriesConfig{
+			{SI: 1000, Members: map[string][]string{"Location": {`Aalborg, "North"`}}},
+			{SI: 1000, Members: map[string][]string{"Location": {" Skive"}}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
 	ts := apiServer(t, db, httpapi.Options{})
-	const sql = "SELECT Tid, TS, Value FROM DataPoint"
 
 	// Ingest over HTTP; read it back over every surface.
 	resp, err := http.Post(ts.URL+"/api/v1/append?flush=1", "application/json",
-		strings.NewReader(`[{"tid":1,"ts":0,"value":2},{"tid":1,"ts":1000,"value":4},{"tid":1,"ts":2000,"value":8}]`))
+		strings.NewReader(`[{"tid":1,"ts":0,"value":2},{"tid":1,"ts":1000,"value":4},{"tid":1,"ts":2000,"value":8.5},{"tid":2,"ts":0,"value":-1}]`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,77 +60,119 @@ func TestQueryEquivalence(t *testing.T) {
 		t.Fatalf("append status = %d", resp.StatusCode)
 	}
 
-	// Line protocol: header, tab-separated rows, ".".
-	out := send(t, db, sql)
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) < 2 || lines[len(lines)-1] != "." {
-		t.Fatalf("line protocol output = %q", out)
-	}
-	var lineRows [][]string
-	for _, l := range lines[1 : len(lines)-1] {
-		lineRows = append(lineRows, strings.Split(l, "\t"))
-	}
+	for _, tc := range []struct {
+		sql     string
+		want    [][]string // header first
+		wantCSV string
+	}{{
+		sql:     "SELECT Tid, TS, Value FROM DataPoint",
+		want:    [][]string{{"Tid", "TS", "Value"}, {"1", "0", "2"}, {"1", "1000", "4"}, {"1", "2000", "8.5"}, {"2", "0", "-1"}},
+		wantCSV: "Tid,TS,Value\n1,0,2\n1,1000,4\n1,2000,8.5\n2,0,-1\n",
+	}, {
+		sql:     "SELECT Park, COUNT_S(*), SUM_S(*) FROM Segment GROUP BY Park ORDER BY Park",
+		want:    [][]string{{"Park", "COUNT_S(*)", "SUM_S(*)"}, {" Skive", "1", "-1"}, {`Aalborg, "North"`, "3", "14.5"}},
+		wantCSV: "Park,COUNT_S(*),SUM_S(*)\n\" Skive\",1,-1\n\"Aalborg, \"\"North\"\"\",3,14.5\n",
+	}} {
+		got := map[string][][]string{}
 
-	// HTTP JSON.
-	resp, err = http.Post(ts.URL+"/api/v1/query", "text/plain", strings.NewReader(sql))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var payload struct {
-		Columns []string        `json:"columns"`
-		Rows    [][]json.Number `json:"rows"`
-		Error   string          `json:"error"`
-	}
-	dec := json.NewDecoder(resp.Body)
-	dec.UseNumber()
-	if err := dec.Decode(&payload); err != nil {
-		t.Fatal(err)
-	}
-	if payload.Error != "" {
-		t.Fatalf("HTTP query error: %s", payload.Error)
-	}
-	if strings.Join(payload.Columns, "\t") != lines[0] {
-		t.Fatalf("HTTP columns %v != line header %q", payload.Columns, lines[0])
-	}
-	var httpRows [][]string
-	for _, r := range payload.Rows {
-		row := make([]string, len(r))
-		for i, v := range r {
-			row[i] = v.String()
+		// Line protocol: header, tab-separated rows, ".".
+		out := send(t, db, tc.sql)
+		if !strings.HasSuffix(out, "\n.\n") {
+			t.Fatalf("line protocol output = %q", out)
 		}
-		httpRows = append(httpRows, row)
-	}
+		for _, l := range strings.Split(strings.TrimSuffix(out, "\n.\n"), "\n") {
+			got["line protocol"] = append(got["line protocol"], strings.Split(l, "\t"))
+		}
 
-	// In-process cursor, rendered with the same column-text path the
-	// line protocol uses.
-	rows, err := db.QueryRows(context.Background(), sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rows.Close()
-	var inprocRows [][]string
-	for rows.Next() {
-		row := make([]string, len(rows.Columns()))
-		for c := range row {
-			row[c] = string(rows.AppendColumnText(nil, c))
+		// HTTP JSON, numbers kept as their text.
+		resp, err := http.Post(ts.URL+"/api/v1/query", "text/plain", strings.NewReader(tc.sql))
+		if err != nil {
+			t.Fatal(err)
 		}
-		inprocRows = append(inprocRows, row)
-	}
-	if err := rows.Err(); err != nil {
-		t.Fatal(err)
-	}
+		var payload struct {
+			Columns []string `json:"columns"`
+			Rows    [][]any  `json:"rows"`
+			Error   string   `json:"error"`
+		}
+		dec := json.NewDecoder(resp.Body)
+		dec.UseNumber()
+		err = dec.Decode(&payload)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload.Error != "" {
+			t.Fatalf("HTTP query error: %s", payload.Error)
+		}
+		got["HTTP JSON"] = [][]string{payload.Columns}
+		for _, r := range payload.Rows {
+			got["HTTP JSON"] = append(got["HTTP JSON"], sprintCells(r))
+		}
 
-	want := fmt.Sprint([][]string{{"1", "0", "2"}, {"1", "1000", "4"}, {"1", "2000", "8"}})
-	for surface, got := range map[string][][]string{
-		"line protocol": lineRows,
-		"HTTP JSON":     httpRows,
-		"in-process":    inprocRows,
-	} {
-		if fmt.Sprint(got) != want {
-			t.Errorf("%s rows = %v, want %v", surface, got, want)
+		// HTTP CSV, byte for byte and parsed back.
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/api/v1/query", strings.NewReader(tc.sql))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept", "text/csv")
+		resp, err = http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(body) != tc.wantCSV {
+			t.Errorf("%s: CSV body %q, want %q", tc.sql, body, tc.wantCSV)
+		}
+		if got["HTTP CSV"], err = csv.NewReader(bytes.NewReader(body)).ReadAll(); err != nil {
+			t.Fatal(err)
+		}
+
+		// In-process cursor, cells formatted by fmt.
+		rows, err := db.QueryRows(context.Background(), tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got["in-process"] = [][]string{rows.Columns()}
+		for rows.Next() {
+			got["in-process"] = append(got["in-process"], sprintCells(rows.Row()))
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		rows.Close()
+
+		// DB.WriteCSV exports exactly the DataPoint rows, headerless.
+		if strings.HasPrefix(tc.sql, "SELECT Tid, TS, Value FROM DataPoint") {
+			var buf bytes.Buffer
+			n, err := db.WriteCSV(context.Background(), &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, body, _ := strings.Cut(tc.wantCSV, "\n"); buf.String() != body || n != int64(len(tc.want)-1) {
+				t.Errorf("WriteCSV wrote %d rows %q, want %q", n, buf.String(), body)
+			}
+		}
+
+		for surface, rows := range got {
+			if !reflect.DeepEqual(rows, tc.want) {
+				t.Errorf("%s: %s rows = %q, want %q", tc.sql, surface, rows, tc.want)
+			}
 		}
 	}
+}
+
+// sprintCells formats a row's cells with fmt, whose %v spells a float
+// the way strconv's shortest 'g' does.
+func sprintCells(cells []any) []string {
+	out := make([]string, len(cells))
+	for i, v := range cells {
+		out[i] = fmt.Sprint(v)
+	}
+	return out
 }
 
 // TestHTTPRejections covers the documented rejection statuses: 401 for

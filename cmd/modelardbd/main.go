@@ -294,33 +294,24 @@ func handle(ctx context.Context, db *modelardb.DB, w *bufio.Writer, line string)
 			return
 		}
 		defer rows.Close()
-		cols := rows.Columns()
-		fmt.Fprintln(w, strings.Join(cols, "\t"))
-		n := 0
-		var buf []byte
+		// Rows render straight from the cursor's typed columns into one
+		// reused block. Each full block is flushed, so a disconnected
+		// client surfaces as a write error here and the deferred Close
+		// cancels the scan, instead of streaming the whole result into a
+		// dead socket.
+		buf := rows.AppendHeader(nil, modelardb.TextTSV)
 		for rows.Next() {
-			// Render each cell straight from the cursor's typed columns
-			// into a reused buffer: no per-row []string, no fmt boxing.
-			buf = buf[:0]
-			for c := range cols {
-				if c > 0 {
-					buf = append(buf, '\t')
-				}
-				buf = rows.AppendColumnText(buf, c)
-			}
-			buf = append(buf, '\n')
-			if _, err := w.Write(buf); err != nil {
-				return
-			}
-			// Flush periodically so a disconnected client surfaces as a
-			// write error here and the deferred Close cancels the scan,
-			// instead of streaming the whole result into a dead socket.
-			if n++; n%512 == 0 {
+			buf = rows.AppendRow(buf, modelardb.TextTSV)
+			if len(buf) >= modelardb.TextBlockSize {
+				// A failed write sticks to w, so Flush reports it.
+				w.Write(buf)
 				if err := w.Flush(); err != nil {
 					return
 				}
+				buf = buf[:0]
 			}
 		}
+		w.Write(buf)
 		if err := rows.Err(); err != nil {
 			fmt.Fprintf(w, "ERR %v\n", err)
 			return

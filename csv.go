@@ -81,7 +81,8 @@ func (db *DB) LoadCSV(ctx context.Context, r io.Reader) (int64, error) {
 // LoadCSV. The export streams through a QueryRows cursor, so rows are
 // written as the scan produces them instead of materializing the
 // whole result first, and cancelling ctx stops the scan within one
-// chunk of work.
+// chunk of work. Rows are rendered by Rows.AppendRow and reach w in
+// blocks of about TextBlockSize bytes.
 func (db *DB) WriteCSV(ctx context.Context, w io.Writer, tids ...Tid) (int64, error) {
 	sql := "SELECT Tid, TS, Value FROM DataPoint"
 	if len(tids) > 0 {
@@ -99,30 +100,21 @@ func (db *DB) WriteCSV(ctx context.Context, w io.Writer, tids ...Tid) (int64, er
 		return 0, err
 	}
 	defer rows.Close()
-	bw := bufio.NewWriter(w)
 	var n int64
-	var (
-		tid, ts int64
-		v       float64
-		buf     []byte
-	)
+	var buf []byte
 	for rows.Next() {
-		if err := rows.Scan(&tid, &ts, &v); err != nil {
-			return n, err
-		}
-		buf = strconv.AppendInt(buf[:0], tid, 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, ts, 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return n, err
-		}
+		buf = rows.AppendRow(buf, TextCSV)
 		n++
+		if len(buf) >= TextBlockSize {
+			if _, err := w.Write(buf); err != nil {
+				return n, err
+			}
+			buf = buf[:0]
+		}
 	}
 	if err := rows.Err(); err != nil {
 		return n, err
 	}
-	return n, bw.Flush()
+	_, err = w.Write(buf)
+	return n, err
 }

@@ -30,14 +30,11 @@ package httpapi
 
 import (
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -221,6 +218,10 @@ func (s *Server) handleAppend(endpoint string, w http.ResponseWriter, r *http.Re
 			return nil
 		}
 		if err := s.backend.AppendBatch(r.Context(), batch); err != nil {
+			var be *modelardb.BatchError
+			if errors.As(err, &be) {
+				appended += int64(be.Ingested)
+			}
 			return err
 		}
 		appended += int64(len(batch))
@@ -297,7 +298,8 @@ func (s *Server) handleAppend(endpoint string, w http.ResponseWriter, r *http.Re
 	if err != nil {
 		// Slices already shipped are ingested — appends over HTTP are
 		// at-least-once under mid-batch errors; the count reports how far
-		// the request got.
+		// the request got, including the points a failed slice kept
+		// (BatchError).
 		status := http.StatusBadRequest
 		if r.Context().Err() != nil {
 			status = 499 // client closed request
@@ -328,6 +330,12 @@ type queryRequest struct {
 // first streamed row cannot change the (already sent) status code; it
 // terminates the stream and is reported in-band: JSON responses carry
 // a final "error" member, CSV responses a trailing "# error:" line.
+//
+// Rows are rendered by Rows.AppendRow into one buffer that is written
+// each time it holds TextBlockSize bytes. A block is larger than the
+// connection's own buffers, so the write puts it on the socket without
+// an explicit Flush, and a failed write (the client hung up) ends the
+// render.
 func (s *Server) handleQuery(endpoint string, w http.ResponseWriter, r *http.Request) {
 	sql, err := readSQL(r)
 	if err != nil {
@@ -376,119 +384,48 @@ func wantsCSV(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "text/csv")
 }
 
-// streamJSON renders the cursor as one JSON object, row by row.
+// streamJSON renders the cursor as one JSON object, in blocks.
 func (s *Server) streamJSON(endpoint string, w http.ResponseWriter, rows *modelardb.Rows) {
 	w.Header().Set("Content-Type", "application/json")
-	flusher, _ := w.(http.Flusher)
-	var buf []byte
-	buf = append(buf, `{"columns":`...)
-	buf = appendJSONStrings(buf, rows.Columns())
+	buf := rows.AppendHeader([]byte(`{"columns":`), modelardb.TextJSON)
 	buf = append(buf, `,"rows":[`...)
-	n := 0
-	for rows.Next() {
+	for n := 0; rows.Next(); n++ {
 		if n > 0 {
 			buf = append(buf, ',')
 		}
-		buf = append(buf, '[')
-		for c, v := range rows.Row() {
-			if c > 0 {
-				buf = append(buf, ',')
+		buf = rows.AppendRow(buf, modelardb.TextJSON)
+		if len(buf) >= modelardb.TextBlockSize {
+			if _, err := w.Write(buf); err != nil {
+				return // the client is gone; Close releases the cursor
 			}
-			buf = appendJSONValue(buf, v)
-		}
-		buf = append(buf, ']')
-		n++
-		if len(buf) >= 32<<10 {
-			w.Write(buf)
 			buf = buf[:0]
-			if flusher != nil {
-				flusher.Flush()
-			}
 		}
 	}
 	buf = append(buf, ']')
 	if err := rows.Err(); err != nil {
 		s.metrics.Errors[endpoint].Inc()
 		buf = append(buf, `,"error":`...)
-		buf = appendJSONString(buf, err.Error())
+		buf = modelardb.TextJSON.AppendString(buf, err.Error())
 	}
-	buf = append(buf, '}', '\n')
-	w.Write(buf)
+	w.Write(append(buf, '}', '\n'))
 }
 
-// streamCSV renders the cursor as CSV with a header row.
+// streamCSV renders the cursor as CSV with a header row, in blocks.
 func (s *Server) streamCSV(endpoint string, w http.ResponseWriter, rows *modelardb.Rows) {
 	w.Header().Set("Content-Type", "text/csv")
-	cw := csv.NewWriter(w)
-	cols := rows.Columns()
-	cw.Write(cols)
-	record := make([]string, len(cols))
-	var cell []byte
+	buf := rows.AppendHeader(nil, modelardb.TextCSV)
 	for rows.Next() {
-		for c := range record {
-			cell = rows.AppendColumnText(cell[:0], c)
-			record[c] = string(cell)
+		buf = rows.AppendRow(buf, modelardb.TextCSV)
+		if len(buf) >= modelardb.TextBlockSize {
+			if _, err := w.Write(buf); err != nil {
+				return // the client is gone; Close releases the cursor
+			}
+			buf = buf[:0]
 		}
-		cw.Write(record)
 	}
-	cw.Flush()
 	if err := rows.Err(); err != nil {
 		s.metrics.Errors[endpoint].Inc()
-		fmt.Fprintf(w, "# error: %v\n", err)
+		buf = fmt.Appendf(buf, "# error: %v\n", err)
 	}
-}
-
-// appendJSONStrings appends a JSON array of strings.
-func appendJSONStrings(dst []byte, ss []string) []byte {
-	dst = append(dst, '[')
-	for i, s := range ss {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendJSONString(dst, s)
-	}
-	return append(dst, ']')
-}
-
-// appendJSONValue renders one result cell. Query cells are int64,
-// float64 or string (the three column types); NaN and infinities have
-// no JSON spelling and render as null, as a NULL cell does.
-func appendJSONValue(dst []byte, v any) []byte {
-	switch x := v.(type) {
-	case int64:
-		return strconv.AppendInt(dst, x, 10)
-	case float64:
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return append(dst, "null"...)
-		}
-		return strconv.AppendFloat(dst, x, 'g', -1, 64)
-	case string:
-		return appendJSONString(dst, x)
-	default:
-		return append(dst, "null"...)
-	}
-}
-
-// appendJSONString appends s as a JSON string literal.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			dst = append(dst, '\\', c)
-		case c < 0x20:
-			dst = append(dst, '\\', 'u', '0', '0', hexDigit(c>>4), hexDigit(c&0xf))
-		default:
-			dst = append(dst, c)
-		}
-	}
-	return append(dst, '"')
-}
-
-func hexDigit(n byte) byte {
-	if n < 10 {
-		return '0' + n
-	}
-	return 'a' + n - 10
+	w.Write(buf)
 }

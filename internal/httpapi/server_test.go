@@ -14,7 +14,7 @@ import (
 
 // testDB opens an in-memory database with two named series so both
 // Tid- and source-addressed ingestion paths are exercisable.
-func testDB(t *testing.T) *modelardb.DB {
+func testDB(t testing.TB) *modelardb.DB {
 	t.Helper()
 	db, err := modelardb.Open(modelardb.Config{
 		ErrorBound: modelardb.RelBound(0),

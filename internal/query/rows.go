@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
+	"unicode"
+	"unicode/utf8"
 
 	"modelardb/internal/obs"
 	"modelardb/internal/sqlparse"
@@ -281,22 +284,147 @@ func (r *Rows) Scan(dest ...any) error {
 	return nil
 }
 
-// AppendColumnText appends the current row's column c rendered as text
-// (fmt %v formatting) to dst and returns the extended slice. Servers
-// rendering rows to a text protocol use it to avoid boxing and
-// fmt.Sprint allocations per cell.
-func (r *Rows) AppendColumnText(dst []byte, c int) []byte {
+// TextFormat is a text rendering of result rows: AppendRow writes one
+// row in it and AppendHeader the column labels. Every text surface —
+// the HTTP API's CSV and JSON bodies, the line protocol and
+// DB.WriteCSV — renders through these two, so they agree byte for byte
+// on how a cell is spelled.
+type TextFormat uint8
+
+const (
+	// TextCSV is RFC 4180 as encoding/csv writes it: ',' between cells,
+	// '\n' after the row, and a string cell quoted, with '"' doubled,
+	// exactly when encoding/csv would quote it.
+	TextCSV TextFormat = iota
+	// TextTSV is the line protocol's rendering: '\t' between cells,
+	// '\n' after the row and strings written verbatim.
+	TextTSV
+	// TextJSON renders the row as a JSON array. NaN, ±Inf and NULL,
+	// which JSON cannot spell as numbers, become null.
+	TextJSON
+)
+
+// TextBlockSize is the block size text surfaces render to before they
+// write: rows are appended to one buffer, and a buffer of at least this
+// many bytes goes to the client in one write and is then reused.
+const TextBlockSize = 32 << 10
+
+// AppendRow appends the current row rendered in f to dst and returns
+// the extended slice. It reads the typed column vectors, so no cell is
+// boxed and no per-cell string is made. In CSV and TSV a NULL cell
+// renders as the zero its vector holds; in JSON it is null.
+func (r *Rows) AppendRow(dst []byte, f TextFormat) []byte {
 	if !r.onRow {
 		return dst
 	}
-	switch r.types[c] {
-	case ColInt64:
-		return strconv.AppendInt(dst, r.cur.Int64At(r.row, c), 10)
-	case ColFloat64:
-		return strconv.AppendFloat(dst, r.cur.Float64At(r.row, c), 'g', -1, 64)
-	default:
-		return append(dst, r.cur.StringAt(r.row, c)...)
+	b, row := r.cur, r.row
+	sep := byte(',')
+	switch f {
+	case TextTSV:
+		sep = '\t'
+	case TextJSON:
+		dst = append(dst, '[')
 	}
+	for c, t := range r.types {
+		if c > 0 {
+			dst = append(dst, sep)
+		}
+		switch t {
+		case ColInt64:
+			dst = strconv.AppendInt(dst, b.i64[c][row], 10)
+		case ColFloat64:
+			v := b.f64[c][row]
+			if f == TextJSON && (math.IsNaN(v) || math.IsInf(v, 0) || b.isNull(row, c)) {
+				dst = append(dst, "null"...)
+			} else {
+				dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
+			}
+		default:
+			dst = f.AppendString(dst, b.str[c][row])
+		}
+	}
+	if f == TextJSON {
+		return append(dst, ']')
+	}
+	return append(dst, '\n')
+}
+
+// AppendHeader appends the column labels rendered in f as one row of
+// string cells: a CSV or TSV header line, or a JSON array of strings.
+func (r *Rows) AppendHeader(dst []byte, f TextFormat) []byte {
+	sep := byte(',')
+	switch f {
+	case TextTSV:
+		sep = '\t'
+	case TextJSON:
+		dst = append(dst, '[')
+	}
+	for c, col := range r.cols {
+		if c > 0 {
+			dst = append(dst, sep)
+		}
+		dst = f.AppendString(dst, col)
+	}
+	if f == TextJSON {
+		return append(dst, ']')
+	}
+	return append(dst, '\n')
+}
+
+// AppendString appends s rendered as one string cell of f.
+func (f TextFormat) AppendString(dst []byte, s string) []byte {
+	switch f {
+	case TextCSV:
+		if !csvNeedsQuotes(s) {
+			return append(dst, s...)
+		}
+		dst = append(dst, '"')
+		for i := 0; i < len(s); i++ {
+			if s[i] == '"' {
+				dst = append(dst, '"')
+			}
+			dst = append(dst, s[i])
+		}
+		return append(dst, '"')
+	case TextJSON:
+		dst = append(dst, '"')
+		for i := 0; i < len(s); i++ {
+			c := s[i]
+			switch {
+			case c == '"' || c == '\\':
+				dst = append(dst, '\\', c)
+			case c < 0x20:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			default:
+				dst = append(dst, c)
+			}
+		}
+		return append(dst, '"')
+	default:
+		return append(dst, s...)
+	}
+}
+
+const hexDigits = "0123456789abcdef"
+
+// csvNeedsQuotes reports whether encoding/csv quotes field: when it
+// holds the separator, a quote, CR or LF, when it is `\.`, or when it
+// starts with a Unicode space.
+func csvNeedsQuotes(field string) bool {
+	if field == "" {
+		return false
+	}
+	if field == `\.` {
+		return true
+	}
+	for i := 0; i < len(field); i++ {
+		switch field[i] {
+		case ',', '"', '\r', '\n':
+			return true
+		}
+	}
+	r, _ := utf8.DecodeRuneInString(field)
+	return unicode.IsSpace(r)
 }
 
 // Err returns the error that terminated iteration, if any. A cursor

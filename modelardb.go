@@ -78,10 +78,21 @@ type (
 	Result = query.Result
 	// Rows is a streaming cursor over a query's result (QueryRows).
 	Rows = query.Rows
+	// TextFormat selects how Rows.AppendRow renders a row as text.
+	TextFormat = query.TextFormat
 	// Segment is the stored unit of compressed data.
 	Segment = core.Segment
 	// Schema is a validated dimension schema.
 	Schema = dims.Schema
+)
+
+// The text formats of Rows.AppendRow and Rows.AppendHeader, and the
+// block size the text surfaces write in; see query.TextFormat.
+const (
+	TextCSV       = query.TextCSV
+	TextTSV       = query.TextTSV
+	TextJSON      = query.TextJSON
+	TextBlockSize = query.TextBlockSize
 )
 
 // RelBound returns a relative (percent) error bound; 0 is lossless.
@@ -794,7 +805,9 @@ func (db *DB) AppendPoint(p DataPoint) error {
 // order (the order of the groups' first points in the batch) is
 // returned. Cancelling ctx stops each goroutine between groups and
 // returns ctx.Err(); like a failed Append, the points of groups
-// already processed remain ingested.
+// already processed remain ingested. A failed batch that kept any of
+// its points returns the first error inside a *BatchError, which
+// counts them.
 func (db *DB) AppendBatch(ctx context.Context, points []DataPoint) error {
 	return db.AppendBatchSeq(ctx, points, nil)
 }
@@ -840,16 +853,34 @@ func (db *DB) AppendBatchSeq(ctx context.Context, points []DataPoint, seqs map[G
 	db.appendLane(ctx, b, 0, seqs)
 	wg.Wait()
 	var first error
+	ingested := 0
 	for i, gid := range b.order {
 		sh := db.shards[gid]
 		sh.mu.Lock()
 		err := db.drain(sh)
 		sh.mu.Unlock()
 		first = cmp.Or(first, b.errs[i], err)
+		ingested += b.kept[i]
 	}
 	clear(b.errs)
+	clear(b.kept)
+	if first != nil && ingested > 0 {
+		return &BatchError{Ingested: ingested, Err: first}
+	}
 	return first
 }
+
+// BatchError is the error of an AppendBatch that failed after keeping
+// some of its points: Ingested of them are in the database. Its text
+// is Err's, and errors.Is and errors.As see through it to Err.
+type BatchError struct {
+	Ingested int
+	Err      error
+}
+
+func (e *BatchError) Error() string { return e.Err.Error() }
+
+func (e *BatchError) Unwrap() error { return e.Err }
 
 // batchSplit is AppendBatchSeq's partition of one batch, recycled
 // through DB.batches.
@@ -859,12 +890,14 @@ type batchSplit struct {
 	count []int
 	// order lists the batch's groups by their first point; group
 	// order[i] has the points buf[start[i]:start[i+1]], runs in lane
-	// lane[i] of nlanes and fails with errs[i].
+	// lane[i] of nlanes, fails with errs[i] and keeps kept[i] of its
+	// points.
 	order  []Gid
 	start  []int
 	lane   []int
 	nlanes int
 	errs   []error
+	kept   []int
 	buf    []DataPoint
 	// laneOf maps a lane key to its lane, or -1 before a group uses it.
 	laneOf []int
@@ -924,12 +957,13 @@ func (db *DB) partition(b *batchSplit, points []DataPoint) error {
 		b.lane = append(b.lane, b.laneOf[k])
 	}
 	b.errs = slices.Grow(b.errs[:0], len(b.order))[:len(b.order)]
+	b.kept = slices.Grow(b.kept[:0], len(b.order))[:len(b.order)]
 	return nil
 }
 
 // appendLane ingests the batch's groups of one lane, in group order,
-// recording each group's error in b.errs; a failed group does not stop
-// the lane, a cancelled ctx does.
+// recording each group's error in b.errs and the points it kept in
+// b.kept; a failed group does not stop the lane, a cancelled ctx does.
 func (db *DB) appendLane(ctx context.Context, b *batchSplit, lane int, seqs map[Gid]uint64) {
 	for i, gid := range b.order {
 		if b.lane[i] != lane {
@@ -939,23 +973,23 @@ func (db *DB) appendLane(ctx context.Context, b *batchSplit, lane int, seqs map[
 			b.errs[i] = err
 			return
 		}
-		b.errs[i] = db.appendGroup(gid, b.buf[b.start[i]:b.start[i+1]], seqs[gid])
+		b.kept[i], b.errs[i] = db.appendGroup(gid, b.buf[b.start[i]:b.start[i+1]], seqs[gid])
 	}
 }
 
 // appendGroup ingests one group's slice of a batch under its shard
 // lock. seq is the master-assigned batch sequence (0 = unsequenced).
 // The segments it fits stay in the shard's emitted list for the
-// caller to drain.
-func (db *DB) appendGroup(gid Gid, points []DataPoint, seq uint64) error {
+// caller to drain. It returns how many of the points it ingested.
+func (db *DB) appendGroup(gid Gid, points []DataPoint, seq uint64) (int, error) {
 	sh := db.shards[gid]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if db.closed.Load() {
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	if seq != 0 && seq <= sh.applied {
-		return nil // duplicate delivery: this batch was already ingested
+		return 0, nil // duplicate delivery: this batch was already ingested
 	}
 	t0 := time.Now()
 	if db.wal != nil {
@@ -964,7 +998,7 @@ func (db *DB) appendGroup(gid Gid, points []DataPoint, seq uint64) error {
 		// mirroring the early return below. The record carries seq, so
 		// the dedup mark is durable before the batch is acknowledged.
 		if _, err := db.wal.Append(gid, seq, points); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	if seq != 0 {
@@ -974,7 +1008,7 @@ func (db *DB) appendGroup(gid Gid, points []DataPoint, seq uint64) error {
 		series := db.series[p.Tid-1]
 		if err := sh.gi.Append(p.Tid, p.TS, p.Value*series.Scaling); err != nil {
 			db.ingest.Points.Add(int64(i))
-			return err
+			return i, err
 		}
 	}
 	// Batch-granularity observation: one atomic add and two clock reads
@@ -983,7 +1017,7 @@ func (db *DB) appendGroup(gid Gid, points []DataPoint, seq uint64) error {
 	db.ingest.Batches.Inc()
 	db.ingest.BatchSeconds.ObserveSince(t0)
 	db.ingest.BatchPoints.Observe(float64(len(points)))
-	return nil
+	return len(points), nil
 }
 
 // AppliedSeqs snapshots every group's dedup high-water mark — the
