@@ -30,9 +30,11 @@ BENCH_RECORD = 'Calibration|Parallel|Pruning|IngestAppend|AppendWAL|AppendBatchW
 # the master-side ORDER BY finalize of internal/query (gated on its
 # allocation counts only; its baseline ns/op is 0), the HTTP API's CSV
 # render of a 24 000-row DataPoint range (gated on allocs/op only; its
+# baseline ns/op is 0), the HTTP API's 500-point JSON append beside
+# AppendBatch of the same points (both gated on allocs/op only; their
 # baseline ns/op is 0), plus the calibration workload that normalizes
 # machine speed.
-BENCH_GATE = 'Calibration$$|IngestAppendSerial|IngestAppendBatch|IngestGroupedEP|ParallelSumDataPointView|ParallelCubeHourByTid|ScatterTCPStream|ClusterAppendTCP|AppendWALGroupCommit|FileStoreScan|FinalizeOrderBy|QueryCSV'
+BENCH_GATE = 'Calibration$$|IngestAppendSerial|IngestAppendBatch|IngestGroupedEP|ParallelSumDataPointView|ParallelCubeHourByTid|ScatterTCPStream|ClusterAppendTCP|AppendWALGroupCommit|FileStoreScan|FinalizeOrderBy|QueryCSV|HTTPAppend'
 # Packages holding the gated benchmarks.
 BENCH_GATE_PKGS = . ./internal/query ./internal/httpapi
 
@@ -165,6 +167,9 @@ crash:
 # under the same kind of allocation bound; the JSON append body, posted
 # to the handler on a fresh database, which must answer 200 or 400
 # with a point count equal to the points the database gained; the
+# same body through the hand-written append scanner, which must give
+# the points and flush flag an encoding/json reference gives, or fail
+# where it fails, whole and read one byte at a time; the
 # Gorilla value-stream
 # decoder every stored Gorilla segment goes through, checked against
 # its reference; the Gorilla
@@ -173,7 +178,7 @@ crash:
 # and line-protocol clients send it, where a clause that compiles must
 # run without error and answer the same at every worker count.
 # `go test -fuzz` accepts one target per package invocation, hence
-# eleven runs.
+# twelve runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALScanSegment$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzWALCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/wal
@@ -184,6 +189,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzRemoteWriteBody$$' -fuzztime $(FUZZTIME) ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendBody$$' -fuzztime $(FUZZTIME) ./internal/httpapi
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendDecoderMatchesJSON$$' -fuzztime $(FUZZTIME) ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzGorillaDecode$$' -fuzztime $(FUZZTIME) ./internal/models
 	$(GO) test -run '^$$' -fuzz '^FuzzGorillaBound$$' -fuzztime $(FUZZTIME) ./internal/models
 

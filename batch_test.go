@@ -170,6 +170,46 @@ func TestAppendBatchErrors(t *testing.T) {
 	}
 }
 
+// TestAppendBatchDoesNotRetainPoints: AppendBatch is done with its
+// slice when it returns (the contract the HTTP append endpoint's reused
+// batch relies on), so a caller may overwrite the slice with the next
+// batch and both batches read back.
+func TestAppendBatchDoesNotRetainPoints(t *testing.T) {
+	db, err := Open(groupsConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var want [][]any
+	batch := make([]DataPoint, 0, 200)
+	for first := 0; first < 200; first += 100 {
+		batch = batch[:0]
+		for tick := first; tick < first+100; tick++ {
+			for tid := Tid(1); tid <= 2; tid++ {
+				batch = append(batch, DataPoint{Tid: tid, TS: int64(tick) * 100, Value: float32(tick%13) * float32(tid)})
+			}
+		}
+		if err := db.AppendBatch(context.Background(), batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for tid := 1; tid <= 2; tid++ {
+		for tick := range 200 {
+			want = append(want, []any{int64(tid), int64(tick) * 100, float64(float32(tick%13) * float32(tid))})
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query(context.Background(), "SELECT Tid, TS, Value FROM DataPoint ORDER BY Tid, TS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Rows, want) {
+		t.Fatalf("read back %d rows, want %d; first %v", len(res.Rows), len(want), res.Rows[:min(3, len(res.Rows))])
+	}
+}
+
 // TestAppendBatchAfterClose: batches against a closed database fail
 // with ErrClosed.
 func TestAppendBatchAfterClose(t *testing.T) {

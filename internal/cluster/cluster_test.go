@@ -162,6 +162,47 @@ func TestLocalClusterRouting(t *testing.T) {
 	}
 }
 
+// TestClientAppendBatchDoesNotRetainPoints: Client.AppendBatch is done
+// with its slice when it returns, as httpapi.Backend requires, so a
+// caller may overwrite the slice with the next batch and both batches
+// read back.
+func TestClientAppendBatchDoesNotRetainPoints(t *testing.T) {
+	ctx := context.Background()
+	c, err := NewLocal(ctx, fleetConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var want [][]any
+	batch := make([]modelardb.DataPoint, 0, 400)
+	for first := 0; first < 200; first += 100 {
+		batch = batch[:0]
+		for tick := first; tick < first+100; tick++ {
+			for _, tid := range []modelardb.Tid{1, 3} { // two groups, on two workers
+				batch = append(batch, modelardb.DataPoint{Tid: tid, TS: int64(tick) * 1000, Value: float32(tick%13) * float32(tid)})
+			}
+		}
+		if err := c.AppendBatch(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tid := range []int64{1, 3} {
+		for tick := range 200 {
+			want = append(want, []any{tid, int64(tick) * 1000, float64(float32(tick%13) * float32(tid))})
+		}
+	}
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Query(ctx, "SELECT Tid, TS, Value FROM DataPoint WHERE Tid IN (1, 3) ORDER BY Tid, TS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(res.Rows) != fmt.Sprint(want) {
+		t.Fatalf("read back %d rows, want %d; first %v", len(res.Rows), len(want), res.Rows[:min(3, len(res.Rows))])
+	}
+}
+
 func TestLocalClusterStats(t *testing.T) {
 	c, err := NewLocal(context.Background(), fleetConfig(), 2)
 	if err != nil {

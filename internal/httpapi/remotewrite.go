@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,7 +27,9 @@ import (
 // semantics for a misconfigured metric name — without partial writes
 // from the resolution phase. Ingestion errors (an out-of-order
 // sample, say) also map to 400: retrying the same payload can never
-// succeed, and 5xx would make the sender loop on it forever.
+// succeed, and 5xx would make the sender loop on it forever. Such a 400
+// states how many of the request's points the database kept, as the
+// JSON append endpoint's does.
 // Success is 204 No Content.
 
 // tidLabel addresses a series directly by Tid, bypassing name
@@ -70,7 +73,11 @@ func (s *Server) handleRemoteWrite(endpoint string, w http.ResponseWriter, r *ht
 	}
 	if len(points) > 0 {
 		if err := s.backend.AppendBatch(r.Context(), points); err != nil {
-			s.fail(endpoint, w, http.StatusBadRequest, "append: %v", err)
+			kept := 0
+			if be := (*modelardb.BatchError)(nil); errors.As(err, &be) {
+				kept = be.Ingested
+			}
+			s.fail(endpoint, w, http.StatusBadRequest, "append failed after %d points: %v", kept, err)
 			return
 		}
 	}

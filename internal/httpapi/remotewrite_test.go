@@ -125,3 +125,29 @@ func TestRemoteWriteAtomicResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRemoteWriteStatesCount: a request whose batch is rejected
+// part-way answers 400 stating how many of its points the database
+// kept, and that count is what the database gained.
+func TestRemoteWriteStatesCount(t *testing.T) {
+	ts, db, _ := newTestServer(t, Options{})
+	// Series 1 arrives as two TimeSeries: the second one's sample is
+	// older than the first's, so series 1 keeps two of its three points;
+	// series 2 keeps its one.
+	resp, body := promWrite(t, ts.URL, []promSeries{
+		{Labels: []promLabel{{Name: "__name__", Value: "s2"}}, Samples: []promSample{{Value: 1, Timestamp: 0}}},
+		{Labels: []promLabel{{Name: "__name__", Value: "s1"}}, Samples: []promSample{{Value: 1, Timestamp: 0}, {Value: 2, Timestamp: 2000}}},
+		{Labels: []promLabel{{Name: "modelardb_tid", Value: "1"}}, Samples: []promSample{{Value: 3, Timestamp: 1000}}},
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d body %q, want 400", resp.StatusCode, body)
+	}
+	m := appendedCount.FindStringSubmatch(body)
+	if m == nil {
+		t.Fatalf("400 body %q states no count", body)
+	}
+	gained := db.Snapshot()["modelardb_ingested_points_total"]
+	if m[2] != "3" || gained != 3 {
+		t.Fatalf("body %q states %s points, the database gained %g; want 3 and 3", body, m[2], gained)
+	}
+}

@@ -50,7 +50,8 @@ type Token = modelardb.HTTPToken
 // Append/Flush to the cluster client and queries to its own engine.
 type Backend interface {
 	// AppendBatch ingests a batch of points (the /api/v1/append and
-	// remote-write mapping).
+	// remote-write mapping). It must not retain points after it
+	// returns: the append endpoint reuses the slice for its next batch.
 	AppendBatch(ctx context.Context, points []modelardb.DataPoint) error
 	// QueryRows executes SQL and returns the streaming cursor the
 	// /api/v1/query response is rendered from.
@@ -171,130 +172,23 @@ func writeJSONError(w http.ResponseWriter, status int, msg string) {
 	w.Write(append(body, '\n'))
 }
 
-// appendPoint is one data point of an append request: addressed by Tid
-// or, alternatively, by the series' configured Source name.
-type appendPoint struct {
-	Tid    int64   `json:"tid"`
-	Source string  `json:"source,omitempty"`
-	TS     int64   `json:"ts"`
-	Value  float64 `json:"value"`
-}
-
-// appendBatchSize bounds how many decoded points buffer before an
-// AppendBatch call, so a huge request body streams through bounded
-// memory instead of materializing first.
-const appendBatchSize = 8192
-
 // handleAppend implements POST /api/v1/append: a JSON body of either
 // the form {"points": [...], "flush": bool} or a bare point array,
-// decoded incrementally and ingested through AppendBatch in
+// scanned by decodeAppend and ingested through AppendBatch in
 // appendBatchSize slices.
 func (s *Server) handleAppend(endpoint string, w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	flush := r.URL.Query().Get("flush") == "1" || r.URL.Query().Get("flush") == "true"
-
-	tok, err := dec.Token()
-	if err != nil {
-		s.fail(endpoint, w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return
-	}
-	wrapped := false
-	switch d := tok.(type) {
-	case json.Delim:
-		if d == '{' {
-			wrapped = true
-		} else if d != '[' {
-			s.fail(endpoint, w, http.StatusBadRequest, "body must be a point array or an object with a points field")
-			return
-		}
-	default:
-		s.fail(endpoint, w, http.StatusBadRequest, "body must be a point array or an object with a points field")
-		return
-	}
+	f := r.URL.Query().Get("flush")
+	flush := f == "1" || f == "true"
 	var appended int64
-	batch := make([]modelardb.DataPoint, 0, appendBatchSize)
-	ship := func() error {
-		if len(batch) == 0 {
-			return nil
+	bodyFlush, err := decodeAppend(r.Body, s.backend.TidOfSource, func(batch []modelardb.DataPoint) error {
+		err := s.backend.AppendBatch(r.Context(), batch)
+		if err == nil {
+			appended += int64(len(batch))
+		} else if be := (*modelardb.BatchError)(nil); errors.As(err, &be) {
+			appended += int64(be.Ingested)
 		}
-		if err := s.backend.AppendBatch(r.Context(), batch); err != nil {
-			var be *modelardb.BatchError
-			if errors.As(err, &be) {
-				appended += int64(be.Ingested)
-			}
-			return err
-		}
-		appended += int64(len(batch))
-		batch = batch[:0]
-		return nil
-	}
-	decodePoints := func() error {
-		for dec.More() {
-			var p appendPoint
-			if err := dec.Decode(&p); err != nil {
-				return fmt.Errorf("invalid point: %w", err)
-			}
-			tid := modelardb.Tid(p.Tid)
-			if p.Tid == 0 {
-				if p.Source == "" {
-					return errors.New("point needs a tid or a source")
-				}
-				var ok bool
-				if tid, ok = s.backend.TidOfSource(p.Source); !ok {
-					return fmt.Errorf("unknown series source %q", p.Source)
-				}
-			}
-			batch = append(batch, modelardb.DataPoint{Tid: tid, TS: p.TS, Value: float32(p.Value)})
-			if len(batch) == appendBatchSize {
-				if err := ship(); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if !wrapped {
-		err = decodePoints()
-	} else {
-		err = func() error {
-			for dec.More() {
-				keyTok, err := dec.Token()
-				if err != nil {
-					return fmt.Errorf("invalid JSON: %w", err)
-				}
-				key, _ := keyTok.(string)
-				switch key {
-				case "points":
-					if tok, err := dec.Token(); err != nil {
-						return fmt.Errorf("invalid JSON: %w", err)
-					} else if d, ok := tok.(json.Delim); !ok || d != '[' {
-						return errors.New("points must be an array")
-					}
-					if err := decodePoints(); err != nil {
-						return err
-					}
-					if _, err := dec.Token(); err != nil { // closing ]
-						return fmt.Errorf("invalid JSON: %w", err)
-					}
-				case "flush":
-					var b bool
-					if err := dec.Decode(&b); err != nil {
-						return errors.New("flush must be a boolean")
-					}
-					flush = flush || b
-				default:
-					var ignored json.RawMessage
-					if err := dec.Decode(&ignored); err != nil {
-						return fmt.Errorf("invalid JSON: %w", err)
-					}
-				}
-			}
-			return nil
-		}()
-	}
-	if err == nil {
-		err = ship()
-	}
+		return err
+	})
 	if err != nil {
 		// Slices already shipped are ingested — appends over HTTP are
 		// at-least-once under mid-batch errors; the count reports how far
@@ -307,6 +201,7 @@ func (s *Server) handleAppend(endpoint string, w http.ResponseWriter, r *http.Re
 		s.fail(endpoint, w, status, "append failed after %d points: %v", appended, err)
 		return
 	}
+	flush = flush || bodyFlush
 	if flush {
 		if err := s.backend.Flush(); err != nil {
 			s.fail(endpoint, w, http.StatusInternalServerError, "flush: %v", err)
