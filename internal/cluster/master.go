@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -70,6 +71,9 @@ type Client struct {
 	// chunkBytes bounds one streamed partial-result chunk
 	// (Config.StreamChunkBytes); 0 selects the workers' default.
 	chunkBytes int64
+	// closeWait bounds how long Close waits for the sealed batches
+	// (Config.RPCTimeout, else defaultCloseWait).
+	closeWait time.Duration
 
 	// seq assigns batch sequences and queues sealed batches for the
 	// senders; open (and the aligned openGids) buffer points until
@@ -190,6 +194,10 @@ func newClient(ctx context.Context, cfg modelardb.Config, n int) (*Client, error
 		routes[i] = route{gid: gid, w: assign[gid]}
 	}
 	base, cancel := context.WithCancel(ctx)
+	closeWait := cfg.RPCTimeout
+	if closeWait <= 0 {
+		closeWait = defaultCloseWait
+	}
 	return &Client{
 		cat:        cat,
 		planner:    cat.Planner(),
@@ -198,6 +206,7 @@ func newClient(ctx context.Context, cfg modelardb.Config, n int) (*Client, error
 		base:       base,
 		cancel:     cancel,
 		chunkBytes: cfg.StreamChunkBytes,
+		closeWait:  closeWait,
 		seq:        newSequencer(n),
 		open:       make([][]core.DataPoint, n),
 		openGids:   make([][]modelardb.Gid, n),
@@ -421,9 +430,10 @@ func (c *Client) Query(ctx context.Context, sql string) (*modelardb.Result, erro
 
 // QueryWithStats parses and validates the query on the master — a
 // parse or semantic error reaches no worker — then scatters it to all
-// workers in parallel and merges their partial results chunk by chunk
-// as they arrive: the master never buffers a worker's whole reply, so
-// its peak memory per worker is one chunk plus the merged accumulator.
+// workers in parallel and decodes their partial results chunk by chunk
+// as they arrive: the master never buffers a worker's encoded reply, so
+// its memory per worker is a few frame buffers plus the decoded rows or
+// groups.
 // It also reports each worker's execution time, which the scale-out
 // experiment (Fig. 20) uses: with shuffle-free placement the cluster's
 // latency is the slowest worker's latency.
@@ -449,13 +459,16 @@ func (c *Client) QueryWithStats(ctx context.Context, sql string) (*modelardb.Res
 	}
 	ctx, cancel := mergeContexts(ctx, c.base)
 	defer cancel()
-	// One accumulator per worker, finalized in worker order: folding a
-	// worker's chunks in arrival order rebuilds exactly the partial a
+	// Every worker's chunks are kept as they arrive and finalized in
+	// worker order, each worker's in its own order: a row chunk's
+	// batch as it decoded, and a worker's aggregate chunks folded into
+	// its first (query.MergePartial). That is exactly the partial a
 	// single reply would have carried (chunks are scan-ordered row
-	// batches or group-disjoint states — see query.MergePartial), so
-	// streaming changes memory behavior, never results.
+	// batches or group-disjoint states), so streaming changes memory
+	// behavior, never results. The master owns every kept batch and
+	// releases each once the rows are boxed.
 	args := &StreamQueryArgs{SQL: sql, ChunkBytes: c.chunkBytes}
-	accs := make([]*query.PartialResult, len(c.workers))
+	parts := make([][]*query.PartialResult, len(c.workers))
 	times := make([]time.Duration, len(c.workers))
 	errs := make([]error, len(c.workers))
 	var wg sync.WaitGroup
@@ -464,30 +477,35 @@ func (c *Client) QueryWithStats(ctx context.Context, sql string) (*modelardb.Res
 		go func(i int, w worker) {
 			defer wg.Done()
 			start := time.Now()
-			acc := &query.PartialResult{}
 			errs[i] = w.partials(ctx, args, func(part *query.PartialResult) error {
 				if err := check(part); err != nil {
+					part.ReleaseBatch()
 					return &WorkerError{Method: "ExecutePartialStream", Msg: err.Error()}
 				}
-				query.MergePartial(acc, part)
+				if own := parts[i]; part.IsAggregate && len(own) > 0 {
+					query.MergePartial(own[0], part)
+				} else {
+					parts[i] = append(own, part)
+				}
 				return nil
 			})
 			times[i] = time.Since(start)
 			if errs[i] != nil {
 				cancel() // fail fast: abort the sibling workers' scans
-			} else {
-				accs[i] = acc
 			}
 		}(i, w)
 	}
 	wg.Wait()
+	all := slices.Concat(parts...)
+	defer func() {
+		for _, part := range all {
+			part.ReleaseBatch()
+		}
+	}()
 	if err := firstError(errs); err != nil {
 		return nil, nil, err
 	}
-	res, err := c.planner.Finalize(q, accs)
-	for _, acc := range accs {
-		acc.ReleaseBatch()
-	}
+	res, err := c.planner.Finalize(q, all)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -531,16 +549,66 @@ func (c *Client) Snapshot(ctx context.Context) (map[string]float64, error) {
 // are read through Snapshot.
 func (c *Client) Metrics() *obs.Registry { return c.metrics }
 
-// Close stops the senders, aborting their in-flight sends, and closes
-// every worker. Batches not yet acknowledged are dropped with the
-// client; a new client's seeding resumes above what the workers
-// applied.
+// defaultCloseWait bounds Close's wait for the sealed batches when
+// Config.RPCTimeout does not.
+const defaultCloseWait = 2 * time.Second
+
+// DroppedError is Close's report of accepted points that no worker
+// acknowledged: their batches were still queued, or in flight, when
+// the wait for them ended. A worker may hold the in-flight ones; a new
+// client's seeding resumes above whatever the workers applied.
+type DroppedError struct {
+	Points int   // accepted points in unacknowledged batches
+	Err    error // what ended the wait
+}
+
+func (e *DroppedError) Error() string {
+	return fmt.Sprintf("cluster: close dropped %d accepted points: %v", e.Points, e.Err)
+}
+
+func (e *DroppedError) Unwrap() error { return e.Err }
+
+// Close seals the points Append buffered and waits, within
+// Config.RPCTimeout (defaultCloseWait when it is 0), until every
+// worker has acknowledged every sealed batch. It then stops the
+// senders, aborting their in-flight sends, and closes every worker. If
+// the wait ended first, it returns a *DroppedError counting the points
+// of the batches left unacknowledged.
 func (c *Client) Close() error {
+	waitErr := c.drain()
 	c.cancel()
 	c.senders.Wait()
 	var first error
+	if n := c.seq.queuedPoints(); n > 0 {
+		first = &DroppedError{Points: n, Err: waitErr}
+	}
 	for _, w := range c.workers {
 		if err := w.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// drain seals every worker's open buffer and waits, within closeWait,
+// until every sealed batch is acknowledged. A worker's send error, the
+// timeout or the client's end stops the wait for that worker; drain
+// returns the first such error in worker order.
+func (c *Client) drain() error {
+	last := make([]uint64, len(c.open))
+	c.mu.Lock()
+	for w := range c.open {
+		last[w], _ = c.sealLocked(w)
+	}
+	c.mu.Unlock()
+	ctx, cancel := context.WithTimeout(c.base, c.closeWait)
+	defer cancel()
+	var first error
+	for w, n := range last {
+		if n == 0 {
+			continue
+		}
+		if err := c.seq.wait(ctx, c.base, w, n); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -170,6 +170,21 @@ func (rep *SnapshotReply) decodeWire(b []byte) error {
 	return r.End()
 }
 
+// partialBody is a chunk frame's body: one partial result, encoded
+// straight into the frame buffer. size is the length of its last
+// encoding.
+type partialBody struct {
+	part *query.PartialResult
+	size int
+}
+
+func (p *partialBody) appendWire(buf []byte) []byte {
+	n := len(buf)
+	buf = query.EncodePartial(buf, p.part)
+	p.size = len(buf) - n
+	return buf
+}
+
 // dispatch runs the call that request f opens under its per-call
 // context and returns its reply, nil for a call with an empty reply.
 // ExecutePartialStream also writes its partial result as the call's
@@ -199,20 +214,20 @@ func (s *Server) dispatch(ctx context.Context, f *frame, write func(*frame) erro
 		s.met.Streams.Add(1)
 		defer s.met.Streams.Add(-1)
 		// Chunk bodies are the typed-vector format of
-		// query.EncodePartial. One chunk frame, its body buffer included,
-		// serves the whole call: a chunk (and its pooled batch) is only
-		// valid during its emit call, so it is encoded and written before
-		// that returns, and writeFrame copies the body into its own
-		// pooled frame buffer.
-		cf := &frame{Kind: frameChunk, ID: f.ID}
-		return nil, s.w.partials(ctx, args, func(part *query.PartialResult) error {
+		// query.EncodePartial. One chunk frame serves the whole call: a
+		// chunk (and its pooled batch) is only valid during its emit
+		// call, so writeFrame encodes it straight into its pooled frame
+		// buffer and writes it before that returns.
+		body := &partialBody{}
+		cf := &frame{Kind: frameChunk, ID: f.ID, enc: body}
+		return nil, s.w.chunks(ctx, args, func(part *query.PartialResult) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			cf.Body = query.EncodePartial(cf.Body[:0], part)
-			s.met.StreamChunks.Inc()
-			s.met.StreamBytes.Add(int64(len(cf.Body)))
+			body.part = part
 			err := write(cf)
+			s.met.StreamChunks.Inc()
+			s.met.StreamBytes.Add(int64(body.size))
 			cf.Seq++
 			return err
 		})

@@ -188,3 +188,17 @@ func (s *sequencer) queued() int {
 	}
 	return n
 }
+
+// queuedPoints counts the points of every worker's sealed,
+// unacknowledged batches, in flight ones included.
+func (s *sequencer) queuedPoints() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for i := range s.lanes {
+		for _, args := range s.lanes[i].queue {
+			n += len(args.Points)
+		}
+	}
+	return n
+}

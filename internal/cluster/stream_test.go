@@ -253,9 +253,15 @@ type chunkWorker struct {
 	chunks []*query.PartialResult
 }
 
+// partials hands over a copy of each chunk, as emit owns what it gets,
+// so the chunks stay the test's own.
 func (w *chunkWorker) partials(ctx context.Context, args *StreamQueryArgs, emit func(*query.PartialResult) error) error {
 	for _, part := range w.chunks {
-		if err := emit(part); err != nil {
+		own := *part
+		if part.Batch != nil {
+			own.Batch = part.Batch.Clone()
+		}
+		if err := emit(&own); err != nil {
 			return err
 		}
 	}

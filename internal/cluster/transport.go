@@ -44,9 +44,11 @@ type frame struct {
 	// Body is the encoded arguments, reply or chunk. A read
 	// frame's Body aliases the buffer the frame was read into.
 	Body []byte
+	// buf is that buffer, for its reader to reuse once Body is decoded.
+	buf []byte
 	// enc, when set on a frame to be written, is encoded straight into
 	// the frame buffer in place of Body.
-	enc wireBody
+	enc interface{ appendWire(buf []byte) []byte }
 }
 
 // wireVersion is the frame format's version byte. It is 0x81, not 1: a
@@ -129,8 +131,14 @@ func writeFrame(w io.Writer, f *frame) error {
 	return err
 }
 
-// readFrame reads one length-prefixed frame from r.
-func readFrame(r io.Reader) (*frame, error) {
+// readFrame reads one length-prefixed frame from r into a fresh
+// buffer.
+func readFrame(r io.Reader) (*frame, error) { return readFrameInto(r, nil) }
+
+// readFrameInto reads one length-prefixed frame from r into buf's
+// storage, grown as readBody grows it; the frame's Body and buf alias
+// the bytes read.
+func readFrameInto(r io.Reader, buf []byte) (*frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -139,18 +147,26 @@ func readFrame(r io.Reader) (*frame, error) {
 	if n == 0 || n > maxFrameSize {
 		return nil, fmt.Errorf("cluster: invalid frame length %d", n)
 	}
-	b, err := readBody(r, int(n))
+	b, err := readBody(r, int(n), buf)
 	if err != nil {
 		return nil, err
 	}
-	return decodeFrame(b)
+	f, err := decodeFrame(b)
+	if err != nil {
+		return nil, err
+	}
+	f.buf = b
+	return f, nil
 }
 
-// readBody reads the n bytes of a frame, allocating at most
-// frameReadStep ahead of the bytes received: the buffer doubles only
-// once the bytes read so far fill it.
-func readBody(r io.Reader, n int) ([]byte, error) {
-	b := make([]byte, min(n, frameReadStep))
+// readBody reads the n bytes of a frame into buf's storage, allocating
+// at most frameReadStep ahead of the bytes received: a buffer too
+// small for the frame doubles only once the bytes read so far fill it.
+func readBody(r io.Reader, n int, buf []byte) ([]byte, error) {
+	b := buf[:min(n, cap(buf))]
+	if len(b) < min(n, frameReadStep) {
+		b = make([]byte, min(n, frameReadStep))
+	}
 	for off := 0; ; {
 		m, err := io.ReadFull(r, b[off:])
 		off += m
@@ -279,13 +295,43 @@ type wireConn struct {
 	mu    sync.Mutex
 	calls map[uint64]call
 	err   error // terminal connection error; nil while healthy
+
+	// free holds read buffers for reuse: the read loop reads each frame
+	// into one, and its call hands it back once it has decoded the body
+	// (release), so a stream of chunk frames reads into a few buffers
+	// instead of a new one per frame. Its capacity bounds what it
+	// retains to chunkQueue+2 buffers, one being read, a full chunk
+	// queue and one being decoded, of at most frameBufMax each.
+	free chan []byte
 }
 
 // newWireConn wraps an established connection and starts its reader.
 func newWireConn(conn net.Conn) *wireConn {
-	c := &wireConn{conn: conn, bw: bufio.NewWriter(conn), calls: map[uint64]call{}}
+	c := &wireConn{conn: conn, bw: bufio.NewWriter(conn), calls: map[uint64]call{}, free: make(chan []byte, chunkQueue+2)}
 	go c.readLoop()
 	return c
+}
+
+// readBuf returns a free read buffer, or nil for a fresh one.
+func (c *wireConn) readBuf() []byte {
+	select {
+	case b := <-c.free:
+		return b
+	default:
+		return nil
+	}
+}
+
+// release hands a read frame's buffer back for reuse once nothing
+// reads f's Body any more: every body decoder copies what it keeps.
+func (c *wireConn) release(f *frame) {
+	if cap(f.buf) > frameBufMax {
+		return
+	}
+	select {
+	case c.free <- f.buf:
+	default:
+	}
 }
 
 // write sends one frame, flushing the connection's buffered writer.
@@ -329,7 +375,7 @@ func (c *wireConn) write(ctx context.Context, f *frame) error {
 func (c *wireConn) readLoop() {
 	br := bufio.NewReader(c.conn)
 	for {
-		f, err := readFrame(br)
+		f, err := readFrameInto(br, c.readBuf())
 		if err == nil {
 			err = c.deliver(f)
 		}
@@ -340,12 +386,14 @@ func (c *wireConn) readLoop() {
 	}
 }
 
-// deliver hands one chunk or response frame to its call; a response
-// settles the call. Frames of a call that is gone are dropped. A chunk
-// for a live call that takes none is a protocol violation that fails
-// the connection (Call checks the order of the chunks it takes).
+// deliver hands one chunk or response frame to its call, which
+// releases its buffer; a response settles the call. Frames of a call
+// that is gone are dropped, their buffers released here. A chunk for a
+// live call that takes none is a protocol violation that fails the
+// connection (Call checks the order of the chunks it takes).
 func (c *wireConn) deliver(f *frame) error {
 	if f.Kind != frameChunk && f.Kind != frameResponse {
+		c.release(f)
 		return nil
 	}
 	c.mu.Lock()
@@ -356,6 +404,7 @@ func (c *wireConn) deliver(f *frame) error {
 	c.mu.Unlock()
 	switch {
 	case !ok:
+		c.release(f)
 	case f.Kind == frameResponse:
 		cl.done <- callDone{f: f}
 	case cl.chunks == nil:
@@ -367,6 +416,7 @@ func (c *wireConn) deliver(f *frame) error {
 		select {
 		case cl.chunks <- f:
 		case <-cl.quit:
+			c.release(f)
 		}
 	}
 	return nil
@@ -402,9 +452,12 @@ func (d callDone) result(method string) error {
 // onChunk makes the call take chunks: every chunk body is passed to it
 // in wire order on the caller's goroutine, all of them before the
 // response settles the call, and an error from onChunk abandons the
-// call and is returned. On cancellation Call returns ctx.Err() at once.
-// An abandoned call sends a best-effort Cancel frame so the worker
-// aborts it server-side; its late frames are dropped by the reader.
+// call and is returned. A body, the response's included, is valid only
+// until its decoder returns: its buffer then goes back to the
+// connection for the next frame. On cancellation Call returns
+// ctx.Err() at once. An abandoned call sends a best-effort Cancel
+// frame so the worker aborts it server-side; its late frames are
+// dropped by the reader.
 func (c *wireConn) Call(ctx context.Context, method string, args, reply wireBody, onChunk func(body []byte) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -427,6 +480,7 @@ func (c *wireConn) Call(ctx context.Context, method string, args, reply wireBody
 	}
 	var next uint64 // the Seq the next chunk must carry
 	take := func(f *frame) error {
+		defer c.release(f)
 		if f.Seq != next {
 			err := fmt.Errorf("%w: %s chunk %d arrived at position %d", ErrConnectionLost, method, f.Seq, next)
 			c.fail(err)
@@ -454,6 +508,7 @@ func (c *wireConn) Call(ctx context.Context, method string, args, reply wireBody
 			if err := d.result(method); err != nil {
 				return err
 			}
+			defer c.release(d.f)
 			return decodeBody(d.f.Body, reply)
 		case <-ctx.Done():
 			// Best effort, asynchronously: a wedged connection cannot

@@ -28,8 +28,10 @@ type worker interface {
 	// flush turns the worker's buffered points into stored segments.
 	flush(ctx context.Context) error
 	// partials executes args.SQL and passes its partial result to emit
-	// in scan-ordered chunks of about args.ChunkBytes; a chunk is only
-	// valid during its emit call.
+	// in scan-ordered chunks of about args.ChunkBytes. Each chunk is
+	// handed over: emit owns it, and releases its row batch, if any,
+	// with ReleaseBatch once done with the rows — also when it refuses
+	// the chunk.
 	partials(ctx context.Context, args *StreamQueryArgs, emit func(*query.PartialResult) error) error
 	// snapshot returns the worker's metrics-registry snapshot.
 	snapshot(ctx context.Context) (map[string]float64, error)
@@ -64,12 +66,28 @@ func (w *localWorker) flush(ctx context.Context) error {
 	return w.db.Flush()
 }
 
-func (w *localWorker) partials(ctx context.Context, args *StreamQueryArgs, emit func(*query.PartialResult) error) error {
+// chunks executes args.SQL and passes its partial result to emit in
+// scan-ordered chunks of about args.ChunkBytes. A chunk is lent: it is
+// valid only during its emit call, long enough for a Server to encode
+// it into a frame.
+func (w *localWorker) chunks(ctx context.Context, args *StreamQueryArgs, emit func(*query.PartialResult) error) error {
 	q, err := sqlparse.Parse(args.SQL)
 	if err != nil {
 		return err
 	}
 	return w.db.Engine().ExecutePartialChunks(ctx, q, int(args.ChunkBytes), emit)
+}
+
+// partials hands each chunk over as a remote worker's decoded chunk
+// is: a row chunk's lent batch is copied into a pooled batch, and an
+// aggregate chunk's groups are built for it alone.
+func (w *localWorker) partials(ctx context.Context, args *StreamQueryArgs, emit func(*query.PartialResult) error) error {
+	return w.chunks(ctx, args, func(part *query.PartialResult) error {
+		if part.Batch != nil {
+			part = &query.PartialResult{Columns: part.Columns, Batch: part.Batch.Clone()}
+		}
+		return emit(part)
+	})
 }
 
 func (w *localWorker) snapshot(ctx context.Context) (map[string]float64, error) {
@@ -125,15 +143,15 @@ func (w *remoteWorker) snapshot(ctx context.Context) (map[string]float64, error)
 	return reply.Snap, err
 }
 
-// partials streams the query's chunks from the worker, decoding each
-// into one reused target. Each chunk's batch comes from the query
-// package's pool; DecodePartial drops the previous one, and the
-// deferred ReleaseBatch returns only the last to the pool.
+// partials streams the query's chunks from the worker and hands each
+// over as it decodes: its batch comes from the query package's pool
+// and is emit's to release. A chunk that does not decode is released
+// here.
 func (w *remoteWorker) partials(ctx context.Context, args *StreamQueryArgs, emit func(*query.PartialResult) error) error {
-	part := &query.PartialResult{}
-	defer part.ReleaseBatch()
 	return w.call(ctx, "ExecutePartialStream", args, nil, func(body []byte) error {
+		part := &query.PartialResult{}
 		if err := query.DecodePartial(body, part); err != nil {
+			part.ReleaseBatch()
 			return err
 		}
 		return emit(part)

@@ -1,6 +1,9 @@
 package query
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // ColumnBatch is the executor's row representation: one typed vector
 // per output column instead of a [][]any of boxed cells. Every stage
@@ -202,34 +205,71 @@ func (b *ColumnBatch) ValueAt(row, col int) any {
 
 // AppendBatch appends a copy of src's rows; src must have the same
 // column layout.
-func (b *ColumnBatch) AppendBatch(src *ColumnBatch) {
-	for c, t := range b.types {
-		switch t {
-		case ColInt64:
-			b.i64[c] = append(b.i64[c], src.i64[c]...)
-		case ColFloat64:
-			b.f64[c] = append(b.f64[c], src.f64[c]...)
-		case ColString:
-			b.str[c] = append(b.str[c], src.str[c]...)
-		}
-	}
-	b.n += src.n
-	b.bytes += src.bytes
+func (b *ColumnBatch) AppendBatch(src *ColumnBatch) { b.appendRows(src, 0, src.n) }
+
+// Clone returns a copy of b in a pooled batch, for a consumer that
+// keeps rows past the call that lent it b. Its owner hands it back
+// (PartialResult.ReleaseBatch) once it is done with the rows.
+func (b *ColumnBatch) Clone() *ColumnBatch {
+	c := getBatch(b.types)
+	c.AppendBatch(b)
+	return c
 }
 
-// appendRowOf appends a copy of src's row i.
-func (b *ColumnBatch) appendRowOf(src *ColumnBatch, i int) {
+// appendRows appends a copy of src's rows lo to hi (exclusive), one
+// vector at a time; src must have the same column layout.
+func (b *ColumnBatch) appendRows(src *ColumnBatch, lo, hi int) {
 	for c, t := range b.types {
 		switch t {
 		case ColInt64:
-			b.appendInt64(c, src.i64[c][i])
+			b.i64[c] = append(b.i64[c], src.i64[c][lo:hi]...)
+			b.bytes += 8 * (hi - lo)
 		case ColFloat64:
-			b.appendFloat64(c, src.f64[c][i])
+			b.f64[c] = append(b.f64[c], src.f64[c][lo:hi]...)
+			b.bytes += 8 * (hi - lo)
 		case ColString:
-			b.appendString(c, src.str[c][i])
+			strs := src.str[c][lo:hi]
+			b.str[c] = append(b.str[c], strs...)
+			for _, s := range strs {
+				b.bytes += 16 + len(s)
+			}
 		}
 	}
-	b.n++
+	b.n += hi - lo
+}
+
+// cutRow returns where a run of src's rows from lo, appended to b,
+// brings ByteSize to limit: one past the first row whose append
+// reaches it, src.Len() if none does. It is the row at which appending
+// row by row and checking ByteSize after each would stop.
+func (b *ColumnBatch) cutRow(src *ColumnBatch, lo, limit int) int {
+	fixed, strs := 0, false
+	for _, t := range b.types {
+		if t == ColString {
+			strs = true
+		} else {
+			fixed += 8
+		}
+	}
+	size := b.bytes
+	if !strs {
+		if fixed == 0 {
+			return src.n
+		}
+		return min(src.n, lo+max(1, (limit-size+fixed-1)/fixed))
+	}
+	for r := lo; r < src.n; r++ {
+		size += fixed
+		for c, t := range b.types {
+			if t == ColString {
+				size += 16 + len(src.str[c][r])
+			}
+		}
+		if size >= limit {
+			return r + 1
+		}
+	}
+	return src.n
 }
 
 // Truncate keeps the first n rows (LIMIT on a streaming producer).
@@ -258,8 +298,20 @@ func (b *ColumnBatch) Truncate(n int) {
 // batches allocates vectors only until the pool warms up.
 var batchPool = sync.Pool{New: func() any { return &ColumnBatch{} }}
 
+// pooledGets and pooledPuts count getBatch and release calls; their
+// difference is the number of pooled batches some owner still holds
+// (PoolCounts).
+var pooledGets, pooledPuts atomic.Int64
+
+// PoolCounts returns how many batches were taken from the package pool
+// and how many were handed back. A caller that owns batches — a
+// cluster master holding decoded chunks — can check, around a query,
+// that it released every one it took.
+func PoolCounts() (gets, puts int64) { return pooledGets.Load(), pooledPuts.Load() }
+
 // getBatch returns an empty pooled batch with the given column types.
 func getBatch(types []ColType) *ColumnBatch {
+	pooledGets.Add(1)
 	b := batchPool.Get().(*ColumnBatch)
 	b.retype(types)
 	return b
@@ -274,5 +326,6 @@ func (b *ColumnBatch) release() {
 	if b == nil {
 		return
 	}
+	pooledPuts.Add(1)
 	batchPool.Put(b)
 }

@@ -177,7 +177,7 @@ func (e *Engine) Validate(q *sqlparse.Query) error {
 // the GROUP BY's length and column types, as many aggregate states as
 // q has, and row batches of q's column types. A peer's chunk decodes
 // to whatever shape its bytes spell, so a cluster master compiles once,
-// before it scatters, and checks every chunk before MergePartial folds
+// before it scatters, and checks every chunk before it keeps or folds
 // it.
 func (e *Engine) PartialChecker(q *sqlparse.Query) (func(*PartialResult) error, error) {
 	p, err := e.compile(q)

@@ -122,10 +122,10 @@ func emitGroupChunks(p *plan, part *PartialResult, maxBytes int, emit func(*Part
 func (e *Engine) runSelectChunks(ctx context.Context, p *plan, maxBytes int, emit func(*PartialResult) error) error {
 	// One reused buffer batch backs every emitted chunk: a chunk (and
 	// its Batch) is valid only for the duration of the emit call, and
-	// consumers must copy (MergePartial) or encode (the rpc stream)
-	// before returning. Every in-repo consumer does; the contract is
-	// what lets a whole stream run on this buffer plus the pooled chunk
-	// batches in flight.
+	// consumers must copy (MergePartial, ColumnBatch.Clone) or encode
+	// (the rpc stream) before returning. Every in-repo consumer does;
+	// the contract is what lets a whole stream run on this buffer plus
+	// the pooled chunk batches in flight.
 	buf := getBatch(p.colTypes)
 	defer buf.release()
 	out := &PartialResult{Columns: p.outColumns}
@@ -138,9 +138,13 @@ func (e *Engine) runSelectChunks(ctx context.Context, p *plan, maxBytes int, emi
 		buf.retype(buf.types)
 		return err
 	}
+	// add copies src a run of rows at a time, each run ending where
+	// appending row by row would flush (cutRow).
 	add := func(src *ColumnBatch) error {
-		for i := 0; i < src.Len(); i++ {
-			buf.appendRowOf(src, i)
+		for lo := 0; lo < src.Len(); {
+			hi := buf.cutRow(src, lo, maxBytes)
+			buf.appendRows(src, lo, hi)
+			lo = hi
 			if buf.ByteSize() >= maxBytes {
 				if err := flush(); err != nil {
 					return err

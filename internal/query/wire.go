@@ -139,10 +139,11 @@ func encodeBatch(dst []byte, b *ColumnBatch) []byte {
 }
 
 // DecodePartial parses one encoded chunk into part, overwriting its
-// fields. The row batch is acquired from the package pool, and part's
-// previous batch is dropped, not reused; callers that are done merging
-// should hand the batch back with ReleaseBatch. Decoded strings never
-// alias data, so the frame body is free for reuse as soon as
+// fields. The row batch is acquired from the package pool and belongs
+// to the caller, who hands it back with ReleaseBatch once done with
+// the rows — also after an error, which may leave a batch behind.
+// part's previous batch is overwritten, not released. Decoded strings
+// never alias data, so the frame body is free for reuse as soon as
 // DecodePartial returns. Anything EncodePartial would not have
 // written — trailing bytes included — is refused with
 // wire.ErrMalformed.

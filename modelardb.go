@@ -148,7 +148,9 @@ type Config struct {
 	// calls all fail with context.DeadlineExceeded when a worker does
 	// not answer in time, and the worker-side scan is cancelled. 0 means
 	// calls are bounded only by their caller's context (for Append, which
-	// a master sends in the background, the master's own).
+	// a master sends in the background, the master's own). It also
+	// bounds how long a master's Close waits for the batches it has
+	// sealed but no worker has acknowledged yet (2 s when 0).
 	RPCTimeout time.Duration
 	// RetryBudget bounds how long a cluster master keeps retrying a
 	// call whose worker connection died, reconnecting with exponential

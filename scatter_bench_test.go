@@ -19,10 +19,12 @@ import (
 
 // scatterBenchCluster starts nworkers TCP RPC servers, each backed by
 // its own DB, ingests ticks rows per series into the fleet via the
-// client (round-robin placement) and returns the connected client.
-func scatterBenchCluster(b *testing.B, nworkers, ticks int) *cluster.Client {
+// client (round-robin placement) and returns the connected client,
+// whose scatters stream chunks of chunkBytes (0: the default).
+func scatterBenchCluster(b *testing.B, nworkers, ticks int, chunkBytes int64) *cluster.Client {
 	b.Helper()
 	cfg := shardedConfig()
+	cfg.StreamChunkBytes = chunkBytes
 	ctx, cancel := context.WithCancel(context.Background())
 	b.Cleanup(cancel)
 	var addrs []string
@@ -63,16 +65,23 @@ func scatterBenchCluster(b *testing.B, nworkers, ticks int) *cluster.Client {
 
 // BenchmarkScatterTCPStream measures one scattered query per
 // iteration against two TCP workers: an aggregate whose per-worker
-// partials are small, and a full row select whose partials exceed the
-// default chunk bound and therefore stream in many frames.
+// partials are small, a full row select whose partials fit one chunk
+// of the default bound, and the same select in 16 KiB chunks, so each
+// worker streams about a dozen frames and the master reads them into
+// reused buffers.
 func BenchmarkScatterTCPStream(b *testing.B) {
 	const ticks = 2000
-	for _, bench := range []struct{ name, sql string }{
-		{"agg", "SELECT Tid, COUNT(*), SUM(Value) FROM DataPoint GROUP BY Tid ORDER BY Tid"},
-		{"rows", "SELECT Tid, TS, Value FROM DataPoint ORDER BY Tid, TS"},
+	const rowsSQL = "SELECT Tid, TS, Value FROM DataPoint ORDER BY Tid, TS"
+	for _, bench := range []struct {
+		name, sql  string
+		chunkBytes int64
+	}{
+		{"agg", "SELECT Tid, COUNT(*), SUM(Value) FROM DataPoint GROUP BY Tid ORDER BY Tid", 0},
+		{"rows", rowsSQL, 0},
+		{"rows_chunked", rowsSQL, 16 << 10},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
-			client := scatterBenchCluster(b, 2, ticks)
+			client := scatterBenchCluster(b, 2, ticks, bench.chunkBytes)
 			// One warm-up query outside the timer validates the result
 			// shape so a wrong fleet setup fails loudly, not slowly.
 			res, err := client.Query(context.Background(), bench.sql)
@@ -82,7 +91,7 @@ func BenchmarkScatterTCPStream(b *testing.B) {
 			if len(res.Rows) == 0 {
 				b.Fatal("warm-up query returned no rows")
 			}
-			if bench.name == "rows" && len(res.Rows) != ticks*benchGroups {
+			if bench.sql == rowsSQL && len(res.Rows) != ticks*benchGroups {
 				b.Fatal(fmt.Errorf("warm-up rows = %d, want %d", len(res.Rows), ticks*benchGroups))
 			}
 			b.ReportAllocs()
@@ -103,7 +112,7 @@ func BenchmarkScatterTCPStream(b *testing.B) {
 // wire and both workers spend on 4096 points.
 func BenchmarkClusterAppendTCP(b *testing.B) {
 	const points = 4096
-	client := scatterBenchCluster(b, 2, 0)
+	client := scatterBenchCluster(b, 2, 0, 0)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
