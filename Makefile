@@ -40,7 +40,7 @@ BENCH_GATE_PKGS = . ./internal/query ./internal/httpapi
 
 .PHONY: all build vet fmt-check lint vuln test race bench crash ci \
 	bench-record bench-compare fuzz obs-smoke docs-check \
-	benchmark-smoke benchmark bench-pairs
+	benchmark-smoke benchmark bench-pairs float-sweep
 
 all: build test
 
@@ -176,9 +176,12 @@ crash:
 # quantizer, whose every decoded value must be the appended one or
 # within the bound of it; and the WHERE compiler, fed SQL text as HTTP
 # and line-protocol clients send it, where a clause that compiles must
-# run without error and answer the same at every worker count.
+# run without error and answer the same at every worker count; and
+# the float text kernel every text surface spells a float cell with,
+# fed arbitrary float64 bits and their float32 rounding, which must
+# write strconv's bytes.
 # `go test -fuzz` accepts one target per package invocation, hence
-# twelve runs.
+# thirteen runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALScanSegment$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzWALCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/wal
@@ -186,11 +189,19 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePartial$$' -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileWhere$$' -fuzztime $(FUZZTIME) ./internal/query
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzRemoteWriteBody$$' -fuzztime $(FUZZTIME) ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendBody$$' -fuzztime $(FUZZTIME) ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendDecoderMatchesJSON$$' -fuzztime $(FUZZTIME) ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzGorillaDecode$$' -fuzztime $(FUZZTIME) ./internal/models
 	$(GO) test -run '^$$' -fuzz '^FuzzGorillaBound$$' -fuzztime $(FUZZTIME) ./internal/models
+
+# Exhaustive proof of the float text kernel: all 2^32 float32 patterns,
+# widened to float64, must render as strconv.AppendFloat(v, 'g', -1,
+# 64) renders them. About 6 minutes on 2 vCPUs; the nightly workflow
+# runs it.
+float-sweep:
+	$(GO) test -tags floatsweep -run '^TestAppendFloatSweep$$' -timeout 30m -v ./internal/query
 
 ci: build lint vuln race bench benchmark-smoke crash obs-smoke docs-check

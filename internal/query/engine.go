@@ -506,13 +506,13 @@ func (r *logicalRow) valueOf(ref columnRef) any {
 
 // appendGroupKey renders the GROUP BY key of a row into dst and
 // returns the extended slice: int64 in base 10, float64 in shortest
-// %g, strings raw, each NUL-terminated — the %v rendering the sorted
-// group order in finalizePlan has always used.
+// %g (appendFloat), strings raw, each NUL-terminated — the %v
+// rendering the sorted group order in finalizePlan has always used.
 func (p *plan) appendGroupKey(dst []byte, r *logicalRow) []byte {
 	for _, ref := range p.groupRefs {
 		switch colTypeOf(ref) {
 		case ColFloat64:
-			dst = strconv.AppendFloat(dst, r.value, 'g', -1, 64)
+			dst = appendFloat(dst, r.value)
 		case ColString:
 			dst = append(dst, r.stringOf(ref)...)
 		default:

@@ -311,8 +311,10 @@ const TextBlockSize = 32 << 10
 
 // AppendRow appends the current row rendered in f to dst and returns
 // the extended slice. It reads the typed column vectors, so no cell is
-// boxed and no per-cell string is made. In CSV and TSV a NULL cell
-// renders as the zero its vector holds; in JSON it is null.
+// boxed and no per-cell string is made. A float cell is spelled as
+// strconv.AppendFloat(v, 'g', -1, 64) spells it, by appendFloat. In
+// CSV and TSV a NULL cell renders as the zero its vector holds; in
+// JSON it is null.
 func (r *Rows) AppendRow(dst []byte, f TextFormat) []byte {
 	if !r.onRow {
 		return dst
@@ -337,7 +339,7 @@ func (r *Rows) AppendRow(dst []byte, f TextFormat) []byte {
 			if f == TextJSON && (math.IsNaN(v) || math.IsInf(v, 0) || b.isNull(row, c)) {
 				dst = append(dst, "null"...)
 			} else {
-				dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
+				dst = appendFloat(dst, v)
 			}
 		default:
 			dst = f.AppendString(dst, b.str[c][row])
