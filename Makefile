@@ -30,11 +30,12 @@ BENCH_RECORD = 'Calibration|Parallel|Pruning|IngestAppend|AppendWAL|AppendBatchW
 # the master-side ORDER BY finalize of internal/query (gated on its
 # allocation counts only; its baseline ns/op is 0), the HTTP API's CSV
 # render of a 24 000-row DataPoint range (gated on allocs/op only; its
-# baseline ns/op is 0), the HTTP API's 500-point JSON append beside
-# AppendBatch of the same points (both gated on allocs/op only; their
+# baseline ns/op is 0), the HTTP API's 500-point JSON append and the
+# same points as a remote-write body beside AppendBatch of them, and
+# DB.LoadCSV of 20 000 points (all gated on allocs/op only; their
 # baseline ns/op is 0), plus the calibration workload that normalizes
 # machine speed.
-BENCH_GATE = 'Calibration$$|IngestAppendSerial|IngestAppendBatch|IngestGroupedEP|ParallelSumDataPointView|ParallelCubeHourByTid|ScatterTCPStream|ClusterAppendTCP|AppendWALGroupCommit|FileStoreScan|FinalizeOrderBy|QueryCSV|HTTPAppend'
+BENCH_GATE = 'Calibration$$|IngestAppendSerial|IngestAppendBatch|IngestGroupedEP|ParallelSumDataPointView|ParallelCubeHourByTid|ScatterTCPStream|ClusterAppendTCP|AppendWALGroupCommit|FileStoreScan|FinalizeOrderBy|QueryCSV|HTTPAppend|LoadCSV'
 # Packages holding the gated benchmarks.
 BENCH_GATE_PKGS = . ./internal/query ./internal/httpapi
 

@@ -294,22 +294,12 @@ func handle(ctx context.Context, db *modelardb.DB, w *bufio.Writer, line string)
 			return
 		}
 		defer rows.Close()
-		// Rows render straight from the cursor's typed columns into one
-		// reused block. Each full block is flushed, so a disconnected
-		// client surfaces as a write error here and the deferred Close
-		// cancels the scan, instead of streaming the whole result into a
-		// dead socket.
-		buf := rows.AppendHeader(nil, modelardb.TextTSV)
-		for rows.Next() {
-			buf = rows.AppendRow(buf, modelardb.TextTSV)
-			if len(buf) >= modelardb.TextBlockSize {
-				// A failed write sticks to w, so Flush reports it.
-				w.Write(buf)
-				if err := w.Flush(); err != nil {
-					return
-				}
-				buf = buf[:0]
-			}
+		// A WriteText block is larger than w's buffer, so it reaches the
+		// connection at once: a client that hung up surfaces as a write
+		// error, and the deferred Close cancels the scan.
+		buf, _, err := rows.WriteText(w, rows.AppendHeader(nil, modelardb.TextTSV), modelardb.TextTSV)
+		if err != nil {
+			return
 		}
 		w.Write(buf)
 		if err := rows.Err(); err != nil {

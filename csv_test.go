@@ -3,8 +3,12 @@ package modelardb
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"modelardb/internal/core"
 )
 
 func csvConfig() Config {
@@ -86,6 +90,24 @@ func TestLoadCSVErrors(t *testing.T) {
 	}
 }
 
+// TestLoadCSVCountsKeptPoints: a load whose slice is rejected part-way
+// (series 1's last point is out of order) returns the points the
+// database kept, those of the failed slice included.
+func TestLoadCSVCountsKeptPoints(t *testing.T) {
+	db, err := Open(csvConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	n, err := db.LoadCSV(context.Background(), strings.NewReader("1,0,1\n2,0,2\n1,1000,3\n2,1000,4\n1,0,9\n"))
+	if !errors.Is(err, core.ErrOutOfOrder) {
+		t.Fatalf("LoadCSV error %v, want ErrOutOfOrder", err)
+	}
+	if gained := int64(db.Snapshot()["modelardb_ingested_points_total"]); n != 4 || gained != 4 {
+		t.Fatalf("LoadCSV returned %d points, the database gained %d; want 4 and 4", n, gained)
+	}
+}
+
 func TestAutoCorrelationClause(t *testing.T) {
 	cfg := Config{
 		ErrorBound: RelBound(0),
@@ -111,5 +133,35 @@ func TestAutoCorrelationClause(t *testing.T) {
 	g3, _ := db.GroupOf(3)
 	if g1 != g2 || g3 == g1 {
 		t.Fatalf("groups = %d %d %d, want 1 and 2 together, 3 apart", g1, g2, g3)
+	}
+}
+
+// BenchmarkLoadCSV loads csvConfig's two series through LoadCSV, 10 000
+// ticks per op into one in-memory database, each op's CSV rendered
+// with the timer stopped. Its allocs/op is what the CSV front door
+// costs beside the ingestion it feeds.
+func BenchmarkLoadCSV(b *testing.B) {
+	const ticks = 10000
+	db, err := Open(csvConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+	var in []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		b.StopTimer()
+		in = in[:0]
+		for t := i * ticks; t < (i+1)*ticks; t++ {
+			for tid := 1; tid <= 2; tid++ {
+				in = fmt.Appendf(in, "%d,%d,%d\n", tid, t*1000, t%50+tid)
+			}
+		}
+		b.StartTimer()
+		if n, err := db.LoadCSV(ctx, bytes.NewReader(in)); err != nil || n != 2*ticks {
+			b.Fatalf("LoadCSV loaded %d points: %v", n, err)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"modelardb"
+	"modelardb/internal/core"
 )
 
 // pointsBody renders n points of series 1, one per tick, as a bare
@@ -45,8 +46,8 @@ func TestAppendRefusesTruncatedAndTrailing(t *testing.T) {
 		{`[{"tid":1,"ts":0,"value":1}][]`, 0},
 		{`[{"tid":1,"ts":0,"value":1},`, 0},
 		{`[{"tid":1,"ts":0,"value":1}] ` + "\n", -1}, // white space is not trailing data
-		{pointsBody(appendBatchSize + 1), appendBatchSize},
-		{pointsBody(appendBatchSize+1) + "] x", appendBatchSize},
+		{pointsBody(core.ShipSize + 1), core.ShipSize},
+		{pointsBody(core.ShipSize+1) + "] x", core.ShipSize},
 	} {
 		db := testDB(t)
 		rec := httptest.NewRecorder()
@@ -185,17 +186,17 @@ func (b *countingBackend) AppendBatch(_ context.Context, points []modelardb.Data
 
 // TestAppendShipsBoundedSlices: a body of three batches' worth of
 // points reaches the backend as three AppendBatch calls of
-// appendBatchSize points each.
+// core.ShipSize points each.
 func TestAppendShipsBoundedSlices(t *testing.T) {
 	b := &countingBackend{}
 	rec := httptest.NewRecorder()
 	New(b, Options{}).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/append",
-		strings.NewReader(pointsBody(3*appendBatchSize)+"]")))
-	if want := fmt.Sprintf("{\"appended\":%d,\"flushed\":false}\n", 3*appendBatchSize); rec.Code != http.StatusOK || rec.Body.String() != want {
+		strings.NewReader(pointsBody(3*core.ShipSize)+"]")))
+	if want := fmt.Sprintf("{\"appended\":%d,\"flushed\":false}\n", 3*core.ShipSize); rec.Code != http.StatusOK || rec.Body.String() != want {
 		t.Fatalf("HTTP %d %q, want 200 %q", rec.Code, rec.Body, want)
 	}
-	if fmt.Sprint(b.batches) != fmt.Sprint([]int{appendBatchSize, appendBatchSize, appendBatchSize}) {
-		t.Fatalf("AppendBatch calls of %v points, want three of %d", b.batches, appendBatchSize)
+	if fmt.Sprint(b.batches) != fmt.Sprint([]int{core.ShipSize, core.ShipSize, core.ShipSize}) {
+		t.Fatalf("AppendBatch calls of %v points, want three of %d", b.batches, core.ShipSize)
 	}
 }
 
@@ -245,11 +246,27 @@ func renderAppendBody(pts []modelardb.DataPoint) []byte {
 	return append(b, "]}"...)
 }
 
+// renderWriteRequest renders pts as a remote-write body: a
+// snappy-compressed WriteRequest with one series per Tid, named by its
+// testDB source.
+func renderWriteRequest(pts []modelardb.DataPoint) []byte {
+	series := []promSeries{
+		{Labels: []promLabel{{Name: "__name__", Value: "s1"}}},
+		{Labels: []promLabel{{Name: "__name__", Value: "s2"}}},
+	}
+	for _, p := range pts {
+		s := &series[p.Tid-1]
+		s.Samples = append(s.Samples, promSample{Value: float64(p.Value), Timestamp: p.TS})
+	}
+	return snappyEncode(encodeWriteRequest(series))
+}
+
 // BenchmarkHTTPAppend posts 500-point bodies through the handler
-// (handler) and appends the same points with DB.AppendBatch
-// (AppendBatch), each on its own in-memory database, so the two rows'
-// allocs/op differ by what the HTTP front door costs. Bodies are built
-// with the timer stopped, benchBodies at a time.
+// (handler), posts the same points as remote-write bodies
+// (remote_write) and appends them with DB.AppendBatch (AppendBatch),
+// each on its own in-memory database, so the rows' allocs/op differ by
+// what each HTTP front door costs. Bodies are built with the timer
+// stopped, benchBodies at a time.
 func BenchmarkHTTPAppend(b *testing.B) {
 	const benchBodies = 64
 	b.Run("handler", func(b *testing.B) {
@@ -269,6 +286,27 @@ func BenchmarkHTTPAppend(b *testing.B) {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/append", bytes.NewReader(bodies[i%benchBodies])))
 			if rec.Code != http.StatusOK {
+				b.Fatalf("HTTP %d: %s", rec.Code, rec.Body)
+			}
+		}
+	})
+	b.Run("remote_write", func(b *testing.B) {
+		h := New(testDB(b), Options{}).Handler()
+		stream := benchStream{rng: rand.New(rand.NewPCG(1, 2))}
+		var bodies [benchBodies][]byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := range b.N {
+			if i%benchBodies == 0 {
+				b.StopTimer()
+				for j := range bodies {
+					bodies[j] = renderWriteRequest(stream.next(benchTicks))
+				}
+				b.StartTimer()
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/prom/write", bytes.NewReader(bodies[i%benchBodies])))
+			if rec.Code != http.StatusNoContent {
 				b.Fatalf("HTTP %d: %s", rec.Code, rec.Body)
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"unicode/utf8"
 
 	"modelardb"
+	"modelardb/internal/core"
 )
 
 // The /api/v1/append body is scanned by hand instead of by
@@ -25,10 +26,6 @@ import (
 // the OR of the "flush" members.
 
 const (
-	// appendBatchSize bounds how many decoded points buffer before an
-	// AppendBatch call, so a huge request body streams through bounded
-	// memory instead of materializing first.
-	appendBatchSize = 8192
 	// appendReadSize is the decoder's read buffer. A single string or
 	// number longer than it grows the buffer for that request.
 	appendReadSize = 16 << 10
@@ -70,25 +67,13 @@ type appendDecoder struct {
 	// its Tid.
 	key, source, last []byte
 	lastTid           modelardb.Tid
-	batch             []modelardb.DataPoint
+	ship              core.Shipper
 	resolve           func(string) (modelardb.Tid, bool)
-	ship              func([]modelardb.DataPoint) error
 }
 
 var appendDecoders = sync.Pool{New: func() any {
-	return &appendDecoder{buf: make([]byte, appendReadSize), batch: make([]modelardb.DataPoint, 0, appendBatchSize)}
+	return &appendDecoder{buf: make([]byte, appendReadSize)}
 }}
-
-// decodeAppend scans the append body r. It resolves a point's source
-// through resolve and calls ship with the points in order, at most
-// appendBatchSize at a time, each call's slice reused by the next; it
-// returns the body's flush flag. On an error the points not yet
-// shipped are dropped.
-func decodeAppend(r io.Reader, resolve func(string) (modelardb.Tid, bool), ship func([]modelardb.DataPoint) error) (flush bool, err error) {
-	d := appendDecoders.Get().(*appendDecoder)
-	defer d.release()
-	return d.decode(r, resolve, ship)
-}
 
 // release clears the decoder and returns it to the pool, unless a
 // pathological token grew one of its buffers.
@@ -96,12 +81,16 @@ func (d *appendDecoder) release() {
 	if len(d.buf) > appendReadSize || cap(d.key) > appendReadSize || cap(d.source) > appendReadSize {
 		return
 	}
-	*d = appendDecoder{buf: d.buf, key: d.key[:0], source: d.source[:0], last: d.last[:0], batch: d.batch[:0]}
+	d.ship.Reset()
+	*d = appendDecoder{buf: d.buf, key: d.key[:0], source: d.source[:0], last: d.last[:0], ship: d.ship}
 	appendDecoders.Put(d)
 }
 
-func (d *appendDecoder) decode(r io.Reader, resolve func(string) (modelardb.Tid, bool), ship func([]modelardb.DataPoint) error) (flush bool, err error) {
-	d.r, d.resolve, d.ship = r, resolve, ship
+// decode scans the append body r, resolving a point's source through
+// resolve, and ships the points in order to sink through d.ship, which
+// counts the points kept. It returns the body's flush flag.
+func (d *appendDecoder) decode(r io.Reader, resolve func(string) (modelardb.Tid, bool), sink func([]modelardb.DataPoint) error) (flush bool, err error) {
+	d.r, d.resolve, d.ship.Sink = r, resolve, sink
 	c, err := d.want()
 	if err != nil {
 		return false, err
@@ -143,12 +132,7 @@ func (d *appendDecoder) decode(r io.Reader, resolve func(string) (modelardb.Tid,
 		}
 		return false, err
 	}
-	if len(d.batch) > 0 {
-		if err := d.ship(d.batch); err != nil {
-			return false, err
-		}
-	}
-	return flush, nil
+	return flush, d.ship.Flush()
 }
 
 // The members of the top-level object that are not skipped.
@@ -184,22 +168,14 @@ func pointField(key []byte) int {
 }
 
 // points scans a point array, whose [ has been read and which is
-// container number depth of the body, into d.batch, shipping every
-// full batch.
+// container number depth of the body, into d.ship.
 func (d *appendDecoder) points(depth int) error {
 	return d.array(func(c byte) error {
 		p, err := d.point(c, depth+1)
 		if err != nil {
 			return err
 		}
-		d.batch = append(d.batch, p)
-		if len(d.batch) == appendBatchSize {
-			if err := d.ship(d.batch); err != nil {
-				return err
-			}
-			d.batch = d.batch[:0]
-		}
-		return nil
+		return d.ship.Add(p)
 	})
 }
 

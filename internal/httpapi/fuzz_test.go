@@ -16,6 +16,7 @@ import (
 	"testing/iotest"
 
 	"modelardb"
+	"modelardb/internal/core"
 )
 
 // FuzzRemoteWriteBody feeds arbitrary bytes through the remote-write
@@ -25,7 +26,10 @@ import (
 // most a small multiple of its own input plus a constant: snappy's
 // declared length is only a claim, and the decoded bytes a legitimate
 // block produces are at most about 21 times its input (a 3-byte copy
-// element yields 64 bytes).
+// element yields 64 bytes). The bytes are then posted to
+// /api/v1/prom/write on a fresh in-memory database, which must answer
+// 204, having gained every sample of the request, or 400, stating the
+// points the database gained (zero when the reply states no count).
 func FuzzRemoteWriteBody(f *testing.F) {
 	proto := encodeWriteRequest(sampleSeries())
 	f.Add(snappyEncode(proto))
@@ -35,6 +39,13 @@ func FuzzRemoteWriteBody(f *testing.F) {
 	}
 	f.Add(hostileSnappyBody())
 	f.Add([]byte{})
+	// Series 1's last sample is older than its first two: the request
+	// is rejected part-way, keeping three points.
+	f.Add(snappyEncode(encodeWriteRequest([]promSeries{
+		{Labels: []promLabel{{Name: "__name__", Value: "s2"}}, Samples: []promSample{{Value: 1, Timestamp: 0}}},
+		{Labels: []promLabel{{Name: "__name__", Value: "s1"}}, Samples: []promSample{{Value: 1, Timestamp: 0}, {Value: 2, Timestamp: 2000}}},
+		{Labels: []promLabel{{Name: "modelardb_tid", Value: "1"}}, Samples: []promSample{{Value: 3, Timestamp: 1000}}},
+	})))
 	// bounded reports whether decode allocated at most 256 bytes per
 	// input byte plus 64 KiB.
 	bounded := func(in []byte, decode func()) bool {
@@ -56,6 +67,40 @@ func FuzzRemoteWriteBody(f *testing.F) {
 			if !bounded(in, func() { decodeWriteRequest(in) }) {
 				t.Fatalf("decodeWriteRequest of %d bytes allocated too much", len(in))
 			}
+		}
+
+		db := testDB(t)
+		rec := httptest.NewRecorder()
+		New(db, Options{}).Handler().ServeHTTP(rec,
+			httptest.NewRequest(http.MethodPost, "/api/v1/prom/write", bytes.NewReader(data)))
+		gained := int64(db.Snapshot()["modelardb_ingested_points_total"])
+		switch rec.Code {
+		case http.StatusNoContent:
+			series, err := decodeWriteRequest(raw)
+			if err != nil {
+				t.Fatalf("204 for a body that does not decode: %v", err)
+			}
+			samples := int64(0)
+			for _, s := range series {
+				samples += int64(len(s.Samples))
+			}
+			if gained != samples {
+				t.Fatalf("204 for %d samples, the database gained %d", samples, gained)
+			}
+		case http.StatusBadRequest:
+			var e struct{ Error string }
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+				t.Fatalf("400 reply %q is not a JSON error: %v", rec.Body, err)
+			}
+			stated := int64(0)
+			if m := appendedCount.FindStringSubmatch(e.Error); m != nil {
+				stated, _ = strconv.ParseInt(m[1]+m[2], 10, 64)
+			}
+			if gained != stated {
+				t.Fatalf("reply %q states %d points, the database gained %d", e.Error, stated, gained)
+			}
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	})
 }
@@ -213,14 +258,22 @@ func hashSources(source string) (modelardb.Tid, bool) {
 	return modelardb.Tid(sum%1000 + 1), sum%8 != 0
 }
 
+// decodeAppend scans the append body r through a pooled decoder, as
+// the handler does, shipping its points to ship.
+func decodeAppend(r io.Reader, resolve func(string) (modelardb.Tid, bool), ship func([]modelardb.DataPoint) error) (flush bool, err error) {
+	d := appendDecoders.Get().(*appendDecoder)
+	defer d.release()
+	return d.decode(r, resolve, ship)
+}
+
 // scanAppend decodes the body r with the scanner, through d or, when d
 // is nil, through a pooled decoder, and collects the points it ships.
 // Sources resolve through resolve.
 func scanAppend(d *appendDecoder, r io.Reader, resolve func(string) (modelardb.Tid, bool)) ([]modelardb.DataPoint, bool, error) {
 	var got []modelardb.DataPoint
 	ship := func(batch []modelardb.DataPoint) error {
-		if len(batch) > appendBatchSize {
-			return errors.New("batch over appendBatchSize")
+		if len(batch) > core.ShipSize {
+			return errors.New("batch over core.ShipSize")
 		}
 		got = append(got, batch...)
 		return nil

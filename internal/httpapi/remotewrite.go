@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -9,6 +8,7 @@ import (
 	"strconv"
 
 	"modelardb"
+	"modelardb/internal/core"
 )
 
 // Remote-write ingestion: POST /api/v1/prom/write accepts the
@@ -25,11 +25,12 @@ import (
 // ingested, so an unresolvable series rejects the request with 400 —
 // which remote-write senders treat as non-retryable, the right
 // semantics for a misconfigured metric name — without partial writes
-// from the resolution phase. Ingestion errors (an out-of-order
-// sample, say) also map to 400: retrying the same payload can never
-// succeed, and 5xx would make the sender loop on it forever. Such a 400
-// states how many of the request's points the database kept, as the
-// JSON append endpoint's does.
+// from the resolution phase. The points then ship through AppendBatch
+// in core.ShipSize slices. Ingestion errors (an out-of-order sample,
+// say) also map to 400: retrying the same payload can never succeed,
+// and 5xx would make the sender loop on it forever. Such a 400 states
+// how many of the request's points the database kept, earlier slices
+// included, as the JSON append endpoint's does.
 // Success is 204 No Content.
 
 // tidLabel addresses a series directly by Tid, bypassing name
@@ -54,10 +55,9 @@ func (s *Server) handleRemoteWrite(endpoint string, w http.ResponseWriter, r *ht
 		s.fail(endpoint, w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var points []modelardb.DataPoint
+	tids := make([]modelardb.Tid, len(series))
 	for i := range series {
-		tid, err := s.resolveSeries(&series[i])
-		if err != nil {
+		if tids[i], err = s.resolveSeries(&series[i]); err != nil {
 			s.fail(endpoint, w, http.StatusBadRequest, "%v", err)
 			return
 		}
@@ -67,19 +67,23 @@ func (s *Server) handleRemoteWrite(endpoint string, w http.ResponseWriter, r *ht
 		// samples before appending.
 		samples := series[i].Samples
 		sort.SliceStable(samples, func(a, b int) bool { return samples[a].Timestamp < samples[b].Timestamp })
-		for _, sm := range samples {
-			points = append(points, modelardb.DataPoint{Tid: tid, TS: sm.Timestamp, Value: float32(sm.Value)})
+	}
+	ship := core.Shipper{Sink: func(batch []modelardb.DataPoint) error {
+		return s.backend.AppendBatch(r.Context(), batch)
+	}}
+	for i := 0; i < len(series) && err == nil; i++ {
+		for _, sm := range series[i].Samples {
+			if err = ship.Add(modelardb.DataPoint{Tid: tids[i], TS: sm.Timestamp, Value: float32(sm.Value)}); err != nil {
+				break
+			}
 		}
 	}
-	if len(points) > 0 {
-		if err := s.backend.AppendBatch(r.Context(), points); err != nil {
-			kept := 0
-			if be := (*modelardb.BatchError)(nil); errors.As(err, &be) {
-				kept = be.Ingested
-			}
-			s.fail(endpoint, w, http.StatusBadRequest, "append failed after %d points: %v", kept, err)
-			return
-		}
+	if err == nil {
+		err = ship.Flush()
+	}
+	if err != nil {
+		s.fail(endpoint, w, http.StatusBadRequest, "append failed after %d points: %v", ship.Kept, err)
+		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }

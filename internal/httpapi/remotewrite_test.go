@@ -1,9 +1,14 @@
 package httpapi
 
 import (
+	"bytes"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"modelardb/internal/core"
 )
 
 // promWrite posts an encoded, snappy-compressed WriteRequest.
@@ -149,5 +154,42 @@ func TestRemoteWriteStatesCount(t *testing.T) {
 	gained := db.Snapshot()["modelardb_ingested_points_total"]
 	if m[2] != "3" || gained != 3 {
 		t.Fatalf("body %q states %s points, the database gained %g; want 3 and 3", body, m[2], gained)
+	}
+}
+
+// TestRemoteWriteShipsInSlices: a request of 2×core.ShipSize+1 samples
+// reaches the backend in slices of at most core.ShipSize, and a sample
+// rejected in the last slice answers 400 stating the points of the
+// earlier slices, which is what the database gained.
+func TestRemoteWriteShipsInSlices(t *testing.T) {
+	samples := make([]promSample, 2*core.ShipSize)
+	for i := range samples {
+		samples[i] = promSample{Value: float64(i % 10), Timestamp: int64(i) * 1000}
+	}
+	tid1 := []promLabel{{Name: "modelardb_tid", Value: "1"}}
+	write := func(b Backend, series []promSeries) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		New(b, Options{}).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/prom/write",
+			bytes.NewReader(snappyEncode(encodeWriteRequest(series)))))
+		return rec
+	}
+
+	b := &countingBackend{}
+	rec := write(b, []promSeries{{Labels: tid1, Samples: append(samples, promSample{Timestamp: int64(len(samples)) * 1000})}})
+	if rec.Code != http.StatusNoContent {
+		t.Fatalf("HTTP %d %q, want 204", rec.Code, rec.Body)
+	}
+	if want := fmt.Sprint([]int{core.ShipSize, core.ShipSize, 1}); fmt.Sprint(b.batches) != want {
+		t.Fatalf("AppendBatch calls of %v points, want %s", b.batches, want)
+	}
+
+	// The last slice holds one sample of series 1 that is older than the
+	// series' first two slices.
+	db := testDB(t)
+	rec = write(db, []promSeries{{Labels: tid1, Samples: samples}, {Labels: tid1, Samples: []promSample{{Value: 1, Timestamp: 0}}}})
+	want := fmt.Sprintf("append failed after %d points", 2*core.ShipSize)
+	gained := int(db.Snapshot()["modelardb_ingested_points_total"])
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) || gained != 2*core.ShipSize {
+		t.Fatalf("HTTP %d %q, %d points ingested; want 400 stating %q", rec.Code, rec.Body, gained, want)
 	}
 }

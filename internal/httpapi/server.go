@@ -174,31 +174,25 @@ func writeJSONError(w http.ResponseWriter, status int, msg string) {
 
 // handleAppend implements POST /api/v1/append: a JSON body of either
 // the form {"points": [...], "flush": bool} or a bare point array,
-// scanned by decodeAppend and ingested through AppendBatch in
-// appendBatchSize slices.
+// scanned by an appendDecoder and ingested through AppendBatch in
+// core.ShipSize slices.
 func (s *Server) handleAppend(endpoint string, w http.ResponseWriter, r *http.Request) {
 	f := r.URL.Query().Get("flush")
 	flush := f == "1" || f == "true"
-	var appended int64
-	bodyFlush, err := decodeAppend(r.Body, s.backend.TidOfSource, func(batch []modelardb.DataPoint) error {
-		err := s.backend.AppendBatch(r.Context(), batch)
-		if err == nil {
-			appended += int64(len(batch))
-		} else if be := (*modelardb.BatchError)(nil); errors.As(err, &be) {
-			appended += int64(be.Ingested)
-		}
-		return err
+	d := appendDecoders.Get().(*appendDecoder)
+	defer d.release()
+	bodyFlush, err := d.decode(r.Body, s.backend.TidOfSource, func(batch []modelardb.DataPoint) error {
+		return s.backend.AppendBatch(r.Context(), batch)
 	})
 	if err != nil {
 		// Slices already shipped are ingested — appends over HTTP are
 		// at-least-once under mid-batch errors; the count reports how far
-		// the request got, including the points a failed slice kept
-		// (BatchError).
+		// the request got, including the points a failed slice kept.
 		status := http.StatusBadRequest
 		if r.Context().Err() != nil {
 			status = 499 // client closed request
 		}
-		s.fail(endpoint, w, status, "append failed after %d points: %v", appended, err)
+		s.fail(endpoint, w, status, "append failed after %d points: %v", d.ship.Kept, err)
 		return
 	}
 	flush = flush || bodyFlush
@@ -209,7 +203,7 @@ func (s *Server) handleAppend(endpoint string, w http.ResponseWriter, r *http.Re
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\"appended\":%d,\"flushed\":%v}\n", appended, flush)
+	fmt.Fprintf(w, "{\"appended\":%d,\"flushed\":%v}\n", d.ship.Kept, flush)
 }
 
 // queryRequest is the /api/v1/query body when sent as JSON; a
@@ -225,12 +219,8 @@ type queryRequest struct {
 // first streamed row cannot change the (already sent) status code; it
 // terminates the stream and is reported in-band: JSON responses carry
 // a final "error" member, CSV responses a trailing "# error:" line.
-//
-// Rows are rendered by Rows.AppendRow into one buffer that is written
-// each time it holds TextBlockSize bytes. A block is larger than the
-// connection's own buffers, so the write puts it on the socket without
-// an explicit Flush, and a failed write (the client hung up) ends the
-// render.
+// Rows reach the client in Rows.WriteText's blocks, and a failed write
+// (the client hung up) ends the render.
 func (s *Server) handleQuery(endpoint string, w http.ResponseWriter, r *http.Request) {
 	sql, err := readSQL(r)
 	if err != nil {
@@ -283,18 +273,9 @@ func wantsCSV(r *http.Request) bool {
 func (s *Server) streamJSON(endpoint string, w http.ResponseWriter, rows *modelardb.Rows) {
 	w.Header().Set("Content-Type", "application/json")
 	buf := rows.AppendHeader([]byte(`{"columns":`), modelardb.TextJSON)
-	buf = append(buf, `,"rows":[`...)
-	for n := 0; rows.Next(); n++ {
-		if n > 0 {
-			buf = append(buf, ',')
-		}
-		buf = rows.AppendRow(buf, modelardb.TextJSON)
-		if len(buf) >= modelardb.TextBlockSize {
-			if _, err := w.Write(buf); err != nil {
-				return // the client is gone; Close releases the cursor
-			}
-			buf = buf[:0]
-		}
+	buf, _, err := rows.WriteText(w, append(buf, `,"rows":[`...), modelardb.TextJSON)
+	if err != nil {
+		return // the client is gone; Close releases the cursor
 	}
 	buf = append(buf, ']')
 	if err := rows.Err(); err != nil {
@@ -308,15 +289,9 @@ func (s *Server) streamJSON(endpoint string, w http.ResponseWriter, rows *modela
 // streamCSV renders the cursor as CSV with a header row, in blocks.
 func (s *Server) streamCSV(endpoint string, w http.ResponseWriter, rows *modelardb.Rows) {
 	w.Header().Set("Content-Type", "text/csv")
-	buf := rows.AppendHeader(nil, modelardb.TextCSV)
-	for rows.Next() {
-		buf = rows.AppendRow(buf, modelardb.TextCSV)
-		if len(buf) >= modelardb.TextBlockSize {
-			if _, err := w.Write(buf); err != nil {
-				return // the client is gone; Close releases the cursor
-			}
-			buf = buf[:0]
-		}
+	buf, _, err := rows.WriteText(w, rows.AppendHeader(nil, modelardb.TextCSV), modelardb.TextCSV)
+	if err != nil {
+		return // the client is gone; Close releases the cursor
 	}
 	if err := rows.Err(); err != nil {
 		s.metrics.Errors[endpoint].Inc()

@@ -65,10 +65,8 @@ func (g *group) absorb(o *group) {
 // Series with different sampling intervals are never grouped
 // (Definition 8).
 func (p *Partitioner) Group(series []*core.TimeSeries) ([][]core.Tid, error) {
-	for _, ts := range series {
-		if err := p.schema.Validate(ts.Members); err != nil {
-			return nil, fmt.Errorf("partition: series %d: %w", ts.Tid, err)
-		}
+	if err := p.validate(series); err != nil {
+		return nil, err
 	}
 	if p.allBucketable() {
 		// Member/LCA-only clauses define an equality relation, so the
@@ -76,48 +74,33 @@ func (p *Partitioner) Group(series []*core.TimeSeries) ([][]core.Tid, error) {
 		// equivalent by TestBucketedMatchesFixpoint).
 		return p.groupBucketed(series), nil
 	}
-	groups := make([]*group, 0, len(series))
-	for _, ts := range series {
-		groups = append(groups, newGroup(ts, p.schema))
-	}
-	// Fixpoint iteration over pairs (Algorithm 1 lines 7-15).
-	for modified := true; modified; {
-		modified = false
-		for i := 0; i < len(groups); i++ {
-			for j := i + 1; j < len(groups); j++ {
-				if !p.correlated(groups[i], groups[j]) {
-					continue
-				}
-				groups[i].absorb(groups[j])
-				groups = append(groups[:j], groups[j+1:]...)
-				modified = true
-				j--
-			}
-		}
-	}
-	out := make([][]core.Tid, 0, len(groups))
-	for _, g := range groups {
-		tids := make([]core.Tid, 0, len(g.series))
-		for _, ts := range g.series {
-			tids = append(tids, ts.Tid)
-		}
-		out = append(out, sortTids(tids))
-	}
-	return sortGroups(out), nil
+	return p.fixpoint(series), nil
 }
 
 // GroupFixpoint always uses Algorithm 1's pairwise fixpoint, exposed
 // so tests can prove the bucketed fast path equivalent.
 func (p *Partitioner) GroupFixpoint(series []*core.TimeSeries) ([][]core.Tid, error) {
-	saved := p.clauses
-	defer func() { p.clauses = saved }()
-	// Force the slow path by running with the same clauses through the
-	// generic machinery.
-	groups := make([]*group, 0, len(series))
+	if err := p.validate(series); err != nil {
+		return nil, err
+	}
+	return p.fixpoint(series), nil
+}
+
+// validate checks every series' members against the schema.
+func (p *Partitioner) validate(series []*core.TimeSeries) error {
 	for _, ts := range series {
 		if err := p.schema.Validate(ts.Members); err != nil {
-			return nil, fmt.Errorf("partition: series %d: %w", ts.Tid, err)
+			return fmt.Errorf("partition: series %d: %w", ts.Tid, err)
 		}
+	}
+	return nil
+}
+
+// fixpoint is Algorithm 1: starting from singleton groups, it merges
+// pairs of correlated groups until no pair is left (lines 7-15).
+func (p *Partitioner) fixpoint(series []*core.TimeSeries) [][]core.Tid {
+	groups := make([]*group, 0, len(series))
+	for _, ts := range series {
 		groups = append(groups, newGroup(ts, p.schema))
 	}
 	for modified := true; modified; {
@@ -142,7 +125,7 @@ func (p *Partitioner) GroupFixpoint(series []*core.TimeSeries) ([][]core.Tid, er
 		}
 		out = append(out, sortTids(tids))
 	}
-	return sortGroups(out), nil
+	return sortGroups(out)
 }
 
 func sortTids(tids []core.Tid) []core.Tid {

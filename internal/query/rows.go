@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"unicode"
@@ -287,8 +288,8 @@ func (r *Rows) Scan(dest ...any) error {
 // TextFormat is a text rendering of result rows: AppendRow writes one
 // row in it and AppendHeader the column labels. Every text surface —
 // the HTTP API's CSV and JSON bodies, the line protocol and
-// DB.WriteCSV — renders through these two, so they agree byte for byte
-// on how a cell is spelled.
+// DB.WriteCSV — writes its header with AppendHeader and its rows with
+// WriteText, so they agree byte for byte on how a cell is spelled.
 type TextFormat uint8
 
 const (
@@ -304,10 +305,35 @@ const (
 	TextJSON
 )
 
-// TextBlockSize is the block size text surfaces render to before they
-// write: rows are appended to one buffer, and a buffer of at least this
-// many bytes goes to the client in one write and is then reused.
-const TextBlockSize = 32 << 10
+// textBlockSize is the size of WriteText's blocks. A block is larger
+// than an HTTP connection's own buffers, so writing it puts it on the
+// socket without an explicit Flush.
+const textBlockSize = 32 << 10
+
+// WriteText renders the remaining rows in f after the caller's prefix
+// dst, JSON rows separated by ',', and writes the buffer to w, then
+// reuses it, each time it holds textBlockSize bytes. It returns the unwritten tail, for
+// the caller to finish with its trailer, and the rows rendered. A
+// failed write ends the render and is returned, so a client that hangs
+// up stops it even when the cursor is finalized and never looks at its
+// context again; the caller's Close releases the cursor. A query error
+// also ends it, and is left to Err.
+func (r *Rows) WriteText(w io.Writer, dst []byte, f TextFormat) (tail []byte, n int64, err error) {
+	for r.Next() {
+		if f == TextJSON && n > 0 {
+			dst = append(dst, ',')
+		}
+		dst = r.AppendRow(dst, f)
+		n++
+		if len(dst) >= textBlockSize {
+			if _, err := w.Write(dst); err != nil {
+				return nil, n, err
+			}
+			dst = dst[:0]
+		}
+	}
+	return dst, n, nil
+}
 
 // AppendRow appends the current row rendered in f to dst and returns
 // the extended slice. It reads the typed column vectors, so no cell is

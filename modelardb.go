@@ -62,6 +62,8 @@ type (
 	Gid = core.Gid
 	// DataPoint is one timestamped value of one series.
 	DataPoint = core.DataPoint
+	// BatchError is the error of a partly kept AppendBatch.
+	BatchError = core.BatchError
 	// Dimension declares one hierarchy of a dimension schema.
 	Dimension = dims.Dimension
 	// ErrorBound bounds the reconstruction error of stored values.
@@ -86,13 +88,12 @@ type (
 	Schema = dims.Schema
 )
 
-// The text formats of Rows.AppendRow and Rows.AppendHeader, and the
-// block size the text surfaces write in; see query.TextFormat.
+// The text formats of Rows.AppendRow, Rows.AppendHeader and
+// Rows.WriteText; see query.TextFormat.
 const (
-	TextCSV       = query.TextCSV
-	TextTSV       = query.TextTSV
-	TextJSON      = query.TextJSON
-	TextBlockSize = query.TextBlockSize
+	TextCSV  = query.TextCSV
+	TextTSV  = query.TextTSV
+	TextJSON = query.TextJSON
 )
 
 // RelBound returns a relative (percent) error bound; 0 is lossless.
@@ -871,18 +872,6 @@ func (db *DB) AppendBatchSeq(ctx context.Context, points []DataPoint, seqs map[G
 	}
 	return first
 }
-
-// BatchError is the error of an AppendBatch that failed after keeping
-// some of its points: Ingested of them are in the database. Its text
-// is Err's, and errors.Is and errors.As see through it to Err.
-type BatchError struct {
-	Ingested int
-	Err      error
-}
-
-func (e *BatchError) Error() string { return e.Err.Error() }
-
-func (e *BatchError) Unwrap() error { return e.Err }
 
 // batchSplit is AppendBatchSeq's partition of one batch, recycled
 // through DB.batches.
