@@ -42,16 +42,18 @@ const footprintSetup = "In-memory store after Flush, DefaultConfig (LengthLimit 
 	"EP: tsgen 12 entities x 4 measures x 4000 ticks, seed 42, gap rate 0.0005; grouped = the clauses " +
 	"'Production 0, Measure 1 Production' and 'Production 0, Measure 1 Temperature'. EH: tsgen 16 series x 10000 ticks, seed 43, gap rate " +
 	"0.0005; grouped = the lowest-distance clause 0.16666667. single = no correlations, splitting off. " +
-	"'distance 0.5' = grouped by that clause instead (Fig. 18). bytes = encoded segment records " +
-	"(Stats.StorageBytes, the numerator of bytes_per_point); at_limit = segments of length LengthLimit; " +
-	"models = segments per model name. The 5.2/5.1 ablation rows sum the encoded size of the segments " +
-	"four EP entities emit in pairs of series; the splitting rows are two series that decorrelate halfway."
+	"'distance 0.5' = grouped by that clause instead (Fig. 18). bytes = the store's SizeBytes " +
+	"(Stats.StorageBytes, the numerator of bytes_per_point: the segment log without its 8-byte frame headers); " +
+	"log_bytes = the segment log's length after Flush, frame headers included; at_limit = segments of length " +
+	"LengthLimit; models = segments per model name. The 5.2/5.1 ablation rows store the segments four EP " +
+	"entities emit in pairs of series in one in-memory store; the splitting rows are two series that decorrelate halfway."
 
 // footprintRow is one cell of the record.
 type footprintRow struct {
 	Name       string           `json:"name"`
 	Points     int64            `json:"points"`
 	Bytes      int64            `json:"bytes"`
+	LogBytes   int64            `json:"log_bytes"`
 	Segments   int64            `json:"segments"`
 	AtLimit    int64            `json:"at_limit"`
 	ParamBytes int64            `json:"param_bytes"`
@@ -143,6 +145,7 @@ func loadFootprint(cfg Config, fill func(*DB) error) (footprintRow, error) {
 	if row.Bytes, err = db.store.SizeBytes(); err != nil {
 		return row, err
 	}
+	row.LogBytes = db.store.LogOffset()
 	st, err := db.Stats()
 	if err != nil {
 		return row, err
@@ -168,6 +171,12 @@ func ablationModels(multi bool) (footprintRow, error) {
 		reg.Register(models.NewMulti(models.GorillaType{}, models.MidMultiBase+2))
 	}
 	d := tsgen.EP(tsgen.EPConfig{Entities: 4, Ticks: 2000, Seed: 42})
+	// Group e*2+pair+1 holds the pair's two series, e*4+pair*2+1 and the next.
+	store := storage.NewMemStore(func(gid core.Gid) []core.Tid {
+		first := core.Tid(2*gid - 1)
+		return []core.Tid{first, first + 1}
+	})
+	defer store.Close()
 	var row footprintRow
 	for e := 0; e < 4; e++ {
 		for pair := 0; pair < 2; pair++ {
@@ -177,9 +186,8 @@ func ablationModels(multi bool) (footprintRow, error) {
 				Registry: reg,
 				Bound:    models.RelBound(5),
 				OnSegment: func(s *core.Segment) error {
-					row.Bytes += int64(s.StoredSize(tids))
 					row.add(s, core.DefaultLengthLimit, reg)
-					return nil
+					return store.Insert(s)
 				},
 			}}
 			gi := core.NewGroupIngestor(cfg, core.Gid(e*2+pair+1), d.SI, tids)
@@ -198,7 +206,13 @@ func ablationModels(multi bool) (footprintRow, error) {
 			}
 		}
 	}
-	return row, nil
+	if err := store.Flush(); err != nil {
+		return row, err
+	}
+	var err error
+	row.Bytes, err = store.SizeBytes()
+	row.LogBytes = store.LogOffset()
+	return row, err
 }
 
 // ablationSplitting is §4.2: one group of two series that decorrelate
@@ -332,6 +346,7 @@ func diffFootprint(want, got []footprintRow) []string {
 		}
 		field("points", w.Points, g.Points)
 		field("bytes", w.Bytes, g.Bytes)
+		field("log_bytes", w.LogBytes, g.LogBytes)
 		field("segments", w.Segments, g.Segments)
 		field("at_limit", w.AtLimit, g.AtLimit)
 		field("param_bytes", w.ParamBytes, g.ParamBytes)
