@@ -189,10 +189,114 @@ func TestDecodeIntoAliasesAndReuses(t *testing.T) {
 	}
 }
 
-// FuzzDecodeSegment feeds the one segment decoder hostile bytes: it
-// must never panic; whatever it accepts must survive Encode and a
-// second decode unchanged; and a segment from the copying wrapper must
-// not change when its input is overwritten.
+// decodeBlock decodes every segment of a block, copied out of it.
+func decodeBlock(data []byte, members []Tid) ([]*Segment, error) {
+	r, err := NewBlockReader(data)
+	if err != nil {
+		return nil, err
+	}
+	var segs []*Segment
+	for r.More() {
+		s := &Segment{}
+		if err := r.Next(s, members); err != nil {
+			return nil, err
+		}
+		s.Params = append([]byte(nil), s.Params...)
+		segs = append(segs, s)
+	}
+	return segs, nil
+}
+
+func sameSegment(a, b *Segment) bool {
+	return a.Gid == b.Gid && a.StartTime == b.StartTime && a.EndTime == b.EndTime && a.SI == b.SI &&
+		a.MID == b.MID && string(a.Params) == string(b.Params) && tidsEqual(a.GapTids, b.GapTids)
+}
+
+// TestAppendBlockRuns: a bulk write's segments share a block while they
+// are one group's on one SI grid; a change of group or SI, or a start
+// off the predecessor's grid, begins the next block. Every segment,
+// masked, overlapping, apart or with a MID above the head byte's six
+// bits, decodes as it went in.
+func TestAppendBlockRuns(t *testing.T) {
+	members := []Tid{1, 2, 3, 5, 8, 13, 21, 34, 55}
+	seg := func(gid Gid, start, end, si int64, mid models.MID, gaps ...Tid) *Segment {
+		return &Segment{Gid: gid, StartTime: start, EndTime: end, SI: si, MID: mid, Params: []byte{byte(start), byte(end)}, GapTids: gaps}
+	}
+	segs := []*Segment{
+		seg(1, 0, 900, 100, models.MidPMC),
+		seg(1, 1000, 1900, 100, models.MidSwing, 2, 55),     // contiguous, masked
+		seg(1, 1500, 2400, 100, models.MidGorilla),          // overlaps: delta −5
+		seg(1, 9000, 9000, 100, models.MidUserBase+5, 1, 3), // apart: delta 65; escaped MID
+		seg(1, 9050, 9150, 100, models.MidPMC),              // off the grid: a new block
+		seg(1, 9200, 9300, 50, models.MidPMC),               // another SI: a new block
+		seg(2, 0, 900, 100, models.MidPMC),                  // another group: a new block
+	}
+	var blocks [][]byte
+	for rest := segs; len(rest) > 0; {
+		block, n := AppendBlock(nil, rest, members)
+		blocks = append(blocks, block)
+		rest = rest[n:]
+	}
+	if len(blocks) != 4 {
+		t.Fatalf("%d blocks, want 4 (a run of four, then one each)", len(blocks))
+	}
+	var got []*Segment
+	for _, b := range blocks {
+		part, err := decodeBlock(b, members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, part...)
+	}
+	for i := range segs {
+		if !sameSegment(got[i], segs[i]) {
+			t.Errorf("segment %d decodes as %+v, want %+v", i, got[i], segs[i])
+		}
+	}
+	// A contiguous segment after the first costs its head, length, gap
+	// mask, parameter length and parameters: no Gid, SI or time.
+	two, _ := AppendBlock(nil, segs[:2], members)
+	if extra := len(two) - len(segs[0].Encode(members)); extra != 1+1+2+1+2 {
+		t.Errorf("the second segment of a block costs %d bytes, want 7", extra)
+	}
+}
+
+// TestBlockDecodeAllocatesNothing: the decoder checks every length a
+// block claims against the bytes it has before using it, and decodes
+// in place, so a scratch segment with room for every gap costs no
+// allocation, whatever the bytes claim.
+func TestBlockDecodeAllocatesNothing(t *testing.T) {
+	members := []Tid{1, 2, 3, 5, 8, 13, 21, 34, 55}
+	header := binary.AppendVarint(binary.AppendUvarint([]byte{BlockTag, 1}, 100), 4900)
+	good, _ := AppendBlock(nil, []*Segment{
+		{Gid: 1, StartTime: 0, EndTime: 900, SI: 100, MID: models.MidPMC, Params: []byte{1, 2, 3, 4}, GapTids: []Tid{3, 34}},
+		{Gid: 1, StartTime: 2000, EndTime: 2900, SI: 100, MID: models.MidSwing, Params: []byte{5, 6}},
+	}, members)
+	for name, data := range map[string][]byte{
+		"block":        good,
+		"huge params":  binary.AppendUvarint(append(header, byte(models.MidPMC), 1), 1<<62),
+		"huge length":  binary.AppendUvarint(append(header, byte(models.MidPMC)), 1<<63),
+		"torn mask":    append(header, byte(models.MidPMC)|headMask, 1, 0xff),
+		"torn entries": good[:len(good)-1],
+	} {
+		scratch := Segment{GapTids: make([]Tid, 0, len(members))}
+		if allocs := testing.AllocsPerRun(10, func() {
+			r, err := NewBlockReader(data)
+			for err == nil && r.More() {
+				err = r.Next(&scratch, members)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: decoding allocated %v times", name, allocs)
+		}
+	}
+}
+
+// FuzzDecodeSegment feeds the block decoder, whose blocks of one are
+// what DecodeSegment reads, hostile bytes. It must never panic; an accepted block must re-encode
+// (AppendBlock) to blocks that decode to the same segments; bytes that
+// do not form a whole last entry are refused; DecodeSegment accepts
+// exactly the blocks of one segment; and a segment from it must not
+// change when its input is overwritten.
 func FuzzDecodeSegment(f *testing.F) {
 	members := []Tid{1, 2, 3, 5, 8, 13, 21, 34, 55}
 	for _, s := range []*Segment{
@@ -202,40 +306,62 @@ func FuzzDecodeSegment(f *testing.F) {
 	} {
 		f.Add(s.Encode(members))
 	}
-	// Gid 1, EndTime 0, then an SI and a length whose product wraps the
-	// time axis.
-	wraps := binary.AppendUvarint(binary.AppendUvarint([]byte{1, 0}, 1<<40), 1<<40)
-	f.Add(append(wraps, byte(models.MidPMC), 0, 0))
+	// Tag, Gid 1, SI 2^40, EndTime 0, then a PMC entry whose length
+	// wraps the time axis.
+	wraps := binary.AppendUvarint(binary.AppendUvarint([]byte{BlockTag, 1}, 1<<40), 0)
+	f.Add(binary.AppendUvarint(append(wraps, byte(models.MidPMC)), 1<<40))
 	f.Add([]byte{})
+	// A block of a group's run: masked, overlapping and apart segments.
+	run, _ := AppendBlock(nil, []*Segment{
+		{Gid: 4, StartTime: 0, EndTime: 900, SI: 100, MID: models.MidPMC, Params: []byte{1}},
+		{Gid: 4, StartTime: 1000, EndTime: 1900, SI: 100, MID: models.MidSwing, Params: []byte{2, 3}, GapTids: []Tid{8}},
+		{Gid: 4, StartTime: 1500, EndTime: 1500, SI: 100, MID: models.MidUserBase, Params: nil},
+		{Gid: 4, StartTime: 9000, EndTime: 9900, SI: 100, MID: models.MidGorilla, Params: []byte{4, 5, 6}},
+	}, members)
+	f.Add(run)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		input := append([]byte(nil), data...)
-		s, err := DecodeSegment(input, members)
+		segs, err := decodeBlock(data, members)
+		one, oneErr := DecodeSegment(data, members)
+		if (oneErr == nil) != (err == nil && len(segs) == 1) {
+			t.Fatalf("DecodeSegment err %v, block of %d segments err %v", oneErr, len(segs), err)
+		}
 		if err != nil {
 			return
 		}
-		want := *s
-		want.Params = append([]byte(nil), s.Params...)
-		want.GapTids = append([]Tid(nil), s.GapTids...)
-		for i := range input {
-			input[i] = 0xFF
+		for _, s := range segs {
+			if s.Length() < 1 || s.StartTime > s.EndTime || (s.EndTime-s.StartTime)%s.SI != 0 {
+				t.Fatalf("accepted a segment with no extent on its grid: %+v", s)
+			}
 		}
-		same := func(a, b *Segment) bool {
-			return a.Gid == b.Gid && a.StartTime == b.StartTime && a.EndTime == b.EndTime && a.SI == b.SI &&
-				a.MID == b.MID && string(a.Params) == string(b.Params) && tidsEqual(a.GapTids, b.GapTids)
+		var again []*Segment
+		for rest := segs; len(rest) > 0; {
+			block, n := AppendBlock(nil, rest, members)
+			part, err := decodeBlock(block, members)
+			if err != nil {
+				t.Fatalf("re-decoding an accepted block: %v", err)
+			}
+			again = append(again, part...)
+			rest = rest[n:]
 		}
-		if !same(s, &want) {
-			t.Fatalf("overwriting the input changed the decoded segment: %+v, was %+v", s, want)
+		for i := range segs {
+			if !sameSegment(again[i], segs[i]) {
+				t.Fatalf("segment %d re-encodes as %+v, want %+v", i, again[i], segs[i])
+			}
 		}
-		if s.Length() < 1 || s.StartTime > s.EndTime {
-			t.Fatalf("accepted a segment with no extent: %+v", s)
-		}
-		again, err := DecodeSegment(s.Encode(members), members)
-		if err != nil {
-			t.Fatalf("re-decoding an accepted segment: %v", err)
-		}
-		if !same(again, s) {
-			t.Fatalf("Decode(Encode(s)) = %+v, want %+v", again, s)
+		if oneErr == nil {
+			want := *one
+			want.Params = append([]byte(nil), one.Params...)
+			input := append([]byte(nil), data...)
+			if one, _ = DecodeSegment(input, members); !sameSegment(one, &want) {
+				t.Fatalf("DecodeSegment = %+v, the block reader %+v", one, &want)
+			}
+			for i := range input {
+				input[i] = 0xFF
+			}
+			if !sameSegment(one, &want) {
+				t.Fatalf("overwriting the input changed the decoded segment: %+v, was %+v", one, want)
+			}
 		}
 	})
 }

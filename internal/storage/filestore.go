@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -23,14 +24,16 @@ import (
 const DefaultBulkWriteSize = 50000
 
 // FileStore is a log-structured segment store: segments are appended
-// to a single log as frames of package durable and indexed in memory
-// by (Gid, EndTime), mirroring the paper's Cassandra primary key
-// (§3.3). Every bulk write lands sorted by that key, so the records a
-// scan wants are runs of neighbours in the log and one read fetches a
-// run. On open the log is scanned and a corrupt or torn tail is
-// truncated, so a crash between Flushes loses only unflushed segments.
-// The log is a file or, without a directory, a byte slice; everything
-// above it is the same.
+// to a single log and indexed in memory by (Gid, EndTime), mirroring
+// the paper's Cassandra primary key (§3.3). Every bulk write lands
+// sorted by that key, one frame of package durable per block of one
+// group's segments (core.AppendBlock), so the segments a scan wants
+// are runs of neighbours in the log and one read fetches a run. On
+// open the log is scanned and a corrupt or torn tail is truncated at a
+// frame boundary, so a crash between Flushes loses only unflushed
+// segments, and a torn bulk write loses whole blocks. The log is a
+// file or, without a directory, a byte slice; everything above it is
+// the same.
 type FileStore struct {
 	mu      sync.RWMutex
 	file    durable.File
@@ -43,8 +46,12 @@ type FileStore struct {
 	bulkSize int
 	buffer   []*core.Segment
 
-	// index maps each group to its record locations ordered by EndTime.
+	// index maps each group to its segments' locations ordered by EndTime.
 	index map[core.Gid][]recordRef
+	// pending holds one block's refs until the whole block has decoded.
+	pending []recordRef
+	// scratch is the segment blocks are decoded into while indexing.
+	scratch core.Segment
 	// maxDur tracks each group's longest segment duration, bounding how
 	// far past a filter's To a scan must look (a segment ending later
 	// than To+maxDur cannot start at or before To).
@@ -54,10 +61,11 @@ type FileStore struct {
 	// groups entirely outside the filter window.
 	minStart map[core.Gid]int64
 	count    int64
-	size     int64
+	// size is the log's length without its frame headers.
+	size int64
 
 	// reads and readBytes count the log reads scans issued and the bytes
-	// they fetched: one add per run of adjacent records, not per segment.
+	// they fetched: one add per run of adjacent segments, not per segment.
 	reads, readBytes atomic.Int64
 }
 
@@ -98,15 +106,24 @@ func (m *memLog) Truncate(size int64) error {
 func (m *memLog) Sync() error  { return nil }
 func (m *memLog) Close() error { return nil }
 
-// recordRef locates one segment in the log. weight is the segment's
-// decode-cost chunk weight (segmentWeight), computed once at index time
-// so the adaptive ScanChunks sizing never re-decodes records.
+// recordRef locates one segment in the log: its block entry and, for
+// the first segment of a block, the frame and block header before it,
+// so the refs of a whole log tile it and a run of neighbouring blocks
+// is one read. It carries what the entry leaves to its block header.
+// weight is the segment's decode-cost chunk weight (segmentWeight) of
+// its entry, computed once at index time so the adaptive ScanChunks
+// sizing never re-decodes segments; it is capped at MaxInt32, far above
+// ChunkByteBudget.
 type recordRef struct {
 	endTime   int64
 	startTime int64
 	offset    int64
-	weight    int64
+	si        int64
 	length    int32
+	weight    int32
+	gid       core.Gid
+	// head is how many of the length bytes are frame and block header.
+	head uint8
 }
 
 const (
@@ -114,6 +131,11 @@ const (
 	// maxRunBytes caps one coalesced log read.
 	maxRunBytes = 1 << 20
 )
+
+// ErrLegacyLog is returned by OpenFileStore for a segments.log of
+// per-segment records, the format that blocks replaced. Nothing in it
+// is touched; this build does not read it.
+var ErrLegacyLog = errors.New("storage: segments.log holds per-segment records of an older build, not blocks, and is not supported")
 
 // OpenFileStore opens (creating if needed) the store in dir; an empty
 // dir keeps the log in memory. bulkSize <= 0 selects
@@ -175,19 +197,22 @@ func (s *FileStore) recover(size int64) error {
 	s.maxDur = make(map[core.Gid]int64)
 	s.minStart = make(map[core.Gid]int64)
 	s.count, s.size, s.offset = 0, 0, 0
-	var seg core.Segment
-	run := memberRun{members: s.members}
+	legacy := false
 	_, err := durable.Scan(s.file, size, func(payload []byte) error {
-		if err := run.decode(&seg, payload); err != nil {
+		if legacy = s.offset == 0 && payload[0] != core.BlockTag; legacy {
+			return ErrLegacyLog
+		}
+		if err := s.indexBlock(payload, s.offset); err != nil {
 			return err
 		}
-		length := int32(durable.FrameHeader + len(payload))
-		s.addIndex(&seg, s.offset, length)
-		s.offset += int64(length)
+		s.offset += int64(durable.FrameHeader + len(payload))
 		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("storage: recover: %w", err)
+	}
+	if legacy {
+		return ErrLegacyLog
 	}
 	if err := s.file.Truncate(s.offset); err != nil {
 		return fmt.Errorf("storage: truncate: %w", err)
@@ -195,49 +220,77 @@ func (s *FileStore) recover(size int64) error {
 	return nil
 }
 
-// memberRun decodes a sequence of record payloads, asking the store
-// for a group's members — which the gap mask is packed over — only
-// when the Gid changes from one record to the next.
+// memberRun asks the store for a group's members — which the gap mask
+// is packed over — only when the Gid changes from one segment to the
+// next.
 type memberRun struct {
 	members MembersFunc
 	gid     core.Gid
 	tids    []core.Tid
 }
 
-// decode decodes one record payload into seg, whose Params alias it.
-func (m *memberRun) decode(seg *core.Segment, payload []byte) error {
-	gid, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return errors.New("storage: corrupt record header")
+func (m *memberRun) of(gid core.Gid) []core.Tid {
+	if m.tids == nil || m.gid != gid {
+		m.gid, m.tids = gid, m.members(gid)
 	}
-	if m.tids == nil || m.gid != core.Gid(gid) {
-		m.gid, m.tids = core.Gid(gid), m.members(core.Gid(gid))
-	}
-	return seg.DecodeInto(payload, m.tids)
+	return m.tids
 }
 
-func (s *FileStore) addIndex(seg *core.Segment, offset int64, length int32) {
-	refs := s.index[seg.Gid]
-	ref := recordRef{
-		endTime:   seg.EndTime,
-		startTime: seg.StartTime,
-		offset:    offset,
-		weight:    segmentWeight(int64(length-durable.FrameHeader), seg),
-		length:    length,
+// indexBlock adds the segments of the block payload, whose frame
+// starts at offset, to the index; nothing is added unless the whole
+// block decodes.
+func (s *FileStore) indexBlock(payload []byte, offset int64) error {
+	r, err := core.NewBlockReader(payload)
+	if err != nil {
+		return err
 	}
-	i := sort.Search(len(refs), func(i int) bool { return refs[i].endTime > seg.EndTime })
+	members := s.members(r.Gid())
+	refs := s.pending[:0]
+	seg := &s.scratch
+	for r.More() {
+		begin := r.Offset()
+		if err := r.Next(seg, members); err != nil {
+			return err
+		}
+		entry := r.Offset() - begin
+		ref := recordRef{
+			endTime:   seg.EndTime,
+			startTime: seg.StartTime,
+			offset:    offset + int64(durable.FrameHeader+begin),
+			si:        seg.SI,
+			length:    int32(entry),
+			weight:    int32(min(segmentWeight(int64(entry), seg), math.MaxInt32)),
+			gid:       seg.Gid,
+		}
+		if len(refs) == 0 {
+			ref.head = uint8(durable.FrameHeader + begin)
+			ref.offset -= int64(ref.head)
+			ref.length += int32(ref.head)
+		}
+		refs = append(refs, ref)
+	}
+	for _, ref := range refs {
+		s.addIndex(ref)
+	}
+	s.pending = refs[:0]
+	s.size += int64(len(payload))
+	return nil
+}
+
+func (s *FileStore) addIndex(ref recordRef) {
+	refs := s.index[ref.gid]
+	i := sort.Search(len(refs), func(i int) bool { return refs[i].endTime > ref.endTime })
 	refs = append(refs, recordRef{})
 	copy(refs[i+1:], refs[i:])
 	refs[i] = ref
-	s.index[seg.Gid] = refs
-	if dur := seg.EndTime - seg.StartTime; dur > s.maxDur[seg.Gid] {
-		s.maxDur[seg.Gid] = dur
+	s.index[ref.gid] = refs
+	if dur := ref.endTime - ref.startTime; dur > s.maxDur[ref.gid] {
+		s.maxDur[ref.gid] = dur
 	}
-	if ms, ok := s.minStart[seg.Gid]; !ok || seg.StartTime < ms {
-		s.minStart[seg.Gid] = seg.StartTime
+	if ms, ok := s.minStart[ref.gid]; !ok || ref.startTime < ms {
+		s.minStart[ref.gid] = ref.startTime
 	}
 	s.count++
-	s.size += int64(length - durable.FrameHeader)
 }
 
 // Insert implements SegmentStore: the segment is buffered and the
@@ -278,22 +331,28 @@ func (s *FileStore) flushLocked() error {
 	slices.SortStableFunc(s.buffer, func(a, b *core.Segment) int {
 		return cmp.Or(cmp.Compare(a.Gid, b.Gid), cmp.Compare(a.EndTime, b.EndTime))
 	})
-	size := 0 // AppendEncode's size hints: one allocation, not a growth series
+	size := 0 // a size hint: one allocation, not a growth series
 	for _, seg := range s.buffer {
-		size += durable.FrameHeader + 32 + len(seg.Params)
+		size += 16 + len(seg.Params)
 	}
 	out := make([]byte, 0, size)
 	var payload []byte
-	for _, seg := range s.buffer {
-		payload = seg.AppendEncode(payload[:0], s.members(seg.Gid))
+	for rest := s.buffer; len(rest) > 0; {
+		var n int
+		payload, n = core.AppendBlock(payload[:0], rest, s.members(rest[0].Gid))
 		out = durable.AppendFrame(out, payload)
+		rest = rest[n:]
 	}
 	if _, err := s.file.WriteAt(out, s.offset); err != nil {
 		return fmt.Errorf("storage: write: %w", err)
 	}
-	for _, seg := range s.buffer {
-		length := durable.FrameHeader + int32(binary.LittleEndian.Uint32(out))
-		s.addIndex(seg, s.offset, length)
+	// The index is built from the bytes written, by the code recovery
+	// runs, so the two cannot disagree.
+	for len(out) > 0 {
+		length := durable.FrameHeader + int(binary.LittleEndian.Uint32(out))
+		if err := s.indexBlock(out[durable.FrameHeader:length], s.offset); err != nil {
+			return fmt.Errorf("storage: index: %w", err)
+		}
 		s.offset += int64(length)
 		out = out[length:]
 	}
@@ -303,8 +362,8 @@ func (s *FileStore) flushLocked() error {
 }
 
 // LogOffset returns the length of the segment log: the offset at
-// which the next flushed record will be written. Buffered segments are
-// not included — the offset covers exactly the records a torn-tail
+// which the next flushed block will be written. Buffered segments are
+// not included — the offset covers exactly the blocks a torn-tail
 // recovery can see. The WAL checkpoint records it so crash recovery
 // knows where the store's durable prefix ends.
 func (s *FileStore) LogOffset() int64 {
@@ -313,7 +372,7 @@ func (s *FileStore) LogOffset() int64 {
 	return s.offset
 }
 
-// TruncateLog discards every record at or beyond offset and rebuilds
+// TruncateLog discards every block at or beyond offset and rebuilds
 // the index from the remaining prefix. WAL recovery calls it before
 // replaying the logged tail: segments written after the last
 // checkpoint are dropped so re-ingesting their points cannot duplicate
@@ -348,9 +407,9 @@ func (s *FileStore) Sync() error {
 	return nil
 }
 
-// collectRefs flushes the write buffer, then snapshots the record
+// collectRefs flushes the write buffer, then snapshots the segment
 // locations matching the filter in ascending (Gid, EndTime) order.
-// Records are read back and decoded without any lock held. Only a
+// Segments are read back and decoded without any lock held. Only a
 // scan that finds buffered segments takes the exclusive lock, so
 // queries over a quiet store enumerate side by side.
 func (s *FileStore) collectRefs(f Filter) ([]recordRef, error) {
@@ -383,7 +442,7 @@ func (s *FileStore) collectRefs(f Filter) ([]recordRef, error) {
 		if len(rs) == 0 || s.minStart[gid] > f.To || rs[len(rs)-1].endTime < f.From {
 			continue
 		}
-		// Push-down: skip records with endTime < From, stop once endTime
+		// Push-down: skip segments with endTime < From, stop once endTime
 		// is so late the segment cannot reach back to To.
 		i := sort.Search(len(rs), func(i int) bool { return rs[i].endTime >= f.From })
 		j := len(rs)
@@ -405,12 +464,13 @@ func (s *FileStore) collectRefs(f Filter) ([]recordRef, error) {
 	return refs, nil
 }
 
-// readRefs is the store's one read routine: it reads the records at
-// refs — consecutive in scan order — and decodes them in place. Refs
-// that are neighbours in the log, as a sorted bulk write leaves a
-// group's segments, are fetched by a single ReadAt (positional, so
-// readers never interfere with appends); records that are not are runs
-// of one through the same loop. The bytes land in one buffer, the
+// readRefs is the store's one read routine: it reads the segments at
+// refs — consecutive in scan order — and decodes their block entries in
+// place. Refs that are neighbours in the log, as a sorted bulk write
+// leaves a group's segments and the groups after it, are fetched by a
+// single ReadAt (positional, so readers never interfere with appends),
+// which reads through the block headers between them; segments that
+// are not are runs of one through the same loop. The bytes land in one buffer, the
 // segments in one arena, and each segment's Params alias the buffer.
 // Both are ordinary garbage-collected allocations that are never
 // reused, so a caller may keep a returned segment for as long as it
@@ -436,11 +496,13 @@ func (s *FileStore) readRefs(refs []recordRef) ([]*core.Segment, error) {
 		s.reads.Add(1)
 		s.readBytes.Add(int64(n))
 		for ; i < end; i++ {
-			length := int(refs[i].length)
-			if err := run.decode(&arena[i], buf[durable.FrameHeader:length:length]); err != nil {
+			ref, seg := &refs[i], &arena[i]
+			length := int(ref.length)
+			seg.Gid, seg.SI, seg.StartTime, seg.EndTime = ref.gid, ref.si, ref.startTime, ref.endTime
+			if err := seg.DecodeEntry(buf[ref.head:length:length], run.of(ref.gid)); err != nil {
 				return nil, err
 			}
-			segs[i] = &arena[i]
+			segs[i] = seg
 			buf = buf[length:]
 		}
 	}
@@ -475,7 +537,7 @@ func (s *FileStore) Scan(ctx context.Context, f Filter, fn func(*core.Segment) e
 	})
 }
 
-// fileChunk defers record reads and decoding to the consumer, so a
+// fileChunk defers log reads and decoding to the consumer, so a
 // parallel scan spreads the deserialization cost across its workers.
 type fileChunk struct {
 	store *FileStore
@@ -486,7 +548,7 @@ type fileChunk struct {
 func (c fileChunk) Segments() ([]*core.Segment, error) { return c.store.readRefs(c.refs) }
 
 // ScanChunks implements SegmentStore. Only the index is consulted up
-// front; each chunk holds record locations and reads the log lazily.
+// front; each chunk holds segment locations and reads the log lazily.
 // The adaptive sizing (chunkSize <= 0) budgets chunks by the
 // decode-cost weight recorded at index time, so one chunk carries
 // roughly ChunkByteBudget of decode work, not merely of log bytes.
@@ -499,7 +561,7 @@ func (s *FileStore) ScanChunks(ctx context.Context, f Filter, chunkSize int, emi
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		end := chunkEnd(i, len(refs), chunkSize, func(j int) int64 { return refs[j].weight })
+		end := chunkEnd(i, len(refs), chunkSize, func(j int) int64 { return int64(refs[j].weight) })
 		if err := emit(fileChunk{store: s, refs: refs[i:end:end]}); err != nil {
 			return err
 		}
@@ -515,8 +577,10 @@ func (s *FileStore) Count() (int64, error) {
 	return s.count + int64(len(s.buffer)), nil
 }
 
-// SizeBytes implements SegmentStore; buffered segments are included so
-// storage accounting does not depend on flush timing.
+// SizeBytes implements SegmentStore: the bytes of the log's blocks,
+// without the frame headers around them. Buffered segments are counted
+// as blocks of one, so the count does not depend on flush timing
+// beyond what a flush saves by sharing block headers.
 func (s *FileStore) SizeBytes() (int64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -1,9 +1,9 @@
 // Package storage implements the Segment Group Store of the paper's
 // architecture (Fig. 4): persistent storage of segments keyed by
 // (Gid, EndTime, Gaps) with predicate push-down on group ids and time
-// ranges (§3.3). There is one store, FileStore: one log of records in
-// package durable's frames, on disk or in memory, with crash recovery
-// and the bulk write buffer of Table 1.
+// ranges (§3.3). There is one store, FileStore: one log of segment
+// blocks in package durable's frames, on disk or in memory, with crash
+// recovery and the bulk write buffer of Table 1.
 package storage
 
 import (

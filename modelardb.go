@@ -501,7 +501,7 @@ func (db *DB) registerStateMetrics() {
 		}
 		return float64(n)
 	})
-	r.GaugeFunc(MetricStorageBytes, "Serialized size of all stored segments.", func() float64 {
+	r.GaugeFunc(MetricStorageBytes, "Bytes of the segment log's blocks, without their 8-byte frame headers; a buffered segment counts as a block of one.", func() float64 {
 		n, err := db.store.SizeBytes()
 		if err != nil {
 			return 0
@@ -1178,7 +1178,9 @@ type Stats struct {
 	Groups int
 	// Segments is the number of stored segments.
 	Segments int64
-	// StorageBytes is the serialized size of all segments.
+	// StorageBytes is the serialized size of all segments: the bytes of
+	// the segment log's blocks without their 8-byte frame headers, each
+	// buffered segment counted as a block of one.
 	StorageBytes int64
 	// DataPoints is the number of points ingested in this session.
 	DataPoints int64

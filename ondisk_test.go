@@ -1,9 +1,11 @@
 package modelardb
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -102,13 +104,17 @@ func hashDirs(t *testing.T, sums map[string]string, stage, dataDir, walDir strin
 
 // TestOnDiskBytesGolden pins the bytes of every WAL segment, the WAL
 // checkpoint, walmeta and segments.log that onDiskSchedule leaves, so a
-// change to the code that writes them cannot change the format: a
-// directory written by an older build must still open.
+// change to the code that writes them cannot change the format by
+// accident. A change of format is a new set of hashes and a typed
+// error for the old one: segments.log went from one frame per segment
+// to one per block, which moved its hashes and the checkpoints, which
+// record its length, and a log of the old format is refused
+// (TestOnDiskLegacyLogRefused).
 func TestOnDiskBytesGolden(t *testing.T) {
-	// The parent format's hashes; an empty segment is e3b0c442….
+	// The current format's hashes; an empty segment is e3b0c442….
 	want := map[string]string{
-		"closed/data/segments.log":                  "781930d3ede439aea740a8d09c366e2141c5d5717f1a0cbf155296b8278f2b16",
-		"closed/wal/checkpoint":                     "af88e49ddf680e08a4dbedac755459a4598ea719a63a7d821b036052938b0a0d",
+		"closed/data/segments.log":                  "133e48eacd3ab6b88983fe6aefcd46a37d6e1013b946be141209eb46379f8f1b",
+		"closed/wal/checkpoint":                     "e9fe87a0fdff148a1fec1251cf12100172136bf4af0b9d6ce517335c63ce9dd0",
 		"closed/wal/shard-000/0000000000000001.wal": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 		"closed/wal/shard-001/0000000000000003.wal": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 		"closed/wal/shard-002/0000000000000004.wal": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -118,8 +124,8 @@ func TestOnDiskBytesGolden(t *testing.T) {
 		"closed/wal/shard-006/0000000000000001.wal": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 		"closed/wal/shard-007/0000000000000001.wal": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 		"closed/wal/walmeta":                        "9c88fd3146e090647df48f928c61978cfdde6f5bd84540d4de38435513d866b9",
-		"tail/data/segments.log":                    "1adf3d19c4d258a345367b799791bf5e697a7501900b9887109ed47374fd1819",
-		"tail/wal/checkpoint":                       "67aca29d892c7609d3208cf1ff05ffac5c2f5fce01ea7251b53535ce31906d1a",
+		"tail/data/segments.log":                    "a2efc0bd4aa3b2114e914a70c30933e3dbe1bc27c3b05075e904bf8c02a443f0",
+		"tail/wal/checkpoint":                       "e3ac66f78436c3b723c13d3613a19ebad296ab31773dca7fc069c5c34ebe5db6",
 		"tail/wal/shard-000/0000000000000001.wal":   "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 		"tail/wal/shard-001/0000000000000002.wal":   "984d34c99c2fd2ea2916f9d2c5d9fbb731264129daa811e75ba66391df0e99de",
 		"tail/wal/shard-001/0000000000000003.wal":   "5e14cd1c42be43ca1290fb5dd2cfba8cd18bf6012be08d6c6711ba6fd5ad9bef",
@@ -174,5 +180,35 @@ func TestOnDiskMetaGolden(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("older build's metadata reads back as\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+// TestOnDiskLegacyLogRefused: testdata/ondisk/segments.log was written
+// by the build before blocks, one frame per segment, for the
+// configuration of TestOnDiskMetaGolden. Opening its directory must
+// fail with storage.ErrLegacyLog and leave the log as it was.
+func TestOnDiskLegacyLogRefused(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"timeseries.meta", "segments.log"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "ondisk", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	legacy, _ := os.ReadFile(filepath.Join(dir, "segments.log"))
+	cfg := walConfig(4, dir, "", "")
+	cfg.Correlations = []string{"Location 0"}
+	db, err := Open(cfg)
+	if err == nil {
+		db.Close()
+	}
+	if !errors.Is(err, storage.ErrLegacyLog) {
+		t.Fatalf("Open of a per-segment log = %v, want storage.ErrLegacyLog", err)
+	}
+	if got, _ := os.ReadFile(filepath.Join(dir, "segments.log")); !bytes.Equal(got, legacy) {
+		t.Fatalf("the refused log changed: %d bytes, was %d", len(got), len(legacy))
 	}
 }
