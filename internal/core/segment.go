@@ -71,8 +71,8 @@ func (s *Segment) InGap(tid Tid) bool {
 }
 
 // The segment log stores segments in blocks. A block is a run of one
-// group's segments that share an SI, written in (Gid, EndTime) order
-// as a sorted bulk write leaves them. Following the paper's Cassandra
+// group's segments that share an SI and its grid, written in
+// (Gid, EndTime) order as a sorted bulk write leaves them. Following the paper's Cassandra
 // schema (§3.3), no start time is stored: each segment's length is, and
 // the block header names the group, its SI and its first EndTime once.
 // Little more than the model parameters is left per segment:
@@ -107,8 +107,9 @@ const (
 	headMask  = 0x40
 	headDelta = 0x80
 
-	// maxBlockBytes ends a block once it has grown past it, so a torn
-	// write or a corrupt byte costs at most about this much.
+	// maxBlockBytes ends a block once it has grown past it, keeping
+	// each frame of the log far below the 1 GiB that durable.Scan
+	// takes for corruption.
 	maxBlockBytes = 1 << 20
 )
 

@@ -508,7 +508,7 @@ func (db *DB) registerStateMetrics() {
 		}
 		return float64(n)
 	})
-	r.CounterFunc(MetricStoreReads, "Log reads issued by scans of the segment store; one read fetches a run of adjacent records.", func() float64 {
+	r.CounterFunc(MetricStoreReads, "Log reads issued by scans of the segment store; one read fetches a run of adjacent segments.", func() float64 {
 		reads, _ := db.store.ReadStats()
 		return float64(reads)
 	})
