@@ -297,7 +297,7 @@ func (r *BlockReader) Offset() int { return r.off }
 // overwritten and the reader must not be used again.
 func (r *BlockReader) Next(s *Segment, members []Tid) error {
 	s.Gid, s.SI = r.gid, r.si
-	length, delta, hasDelta, n, err := s.decodeEntry(r.data[r.off:], members)
+	length, delta, n, err := s.decodeEntry(r.data[r.off:], members)
 	if err != nil {
 		return err
 	}
@@ -305,7 +305,7 @@ func (r *BlockReader) Next(s *Segment, members []Tid) error {
 	if r.first {
 		s.EndTime = r.end
 		s.StartTime, ok = addSIs(r.end, -int64(length-1), r.si)
-		ok = ok && !hasDelta
+		ok = ok && delta == 0
 	} else if s.StartTime, ok = addSIs(r.end, 1, r.si); ok {
 		if s.StartTime, ok = addSIs(s.StartTime, delta, r.si); ok {
 			s.EndTime, ok = addSIs(s.StartTime, int64(length-1), r.si)
@@ -327,7 +327,7 @@ func (s *Segment) DecodeEntry(entry []byte, members []Tid) error {
 	if s.SI <= 0 {
 		return fmt.Errorf("core: segment decode: non-positive SI %d", s.SI)
 	}
-	length, _, _, n, err := s.decodeEntry(entry, members)
+	length, _, n, err := s.decodeEntry(entry, members)
 	if err != nil {
 		return err
 	}
@@ -350,57 +350,57 @@ func (s *Segment) DecodeEntry(entry []byte, members []Tid) error {
 // every scanned segment goes through here, and Reader.Uvarint does not
 // inline, which made BenchmarkFileStoreScan/clustered about 20 % slower
 // (2.29–2.74 ms → 2.76–3.15 ms, 6 alternating runs on 2 vCPUs).
-func (s *Segment) decodeEntry(data []byte, members []Tid) (length uint64, delta int64, hasDelta bool, n int, err error) {
+func (s *Segment) decodeEntry(data []byte, members []Tid) (length uint64, delta int64, n int, err error) {
 	if len(data) < 1 {
-		return 0, 0, false, 0, blockError("missing head")
+		return 0, 0, 0, blockError("missing head")
 	}
 	head := data[0]
 	rest := data[1:]
 	s.MID = models.MID(head & headMID)
 	if head&headMID == midEscape {
 		if len(rest) < 1 {
-			return 0, 0, false, 0, blockError("missing MID")
+			return 0, 0, 0, blockError("missing MID")
 		}
 		s.MID = models.MID(rest[0])
 		rest = rest[1:]
 	}
 	length, k := binary.Uvarint(rest)
 	if k <= 0 {
-		return 0, 0, false, 0, blockError("truncated length")
+		return 0, 0, 0, blockError("truncated length")
 	}
 	rest = rest[k:]
 	// The covered span must fit an int64, or a time derived from it
 	// would wrap around and Length would disagree with the entry.
 	if hi, lo := bits.Mul64(length-1, uint64(s.SI)); length == 0 || hi != 0 || lo > math.MaxInt64 {
-		return 0, 0, false, 0, blockError("length overflows the time axis")
+		return 0, 0, 0, blockError("length overflows the time axis")
 	}
 	s.GapTids = s.GapTids[:0]
 	if head&headMask != 0 {
 		m := maskLen(members)
 		if len(rest) < m {
-			return 0, 0, false, 0, blockError("truncated gap mask")
+			return 0, 0, 0, blockError("truncated gap mask")
 		}
 		s.GapTids = appendGapTids(s.GapTids, rest[:m], members)
 		rest = rest[m:]
 	}
-	if hasDelta = head&headDelta != 0; hasDelta {
+	if head&headDelta != 0 {
 		if delta, k = binary.Varint(rest); k <= 0 {
-			return 0, 0, false, 0, blockError("truncated start delta")
+			return 0, 0, 0, blockError("truncated start delta")
 		}
 		rest = rest[k:]
 	}
 	paramLen, k := binary.Uvarint(rest)
 	if k <= 0 {
-		return 0, 0, false, 0, blockError("truncated parameter length")
+		return 0, 0, 0, blockError("truncated parameter length")
 	}
 	rest = rest[k:]
 	if uint64(len(rest)) < paramLen {
-		return 0, 0, false, 0, blockError("truncated parameters")
+		return 0, 0, 0, blockError("truncated parameters")
 	}
 	// The capacity is clipped so an append to Params can never write
 	// into whatever follows the entry in the caller's buffer.
 	s.Params = rest[:paramLen:paramLen]
-	return length, delta, hasDelta, len(data) - len(rest) + int(paramLen), nil
+	return length, delta, len(data) - len(rest) + int(paramLen), nil
 }
 
 // DecodeInto parses a segment encoded by Encode — a block of one — into
