@@ -177,12 +177,14 @@ crash:
 # quantizer, whose every decoded value must be the appended one or
 # within the bound of it; and the WHERE compiler, fed SQL text as HTTP
 # and line-protocol clients send it, where a clause that compiles must
-# run without error and answer the same at every worker count; and
-# the float text kernel every text surface spells a float cell with,
+# run without error and answer the same at every worker count; the
+# row scan's run-wise projection, for any projection, TS range and
+# point conjunct the fuzzer composes, checked after every segment
+# against a row-by-row reference; and the float text kernel every text surface spells a float cell with,
 # fed arbitrary float64 bits and their float32 rounding, which must
 # write strconv's bytes.
 # `go test -fuzz` accepts one target per package invocation, hence
-# thirteen runs.
+# fourteen runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALScanSegment$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzWALCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/wal
@@ -190,6 +192,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePartial$$' -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileWhere$$' -fuzztime $(FUZZTIME) ./internal/query
+	$(GO) test -run '^$$' -fuzz '^FuzzSelectRuns$$' -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzRemoteWriteBody$$' -fuzztime $(FUZZTIME) ./internal/httpapi

@@ -14,14 +14,19 @@
 package modelardb
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -46,7 +51,11 @@ const footprintSetup = "In-memory store after Flush, DefaultConfig (LengthLimit 
 	"(Stats.StorageBytes, the numerator of bytes_per_point: the segment log without its 8-byte frame headers); " +
 	"log_bytes = the segment log's length after Flush, frame headers included; at_limit = segments of length " +
 	"LengthLimit; models = segments per model name. The 5.2/5.1 ablation rows store the segments four EP " +
-	"entities emit in pairs of series in one in-memory store; the splitting rows are two series that decorrelate halfway."
+	"entities emit in pairs of series in one in-memory store; the splitting rows are two series that decorrelate halfway. " +
+	"The 'stand-in' rows are the data set's points, in its order, in widely used formats: CSV 'tid,ts,value' with " +
+	"the value's shortest float32 digits, raw little-endian (int64 ts, float32 value) pairs, and each of the two " +
+	"through compress/gzip at BestCompression; stand_in_ratios = a stand-in's bytes / the row's bytes, to two " +
+	"decimals, on every row over EP or EH. Toolchain: "
 
 // footprintRow is one cell of the record.
 type footprintRow struct {
@@ -58,6 +67,9 @@ type footprintRow struct {
 	AtLimit    int64            `json:"at_limit"`
 	ParamBytes int64            `json:"param_bytes"`
 	Models     map[string]int64 `json:"models"`
+	// StandInRatios is, on a row over EP or EH, each stand-in row's
+	// bytes over the row's bytes, by stand-in format.
+	StandInRatios map[string]float64 `json:"stand_in_ratios,omitempty"`
 }
 
 type footprintRecord struct {
@@ -248,6 +260,62 @@ func ablationSplitting(disable bool) (footprintRow, error) {
 
 var footprintBounds = []float64{0, 1, 5, 10}
 
+// standInFormats are the widely used formats the store is compared
+// with (the abstract's "compared to widely used formats"); each
+// returns the bytes of the data set's points in that format.
+var standInFormats = []struct {
+	name   string
+	encode func([]core.DataPoint) []byte
+}{
+	{"CSV", standInCSV},
+	{"CSV gzip", func(ps []core.DataPoint) []byte { return gzipBest(standInCSV(ps)) }},
+	{"raw", standInRaw},
+	{"raw gzip", func(ps []core.DataPoint) []byte { return gzipBest(standInRaw(ps)) }},
+}
+
+// standInCSV is one "tid,ts,value" line per point, the value in its
+// shortest float32 digits.
+func standInCSV(points []core.DataPoint) []byte {
+	var out []byte
+	for _, p := range points {
+		out = strconv.AppendInt(out, int64(p.Tid), 10)
+		out = append(out, ',')
+		out = strconv.AppendInt(out, p.TS, 10)
+		out = append(out, ',')
+		out = strconv.AppendFloat(out, float64(p.Value), 'g', -1, 32)
+		out = append(out, '\n')
+	}
+	return out
+}
+
+// standInRaw is one little-endian (int64 ts, float32 value) pair per
+// point.
+func standInRaw(points []core.DataPoint) []byte {
+	out := make([]byte, 0, 12*len(points))
+	for _, p := range points {
+		out = binary.LittleEndian.AppendUint64(out, uint64(p.TS))
+		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(p.Value))
+	}
+	return out
+}
+
+// gzipBest compresses data with compress/gzip at BestCompression.
+func gzipBest(data []byte) []byte {
+	var buf bytes.Buffer
+	w, err := gzip.NewWriterLevel(&buf, gzip.BestCompression)
+	if err != nil {
+		panic(err)
+	}
+	w.Write(data) // a bytes.Buffer does not fail
+	w.Close()
+	return buf.Bytes()
+}
+
+// standInName is the name of a data set's stand-in row of a format.
+func standInName(set, format string) string {
+	return set + " stand-in " + format
+}
+
 func cellName(set string, bound float64, kind string) string {
 	return fmt.Sprintf("%s %g%% %s", set, bound, kind)
 }
@@ -262,9 +330,11 @@ func footprintRows() ([]footprintRow, error) {
 	eh := newFootprintData("EH",
 		tsgen.EH(tsgen.EHConfig{Series: 16, Ticks: 10000, Seed: 43, GapRate: 0.0005}),
 		"0.16666667")
+	// set names the data set a job's row is over; the rows over EP and
+	// EH, stand-ins aside, gain their ratios to the stand-ins.
 	type job struct {
-		name string
-		run  func() (footprintRow, error)
+		name, set string
+		run       func() (footprintRow, error)
 	}
 	var jobs []job
 	for _, fd := range []*footprintData{ep, eh} {
@@ -274,20 +344,25 @@ func footprintRows() ([]footprintRow, error) {
 				if single {
 					kind = "single"
 				}
-				jobs = append(jobs, job{cellName(fd.name, bound, kind), func() (footprintRow, error) {
+				jobs = append(jobs, job{cellName(fd.name, bound, kind), fd.name, func() (footprintRow, error) {
 					return fd.load(fd.config(bound, fd.grouped, single))
 				}})
 			}
 		}
-		jobs = append(jobs, job{cellName(fd.name, 10, "distance 0.5"), func() (footprintRow, error) {
+		jobs = append(jobs, job{cellName(fd.name, 10, "distance 0.5"), fd.name, func() (footprintRow, error) {
 			return fd.load(fd.config(10, []string{"0.5"}, false))
 		}})
+		for _, f := range standInFormats {
+			jobs = append(jobs, job{standInName(fd.name, f.name), "", func() (footprintRow, error) {
+				return footprintRow{Points: int64(len(fd.points)), Bytes: int64(len(f.encode(fd.points)))}, nil
+			}})
+		}
 	}
 	jobs = append(jobs,
-		job{"ablation 5.2 single model per group", func() (footprintRow, error) { return ablationModels(false) }},
-		job{"ablation 5.1 one model per series", func() (footprintRow, error) { return ablationModels(true) }},
-		job{"ablation 4.2 splitting on", func() (footprintRow, error) { return ablationSplitting(false) }},
-		job{"ablation 4.2 splitting off", func() (footprintRow, error) { return ablationSplitting(true) }},
+		job{"ablation 5.2 single model per group", "", func() (footprintRow, error) { return ablationModels(false) }},
+		job{"ablation 5.1 one model per series", "", func() (footprintRow, error) { return ablationModels(true) }},
+		job{"ablation 4.2 splitting on", "", func() (footprintRow, error) { return ablationSplitting(false) }},
+		job{"ablation 4.2 splitting off", "", func() (footprintRow, error) { return ablationSplitting(true) }},
 	)
 
 	rows := make([]footprintRow, len(jobs))
@@ -307,6 +382,20 @@ func footprintRows() ([]footprintRow, error) {
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", jobs[i].name, err)
+		}
+	}
+	bytesOf := make(map[string]int64, len(rows))
+	for _, r := range rows {
+		bytesOf[r.Name] = r.Bytes
+	}
+	for i, j := range jobs {
+		if j.set == "" {
+			continue
+		}
+		rows[i].StandInRatios = map[string]float64{}
+		for _, f := range standInFormats {
+			ratio := float64(bytesOf[standInName(j.set, f.name)]) / float64(rows[i].Bytes)
+			rows[i].StandInRatios[f.name] = math.Round(100*ratio) / 100
 		}
 	}
 	return rows, nil
@@ -363,6 +452,11 @@ func diffFootprint(want, got []footprintRow) []string {
 		for _, name := range names {
 			field("models."+name, w.Models[name], g.Models[name])
 		}
+		for _, f := range standInFormats {
+			if a, b := w.StandInRatios[f.name], g.StandInRatios[f.name]; a != b {
+				parts = append(parts, fmt.Sprintf("stand_in_ratios.%s %g → %g", f.name, a, b))
+			}
+		}
 		lines = append(lines, w.Name+": "+strings.Join(parts, ", "))
 	}
 	for _, g := range got {
@@ -398,7 +492,7 @@ func footprintCells(t *testing.T) ([]footprintRow, map[string]footprintRow) {
 func TestFootprintMatrix(t *testing.T) {
 	rows, _ := footprintCells(t)
 	if *updateFootprint {
-		out, err := json.MarshalIndent(footprintRecord{Setup: footprintSetup, Rows: rows}, "", "  ")
+		out, err := json.MarshalIndent(footprintRecord{Setup: footprintSetup + runtime.Version() + ".", Rows: rows}, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,12 +540,21 @@ func assertBoundShrinks(t *testing.T, by map[string]footprintRow, set string) {
 }
 
 // TestFig14Shape: on EP, a larger bound never costs bytes, and grouping
-// correlated series beats compressing each alone at every bound.
+// correlated series beats compressing each alone at every bound. On EP
+// and EH, every grouped cell at a non-zero bound stores fewer bytes
+// than every stand-in format holds the same points in.
 func TestFig14Shape(t *testing.T) {
 	_, by := footprintCells(t)
 	assertBoundShrinks(t, by, "EP")
 	for _, bound := range footprintBounds {
 		assertSmaller(t, by, "Fig. 14", cellName("EP", bound, "grouped"), cellName("EP", bound, "single"))
+	}
+	for _, set := range []string{"EP", "EH"} {
+		for _, bound := range footprintBounds[1:] {
+			for _, f := range standInFormats {
+				assertSmaller(t, by, "Fig. 14 stand-ins", cellName(set, bound, "grouped"), standInName(set, f.name))
+			}
+		}
 	}
 }
 

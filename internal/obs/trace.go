@@ -27,10 +27,10 @@ type SpanRecord struct {
 
 // Trace is one query's execution record: stage spans, work counters
 // (segments scanned, scan chunks, rows returned, series folded on
-// their model, points reconstructed) and the total duration. The
-// engine attaches a Trace to each execution when an observer is
-// installed; a finished Trace feeds the stage histograms and, past the
-// threshold, the slow-query log.
+// their model, points reconstructed, row runs appended) and the total
+// duration. The engine attaches a Trace to each execution when an
+// observer is installed; a finished Trace feeds the stage histograms
+// and, past the threshold, the slow-query log.
 //
 // Spans are started and ended by the engine — possibly from different
 // goroutines (a streaming cursor's scan span ends on the producer) —
@@ -51,6 +51,7 @@ type Trace struct {
 	rows          atomic.Int64
 	foldedSeries  atomic.Int64
 	decodedPoints atomic.Int64
+	selectRuns    atomic.Int64
 }
 
 // NewTrace starts a trace for a query. sql renders the query text
@@ -151,6 +152,15 @@ func (t *Trace) AddDecodedPoints(n int64) {
 	}
 }
 
+// AddSelectRuns counts the runs a row scan appended: one per (segment,
+// series) that contributed rows, each filled a column at a time. Safe
+// on a nil trace.
+func (t *Trace) AddSelectRuns(n int64) {
+	if t != nil {
+		t.selectRuns.Add(n)
+	}
+}
+
 // Segments returns the segments-scanned count.
 func (t *Trace) Segments() int64 { return t.segments.Load() }
 
@@ -165,6 +175,9 @@ func (t *Trace) FoldedSeries() int64 { return t.foldedSeries.Load() }
 
 // DecodedPoints returns the reconstructed-point count.
 func (t *Trace) DecodedPoints() int64 { return t.decodedPoints.Load() }
+
+// SelectRuns returns the row scan's run count.
+func (t *Trace) SelectRuns() int64 { return t.selectRuns.Load() }
 
 // ID returns the engine-assigned query id.
 func (t *Trace) ID() uint64 { return t.id }

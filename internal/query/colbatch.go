@@ -1,6 +1,7 @@
 package query
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -135,8 +136,9 @@ func (b *ColumnBatch) NumCols() int { return len(b.types) }
 func (b *ColumnBatch) ByteSize() int { return b.bytes }
 
 // The typed appends fill one cell of the next row; the caller appends
-// every column exactly once, then calls finishRow. The projector
-// (plan.appendRow) is the only writer, so the invariant is local.
+// every column exactly once, then calls finishRow. Finalize's group
+// rows (plan.appendGroupRow) are their only writer, so the invariant
+// is local.
 
 func (b *ColumnBatch) appendInt64(c int, v int64) {
 	b.i64[c] = append(b.i64[c], v)
@@ -168,6 +170,64 @@ func (b *ColumnBatch) appendNull(c int) {
 }
 
 func (b *ColumnBatch) finishRow() { b.n++ }
+
+// The run appends fill one column of the next n rows; the caller fills
+// every column with the same n, then calls finishRows(n). The row
+// projector (plan.appendRun) is their only writer. ByteSize grows by
+// exactly what n single-cell appends would add, so a batch filled a
+// run at a time sizes, and cuts into chunks, as one filled a row at a
+// time.
+
+// fillInt64 appends n copies of v to int64 column c.
+func (b *ColumnBatch) fillInt64(c int, v int64, n int) {
+	b.i64[c] = fill(b.i64[c], v, n)
+	b.bytes += 8 * n
+}
+
+// fillString appends n copies of v to string column c; the copies
+// share v's backing array.
+func (b *ColumnBatch) fillString(c int, v string, n int) {
+	b.str[c] = fill(b.str[c], v, n)
+	b.bytes += n * (16 + len(v))
+}
+
+// appendInt64s appends vs to int64 column c.
+func (b *ColumnBatch) appendInt64s(c int, vs []int64) {
+	b.i64[c] = append(b.i64[c], vs...)
+	b.bytes += 8 * len(vs)
+}
+
+// appendFloat64s appends vs to float64 column c.
+func (b *ColumnBatch) appendFloat64s(c int, vs []float64) {
+	b.f64[c] = append(b.f64[c], vs...)
+	b.bytes += 8 * len(vs)
+}
+
+func (b *ColumnBatch) finishRows(n int) { b.n += n }
+
+// fill appends n copies of v to vec, growing it at most once.
+func fill[T any](vec []T, v T, n int) []T {
+	vec = slices.Grow(vec, n)
+	for range n {
+		vec = append(vec, v)
+	}
+	return vec
+}
+
+// grow makes room for n more rows in every column, so that appending
+// them allocates nothing.
+func (b *ColumnBatch) grow(n int) {
+	for c, t := range b.types {
+		switch t {
+		case ColInt64:
+			b.i64[c] = slices.Grow(b.i64[c], n)
+		case ColFloat64:
+			b.f64[c] = slices.Grow(b.f64[c], n)
+		case ColString:
+			b.str[c] = slices.Grow(b.str[c], n)
+		}
+	}
+}
 
 // isNull reports whether the cell at (row, col) is NULL.
 func (b *ColumnBatch) isNull(row, col int) bool {

@@ -146,19 +146,19 @@ func (e *Engine) executeTraced(ctx context.Context, q *sqlparse.Query, tr *obs.T
 // takes the finalized result, under its finalize span.
 func (e *Engine) run(ctx context.Context, p *plan, use func(*finalized)) error {
 	sp := p.trace.StartSpan(obs.SpanScan)
-	part, err := e.runPlan(ctx, p)
+	parts, err := e.runPlan(ctx, p)
 	sp.End()
 	if err != nil {
 		return err
 	}
 	sp = p.trace.StartSpan(obs.SpanFinalize)
 	defer sp.End()
-	f, err := e.finalize(p, []*PartialResult{part})
+	f, err := e.finalize(p, parts)
 	if err != nil {
-		part.ReleaseBatch()
+		releaseParts(parts)
 		return err
 	}
-	f.part = part
+	f.parts = parts
 	p.trace.AddRows(int64(len(f.order)))
 	use(f)
 	return nil
@@ -247,10 +247,15 @@ func (e *Engine) hookSegment(ctx context.Context, sc *scanScratch) error {
 	return e.scanHook(ctx)
 }
 
-// runPlan executes a compiled plan's worker-side part.
-func (e *Engine) runPlan(ctx context.Context, p *plan) (*PartialResult, error) {
+// runPlan executes a compiled plan's worker-side part: an aggregate's
+// one partial, or a row scan's partials, one per chunk.
+func (e *Engine) runPlan(ctx context.Context, p *plan) ([]*PartialResult, error) {
 	if p.isAggregate {
-		return e.runAggregate(ctx, p)
+		part, err := e.runAggregate(ctx, p)
+		if err != nil {
+			return nil, err
+		}
+		return []*PartialResult{part}, nil
 	}
 	return e.runSelect(ctx, p)
 }
@@ -732,25 +737,35 @@ func (p *plan) aggregatePoints(view models.AggView, pos int, row *logicalRow, i0
 	}
 }
 
-// runSelect executes a non-aggregate query, returning raw rows: the
-// chunk batches concatenate in scan order, and each goes back to the
-// pool as soon as it is appended, so a steady scan recycles one batch
-// per in-flight chunk.
-func (e *Engine) runSelect(ctx context.Context, p *plan) (*PartialResult, error) {
-	out := &PartialResult{Columns: p.outColumns, Batch: getBatch(p.colTypes)}
+// runSelect executes a non-aggregate query, returning raw rows as one
+// partial per chunk batch, in scan order. Finalize walks the list, so
+// no row is copied into a batch of all of them; each batch goes back
+// to the pool once the result is boxed or walked.
+func (e *Engine) runSelect(ctx context.Context, p *plan) ([]*PartialResult, error) {
+	var parts []*PartialResult
 	err := e.scan(ctx, p, (*Engine).selectChunk, func(part any) error {
-		src := part.(*ColumnBatch)
-		out.Batch.AppendBatch(src)
-		src.release()
+		b := part.(*ColumnBatch)
+		if b.Len() == 0 {
+			b.release()
+			return nil
+		}
+		parts = append(parts, &PartialResult{Columns: p.outColumns, Batch: b})
 		return nil
 	})
 	if err != nil {
 		// Aborted scans may strand un-consumed chunk batches in the
 		// collector's pending map; those fall to the GC, not the pool.
-		out.ReleaseBatch()
+		releaseParts(parts)
 		return nil, err
 	}
-	return out, nil
+	return parts, nil
+}
+
+// releaseParts hands every partial's batch back to the pool.
+func releaseParts(parts []*PartialResult) {
+	for _, part := range parts {
+		part.ReleaseBatch()
+	}
 }
 
 // selectChunk projects one chunk's rows into its own pooled batch,
@@ -770,10 +785,12 @@ func (e *Engine) selectChunk(ctx context.Context, p *plan, sc *scanScratch, segs
 	return b, nil
 }
 
-// selectSegment appends one segment's projected rows to the batch.
-// The series conjuncts gate each series once and the exact time range
-// is already [i0, i1], so an emitted point is checked against the
-// point conjuncts only — usually none.
+// selectSegment appends one segment's projected rows to the batch, a
+// run per (segment, series): the series conjuncts gate each series
+// once, and on the DataPoint view the series' points over the clipped
+// [i0, i1] are reconstructed into the scratch's TS and Value vectors,
+// of which the point conjuncts — usually none — keep a selection. A
+// Segment-view row is a run of one.
 func (e *Engine) selectSegment(p *plan, seg *core.Segment, b *ColumnBatch, sc *scanScratch) error {
 	i0, i1, ok := seg.IndexRange(p.push.trange.from, p.push.trange.to)
 	if !ok {
@@ -787,60 +804,74 @@ func (e *Engine) selectSegment(p *plan, seg *core.Segment, b *ColumnBatch, sc *s
 		if !sc.keepSeries(p, &row) {
 			continue
 		}
-		if !row.isPoint {
-			p.appendRow(b, &row)
-			continue
-		}
-		if view == nil {
-			v, err := e.viewFor(sc, seg, len(active))
-			if err != nil {
-				return err
+		n := 1
+		if row.isPoint {
+			if view == nil {
+				v, err := e.viewFor(sc, seg, len(active))
+				if err != nil {
+					return err
+				}
+				view = v
 			}
-			view = v
-		}
-		scale := float64(ts.Scaling)
-		sc.decodedPoints += int64(i1 - i0 + 1)
-		for i := i0; i <= i1; i++ {
-			row.pointTS = seg.TimestampAt(i)
-			row.value = float64(view.ValueAt(pos, i)) / scale
-			if p.where.point.eval(&row) {
-				p.appendRow(b, &row)
+			if n = sc.pointRun(p, &row, view, pos, i0, i1); n == 0 {
+				continue
 			}
 		}
+		p.appendRun(b, &row, n, sc)
+		sc.selectRuns++
 	}
 	return nil
 }
 
-// appendRow projects one logical row into the batch: a typed append
-// per column, no boxing. Unavailable columns cannot occur here —
-// compile's checkColumnTable rejects cross-view references, and the
-// executor always has the segment at hand.
-func (p *plan) appendRow(b *ColumnBatch, r *logicalRow) {
-	for c, pi := range p.items {
-		switch pi.ref.kind {
-		case colTid:
-			b.appendInt64(c, int64(r.ts.Tid))
-		case colGid:
-			b.appendInt64(c, int64(r.ts.Gid))
-		case colSI:
-			b.appendInt64(c, r.ts.SI)
-		case colMember:
-			b.appendString(c, r.ts.Member(pi.ref.dimension, pi.ref.level))
-		case colStartTime:
-			b.appendInt64(c, r.seg.StartTime)
-		case colEndTime:
-			b.appendInt64(c, r.seg.EndTime)
-		case colMid:
-			b.appendInt64(c, int64(r.seg.MID))
-		case colGaps:
-			b.appendString(c, fmt.Sprint(r.seg.GapTids))
-		case colTS:
-			b.appendInt64(c, r.pointTS)
-		case colValue:
-			b.appendFloat64(c, r.value)
+// pointRun reconstructs row's series over [i0, i1] into the scratch's
+// TS and Value vectors, with the arithmetic of a single point
+// (TimestampAt, and float64(ValueAt) / scaling), then keeps in place
+// the points the point conjuncts hold for and returns how many it
+// kept.
+func (sc *scanScratch) pointRun(p *plan, row *logicalRow, view models.AggView, pos, i0, i1 int) int {
+	n := i1 - i0 + 1
+	sc.decodedPoints += int64(n)
+	scale := float64(row.ts.Scaling)
+	ts := slices.Grow(sc.pointTS[:0], n)[:n]
+	vals := slices.Grow(sc.values[:0], n)[:n]
+	for k := range ts {
+		ts[k] = row.seg.TimestampAt(i0 + k)
+		vals[k] = float64(view.ValueAt(pos, i0+k)) / scale
+	}
+	if !p.where.point.always() {
+		n = 0
+		for k := range ts {
+			row.pointTS, row.value = ts[k], vals[k]
+			if p.where.point.eval(row) {
+				ts[n], vals[n] = ts[k], vals[k]
+				n++
+			}
 		}
 	}
-	b.finishRow()
+	sc.pointTS, sc.values = ts[:n], vals[:n]
+	return n
+}
+
+// appendRun appends n rows of r's (segment, series) to the batch, a
+// column at a time with no boxing: TS and Value copy the scratch's
+// point vectors, which pointRun left n long, and every other column is
+// constant over the run and filled once. Unavailable columns cannot
+// occur here — compile's checkColumnTable rejects cross-view
+// references, and the executor always has the segment at hand.
+func (p *plan) appendRun(b *ColumnBatch, r *logicalRow, n int, sc *scanScratch) {
+	for c, pi := range p.items {
+		switch {
+		case pi.ref.kind == colTS:
+			b.appendInt64s(c, sc.pointTS)
+		case pi.ref.kind == colValue:
+			b.appendFloat64s(c, sc.values)
+		case colTypeOf(pi.ref) == ColString:
+			b.fillString(c, r.stringOf(pi.ref), n)
+		default:
+			b.fillInt64(c, r.int64Of(pi.ref), n)
+		}
+	}
+	b.finishRows(n)
 }
 
 // Finalize merges partial results from all nodes and produces the
@@ -945,9 +976,8 @@ func mergePartials(partials []*PartialResult) map[string]*GroupState {
 
 // groupBatch finalizes merged groups into one batch, in key order: one
 // row per group for scalar aggregates, one row per time bucket for
-// roll-ups. Cube states are sorted by bucket, so a roll-up's buckets
-// are the ordered union of its states, walked with one cursor per
-// state.
+// roll-ups. It counts the rows first, so every column is allocated
+// once.
 func (p *plan) groupBatch(groups map[string]*GroupState) *ColumnBatch {
 	// Not a pooled batch: the pool's batches keep the vectors of a row
 	// layout for the next scan, and an aggregate's layout would drop
@@ -956,32 +986,53 @@ func (p *plan) groupBatch(groups map[string]*GroupState) *ColumnBatch {
 	next := make([]int, p.nCubes)
 	keys := slices.AppendSeq(make([]string, 0, len(groups)), maps.Keys(groups))
 	slices.Sort(keys)
+	rows := len(keys)
+	if p.nCubes > 0 {
+		rows = 0
+		for _, key := range keys {
+			rows += eachBucket(groups[key], next, nil)
+		}
+	}
+	b.grow(rows)
 	for _, key := range keys {
 		g := groups[key]
 		if p.nCubes == 0 {
 			p.appendGroupRow(b, g, 0, nil)
 			continue
 		}
-		clear(next)
-		for {
-			bucket, ok := int64(0), false
-			for ci, c := range g.Cubes {
-				if i := next[ci]; i < len(c) && (!ok || c[i].Bucket < bucket) {
-					bucket, ok = c[i].Bucket, true
-				}
+		eachBucket(g, next, func(bucket int64) { p.appendGroupRow(b, g, bucket, next) })
+	}
+	return b
+}
+
+// eachBucket walks the buckets of g's roll-ups in order and returns
+// how many there are. Cube states are sorted by bucket, so the buckets
+// are the ordered union of the states, walked with one cursor per
+// state in next; fn, unless nil, sees each bucket while the cursors
+// sit at its cells.
+func eachBucket(g *GroupState, next []int, fn func(bucket int64)) int {
+	clear(next)
+	n := 0
+	for {
+		bucket, ok := int64(0), false
+		for ci, c := range g.Cubes {
+			if i := next[ci]; i < len(c) && (!ok || c[i].Bucket < bucket) {
+				bucket, ok = c[i].Bucket, true
 			}
-			if !ok {
-				break
-			}
-			p.appendGroupRow(b, g, bucket, next)
-			for ci, c := range g.Cubes {
-				if i := next[ci]; i < len(c) && c[i].Bucket == bucket {
-					next[ci]++
-				}
+		}
+		if !ok {
+			return n
+		}
+		if fn != nil {
+			fn(bucket)
+		}
+		n++
+		for ci, c := range g.Cubes {
+			if i := next[ci]; i < len(c) && c[i].Bucket == bucket {
+				next[ci]++
 			}
 		}
 	}
-	return b
 }
 
 // appendGroupRow appends one output row of group g; a roll-up's row is

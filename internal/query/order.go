@@ -2,6 +2,7 @@ package query
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -51,21 +52,21 @@ type rowRef struct{ part, row int32 }
 
 // finalized is a finished result: the rows of bs it keeps, in result
 // order. order lies in one of two reference arrays from refPool, and
-// part is the scan's own partial when the engine ran one; release hands
-// them back once the rows are boxed or walked.
+// parts are the scan's own partials when the engine ran one; release
+// hands them back once the rows are boxed or walked.
 type finalized struct {
 	bs     []*ColumnBatch
 	order  []rowRef
 	pooled [2][]rowRef
-	part   *PartialResult
+	parts  []*PartialResult
 }
 
-// release returns f's reference arrays and scanned batch to their
+// release returns f's reference arrays and scanned batches to their
 // pools; f must not be used afterwards.
 func (f *finalized) release() {
 	putRefs(f.pooled[0])
 	putRefs(f.pooled[1])
-	f.part.ReleaseBatch()
+	releaseParts(f.parts)
 }
 
 // orderRows orders the batches' rows: in concatenation order (batch
@@ -275,11 +276,14 @@ func gallop(run []rowRef, x rowRef, ties bool, compare func(a, b rowRef) int) in
 
 // boxRefs boxes the referenced rows, in order, filling spans contiguous
 // ranges concurrently; each range cuts its rows from one flat cell
-// array of its own, so the arrays are cleared in parallel too. The
-// per-cell cost is the interface boxing the public API demands, and
-// boxing a string allocates, so a string equal to the one above it
-// shares that cell's box: a group key, or a series' member, repeats
-// down its column.
+// array of its own, so the arrays are cleared in parallel too, and
+// fills it a column at a time. The per-cell cost is the interface
+// boxing the public API demands, and boxing allocates, so a cell equal
+// to the one above it shares that cell's box: a group key or a series'
+// member repeats down its column, and so does a lossy series'
+// reconstructed value from one point to the next. Numbers are equal
+// when their bits are, so -0 and +0 keep their own boxes and a NaN
+// shares only with the same NaN; a NULL neither shares nor is shared.
 func boxRefs(bs []*ColumnBatch, refs []rowRef, spans int) [][]any {
 	rows := make([][]any, len(refs))
 	if len(refs) == 0 {
@@ -288,22 +292,59 @@ func boxRefs(bs []*ColumnBatch, refs []rowRef, spans int) [][]any {
 	ncols := bs[0].NumCols()
 	forSpans(len(refs), spans, func(lo, hi int) {
 		cells := make([]any, (hi-lo)*ncols)
-		prev := cells[:ncols] // the first row, whose cells are still nil
 		for i := lo; i < hi; i++ {
-			row := cells[:ncols:ncols]
-			cells = cells[ncols:]
-			b, r := bs[refs[i].part], int(refs[i].row)
-			for c := range row {
-				if b.types[c] == ColString && prev[c] == b.str[c][r] {
-					row[c] = prev[c]
-				} else {
-					row[c] = b.ValueAt(r, c)
-				}
+			k := (i - lo) * ncols
+			rows[i] = cells[k : k+ncols : k+ncols]
+		}
+		for c, t := range bs[0].types {
+			switch t {
+			case ColInt64:
+				boxColumn(cells[c:], ncols, refs[lo:hi], bs, func(b *ColumnBatch) []int64 { return b.i64[c] })
+			case ColString:
+				boxColumn(cells[c:], ncols, refs[lo:hi], bs, func(b *ColumnBatch) []string { return b.str[c] })
+			default:
+				boxFloats(cells[c:], ncols, refs[lo:hi], bs, c)
 			}
-			rows[i], prev = row, row
 		}
 	})
 	return rows
+}
+
+// boxColumn boxes the referenced cells of one int64 or string column
+// into every ncols-th cell of cells, a cell equal to the one above it
+// sharing its box; vec returns the column's vector in a batch.
+func boxColumn[T int64 | string](cells []any, ncols int, refs []rowRef, bs []*ColumnBatch, vec func(*ColumnBatch) []T) {
+	var prev T
+	var box any
+	part, v := int32(-1), []T(nil)
+	for k, ref := range refs {
+		if ref.part != part {
+			part, v = ref.part, vec(bs[ref.part])
+		}
+		if x := v[ref.row]; box == nil || x != prev {
+			prev, box = x, x
+		}
+		cells[k*ncols] = box
+	}
+}
+
+// boxFloats is boxColumn for float64 column c, whose cells are equal
+// when their bits are and whose NULLs box to nil.
+func boxFloats(cells []any, ncols int, refs []rowRef, bs []*ColumnBatch, c int) {
+	var prev uint64
+	var box any
+	for k, ref := range refs {
+		b := bs[ref.part]
+		if b.isNull(int(ref.row), c) {
+			box = nil
+			continue // the cell stays nil
+		}
+		x := b.f64[c][ref.row]
+		if bits := math.Float64bits(x); box == nil || bits != prev {
+			prev, box = bits, x
+		}
+		cells[k*ncols] = box
+	}
 }
 
 // refPool recycles finalize's two reference arrays across queries: at

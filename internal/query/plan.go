@@ -364,6 +364,9 @@ func (e *Engine) compilePred(expr sqlparse.Expr, table sqlparse.Table) (pred, er
 	return c, nil
 }
 
+// always reports whether c is the empty AND, which every row passes.
+func (c *pred) always() bool { return c.op == opAnd && len(c.kids) == 0 }
+
 // every reports whether f holds for every column c reads (the ops
 // after opOr are the leaves).
 func (c *pred) every(f func(columnKind) bool) bool {

@@ -28,6 +28,10 @@ type scanScratch struct {
 	active []*core.TimeSeries
 	key    []byte
 	runs   []bucketRun
+	// pointTS and values hold one (segment, series) run of a row scan's
+	// reconstructed points (pointRun).
+	pointTS []int64
+	values  []float64
 
 	// tids is indexed by Tid (dense from 1). scan and chunk number the
 	// scratch's scans and aggregate chunks; a slot stamped with an
@@ -38,6 +42,7 @@ type scanScratch struct {
 	segments      int64
 	foldedSeries  int64
 	decodedPoints int64
+	selectRuns    int64
 }
 
 // tidSlot is what a perSeries plan resolved for one series: whether
@@ -74,7 +79,8 @@ func (sc *scanScratch) release(tr *obs.Trace) {
 	tr.AddSegments(sc.segments)
 	tr.AddFoldedSeries(sc.foldedSeries)
 	tr.AddDecodedPoints(sc.decodedPoints)
-	sc.segments, sc.foldedSeries, sc.decodedPoints = 0, 0, 0
+	tr.AddSelectRuns(sc.selectRuns)
+	sc.segments, sc.foldedSeries, sc.decodedPoints, sc.selectRuns = 0, 0, 0, 0
 	scanScratchPool.Put(sc)
 }
 

@@ -2,11 +2,10 @@
 // benchmark workloads costs on one node, counted rather than timed, and
 // checked against the committed bench/work.json. Per query it records
 // the query trace's counters (segments scanned, chunks, rows, series
-// folded in closed form, points reconstructed), the segment store's
-// log reads and bytes read, and the allocations of one execution.
-// Counts are exact; allocations may drift by workAllocShare plus
-// workAllocSlack. Rewrite the
-// record with
+// folded in closed form, points reconstructed, row runs appended), the
+// segment store's log reads and bytes read, and the allocations of one
+// execution. Counts are exact; allocations may drift by workAllocShare
+// plus workAllocSlack. Rewrite the record with
 //
 //	go test -run TestWorkRecord -update .
 //
@@ -35,8 +34,8 @@ const workSetup = "One in-memory node, DefaultConfig with QueryParallelism 1, lo
 	"4096-point batches and flushed. EP: tsgen 4 entities x 4 measures x 2000 ticks, seed 42, gap rate 0.0005, " +
 	"bound 1%, grouped as the benchmark's EP clauses; EH: tsgen 8 series x 3000 ticks, seed 43, gap rate 0.0005, " +
 	"grouped by 0.16666667, at 5% (scatter_tcp2's shapes) and 0% (mixed_http's). The SQL is the benchmark's " +
-	"query shapes with fixed Tids and ranges, run through DB.Query. segments, chunks, rows, folded_series and " +
-	"decoded_points are the query trace's counters; reads and read_bytes the store's ReadStats for the query; " +
+	"query shapes with fixed Tids and ranges, run through DB.Query. segments, chunks, rows, folded_series, " +
+	"decoded_points and runs (the (segment, series) runs a row scan appended) are the query trace's counters; reads and read_bytes the store's ReadStats for the query; " +
 	"allocs is testing.AllocsPerRun over 5 runs, checked within 10% + 10 (not under -race)."
 
 // workAllocShare and workAllocSlack bound how far allocs may move before the record
@@ -56,6 +55,7 @@ type workRow struct {
 	Rows          int64   `json:"rows"`
 	FoldedSeries  int64   `json:"folded_series"`
 	DecodedPoints int64   `json:"decoded_points"`
+	Runs          int64   `json:"runs"`
 	Reads         int64   `json:"reads"`
 	ReadBytes     int64   `json:"read_bytes"`
 	Allocs        float64 `json:"allocs"`
@@ -115,7 +115,7 @@ func (w workData) rows(t *testing.T) []workRow {
 		row := workRow{
 			Name: name, SQL: sql,
 			Segments: last.Segments(), Chunks: last.Chunks(), Rows: last.Rows(),
-			FoldedSeries: last.FoldedSeries(), DecodedPoints: last.DecodedPoints(),
+			FoldedSeries: last.FoldedSeries(), DecodedPoints: last.DecodedPoints(), Runs: last.SelectRuns(),
 			Reads: reads1 - reads0, ReadBytes: bytes1 - bytes0,
 		}
 		row.Allocs = testing.AllocsPerRun(5, func() {
@@ -227,6 +227,7 @@ func diffWork(want, got []workRow) []string {
 		count("rows", w.Rows, g.Rows)
 		count("folded_series", w.FoldedSeries, g.FoldedSeries)
 		count("decoded_points", w.DecodedPoints, g.DecodedPoints)
+		count("runs", w.Runs, g.Runs)
 		count("reads", w.Reads, g.Reads)
 		count("read_bytes", w.ReadBytes, g.ReadBytes)
 		if !raceEnabled && math.Abs(g.Allocs-w.Allocs) > workAllocShare*w.Allocs+workAllocSlack {
