@@ -3,9 +3,10 @@
 // checked against the committed bench/work.json. Per query it records
 // the query trace's counters (segments scanned, chunks, rows, series
 // folded in closed form, points reconstructed, row runs appended), the
-// segment store's log reads and bytes read, and the allocations of one
-// execution. Counts are exact; allocations may drift by workAllocShare
-// plus workAllocSlack. Rewrite the record with
+// segment store's log reads and bytes read, and the allocations and
+// allocated bytes of one execution. Counts are exact; allocations may
+// drift by workAllocShare plus workAllocSlack, allocated bytes by
+// workAllocShare plus workByteSlack. Rewrite the record with
 //
 //	go test -run TestWorkRecord -update .
 //
@@ -18,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -36,14 +38,17 @@ const workSetup = "One in-memory node, DefaultConfig with QueryParallelism 1, lo
 	"grouped by 0.16666667, at 5% (scatter_tcp2's shapes) and 0% (mixed_http's). The SQL is the benchmark's " +
 	"query shapes with fixed Tids and ranges, run through DB.Query. segments, chunks, rows, folded_series, " +
 	"decoded_points and runs (the (segment, series) runs a row scan appended) are the query trace's counters; reads and read_bytes the store's ReadStats for the query; " +
-	"allocs is testing.AllocsPerRun over 5 runs, checked within 10% + 10 (not under -race)."
+	"allocs and alloc_bytes are runtime.MemStats' Mallocs and TotalAlloc per run over the same 5 runs after one warm-up " +
+	"(as testing.AllocsPerRun counts), checked within 10% + 10 and 10% + 4096 (not under -race)."
 
-// workAllocShare and workAllocSlack bound how far allocs may move before the record
-// fails: a relative share plus a constant, since pools and map growth
-// make a few allocations a run depend on what ran before.
+// workAllocShare and workAllocSlack bound how far allocs may move
+// before the record fails, and workAllocShare and workByteSlack how far
+// alloc_bytes may: a relative share plus a constant, since pools and
+// map growth make a few allocations a run depend on what ran before.
 const (
 	workAllocShare = 0.10
 	workAllocSlack = 10
+	workByteSlack  = 4096
 )
 
 // workRow is one query of the record.
@@ -59,6 +64,7 @@ type workRow struct {
 	Reads         int64   `json:"reads"`
 	ReadBytes     int64   `json:"read_bytes"`
 	Allocs        float64 `json:"allocs"`
+	AllocBytes    float64 `json:"alloc_bytes"`
 }
 
 type workRecord struct {
@@ -118,7 +124,7 @@ func (w workData) rows(t *testing.T) []workRow {
 			FoldedSeries: last.FoldedSeries(), DecodedPoints: last.DecodedPoints(), Runs: last.SelectRuns(),
 			Reads: reads1 - reads0, ReadBytes: bytes1 - bytes0,
 		}
-		row.Allocs = testing.AllocsPerRun(5, func() {
+		row.Allocs, row.AllocBytes = allocsPerRun(5, func() {
 			if _, err := db.Query(context.Background(), sql); err != nil {
 				t.Fatal(err)
 			}
@@ -126,6 +132,21 @@ func (w workData) rows(t *testing.T) []workRow {
 		out = append(out, row)
 	}
 	return out
+}
+
+// allocsPerRun is testing.AllocsPerRun that also returns the bytes the
+// same runs allocated: one warm-up call at GOMAXPROCS 1, then the
+// average Mallocs and TotalAlloc over runs calls, in whole units.
+func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64((m1.Mallocs - m0.Mallocs) / uint64(runs)), float64((m1.TotalAlloc - m0.TotalAlloc) / uint64(runs))
 }
 
 // workQueries returns every row of the record, in order.
@@ -232,6 +253,9 @@ func diffWork(want, got []workRow) []string {
 		count("read_bytes", w.ReadBytes, g.ReadBytes)
 		if !raceEnabled && math.Abs(g.Allocs-w.Allocs) > workAllocShare*w.Allocs+workAllocSlack {
 			parts = append(parts, fmt.Sprintf("allocs %.0f → %.0f", w.Allocs, g.Allocs))
+		}
+		if !raceEnabled && math.Abs(g.AllocBytes-w.AllocBytes) > workAllocShare*w.AllocBytes+workByteSlack {
+			parts = append(parts, fmt.Sprintf("alloc_bytes %.0f → %.0f", w.AllocBytes, g.AllocBytes))
 		}
 		if len(parts) > 0 {
 			lines = append(lines, w.Name+": "+strings.Join(parts, ", "))
