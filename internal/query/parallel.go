@@ -111,7 +111,7 @@ func (e *Engine) scan(ctx context.Context, p *plan, fn func(*Engine, context.Con
 		defer sc.release(p.trace)
 		return e.store.ScanChunks(ctx, p.scanFilter(), e.chunk, func(c storage.Chunk) error {
 			p.trace.AddChunks(1)
-			segs, err := c.Segments()
+			segs, err := c.Segments(&sc.read)
 			if err != nil {
 				return err
 			}
@@ -174,7 +174,7 @@ func (e *Engine) scan(ctx context.Context, p *plan, fn func(*Engine, context.Con
 				var val any
 				if err == nil {
 					var segs []*core.Segment
-					segs, err = job.chunk.Segments()
+					segs, err = job.chunk.Segments(&sc.read)
 					if err == nil {
 						val, err = fn(e, ctx, p, sc, segs)
 					}

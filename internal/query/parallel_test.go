@@ -224,7 +224,7 @@ type errStore struct {
 
 type errChunk struct{}
 
-func (errChunk) Segments() ([]*core.Segment, error) {
+func (errChunk) Segments(*storage.ReadScratch) ([]*core.Segment, error) {
 	return nil, fmt.Errorf("synthetic chunk failure")
 }
 

@@ -6,14 +6,16 @@ import (
 	"modelardb/internal/core"
 	"modelardb/internal/models"
 	"modelardb/internal/obs"
+	"modelardb/internal/storage"
 )
 
 // scanScratch carries the per-scan state that would otherwise be
 // fetched under the metadata cache's lock, or allocated, for every
 // segment: a snapshot of each group's members and their series
-// metadata, one reusable model view per MID (models.ViewReuser), and
-// the buffers the active-series list, the group key and a segment's
-// bucket split are built in. For a plan whose series conjuncts and
+// metadata, the memory the store reads each chunk into
+// (storage.ReadScratch), one reusable model view per MID
+// (models.ViewReuser), and the buffers the active-series list, the
+// group key and a segment's bucket split are built in. For a plan whose series conjuncts and
 // group key read only per-series columns (plan.perSeries) it caches,
 // per Tid, the conjuncts' verdict for the scan and the series' group
 // for the chunk. It also tallies what the scan did — segments scanned,
@@ -23,7 +25,10 @@ import (
 // for a pool of one, or one pool worker for its whole lifetime — so
 // workers never share.
 type scanScratch struct {
-	groups map[core.Gid][]*core.TimeSeries
+	// read is lent to every chunk this scratch's goroutine reads, so a
+	// chunk's segments are valid until its next chunk: nothing keeps a
+	// segment past the chunk's fn, and only viewFor reads Params.
+	read   storage.ReadScratch
 	views  [256]models.AggView // by MID
 	active []*core.TimeSeries
 	key    []byte
@@ -33,10 +38,12 @@ type scanScratch struct {
 	pointTS []int64
 	values  []float64
 
-	// tids is indexed by Tid (dense from 1). scan and chunk number the
-	// scratch's scans and aggregate chunks; a slot stamped with an
-	// earlier number is stale, so nothing is ever cleared.
+	// tids is indexed by Tid and gids by Gid (both dense from 1). scan
+	// and chunk number the scratch's scans and aggregate chunks; a slot
+	// stamped with an earlier number is stale, so nothing is ever
+	// cleared.
 	tids        []tidSlot
+	gids        []gidSlot
 	scan, chunk uint64
 
 	segments      int64
@@ -54,33 +61,37 @@ type tidSlot struct {
 	group       *GroupState
 }
 
-var scanScratchPool = sync.Pool{New: func() any {
-	return &scanScratch{
-		groups: map[core.Gid][]*core.TimeSeries{},
-	}
-}}
+// gidSlot is a group's members as this scan snapshotted them (valid
+// while scan matches).
+type gidSlot struct {
+	scan    uint64
+	members []*core.TimeSeries
+}
 
-// getScratch returns a pooled scratch. Group snapshots are dropped —
-// the pool is shared by every engine, and membership may have changed
-// since the scratch's last scan — and advancing scan stales every Tid
-// slot, but views and buffers are kept: ViewInto overwrites a view
-// completely before it is read, so stale contents are harmless and
-// their capacity is the point of pooling.
+var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
+// getScratch returns a pooled scratch. Advancing scan stales every Tid
+// and Gid slot — the pool is shared by every engine, and membership may
+// have changed since the scratch's last scan — but views and buffers
+// are kept: ViewInto overwrites a view, and a read every byte and
+// segment it returns, before they are read, so stale contents are
+// harmless and their capacity is the point of pooling.
 func getScratch() *scanScratch {
 	sc := scanScratchPool.Get().(*scanScratch)
-	clear(sc.groups)
 	sc.scan++
 	return sc
 }
 
 // release adds the scratch's tallies to the trace (nil when untraced)
-// and returns it to the pool.
+// and returns it to the pool, without read memory that only a huge
+// explicit chunk size needed (storage.ReadScratch.Trim).
 func (sc *scanScratch) release(tr *obs.Trace) {
 	tr.AddSegments(sc.segments)
 	tr.AddFoldedSeries(sc.foldedSeries)
 	tr.AddDecodedPoints(sc.decodedPoints)
 	tr.AddSelectRuns(sc.selectRuns)
 	sc.segments, sc.foldedSeries, sc.decodedPoints, sc.selectRuns = 0, 0, 0, 0
+	sc.read.Trim()
 	scanScratchPool.Put(sc)
 }
 
@@ -91,11 +102,14 @@ func (sc *scanScratch) release(tr *obs.Trace) {
 // same consistency the storage snapshot it iterates already provides.
 // The result is valid until the next call.
 func (sc *scanScratch) seriesOf(meta *core.MetadataCache, seg *core.Segment) []*core.TimeSeries {
-	members, ok := sc.groups[seg.Gid]
-	if !ok {
-		members = meta.SeriesOf(seg.Gid)
-		sc.groups[seg.Gid] = members
+	if n := int(seg.Gid) + 1; n > len(sc.gids) {
+		sc.gids = append(sc.gids, make([]gidSlot, n-len(sc.gids))...)
 	}
+	g := &sc.gids[seg.Gid]
+	if g.scan != sc.scan {
+		g.scan, g.members = sc.scan, meta.SeriesOf(seg.Gid)
+	}
+	members := g.members
 	if len(seg.GapTids) == 0 {
 		return members
 	}

@@ -29,7 +29,7 @@ func chunkAll(t *testing.T, s SegmentStore, f Filter, chunkSize int) []*core.Seg
 	t.Helper()
 	var out []*core.Segment
 	err := s.ScanChunks(context.Background(), f, chunkSize, func(c Chunk) error {
-		segs, err := c.Segments()
+		segs, err := c.Segments(nil)
 		if err != nil {
 			return err
 		}
@@ -130,7 +130,7 @@ func TestChunksMaterializeConcurrently(t *testing.T) {
 				wg.Add(1)
 				go func(i int, c Chunk) {
 					defer wg.Done()
-					segs, err := c.Segments()
+					segs, err := c.Segments(nil)
 					if err != nil {
 						t.Errorf("chunk %d: %v", i, err)
 						return
@@ -173,7 +173,7 @@ func TestScanChunksAdaptiveSizing(t *testing.T) {
 			var got []*core.Segment
 			err := s.ScanChunks(context.Background(), AllTime(), 0, func(c Chunk) error {
 				chunks++
-				segs, err := c.Segments()
+				segs, err := c.Segments(nil)
 				if err != nil {
 					return err
 				}

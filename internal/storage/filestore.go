@@ -46,7 +46,10 @@ type FileStore struct {
 	bulkSize int
 	buffer   []*core.Segment
 
-	// index maps each group to its segments' locations ordered by EndTime.
+	// index maps each group to its segments' locations ordered by
+	// EndTime. Scans keep sub-slices of it after the lock is released
+	// (collectRefs), so nothing below a published slice's length is
+	// ever written again (addIndex).
 	index map[core.Gid][]recordRef
 	// pending holds one block's refs until the whole block has decoded.
 	pending []recordRef
@@ -269,28 +272,53 @@ func (s *FileStore) indexBlock(payload []byte, offset int64) error {
 		}
 		refs = append(refs, ref)
 	}
-	for _, ref := range refs {
-		s.addIndex(ref)
-	}
+	s.addIndex(refs)
 	s.pending = refs[:0]
 	s.size += int64(len(payload))
 	return nil
 }
 
-func (s *FileStore) addIndex(ref recordRef) {
-	refs := s.index[ref.gid]
-	i := sort.Search(len(refs), func(i int) bool { return refs[i].endTime > ref.endTime })
-	refs = append(refs, recordRef{})
-	copy(refs[i+1:], refs[i:])
-	refs[i] = ref
-	s.index[ref.gid] = refs
-	if dur := ref.endTime - ref.startTime; dur > s.maxDur[ref.gid] {
-		s.maxDur[ref.gid] = dur
+// addIndex adds one block's refs, all of one group, to the index,
+// after the group's refs of equal EndTime, in block order among
+// themselves. A scan may still read any slice the index has published,
+// so no ref below its length is overwritten: refs that sort at or after
+// the group's last are appended, which writes only past the length,
+// and an insert among them builds a new slice.
+func (s *FileStore) addIndex(block []recordRef) {
+	byEnd := func(a, b recordRef) int { return cmp.Compare(a.endTime, b.endTime) }
+	if !slices.IsSortedFunc(block, byEnd) { // only a hand-made log's block
+		slices.SortStableFunc(block, byEnd)
 	}
-	if ms, ok := s.minStart[ref.gid]; !ok || ref.startTime < ms {
-		s.minStart[ref.gid] = ref.startTime
+	gid := block[0].gid
+	refs := s.index[gid]
+	if len(refs) == 0 || block[0].endTime >= refs[len(refs)-1].endTime {
+		s.index[gid] = append(refs, block...)
+	} else {
+		s.index[gid] = mergeRefs(refs, block)
 	}
-	s.count++
+	for _, ref := range block {
+		if dur := ref.endTime - ref.startTime; dur > s.maxDur[gid] {
+			s.maxDur[gid] = dur
+		}
+		if ms, ok := s.minStart[gid]; !ok || ref.startTime < ms {
+			s.minStart[gid] = ref.startTime
+		}
+	}
+	s.count += int64(len(block))
+}
+
+// mergeRefs returns a new slice of the refs of old and block, both
+// sorted by EndTime, in EndTime order and old first among equals.
+func mergeRefs(old, block []recordRef) []recordRef {
+	out := make([]recordRef, 0, len(old)+len(block))
+	for len(old) > 0 && len(block) > 0 {
+		if block[0].endTime < old[0].endTime {
+			out, block = append(out, block[0]), block[1:]
+		} else {
+			out, old = append(out, old[0]), old[1:]
+		}
+	}
+	return append(append(out, old...), block...)
 }
 
 // Insert implements SegmentStore: the segment is buffered and the
@@ -407,12 +435,16 @@ func (s *FileStore) Sync() error {
 	return nil
 }
 
-// collectRefs flushes the write buffer, then snapshots the segment
-// locations matching the filter in ascending (Gid, EndTime) order.
-// Segments are read back and decoded without any lock held. Only a
-// scan that finds buffered segments takes the exclusive lock, so
+// collectRefs flushes the write buffer, then returns, in ascending
+// (Gid, EndTime) order, one span of the index per group that may hold
+// segments matching the filter. A span is a capacity-clipped sub-slice
+// of the group's index slice, not a copy: addIndex never writes below a
+// published length, so it keeps what it held here after the lock is
+// released. It may hold refs starting after f.To, which the chunk walk
+// skips. Segments are read back and decoded without any lock held.
+// Only a scan that finds buffered segments takes the exclusive lock, so
 // queries over a quiet store enumerate side by side.
-func (s *FileStore) collectRefs(f Filter) ([]recordRef, error) {
+func (s *FileStore) collectRefs(f Filter) ([][]recordRef, error) {
 	s.mu.RLock()
 	if len(s.buffer) > 0 {
 		s.mu.RUnlock()
@@ -433,8 +465,7 @@ func (s *FileStore) collectRefs(f Filter) ([]recordRef, error) {
 		}
 		sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
 	}
-	var spans [][]recordRef
-	total := 0
+	spans := make([][]recordRef, 0, len(gids))
 	for _, gid := range gids {
 		rs := s.index[gid]
 		// Per-group time-range index: skip groups whose whole coverage
@@ -450,63 +481,102 @@ func (s *FileStore) collectRefs(f Filter) ([]recordRef, error) {
 			stop := f.To + s.maxDur[gid]
 			j = max(i, sort.Search(len(rs), func(i int) bool { return rs[i].endTime > stop }))
 		}
-		spans = append(spans, rs[i:j])
-		total += j - i
-	}
-	refs := make([]recordRef, 0, total)
-	for _, rs := range spans {
-		for _, ref := range rs {
-			if ref.startTime <= f.To {
-				refs = append(refs, ref)
-			}
+		if i < j {
+			spans = append(spans, rs[i:j:j])
 		}
 	}
-	return refs, nil
+	return spans, nil
 }
 
-// readRefs is the store's one read routine: it reads the segments at
-// refs — consecutive in scan order — and decodes their block entries in
-// place. Refs that are neighbours in the log, as a sorted bulk write
-// leaves a group's segments and the groups after it, are fetched by a
-// single ReadAt (positional, so readers never interfere with appends),
-// which reads through the block headers between them; segments that
-// are not are runs of one through the same loop. The bytes land in one buffer, the
-// segments in one arena, and each segment's Params alias the buffer.
-// Both are ordinary garbage-collected allocations that are never
-// reused, so a caller may keep a returned segment for as long as it
-// likes — at the price of keeping its chunk's buffer alive with it.
-func (s *FileStore) readRefs(refs []recordRef) ([]*core.Segment, error) {
-	total := 0
-	for _, ref := range refs {
-		total += int(ref.length)
+// fileChunk is a view of the index, not a copy of it. spans is the
+// scan's span list from the chunk's first group on; the chunk's n refs
+// start at spans[0][lo] and are the next n in the spans that start at
+// or before to. size is their total length in the log.
+type fileChunk struct {
+	store       *FileStore
+	spans       [][]recordRef
+	lo, n, size int
+	to          int64
+}
+
+// refs yields the chunk's refs in scan order.
+func (c *fileChunk) refs(yield func(*recordRef) bool) {
+	lo, n := c.lo, c.n
+	for _, span := range c.spans {
+		for k := lo; k < len(span); k++ {
+			if ref := &span[k]; ref.startTime <= c.to {
+				if !yield(ref) {
+					return
+				}
+				if n--; n == 0 {
+					return
+				}
+			}
+		}
+		lo = 0
 	}
-	buf := make([]byte, total)
-	arena := make([]core.Segment, len(refs))
-	segs := make([]*core.Segment, len(refs))
-	run := memberRun{members: s.members}
-	for i := 0; i < len(refs); {
-		end, n := i+1, int(refs[i].length)
-		for end < len(refs) && refs[end].offset == refs[end-1].offset+int64(refs[end-1].length) && n+int(refs[end].length) <= maxRunBytes {
-			n += int(refs[end].length)
-			end++
-		}
-		if _, err := s.file.ReadAt(buf[:n], refs[i].offset); err != nil {
-			return nil, fmt.Errorf("storage: read: %w", err)
-		}
-		s.reads.Add(1)
-		s.readBytes.Add(int64(n))
-		for ; i < end; i++ {
-			ref, seg := &refs[i], &arena[i]
-			length := int(ref.length)
-			seg.Gid, seg.SI, seg.StartTime, seg.EndTime = ref.gid, ref.si, ref.startTime, ref.endTime
-			if err := seg.DecodeEntry(buf[ref.head:length:length], run.of(ref.gid)); err != nil {
+}
+
+// Segments implements Chunk.
+func (c *fileChunk) Segments(into *ReadScratch) ([]*core.Segment, error) {
+	return c.store.readRefs(c, into)
+}
+
+// readRefs is the store's one read routine: it reads the segments of
+// chunk c and decodes their block entries in place. Refs that are
+// neighbours in the log, as a sorted bulk write leaves a group's
+// segments and the groups after it, are fetched by a single ReadAt
+// (positional, so readers never interfere with appends), which reads
+// through the block headers between them; segments that are not are
+// runs of one through the same loop. The bytes land in one buffer, the
+// segments in one arena, and each segment's Params alias the buffer.
+// With a nil into, both are ordinary garbage-collected allocations that
+// are never reused, so a caller may keep a returned segment for as long
+// as it likes — at the price of keeping its chunk's buffer alive with
+// it. With a scratch, they are the scratch's, and the segments last
+// until its next use.
+func (s *FileStore) readRefs(c *fileChunk, into *ReadScratch) ([]*core.Segment, error) {
+	buf, arena, segs := into.take(c.size, c.n)
+	var off int64 // where in the log the run being gathered starts
+	run, done := 0, 0
+	for ref := range c.refs {
+		if run > 0 && (ref.offset != off+int64(run) || run+int(ref.length) > maxRunBytes) {
+			if err := s.readRun(buf[done:done+run], off); err != nil {
 				return nil, err
 			}
-			segs[i] = seg
-			buf = buf[length:]
+			done, run = done+run, 0
 		}
+		if run == 0 {
+			off = ref.offset
+		}
+		run += int(ref.length)
+	}
+	if err := s.readRun(buf[done:done+run], off); err != nil {
+		return nil, err
+	}
+	members := memberRun{members: s.members}
+	i := 0
+	for ref := range c.refs {
+		seg, length := &arena[i], int(ref.length)
+		seg.Gid, seg.SI, seg.StartTime, seg.EndTime = ref.gid, ref.si, ref.startTime, ref.endTime
+		if err := seg.DecodeEntry(buf[ref.head:length:length], members.of(ref.gid)); err != nil {
+			return nil, err
+		}
+		segs[i] = seg
+		buf = buf[length:]
+		i++
 	}
 	return segs, nil
+}
+
+// readRun fills dst from the log at off: one read, counted.
+func (s *FileStore) readRun(dst []byte, off int64) error {
+	if _, err := s.file.ReadAt(dst, off); err != nil {
+		return fmt.Errorf("storage: read: %w", err)
+	}
+	s.reads.Add(1)
+	s.readBytes.Add(int64(len(dst)))
+	return nil
 }
 
 // ReadStats reports how many log reads scans have issued and how many
@@ -521,7 +591,7 @@ func (s *FileStore) ReadStats() (reads, bytes int64) {
 // all data (online analytics, §3.1).
 func (s *FileStore) Scan(ctx context.Context, f Filter, fn func(*core.Segment) error) error {
 	return s.ScanChunks(ctx, f, 0, func(c Chunk) error {
-		segs, err := c.Segments()
+		segs, err := c.Segments(nil)
 		if err != nil {
 			return err
 		}
@@ -537,35 +607,51 @@ func (s *FileStore) Scan(ctx context.Context, f Filter, fn func(*core.Segment) e
 	})
 }
 
-// fileChunk defers log reads and decoding to the consumer, so a
-// parallel scan spreads the deserialization cost across its workers.
-type fileChunk struct {
-	store *FileStore
-	refs  []recordRef
-}
-
-// Segments implements Chunk.
-func (c fileChunk) Segments() ([]*core.Segment, error) { return c.store.readRefs(c.refs) }
-
 // ScanChunks implements SegmentStore. Only the index is consulted up
-// front; each chunk holds segment locations and reads the log lazily.
-// The adaptive sizing (chunkSize <= 0) budgets chunks by the
-// decode-cost weight recorded at index time, so one chunk carries
+// front, and chunks are cut over its spans without copying a ref; each
+// chunk reads the log lazily, on the goroutine that asks for its
+// segments, so a parallel scan spreads the deserialization cost across
+// its workers. The adaptive sizing (chunkSize <= 0) budgets chunks by
+// the decode-cost weight recorded at index time, so one chunk carries
 // roughly ChunkByteBudget of decode work, not merely of log bytes.
 func (s *FileStore) ScanChunks(ctx context.Context, f Filter, chunkSize int, emit func(Chunk) error) error {
-	refs, err := s.collectRefs(f)
+	spans, err := s.collectRefs(f)
 	if err != nil {
 		return err
 	}
-	for i := 0; i < len(refs); {
+	var c *fileChunk
+	var first int // the span c starts in
+	var weight int64
+	cut := func(last int) error { // c ends in span last
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		end := chunkEnd(i, len(refs), chunkSize, func(j int) int64 { return int64(refs[j].weight) })
-		if err := emit(fileChunk{store: s, refs: refs[i:end:end]}); err != nil {
-			return err
+		c.spans = spans[first : last+1 : last+1]
+		err := emit(c)
+		c = nil
+		return err
+	}
+	for i, span := range spans {
+		for k := range span {
+			ref := &span[k]
+			if ref.startTime > f.To {
+				continue
+			}
+			if c == nil {
+				c, first, weight = &fileChunk{store: s, lo: k, to: f.To}, i, 0
+			}
+			c.n++
+			c.size += int(ref.length)
+			weight += int64(ref.weight)
+			if chunkFull(c.n, weight, chunkSize) {
+				if err := cut(i); err != nil {
+					return err
+				}
+			}
 		}
-		i = end
+	}
+	if c != nil {
+		return cut(len(spans) - 1)
 	}
 	return nil
 }

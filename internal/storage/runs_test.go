@@ -243,7 +243,7 @@ func TestRetainedSegmentsOutliveScan(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			segs, err := c.Segments()
+			segs, err := c.Segments(nil)
 			if err != nil {
 				t.Errorf("chunk %d: %v", i, err)
 			}
@@ -304,7 +304,7 @@ func TestFileStoreReadsPerScan(t *testing.T) {
 			chunks, segments := 0, 0
 			before, _ := fs.ReadStats()
 			if err := fs.ScanChunks(context.Background(), AllTime(), 0, func(c Chunk) error {
-				segs, err := c.Segments()
+				segs, err := c.Segments(nil)
 				chunks++
 				segments += len(segs)
 				return err

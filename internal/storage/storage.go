@@ -46,10 +46,56 @@ const (
 type Chunk interface {
 	// Segments decodes and returns the chunk's segments in scan order.
 	// It is safe to call from any goroutine, concurrently with calls on
-	// other chunks of the same scan. The segments are the caller's to
-	// keep and are never reused, but they may share one allocation, so
-	// keeping one keeps its whole chunk alive; they are read-only.
-	Segments() ([]*core.Segment, error)
+	// other chunks of the same scan. The segments are read-only.
+	//
+	// With a nil into they are fresh: the caller's to keep, never
+	// reused, but sharing one allocation, so keeping one keeps its
+	// whole chunk alive. With a scratch they are lent: decoded into
+	// into's memory, and valid only until into's next use. A scratch
+	// belongs to one goroutine at a time.
+	Segments(into *ReadScratch) ([]*core.Segment, error)
+}
+
+// ReadScratch is the memory a Chunk's segments are read into when the
+// caller lends it (Chunk.Segments): the log bytes, the segment arena
+// and the slice of pointers into it, in the idiom of a decoder's dst.
+// It grows to the largest chunk it has read and is reused for the next,
+// so a scan worker that keeps one reads without allocating. The zero
+// value is ready to use.
+type ReadScratch struct {
+	buf   []byte
+	arena []core.Segment
+	segs  []*core.Segment
+}
+
+// take returns a buffer of size bytes and an arena and pointer slice
+// of n segments: new ones for a nil scratch, else the scratch's own,
+// replaced when they are too small. Reused memory is not cleared:
+// every byte and segment is overwritten before it is read.
+func (r *ReadScratch) take(size, n int) ([]byte, []core.Segment, []*core.Segment) {
+	if r == nil {
+		return make([]byte, size), make([]core.Segment, n), make([]*core.Segment, n)
+	}
+	if cap(r.buf) < size {
+		r.buf = make([]byte, size)
+	}
+	if cap(r.arena) < n {
+		r.arena, r.segs = make([]core.Segment, n), make([]*core.Segment, n)
+	}
+	return r.buf[:size], r.arena[:n], r.segs[:n]
+}
+
+// Trim drops a buffer larger than one coalesced log read (maxRunBytes)
+// and an arena larger than an adaptive chunk (AdaptiveMaxSegments), so
+// a scratch kept in a pool after a scan with a huge explicit chunk size
+// does not pin that chunk's memory.
+func (r *ReadScratch) Trim() {
+	if cap(r.buf) > maxRunBytes {
+		r.buf = nil
+	}
+	if cap(r.arena) > AdaptiveMaxSegments {
+		r.arena, r.segs = nil, nil
+	}
 }
 
 // Adaptive chunk sizing: when ScanChunks is called with chunkSize <= 0
@@ -88,23 +134,15 @@ func segmentWeight(stored int64, seg *core.Segment) int64 {
 	return stored + PointWeight*int64(seg.Length())
 }
 
-// chunkEnd returns the exclusive end index of the chunk starting at
-// start over n records: fixed-size when chunkSize > 0, weight-budgeted
-// (weightAt reports record i's decode-cost weight) when chunkSize <= 0.
-func chunkEnd(start, n, chunkSize int, weightAt func(int) int64) int {
+// chunkFull reports whether a chunk of n records of the given total
+// decode-cost weight is complete: at chunkSize records when
+// chunkSize > 0, else at ChunkByteBudget of weight or
+// AdaptiveMaxSegments records, whichever comes first.
+func chunkFull(n int, weight int64, chunkSize int) bool {
 	if chunkSize > 0 {
-		return min(start+chunkSize, n)
+		return n >= chunkSize
 	}
-	var weight int64
-	i := start
-	for i < n && i-start < AdaptiveMaxSegments {
-		weight += weightAt(i)
-		i++
-		if weight >= ChunkByteBudget {
-			break
-		}
-	}
-	return i
+	return weight >= ChunkByteBudget || n >= AdaptiveMaxSegments
 }
 
 // SegmentStore stores and retrieves segments. Implementations must be
