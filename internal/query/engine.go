@@ -278,6 +278,10 @@ type plan struct {
 	// group key needs them; otherwise it folds each (segment, series) on
 	// the model like the Segment view.
 	perPoint bool
+	// needView records that an aggregate plan decodes each segment's
+	// model view: it walks points, or an aggregate other than COUNT
+	// needs values (COUNT-only queries run on metadata alone).
+	needView bool
 	// perSeries records that the series conjuncts and the group key read
 	// only columns constant per series (Tid, Gid, SI, members), so the
 	// executor resolves both once per Tid instead of once per (segment,
@@ -386,6 +390,9 @@ func (e *Engine) compile(q *sqlparse.Query) (*plan, error) {
 		return nil, err
 	}
 	p.perPoint = q.From == sqlparse.TableDataPoint && (len(p.where.point.kids) > 0 || p.pointGroupKey() || e.forcePerPoint)
+	p.needView = p.perPoint || slices.ContainsFunc(p.items, func(pi planItem) bool {
+		return pi.sel.Agg != sqlparse.AggNone && pi.sel.Agg != sqlparse.AggCount
+	})
 	p.perSeries = p.where.series.every(columnKind.perSeries)
 	for _, ref := range p.groupRefs {
 		p.perSeries = p.perSeries && ref.kind.perSeries()
@@ -603,7 +610,6 @@ func (e *Engine) aggregateSegment(p *plan, seg *core.Segment, groups map[string]
 	}
 	active := sc.seriesOf(e.meta, seg)
 	var view models.AggView
-	needView := p.perPoint || p.needsValues()
 	runs := sc.runs[:0]
 	row := logicalRow{seg: seg, isPoint: p.q.From == sqlparse.TableDataPoint}
 	for pos, ts := range active {
@@ -611,7 +617,7 @@ func (e *Engine) aggregateSegment(p *plan, seg *core.Segment, groups map[string]
 		if !sc.keepSeries(p, &row) {
 			continue
 		}
-		if view == nil && needView {
+		if view == nil && p.needView {
 			v, err := e.viewFor(sc, seg, len(active))
 			if err != nil {
 				return fmt.Errorf("query: segment (gid=%d, end=%d): %w", seg.Gid, seg.EndTime, err)
@@ -631,17 +637,6 @@ func (e *Engine) aggregateSegment(p *plan, seg *core.Segment, groups map[string]
 		p.aggregateSeries(sc.groupOf(p, groups, &row), view, pos, float64(ts.Scaling), i0, i1, runs)
 	}
 	return nil
-}
-
-// needsValues reports whether any aggregate needs reconstructed
-// values; COUNT-only queries run on metadata alone.
-func (p *plan) needsValues() bool {
-	for _, pi := range p.items {
-		if pi.sel.Agg != sqlparse.AggNone && pi.sel.Agg != sqlparse.AggCount {
-			return true
-		}
-	}
-	return false
 }
 
 // groupFor returns the group for a rendered key, creating it on first

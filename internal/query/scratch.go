@@ -15,15 +15,15 @@ import (
 // metadata, the memory the store reads each chunk into
 // (storage.ReadScratch), one reusable model view per MID
 // (models.ViewReuser), and the buffers the active-series list, the
-// group key and a segment's bucket split are built in. For a plan whose series conjuncts and
-// group key read only per-series columns (plan.perSeries) it caches,
-// per Tid, the conjuncts' verdict for the scan and the series' group
-// for the chunk. It also tallies what the scan did — segments scanned,
-// series folded on their model, points reconstructed — in plain
-// integers that reach the query's trace once, at release. A scratch is
-// owned by a single goroutine for the duration of a scan — the caller
-// for a pool of one, or one pool worker for its whole lifetime — so
-// workers never share.
+// group key and a segment's bucket split are built in. For a plan
+// whose series conjuncts and group key read only per-series columns
+// (plan.perSeries) it caches, per Tid, the conjuncts' verdict for the
+// scan and the series' group for the chunk. It also tallies what the
+// scan did — segments scanned, series folded on their model, points
+// reconstructed — in plain integers that reach the query's trace once,
+// at release. A scratch is owned by a single goroutine for the
+// duration of a scan — the caller for a pool of one, or one pool
+// worker for its whole lifetime — so workers never share.
 type scanScratch struct {
 	// read is lent to every chunk this scratch's goroutine reads, so a
 	// chunk's segments are valid until its next chunk: nothing keeps a
