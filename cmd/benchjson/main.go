@@ -5,7 +5,7 @@
 //
 //	benchjson record  -o BENCH_results.json [-md BENCH_results.md] [bench.txt]
 //	benchjson compare -baseline bench/baseline.json -current BENCH_gate.json \
-//	                  [-threshold 15] [-calibration BenchmarkCalibration]
+//	                  [-threshold 15] [-gate-metrics fsyncs/point] [-metric-threshold 30]
 //
 // record parses benchmark result lines (name, iterations, then
 // value/unit pairs such as "185.3 ns/op" or "24 B/op") from a file or
@@ -13,42 +13,24 @@
 // machines with different core counts stay comparable, and writes one
 // JSON document plus an optional markdown table.
 //
-// compare fails (exit 1) when a benchmark's ns/op regressed more than
-// threshold percent against the baseline. When both records contain
-// the calibration benchmark — a fixed CPU-bound workload
-// (BenchmarkCalibration) — each ratio is first normalized by the
-// calibration ratio, cancelling out raw machine-speed differences, so
-// a baseline recorded on one machine gates runs on another. Benchmarks
-// that are faster than baseline never fail, and a benchmark present in
-// the baseline but missing from the current run fails loudly — a
-// renamed benchmark must not silently weaken the gate. A baseline entry
-// whose ns_per_op is 0 opts its benchmark out of the time gate: it is
-// gated on its allocation and allowlisted metrics alone, for
-// benchmarks kept for a count rather than a speed.
+// compare gates counts only, never time: a benchmark's ns/op depends
+// on the machine and its neighbours, while its counts are properties
+// of the code and compare raw across machines. Timing is judged by
+// alternating parent/change runs of the benchmark of record (`make
+// bench-pairs`). Each count a baseline row carries is gated: B/op and
+// allocs/op against -threshold percent, and the custom metrics named
+// in the -gate-metrics allowlist (b.ReportMetric units such as
+// fsyncs/point or reads/segment) against -metric-threshold percent,
+// wider because behavioural counts such as how many appends a group
+// commit coalesces depend on timing. A baseline of zero fails on any
+// current value at all — there is no ratio to threshold against zero.
+// Other custom metrics print side by side, informationally.
 //
-// B/op and allocs/op are gated with the same threshold but WITHOUT
-// calibration scaling: allocation counts and bytes are properties of
-// the code, not of machine speed, so they compare raw across
-// machines. A benchmark whose baseline carries an allocation metric
-// must report it in the current run too (a dropped b.ReportAllocs
-// must not silently weaken the gate), and a baseline of zero allocs
-// fails on any current allocation at all — there is no ratio to
-// threshold against zero.
-//
-// Custom metrics reported via b.ReportMetric (anything that is not
-// ns/op, B/op or allocs/op — e.g. fsyncs/point from the WAL
-// group-commit benchmark or reads/segment from the file-store scan)
-// are printed side by side when both records carry them.
-// By default they are informational, but metrics named in the
-// -gate-metrics allowlist (default "fsyncs/point") are gated like
-// allocations: compared raw — they are workload properties, not
-// machine speeds, so the calibration normalization does not apply —
-// against their own -metric-threshold. The separate threshold exists
-// because behavioural metrics such as fsyncs/point depend on timing
-// (how many appends a group commit coalesces) and need more headroom
-// than ns/op. A gated metric present in the baseline but missing from
-// the current run fails loudly, and a baseline of zero fails on any
-// current value at all.
+// compare fails loudly rather than gate less than the baseline says:
+// on a baseline benchmark missing from the current run (renamed?), on
+// a gated count the current run does not report (a dropped
+// b.ReportAllocs or b.ReportMetric), and on a baseline row that
+// carries no gated count at all, which would otherwise gate nothing.
 package main
 
 import (
@@ -57,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"runtime"
@@ -105,7 +88,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   benchjson record  -o out.json [-md out.md] [bench.txt]
-  benchjson compare -baseline base.json -current cur.json [-threshold 15] [-calibration BenchmarkCalibration]
+  benchjson compare -baseline base.json -current cur.json [-threshold 15]
                     [-gate-metrics fsyncs/point] [-metric-threshold 30]`)
 	os.Exit(2)
 }
@@ -208,15 +191,11 @@ func parse(r io.Reader) (*Record, error) {
 	return rec, sc.Err()
 }
 
-// customMetrics returns a benchmark's non-standard metric names in
-// sorted order: the b.ReportMetric units (fsyncs/point, q-p99-ms, …),
-// excluding the allocation counters every -benchmem run carries.
-func customMetrics(b Benchmark) []string {
-	var names []string
+// metricNames returns a benchmark's metric names (everything but
+// ns/op) in sorted order.
+func metricNames(b Benchmark) []string {
+	names := make([]string, 0, len(b.Metrics))
 	for name := range b.Metrics {
-		if name == "B/op" || name == "allocs/op" {
-			continue
-		}
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -234,8 +213,12 @@ func markdown(rec *Record) string {
 	sb.WriteString("| benchmark | ns/op | iterations | metrics |\n|---|---:|---:|---|\n")
 	for _, b := range rec.Benches {
 		var extras []string
-		for _, m := range customMetrics(b) {
-			extras = append(extras, fmt.Sprintf("%s=%.4g", m, b.Metrics[m]))
+		// The table lists the b.ReportMetric units (fsyncs/point,
+		// q-p99-ms, …), not the allocation counters of every run.
+		for _, m := range metricNames(b) {
+			if m != "B/op" && m != "allocs/op" {
+				extras = append(extras, fmt.Sprintf("%s=%.4g", m, b.Metrics[m]))
+			}
 		}
 		fmt.Fprintf(&sb, "| %s | %.0f | %d | %s |\n",
 			b.Name, b.NsPerOp, b.Iterations, strings.Join(extras, ", "))
@@ -267,8 +250,7 @@ func compare(args []string) error {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	basePath := fs.String("baseline", "", "baseline JSON (required)")
 	curPath := fs.String("current", "", "current JSON (required)")
-	threshold := fs.Float64("threshold", 15, "max allowed per-op regression in percent")
-	calibration := fs.String("calibration", "BenchmarkCalibration", "calibration benchmark used to normalize machine speed; \"\" disables")
+	threshold := fs.Float64("threshold", 15, "max allowed B/op and allocs/op regression in percent")
 	gateMetrics := fs.String("gate-metrics", "fsyncs/point",
 		"comma-separated custom metrics gated against -metric-threshold instead of printed informationally; \"\" disables")
 	metricThreshold := fs.Float64("metric-threshold", 30,
@@ -286,30 +268,10 @@ func compare(args []string) error {
 		return err
 	}
 	baseBy, curBy := base.byName(), cur.byName()
-	gated := map[string]bool{}
+	limits := map[string]float64{"B/op": *threshold, "allocs/op": *threshold}
 	for _, m := range strings.Split(*gateMetrics, ",") {
 		if m = strings.TrimSpace(m); m != "" {
-			gated[m] = true
-		}
-	}
-
-	// Machine-speed normalization: scale is how much slower the current
-	// machine runs the fixed calibration workload than the baseline
-	// machine did; every per-benchmark ratio is divided by it.
-	scale := 1.0
-	if *calibration != "" {
-		cb, okB := baseBy[*calibration]
-		cc, okC := curBy[*calibration]
-		if okB && okC && cb.NsPerOp > 0 {
-			scale = cc.NsPerOp / cb.NsPerOp
-			fmt.Printf("calibration: baseline %.0f ns/op, current %.0f ns/op, machine scale %.3f\n",
-				cb.NsPerOp, cc.NsPerOp, scale)
-		} else {
-			missing := *basePath
-			if okB {
-				missing = *curPath
-			}
-			fmt.Printf("calibration %q missing from %s; comparing raw ns/op\n", *calibration, missing)
+			limits[m] = *metricThreshold
 		}
 	}
 
@@ -320,9 +282,6 @@ func compare(args []string) error {
 	sort.Strings(names)
 	failed := 0
 	for _, name := range names {
-		if name == *calibration {
-			continue
-		}
 		b := baseBy[name]
 		c, ok := curBy[name]
 		if !ok {
@@ -330,89 +289,55 @@ func compare(args []string) error {
 			failed++
 			continue
 		}
-		if b.NsPerOp > 0 {
-			ratio := c.NsPerOp / b.NsPerOp / scale
-			delta := (ratio - 1) * 100
-			status := "ok  "
-			if delta > *threshold {
-				status = "FAIL"
+		counts := 0
+		for _, m := range metricNames(b) {
+			limit, gated := limits[m]
+			if !gated {
+				if cv, ok := c.Metrics[m]; ok {
+					fmt.Printf("     %-50s base %12.10g  cur %12.10g  (%s, informational)\n",
+						name, b.Metrics[m], cv, m)
+				}
+				continue
+			}
+			counts++
+			if !gate(name, m, b.Metrics[m], c, limit) {
 				failed++
 			}
-			fmt.Printf("%s %-50s base %12.1f  cur %12.1f  normalized %+6.1f%%\n",
-				status, name, b.NsPerOp, c.NsPerOp, delta)
 		}
-		// Allocation gates: raw comparison, no machine-speed scaling.
-		for _, m := range []string{"B/op", "allocs/op"} {
-			bv, ok := b.Metrics[m]
-			if !ok {
-				continue
-			}
-			cv, ok := c.Metrics[m]
-			if !ok {
-				fmt.Printf("FAIL %-50s %s in baseline but missing from current run\n", "  "+name, m)
-				failed++
-				continue
-			}
-			var mDelta float64
-			mStatus := "ok  "
-			switch {
-			case bv == 0 && cv > 0:
-				mStatus = "FAIL"
-				failed++
-				mDelta = 100
-			case bv == 0:
-				mDelta = 0
-			default:
-				mDelta = (cv/bv - 1) * 100
-				if mDelta > *threshold {
-					mStatus = "FAIL"
-					failed++
-				}
-			}
-			fmt.Printf("%s %-50s base %12.0f  cur %12.0f  raw        %+6.1f%%  (%s)\n",
-				mStatus, "  "+name, bv, cv, mDelta, m)
-		}
-		// Custom metrics: allowlisted ones gate raw (no calibration — they
-		// are workload properties) against their own threshold; the rest
-		// print informationally when both records carry them.
-		for _, m := range customMetrics(b) {
-			bv := b.Metrics[m]
-			cv, ok := c.Metrics[m]
-			if !gated[m] {
-				if ok {
-					fmt.Printf("     %-50s base %12.4g  cur %12.4g  (%s, informational)\n",
-						"  "+m, bv, cv, m)
-				}
-				continue
-			}
-			if !ok {
-				fmt.Printf("FAIL %-50s %s in baseline but missing from current run\n", "  "+name, m)
-				failed++
-				continue
-			}
-			var mDelta float64
-			mStatus := "ok  "
-			switch {
-			case bv == 0 && cv > 0:
-				mStatus = "FAIL"
-				failed++
-				mDelta = 100
-			case bv == 0:
-				mDelta = 0
-			default:
-				mDelta = (cv/bv - 1) * 100
-				if mDelta > *metricThreshold {
-					mStatus = "FAIL"
-					failed++
-				}
-			}
-			fmt.Printf("%s %-50s base %12.4g  cur %12.4g  raw        %+6.1f%%  (%s, gated at %.0f%%)\n",
-				mStatus, "  "+name, bv, cv, mDelta, m, *metricThreshold)
+		if counts == 0 {
+			fmt.Printf("FAIL %-50s gates no count (B/op, allocs/op or -gate-metrics)\n", name)
+			failed++
 		}
 	}
 	if failed > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed more than %.0f%% (or went missing)", failed, *threshold)
+		return fmt.Errorf("%d count(s) regressed past their threshold, went missing or gate nothing", failed)
 	}
-	fmt.Printf("all %d gated benchmarks within %.0f%% of baseline\n", len(names), *threshold)
+	fmt.Printf("all %d baseline benchmarks hold their counts\n", len(names))
 	return nil
+}
+
+// gate compares one count of a baseline row with the current run,
+// prints the verdict and reports whether the count held: the current
+// run reports it, at most limit percent above the baseline (so a zero
+// baseline fails on any current value).
+func gate(name, m string, bv float64, c Benchmark, limit float64) bool {
+	cv, ok := c.Metrics[m]
+	if !ok {
+		fmt.Printf("FAIL %-50s %s in baseline but missing from current run\n", name, m)
+		return false
+	}
+	delta := 0.0
+	if bv > 0 {
+		delta = (cv/bv - 1) * 100
+	} else if cv > 0 {
+		delta = math.Inf(1)
+	}
+	held := cv <= bv*(1+limit/100)
+	status := "ok  "
+	if !held {
+		status = "FAIL"
+	}
+	fmt.Printf("%s %-50s base %12.10g  cur %12.10g  %+7.1f%%  (%s, gated at %.0f%%)\n",
+		status, name, bv, cv, delta, m, limit)
+	return held
 }
