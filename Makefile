@@ -28,8 +28,18 @@ BENCH_RECORD = 'Parallel|Pruning|IngestAppend|AppendWAL|AppendBatchWAL|ScatterTC
 # finalize of internal/query, the HTTP API's CSV render of a
 # 24 000-row DataPoint range, the HTTP API's 500-point JSON append and
 # the same points as a remote-write body beside AppendBatch of them,
-# and DB.LoadCSV of 20 000 points.
-BENCH_GATE = 'IngestAppendSerial|IngestAppendBatch|IngestGroupedEP|ParallelSumDataPointView|ParallelCubeHourByTid|ScatterTCPStream|ClusterAppendTCP|AppendWALGroupCommit|FileStoreScan|FinalizeOrderBy|QueryCSV|HTTPAppend|LoadCSV'
+# and DB.LoadCSV of 20 000 points. Each entry is N:pattern: the family
+# runs exactly N ops (-benchtime Nx), never for a time, so a cost paid
+# once per run is spread over the same N on every machine.
+BENCH_GATE = \
+	5000000x:'IngestAppendSerial|IngestAppendBatch' \
+	2000x:'ParallelSumDataPointView/^workers' \
+	1000x:'ParallelSumDataPointView/filtered' \
+	500x:'ParallelCubeHourByTid|ScatterTCPStream|ClusterAppendTCP|QueryCSV' \
+	100x:'IngestGroupedEP|LoadCSV|FinalizeOrderBy' \
+	10000x:'AppendWALGroupCommit' \
+	50x:'FileStoreScan' \
+	3000x:'HTTPAppend'
 # Packages holding the gated benchmarks.
 BENCH_GATE_PKGS = . ./internal/query ./internal/httpapi
 
@@ -104,16 +114,21 @@ bench-record:
 	$(GO) test -run '^$$' -bench $(BENCH_RECORD) -benchtime 1s -count 1 . | tee BENCH_raw.txt
 	$(GO) run ./cmd/benchjson record -o BENCH_results.json -md BENCH_results.md BENCH_raw.txt
 
-# Regression gate: re-measures the hot-path benchmarks and compares
-# their counts with the committed baseline. B/op and allocs/op fail
-# past 15% above it; fsyncs/point (group-commit efficiency) and
-# reads/segment (log reads per scanned segment) fail past 30%, since
-# how many appends a group commit coalesces depends on timing. The
-# counts are properties of the code, so the committed baseline gates
-# CI runners of any speed. Time is not gated here: `make bench-pairs`
-# judges it, in alternating parent/change runs.
+# Regression gate: re-measures the hot-path benchmarks, each family at
+# its fixed op count, and compares their counts with the committed
+# baseline. B/op and allocs/op fail past 15% above it; fsyncs/point
+# (group-commit efficiency) and reads/segment (log reads per scanned
+# segment) fail past 30%, since how many appends a group commit
+# coalesces depends on timing. At a fixed op count the counts are
+# properties of the code, so the committed baseline gates CI runners of
+# any speed. Time is not gated here: `make bench-pairs` judges it, in
+# alternating parent/change runs.
 bench-compare:
-	$(GO) test -run '^$$' -bench $(BENCH_GATE) -benchtime 1s -count 1 $(BENCH_GATE_PKGS) > BENCH_gate.txt
+	: > BENCH_gate.txt
+	set -e; for run in $(BENCH_GATE); do \
+		$(GO) test -run '^$$' -bench "$${run#*:}" -benchtime "$${run%%:*}" -count 1 \
+			$(BENCH_GATE_PKGS) >> BENCH_gate.txt; \
+	done
 	$(GO) run ./cmd/benchjson record -o BENCH_gate.json BENCH_gate.txt
 	$(GO) run ./cmd/benchjson compare -baseline bench/baseline.json -current BENCH_gate.json \
 		-threshold 15 -gate-metrics fsyncs/point,reads/segment -metric-threshold 30

@@ -10,17 +10,10 @@ type QueryMetrics struct {
 	Queries     *Counter
 	Errors      *Counter
 	SlowQueries *Counter
-	Segments    *Counter
-	Chunks      *Counter
-	Rows        *Counter
+	Counts      [NumCounts]*Counter // one per trace Count
 	Seconds     *Histogram
 	Stage       map[string]*Histogram // keyed by span name
 	QueueWait   *Histogram            // worker-pool chunk queue wait
-
-	// How aggregates were answered: (segment, series) pairs folded on
-	// the model against points reconstructed.
-	FoldedSeries  *Counter
-	DecodedPoints *Counter
 }
 
 // NewQueryMetrics registers the query metric family.
@@ -29,13 +22,10 @@ func NewQueryMetrics(r *Registry) *QueryMetrics {
 		return r.Histogram(`modelardb_query_stage_seconds{stage="`+name+`"}`,
 			"Query stage latency by stage.", nil)
 	}
-	return &QueryMetrics{
+	m := &QueryMetrics{
 		Queries:     r.Counter("modelardb_queries_total", "Queries executed (including worker-side partials)."),
 		Errors:      r.Counter("modelardb_query_errors_total", "Queries that returned an error."),
 		SlowQueries: r.Counter("modelardb_slow_queries_total", "Queries logged by the slow-query log."),
-		Segments:    r.Counter("modelardb_query_segments_total", "Segments scanned by queries."),
-		Chunks:      r.Counter("modelardb_query_chunks_total", "Parallel scan chunks processed."),
-		Rows:        r.Counter("modelardb_query_rows_total", "Result rows produced."),
 		Seconds:     r.Histogram("modelardb_query_seconds", "End-to-end query latency.", nil),
 		Stage: map[string]*Histogram{
 			SpanParse:    stage(SpanParse),
@@ -45,12 +35,11 @@ func NewQueryMetrics(r *Registry) *QueryMetrics {
 		},
 		QueueWait: r.Histogram("modelardb_query_queue_wait_seconds",
 			"Time a scan chunk waits in the worker-pool queue.", nil),
-
-		FoldedSeries: r.Counter("modelardb_query_folded_series_total",
-			"(segment, series) pairs aggregated on the model without reconstructing a point."),
-		DecodedPoints: r.Counter("modelardb_query_decoded_points_total",
-			"Data points reconstructed from models by queries."),
 	}
+	for c, d := range counts {
+		m.Counts[c] = r.Counter("modelardb_query_"+d.key+"_total", d.help)
+	}
+	return m
 }
 
 // QueryObserver bundles what the engine reports into: metrics, the
@@ -80,11 +69,9 @@ func (o *QueryObserver) Observe(t *Trace, err error) {
 				h.Observe(sp.Duration.Seconds())
 			}
 		}
-		m.Segments.Add(t.Segments())
-		m.Chunks.Add(t.Chunks())
-		m.Rows.Add(t.Rows())
-		m.FoldedSeries.Add(t.FoldedSeries())
-		m.DecodedPoints.Add(t.DecodedPoints())
+		for c, ctr := range m.Counts {
+			ctr.Add(t.Count(Count(c)))
+		}
 	}
 	if o.SlowLog.MaybeLog(t, err) {
 		if m := o.Metrics; m != nil {

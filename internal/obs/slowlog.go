@@ -8,12 +8,13 @@ import (
 )
 
 // SlowQueryLog logs one line per query whose total duration reaches a
-// threshold, carrying the trace's stage timings and work counters so a
-// slow query is diagnosable from the log alone:
+// threshold, carrying the trace's stage timings and every work count,
+// in the counts table's order, so a slow query is diagnosable from the
+// log alone:
 //
 //	slow query id=7 total=1.2s parse=40µs plan=110µs scan=1.19s
 //	  finalize=9ms segments=52310 chunks=64 rows=12 folded_series=0
-//	  decoded_points=8127400 sql="SELECT ..."
+//	  decoded_points=8127400 select_runs=0 sql="SELECT ..."
 //
 // (on one line). A threshold of zero or less logs every query — useful
 // for tracing a test run, never the production default.
@@ -55,16 +56,12 @@ func (l *SlowQueryLog) MaybeLog(t *Trace, err error) bool {
 		b.WriteByte('=')
 		b.WriteString(sp.Duration.String())
 	}
-	b.WriteString(" segments=")
-	b.WriteString(strconv.FormatInt(t.Segments(), 10))
-	b.WriteString(" chunks=")
-	b.WriteString(strconv.FormatInt(t.Chunks(), 10))
-	b.WriteString(" rows=")
-	b.WriteString(strconv.FormatInt(t.Rows(), 10))
-	b.WriteString(" folded_series=")
-	b.WriteString(strconv.FormatInt(t.FoldedSeries(), 10))
-	b.WriteString(" decoded_points=")
-	b.WriteString(strconv.FormatInt(t.DecodedPoints(), 10))
+	for c, d := range counts {
+		b.WriteByte(' ')
+		b.WriteString(d.key)
+		b.WriteByte('=')
+		b.WriteString(strconv.FormatInt(t.Count(Count(c)), 10))
+	}
 	if err != nil {
 		b.WriteString(" err=")
 		b.WriteString(strconv.Quote(err.Error()))

@@ -25,12 +25,37 @@ type SpanRecord struct {
 	done     bool
 }
 
-// Trace is one query's execution record: stage spans, work counters
-// (segments scanned, scan chunks, rows returned, series folded on
-// their model, points reconstructed, row runs appended) and the total
-// duration. The engine attaches a Trace to each execution when an
-// observer is installed; a finished Trace feeds the stage histograms
-// and, past the threshold, the slow-query log.
+// Count names one of a query's work counts. The counts table below is
+// the whole list: each count is a Trace counter, the registry counter
+// modelardb_query_<key>_total (NewQueryMetrics) and the slow-query log
+// field <key>=<n> (SlowQueryLog), in table order, so adding a count
+// is one constant, one table row and its increment.
+type Count int
+
+const (
+	Segments      Count = iota // segments scanned
+	Chunks                     // parallel scan chunks processed
+	Rows                       // result rows produced
+	FoldedSeries               // (segment, series) pairs folded on the model
+	DecodedPoints              // data points reconstructed from models
+	SelectRuns                 // (segment, series) runs a row scan appended
+	NumCounts
+)
+
+// counts is each Count's key and registry help text.
+var counts = [NumCounts]struct{ key, help string }{
+	Segments:      {"segments", "Segments scanned by queries."},
+	Chunks:        {"chunks", "Parallel scan chunks processed."},
+	Rows:          {"rows", "Result rows produced."},
+	FoldedSeries:  {"folded_series", "(segment, series) pairs aggregated on the model without reconstructing a point."},
+	DecodedPoints: {"decoded_points", "Data points reconstructed from models by queries."},
+	SelectRuns:    {"select_runs", "(segment, series) runs row scans appended a column at a time."},
+}
+
+// Trace is one query's execution record: stage spans, work counts
+// (Count) and the total duration. The engine attaches a Trace to each
+// execution when an observer is installed; a finished Trace feeds the
+// stage histograms and, past the threshold, the slow-query log.
 //
 // Spans are started and ended by the engine — possibly from different
 // goroutines (a streaming cursor's scan span ends on the producer) —
@@ -46,12 +71,7 @@ type Trace struct {
 	spans []SpanRecord
 	open  atomic.Int32
 
-	segments      atomic.Int64
-	chunks        atomic.Int64
-	rows          atomic.Int64
-	foldedSeries  atomic.Int64
-	decodedPoints atomic.Int64
-	selectRuns    atomic.Int64
+	counts [NumCounts]atomic.Int64
 }
 
 // NewTrace starts a trace for a query. sql renders the query text
@@ -113,71 +133,15 @@ func (t *Trace) Spans() []SpanRecord {
 	return out
 }
 
-// AddSegments counts segments scanned. Safe on a nil trace.
-func (t *Trace) AddSegments(n int64) {
+// Add adds n to count c. Safe on a nil trace.
+func (t *Trace) Add(c Count, n int64) {
 	if t != nil {
-		t.segments.Add(n)
+		t.counts[c].Add(n)
 	}
 }
 
-// AddChunks counts parallel scan chunks processed. Safe on a nil trace.
-func (t *Trace) AddChunks(n int64) {
-	if t != nil {
-		t.chunks.Add(n)
-	}
-}
-
-// AddRows counts result rows produced. Safe on a nil trace.
-func (t *Trace) AddRows(n int64) {
-	if t != nil {
-		t.rows.Add(n)
-	}
-}
-
-// AddFoldedSeries counts (segment, series) pairs an aggregate answered
-// from the model's range aggregates, reconstructing no point. Safe on
-// a nil trace.
-func (t *Trace) AddFoldedSeries(n int64) {
-	if t != nil {
-		t.foldedSeries.Add(n)
-	}
-}
-
-// AddDecodedPoints counts data points reconstructed from models, by a
-// row scan or by an aggregate a point predicate forced off the fold.
-// Safe on a nil trace.
-func (t *Trace) AddDecodedPoints(n int64) {
-	if t != nil {
-		t.decodedPoints.Add(n)
-	}
-}
-
-// AddSelectRuns counts the runs a row scan appended: one per (segment,
-// series) that contributed rows, each filled a column at a time. Safe
-// on a nil trace.
-func (t *Trace) AddSelectRuns(n int64) {
-	if t != nil {
-		t.selectRuns.Add(n)
-	}
-}
-
-// Segments returns the segments-scanned count.
-func (t *Trace) Segments() int64 { return t.segments.Load() }
-
-// Chunks returns the scan-chunk count.
-func (t *Trace) Chunks() int64 { return t.chunks.Load() }
-
-// Rows returns the result-row count.
-func (t *Trace) Rows() int64 { return t.rows.Load() }
-
-// FoldedSeries returns the folded (segment, series) count.
-func (t *Trace) FoldedSeries() int64 { return t.foldedSeries.Load() }
-
-// DecodedPoints returns the reconstructed-point count.
-func (t *Trace) DecodedPoints() int64 { return t.decodedPoints.Load() }
-
-// SelectRuns returns the row scan's run count.
-func (t *Trace) SelectRuns() int64 { return t.selectRuns.Load() }
+// Count returns count c.
+func (t *Trace) Count(c Count) int64 { return t.counts[c].Load() }
 
 // ID returns the engine-assigned query id.
 func (t *Trace) ID() uint64 { return t.id }

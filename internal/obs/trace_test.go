@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"log"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -49,7 +50,7 @@ func TestTraceConcurrentSpans(t *testing.T) {
 		wg.Add(1)
 		go func(sp Span) {
 			defer wg.Done()
-			tr.AddSegments(3)
+			tr.Add(Segments, 3)
 			sp.End()
 		}(sp)
 	}
@@ -57,8 +58,8 @@ func TestTraceConcurrentSpans(t *testing.T) {
 	if got := tr.OpenSpans(); got != 0 {
 		t.Fatalf("OpenSpans = %d, want 0", got)
 	}
-	if got := tr.Segments(); got != 24 {
-		t.Fatalf("Segments = %d, want 24", got)
+	if got := tr.Count(Segments); got != 24 {
+		t.Fatalf("Count(Segments) = %d, want 24", got)
 	}
 	if tr.SQL() != "" {
 		t.Errorf("nil stringer should render empty SQL")
@@ -71,11 +72,9 @@ func TestNilTraceIsInert(t *testing.T) {
 	var tr *Trace
 	sp := tr.StartSpan(SpanParse)
 	sp.End()
-	tr.AddSegments(1)
-	tr.AddChunks(1)
-	tr.AddRows(1)
-	tr.AddFoldedSeries(1)
-	tr.AddDecodedPoints(1)
+	for c := Count(0); c < NumCounts; c++ {
+		tr.Add(c, 1)
+	}
 	var o *QueryObserver
 	o.Observe(tr, nil) // nil observer, nil trace: no panic
 }
@@ -94,10 +93,10 @@ func TestSlowQueryLogThresholdBoundary(t *testing.T) {
 
 	at := NewTrace(2, RawSQL("SELECT at"))
 	at.SetTotal(100 * time.Millisecond)
-	at.AddSegments(5)
-	at.AddRows(2)
-	at.AddFoldedSeries(7)
-	at.AddDecodedPoints(9)
+	at.Add(Segments, 5)
+	at.Add(Rows, 2)
+	at.Add(FoldedSeries, 7)
+	at.Add(DecodedPoints, 9)
 	if !l.MaybeLog(at, nil) {
 		t.Error("query at the threshold was not logged")
 	}
@@ -144,11 +143,11 @@ func TestObserverFeedsMetrics(t *testing.T) {
 	}
 	tr := NewTrace(7, RawSQL("SELECT x"))
 	sp := tr.StartSpan(SpanScan)
-	tr.AddSegments(10)
-	tr.AddChunks(2)
-	tr.AddRows(4)
-	tr.AddFoldedSeries(6)
-	tr.AddDecodedPoints(8)
+	tr.Add(Segments, 10)
+	tr.Add(Chunks, 2)
+	tr.Add(Rows, 4)
+	tr.Add(FoldedSeries, 6)
+	tr.Add(DecodedPoints, 8)
 	sp.End()
 	tr.SetTotal(time.Millisecond)
 	o.Observe(tr, nil)
@@ -157,11 +156,11 @@ func TestObserverFeedsMetrics(t *testing.T) {
 	if m.Queries.Value() != 2 || m.Errors.Value() != 1 {
 		t.Errorf("queries=%d errors=%d, want 2/1", m.Queries.Value(), m.Errors.Value())
 	}
-	if m.Segments.Value() != 10 || m.Chunks.Value() != 2 || m.Rows.Value() != 4 {
-		t.Errorf("segments=%d chunks=%d rows=%d", m.Segments.Value(), m.Chunks.Value(), m.Rows.Value())
+	if s, c, r := m.Counts[Segments].Value(), m.Counts[Chunks].Value(), m.Counts[Rows].Value(); s != 10 || c != 2 || r != 4 {
+		t.Errorf("segments=%d chunks=%d rows=%d", s, c, r)
 	}
-	if m.FoldedSeries.Value() != 6 || m.DecodedPoints.Value() != 8 {
-		t.Errorf("folded_series=%d decoded_points=%d, want 6/8", m.FoldedSeries.Value(), m.DecodedPoints.Value())
+	if f, d := m.Counts[FoldedSeries].Value(), m.Counts[DecodedPoints].Value(); f != 6 || d != 8 {
+		t.Errorf("folded_series=%d decoded_points=%d, want 6/8", f, d)
 	}
 	if m.Stage[SpanScan].Count() != 1 {
 		t.Errorf("scan stage observations = %d, want 1", m.Stage[SpanScan].Count())
@@ -171,6 +170,50 @@ func TestObserverFeedsMetrics(t *testing.T) {
 	}
 	if seen == nil {
 		t.Error("OnTrace was not invoked")
+	}
+}
+
+// TestEveryCountReachesEverySurface walks every Count: a distinct n
+// added to a trace must read back from Trace.Count, from the registry
+// counter modelardb_query_<key>_total after Observe, and as <key>=<n>
+// in the slow-query line. The keys are spelled here by hand, so a
+// count the table misses, or a surface that skips one, fails.
+func TestEveryCountReachesEverySurface(t *testing.T) {
+	keys := map[Count]string{
+		Segments:      "segments",
+		Chunks:        "chunks",
+		Rows:          "rows",
+		FoldedSeries:  "folded_series",
+		DecodedPoints: "decoded_points",
+		SelectRuns:    "select_runs",
+	}
+	if len(keys) != int(NumCounts) {
+		t.Fatalf("test names %d counts, the table has %d", len(keys), NumCounts)
+	}
+	r := NewRegistry()
+	var buf bytes.Buffer
+	o := &QueryObserver{
+		Metrics: NewQueryMetrics(r),
+		SlowLog: NewSlowQueryLog(0, log.New(&buf, "", 0)),
+	}
+	tr := NewTrace(9, RawSQL("SELECT counts"))
+	for c := Count(0); c < NumCounts; c++ {
+		tr.Add(c, int64(101+c))
+	}
+	tr.Finish()
+	o.Observe(tr, nil)
+	snap, line := r.Snapshot(), buf.String()
+	for c := Count(0); c < NumCounts; c++ {
+		key, n := keys[c], int64(101+c)
+		if got := tr.Count(c); got != n {
+			t.Errorf("%s: Trace.Count = %d, want %d", key, got, n)
+		}
+		if name := "modelardb_query_" + key + "_total"; snap[name] != float64(n) {
+			t.Errorf("%s: registry %s = %g, want %d", key, name, snap[name], n)
+		}
+		if field := " " + key + "=" + strconv.FormatInt(n, 10) + " "; !strings.Contains(line, field) {
+			t.Errorf("%s: slow-query line %q lacks %q", key, line, field)
+		}
 	}
 }
 

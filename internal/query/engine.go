@@ -159,7 +159,7 @@ func (e *Engine) run(ctx context.Context, p *plan, use func(*finalized)) error {
 		return err
 	}
 	f.parts = parts
-	p.trace.AddRows(int64(len(f.order)))
+	p.trace.Add(obs.Rows, int64(len(f.order)))
 	use(f)
 	return nil
 }
@@ -240,7 +240,7 @@ func (e *Engine) queueWaitHistogram() *obs.Histogram {
 // hookSegment runs per-segment bookkeeping: the scratch's segment
 // tally and the scan hook, if any.
 func (e *Engine) hookSegment(ctx context.Context, sc *scanScratch) error {
-	sc.segments++
+	sc.counts[obs.Segments]++
 	if e.scanHook == nil {
 		return nil
 	}
@@ -625,7 +625,7 @@ func (e *Engine) aggregateSegment(p *plan, seg *core.Segment, groups map[string]
 			view = v
 		}
 		if p.perPoint {
-			sc.decodedPoints += int64(i1 - i0 + 1)
+			sc.counts[obs.DecodedPoints] += int64(i1 - i0 + 1)
 			p.aggregatePoints(view, pos, &row, i0, i1, groups, sc)
 			continue
 		}
@@ -633,7 +633,7 @@ func (e *Engine) aggregateSegment(p *plan, seg *core.Segment, groups map[string]
 			runs = appendBucketRuns(runs, p.cubeLevel, seg, i0, i1)
 			sc.runs = runs
 		}
-		sc.foldedSeries++
+		sc.counts[obs.FoldedSeries]++
 		p.aggregateSeries(sc.groupOf(p, groups, &row), view, pos, float64(ts.Scaling), i0, i1, runs)
 	}
 	return nil
@@ -813,7 +813,7 @@ func (e *Engine) selectSegment(p *plan, seg *core.Segment, b *ColumnBatch, sc *s
 			}
 		}
 		p.appendRun(b, &row, n, sc)
-		sc.selectRuns++
+		sc.counts[obs.SelectRuns]++
 	}
 	return nil
 }
@@ -825,7 +825,7 @@ func (e *Engine) selectSegment(p *plan, seg *core.Segment, b *ColumnBatch, sc *s
 // kept.
 func (sc *scanScratch) pointRun(p *plan, row *logicalRow, view models.AggView, pos, i0, i1 int) int {
 	n := i1 - i0 + 1
-	sc.decodedPoints += int64(n)
+	sc.counts[obs.DecodedPoints] += int64(n)
 	scale := float64(row.ts.Scaling)
 	ts := slices.Grow(sc.pointTS[:0], n)[:n]
 	vals := slices.Grow(sc.values[:0], n)[:n]

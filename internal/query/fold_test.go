@@ -522,14 +522,14 @@ func TestFoldTraceCounters(t *testing.T) {
 			"SELECT Tid, COUNT(*), SUM(Value) FROM DataPoint WHERE Tid = 2 AND TS BETWEEN 5000 AND 900000 GROUP BY Tid",
 		} {
 			_, tr := run(sql)
-			if tr.DecodedPoints() != 0 || tr.FoldedSeries() == 0 {
-				t.Errorf("par %d: %s: decoded_points = %d, folded_series = %d; want 0 and > 0", par, sql, tr.DecodedPoints(), tr.FoldedSeries())
+			if tr.Count(obs.DecodedPoints) != 0 || tr.Count(obs.FoldedSeries) == 0 {
+				t.Errorf("par %d: %s: decoded_points = %d, folded_series = %d; want 0 and > 0", par, sql, tr.Count(obs.DecodedPoints), tr.Count(obs.FoldedSeries))
 			}
-			folded += tr.FoldedSeries()
+			folded += tr.Count(obs.FoldedSeries)
 		}
 	}
-	if m.FoldedSeries.Value() != folded || m.DecodedPoints.Value() != 0 {
-		t.Fatalf("registry folded=%d decoded=%d, want %d and 0", m.FoldedSeries.Value(), m.DecodedPoints.Value(), folded)
+	if m.Counts[obs.FoldedSeries].Value() != folded || m.Counts[obs.DecodedPoints].Value() != 0 {
+		t.Fatalf("registry folded=%d decoded=%d, want %d and 0", m.Counts[obs.FoldedSeries].Value(), m.Counts[obs.DecodedPoints].Value(), folded)
 	}
 
 	const scope = " FROM DataPoint WHERE Tid IN (1, 4) AND TS >= 1000"
@@ -541,11 +541,11 @@ func TestFoldTraceCounters(t *testing.T) {
 		"SELECT Tid, TS, Value" + scope,                           // a row scan decodes what it emits
 	} {
 		_, tr := run(sql)
-		if tr.DecodedPoints() != points || tr.FoldedSeries() != 0 {
-			t.Errorf("%s: decoded_points = %d, folded_series = %d; want COUNT(*) = %d and 0", sql, tr.DecodedPoints(), tr.FoldedSeries(), points)
+		if tr.Count(obs.DecodedPoints) != points || tr.Count(obs.FoldedSeries) != 0 {
+			t.Errorf("%s: decoded_points = %d, folded_series = %d; want COUNT(*) = %d and 0", sql, tr.Count(obs.DecodedPoints), tr.Count(obs.FoldedSeries), points)
 		}
 	}
-	if got := m.DecodedPoints.Value(); got != 3*points {
+	if got := m.Counts[obs.DecodedPoints].Value(); got != 3*points {
 		t.Fatalf("registry decoded points = %d, want %d", got, 3*points)
 	}
 
@@ -557,7 +557,7 @@ func TestFoldTraceCounters(t *testing.T) {
 	for rows.Next() {
 	}
 	rows.Close()
-	if tr := col.take(t); tr.DecodedPoints() != points {
-		t.Fatalf("cursor decoded_points = %d, want %d", tr.DecodedPoints(), points)
+	if tr := col.take(t); tr.Count(obs.DecodedPoints) != points {
+		t.Fatalf("cursor decoded_points = %d, want %d", tr.Count(obs.DecodedPoints), points)
 	}
 }

@@ -88,19 +88,19 @@ func TestObserverExecuteTrace(t *testing.T) {
 	if tr.SQL() != sql {
 		t.Fatalf("trace sql = %q, want %q", tr.SQL(), sql)
 	}
-	if tr.Segments() == 0 {
+	if tr.Count(obs.Segments) == 0 {
 		t.Fatal("trace counted no segments on a full scan")
 	}
-	if tr.Chunks() == 0 {
+	if tr.Count(obs.Chunks) == 0 {
 		t.Fatal("trace counted no chunks on a parallel scan")
 	}
-	if tr.Rows() != int64(len(res.Rows)) {
-		t.Fatalf("trace rows = %d, result rows = %d", tr.Rows(), len(res.Rows))
+	if tr.Count(obs.Rows) != int64(len(res.Rows)) {
+		t.Fatalf("trace rows = %d, result rows = %d", tr.Count(obs.Rows), len(res.Rows))
 	}
 	if m.Queries.Value() != 1 || m.Errors.Value() != 0 {
 		t.Fatalf("queries=%d errors=%d, want 1/0", m.Queries.Value(), m.Errors.Value())
 	}
-	if m.Segments.Value() != tr.Segments() || m.Rows.Value() != tr.Rows() {
+	if m.Counts[obs.Segments].Value() != tr.Count(obs.Segments) || m.Counts[obs.Rows].Value() != tr.Count(obs.Rows) {
 		t.Fatal("counters disagree with the trace they were fed from")
 	}
 	if m.Seconds.Count() != 1 {
@@ -161,8 +161,8 @@ func TestObserverStreamingCursor(t *testing.T) {
 	}
 	tr := col.take(t)
 	checkClosed(t, tr, obs.SpanParse, obs.SpanPlan, obs.SpanScan)
-	if tr.Rows() != n {
-		t.Fatalf("trace rows = %d, cursor yielded %d", tr.Rows(), n)
+	if tr.Count(obs.Rows) != n {
+		t.Fatalf("trace rows = %d, cursor yielded %d", tr.Count(obs.Rows), n)
 	}
 }
 
@@ -212,8 +212,8 @@ func TestObserverPartialPaths(t *testing.T) {
 	}
 	tr := col.take(t)
 	checkClosed(t, tr, obs.SpanPlan, obs.SpanScan)
-	if tr.Rows() != int64(part.NumRows()) {
-		t.Fatalf("trace rows = %d, partial rows = %d", tr.Rows(), part.NumRows())
+	if tr.Count(obs.Rows) != int64(part.NumRows()) {
+		t.Fatalf("trace rows = %d, partial rows = %d", tr.Count(obs.Rows), part.NumRows())
 	}
 	part.ReleaseBatch()
 
@@ -230,7 +230,7 @@ func TestObserverPartialPaths(t *testing.T) {
 	}
 	tr = col.take(t)
 	checkClosed(t, tr, obs.SpanPlan, obs.SpanScan)
-	if tr.Segments() == 0 {
+	if tr.Count(obs.Segments) == 0 {
 		t.Fatal("chunked execution counted no segments")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"modelardb/internal/core"
+	"modelardb/internal/obs"
 	"modelardb/internal/storage"
 )
 
@@ -110,7 +111,7 @@ func (e *Engine) scan(ctx context.Context, p *plan, fn func(*Engine, context.Con
 		sc := getScratch()
 		defer sc.release(p.trace)
 		return e.store.ScanChunks(ctx, p.scanFilter(), e.chunk, func(c storage.Chunk) error {
-			p.trace.AddChunks(1)
+			p.trace.Add(obs.Chunks, 1)
 			segs, err := c.Segments(&sc.read)
 			if err != nil {
 				return err
@@ -140,7 +141,7 @@ func (e *Engine) scan(ctx context.Context, p *plan, fn func(*Engine, context.Con
 			}
 			select {
 			case jobs <- job:
-				p.trace.AddChunks(1)
+				p.trace.Add(obs.Chunks, 1)
 				seq++
 				return nil
 			case <-done:

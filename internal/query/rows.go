@@ -126,7 +126,7 @@ func (e *Engine) queryRowsTraced(ctx context.Context, q *sqlparse.Query, tr *obs
 	r.cancel = cancel
 	if tr != nil {
 		r.finish = func(rows int64, err error) {
-			tr.AddRows(rows)
+			tr.Add(obs.Rows, rows)
 			e.finishTrace(tr, err)
 		}
 	}

@@ -18,12 +18,11 @@ import (
 // group key and a segment's bucket split are built in. For a plan
 // whose series conjuncts and group key read only per-series columns
 // (plan.perSeries) it caches, per Tid, the conjuncts' verdict for the
-// scan and the series' group for the chunk. It also tallies what the
-// scan did — segments scanned, series folded on their model, points
-// reconstructed — in plain integers that reach the query's trace once,
-// at release. A scratch is owned by a single goroutine for the
-// duration of a scan — the caller for a pool of one, or one pool
-// worker for its whole lifetime — so workers never share.
+// scan and the series' group for the chunk. It also tallies the
+// scan's work counts (obs.Count) in plain integers that reach the
+// query's trace once, at release. A scratch is owned by a single
+// goroutine for the duration of a scan — the caller for a pool of one,
+// or one pool worker for its whole lifetime — so workers never share.
 type scanScratch struct {
 	// read is lent to every chunk this scratch's goroutine reads, so a
 	// chunk's segments are valid until its next chunk: nothing keeps a
@@ -46,10 +45,7 @@ type scanScratch struct {
 	gids        []gidSlot
 	scan, chunk uint64
 
-	segments      int64
-	foldedSeries  int64
-	decodedPoints int64
-	selectRuns    int64
+	counts [obs.NumCounts]int64
 }
 
 // tidSlot is what a perSeries plan resolved for one series: whether
@@ -86,11 +82,10 @@ func getScratch() *scanScratch {
 // and returns it to the pool, without read memory that only a huge
 // explicit chunk size needed (storage.ReadScratch.Trim).
 func (sc *scanScratch) release(tr *obs.Trace) {
-	tr.AddSegments(sc.segments)
-	tr.AddFoldedSeries(sc.foldedSeries)
-	tr.AddDecodedPoints(sc.decodedPoints)
-	tr.AddSelectRuns(sc.selectRuns)
-	sc.segments, sc.foldedSeries, sc.decodedPoints, sc.selectRuns = 0, 0, 0, 0
+	for c, n := range sc.counts {
+		tr.Add(obs.Count(c), n)
+	}
+	sc.counts = [obs.NumCounts]int64{}
 	sc.read.Trim()
 	scanScratchPool.Put(sc)
 }

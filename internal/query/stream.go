@@ -54,7 +54,7 @@ func (e *Engine) ExecutePartialChunks(ctx context.Context, q *sqlparse.Query, ma
 		maxBytes = DefaultStreamChunkBytes
 	}
 	err = e.runChunksTraced(ctx, p, maxBytes, func(part *PartialResult) error {
-		tr.AddRows(int64(part.NumRows()))
+		tr.Add(obs.Rows, int64(part.NumRows()))
 		return emit(part)
 	}, tr)
 	e.finishTrace(tr, err)

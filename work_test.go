@@ -120,8 +120,8 @@ func (w workData) rows(t *testing.T) []workRow {
 		reads1, bytes1 := db.store.ReadStats()
 		row := workRow{
 			Name: name, SQL: sql,
-			Segments: last.Segments(), Chunks: last.Chunks(), Rows: last.Rows(),
-			FoldedSeries: last.FoldedSeries(), DecodedPoints: last.DecodedPoints(), Runs: last.SelectRuns(),
+			Segments: last.Count(obs.Segments), Chunks: last.Count(obs.Chunks), Rows: last.Count(obs.Rows),
+			FoldedSeries: last.Count(obs.FoldedSeries), DecodedPoints: last.Count(obs.DecodedPoints), Runs: last.Count(obs.SelectRuns),
 			Reads: reads1 - reads0, ReadBytes: bytes1 - bytes0,
 		}
 		row.Allocs, row.AllocBytes = allocsPerRun(5, func() {
