@@ -62,7 +62,7 @@ func TestHandleAppendFlushStats(t *testing.T) {
 		"modelardb_series=1", "modelardb_groups=1", "modelardb_segments=",
 		"modelardb_ingested_points_total=", "modelardb_queries_total=",
 		"modelardb_query_folded_series_total=", "modelardb_query_decoded_points_total=",
-		"modelardb_query_select_runs_total=",
+		"modelardb_query_select_runs_total=", "modelardb_query_view_values_total=",
 	} {
 		if !strings.Contains(out, " "+field) {
 			t.Fatalf("STATS misses %s: %q", field, out)

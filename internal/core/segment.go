@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"modelardb/internal/models"
 )
@@ -26,6 +27,40 @@ type Segment struct {
 	// GapTids lists, sorted, the group members in a gap for the whole
 	// segment interval (the Gts function of Definition 9).
 	GapTids []Tid
+	// Memo is the segment's memo slot in the store's index, nil for a
+	// segment that is not stored. The index rebuilds it on reopen and
+	// truncation, and it is set only by the store's reads.
+	Memo *Memo
+}
+
+// Memo is a stored segment's memo slot: the SUM, MIN and MAX over the
+// segment's whole range of each position of its model view, exactly as
+// the view's SumRange, MinRange and MaxRange returned them to the first
+// query that decoded the view and folded the whole range. A stored
+// segment never changes, so neither do they. The slot is written only
+// through its atomic pointer, from nil to a slice nobody writes again;
+// two queries that race to fill it store equal numbers.
+type Memo struct {
+	folds atomic.Pointer[[]float64]
+}
+
+// Load returns the memo's folds of a view of n positions — the sums at
+// [0, n), the minima at [n, 2n), the maxima at [2n, 3n) — or nil when
+// the slot is empty, holds another width, or m is nil.
+func (m *Memo) Load(n int) []float64 {
+	if m == nil {
+		return nil
+	}
+	if p := m.folds.Load(); p != nil && len(*p) == 3*n {
+		return *p
+	}
+	return nil
+}
+
+// Store fills the slot with folds laid out as Load returns them; folds
+// must not be written afterwards.
+func (m *Memo) Store(folds []float64) {
+	m.folds.Store(&folds)
 }
 
 // Length returns the number of sampling intervals the segment covers.
@@ -38,9 +73,18 @@ func (s *Segment) Covers(from, to int64) bool {
 	return s.EndTime >= from && s.StartTime <= to
 }
 
+// Within reports whether [from, to] holds the whole segment interval.
+func (s *Segment) Within(from, to int64) bool {
+	return from <= s.StartTime && to >= s.EndTime
+}
+
 // IndexRange clamps [from, to] to the segment and converts it to
 // inclusive grid indices. ok is false when the ranges do not intersect.
+// A range that holds the whole segment costs no clipping division.
 func (s *Segment) IndexRange(from, to int64) (i0, i1 int, ok bool) {
+	if s.Within(from, to) {
+		return 0, s.Length() - 1, true
+	}
 	if !s.Covers(from, to) {
 		return 0, 0, false
 	}
@@ -291,12 +335,12 @@ func (r *BlockReader) More() bool { return r.off < len(r.data) }
 func (r *BlockReader) Offset() int { return r.off }
 
 // Next decodes the next segment into s, overwriting every field, as
-// Segment.DecodeInto does: s.Params alias the block and GapTids is
-// rebuilt in s.GapTids' own backing array. members must be the sorted
-// Tids the block was encoded with. On error s is left partly
+// Segment.DecodeInto does: s.Params alias the block, GapTids is rebuilt
+// in s.GapTids' own backing array, and Memo is nil. members must be the
+// sorted Tids the block was encoded with. On error s is left partly
 // overwritten and the reader must not be used again.
 func (r *BlockReader) Next(s *Segment, members []Tid) error {
-	s.Gid, s.SI = r.gid, r.si
+	s.Gid, s.SI, s.Memo = r.gid, r.si, nil
 	length, delta, n, err := s.decodeEntry(r.data[r.off:], members)
 	if err != nil {
 		return err
@@ -320,7 +364,7 @@ func (r *BlockReader) Next(s *Segment, members []Tid) error {
 }
 
 // DecodeEntry decodes one block entry into s, whose Gid, SI,
-// StartTime and EndTime the caller has set from the segment log's
+// StartTime, EndTime and Memo the caller has set from the segment log's
 // index; the rest is as for BlockReader.Next. The entry must hold
 // exactly the segment, and its length must agree with the times.
 func (s *Segment) DecodeEntry(entry []byte, members []Tid) error {

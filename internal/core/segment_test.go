@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"modelardb/internal/models"
@@ -54,6 +55,52 @@ func TestSegmentIndexRange(t *testing.T) {
 			t.Errorf("IndexRange(%d, %d) = (%d, %d, %v), want (%d, %d, %v)",
 				tt.from, tt.to, i0, i1, ok, tt.i0, tt.i1, tt.ok)
 		}
+	}
+}
+
+// indexRangeDividing is IndexRange as it was before a covering range
+// skipped the clipping divisions: clamp, then round both bounds inward.
+func indexRangeDividing(s *Segment, from, to int64) (i0, i1 int, ok bool) {
+	if !s.Covers(from, to) {
+		return 0, 0, false
+	}
+	from, to = max(from, s.StartTime), min(to, s.EndTime)
+	i0 = int((from - s.StartTime + s.SI - 1) / s.SI)
+	i1 = int((to - s.StartTime) / s.SI)
+	if i0 > i1 {
+		return 0, 0, false
+	}
+	return i0, i1, true
+}
+
+// TestSegmentIndexRangeMatchesDividing: over random SIs, segments and
+// ranges — on and off the grid, covering, clipping and missing the
+// segment — IndexRange returns what the dividing form returns.
+func TestSegmentIndexRangeMatchesDividing(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	covered := 0
+	for range 200000 {
+		si := int64(rng.Intn(5000) + 1)
+		start := rng.Int63n(1<<40) - 1<<39
+		s := &Segment{StartTime: start, EndTime: start + int64(rng.Intn(100))*si, SI: si}
+		span := s.EndTime - s.StartTime + 2*si
+		from := s.StartTime - si + rng.Int63n(span+1)
+		to := from + rng.Int63n(span+1) - si/2
+		if rng.Intn(4) == 0 { // a range that holds the segment
+			from, to = s.StartTime-rng.Int63n(2*si), s.EndTime+rng.Int63n(2*si)
+		}
+		if s.Within(from, to) {
+			covered++
+		}
+		i0, i1, ok := s.IndexRange(from, to)
+		w0, w1, wok := indexRangeDividing(s, from, to)
+		if i0 != w0 || i1 != w1 || ok != wok {
+			t.Fatalf("segment [%d, %d] SI %d, range [%d, %d]: IndexRange = (%d, %d, %v), dividing = (%d, %d, %v)",
+				s.StartTime, s.EndTime, si, from, to, i0, i1, ok, w0, w1, wok)
+		}
+	}
+	if covered == 0 {
+		t.Fatal("no range held its segment")
 	}
 }
 

@@ -381,6 +381,9 @@ type foldRange struct{ i0, i1 int }
 func (v *gorillaView) Length() int    { return v.length }
 func (v *gorillaView) NumSeries() int { return v.nseries }
 
+// DecodedValues implements ValueDecoder: the whole grid is decoded.
+func (v *gorillaView) DecodedValues() int { return len(v.values) }
+
 func (v *gorillaView) ValueAt(series, i int) float32 {
 	return v.values[i*v.nseries+series]
 }

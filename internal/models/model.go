@@ -141,6 +141,16 @@ type AggView interface {
 	MaxRange(series, i0, i1 int) float64
 }
 
+// ValueDecoder is the optional AggView method of a view that decodes
+// its parameters into values: DecodedValues is how many values its last
+// decode produced. A view without it answers in closed form and decodes
+// none. The query engine counts the values (view_values) and keeps the
+// whole-range folds of a view that decoded some beside the segment
+// (core.Memo), so a later fold of the segment decodes nothing.
+type ValueDecoder interface {
+	DecodedValues() int
+}
+
 // ModelType describes a kind of model: a factory for fitting instances
 // and a decoder for stored parameters. This is the extension API used
 // to add user-defined models (paper §3.1).

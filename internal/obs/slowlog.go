@@ -14,7 +14,7 @@ import (
 //
 //	slow query id=7 total=1.2s parse=40µs plan=110µs scan=1.19s
 //	  finalize=9ms segments=52310 chunks=64 rows=12 folded_series=0
-//	  decoded_points=8127400 select_runs=0 sql="SELECT ..."
+//	  decoded_points=8127400 select_runs=0 view_values=0 sql="SELECT ..."
 //
 // (on one line). A threshold of zero or less logs every query — useful
 // for tracing a test run, never the production default.

@@ -39,6 +39,7 @@ const (
 	FoldedSeries               // (segment, series) pairs folded on the model
 	DecodedPoints              // data points reconstructed from models
 	SelectRuns                 // (segment, series) runs a row scan appended
+	ViewValues                 // values model views decoded to answer folds
 	NumCounts
 )
 
@@ -50,6 +51,7 @@ var counts = [NumCounts]struct{ key, help string }{
 	FoldedSeries:  {"folded_series", "(segment, series) pairs aggregated on the model without reconstructing a point."},
 	DecodedPoints: {"decoded_points", "Data points reconstructed from models by queries."},
 	SelectRuns:    {"select_runs", "(segment, series) runs row scans appended a column at a time."},
+	ViewValues:    {"view_values", "Values model views decoded to answer folds; closed-form models and memo hits decode none."},
 }
 
 // Trace is one query's execution record: stage spans, work counts

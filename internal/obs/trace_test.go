@@ -186,6 +186,7 @@ func TestEveryCountReachesEverySurface(t *testing.T) {
 		FoldedSeries:  "folded_series",
 		DecodedPoints: "decoded_points",
 		SelectRuns:    "select_runs",
+		ViewValues:    "view_values",
 	}
 	if len(keys) != int(NumCounts) {
 		t.Fatalf("test names %d counts, the table has %d", len(keys), NumCounts)

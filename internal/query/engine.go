@@ -603,6 +603,10 @@ func (e *Engine) aggregateChunk(ctx context.Context, p *plan, sc *scanScratch, s
 	return groups, nil
 }
 
+// aggregateSegment folds, or for a perPoint plan walks, every series of
+// seg that the series conjuncts keep. A fold whose ranges are all the
+// segment's whole range — no TS clip, and a roll-up split of one run —
+// reads the segment's memo slot once a query has filled it (foldsFor).
 func (e *Engine) aggregateSegment(p *plan, seg *core.Segment, groups map[string]*GroupState, sc *scanScratch) error {
 	i0, i1, ok := seg.IndexRange(p.push.trange.from, p.push.trange.to)
 	if !ok {
@@ -610,6 +614,7 @@ func (e *Engine) aggregateSegment(p *plan, seg *core.Segment, groups map[string]
 	}
 	active := sc.seriesOf(e.meta, seg)
 	var view models.AggView
+	var folds rangeFolder
 	runs := sc.runs[:0]
 	row := logicalRow{seg: seg, isPoint: p.q.From == sqlparse.TableDataPoint}
 	for pos, ts := range active {
@@ -617,14 +622,14 @@ func (e *Engine) aggregateSegment(p *plan, seg *core.Segment, groups map[string]
 		if !sc.keepSeries(p, &row) {
 			continue
 		}
-		if view == nil && p.needView {
-			v, err := e.viewFor(sc, seg, len(active))
-			if err != nil {
-				return fmt.Errorf("query: segment (gid=%d, end=%d): %w", seg.Gid, seg.EndTime, err)
-			}
-			view = v
-		}
 		if p.perPoint {
+			if view == nil {
+				v, err := e.viewFor(sc, seg, len(active))
+				if err != nil {
+					return segmentError(seg, err)
+				}
+				view = v
+			}
 			sc.counts[obs.DecodedPoints] += int64(i1 - i0 + 1)
 			p.aggregatePoints(view, pos, &row, i0, i1, groups, sc)
 			continue
@@ -633,10 +638,23 @@ func (e *Engine) aggregateSegment(p *plan, seg *core.Segment, groups map[string]
 			runs = appendBucketRuns(runs, p.cubeLevel, seg, i0, i1)
 			sc.runs = runs
 		}
+		if folds == nil && p.needView {
+			whole := len(runs) <= 1 && seg.Within(p.push.trange.from, p.push.trange.to)
+			f, err := e.foldsFor(sc, seg, len(active), whole)
+			if err != nil {
+				return segmentError(seg, err)
+			}
+			folds = f
+		}
 		sc.counts[obs.FoldedSeries]++
-		p.aggregateSeries(sc.groupOf(p, groups, &row), view, pos, float64(ts.Scaling), i0, i1, runs)
+		p.aggregateSeries(sc.groupOf(p, groups, &row), folds, pos, float64(ts.Scaling), i0, i1, runs)
 	}
 	return nil
+}
+
+// segmentError names the segment whose view failed to decode.
+func segmentError(seg *core.Segment, err error) error {
+	return fmt.Errorf("query: segment (gid=%d, end=%d): %w", seg.Gid, seg.EndTime, err)
 }
 
 // groupFor returns the group for a rendered key, creating it on first
@@ -655,13 +673,33 @@ func (p *plan) groupFor(groups map[string]*GroupState, key []byte, r *logicalRow
 	return g
 }
 
+// rangeFolder is what a fold reads of a segment: its model view's range
+// aggregates, or the whole-range ones its memo slot keeps (memoFolds).
+type rangeFolder interface {
+	SumRange(series, i0, i1 int) float64
+	MinRange(series, i0, i1 int) float64
+	MaxRange(series, i0, i1 int) float64
+}
+
+// memoFolds serves a segment's whole-range folds from its memo slot,
+// laid out as core.Memo.Load returns them. It ignores the range it is
+// asked for, so it is read only for the segment's whole range.
+type memoFolds struct {
+	folds []float64
+	n     int
+}
+
+func (m *memoFolds) SumRange(series, _, _ int) float64 { return m.folds[series] }
+func (m *memoFolds) MinRange(series, _, _ int) float64 { return m.folds[m.n+series] }
+func (m *memoFolds) MaxRange(series, _, _ int) float64 { return m.folds[2*m.n+series] }
+
 // rangeAgg is a series' model-native aggregate over [i0, i1], unscaled.
 // MIN and MAX are rounded through float32 before the division because
 // that is what a reconstructed point is (ValueAt returns float32);
 // rounding is monotone, so the rounded extremum of the model is the
 // extremum of the rounded points, bit for bit. SUM stays the model's
 // float64 closed form.
-func rangeAgg(view models.AggView, pos, i0, i1 int, scale float64) (sum, mn, mx float64) {
+func rangeAgg(view rangeFolder, pos, i0, i1 int, scale float64) (sum, mn, mx float64) {
 	sum = view.SumRange(pos, i0, i1) / scale
 	mn = float64(float32(view.MinRange(pos, i0, i1))) / scale
 	mx = float64(float32(view.MaxRange(pos, i0, i1))) / scale
@@ -674,7 +712,7 @@ func rangeAgg(view models.AggView, pos, i0, i1 int, scale float64) (sum, mn, mx 
 // one per bucket of the segment's split runs (Algorithm 6). The scalar
 // items share one rangeAgg: SUM, MIN and MAX of one series over one
 // range are the same three numbers whichever item asks.
-func (p *plan) aggregateSeries(g *GroupState, view models.AggView, pos int, scale float64, i0, i1 int, runs []bucketRun) {
+func (p *plan) aggregateSeries(g *GroupState, view rangeFolder, pos int, scale float64, i0, i1 int, runs []bucketRun) {
 	count := int64(i1 - i0 + 1)
 	var sum, mn, mx float64
 	folded := false

@@ -29,6 +29,7 @@ type scanScratch struct {
 	// segment past the chunk's fn, and only viewFor reads Params.
 	read   storage.ReadScratch
 	views  [256]models.AggView // by MID
+	memo   memoFolds           // the memo foldsFor last served
 	active []*core.TimeSeries
 	key    []byte
 	runs   []bucketRun
@@ -171,4 +172,39 @@ func (e *Engine) viewFor(sc *scanScratch, seg *core.Segment, nseries int) (model
 	}
 	sc.views[seg.MID] = v
 	return v, nil
+}
+
+// foldsFor returns what a fold of seg's n view positions reads. A fold
+// of the whole range (whole) reads the segment's memo slot once a query
+// has filled it, and decodes nothing. Otherwise it decodes the view as
+// viewFor does and counts the values the view decoded (view_values); a
+// view that decoded some fills the slot when the fold is whole, with
+// what its SumRange, MinRange and MaxRange return over the whole range,
+// so the memo serves the same float64 values bit for bit.
+func (e *Engine) foldsFor(sc *scanScratch, seg *core.Segment, n int, whole bool) (rangeFolder, error) {
+	if whole {
+		if folds := seg.Memo.Load(n); folds != nil {
+			sc.memo = memoFolds{folds: folds, n: n}
+			return &sc.memo, nil
+		}
+	}
+	view, err := e.viewFor(sc, seg, n)
+	if err != nil {
+		return nil, err
+	}
+	d, ok := view.(models.ValueDecoder)
+	if !ok {
+		return view, nil
+	}
+	decoded := d.DecodedValues()
+	sc.counts[obs.ViewValues] += int64(decoded)
+	if whole && decoded > 0 && seg.Memo != nil {
+		last := seg.Length() - 1
+		folds := make([]float64, 3*n)
+		for s := range n {
+			folds[s], folds[n+s], folds[2*n+s] = view.SumRange(s, 0, last), view.MinRange(s, 0, last), view.MaxRange(s, 0, last)
+		}
+		seg.Memo.Store(folds)
+	}
+	return view, nil
 }

@@ -49,7 +49,9 @@ type FileStore struct {
 	// index maps each group to its segments' locations ordered by
 	// EndTime. Scans keep sub-slices of it after the lock is released
 	// (collectRefs), so nothing below a published slice's length is
-	// ever written again (addIndex).
+	// ever written again (addIndex), except through a ref's memo slot,
+	// which queries fill atomically. recover builds a new index, with
+	// empty slots.
 	index map[core.Gid][]recordRef
 	// pending holds one block's refs until the whole block has decoded.
 	pending []recordRef
@@ -116,12 +118,14 @@ func (m *memLog) Close() error { return nil }
 // weight is the segment's decode-cost chunk weight (segmentWeight) of
 // its entry, computed once at index time so the adaptive ScanChunks
 // sizing never re-decodes segments; it is capped at MaxInt32, far above
-// ChunkByteBudget.
+// ChunkByteBudget. memo is the segment's memo slot (core.Memo), one of
+// an array allocated per indexed block; a copy of the ref shares it.
 type recordRef struct {
 	endTime   int64
 	startTime int64
 	offset    int64
 	si        int64
+	memo      *core.Memo
 	length    int32
 	weight    int32
 	gid       core.Gid
@@ -271,6 +275,10 @@ func (s *FileStore) indexBlock(payload []byte, offset int64) error {
 			ref.length += int32(ref.head)
 		}
 		refs = append(refs, ref)
+	}
+	memos := make([]core.Memo, len(refs))
+	for k := range refs {
+		refs[k].memo = &memos[k]
 	}
 	s.addIndex(refs)
 	s.pending = refs[:0]
@@ -558,7 +566,7 @@ func (s *FileStore) readRefs(c *fileChunk, into *ReadScratch) ([]*core.Segment, 
 	i := 0
 	for ref := range c.refs {
 		seg, length := &arena[i], int(ref.length)
-		seg.Gid, seg.SI, seg.StartTime, seg.EndTime = ref.gid, ref.si, ref.startTime, ref.endTime
+		seg.Gid, seg.SI, seg.StartTime, seg.EndTime, seg.Memo = ref.gid, ref.si, ref.startTime, ref.endTime, ref.memo
 		if err := seg.DecodeEntry(buf[ref.head:length:length], members.of(ref.gid)); err != nil {
 			return nil, err
 		}

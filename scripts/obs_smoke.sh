@@ -91,6 +91,7 @@ done <<'EOF'
 # TYPE modelardb_ingest_batch_seconds histogram
 # TYPE modelardb_query_seconds histogram
 # TYPE modelardb_query_stage_seconds histogram
+# TYPE modelardb_query_view_values_total counter
 # TYPE modelardb_wal_fsync_seconds histogram
 # TYPE modelardb_rpc_server_seconds histogram
 # TYPE modelardb_http_requests_total counter

@@ -2,9 +2,11 @@
 // benchmark workloads costs on one node, counted rather than timed, and
 // checked against the committed bench/work.json. Per query it records
 // the query trace's counters (segments scanned, chunks, rows, series
-// folded in closed form, points reconstructed, row runs appended), the
-// segment store's log reads and bytes read, and the allocations and
-// allocated bytes of one execution. Counts are exact; allocations may
+// folded in closed form, points reconstructed, row runs appended,
+// values model views decoded for folds) on its first run, the values
+// views decoded on a second run of it (what the segments' memos
+// spared), the segment store's log reads and bytes read, and the
+// allocations and allocated bytes of one execution. Counts are exact; allocations may
 // drift by workAllocShare plus workAllocSlack, allocated bytes by
 // workAllocShare plus workByteSlack. Rewrite the record with
 //
@@ -37,7 +39,8 @@ const workSetup = "One in-memory node, DefaultConfig with QueryParallelism 1, lo
 	"bound 1%, grouped as the benchmark's EP clauses; EH: tsgen 8 series x 3000 ticks, seed 43, gap rate 0.0005, " +
 	"grouped by 0.16666667, at 5% (scatter_tcp2's shapes) and 0% (mixed_http's). The SQL is the benchmark's " +
 	"query shapes with fixed Tids and ranges, run through DB.Query. segments, chunks, rows, folded_series, " +
-	"decoded_points and runs (the (segment, series) runs a row scan appended) are the query trace's counters; reads and read_bytes the store's ReadStats for the query; " +
+	"decoded_points, runs (the (segment, series) runs a row scan appended) and view_values (values model views decoded to answer folds) are the query trace's counters " +
+	"on the query's first run, after the queries above it; view_values_repeat is view_values on a second run of the query; reads and read_bytes the store's ReadStats for the first run; " +
 	"allocs and alloc_bytes are runtime.MemStats' Mallocs and TotalAlloc per run over the same 5 runs after one warm-up " +
 	"(as testing.AllocsPerRun counts), checked within 10% + 10 and 10% + 4096 (not under -race)."
 
@@ -53,18 +56,20 @@ const (
 
 // workRow is one query of the record.
 type workRow struct {
-	Name          string  `json:"name"`
-	SQL           string  `json:"sql"`
-	Segments      int64   `json:"segments"`
-	Chunks        int64   `json:"chunks"`
-	Rows          int64   `json:"rows"`
-	FoldedSeries  int64   `json:"folded_series"`
-	DecodedPoints int64   `json:"decoded_points"`
-	Runs          int64   `json:"runs"`
-	Reads         int64   `json:"reads"`
-	ReadBytes     int64   `json:"read_bytes"`
-	Allocs        float64 `json:"allocs"`
-	AllocBytes    float64 `json:"alloc_bytes"`
+	Name             string  `json:"name"`
+	SQL              string  `json:"sql"`
+	Segments         int64   `json:"segments"`
+	Chunks           int64   `json:"chunks"`
+	Rows             int64   `json:"rows"`
+	FoldedSeries     int64   `json:"folded_series"`
+	DecodedPoints    int64   `json:"decoded_points"`
+	Runs             int64   `json:"runs"`
+	ViewValues       int64   `json:"view_values"`
+	ViewValuesRepeat int64   `json:"view_values_repeat"`
+	Reads            int64   `json:"reads"`
+	ReadBytes        int64   `json:"read_bytes"`
+	Allocs           float64 `json:"allocs"`
+	AllocBytes       float64 `json:"alloc_bytes"`
 }
 
 type workRecord struct {
@@ -122,8 +127,13 @@ func (w workData) rows(t *testing.T) []workRow {
 			Name: name, SQL: sql,
 			Segments: last.Count(obs.Segments), Chunks: last.Count(obs.Chunks), Rows: last.Count(obs.Rows),
 			FoldedSeries: last.Count(obs.FoldedSeries), DecodedPoints: last.Count(obs.DecodedPoints), Runs: last.Count(obs.SelectRuns),
-			Reads: reads1 - reads0, ReadBytes: bytes1 - bytes0,
+			ViewValues: last.Count(obs.ViewValues),
+			Reads:      reads1 - reads0, ReadBytes: bytes1 - bytes0,
 		}
+		if _, err := db.Query(context.Background(), sql); err != nil {
+			t.Fatalf("%s: %s: %v", name, sql, err)
+		}
+		row.ViewValuesRepeat = last.Count(obs.ViewValues)
 		row.Allocs, row.AllocBytes = allocsPerRun(5, func() {
 			if _, err := db.Query(context.Background(), sql); err != nil {
 				t.Fatal(err)
@@ -249,6 +259,8 @@ func diffWork(want, got []workRow) []string {
 		count("folded_series", w.FoldedSeries, g.FoldedSeries)
 		count("decoded_points", w.DecodedPoints, g.DecodedPoints)
 		count("runs", w.Runs, g.Runs)
+		count("view_values", w.ViewValues, g.ViewValues)
+		count("view_values_repeat", w.ViewValuesRepeat, g.ViewValuesRepeat)
 		count("reads", w.Reads, g.Reads)
 		count("read_bytes", w.ReadBytes, g.ReadBytes)
 		if !raceEnabled && math.Abs(g.Allocs-w.Allocs) > workAllocShare*w.Allocs+workAllocSlack {
